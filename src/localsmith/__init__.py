@@ -32,7 +32,7 @@ from .family_io import (
     serialize_family,
     spec_to_series,
 )
-from .matrix import Mat, Rational, format_rat, rat, rref
+from .matrix import Mat, format_rat, rat
 from .oracles import (
     AugmentedPencil,
     ToeplitzBlock,
@@ -76,7 +76,6 @@ __all__ = [
     "Mat",
     "MatLaurent",
     "MatSeries",
-    "Rational",
     "RecursionState",
     "SmithFactorization",
     "Stage",
@@ -103,7 +102,6 @@ __all__ = [
     "resolvent_recurrence_check",
     "restrict_and_split",
     "restricted_inverse",
-    "rref",
     "serialize_family",
     "series_inverse",
     "spec_to_series",

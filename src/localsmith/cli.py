@@ -2,9 +2,10 @@
 linearize, and verify, over JSON family files.
 
 Reports go to stdout as JSON (default) or a text rendering; all numbers are
-exact rational strings. Exit codes: 0 success, 1 input error, 2 no
-stabilization within the stage budget, 3 internal-consistency failure (an
-exact identity that must hold by construction did not; always a bug).
+exact rational strings. Exit codes: 0 success, 1 input error (usage errors
+and out-of-range flags included), 2 no stabilization within the stage budget,
+3 internal-consistency failure (an exact identity that must hold by
+construction did not; always a bug).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .family_io import (
 )
 from .matrix import Mat, format_rat
 from .oracles import (
+    AugmentedPencil,
     direct_laurent_inverse,
     linearize_polynomial,
     resolvent_recurrence_check,
@@ -50,8 +52,32 @@ EXIT_NO_STABILIZATION = 2
 EXIT_INCONSISTENT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); argparse's own exit 2 would
+    read as "no stabilization"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="localsmith",
         description=(
             "Exact diagonalization of a matrix family L(eps) into "
@@ -74,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("family", help="path to a family JSON file")
         cmd.add_argument(
             "--order",
-            type=int,
+            type=_at_least(0),
             default=None,
             help="truncation order for series output (default max(2k+4, 12))",
         )
         cmd.add_argument(
             "--max-stages",
-            type=int,
+            type=_at_least(1),
             default=None,
             help="stage budget for stabilization detection "
             "(default max(rows+cols, degree*min(rows,cols)) + 2)",
@@ -95,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--pole",
-            type=int,
+            type=_at_least(0),
             default=None,
             help="override the input's declared pole order",
         )
         if name == "jordan":
             cmd.add_argument(
-                "--length", type=int, required=True, help="chain length to generate"
+                "--length", type=_at_least(1), required=True, help="chain length to generate"
             )
     return parser
 
@@ -114,8 +140,6 @@ def _load_family(args) -> tuple[FamilySpec, MatSeries]:
         raise InputError(f"cannot read {args.family}: {exc}") from exc
     spec = parse_family(text)
     if args.pole is not None:
-        if args.pole < 0:
-            raise InputError("--pole must be nonnegative")
         spec = FamilySpec(
             spec.rows, spec.cols, spec.kind, spec.trunc_or_degree, args.pole,
             spec.coefficients,
@@ -235,29 +259,60 @@ def cmd_invert(args) -> tuple[dict, int]:
         "verification": {
             "identities": ["L * X * L == L", "X * L * X == X"],
             "checked_through_order": linv.tail_order,
-            "exact": _inverse_axioms_hold(family, linv),
+            "exact": _require(_inverse_axioms(family, linv)),
         },
     }
     return report, EXIT_OK
 
 
-def _inverse_axioms_hold(family: MatSeries, linv: MatLaurent) -> bool:
+# Each identity below is proved by one function, which both the command that
+# reports it and its ``verify`` check call. A proof is (passed, detail).
+
+
+def _require(proof: tuple[bool, str]) -> bool:
+    """True for a passed proof; a failed one is a bug, raised as such."""
+    passed, detail = proof
+    if not passed:
+        raise InternalConsistencyError(detail)
+    return True
+
+
+def _inverse_axioms(family: MatSeries, linv: MatLaurent) -> tuple[bool, str]:
+    """L*X*L == L and X*L*X == X on every coefficient the products determine."""
     lau = MatLaurent.from_series(family)
     lxl = lau @ linv @ lau
     for e in range(-lxl.pole, lxl.tail_order + 1):
         if lxl.coefficient(e) != lau.coefficient(e):
-            raise InternalConsistencyError(f"L*X*L differs from L at order {e}")
+            return False, f"L*X*L != L at order {e}"
     xlx = linv @ lau @ linv
     for e in range(-xlx.pole, xlx.tail_order + 1):
         if xlx.coefficient(e) != linv.coefficient(e):
-            raise InternalConsistencyError(f"X*L*X differs from X at order {e}")
-    return True
+            return False, f"X*L*X != X at order {e}"
+    return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
+
+
+def _smith_identity(result: DiagonalizationResult, fact) -> tuple[bool, str]:
+    """S_P * P(eps) == Delta, exactly."""
+    if MatSeries.constant(fact.s_p) @ fact.p_series() != result.delta_series():
+        return False, "S_P * P(eps) differs from delta"
+    return True, "S_P * P(eps) == delta"
+
+
+def _linearization(
+    family: MatSeries, k: int, max_stages: int | None = None
+) -> tuple[AugmentedPencil, int, tuple[bool, str]]:
+    """The companion pencil of a polynomial family of degree >= 1, its
+    stabilization index, and the proof of the bound relating it to k."""
+    pencil = linearize_polynomial(family)
+    kbar = RecursionState(pencil.pencil(), max_stages=max_stages).run_until_stabilized()
+    deg = pencil.degree
+    if not (kbar - 1) * deg < k <= kbar * deg:
+        return pencil, kbar, (False, f"bound fails: k={k}, k_pencil={kbar}, degree={deg}")
+    return pencil, kbar, (True, f"k={k}, k_pencil={kbar}, degree={deg}")
 
 
 def cmd_jordan(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    if args.length < 1:
-        raise InputError("--length must be >= 1")
     state = RecursionState(
         family, complements=_complement_plan(args), max_stages=args.max_stages
     )
@@ -297,42 +352,31 @@ def cmd_smith(args) -> tuple[dict, int]:
         "analytic_factor": series_listing(fact.a_series, result.order),
         "verification": {
             "identity": "constant_factor * P(eps) == delta",
-            "exact": _smith_identity_holds(result, fact),
+            "exact": _require(_smith_identity(result, fact)),
         },
     }
     return report, EXIT_OK
-
-
-def _smith_identity_holds(result, fact) -> bool:
-    lhs = MatSeries.constant(fact.s_p) @ fact.p_series()
-    return lhs == result.delta_series()
 
 
 def cmd_linearize(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
     if spec.kind != "polynomial":
         raise InputError("linearization is defined for polynomial families")
-    pencil = linearize_polynomial(family)
-    state = RecursionState(family, max_stages=args.max_stages)
-    k = state.run_until_stabilized()
-    pencil_state = RecursionState(pencil.pencil(), max_stages=args.max_stages)
-    kbar = pencil_state.run_until_stabilized()
-    deg = pencil.degree
+    if family.degree < 1:
+        raise InputError("linearization needs a family of degree >= 1")
+    k = RecursionState(family, max_stages=args.max_stages).run_until_stabilized()
+    pencil, kbar, proof = _linearization(family, k, args.max_stages)
     report = {
         "command": "linearize",
         "family": _family_header(spec),
-        "degree": deg,
+        "degree": pencil.degree,
         "pencil_constant": mat_to_grid(pencil.lbar0),
         "pencil_linear": mat_to_grid(pencil.lbar1),
         "k": k,
         "k_pencil": kbar,
         "bound": "(k_pencil - 1) * degree < k <= k_pencil * degree",
-        "bound_holds": (kbar - 1) * deg < k <= kbar * deg,
+        "bound_holds": _require(proof),
     }
-    if not report["bound_holds"]:
-        raise InternalConsistencyError(
-            f"linearization bound violated: k={k}, k_pencil={kbar}, degree={deg}"
-        )
     return report, EXIT_OK
 
 
@@ -421,17 +465,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         return True, "E zero pattern and M Toeplitz shift hold after stabilization"
 
     def inverse_axioms():
-        linv = result.generalized_inverse(order)
-        lau = MatLaurent.from_series(family)
-        lxl = lau @ linv @ lau
-        for e in range(-lxl.pole, lxl.tail_order + 1):
-            if lxl.coefficient(e) != lau.coefficient(e):
-                return False, f"L*X*L != L at order {e}"
-        xlx = linv @ lau @ linv
-        for e in range(-xlx.pole, xlx.tail_order + 1):
-            if xlx.coefficient(e) != linv.coefficient(e):
-                return False, f"X*L*X != X at order {e}"
-        return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
+        return _inverse_axioms(family, result.generalized_inverse(order))
 
     def laurent_oracle():
         if family.rows != family.cols or result.generic_rank != family.rows:
@@ -447,8 +481,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 
     def smith_identities():
         fact = result.smith_factorization()
-        if MatSeries.constant(fact.s_p) @ fact.p_series() != result.delta_series():
-            return False, "S_P * P(eps) differs from delta"
+        passed, detail = _smith_identity(result, fact)
+        if not passed:
+            return passed, detail
         lhs = family @ result.phi
         rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
         if not lhs.eq_through(rhs, order):
@@ -497,13 +532,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     def linearization():
         if not family.exact or family.degree < 2:
             return None
-        pencil = linearize_polynomial(family)
-        pencil_state = RecursionState(pencil.pencil())
-        kbar = pencil_state.run_until_stabilized()
-        deg = family.degree
-        if not (kbar - 1) * deg < k <= kbar * deg:
-            return False, f"bound fails: k={k}, k_pencil={kbar}, degree={deg}"
-        return True, f"k={k}, k_pencil={kbar}, degree={deg}"
+        return _linearization(family, k)[2]
 
     for name, fn in (
         ("diagonalization-residual", residual),
@@ -599,9 +628,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,11 +167,6 @@ class DiagonalizationResult:
             MatLaurent.from_series(phi) @ delta_plus @ MatLaurent.from_series(psi_inv)
         )
 
-    def delta_inverse(self, t: int | None = None) -> MatLaurent:
-        coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
-        lau = MatLaurent(self.k, coeffs, exact=True)
-        return lau if t is None else lau.truncate_tail(t)
-
     def kernel_range_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
         """Analytic continuations of kernels and ranges: columns of
         phi * basis(N_{k+1}) and psi * basis(R_1 + ... + R_{k+1})."""

@@ -13,9 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
-
 def rat(value) -> Fraction:
     """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction.
 
@@ -99,11 +96,6 @@ class Mat:
         return Mat([[columns[j][i] for j in range(cols)] for i in range(height)])
 
     @staticmethod
-    def basis_vector(n: int, index: int) -> Mat:
-        """The standard basis column e_index in K^n (0-based)."""
-        return Mat([[1 if i == index else 0] for i in range(n)])
-
-    @staticmethod
     def hstack(mats: Sequence["Mat"]) -> Mat:
         mats = [m for m in mats]
         if not mats:
@@ -127,19 +119,6 @@ class Mat:
             raise ValueError("column count mismatch in vstack")
         return Mat([row for m in mats for row in m.entries], cols=cols)
 
-    @staticmethod
-    def block_diag(blocks: Sequence["Mat"]) -> Mat:
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r = c = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out[r + i][c : c + b.cols] = b.entries[i]
-            r += b.rows
-            c += b.cols
-        return Mat(out, cols=cols)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -160,9 +139,6 @@ class Mat:
 
     def column(self, j: int) -> Mat:
         return Mat([[row[j]] for row in self.entries])
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
 
     def submatrix_columns(self, indices: Sequence[int]) -> Mat:
         return Mat([[row[j] for j in indices] for row in self.entries], cols=len(indices))
@@ -214,9 +190,6 @@ class Mat:
             return self.__matmul__(other)
         return Mat([[x * rat(other) for x in row] for row in self.entries], cols=self.cols)
 
-    def __rmul__(self, other):
-        return Mat([[rat(other) * x for x in row] for row in self.entries], cols=self.cols)
-
     def __matmul__(self, other: Mat) -> Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -227,13 +200,6 @@ class Mat:
             [[sum(a * b for a, b in zip(row, col)) for col in cols_b] for row in self.entries],
             cols=other.cols,
         )
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times a plain coordinate vector."""
-        if len(vec) != self.cols:
-            raise ValueError("length mismatch")
-        vec = [rat(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
     # -- elimination --------------------------------------------------
 
@@ -340,6 +306,3 @@ class Mat:
                     m[r] = [a - f * b for a, b in zip(m[r], m[c])]
         return det
 
-
-def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
-    return matrix.rref()

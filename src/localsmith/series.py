@@ -1,13 +1,14 @@
 """Truncated matrix power series and Laurent series over exact rationals.
 
-A ``MatSeries`` is either an exact matrix polynomial (``exact=True``, every
-coefficient beyond the stored ones is genuinely zero) or a truncation
-(``exact=False``, nothing is claimed beyond ``trunc_order``). Every operation
-records the tightest truncation it can honestly claim: consumers that need a
-deeper coefficient get a ``TruncationError`` instead of a silent zero.
+Both kinds share one implementation: coefficients stored from epsilon^{-pole}
+on up, and an ``exact`` flag. ``exact=True`` means every unstored coefficient
+is genuinely zero (a matrix polynomial or Laurent polynomial); otherwise
+nothing is claimed above the top stored exponent. Every operation records the
+tightest truncation it can honestly claim: consumers that need a deeper
+coefficient get a ``TruncationError`` instead of a silent zero.
 
-``MatLaurent`` extends the same bookkeeping to a finite-order pole, which is
-kept minimal (the leading stored block of a pole is nonzero).
+``MatSeries`` is the pole-0 case. ``MatLaurent`` allows a finite-order pole,
+which is kept minimal (the leading stored block of a pole is nonzero).
 """
 
 from __future__ import annotations
@@ -18,39 +19,173 @@ from .errors import TruncationError
 from .matrix import Mat, rat
 
 
-def _min_trunc(a_exact, a_t, b_exact, b_t):
-    if a_exact and b_exact:
-        return None
-    if a_exact:
-        return b_t
-    if b_exact:
-        return a_t
-    return min(a_t, b_t)
+class _Series:
+    """Storage, truncation tracking and arithmetic shared by both kinds."""
 
+    __slots__ = ("rows", "cols", "pole", "coeffs", "exact")
 
-class MatSeries:
-    __slots__ = ("rows", "cols", "coeffs", "exact")
+    # Message for a coefficient above a truncation: (exponent, top exponent).
+    _BEYOND = "coefficient of order {0} requested, valid through {1}"
 
-    def __init__(self, coeffs: Sequence[Mat], exact: bool = False):
-        coeffs = tuple(coeffs)
+    def __init__(self, pole: int, coeffs: Sequence[Mat], exact: bool = False):
+        coeffs = list(coeffs)
         if not coeffs:
-            raise ValueError("a series needs at least the order-0 coefficient")
+            raise ValueError("a series needs at least one coefficient")
         rows, cols = coeffs[0].rows, coeffs[0].cols
         if any(c.rows != rows or c.cols != cols for c in coeffs):
             raise ValueError("coefficient shapes differ")
+        if pole < 0:
+            raise ValueError("pole order must be >= 0")
+        # Renormalize to the minimal pole.
+        while pole > 0 and coeffs and coeffs[0].is_zero():
+            coeffs.pop(0)
+            pole -= 1
+        if not coeffs:
+            coeffs = [Mat.zeros(rows, cols)]
         if exact:
             # Canonical polynomial: drop trailing zero coefficients.
-            last = len(coeffs) - 1
-            while last > 0 and coeffs[last].is_zero():
-                last -= 1
-            coeffs = coeffs[: last + 1]
+            while len(coeffs) > 1 and coeffs[-1].is_zero():
+                coeffs.pop()
+            if len(coeffs) == 1 and coeffs[0].is_zero():
+                pole = 0
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "pole", pole)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
-        raise AttributeError("MatSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _new(self, other: _Series, pole: int, coeffs, exact: bool) -> _Series:
+        """A power series when both operands are one, else a Laurent series."""
+        if type(self) is type(other) is MatSeries:
+            return MatSeries(coeffs, exact=exact)
+        return MatLaurent(pole, coeffs, exact=exact)
+
+    # -- queries ----------------------------------------------------------
+
+    @property
+    def top_exponent(self) -> int:
+        """Exponent of the last stored coefficient."""
+        return len(self.coeffs) - 1 - self.pole
+
+    def coefficient(self, exponent: int) -> Mat:
+        idx = exponent + self.pole
+        if 0 <= idx < len(self.coeffs):
+            return self.coeffs[idx]
+        if idx < 0 or self.exact:
+            return Mat.zeros(self.rows, self.cols)
+        raise TruncationError(self._BEYOND.format(exponent, self.top_exponent))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def eq_through(self, other: _Series, t: int) -> bool:
+        """Coefficient-wise equality through order t (both must reach t)."""
+        low = -max(self.pole, other.pole)
+        return all(self.coefficient(e) == other.coefficient(e) for e in range(low, t + 1))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(self) is type(other)
+            and self.exact == other.exact
+            and self.pole == other.pole
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.exact, self.pole, self.coeffs))
+
+    def __repr__(self):
+        kind = "exact" if self.exact else f"valid through {self.top_exponent}"
+        return f"{type(self).__name__}({self.rows}x{self.cols}, pole {self.pole}, {kind})"
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _aligned(self, other: _Series, op) -> _Series:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        pole = max(self.pole, other.pole)
+        exact = self.exact and other.exact
+        if exact:
+            top = max(self.top_exponent, other.top_exponent)
+        else:
+            top = min(s.top_exponent for s in (self, other) if not s.exact)
+        coeffs = [op(self.coefficient(e), other.coefficient(e)) for e in range(-pole, top + 1)]
+        return self._new(other, pole, coeffs, exact)
+
+    def __add__(self, other):
+        return self._aligned(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._aligned(other, lambda a, b: a - b)
+
+    def __neg__(self):
+        return self._new(self, self.pole, [-c for c in self.coeffs], self.exact)
+
+    def _product(self, other: _Series) -> _Series:
+        """Convolution; poles add, then the result is renormalized to a
+        minimal pole, and the truncation is tracked conservatively."""
+        if self.cols != other.rows:
+            raise ValueError(
+                f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+            )
+        pole = self.pole + other.pole
+        exact = self.exact and other.exact
+        if exact:
+            top = self.top_exponent + other.top_exponent
+        else:
+            # Coefficient l needs A_i through l + pole(B) and B_j through
+            # l + pole(A), so the product is honest only through this order.
+            top = min(
+                a.top_exponent - b.pole for a, b in ((self, other), (other, self)) if not a.exact
+            )
+        if top < -pole:
+            raise TruncationError("truncations too shallow for this Laurent product")
+        # Stored index s of the product pairs stored indices p + q = s.
+        na, nb = len(self.coeffs), len(other.coeffs)
+        coeffs = []
+        for s in range(top + pole + 1):
+            acc = Mat.zeros(self.rows, other.cols)
+            for p in range(max(0, s - nb + 1), min(s, na - 1) + 1):
+                a = self.coeffs[p]
+                b = other.coeffs[s - p]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a @ b
+            coeffs.append(acc)
+        return self._new(other, pole, coeffs, exact)
+
+    def shift(self, power: int):
+        """Multiply by epsilon^power."""
+        pole = self.pole - power
+        coeffs = self.coeffs
+        if pole < 0:
+            coeffs = (Mat.zeros(self.rows, self.cols),) * -pole + coeffs
+            pole = 0
+        return self._new(self, pole, coeffs, self.exact)
+
+    def evaluate(self, point) -> Mat:
+        """Evaluate the stored coefficients at a rational point (Horner)."""
+        point = rat(point)
+        if point == 0 and self.pole > 0:
+            raise ZeroDivisionError("evaluation at the pole")
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = c + acc * point
+        return acc * (1 / point**self.pole) if self.pole else acc
+
+
+class MatSeries(_Series):
+    """A matrix power series: ``exact=True`` is a matrix polynomial, otherwise
+    a truncation valid through ``trunc_order``."""
+
+    __slots__ = ()
+
+    _BEYOND = "coefficient {0} requested but series only valid through order {1}"
+
+    def __init__(self, coeffs: Sequence[Mat], exact: bool = False):
+        super().__init__(0, coeffs, exact)
 
     # -- constructors ---------------------------------------------------
 
@@ -75,28 +210,22 @@ class MatSeries:
     @property
     def trunc_order(self) -> int | None:
         """Highest order the series is valid through; None means exact."""
-        return None if self.exact else len(self.coeffs) - 1
+        return None if self.exact else self.top_exponent
 
     @property
     def degree(self) -> int:
         """Degree of the stored coefficients (polynomial degree when exact)."""
-        return len(self.coeffs) - 1
+        return self.top_exponent
 
     def coefficient(self, i: int) -> Mat:
         if i < 0:
             raise ValueError("power series has no negative coefficients")
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        if self.exact:
-            return Mat.zeros(self.rows, self.cols)
-        raise TruncationError(
-            f"coefficient {i} requested but series only valid through order {len(self.coeffs) - 1}"
-        )
+        return super().coefficient(i)
 
     def require_order(self, t: int) -> None:
-        if not self.exact and len(self.coeffs) - 1 < t:
+        if not self.exact and self.degree < t:
             raise TruncationError(
-                f"need coefficients through order {t}, series valid through {len(self.coeffs) - 1}"
+                f"need coefficients through order {t}, series valid through {self.degree}"
             )
 
     def valuation(self) -> int | None:
@@ -106,90 +235,25 @@ class MatSeries:
                 return i
         return None
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def eq_through(self, other: MatSeries, t: int) -> bool:
-        """Coefficient-wise equality through order t (both must reach t)."""
-        return all(self.coefficient(i) == other.coefficient(i) for i in range(t + 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatSeries)
-            and self.exact == other.exact
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.exact, self.coeffs))
-
-    def __repr__(self):
-        kind = "poly" if self.exact else f"series(T={len(self.coeffs) - 1})"
-        return f"MatSeries({self.rows}x{self.cols} {kind}, deg {self.degree})"
-
     # -- arithmetic -------------------------------------------------------
 
-    def _pointwise(self, other: MatSeries, op) -> MatSeries:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        t = _min_trunc(self.exact, len(self.coeffs) - 1, other.exact, len(other.coeffs) - 1)
-        upto = max(len(self.coeffs), len(other.coeffs)) - 1 if t is None else t
-        coeffs = [op(self.coefficient(i), other.coefficient(i)) for i in range(upto + 1)]
-        return MatSeries(coeffs, exact=t is None)
-
-    def __add__(self, other: MatSeries) -> MatSeries:
-        return self._pointwise(other, lambda a, b: a + b)
-
-    def __sub__(self, other: MatSeries) -> MatSeries:
-        return self._pointwise(other, lambda a, b: a - b)
-
-    def __neg__(self) -> MatSeries:
-        return MatSeries([-c for c in self.coeffs], exact=self.exact)
+    def __matmul__(self, other: MatSeries) -> MatSeries:
+        """Cauchy product, truncated to the tightest honestly-known order."""
+        return self._product(other)
 
     def scale(self, scalar) -> MatSeries:
         scalar = rat(scalar)
         return MatSeries([c * scalar for c in self.coeffs], exact=self.exact)
 
-    def __matmul__(self, other: MatSeries) -> MatSeries:
-        """Cauchy product, truncated to the tightest honestly-known order."""
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        t = _min_trunc(self.exact, len(self.coeffs) - 1, other.exact, len(other.coeffs) - 1)
-        exact = t is None
-        if exact:
-            t = (len(self.coeffs) - 1) + (len(other.coeffs) - 1)
-        coeffs = []
-        for l in range(t + 1):
-            acc = Mat.zeros(self.rows, other.cols)
-            for i in range(max(0, l - (len(other.coeffs) - 1)), min(l, len(self.coeffs) - 1) + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[l - i]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a @ b
-            coeffs.append(acc)
-        return MatSeries(coeffs, exact=exact)
-
     def truncate(self, t: int) -> MatSeries:
         """The truncation to order t (exact input may be padded with zeros)."""
-        coeffs = [self.coefficient(i) for i in range(t + 1)]
-        return MatSeries(coeffs, exact=False)
+        return MatSeries([self.coefficient(i) for i in range(t + 1)], exact=False)
 
     def shift(self, power: int) -> MatSeries:
         """Multiply by epsilon^power (power >= 0)."""
         if power < 0:
             raise ValueError("use MatLaurent for negative powers")
-        zero = Mat.zeros(self.rows, self.cols)
-        return MatSeries((zero,) * power + self.coeffs, exact=self.exact)
-
-    def evaluate(self, point) -> Mat:
-        """Evaluate the stored coefficients at a rational point (Horner)."""
-        point = rat(point)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = c + acc * point
-        return acc
+        return super().shift(power)
 
 
 def series_inverse(a: MatSeries, t: int) -> MatSeries:
@@ -216,7 +280,7 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
     return MatSeries(xs, exact=False)
 
 
-class MatLaurent:
+class MatLaurent(_Series):
     """A matrix Laurent series: coefficients from epsilon^{-pole} on up.
 
     The pole is minimal: when pole > 0 the leading stored block is nonzero.
@@ -224,167 +288,16 @@ class MatLaurent:
     genuinely zero); otherwise nothing is claimed above ``tail_order``.
     """
 
-    __slots__ = ("rows", "cols", "pole", "coeffs", "exact")
-
-    def __init__(self, pole: int, coeffs: Sequence[Mat], exact: bool = False):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("a Laurent series needs at least one coefficient")
-        rows, cols = coeffs[0].rows, coeffs[0].cols
-        if any(c.rows != rows or c.cols != cols for c in coeffs):
-            raise ValueError("coefficient shapes differ")
-        if pole < 0:
-            raise ValueError("pole order must be >= 0")
-        # Renormalize to the minimal pole.
-        while pole > 0 and coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            pole -= 1
-        if not coeffs:
-            coeffs = [Mat.zeros(rows, cols)]
-        if exact:
-            while len(coeffs) > 1 and coeffs[-1].is_zero():
-                coeffs.pop()
-            if len(coeffs) == 1 and coeffs[0].is_zero():
-                pole = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "pole", pole)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatLaurent is immutable")
+    __slots__ = ()
 
     @staticmethod
     def from_series(s: MatSeries) -> MatLaurent:
         return MatLaurent(0, s.coeffs, exact=s.exact)
 
-    # -- queries ----------------------------------------------------------
-
     @property
     def tail_order(self) -> int | None:
         """Highest exponent the series is valid through; None means exact."""
-        return None if self.exact else len(self.coeffs) - 1 - self.pole
-
-    @property
-    def top_exponent(self) -> int:
-        return len(self.coeffs) - 1 - self.pole
-
-    def coefficient(self, exponent: int) -> Mat:
-        idx = exponent + self.pole
-        if idx < 0:
-            return Mat.zeros(self.rows, self.cols)
-        if idx < len(self.coeffs):
-            return self.coeffs[idx]
-        if self.exact:
-            return Mat.zeros(self.rows, self.cols)
-        raise TruncationError(
-            f"coefficient of order {exponent} requested, valid through {self.top_exponent}"
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def eq_through(self, other: MatLaurent, t: int) -> bool:
-        low = -max(self.pole, other.pole)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(low, t + 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatLaurent)
-            and self.exact == other.exact
-            and self.pole == other.pole
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.exact, self.pole, self.coeffs))
-
-    def __repr__(self):
-        kind = "exact" if self.exact else f"tail={self.tail_order}"
-        return f"MatLaurent({self.rows}x{self.cols}, pole {self.pole}, {kind})"
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _aligned(self, other: MatLaurent, op) -> MatLaurent:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        pole = max(self.pole, other.pole)
-        if self.exact and other.exact:
-            top = max(self.top_exponent, other.top_exponent)
-            exact = True
-        else:
-            tops = [s.top_exponent for s in (self, other) if not s.exact]
-            top = min(tops)
-            exact = False
-        coeffs = [op(self.coefficient(e), other.coefficient(e)) for e in range(-pole, top + 1)]
-        return MatLaurent(pole, coeffs, exact=exact)
-
-    def __add__(self, other: MatLaurent) -> MatLaurent:
-        return self._aligned(other, lambda a, b: a + b)
-
-    def __sub__(self, other: MatLaurent) -> MatLaurent:
-        return self._aligned(other, lambda a, b: a - b)
-
-    def __neg__(self) -> MatLaurent:
-        return MatLaurent(self.pole, [-c for c in self.coeffs], exact=self.exact)
+        return None if self.exact else self.top_exponent
 
     def __matmul__(self, other: MatLaurent) -> MatLaurent:
-        """Convolution; poles add, then the result is renormalized to a
-        minimal pole, and the tail is tracked conservatively."""
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        pole = self.pole + other.pole
-        if self.exact and other.exact:
-            top = self.top_exponent + other.top_exponent
-            exact = True
-        else:
-            # Coefficient l needs A_i through l + pole(B) and B_j through
-            # l + pole(A), so the product is honest only through this order.
-            candidates = []
-            if not self.exact:
-                candidates.append(self.top_exponent - other.pole)
-            if not other.exact:
-                candidates.append(other.top_exponent - self.pole)
-            top = min(candidates)
-            exact = False
-        if top < -pole:
-            raise TruncationError("truncations too shallow for this Laurent product")
-        coeffs = []
-        for l in range(-pole, top + 1):
-            acc = Mat.zeros(self.rows, other.cols)
-            for i in range(-self.pole, self.top_exponent + 1):
-                j = l - i
-                if j < -other.pole or j > other.top_exponent:
-                    continue
-                a = self.coeffs[i + self.pole]
-                b = other.coeffs[j + other.pole]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a @ b
-            coeffs.append(acc)
-        return MatLaurent(pole, coeffs, exact=exact)
-
-    def shift(self, power: int) -> MatLaurent:
-        """Multiply by epsilon^power (any sign)."""
-        new_pole = self.pole - power
-        if new_pole < 0:
-            zeros = [Mat.zeros(self.rows, self.cols)] * (-new_pole)
-            return MatLaurent(0, zeros + list(self.coeffs), exact=self.exact)
-        return MatLaurent(new_pole, self.coeffs, exact=self.exact)
-
-    def truncate_tail(self, t: int) -> MatLaurent:
-        coeffs = [self.coefficient(e) for e in range(-self.pole, t + 1)]
-        return MatLaurent(self.pole, coeffs, exact=False)
-
-    def evaluate(self, point) -> Mat:
-        point = rat(point)
-        if point == 0 and self.pole > 0:
-            raise ZeroDivisionError("evaluation at the pole")
-        acc = Mat.zeros(self.rows, self.cols)
-        power = rat(1) / point**self.pole if self.pole else rat(1)
-        for c in self.coeffs:
-            acc = acc + c * power
-            power = power * point
-        return acc
+        return self._product(other)

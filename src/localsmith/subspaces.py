@@ -39,9 +39,7 @@ class Subspace:
     @staticmethod
     def spanned_by(columns: Sequence[Sequence], ambient_dim: int) -> Subspace:
         """Span of the given vectors, reduced to an independent basis."""
-        raw = Mat.from_columns(columns, rows=ambient_dim)
-        keep = _independent_column_subset(raw)
-        return Subspace(ambient_dim, raw.submatrix_columns(keep))
+        return image(Mat.from_columns(columns, rows=ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -67,10 +65,6 @@ class Subspace:
             return True
         return Mat.hstack([self.basis, other.basis]).rank() == self.dim
 
-    def coordinates_of(self, vector: Mat) -> Mat | None:
-        """Coordinates of a column vector in this basis, or None if outside."""
-        return self.basis.solve(vector)
-
     def canonical_basis(self) -> Mat:
         """Basis in column-reduced canonical form; equal iff spaces are equal."""
         reduced, pivots = self.basis.transpose().rref()
@@ -86,25 +80,17 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
 
 
-def _independent_column_subset(m: Mat) -> list[int]:
-    """Indices of a greedy maximal independent column subset, in index order."""
-    keep: list[int] = []
-    rank = 0
-    for j in range(m.cols):
-        candidate = keep + [j]
-        if m.submatrix_columns(candidate).rank() > rank:
-            keep = candidate
-            rank += 1
-    return keep
-
-
 def kernel_basis(m: Mat) -> Subspace:
     """The kernel {x : m @ x = 0} with the deterministic rref parametrization."""
     return Subspace(m.cols, m.nullspace())
 
 
 def image(m: Mat) -> Subspace:
-    """The column space of m, spanned by its pivot columns (deterministic)."""
+    """The column space of m, spanned by its pivot columns (deterministic).
+
+    The pivot columns are the greedy choice in index order: column j is kept
+    exactly when it is independent of the columns before it.
+    """
     _, pivots = m.rref()
     return Subspace(m.rows, m.submatrix_columns(pivots))
 
@@ -131,12 +117,15 @@ def choose_complement(
     """A complement of ``sub`` inside ``ambient``: ambient = comp ⊕ sub.
 
     Default strategy extends sub's basis greedily by ambient basis columns in
-    index order via rank tests, which makes every run reproducible. Passing
-    ``given`` validates the supplied basis instead and uses it verbatim.
+    index order: the pivot columns of [sub | ambient] past sub's own, which
+    makes every run reproducible. Passing ``given`` validates the supplied
+    basis instead and uses it verbatim.
     """
     if ambient.ambient_dim != sub.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if not ambient.contains_subspace(sub):
+    # sub + ambient has ambient's dimension exactly when sub lies in ambient.
+    _, pivots = Mat.hstack([sub.basis, ambient.basis]).rref()
+    if len(pivots) != ambient.dim:
         raise ValueError("sub is not contained in ambient")
     want = ambient.dim - sub.dim
     if given is not None:
@@ -150,17 +139,7 @@ def choose_complement(
         if want and Mat.hstack([sub.basis, comp.basis]).rank() != ambient.dim:
             raise ValueError("given basis does not complement the subspace")
         return comp
-    chosen: list[int] = []
-    current = sub.basis
-    rank = sub.dim
-    for j in range(ambient.dim):
-        if rank == ambient.dim:
-            break
-        candidate = Mat.hstack([current, ambient.basis.column(j)])
-        if candidate.rank() > rank:
-            current = candidate
-            rank += 1
-            chosen.append(j)
+    chosen = [p - sub.dim for p in pivots if p >= sub.dim]
     return Subspace(ambient.ambient_dim, ambient.basis.submatrix_columns(chosen))
 
 

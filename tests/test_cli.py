@@ -204,6 +204,16 @@ class TestCommands:
         statuses = {check["name"]: check["status"] for check in report["checks"]}
         assert statuses["toeplitz-kernel-dims"] == "fail"
 
+    def test_smith_failure_is_exit_three(self, capsys, monkeypatch):
+        from localsmith import MatSeries, SmithFactorization
+
+        monkeypatch.setattr(SmithFactorization, "p_series", lambda self: MatSeries.identity(3))
+        code = main(["smith", DATA])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "S_P * P(eps) differs from delta" in captured.err
+
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "diagonalize", DATA, "--format", "text", "--order", "4")
         assert code == 0
@@ -250,6 +260,40 @@ class TestExitCodes:
         path = tmp_path / "zero.json"
         path.write_text(raw)
         assert main(["diagonalize", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", DATA, "--order", "-1"],
+            ["invert", DATA, "--order", "-2"],
+            ["analyze", DATA, "--max-stages", "-5"],
+            ["jordan", DATA, "--length", "2", "--max-stages", "-1"],
+            ["analyze", DATA, "--format", "xml"],
+            ["jordan", DATA],
+            ["linearize", "<degree-0 family>"],
+        ],
+        ids=[
+            "negative-order",
+            "invert-negative-order",
+            "negative-max-stages",
+            "jordan-negative-max-stages",
+            "unknown-format",
+            "jordan-without-length",
+            "linearize-degree-0",
+        ],
+    )
+    def test_bad_input_is_exit_one(self, argv, tmp_path, capsys):
+        # Stated degree 1, but the degree-1 coefficient is zero.
+        degree_zero = tmp_path / "degree0.json"
+        degree_zero.write_text(
+            '{"rows": 2, "cols": 2, "kind": "polynomial", "trunc_or_degree": 1,'
+            ' "coefficients": {"0": [["1","0"],["0","0"]], "1": [["0","0"],["0","0"]]}}'
+        )
+        argv = [str(degree_zero) if a == "<degree-0 family>" else a for a in argv]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert any(line.startswith("error: ") for line in err.splitlines())
 
 
 class TestMeromorphicNormalization:
