@@ -413,12 +413,15 @@ def cmd_verify(args) -> tuple[dict, int]:
     def triangular():
         for j in range(1, state.stage_count + 1):
             for i in range(1, j + 1):
-                acc = Mat.zeros(state.domain_dim, state.domain_dim)
-                for v in range(i + 1, j + 1):
-                    term = state.stage(i).splus @ (
-                        state.stage(i).calp @ state.stage(v).sbar
-                    )
-                    acc = acc + term @ state.e_block(v, j)
+                st = state.stage(i)
+                acc = Mat.sum_of_products(
+                    (
+                        (st.splus @ (st.calp @ state.stage(v).sbar), state.e_block(v, j))
+                        for v in range(i + 1, j + 1)
+                    ),
+                    state.domain_dim,
+                    state.domain_dim,
+                )
                 lhs = state.e_block(i, j) + acc
                 expected = (
                     Mat.identity(state.domain_dim)

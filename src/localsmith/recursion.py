@@ -126,11 +126,11 @@ class JordanChainFamily:
                 raise ValueError(f"component {i} is not in the stage-{i} kernel")
         out = []
         for row in range(1, l + 1):
-            acc = Mat.zeros(self.state.domain_dim, 1)
-            for col in range(row, l + 1):
-                block = self.state.m_block(row, col)
-                if not (block.is_zero() or components[col - 1].is_zero()):
-                    acc = acc + block @ components[col - 1]
+            acc = Mat.sum_of_products(
+                ((self.state.m_block(row, col), components[col - 1]) for col in range(row, l + 1)),
+                self.state.domain_dim,
+                1,
+            )
             out.append(tuple(x[0] for x in acc.entries))
         return JordanChain(tuple(out))
 
@@ -228,12 +228,11 @@ class RecursionState:
         if j == 1:
             sbar = self.L.coefficient(0)
         else:
-            sbar = Mat.zeros(self.codomain_dim, self.domain_dim)
-            for v in range(1, j):
-                lv = self.L.coefficient(v)
-                mv = self.m_block(v, j - 1)
-                if not (lv.is_zero() or mv.is_zero()):
-                    sbar = sbar + lv @ mv
+            sbar = Mat.sum_of_products(
+                ((self.L.coefficient(v), self.m_block(v, j - 1)) for v in range(1, j)),
+                self.codomain_dim,
+                self.domain_dim,
+            )
         s = sbar if self._calp_sum.is_zero() else sbar - self._calp_sum @ sbar
         prev_n = self.kernel_chain(j - 1)
         prev_rc = (
@@ -289,12 +288,13 @@ class RecursionState:
         ecol = self.E_cols[j - 1]
         mcol: list[Mat] = [ecol[0]]
         for row in range(2, j + 1):
-            acc = Mat.zeros(self.domain_dim, self.domain_dim)
-            for c in range(row - 1, j):
-                block = self.m_block(row - 1, c)
-                if not (block.is_zero() or ecol[c].is_zero()):
-                    acc = acc + block @ ecol[c]
-            mcol.append(acc)
+            mcol.append(
+                Mat.sum_of_products(
+                    ((self.m_block(row - 1, c), ecol[c]) for c in range(row - 1, j)),
+                    self.domain_dim,
+                    self.domain_dim,
+                )
+            )
         return mcol
 
     # -- stabilization ----------------------------------------------------
@@ -337,15 +337,23 @@ class RecursionState:
 
     def coefficient_identity_holds(self, j: int) -> bool:
         """(L_0 ... L_{j-1}) applied to M column j equals S_j, exactly."""
-        acc = Mat.zeros(self.codomain_dim, self.domain_dim)
-        for v in range(1, j + 1):
-            lv = self.L.coefficient(v - 1)
-            mv = self.m_block(v, j)
-            if not (lv.is_zero() or mv.is_zero()):
-                acc = acc + lv @ mv
+        acc = Mat.sum_of_products(
+            ((self.L.coefficient(v - 1), self.m_block(v, j)) for v in range(1, j + 1)),
+            self.codomain_dim,
+            self.domain_dim,
+        )
         return acc == self.stages[j - 1].s
 
     def jordan_chain_basis(self, length: int) -> JordanChainFamily:
+        """Chains of the given length; they need that many stages, which must
+        fit the stage budget."""
+        if length > self.max_stages:
+            raise StageBudgetError(
+                f"chains of length {length} need {length} stages, more than the "
+                f"budget of {self.max_stages}",
+                stages_run=len(self.stages),
+                generic_rank=self.generic_rank,
+            )
         self.ensure_stages(length)
         return JordanChainFamily(self, length)
 
@@ -387,13 +395,11 @@ class RecursionState:
         if i == 0:
             return Mat.identity(self.codomain_dim)
         self.ensure_stages(k + 1 + i)
-        acc = Mat.zeros(self.codomain_dim, self.codomain_dim)
-        for j in range(1, k + 2):
-            s_next = self.stages[i + j - 1].s
-            splus = self.stages[j - 1].splus
-            if not (s_next.is_zero() or splus.is_zero()):
-                acc = acc + s_next @ splus
-        return acc
+        return Mat.sum_of_products(
+            ((self.stages[i + j - 1].s, self.stages[j - 1].splus) for j in range(1, k + 2)),
+            self.codomain_dim,
+            self.codomain_dim,
+        )
 
     def _require_stabilized(self) -> int:
         if self.stabilization_k is None:

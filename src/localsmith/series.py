@@ -145,15 +145,17 @@ class _Series:
             raise TruncationError("truncations too shallow for this Laurent product")
         # Stored index s of the product pairs stored indices p + q = s.
         na, nb = len(self.coeffs), len(other.coeffs)
-        coeffs = []
-        for s in range(top + pole + 1):
-            acc = Mat.zeros(self.rows, other.cols)
-            for p in range(max(0, s - nb + 1), min(s, na - 1) + 1):
-                a = self.coeffs[p]
-                b = other.coeffs[s - p]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a @ b
-            coeffs.append(acc)
+        coeffs = [
+            Mat.sum_of_products(
+                (
+                    (self.coeffs[p], other.coeffs[s - p])
+                    for p in range(max(0, s - nb + 1), min(s, na - 1) + 1)
+                ),
+                self.rows,
+                other.cols,
+            )
+            for s in range(top + pole + 1)
+        ]
         return self._new(other, pole, coeffs, exact)
 
     def shift(self, power: int):
@@ -228,22 +230,11 @@ class MatSeries(_Series):
                 f"need coefficients through order {t}, series valid through {self.degree}"
             )
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient; None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return None
-
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: MatSeries) -> MatSeries:
         """Cauchy product, truncated to the tightest honestly-known order."""
         return self._product(other)
-
-    def scale(self, scalar) -> MatSeries:
-        scalar = rat(scalar)
-        return MatSeries([c * scalar for c in self.coeffs], exact=self.exact)
 
     def truncate(self, t: int) -> MatSeries:
         """The truncation to order t (exact input may be padded with zeros)."""
@@ -271,12 +262,10 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
         raise ValueError("singular leading coefficient") from exc
     xs = [x0]
     for l in range(1, t + 1):
-        acc = Mat.zeros(a.rows, a.cols)
-        for j in range(l):
-            c = a.coefficient(l - j)
-            if not (c.is_zero() or xs[j].is_zero()):
-                acc = acc + c @ xs[j]
-        xs.append(-(x0 @ acc) if not acc.is_zero() else Mat.zeros(a.rows, a.cols))
+        acc = Mat.sum_of_products(
+            ((a.coefficient(l - j), xs[j]) for j in range(l)), a.rows, a.cols
+        )
+        xs.append(-(x0 @ acc))
     return MatSeries(xs, exact=False)
 
 

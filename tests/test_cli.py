@@ -240,6 +240,12 @@ class TestExitCodes:
         code = main(["analyze", DATA, "--max-stages", "2"])
         assert code == 2
 
+    def test_jordan_length_past_budget_is_exit_two(self, capsys):
+        code = main(["jordan", DATA, "--length", "4", "--max-stages", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
     def test_truncation_limit_is_input_error(self, tmp_path, capsys):
         obj = json.loads(golden_text())
         obj["kind"] = "truncated_series"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsmith import Mat, format_rat, rat
 
@@ -159,3 +161,185 @@ class TestArithmetic:
         m = Mat.identity(2)
         with pytest.raises(AttributeError):
             m.rows = 5
+
+    @pytest.mark.parametrize(
+        "grid", [[[0.5]], [[True]], [["1/0"]], [["1/x"]], [[1, 2], [3]]],
+        ids=["float", "bool", "zero-denominator", "malformed", "ragged"],
+    )
+    def test_constructor_rejects(self, grid):
+        with pytest.raises(ValueError):
+            Mat(grid)
+
+
+# -- property tests against plain-Fraction reference kernels ----------------
+#
+# The references below work on lists of Fractions and share no code with
+# Mat's integer kernels: schoolbook products, Gauss-Jordan with a division
+# per pivot row, and Gaussian elimination for the determinant.
+
+
+def ref_matmul(a, b, cols):
+    inner = len(b)
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for row in a]
+
+
+def ref_rref(grid, cols):
+    m = [list(row) for row in grid]
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        found = next((r for r in range(pr, len(m)) if m[r][pc] != 0), None)
+        if found is None:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        piv = m[pr][pc]
+        m[pr] = [x / piv for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr and m[r][pc] != 0:
+                f = m[r][pc]
+                m[r] = [x - f * y for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+    return m, tuple(pivots)
+
+
+def ref_det(grid):
+    m = [list(row) for row in grid]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        found = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if found is None:
+            return Fraction(0)
+        if found != c:
+            m[c], m[found] = m[found], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def shape_of(m: Mat):
+    return m.rows, m.cols, m.entries
+
+
+def as_entries(grid):
+    return tuple(tuple(row) for row in grid)
+
+
+ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+DIM = st.integers(0, 4)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def grids(draw, rows, cols):
+    """A rows x cols list grid: dense, sparse, or of deliberately low rank."""
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(grids(rows, inner))
+        right = draw(grids(inner, cols))
+        return ref_matmul(left, right, cols)
+    return draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def matrices(draw, rows=DIM, cols=DIM):
+    r, c = draw(rows), draw(cols)
+    return draw(grids(r, c)), r, c
+
+
+class TestKernelsAgainstReference:
+    @PROPERTY
+    @given(DIM, DIM, DIM, st.data())
+    def test_matmul(self, r, k, c, data):
+        a, b = data.draw(grids(r, k)), data.draw(grids(k, c))
+        product = Mat(a, cols=k) @ Mat(b, cols=c)
+        assert shape_of(product) == (r, c, as_entries(ref_matmul(a, b, c)))
+
+    @PROPERTY
+    @given(DIM, DIM, st.lists(st.tuples(DIM, st.booleans()), max_size=3), st.data())
+    def test_sum_of_products(self, r, c, inners, data):
+        pairs, expected = [], [[Fraction(0)] * c for _ in range(r)]
+        for k, zero in inners:
+            a = [[Fraction(0)] * k for _ in range(r)] if zero else data.draw(grids(r, k))
+            b = data.draw(grids(k, c))
+            pairs.append((Mat(a, cols=k), Mat(b, cols=c)))
+            for row, add in zip(expected, ref_matmul(a, b, c)):
+                row[:] = [x + y for x, y in zip(row, add)]
+        total = Mat.sum_of_products(pairs, r, c)
+        assert shape_of(total) == (r, c, as_entries(expected))
+
+    @PROPERTY
+    @given(matrices())
+    def test_rref_and_nullspace(self, drawn):
+        grid, r, c = drawn
+        m = Mat(grid, cols=c)
+        want, pivots = ref_rref(grid, c)
+        reduced, got_pivots = m.rref()
+        assert shape_of(reduced) == (r, c, as_entries(want))
+        assert got_pivots == pivots
+        free = [j for j in range(c) if j not in pivots]
+        basis = [[Fraction(0)] * len(free) for _ in range(c)]
+        for k, f in enumerate(free):
+            basis[f][k] = Fraction(1)
+            for row, p in enumerate(pivots):
+                basis[p][k] = -want[row][f]
+        assert shape_of(m.nullspace()) == (c, len(free), as_entries(basis))
+
+    @PROPERTY
+    @given(matrices(), st.integers(0, 2), st.booleans(), st.data())
+    def test_solve(self, drawn, width, consistent, data):
+        grid, r, c = drawn
+        if consistent:
+            rhs = ref_matmul(grid, data.draw(grids(c, width)), width)
+        else:
+            rhs = data.draw(grids(r, width))
+        augmented, pivots = ref_rref([a + b for a, b in zip(grid, rhs)], c + width)
+        got = Mat(grid, cols=c).solve(Mat(rhs, cols=width))
+        if any(p >= c for p in pivots):
+            assert got is None
+            return
+        want = [[Fraction(0)] * width for _ in range(c)]
+        for row, p in enumerate(pivots):
+            want[p] = augmented[row][c:]
+        assert shape_of(got) == (c, width, as_entries(want))
+
+    @PROPERTY
+    @given(matrices(rows=st.shared(DIM, key="n"), cols=st.shared(DIM, key="n")))
+    def test_inverse_and_det(self, drawn):
+        grid, n, _ = drawn
+        m = Mat(grid, cols=n)
+        det = ref_det(grid)
+        assert m.det() == det
+        if det == 0:
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        reduced, _ = ref_rref([a + b for a, b in zip(grid, eye)], 2 * n)
+        assert shape_of(m.inverse()) == (n, n, as_entries(row[n:] for row in reduced))
+
+    @pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0), (1, 1)])
+    def test_degenerate_shapes(self, r, c):
+        m = Mat([[Fraction(-7, 999983)] * c for _ in range(r)], cols=c)
+        assert shape_of(m @ Mat.zeros(c, 2)) == (r, 2, ((Fraction(0),) * 2,) * r)
+        assert shape_of(Mat.sum_of_products([], r, c)) == shape_of(Mat.zeros(r, c))
+        _, pivots = m.rref()
+        assert pivots == ((0,) if r and c else ())
+        free = [j for j in range(c) if j not in pivots]
+        basis = tuple(tuple(Fraction(int(i == f)) for f in free) for i in range(c))
+        assert shape_of(m.nullspace()) == (c, len(free), basis)
+        assert shape_of(m.solve(Mat.zeros(r, 1))) == (c, 1, ((Fraction(0),),) * c)
+        if r == c:
+            assert m.det() == (Fraction(-7, 999983) if r else 1)
+            inverse = ((Fraction(-999983, 7),),) if r else ()
+            assert shape_of(m.inverse()) == (r, r, inverse)

@@ -281,6 +281,13 @@ class TestStabilization:
         with pytest.raises(StageBudgetError):
             state.run_until_stabilized()
 
+    def test_chain_length_past_budget_raises(self, example1):
+        state = RecursionState(example1, max_stages=2)
+        with pytest.raises(StageBudgetError):
+            state.jordan_chain_basis(3)
+        assert state.stage_count == 0
+        assert state.jordan_chain_basis(2).length == 2
+
     def test_truncated_input_stage_ceiling(self, example1):
         blunt = example1.truncate(2)
         state = RecursionState(blunt)
