@@ -27,6 +27,11 @@ CUBIC = os.path.join(DATA, "example1.json")
 TRUNC = os.path.join(REPORTS, "trunc2x2.json")
 RECT = os.path.join(REPORTS, "rect2x3.json")
 PLAN = os.path.join(REPORTS, "plan_stage1.json")
+SMITH = os.path.join(REPORTS, "smith4x4.json")
+DENSE = os.path.join(REPORTS, "dense6x6.json")
+TALL = os.path.join(REPORTS, "rect3x2.json")
+LATE_PLAN = os.path.join(REPORTS, "plan_late.json")
+LATE_PLAN_BAD = os.path.join(REPORTS, "plan_late_bad.json")
 
 CASES = {
     "cubic-analyze": ["analyze", CUBIC],
@@ -47,6 +52,16 @@ CASES = {
     "rect-diagonalize": ["diagonalize", RECT],
     "rect-invert": ["invert", RECT],
     "rect-verify": ["verify", RECT],
+    "smith-analyze": ["analyze", SMITH],
+    "smith-diagonalize": ["diagonalize", SMITH],
+    "smith-invert": ["invert", SMITH],
+    "smith-smith": ["smith", SMITH],
+    "smith-jordan": ["jordan", SMITH, "--length", "8"],
+    "smith-verify": ["verify", SMITH],
+    "dense-diagonalize": ["diagonalize", DENSE],
+    "dense-invert": ["invert", DENSE],
+    "tall-given-late-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN}"],
+    "tall-given-late-bad-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN_BAD}"],
 }
 
 
