@@ -11,7 +11,7 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .matrix import Mat
@@ -87,6 +87,10 @@ class DiagonalizationResult:
     delta: tuple[tuple[int, Mat], ...]
     residual_ok: bool
     declared_pole: int = 0
+    # L^+ per coefficient depth, built once and shared by every caller.
+    _inverses: dict[int, MatLaurent] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- views over the ledger ---------------------------------------------
 
@@ -149,7 +153,8 @@ class DiagonalizationResult:
         pole comes out at most k and is trimmed to its actual value. The
         default depth is the working order, capped for truncated input:
         order t needs transformations through t + k, hence genuine input
-        coefficients through t + 2k.
+        coefficients through t + 2k. Each depth is built once and the same
+        series is returned to every later caller.
         """
         if t is None:
             t = self.order
@@ -160,12 +165,19 @@ class DiagonalizationResult:
                     f"truncation order {self.state.input_trunc} cannot support "
                     f"any generalized-inverse coefficient at k = {self.k}"
                 )
-        phi, _, _, psi_inv = self.transformations_to(t + self.k)
+        if t in self._inverses:
+            return self._inverses[t]
+        depth = t + self.k
+        if depth <= self.order:
+            phi, psi_inv = self.phi.truncate(depth), self.psi_inv.truncate(depth)
+        else:
+            phi = phi_series(self.state, depth)
+            psi_inv = series_inverse(psi_series(self.state, depth), depth)
         coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
         delta_plus = MatLaurent(self.k, coeffs, exact=True)
-        return (
-            MatLaurent.from_series(phi) @ delta_plus @ MatLaurent.from_series(psi_inv)
-        )
+        linv = MatLaurent.from_series(phi) @ delta_plus @ MatLaurent.from_series(psi_inv)
+        self._inverses[t] = linv
+        return linv
 
     def kernel_range_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
         """Analytic continuations of kernels and ranges: columns of

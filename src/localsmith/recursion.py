@@ -5,10 +5,30 @@ chain N_{j-1} and codomain remainder Rc_{j-1}, and appends one column to the
 block-triangular E and M matrices. Stabilization is certified when the
 accumulated range dimensions reach the generic rank of the family, after
 which no further range can appear and the chain of complements has died.
+The generic rank bounds the accumulated range at every stage, before and
+after stabilization; a stage that breaks it is an internal error.
 
 The E column solves an upper-triangular block system from the bottom up; the
-M column is the E column pushed through the previous M triangle. Row k+1 of
-the M matrix is what later becomes the right transformation's coefficients.
+M column is the E column pushed through the previous M triangle:
+
+    E_{j,j} = I,  E_{i,j} = -S_i^+ * sum_{v>i} S̄_v E_{v,j}  (i < j),
+    M_{1,j} = E_{1,j},  M_{row,j} = sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}.
+
+Row k+1 of the M matrix is what later becomes the right transformation's
+coefficients.
+
+A stage j > 1 is *degenerate* when S_j maps N_{j-1} to zero. Every stage
+past k+1 is, and so is a gap stage before it when the Smith exponents skip
+a value. A degenerate stage adds no subspace: N_j = N_{j-1},
+Rc_j = Rc_{j-1}, Nc_j and R_j are zero-dimensional, and P_j, calP_j and
+S_j^+ are zero. Those are the values the general subspace step gives, so a
+degenerate stage takes them directly, unless the complement plan names the
+stage, whose given bases must still be validated and used. Because
+S_i^+ = 0 makes E_{i,j} = 0, the E column walks only the rows whose S_i^+
+is nonzero. Above the last nonzero off-diagonal E block of column j the
+M sum has the single term M_{row-1,j-1} E_{j,j}, so M_{row,j} is the
+block M_{row-1,j-1} of the previous column, shared rather than recomputed:
+the Toeplitz shift that ``verify`` checks as post-stabilization structure.
 """
 
 from __future__ import annotations
@@ -195,6 +215,11 @@ class RecursionState:
         self.M_cols: list[list[Mat]] = []
         self.stabilization_k: int | None = None
         self._calp_sum = Mat.zeros(self.codomain_dim, self.codomain_dim)
+        # The stages before the current one whose S^+ is nonzero: the only
+        # rows of an E column that can be nonzero below the diagonal.
+        self._inverting: list[int] = []
+        self._no_domain = Subspace.zero(self.domain_dim)
+        self._no_codomain = Subspace.zero(self.codomain_dim)
 
     # -- accessors ------------------------------------------------------
 
@@ -238,6 +263,36 @@ class RecursionState:
         prev_rc = (
             Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
         )
+        if self._is_degenerate(j, s, prev_n):
+            n, m = self.domain_dim, self.codomain_dim
+            stage = Stage(
+                j, sbar, s, prev_n, self._no_codomain, self._no_domain, prev_rc,
+                Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m),
+            )
+        else:
+            stage = self._split_stage(j, sbar, s, prev_n, prev_rc)
+            self._calp_sum = self._calp_sum + stage.calp
+        self.stages.append(stage)
+        self.E_cols.append(self._build_e_column(j))
+        self.M_cols.append(self._build_m_column(j))
+        if not stage.splus.is_zero():
+            self._inverting.append(j)
+        self._detect_stabilization()
+
+    def _is_degenerate(self, j: int, s: Mat, prev_n: Subspace) -> bool:
+        """S_j maps N_{j-1} to zero, and the complement plan leaves stage j
+        to the engine."""
+        return (
+            j > 1
+            and j not in self.complements.nc_bases
+            and j not in self.complements.rc_bases
+            and (s @ prev_n.basis).is_zero()
+        )
+
+    def _split_stage(
+        self, j: int, sbar: Mat, s: Mat, prev_n: Subspace, prev_rc: Subspace
+    ) -> Stage:
+        """The general subspace step: split N_{j-1} and Rc_{j-1} under S_j."""
         n_j, r_j = restrict_and_split(s, prev_n)
         try:
             nc_j = choose_complement(prev_n, n_j, given=self.complements.nc_bases.get(j))
@@ -256,38 +311,34 @@ class RecursionState:
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
                 f"ambient {self.domain_dim}->{self.codomain_dim}): {exc}"
             ) from exc
-        self.stages.append(
-            Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, calp_j, splus_j)
-        )
-        self._calp_sum = self._calp_sum + calp_j
-        self.E_cols.append(self._build_e_column(j))
-        self.M_cols.append(self._build_m_column(j))
-        self._detect_stabilization()
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, calp_j, splus_j)
 
     def _build_e_column(self, j: int) -> list[Mat]:
         """Solve the triangular system bottom-up: E_{j,j} = I and
-        E_{i,j} = -S_i^+ * sum_{v>i} S̄_v E_{v,j}."""
+        E_{i,j} = -S_i^+ * sum_{v>i} S̄_v E_{v,j}. Rows with S_i^+ = 0 stay
+        zero and are not walked."""
         col: list[Mat] = [Mat.zeros(self.domain_dim, self.domain_dim)] * j
         col[j - 1] = Mat.identity(self.domain_dim)
-        acc = Mat.zeros(self.codomain_dim, self.domain_dim)
-        for i in range(j - 1, 0, -1):
-            above = col[i]
-            sbar_next = self.stages[i].sbar
-            if not (sbar_next.is_zero() or above.is_zero()):
-                acc = acc + sbar_next @ above
-            splus = self.stages[i - 1].splus
-            col[i - 1] = (
-                Mat.zeros(self.domain_dim, self.domain_dim)
-                if splus.is_zero() or acc.is_zero()
-                else -(splus @ acc)
-            )
+        acc = self.stages[j - 1].sbar
+        for i in reversed(self._inverting):
+            if acc.is_zero():
+                break
+            col[i - 1] = -(self.stages[i - 1].splus @ acc)
+            sbar = self.stages[i - 1].sbar
+            if not (sbar.is_zero() or col[i - 1].is_zero()):
+                acc = acc + sbar @ col[i - 1]
         return col
 
     def _build_m_column(self, j: int) -> list[Mat]:
-        """M column j = diag(I, M^{(j-1)}) applied to the E column."""
+        """M column j = diag(I, M^{(j-1)}) applied to the E column; rows above
+        the last nonzero off-diagonal E block are shared with column j-1."""
         ecol = self.E_cols[j - 1]
+        last = max((i for i in range(1, j) if not ecol[i - 1].is_zero()), default=0)
         mcol: list[Mat] = [ecol[0]]
         for row in range(2, j + 1):
+            if row > last:
+                mcol.append(self.m_block(row - 1, j - 1))
+                continue
             mcol.append(
                 Mat.sum_of_products(
                     ((self.m_block(row - 1, c), ecol[c]) for c in range(row - 1, j)),
@@ -300,15 +351,15 @@ class RecursionState:
     # -- stabilization ----------------------------------------------------
 
     def _detect_stabilization(self) -> None:
-        if self.stabilization_k is not None:
-            return
         total = sum(st.r.dim for st in self.stages)
         if total > self.generic_rank:
             raise InternalConsistencyError(
                 f"accumulated range dimension {total} exceeds generic rank "
                 f"{self.generic_rank}"
             )
-        if self.generic_rank > 0 and total == self.generic_rank:
+        if self.stabilization_k is not None or self.generic_rank == 0:
+            return
+        if total == self.generic_rank:
             last_positive = max(st.index for st in self.stages if st.r.dim > 0)
             self.stabilization_k = last_positive - 1
 

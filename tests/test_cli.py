@@ -239,12 +239,33 @@ class TestExitCodes:
     def test_budget_exceeded_is_exit_two(self, capsys):
         code = main(["analyze", DATA, "--max-stages", "2"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage budget exceeded: no stabilization certificate")
+
+    def test_range_past_stabilization_is_exit_three(self, capsys, monkeypatch):
+        from localsmith import RecursionState
+
+        stabilize = RecursionState.run_until_stabilized
+
+        def lowered(state):
+            k = stabilize(state)
+            state.generic_rank -= 1
+            return k
+
+        monkeypatch.setattr(RecursionState, "run_until_stabilized", lowered)
+        code = main(["analyze", DATA])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "exceeds generic rank 2" in captured.err
 
     def test_jordan_length_past_budget_is_exit_two(self, capsys):
         code = main(["jordan", DATA, "--length", "4", "--max-stages", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert any(line.startswith("error: ") for line in err.splitlines())
+        assert err.startswith("error: stage budget exceeded: chains of length 4")
+        assert "stabilization" not in err
 
     def test_truncation_limit_is_input_error(self, tmp_path, capsys):
         obj = json.loads(golden_text())

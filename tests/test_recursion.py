@@ -2,22 +2,37 @@
 Jordan chains, and the coefficient identities."""
 
 import math
+import os
 import random
 
 import pytest
 
 from localsmith import (
+    InternalConsistencyError,
     Mat,
     MatSeries,
     RecursionState,
     StageBudgetError,
     Subspace,
     TruncationError,
+    choose_complement,
+    diagonalize,
     generic_rank,
+    parse_family,
+    restrict_and_split,
+    spec_to_series,
     toeplitz_nullspace,
 )
 
 from conftest import ZERO3, cols, e, example1_family, random_family, random_matrix
+
+
+REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
+
+
+def load_family(name: str) -> MatSeries:
+    with open(os.path.join(REPORTS, name), "r", encoding="utf-8") as handle:
+        return spec_to_series(parse_family(handle.read()))
 
 
 def eps_identity(n: int) -> MatSeries:
@@ -246,6 +261,68 @@ class TestEMColumns:
                 assert state.m_block(j, j).is_identity()
 
 
+def generic_em_triangles(state: RecursionState) -> tuple[dict, dict]:
+    """Every E and M block from the recurrences of the module docstring,
+    walking every row and summing every term."""
+    n = state.domain_dim
+    e_blocks, m_blocks = {}, {}
+    for j in range(1, state.stage_count + 1):
+        e_blocks[j, j] = Mat.identity(n)
+        for i in range(j - 1, 0, -1):
+            acc = Mat.zeros(state.codomain_dim, n)
+            for v in range(i + 1, j + 1):
+                acc = acc + state.stage(v).sbar @ e_blocks[v, j]
+            e_blocks[i, j] = -(state.stage(i).splus @ acc)
+        m_blocks[1, j] = e_blocks[1, j]
+        for row in range(2, j + 1):
+            acc = Mat.zeros(n, n)
+            for c in range(row - 1, j):
+                acc = acc + m_blocks[row - 1, c] @ e_blocks[c + 1, j]
+            m_blocks[row, j] = acc
+    return e_blocks, m_blocks
+
+
+class TestDegenerateStages:
+    """Stages whose S_j maps N_{j-1} to zero skip the subspace step; their
+    ledger entries and E/M blocks must be what the general step gives."""
+
+    @pytest.mark.parametrize(
+        "family, gap_stages",
+        [
+            (example1_family(), [3]),
+            (load_family("rect2x3.json"), []),
+            (load_family("trunc2x2.json"), [2]),
+            (load_family("smith4x4.json"), [3, 5, 6, 7]),
+        ],
+        ids=["cubic", "rect2x3", "trunc2x2", "smith-0-1-3-7"],
+    )
+    def test_matches_general_step(self, family, gap_stages):
+        state = diagonalize(family).state
+        k = state.stabilization_k
+        n, m = state.domain_dim, state.codomain_dim
+        degenerate = []
+        for j in range(2, state.stage_count + 1):
+            st, prev = state.stage(j), state.stage(j - 1)
+            if not (st.s @ prev.n.basis).is_zero():
+                continue
+            degenerate.append(j)
+            n_j, r_j = restrict_and_split(st.s, prev.n)
+            assert st.n.basis == n_j.basis
+            assert st.r.basis == r_j.basis
+            assert st.nc.basis == choose_complement(prev.n, n_j).basis
+            assert st.rc.basis == choose_complement(prev.rc, r_j).basis
+            assert st.p == Mat.zeros(n, n)
+            assert st.calp == Mat.zeros(m, m)
+            assert st.splus == Mat.zeros(n, m)
+        assert [j for j in degenerate if j <= k + 1] == gap_stages
+        assert degenerate[len(gap_stages):] == list(range(k + 2, state.stage_count + 1))
+        e_blocks, m_blocks = generic_em_triangles(state)
+        for (i, j), block in e_blocks.items():
+            assert state.e_block(i, j) == block, (i, j)
+        for (i, j), block in m_blocks.items():
+            assert state.m_block(i, j) == block, (i, j)
+
+
 class TestStabilization:
     def test_golden_index(self, example1):
         state = RecursionState(example1)
@@ -287,6 +364,13 @@ class TestStabilization:
             state.jordan_chain_basis(3)
         assert state.stage_count == 0
         assert state.jordan_chain_basis(2).length == 2
+
+    def test_rank_bound_checked_after_stabilization(self, example1):
+        state = RecursionState(example1)
+        k = state.run_until_stabilized()
+        state.generic_rank -= 1
+        with pytest.raises(InternalConsistencyError, match="exceeds generic rank"):
+            state.ensure_stages(k + 2)
 
     def test_truncated_input_stage_ceiling(self, example1):
         blunt = example1.truncate(2)
