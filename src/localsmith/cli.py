@@ -463,7 +463,9 @@ def cmd_verify(args) -> tuple[dict, int]:
             for i in range(j - 1, 0, -1):
                 term = state.stage(i + 1).sbar @ ecol[i]
                 acc = acc if term.is_zero() else acc + term
-                ecol[i - 1] = -(state.stage(i).splus @ acc)
+                splus = state.stage(i).splus
+                if not (splus.is_zero() or acc.is_zero()):
+                    ecol[i - 1] = -(splus @ acc)
             for i in range(k + 2, j):
                 if not ecol[i - 1].is_zero():
                     return False, f"E block ({i},{j}) nonzero below row {k + 1}"
@@ -474,11 +476,12 @@ def cmd_verify(args) -> tuple[dict, int]:
                     n,
                     n,
                 )
-                if generic != state.m_block(row, j):
+                stored = state.m_block(row, j)
+                if generic != stored:
                     return False, f"M block ({row},{j}) differs from the recurrence"
-                if row == j and not generic.is_identity():
+                if row == j and not stored.is_identity():
                     return False, f"M diagonal block at column {j} is not the identity"
-                if row < j and generic != state.m_block(row - 1, j - 1):
+                if row < j and stored != state.m_block(row - 1, j - 1):
                     return False, f"M shift fails at block ({row},{j})"
         return True, "E zero pattern and M Toeplitz shift hold after stabilization"
 
