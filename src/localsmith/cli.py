@@ -179,13 +179,12 @@ def _family_header(spec: FamilySpec) -> dict:
     return header
 
 
-def _diagonalize(spec, family, args) -> DiagonalizationResult:
+def _diagonalize(family, args) -> DiagonalizationResult:
     return diagonalize(
         family,
         order=args.order,
         max_stages=args.max_stages,
         complements=_complement_plan(args),
-        declared_pole=spec.declared_pole,
     )
 
 
@@ -222,13 +221,13 @@ def _analyze_report(result: DiagonalizationResult, spec: FamilySpec) -> dict:
 
 def cmd_analyze(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(spec, family, args)
+    result = _diagonalize(family, args)
     return _analyze_report(result, spec), EXIT_OK
 
 
 def cmd_diagonalize(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(spec, family, args)
+    result = _diagonalize(family, args)
     report = _analyze_report(result, spec)
     report["command"] = "diagonalize"
     report["order"] = result.order
@@ -247,7 +246,7 @@ def cmd_diagonalize(args) -> tuple[dict, int]:
 
 def cmd_invert(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(spec, family, args)
+    result = _diagonalize(family, args)
     linv = result.generalized_inverse(args.order)
     reported = linv.shift(spec.declared_pole)
     report = {
@@ -340,7 +339,7 @@ def _vector_strings(vec) -> list[str]:
 
 def cmd_smith(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(spec, family, args)
+    result = _diagonalize(family, args)
     fact = result.smith_factorization()
     report = {
         "command": "smith",
@@ -395,7 +394,7 @@ def _check(name: str, fn) -> dict:
 
 def cmd_verify(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(spec, family, args)
+    result = _diagonalize(family, args)
     state = result.state
     k = result.k
     order = result.order
@@ -613,7 +612,7 @@ def _render_text(report: dict) -> str:
     for key in ("delta", "smith_form", "phi", "psi", "coefficients"):
         if key in report:
             terms = [
-                (item["power"], _grid_to_mat_for_render(item["matrix"]))
+                (item["power"], Mat(item["matrix"]))
                 for item in report[key]
             ]
             lines.append(f"  {key}(eps) =")
@@ -631,10 +630,6 @@ def _render_text(report: dict) -> str:
         ver = report["verification"]
         lines.append(f"  verification: {ver}")
     return "\n".join(lines)
-
-
-def _grid_to_mat_for_render(grid) -> Mat:
-    return Mat(grid)
 
 
 _COMMANDS = {

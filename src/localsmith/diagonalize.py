@@ -86,7 +86,6 @@ class DiagonalizationResult:
     psi_inv: MatSeries
     delta: tuple[tuple[int, Mat], ...]
     residual_ok: bool
-    declared_pole: int = 0
     # L^+ per coefficient depth, built once and shared by every caller.
     _inverses: dict[int, MatLaurent] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -222,7 +221,6 @@ def diagonalize(
     order: int | None = None,
     max_stages: int | None = None,
     complements: ComplementPlan | None = None,
-    declared_pole: int = 0,
 ) -> DiagonalizationResult:
     """Run the full pipeline: stabilize, assemble phi/psi/Delta, verify.
 
@@ -255,7 +253,6 @@ def diagonalize(
         psi_inv=psi_inv,
         delta=terms,
         residual_ok=False,
-        declared_pole=declared_pole,
     )
     residual = (psi_inv @ (family @ phi)) - result.delta_series()
     for i in range(order + 1):

@@ -46,6 +46,11 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false parse as Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grid_to_mat(grid, rows: int, cols: int, context: str = "matrix") -> Mat:
     if not isinstance(grid, list) or len(grid) != rows:
         raise InputError(f"{context}: expected {rows} rows")
@@ -83,16 +88,16 @@ def parse_family(text: str) -> FamilySpec:
         if required not in obj:
             raise InputError(f"missing field {required!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise InputError("rows and cols must be positive integers")
     kind = obj["kind"]
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {sorted(_KINDS)}")
     trunc = obj["trunc_or_degree"]
-    if not isinstance(trunc, int) or trunc < 0:
+    if not _is_int(trunc) or trunc < 0:
         raise InputError("trunc_or_degree must be a nonnegative integer")
     pole = obj.get("declared_pole", 0)
-    if not isinstance(pole, int) or pole < 0:
+    if not _is_int(pole) or pole < 0:
         raise InputError("declared_pole must be a nonnegative integer")
     raw = obj["coefficients"]
     if not isinstance(raw, dict):
@@ -103,6 +108,9 @@ def parse_family(text: str) -> FamilySpec:
             power = int(key)
         except ValueError as exc:
             raise InputError(f"coefficient key {key!r} is not an integer power") from exc
+        # "1", "+1" and "01" are distinct JSON keys naming the same power.
+        if any(power == seen for seen, _ in parsed):
+            raise InputError(f"duplicate power {power} (key {key!r})")
         if power < 0 and pole == 0:
             raise InputError(f"negative power {power} without a declared pole")
         if power < -pole or power > trunc:
@@ -161,15 +169,18 @@ def parse_complement_plan(text: str) -> ComplementPlan:
         raise InputError(f"complement file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) - {"stages"}:
         raise InputError('complement file must be {"stages": [...]}')
+    entries = obj.get("stages", [])
+    if not isinstance(entries, list):
+        raise InputError('complement file must be {"stages": [...]}')
     plan = ComplementPlan.empty()
-    for entry in obj.get("stages", []):
+    for entry in entries:
         if not isinstance(entry, dict) or "stage" not in entry:
             raise InputError("each stage entry needs a 'stage' index")
         unknown = set(entry) - {"stage", "domain_complement", "codomain_complement"}
         if unknown:
             raise InputError(f"unknown stage fields: {sorted(unknown)}")
         index = entry["stage"]
-        if not isinstance(index, int) or index < 1:
+        if not _is_int(index) or index < 1:
             raise InputError("stage index must be a positive integer")
         for field, store in (
             ("domain_complement", plan.nc_bases),

@@ -220,8 +220,10 @@ class Mat:
         )
 
     def column(self, j: int) -> Mat:
-        # A 0-row matrix has no entries to fix a width, so its column is 0x0.
-        return Mat._of(tuple((row[j],) for row in self.entries), self.rows, min(self.rows, 1))
+        """Column j as a rows x 1 matrix, for 0 <= j < cols."""
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
+        return Mat._of(tuple((row[j],) for row in self.entries), self.rows, 1)
 
     def submatrix_columns(self, indices: Sequence[int]) -> Mat:
         grid = tuple(tuple(row[j] for j in indices) for row in self.entries)

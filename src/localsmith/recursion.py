@@ -192,7 +192,6 @@ class RecursionState:
         max_stages: int | None = None,
     ):
         self.input_family = family
-        self.input_exact = family.exact
         self.input_trunc = None if family.exact else family.degree
         # The engine always works with the polynomial closure.
         self.L = family if family.exact else MatSeries.polynomial(family.coeffs)
@@ -301,7 +300,7 @@ class RecursionState:
             parts_codomain = [st.r for st in self.stages] + [r_j, rc_j]
             p_j = projection_matrix(parts_domain, j - 1)
             calp_j = projection_matrix(parts_codomain, j - 1)
-            splus_j = restricted_inverse(s, nc_j, r_j, parts_codomain)
+            splus_j = restricted_inverse(s, nc_j, calp_j)
         except ValueError as exc:
             overridden = j in self.complements.nc_bases or j in self.complements.rc_bases
             # A bad user-supplied complement is an input problem; the pivot

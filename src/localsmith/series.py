@@ -203,10 +203,6 @@ class MatSeries(_Series):
     def identity(n: int) -> MatSeries:
         return MatSeries((Mat.identity(n),), exact=True)
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> MatSeries:
-        return MatSeries((Mat.zeros(rows, cols),), exact=True)
-
     # -- queries ----------------------------------------------------------
 
     @property

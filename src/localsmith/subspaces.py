@@ -170,44 +170,20 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     return block @ rows
 
 
-def restricted_inverse(
-    s: Mat, nc: Subspace, r: Subspace, codomain_parts: Sequence[Subspace]
-) -> Mat:
-    """Full-space matrix of the inverse of ``s`` restricted to nc -> r.
+def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
+    """Full-space matrix of the inverse of ``s`` restricted to nc -> R.
 
-    Requires s to map nc bijectively onto r, and ``codomain_parts`` (one of
-    which is r) to decompose the codomain. The result T satisfies
-    T (s x) = x for x in nc, T y = 0 for y in every other part, range(T) = nc.
+    ``calp`` is the projection onto R = s(nc) along the other codomain parts,
+    so the result is S^+ = (s|nc)^{-1} calP: T (s x) = x for x in nc, T y = 0
+    for y in every other part, range(T) = nc. With B = nc's basis and s B
+    injective, T = B Y for the unique Y with (s B) Y = calp.
     """
-    if s.cols != nc.ambient_dim or s.rows != r.ambient_dim:
+    if s.cols != nc.ambient_dim or calp.rows != s.rows or calp.cols != s.rows:
         raise ValueError("shape mismatch")
     mapped = s @ nc.basis
     if mapped.rank() != nc.dim:
         raise ValueError("map is not injective on the given subspace")
-    if r.dim != nc.dim or (nc.dim > 0 and not image(mapped).same_space(r)):
+    y = mapped.solve(calp)
+    if y is None or calp.rank() != nc.dim:
         raise ValueError("image of the subspace differs from the stated range")
-    target = None
-    for idx, part in enumerate(codomain_parts):
-        if part.same_space(r):
-            target = idx
-            break
-    if target is None:
-        raise ValueError("range does not appear among the codomain parts")
-    m = r.ambient_dim
-    if sum(p.dim for p in codomain_parts) != m:
-        raise ValueError("codomain parts do not decompose the codomain")
-    full = Mat.hstack([p.basis for p in codomain_parts])
-    inv = full.inverse()
-    # Build T = W @ full^{-1}: on r's basis columns act through the inverse of
-    # the restriction, on every other part's columns act as zero.
-    blocks = []
-    for idx, part in enumerate(codomain_parts):
-        if idx != target or part.dim == 0:
-            blocks.append(Mat.zeros(nc.ambient_dim, part.dim))
-            continue
-        coords = mapped.solve(part.basis)
-        if coords is None:
-            raise ValueError("range basis not reachable from the subspace")
-        blocks.append(nc.basis @ coords)
-    w = Mat.hstack(blocks) if blocks else Mat.zeros(nc.ambient_dim, 0)
-    return w @ inv
+    return nc.basis @ y

@@ -23,6 +23,39 @@ def golden_text() -> str:
         return handle.read()
 
 
+def one_by_one(**fields) -> str:
+    """The 1x1 family 1 + eps, with the given fields replaced."""
+    obj = {
+        "rows": 1, "cols": 1, "kind": "polynomial", "trunc_or_degree": 1,
+        "coefficients": {"0": [["1"]], "1": [["1"]]},
+    }
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+# Input files that must be refused with exit code 1, by placeholder name.
+# JSON true is a Python bool and so an int; each true below would otherwise
+# read as 1 and run.
+BAD_FILES = {
+    # Stated degree 1, but the degree-1 coefficient is zero.
+    "<degree-0 family>": (
+        '{"rows": 2, "cols": 2, "kind": "polynomial", "trunc_or_degree": 1,'
+        ' "coefficients": {"0": [["1","0"],["0","0"]], "1": [["0","0"],["0","0"]]}}'
+    ),
+    "<rows true>": one_by_one(rows=True),
+    "<cols true>": one_by_one(cols=True),
+    "<trunc true>": one_by_one(trunc_or_degree=True),
+    "<pole true>": one_by_one(declared_pole=True),
+    # Two spellings of one power, which parsing would otherwise sum.
+    "<power twice>": one_by_one(coefficients={"0": [["1"]], "1": [["1"]], "+1": [["1"]]}),
+    "<stages 5>": '{"stages": 5}',
+    "<stages null>": '{"stages": null}',
+    "<stage true>": json.dumps(
+        {"stages": [{"stage": True, "domain_complement": [["1"], ["1"], ["0"]]}]}
+    ),
+}
+
+
 class TestParseFamily:
     def test_golden_file(self):
         spec = parse_family(golden_text())
@@ -298,6 +331,14 @@ class TestExitCodes:
             ["analyze", DATA, "--format", "xml"],
             ["jordan", DATA],
             ["linearize", "<degree-0 family>"],
+            ["analyze", "<rows true>"],
+            ["analyze", "<cols true>"],
+            ["analyze", "<trunc true>"],
+            ["analyze", "<pole true>"],
+            ["analyze", "<power twice>"],
+            ["analyze", DATA, "--complement", "given:<stages 5>"],
+            ["analyze", DATA, "--complement", "given:<stages null>"],
+            ["analyze", DATA, "--complement", "given:<stage true>"],
         ],
         ids=[
             "negative-order",
@@ -307,16 +348,21 @@ class TestExitCodes:
             "unknown-format",
             "jordan-without-length",
             "linearize-degree-0",
+            "rows-true",
+            "cols-true",
+            "trunc-true",
+            "pole-true",
+            "power-twice",
+            "complement-stages-int",
+            "complement-stages-null",
+            "complement-stage-true",
         ],
     )
     def test_bad_input_is_exit_one(self, argv, tmp_path, capsys):
-        # Stated degree 1, but the degree-1 coefficient is zero.
-        degree_zero = tmp_path / "degree0.json"
-        degree_zero.write_text(
-            '{"rows": 2, "cols": 2, "kind": "polynomial", "trunc_or_degree": 1,'
-            ' "coefficients": {"0": [["1","0"],["0","0"]], "1": [["0","0"],["0","0"]]}}'
-        )
-        argv = [str(degree_zero) if a == "<degree-0 family>" else a for a in argv]
+        for i, (name, text) in enumerate(BAD_FILES.items()):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(text)
+            argv = [a.replace(name, str(path)) for a in argv]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 1

@@ -2,12 +2,14 @@
 
 Each case runs ``localsmith.cli.main`` in-process and compares its exit code
 and stdout with ``tests/data/reports/<case>.out``, whose first line is
-``exit: <code>`` and whose remainder is the stdout of the recorded call. A
-change that is meant to alter a report re-records the files with
+``exit: <code>`` and whose remainder is the stdout of the recorded call.
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 
-and says so; any other difference is a regression.
+writes the report of every case whose file is missing and leaves every
+existing file alone, so adding a case never re-records the others. A change
+that is meant to alter a report deletes that report's file, records it again
+with the command above and says so; any other difference is a regression.
 """
 
 from __future__ import annotations
@@ -87,5 +89,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_golden_reports.py --record")
     for case, argv in CASES.items():
-        with open(os.path.join(REPORTS, f"{case}.out"), "w", encoding="utf-8") as handle:
+        path = os.path.join(REPORTS, f"{case}.out")
+        if os.path.exists(path):
+            continue
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(run(argv))
+        print(f"recorded {case}")

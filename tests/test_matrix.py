@@ -157,6 +157,18 @@ class TestArithmetic:
         stacked = Mat.hstack([empty, Mat.identity(3)])
         assert stacked == Mat.identity(3)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 3), (2, 0), (0, 0)])
+    def test_column_shape_and_bounds(self, shape):
+        rows, width = shape
+        m = Mat([[i * width + j for j in range(width)] for i in range(rows)], cols=width)
+        for j in range(width):
+            col = m.column(j)
+            assert (col.rows, col.cols) == (rows, 1)
+            assert col.entries == tuple((row[j],) for row in m.entries)
+        for j in (width, width + 4, -1):
+            with pytest.raises(IndexError):
+                m.column(j)
+
     def test_immutable(self):
         m = Mat.identity(2)
         with pytest.raises(AttributeError):

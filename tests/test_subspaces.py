@@ -161,7 +161,7 @@ class TestRestrictedInverse:
         nc = Subspace.spanned_by([e(1)], 3)
         r = Subspace.spanned_by([e(1)], 3)
         rc = Subspace.spanned_by([e(2), e(3)], 3)
-        splus = restricted_inverse(s1, nc, r, [r, rc])
+        splus = restricted_inverse(s1, nc, projection_matrix([r, rc], 0))
         assert splus == cols(e(1), ZERO3, ZERO3)
 
     def test_invertible_full_space(self):
@@ -169,7 +169,8 @@ class TestRestrictedInverse:
         m = random_matrix(rng, 3, 3)
         while m.det() == 0:
             m = random_matrix(rng, 3, 3)
-        splus = restricted_inverse(m, Subspace.full(3), Subspace.full(3), [Subspace.full(3)])
+        calp = projection_matrix([Subspace.full(3)], 0)
+        splus = restricted_inverse(m, Subspace.full(3), calp)
         assert splus == m.inverse()
 
     def test_degenerate_zero_subspace(self):
@@ -182,7 +183,7 @@ class TestRestrictedInverse:
             r,
             Subspace.spanned_by([e(3)], 3),
         ]
-        assert restricted_inverse(s3, nc, r, parts) == Mat.zeros(3, 3)
+        assert restricted_inverse(s3, nc, projection_matrix(parts, 2)) == Mat.zeros(3, 3)
 
     def test_inverse_property_on_random_splits(self):
         rng = random.Random(36)
@@ -194,7 +195,7 @@ class TestRestrictedInverse:
             nc = Subspace(4, nc_raw)
             r = image(s @ nc_raw)
             rc = choose_complement(Subspace.full(4), r)
-            splus = restricted_inverse(s, nc, r, [r, rc])
+            splus = restricted_inverse(s, nc, projection_matrix([r, rc], 0))
             assert splus @ (s @ nc.basis) == nc.basis
             assert (splus @ rc.basis).is_zero()
             assert image(splus).same_space(nc)
@@ -203,4 +204,17 @@ class TestRestrictedInverse:
         s = Mat.zeros(3, 3)
         nc = Subspace.spanned_by([e(1)], 3)
         with pytest.raises(ValueError, match="not injective"):
-            restricted_inverse(s, nc, Subspace.zero(3), [Subspace.full(3)])
+            calp = projection_matrix([Subspace.zero(3), Subspace.full(3)], 0)
+            restricted_inverse(s, nc, calp)
+
+    def test_rejects_projection_onto_another_range(self):
+        # s(nc) = sp(e1), but calp projects onto sp(e2).
+        nc = Subspace.spanned_by([e(1)], 3)
+        parts = [Subspace.spanned_by([v], 3) for v in (e(2), e(1), e(3))]
+        with pytest.raises(ValueError, match="differs from the stated range"):
+            restricted_inverse(Mat.identity(3), nc, projection_matrix(parts, 0))
+
+    def test_rejects_zero_projection_for_nonzero_subspace(self):
+        nc = Subspace.spanned_by([e(1)], 3)
+        with pytest.raises(ValueError, match="differs from the stated range"):
+            restricted_inverse(Mat.identity(3), nc, Mat.zeros(3, 3))
