@@ -62,49 +62,3 @@ from .subspaces import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentedPencil",
-    "ComplementPlan",
-    "DiagonalizationResult",
-    "FamilySpec",
-    "InputError",
-    "InternalConsistencyError",
-    "JordanChain",
-    "JordanChainFamily",
-    "LocalSmithError",
-    "Mat",
-    "MatLaurent",
-    "MatSeries",
-    "RecursionState",
-    "SmithFactorization",
-    "Stage",
-    "StageBudgetError",
-    "Subspace",
-    "ToeplitzBlock",
-    "TruncationError",
-    "choose_complement",
-    "delta_terms",
-    "diagonalize",
-    "direct_laurent_inverse",
-    "family_from_series",
-    "format_rat",
-    "generic_rank",
-    "image",
-    "kernel_basis",
-    "linearize_polynomial",
-    "parse_complement_plan",
-    "parse_family",
-    "phi_series",
-    "projection_matrix",
-    "psi_series",
-    "rat",
-    "resolvent_recurrence_check",
-    "restrict_and_split",
-    "restricted_inverse",
-    "serialize_family",
-    "series_inverse",
-    "spec_to_series",
-    "toeplitz_block",
-    "toeplitz_nullspace",
-]

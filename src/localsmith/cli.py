@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .diagonalize import DiagonalizationResult, diagonalize
 from .errors import (
     InputError,
     InternalConsistencyError,
-    LocalSmithError,
     StageBudgetError,
     TruncationError,
 )
@@ -35,16 +35,10 @@ from .family_io import (
     terms_listing,
 )
 from .matrix import Mat, format_rat
-from .oracles import (
-    AugmentedPencil,
-    direct_laurent_inverse,
-    linearize_polynomial,
-    resolvent_recurrence_check,
-    toeplitz_block,
-    toeplitz_nullspace,
-)
 from .recursion import RecursionState
-from .series import MatLaurent, MatSeries
+from .series import MatSeries
+from .verify import CHECKS, inverse_axioms, linearization, require, smith_identity
+from .verify import run_check as _check
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -258,56 +252,10 @@ def cmd_invert(args) -> tuple[dict, int]:
         "verification": {
             "identities": ["L * X * L == L", "X * L * X == X"],
             "checked_through_order": linv.tail_order,
-            "exact": _require(_inverse_axioms(family, linv)),
+            "exact": require(inverse_axioms(family, linv)),
         },
     }
     return report, EXIT_OK
-
-
-# Each identity below is proved by one function, which both the command that
-# reports it and its ``verify`` check call. A proof is (passed, detail).
-
-
-def _require(proof: tuple[bool, str]) -> bool:
-    """True for a passed proof; a failed one is a bug, raised as such."""
-    passed, detail = proof
-    if not passed:
-        raise InternalConsistencyError(detail)
-    return True
-
-
-def _inverse_axioms(family: MatSeries, linv: MatLaurent) -> tuple[bool, str]:
-    """L*X*L == L and X*L*X == X on every coefficient the products determine."""
-    lau = MatLaurent.from_series(family)
-    lxl = lau @ linv @ lau
-    for e in range(-lxl.pole, lxl.tail_order + 1):
-        if lxl.coefficient(e) != lau.coefficient(e):
-            return False, f"L*X*L != L at order {e}"
-    xlx = linv @ lau @ linv
-    for e in range(-xlx.pole, xlx.tail_order + 1):
-        if xlx.coefficient(e) != linv.coefficient(e):
-            return False, f"X*L*X != X at order {e}"
-    return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
-
-
-def _smith_identity(result: DiagonalizationResult, fact) -> tuple[bool, str]:
-    """S_P * P(eps) == Delta, exactly."""
-    if MatSeries.constant(fact.s_p) @ fact.p_series() != result.delta_series():
-        return False, "S_P * P(eps) differs from delta"
-    return True, "S_P * P(eps) == delta"
-
-
-def _linearization(
-    family: MatSeries, k: int, max_stages: int | None = None
-) -> tuple[AugmentedPencil, int, tuple[bool, str]]:
-    """The companion pencil of a polynomial family of degree >= 1, its
-    stabilization index, and the proof of the bound relating it to k."""
-    pencil = linearize_polynomial(family)
-    kbar = RecursionState(pencil.pencil(), max_stages=max_stages).run_until_stabilized()
-    deg = pencil.degree
-    if not (kbar - 1) * deg < k <= kbar * deg:
-        return pencil, kbar, (False, f"bound fails: k={k}, k_pencil={kbar}, degree={deg}")
-    return pencil, kbar, (True, f"k={k}, k_pencil={kbar}, degree={deg}")
 
 
 def cmd_jordan(args) -> tuple[dict, int]:
@@ -351,7 +299,7 @@ def cmd_smith(args) -> tuple[dict, int]:
         "analytic_factor": series_listing(fact.a_series, result.order),
         "verification": {
             "identity": "constant_factor * P(eps) == delta",
-            "exact": _require(_smith_identity(result, fact)),
+            "exact": require(smith_identity(result, fact)),
         },
     }
     return report, EXIT_OK
@@ -364,7 +312,7 @@ def cmd_linearize(args) -> tuple[dict, int]:
     if family.degree < 1:
         raise InputError("linearization needs a family of degree >= 1")
     k = RecursionState(family, max_stages=args.max_stages).run_until_stabilized()
-    pencil, kbar, proof = _linearization(family, k, args.max_stages)
+    pencil, kbar, proof = linearization(family, k, args.max_stages)
     report = {
         "command": "linearize",
         "family": _family_header(spec),
@@ -374,207 +322,23 @@ def cmd_linearize(args) -> tuple[dict, int]:
         "k": k,
         "k_pencil": kbar,
         "bound": "(k_pencil - 1) * degree < k <= k_pencil * degree",
-        "bound_holds": _require(proof),
+        "bound_holds": require(proof),
     }
     return report, EXIT_OK
-
-
-def _check(name: str, fn) -> dict:
-    try:
-        detail = fn()
-    except TruncationError as exc:
-        return {"name": name, "status": "skipped", "detail": str(exc)}
-    except LocalSmithError as exc:
-        return {"name": name, "status": "fail", "detail": str(exc)}
-    if detail is None:
-        return {"name": name, "status": "skipped", "detail": "not applicable"}
-    passed, text = detail
-    return {"name": name, "status": "pass" if passed else "fail", "detail": text}
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
     result = _diagonalize(family, args)
-    state = result.state
-    k = result.k
-    order = result.order
-    checks = []
-
-    def residual():
-        return result.residual_ok, f"exact through order {order}"
-
-    def coefficient_identity():
-        for j in range(1, state.stage_count + 1):
-            if not state.coefficient_identity_holds(j):
-                return False, f"column {j} violates the coefficient identity"
-        return True, f"(L_0..L_{{j-1}}) * M_j == S_j for all {state.stage_count} stages"
-
-    def triangular():
-        for j in range(1, state.stage_count + 1):
-            for i in range(1, j + 1):
-                st = state.stage(i)
-                acc = Mat.sum_of_products(
-                    (
-                        (st.splus @ (st.calp @ state.stage(v).sbar), state.e_block(v, j))
-                        for v in range(i + 1, j + 1)
-                    ),
-                    state.domain_dim,
-                    state.domain_dim,
-                )
-                lhs = state.e_block(i, j) + acc
-                expected = (
-                    Mat.identity(state.domain_dim)
-                    if i == j
-                    else Mat.zeros(state.domain_dim, state.domain_dim)
-                )
-                if lhs != expected:
-                    return False, f"system row {i}, column {j}"
-        return True, "E columns solve the block-triangular system"
-
-    def toeplitz_dims():
-        dims = []
-        for length in range(1, k + 2):
-            expect = sum(state.stage(i).n.dim for i in range(1, length + 1))
-            got = toeplitz_nullspace(family, length).dim
-            dims.append(got)
-            if got != expect:
-                return False, f"length {length}: oracle {got} vs recursion {expect}"
-        return True, f"kernel dims {dims} agree for lengths 1..{k + 1}"
-
-    def chain_membership():
-        for length in range(1, k + 2):
-            chains = state.jordan_chain_basis(length)
-            block = toeplitz_block(family, length)
-            for chain in chains.basis_chains():
-                if not (block.matrix @ chain.stacked()).is_zero():
-                    return False, f"a length-{length} chain fails the stacked condition"
-        return True, "all generated chains are annihilated by the block matrix"
-
-    def post_stabilization():
-        # The ledger builds these columns with the shift in place, so the E
-        # blocks and the shifted M blocks are recomputed here from the generic
-        # recurrence instead of being read back.
-        n = state.domain_dim
-        ecols = {}
-        for j in range(k + 2, state.stage_count + 1):
-            ecols[j] = ecol = [Mat.zeros(n, n)] * (j - 1) + [Mat.identity(n)]
-            acc = Mat.zeros(state.codomain_dim, n)
-            for i in range(j - 1, 0, -1):
-                term = state.stage(i + 1).sbar @ ecol[i]
-                acc = acc if term.is_zero() else acc + term
-                splus = state.stage(i).splus
-                if not (splus.is_zero() or acc.is_zero()):
-                    ecol[i - 1] = -(splus @ acc)
-            for i in range(k + 2, j):
-                if not ecol[i - 1].is_zero():
-                    return False, f"E block ({i},{j}) nonzero below row {k + 1}"
-        for j in range(k + 3, state.stage_count + 1):
-            for row in range(k + 2, j + 1):
-                generic = Mat.sum_of_products(
-                    ((state.m_block(row - 1, c), ecols[j][c]) for c in range(row - 1, j)),
-                    n,
-                    n,
-                )
-                stored = state.m_block(row, j)
-                if generic != stored:
-                    return False, f"M block ({row},{j}) differs from the recurrence"
-                if row == j and not stored.is_identity():
-                    return False, f"M diagonal block at column {j} is not the identity"
-                if row < j and stored != state.m_block(row - 1, j - 1):
-                    return False, f"M shift fails at block ({row},{j})"
-        return True, "E zero pattern and M Toeplitz shift hold after stabilization"
-
-    def inverse_axioms():
-        return _inverse_axioms(family, result.generalized_inverse(order))
-
-    def laurent_oracle():
-        if family.rows != family.cols or result.generic_rank != family.rows:
-            return None
-        linv = result.generalized_inverse(order)
-        oracle = direct_laurent_inverse(family, tail=order)
-        if oracle.pole != linv.pole:
-            return False, f"pole {linv.pole} vs oracle {oracle.pole}"
-        for e in range(-linv.pole, order + 1):
-            if oracle.coefficient(e) != linv.coefficient(e):
-                return False, f"coefficient mismatch at order {e}"
-        return True, f"coefficients agree from eps^-{linv.pole} through eps^{order}"
-
-    def smith_identities():
-        fact = result.smith_factorization()
-        passed, detail = _smith_identity(result, fact)
-        if not passed:
-            return passed, detail
-        lhs = family @ result.phi
-        rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
-        if not lhs.eq_through(rhs, order):
-            return False, "L * phi differs from psi * S_P * P(eps)"
-        blow = (
-            MatLaurent.from_series(result.psi_inv)
-            @ MatLaurent.from_series(family @ result.phi)
-            @ fact.p_inverse_laurent()
-        )
-        for e in range(-blow.pole, blow.tail_order + 1):
-            expected = fact.s_p if e == 0 else Mat.zeros(fact.s_p.rows, fact.s_p.cols)
-            if blow.coefficient(e) != expected:
-                return False, f"blow-up identity fails at order {e}"
-        return True, "factorization and blow-up identities exact"
-
-    def projectors():
-        left, right = result.projector_families(order)
-        if not (left @ left).eq_through(left, order):
-            return False, "left projector family is not idempotent"
-        if not (right @ right).eq_through(right, order):
-            return False, "right projector family is not idempotent"
-        p_sum = Mat.zeros(state.domain_dim, state.domain_dim)
-        calp_sum = Mat.zeros(state.codomain_dim, state.codomain_dim)
-        for st in result.stages:
-            p_sum = p_sum + st.p
-            calp_sum = calp_sum + st.calp
-        if left.coefficient(0) != p_sum or right.coefficient(0) != calp_sum:
-            return False, "constant terms differ from the projection sums"
-        return True, f"idempotent through order {order}, constant terms correct"
-
-    def resolvent():
-        if family.degree > 1 or family.rows != family.cols:
-            return None
-        if result.generic_rank != family.rows:
-            return None
-        oracle = direct_laurent_inverse(family, tail=10)
-        if oracle.pole > 1:
-            return None
-        passed, first_bad = resolvent_recurrence_check(
-            family.coefficient(0), family.coefficient(1), oracle, 10
-        )
-        if not passed:
-            return False, f"first violated index {first_bad}"
-        return True, "both coefficient recurrences hold through order 10"
-
-    def linearization():
-        if not family.exact or family.degree < 2:
-            return None
-        return _linearization(family, k)[2]
-
-    for name, fn in (
-        ("diagonalization-residual", residual),
-        ("coefficient-identity", coefficient_identity),
-        ("triangular-system", triangular),
-        ("toeplitz-kernel-dims", toeplitz_dims),
-        ("chain-membership", chain_membership),
-        ("post-stabilization-structure", post_stabilization),
-        ("generalized-inverse-axioms", inverse_axioms),
-        ("laurent-oracle", laurent_oracle),
-        ("smith-identities", smith_identities),
-        ("projector-families", projectors),
-        ("resolvent-recurrences", resolvent),
-        ("linearization-bound", linearization),
-    ):
-        checks.append(_check(name, fn))
-
+    # perfbench/tracing.py times each check by wrapping ``localsmith.cli._check``
+    # by name, so the CLI calls it once per check until the benchmark reads
+    # run statistics instead.
+    checks = [_check(name, partial(check, result)) for name, check in CHECKS]
     failed = [c for c in checks if c["status"] == "fail"]
     report = {
         "command": "verify",
         "family": _family_header(spec),
-        "stabilization_index": k,
+        "stabilization_index": result.k,
         "generic_rank": result.generic_rank,
         "checks": checks,
         "all_passed": not failed,

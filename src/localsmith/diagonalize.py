@@ -126,24 +126,18 @@ class DiagonalizationResult:
 
     # -- derived families ----------------------------------------------------
 
-    def _phi_psi_to(self, t: int) -> tuple[MatSeries, MatSeries]:
+    def _through(self, t: int, *names: str) -> tuple[MatSeries, ...]:
+        """The named series among phi, psi, phi_inv and psi_inv through
+        order t. Within the working order the stored series are truncated;
+        past it phi and psi are rebuilt, extending stages on demand (which
+        may fail on truncated input), and only the named inverses formed."""
         if t <= self.order:
-            return self.phi.truncate(t), self.psi.truncate(t)
-        return phi_series(self.state, t), psi_series(self.state, t)
-
-    def transformations_to(self, t: int) -> tuple[MatSeries, MatSeries, MatSeries, MatSeries]:
-        """(phi, psi, phi_inv, psi_inv) through order t, extending stages on
-        demand; deeper orders may fail on truncated input."""
-        if t <= self.order:
-            return (
-                self.phi.truncate(t),
-                self.psi.truncate(t),
-                self.phi_inv.truncate(t),
-                self.psi_inv.truncate(t),
-            )
-        phi = phi_series(self.state, t)
-        psi = psi_series(self.state, t)
-        return phi, psi, series_inverse(phi, t), series_inverse(psi, t)
+            return tuple(getattr(self, name).truncate(t) for name in names)
+        built = {"phi": phi_series(self.state, t), "psi": psi_series(self.state, t)}
+        for name in names:
+            if name not in built:
+                built[name] = series_inverse(built[name.removesuffix("_inv")], t)
+        return tuple(built[name] for name in names)
 
     def generalized_inverse(self, t: int | None = None) -> MatLaurent:
         """L^+ = phi * Delta^+ * psi^{-1} with coefficients through eps^t.
@@ -166,12 +160,7 @@ class DiagonalizationResult:
                 )
         if t in self._inverses:
             return self._inverses[t]
-        depth = t + self.k
-        if depth <= self.order:
-            phi, psi_inv = self.phi.truncate(depth), self.psi_inv.truncate(depth)
-        else:
-            phi = phi_series(self.state, depth)
-            psi_inv = series_inverse(psi_series(self.state, depth), depth)
+        phi, psi_inv = self._through(t + self.k, "phi", "psi_inv")
         coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
         delta_plus = MatLaurent(self.k, coeffs, exact=True)
         linv = MatLaurent.from_series(phi) @ delta_plus @ MatLaurent.from_series(psi_inv)
@@ -182,7 +171,7 @@ class DiagonalizationResult:
         """Analytic continuations of kernels and ranges: columns of
         phi * basis(N_{k+1}) and psi * basis(R_1 + ... + R_{k+1})."""
         t = self.order if t is None else t
-        phi, psi = self._phi_psi_to(t)
+        phi, psi = self._through(t, "phi", "psi")
         kernel_basis_mat = self.tail_kernel.basis
         range_mats = [st.r.basis for st in self.stages if st.r.dim > 0]
         n_fam = phi @ MatSeries.constant(kernel_basis_mat)
@@ -197,12 +186,10 @@ class DiagonalizationResult:
         """left = phi (P_1+..+P_{k+1}) phi^{-1}, right = psi (cal P sums) psi^{-1};
         both idempotent through the returned order."""
         t = self.order if t is None else t
-        phi, psi, phi_inv, psi_inv = self.transformations_to(t)
-        p_sum = Mat.zeros(self.state.domain_dim, self.state.domain_dim)
-        calp_sum = Mat.zeros(self.state.codomain_dim, self.state.codomain_dim)
-        for st in self.stages:
-            p_sum = p_sum + st.p
-            calp_sum = calp_sum + st.calp
+        phi, psi, phi_inv, psi_inv = self._through(t, "phi", "psi", "phi_inv", "psi_inv")
+        n, m = self.state.domain_dim, self.state.codomain_dim
+        p_sum = sum((st.p for st in self.stages), Mat.zeros(n, n))
+        calp_sum = sum((st.calp for st in self.stages), Mat.zeros(m, m))
         left = phi @ MatSeries.constant(p_sum) @ phi_inv
         right = psi @ MatSeries.constant(calp_sum) @ psi_inv
         return left, right

@@ -11,6 +11,7 @@ exact rational string.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .series import MatLaurent, MatSeries
 
 _FAMILY_FIELDS = {"rows", "cols", "kind", "trunc_or_degree", "declared_pole", "coefficients"}
 _KINDS = {"polynomial", "truncated_series"}
+_POWER_KEY = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,9 @@ def parse_family(text: str) -> FamilySpec:
         raise InputError("coefficients must map powers to grids")
     parsed: list[tuple[int, Mat]] = []
     for key, grid in raw.items():
-        try:
-            power = int(key)
-        except ValueError as exc:
-            raise InputError(f"coefficient key {key!r} is not an integer power") from exc
+        if not _POWER_KEY.fullmatch(key):
+            raise InputError(f"coefficient key {key!r} is not an integer power")
+        power = int(key)
         # "1", "+1" and "01" are distinct JSON keys naming the same power.
         if any(power == seen for seen, _ in parsed):
             raise InputError(f"duplicate power {power} (key {key!r})")

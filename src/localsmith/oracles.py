@@ -56,13 +56,6 @@ def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_mul_series(a: list[Fraction], b: list[Fraction], upto: int) -> list[Fraction]:
     out = [Fraction(0)] * (upto + 1)
     for i, ai in enumerate(a):

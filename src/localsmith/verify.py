@@ -1,0 +1,300 @@
+"""Proofs of the identities localsmith returns, and the ``verify`` checks.
+
+A proof is ``(passed, detail)``. A command asserts the identity it reports
+with ``require`` on the same proof that its check reports. ``CHECKS``
+lists the checks in report order; each takes a ``DiagonalizationResult``
+alone and returns a proof, or None where it does not apply. ``run_check``
+makes the report record of one check. A check marked *oracle* compares
+with ``localsmith.oracles``, which shares no code with the stage recursion;
+the others recompute from the recursion's own ledger and transformations.
+
+1. diagonalization-residual: psi^-1 L phi == Delta through the working order.
+2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
+3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I.
+4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
+   dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1.
+5. chain-membership (oracle): the length-l block Toeplitz matrix annihilates
+   every generated chain of length l, for l = 1 .. k+1.
+6. post-stabilization-structure: past stage k+1, the E blocks below row k+1
+   are zero, and the M blocks recomputed by the generic recurrence equal the
+   ledger's shifted blocks, with identity diagonal blocks.
+7. generalized-inverse-axioms: L X L == L and X L X == X for X = L^+.
+8. laurent-oracle (oracle): L^+ has the pole and the coefficients of the
+   direct Laurent inverse; square families of full generic rank only.
+9. smith-identities: S_P P == Delta, L phi == psi S_P P, and the blow-up
+   psi^-1 L phi P^-1 == S_P.
+10. projector-families: both projector families are idempotent, and their
+    constant terms are the sums of the P_j and of the calP_j.
+11. resolvent-recurrences (oracle): the direct Laurent inverse of a square
+    pencil of full generic rank with pole <= 1 follows both resolvent
+    recurrences through order 10; this tests the oracle, not the recursion.
+12. linearization-bound (oracle: the companion pencil, built from the raw
+    coefficients; its index k_pencil comes from the stage recursion):
+    (k_pencil - 1) degree < k <= k_pencil degree; exact families of degree
+    >= 2 only.
+"""
+
+from __future__ import annotations
+
+from .diagonalize import DiagonalizationResult, SmithFactorization
+from .errors import InternalConsistencyError, LocalSmithError, TruncationError
+from .matrix import Mat
+from .oracles import (
+    AugmentedPencil,
+    direct_laurent_inverse,
+    linearize_polynomial,
+    resolvent_recurrence_check,
+    toeplitz_block,
+    toeplitz_nullspace,
+)
+from .recursion import RecursionState
+from .series import MatLaurent, MatSeries
+
+Proof = tuple[bool, str]
+
+
+def require(proof: Proof) -> bool:
+    """True for a passed proof; a failed one is a bug, raised as such."""
+    passed, detail = proof
+    if not passed:
+        raise InternalConsistencyError(detail)
+    return True
+
+
+def _first_difference(a, b, low: int, high: int) -> int | None:
+    """The first exponent in low..high where series a and b differ, or None."""
+    return next((e for e in range(low, high + 1) if a.coefficient(e) != b.coefficient(e)), None)
+
+
+def inverse_axioms(family: MatSeries, linv: MatLaurent) -> Proof:
+    """L*X*L == L and X*L*X == X on every coefficient the products determine."""
+    lau = MatLaurent.from_series(family)
+    lxl = lau @ linv @ lau
+    e = _first_difference(lxl, lau, -lxl.pole, lxl.tail_order)
+    if e is not None:
+        return False, f"L*X*L != L at order {e}"
+    xlx = linv @ lau @ linv
+    e = _first_difference(xlx, linv, -xlx.pole, xlx.tail_order)
+    if e is not None:
+        return False, f"X*L*X != X at order {e}"
+    return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
+
+
+def smith_identity(result: DiagonalizationResult, fact: SmithFactorization) -> Proof:
+    """S_P * P(eps) == Delta, exactly."""
+    if MatSeries.constant(fact.s_p) @ fact.p_series() != result.delta_series():
+        return False, "S_P * P(eps) differs from delta"
+    return True, "S_P * P(eps) == delta"
+
+
+def linearization(
+    family: MatSeries, k: int, max_stages: int | None = None
+) -> tuple[AugmentedPencil, int, Proof]:
+    """The companion pencil of a polynomial family of degree >= 1, its
+    stabilization index, and the proof of the bound relating it to k."""
+    pencil = linearize_polynomial(family)
+    kbar = RecursionState(pencil.pencil(), max_stages=max_stages).run_until_stabilized()
+    deg = pencil.degree
+    if not (kbar - 1) * deg < k <= kbar * deg:
+        return pencil, kbar, (False, f"bound fails: k={k}, k_pencil={kbar}, degree={deg}")
+    return pencil, kbar, (True, f"k={k}, k_pencil={kbar}, degree={deg}")
+
+
+def _residual(result: DiagonalizationResult) -> Proof:
+    return result.residual_ok, f"exact through order {result.order}"
+
+
+def _coefficient_identity(result: DiagonalizationResult) -> Proof:
+    state = result.state
+    for j in range(1, state.stage_count + 1):
+        if not state.coefficient_identity_holds(j):
+            return False, f"column {j} violates the coefficient identity"
+    return True, f"(L_0..L_{{j-1}}) * M_j == S_j for all {state.stage_count} stages"
+
+
+def _triangular_system(result: DiagonalizationResult) -> Proof:
+    state = result.state
+    n, count = state.domain_dim, state.stage_count
+    # The coupling S_i^+ calP_i Sbar_v depends on (i, v) only, not on the column.
+    coupling = {
+        (i, v): state.stage(i).splus @ (state.stage(i).calp @ state.stage(v).sbar)
+        for v in range(2, count + 1)
+        for i in range(1, v)
+    }
+    for j in range(1, count + 1):
+        for i in range(1, j + 1):
+            acc = Mat.sum_of_products(
+                ((coupling[i, v], state.e_block(v, j)) for v in range(i + 1, j + 1)), n, n
+            )
+            expected = Mat.identity(n) if i == j else Mat.zeros(n, n)
+            if state.e_block(i, j) + acc != expected:
+                return False, f"system row {i}, column {j}"
+    return True, "E columns solve the block-triangular system"
+
+
+def _toeplitz_kernel_dims(result: DiagonalizationResult) -> Proof:
+    state, k = result.state, result.k
+    dims = []
+    for length in range(1, k + 2):
+        expect = sum(state.stage(i).n.dim for i in range(1, length + 1))
+        got = toeplitz_nullspace(state.input_family, length).dim
+        dims.append(got)
+        if got != expect:
+            return False, f"length {length}: oracle {got} vs recursion {expect}"
+    return True, f"kernel dims {dims} agree for lengths 1..{k + 1}"
+
+
+def _chain_membership(result: DiagonalizationResult) -> Proof:
+    state = result.state
+    for length in range(1, result.k + 2):
+        chains = state.jordan_chain_basis(length)
+        block = toeplitz_block(state.input_family, length)
+        for chain in chains.basis_chains():
+            if not (block.matrix @ chain.stacked()).is_zero():
+                return False, f"a length-{length} chain fails the stacked condition"
+    return True, "all generated chains are annihilated by the block matrix"
+
+
+def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
+    # The ledger builds these columns with the shift in place, so the E
+    # blocks and the shifted M blocks are recomputed here from the generic
+    # recurrence instead of being read back.
+    state, k = result.state, result.k
+    n = state.domain_dim
+    ecols = {}
+    for j in range(k + 2, state.stage_count + 1):
+        ecols[j] = ecol = [Mat.zeros(n, n)] * (j - 1) + [Mat.identity(n)]
+        acc = Mat.zeros(state.codomain_dim, n)
+        for i in range(j - 1, 0, -1):
+            term = state.stage(i + 1).sbar @ ecol[i]
+            acc = acc if term.is_zero() else acc + term
+            splus = state.stage(i).splus
+            if not (splus.is_zero() or acc.is_zero()):
+                ecol[i - 1] = -(splus @ acc)
+        for i in range(k + 2, j):
+            if not ecol[i - 1].is_zero():
+                return False, f"E block ({i},{j}) nonzero below row {k + 1}"
+    for j in range(k + 3, state.stage_count + 1):
+        for row in range(k + 2, j + 1):
+            generic = Mat.sum_of_products(
+                ((state.m_block(row - 1, c), ecols[j][c]) for c in range(row - 1, j)),
+                n,
+                n,
+            )
+            stored = state.m_block(row, j)
+            if generic != stored:
+                return False, f"M block ({row},{j}) differs from the recurrence"
+            if row == j and not stored.is_identity():
+                return False, f"M diagonal block at column {j} is not the identity"
+            if row < j and stored != state.m_block(row - 1, j - 1):
+                return False, f"M shift fails at block ({row},{j})"
+    return True, "E zero pattern and M Toeplitz shift hold after stabilization"
+
+
+def _generalized_inverse_axioms(result: DiagonalizationResult) -> Proof:
+    return inverse_axioms(result.state.input_family, result.generalized_inverse(result.order))
+
+
+def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
+    family, order = result.state.input_family, result.order
+    if family.rows != family.cols or result.generic_rank != family.rows:
+        return None
+    linv = result.generalized_inverse(order)
+    oracle = direct_laurent_inverse(family, tail=order)
+    if oracle.pole != linv.pole:
+        return False, f"pole {linv.pole} vs oracle {oracle.pole}"
+    e = _first_difference(oracle, linv, -linv.pole, order)
+    if e is not None:
+        return False, f"coefficient mismatch at order {e}"
+    return True, f"coefficients agree from eps^-{linv.pole} through eps^{order}"
+
+
+def _smith_identities(result: DiagonalizationResult) -> Proof:
+    family = result.state.input_family
+    fact = result.smith_factorization()
+    passed, detail = smith_identity(result, fact)
+    if not passed:
+        return passed, detail
+    lhs = family @ result.phi
+    rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
+    if not lhs.eq_through(rhs, result.order):
+        return False, "L * phi differs from psi * S_P * P(eps)"
+    blow = (
+        MatLaurent.from_series(result.psi_inv)
+        @ MatLaurent.from_series(family @ result.phi)
+        @ fact.p_inverse_laurent()
+    )
+    s_p = MatLaurent(0, [fact.s_p], exact=True)
+    e = _first_difference(blow, s_p, -blow.pole, blow.tail_order)
+    if e is not None:
+        return False, f"blow-up identity fails at order {e}"
+    return True, "factorization and blow-up identities exact"
+
+
+def _projector_families(result: DiagonalizationResult) -> Proof:
+    state, order = result.state, result.order
+    left, right = result.projector_families(order)
+    if not (left @ left).eq_through(left, order):
+        return False, "left projector family is not idempotent"
+    if not (right @ right).eq_through(right, order):
+        return False, "right projector family is not idempotent"
+    n, m = state.domain_dim, state.codomain_dim
+    p_sum = sum((st.p for st in result.stages), Mat.zeros(n, n))
+    calp_sum = sum((st.calp for st in result.stages), Mat.zeros(m, m))
+    if left.coefficient(0) != p_sum or right.coefficient(0) != calp_sum:
+        return False, "constant terms differ from the projection sums"
+    return True, f"idempotent through order {order}, constant terms correct"
+
+
+def _resolvent_recurrences(result: DiagonalizationResult) -> Proof | None:
+    family = result.state.input_family
+    if family.degree > 1 or family.rows != family.cols or result.generic_rank != family.rows:
+        return None
+    oracle = direct_laurent_inverse(family, tail=10)
+    if oracle.pole > 1:
+        return None
+    passed, first_bad = resolvent_recurrence_check(
+        family.coefficient(0), family.coefficient(1), oracle, 10
+    )
+    if not passed:
+        return False, f"first violated index {first_bad}"
+    return True, "both coefficient recurrences hold through order 10"
+
+
+def _linearization_bound(result: DiagonalizationResult) -> Proof | None:
+    family = result.state.input_family
+    if not family.exact or family.degree < 2:
+        return None
+    return linearization(family, result.k)[2]
+
+
+CHECKS = (
+    ("diagonalization-residual", _residual),
+    ("coefficient-identity", _coefficient_identity),
+    ("triangular-system", _triangular_system),
+    ("toeplitz-kernel-dims", _toeplitz_kernel_dims),
+    ("chain-membership", _chain_membership),
+    ("post-stabilization-structure", _post_stabilization_structure),
+    ("generalized-inverse-axioms", _generalized_inverse_axioms),
+    ("laurent-oracle", _laurent_oracle),
+    ("smith-identities", _smith_identities),
+    ("projector-families", _projector_families),
+    ("resolvent-recurrences", _resolvent_recurrences),
+    ("linearization-bound", _linearization_bound),
+)
+
+
+def run_check(name: str, check) -> dict:
+    """The record of one check: ``check()`` is called with no arguments. A
+    TruncationError skips it, any other LocalSmithError fails it, and None
+    means it does not apply."""
+    try:
+        outcome = check()
+    except TruncationError as exc:
+        return {"name": name, "status": "skipped", "detail": str(exc)}
+    except LocalSmithError as exc:
+        return {"name": name, "status": "fail", "detail": str(exc)}
+    if outcome is None:
+        return {"name": name, "status": "skipped", "detail": "not applicable"}
+    passed, text = outcome
+    return {"name": name, "status": "pass" if passed else "fail", "detail": text}

@@ -4,9 +4,13 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsmith import (
+    FamilySpec,
     InputError,
+    Mat,
     Subspace,
     family_from_series,
     parse_family,
@@ -48,6 +52,9 @@ BAD_FILES = {
     "<pole true>": one_by_one(declared_pole=True),
     # Two spellings of one power, which parsing would otherwise sum.
     "<power twice>": one_by_one(coefficients={"0": [["1"]], "1": [["1"]], "+1": [["1"]]}),
+    # Power keys that Python's int() reads as 10 and as 1.
+    "<key 1_0>": one_by_one(trunc_or_degree=10, coefficients={"0": [["1"]], "1_0": [["1"]]}),
+    "<key arabic digit>": one_by_one(coefficients={"0": [["1"]], " \u0661 ": [["1"]]}),
     "<stages 5>": '{"stages": 5}',
     "<stages null>": '{"stages": null}',
     "<stage true>": json.dumps(
@@ -56,7 +63,40 @@ BAD_FILES = {
 }
 
 
+ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def family_specs(draw, kind, pole, rows, cols):
+    """A valid spec: distinct powers in [-pole, top], each with a nonzero
+    coefficient (serialization leaves zero ones out), and -pole among them."""
+    top = draw(st.integers(0, 3))
+    powers = draw(st.sets(st.integers(-pole, top), max_size=4)) | ({-pole} if pole else set())
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    grid = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    coefficients = tuple(
+        (power, Mat(draw(grid.filter(lambda g: any(x for row in g for x in row)))))
+        for power in sorted(powers)
+    )
+    return FamilySpec(rows, cols, kind, top, pole, coefficients)
+
+
 class TestParseFamily:
+    @pytest.mark.parametrize(
+        "kind, pole, rows, cols",
+        [
+            ("polynomial", 0, 2, 2),
+            ("truncated_series", 0, 1, 3),
+            ("polynomial", 2, 3, 2),
+            ("truncated_series", 1, 2, 3),
+        ],
+    )
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_round_trip_property(self, kind, pole, rows, cols, data):
+        spec = data.draw(family_specs(kind, pole, rows, cols))
+        assert parse_family(serialize_family(spec)) == spec
+
     def test_golden_file(self):
         spec = parse_family(golden_text())
         assert (spec.rows, spec.cols) == (3, 3)
@@ -224,12 +264,12 @@ class TestCommands:
         assert statuses["resolvent-recurrences"] == "skipped"
 
     def test_verify_failure_is_exit_three(self, capsys, monkeypatch):
-        import localsmith.cli as cli_module
+        import localsmith.verify as verify_module
 
         def bogus_nullspace(family, length):
             return Subspace.zero(family.cols * length)
 
-        monkeypatch.setattr(cli_module, "toeplitz_nullspace", bogus_nullspace)
+        monkeypatch.setattr(verify_module, "toeplitz_nullspace", bogus_nullspace)
         code = main(["verify", DATA])
         report = json.loads(capsys.readouterr().out)
         assert code == 3
@@ -336,6 +376,8 @@ class TestExitCodes:
             ["analyze", "<trunc true>"],
             ["analyze", "<pole true>"],
             ["analyze", "<power twice>"],
+            ["analyze", "<key 1_0>"],
+            ["analyze", "<key arabic digit>"],
             ["analyze", DATA, "--complement", "given:<stages 5>"],
             ["analyze", DATA, "--complement", "given:<stages null>"],
             ["analyze", DATA, "--complement", "given:<stage true>"],
@@ -353,6 +395,8 @@ class TestExitCodes:
             "trunc-true",
             "pole-true",
             "power-twice",
+            "power-key-underscore",
+            "power-key-non-ascii",
             "complement-stages-int",
             "complement-stages-null",
             "complement-stage-true",
