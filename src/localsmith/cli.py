@@ -23,6 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .family_io import (
+    DECIMAL_INTEGER,
     FamilySpec,
     laurent_listing,
     mat_to_grid,
@@ -56,13 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low: int):
-    """An argparse type for integers no smaller than ``low``."""
+    """An argparse type for ASCII decimal integers no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not DECIMAL_INTEGER.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

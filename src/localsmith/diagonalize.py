@@ -90,6 +90,11 @@ class DiagonalizationResult:
     _inverses: dict[int, MatLaurent] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # The direct Laurent inverse of the input (localsmith.oracles), built by
+    # the first verify check that needs it and shared with the others.
+    oracle_inverse: MatLaurent | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- views over the ledger ---------------------------------------------
 

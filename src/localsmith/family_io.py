@@ -22,7 +22,9 @@ from .series import MatLaurent, MatSeries
 
 _FAMILY_FIELDS = {"rows", "cols", "kind", "trunc_or_degree", "declared_pole", "coefficients"}
 _KINDS = {"polynomial", "truncated_series"}
-_POWER_KEY = re.compile(r"[+-]?[0-9]+")
+# ASCII decimal integers: the spelling of power keys here and of the
+# integer CLI flags.
+DECIMAL_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def parse_family(text: str) -> FamilySpec:
         raise InputError("coefficients must map powers to grids")
     parsed: list[tuple[int, Mat]] = []
     for key, grid in raw.items():
-        if not _POWER_KEY.fullmatch(key):
+        if not DECIMAL_INTEGER.fullmatch(key):
             raise InputError(f"coefficient key {key!r} is not an integer power")
         power = int(key)
         # "1", "+1" and "01" are distinct JSON keys naming the same power.

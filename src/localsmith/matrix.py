@@ -1,12 +1,14 @@
 """Dense exact-rational matrices with reduced row echelon elimination.
 
 Everything downstream (subspace splits, the stage recursion, the series
-algebra) reduces to the primitives in this module. Entries are
-``fractions.Fraction``s, so results are exact: no operation introduces a
-denominator not forced by the inputs. Products and elimination run on Python
-integers with the denominators cleared, and build one ``Fraction`` per result
-entry, so every result is the same exact value that entry-by-entry
-``Fraction`` arithmetic gives, without a gcd per multiply and add.
+algebra) reduces to the primitives in this module. A matrix is held as an
+integer grid over one positive common denominator, reduced so that the
+denominator and the grid entries have no common factor: equal matrices have
+equal state. Every kernel (products, elimination, sums, stacking, slicing)
+runs on Python integers and ends with at most one gcd over its result, so
+every result is the same exact value that entry-by-entry ``Fraction``
+arithmetic gives, without a gcd per multiply and add. ``Mat.entries`` builds
+the ``fractions.Fraction``s on first use, for rendering and scalar code.
 
 Matrices are immutable after construction and safe to share.
 """
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _set = object.__setattr__
 
 
@@ -52,56 +54,93 @@ def format_rat(q: Fraction) -> str:
 
 
 class Mat:
-    """An immutable rows x cols matrix of Fractions.
+    """An immutable rows x cols matrix of rationals.
 
-    ``entries`` is a tuple of row tuples. Zero-row and zero-column matrices
-    are legal; they show up as bases of zero-dimensional subspaces.
+    The state is ``_grid``, a tuple of row tuples of ints, over one positive
+    denominator ``_den`` with gcd(_den, every entry) = 1. ``entries`` is the
+    same matrix as a tuple of row tuples of Fractions. Zero-row and
+    zero-column matrices are legal; they show up as bases of zero-dimensional
+    subspaces.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_zero", "_rref", "_int_grid")
+    __slots__ = ("rows", "cols", "_grid", "_den", "_entries", "_zero", "_rref")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(tuple(rat(x) for x in row) for row in entries)
-        if grid:
-            width = len(grid[0])
-            if any(len(row) != width for row in grid):
+        values = tuple(tuple(rat(x) for x in row) for row in entries)
+        if values:
+            width = len(values[0])
+            if any(len(row) != width for row in values):
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
         if cols is not None and width and cols != width:
             raise ValueError(f"cols mismatch: stated {cols}, got {width}")
+        # The lcm of reduced denominators leaves the grid without a common
+        # factor with it, so the state is already reduced.
+        den = math.lcm(*[x.denominator for row in values for x in row])
+        grid = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in values)
         # A 5x0 matrix needs explicit empty rows so rows stays meaningful.
-        self._fill(grid, len(grid), width if grid else (cols or 0), None)
+        self._fill(grid, den, len(values), width if values else (cols or 0), values)
 
     @staticmethod
-    def _of(grid: tuple, rows: int, cols: int, zero: bool | None = None) -> Mat:
-        """Trusted constructor: ``grid`` is already a tuple of ``rows`` tuples
-        of ``cols`` Fractions. ``zero`` is the known answer to ``is_zero``."""
+    def _of(grid: tuple, den: int, rows: int, cols: int) -> Mat:
+        """Trusted constructor: ``grid`` is a tuple of ``rows`` tuples of
+        ``cols`` ints over ``den`` > 0, and gcd(den, every entry) = 1."""
         m = object.__new__(Mat)
-        m._fill(grid, rows, cols, zero)
+        m._fill(grid, den, rows, cols, None)
         return m
 
-    def _fill(self, grid: tuple, rows: int, cols: int, zero: bool | None) -> None:
+    @staticmethod
+    def _reduced(grid: tuple, den: int, rows: int, cols: int) -> Mat:
+        """Like ``_of``, but first divides out gcd(den, every entry)."""
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(grid))
+            if g != 1:
+                den //= g
+                grid = tuple(tuple(x // g for x in row) for row in grid)
+        return Mat._of(grid, den, rows, cols)
+
+    def _fill(self, grid: tuple, den: int, rows: int, cols: int, entries) -> None:
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", grid)
-        _set(self, "_zero", zero)
+        _set(self, "_grid", grid)
+        _set(self, "_den", den)
+        _set(self, "_entries", entries)
+        _set(self, "_zero", None)
         _set(self, "_rref", None)
-        _set(self, "_int_grid", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as a tuple of row tuples of Fractions, built once on
+        first use."""
+        cached = self._entries
+        if cached is None:
+            den = self._den
+            cached = tuple(
+                tuple(Fraction(x, den) if x else _ZERO for x in row) for row in self._grid
+            )
+            _set(self, "_entries", cached)
+        return cached
+
+    def _scaled(self, factor: int) -> tuple:
+        """The grid times ``factor``, for a denominator ``factor`` times ours."""
+        if factor == 1:
+            return self._grid
+        return tuple(tuple(x * factor for x in row) for row in self._grid)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> Mat:
-        return Mat._of(((_ZERO,) * cols,) * rows, rows, cols, True)
+        return Mat._of(((0,) * cols,) * rows, 1, rows, cols)
 
     @staticmethod
     def identity(n: int) -> Mat:
-        grid = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-        return Mat._of(grid, n, n, n == 0)
+        grid = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return Mat._of(grid, 1, n, n)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> Mat:
@@ -118,6 +157,10 @@ class Mat:
             raise ValueError("rows mismatch")
         return Mat([[columns[j][i] for j in range(cols)] for i in range(height)])
 
+    # Stacking needs no reduction: over the lcm of the parts' denominators,
+    # a prime power of that lcm comes from some part, and that part's grid,
+    # scaled by a factor free of the prime, keeps an entry free of it.
+
     @staticmethod
     def hstack(mats: Sequence["Mat"]) -> Mat:
         mats = [m for m in mats]
@@ -126,9 +169,10 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("row count mismatch in hstack")
-        width = sum(m.cols for m in mats)
-        grid = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(rows))
-        return Mat._of(grid, rows, width)
+        den = math.lcm(*[m._den for m in mats])
+        grids = [m._scaled(den // m._den) for m in mats]
+        grid = tuple(tuple(chain.from_iterable(g[i] for g in grids)) for i in range(rows))
+        return Mat._of(grid, den, rows, sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(mats: Sequence["Mat"]) -> Mat:
@@ -138,8 +182,9 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column count mismatch in vstack")
-        grid = tuple(row for m in mats for row in m.entries)
-        return Mat._of(grid, len(grid), cols)
+        den = math.lcm(*[m._den for m in mats])
+        grid = tuple(chain.from_iterable(m._scaled(den // m._den) for m in mats))
+        return Mat._of(grid, den, len(grid), cols)
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["Mat", "Mat"]], rows: int, cols: int) -> Mat:
@@ -147,8 +192,9 @@ class Mat:
 
         Equal to the hstack of the left factors times the vstack of the right
         ones, taken over the integers: every entry is one dot product of the
-        factors' integer grids and one division by the common denominator.
-        Pairs with a zero factor are skipped; no pairs give the zero matrix.
+        factors' integer grids, over the lcm of the products' denominators,
+        and one gcd reduces the result. Pairs with a zero factor are skipped;
+        no pairs give the zero matrix.
         """
         terms = []
         for a, b in pairs:
@@ -158,8 +204,7 @@ class Mat:
                     f"in a {rows}x{cols} sum"
                 )
             if not (a.is_zero() or b.is_zero()):
-                (grid_a, den_a), (grid_b, den_b) = a._integers(), b._integers()
-                terms.append((grid_a, grid_b, den_a * den_b))
+                terms.append((a._grid, b._grid, a._den * b._den))
         den = math.lcm(*[d for _, _, d in terms])
         left: list[list[int]] = [[] for _ in range(rows)]
         right: list[list[int]] = [[] for _ in range(cols)]
@@ -169,80 +214,56 @@ class Mat:
                 acc.extend(row if scale == 1 else [x * scale for x in row])
             for acc, col in zip(right, zip(*grid_b)):
                 acc.extend(col)
-        zero_row = (_ZERO,) * cols
-        grid = []
-        zero = True
-        for ints_a in left:
-            if not any(ints_a):
-                grid.append(zero_row)
-                continue
-            out = []
-            for ints_b in right:
-                dot = sum(map(mul, ints_a, ints_b))
-                if dot:
-                    out.append(Fraction(dot, den))
-                    zero = False
-                else:
-                    out.append(_ZERO)
-            grid.append(tuple(out))
-        return Mat._of(tuple(grid), rows, cols, zero)
+        zero_row = (0,) * cols
+        grid = tuple(
+            tuple([sum(map(mul, ints_a, ints_b)) for ints_b in right])
+            if any(ints_a)
+            else zero_row
+            for ints_a in left
+        )
+        return Mat._reduced(grid, den, rows, cols)
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
         cached = self._zero
         if cached is None:
-            cached = all(x == 0 for row in self.entries for x in row)
+            cached = self._den == 1 and not any(map(any, self._grid))
             _set(self, "_zero", cached)
         return cached
 
-    def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(grid, den)``: the entries as integers over one common
-        denominator, ``den`` the lcm of all of theirs. Computed once, since a
-        matrix is often a factor of many products."""
-        cached = self._int_grid
-        if cached is None:
-            den = math.lcm(*[x.denominator for row in self.entries for x in row])
-            grid = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in self.entries
-            )
-            cached = (grid, den)
-            _set(self, "_int_grid", cached)
-        return cached
-
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
+        return self.rows == self.cols and self == Mat.identity(self.rows)
 
     def column(self, j: int) -> Mat:
         """Column j as a rows x 1 matrix, for 0 <= j < cols."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} of a matrix with {self.cols} columns")
-        return Mat._of(tuple((row[j],) for row in self.entries), self.rows, 1)
+        return Mat._reduced(tuple((row[j],) for row in self._grid), self._den, self.rows, 1)
 
     def submatrix_columns(self, indices: Sequence[int]) -> Mat:
-        grid = tuple(tuple(row[j] for j in indices) for row in self.entries)
-        return Mat._of(grid, self.rows, len(indices))
+        grid = tuple(tuple(row[j] for j in indices) for row in self._grid)
+        return Mat._reduced(grid, self._den, self.rows, len(indices))
+
+    def submatrix_rows(self, indices: Sequence[int]) -> Mat:
+        grid = tuple(self._grid[i] for i in indices)
+        return Mat._reduced(grid, self._den, len(indices), self.cols)
 
     def transpose(self) -> Mat:
-        grid = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Mat._of(grid, self.cols, self.rows)
+        grid = tuple(zip(*self._grid)) if self.rows else ((),) * self.cols
+        return Mat._of(grid, self._den, self.cols, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._grid == other._grid
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._den, self._grid))
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rat(x) for x in row) for row in self.entries)
@@ -250,28 +271,35 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: Mat) -> Mat:
+    def _combine(self, other: Mat, op, symbol: str) -> Mat:
         if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        grid = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        return Mat._of(grid, self.rows, self.cols)
+            raise ValueError(
+                f"shape mismatch {self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}"
+            )
+        den = math.lcm(self._den, other._den)
+        grid = tuple(
+            tuple(map(op, r1, r2))
+            for r1, r2 in zip(self._scaled(den // self._den), other._scaled(den // other._den))
+        )
+        return Mat._reduced(grid, den, self.rows, self.cols)
+
+    def __add__(self, other: Mat) -> Mat:
+        return self._combine(other, add, "+")
 
     def __sub__(self, other: Mat) -> Mat:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} - {other.rows}x{other.cols}")
-        grid = tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        return Mat._of(grid, self.rows, self.cols)
+        return self._combine(other, sub, "-")
 
     def __neg__(self) -> Mat:
-        grid = tuple(tuple(-x for x in row) for row in self.entries)
-        return Mat._of(grid, self.rows, self.cols, self._zero)
+        grid = tuple(tuple(-x for x in row) for row in self._grid)
+        return Mat._of(grid, self._den, self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             return self.__matmul__(other)
         scalar = rat(other)
-        grid = tuple(tuple(x * scalar for x in row) for row in self.entries)
-        return Mat._of(grid, self.rows, self.cols)
+        return Mat._reduced(
+            self._scaled(scalar.numerator), self._den * scalar.denominator, self.rows, self.cols
+        )
 
     def __matmul__(self, other: Mat) -> Mat:
         if self.cols != other.rows:
@@ -284,14 +312,15 @@ class Mat:
         """Unique reduced row echelon form and its strictly increasing pivot columns.
 
         Integer Gauss-Jordan: each row is kept a primitive integer multiple
-        of the corresponding row of rational elimination, and pivot rows are
-        divided by their pivots only at the end.
+        of the corresponding row of rational elimination. At the end, pivot
+        row r over its pivot p_r is the rational row, so the result is the
+        rows scaled to the lcm of the pivots.
         """
         cached = self._rref
         if cached is not None:
             return cached
         m = []
-        for ints in self._integers()[0]:
+        for ints in self._grid:
             g = math.gcd(*ints)
             m.append([x // g for x in ints] if g > 1 else list(ints))
         pivots: list[int] = []
@@ -317,12 +346,13 @@ class Mat:
             pr += 1
             if pr == self.rows:
                 break
-        grid = []
-        for r, pc in enumerate(pivots):
-            p = m[r][pc]
-            grid.append(tuple(Fraction(a, p) if a else _ZERO for a in m[r]))
-        grid.extend([(_ZERO,) * self.cols] * (self.rows - pr))
-        result = (Mat._of(tuple(grid), self.rows, self.cols, not pivots), tuple(pivots))
+        # Every row is primitive, so a prime power of the lcm, taken from
+        # some pivot, leaves an entry of that pivot's scaled row free of the
+        # prime: the state is reduced.
+        den = math.lcm(*[m[r][pc] for r, pc in enumerate(pivots)])
+        grid = [tuple(a * (den // m[r][pc]) for a in m[r]) for r, pc in enumerate(pivots)]
+        grid.extend([(0,) * self.cols] * (self.rows - pr))
+        result = (Mat._of(tuple(grid), den, self.rows, self.cols), tuple(pivots))
         _set(self, "_rref", result)
         return result
 
@@ -338,12 +368,13 @@ class Mat:
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
-        grid = [[_ZERO] * len(free) for _ in range(self.cols)]
+        den = reduced._den
+        grid = [[0] * len(free) for _ in range(self.cols)]
         for k, f in enumerate(free):
-            grid[f][k] = _ONE
+            grid[f][k] = den
             for r, p in enumerate(pivots):
-                grid[p][k] = -reduced.entries[r][f]
-        return Mat._of(tuple(map(tuple, grid)), self.cols, len(free), not free)
+                grid[p][k] = -reduced._grid[r][f]
+        return Mat._reduced(tuple(map(tuple, grid)), den, self.cols, len(free))
 
     def solve(self, rhs: Mat) -> Mat | None:
         """A particular solution X of self @ X = rhs, or None if inconsistent.
@@ -356,10 +387,10 @@ class Mat:
         reduced, pivots = augmented.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        sol = [[_ZERO] * rhs.cols for _ in range(self.cols)]
+        sol = [(0,) * rhs.cols] * self.cols
         for r, p in enumerate(pivots):
-            sol[p] = reduced.entries[r][self.cols :]
-        return Mat._of(tuple(map(tuple, sol)), self.cols, rhs.cols)
+            sol[p] = reduced._grid[r][self.cols :]
+        return Mat._reduced(tuple(sol), reduced._den, self.cols, rhs.cols)
 
     def inverse(self) -> Mat:
         if self.rows != self.cols:
@@ -375,8 +406,7 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        grid, den = self._integers()
-        m = [list(row) for row in grid]
+        m = [list(row) for row in self._grid]
         sign, prev = 1, 1
         for c in range(n):
             pivot_row = None
@@ -396,4 +426,4 @@ class Mat:
                 f = m[r][c]
                 m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[c])]
             prev = p
-        return Fraction(sign * prev, den**n)
+        return Fraction(sign * prev, self._den**n)

@@ -47,7 +47,8 @@ def toeplitz_nullspace(family: MatSeries, length: int) -> Subspace:
     return Subspace(family.cols * length, block.matrix.nullspace())
 
 
-# -- scalar polynomial helpers (plain coefficient lists, ascending) --------
+# -- polynomial helpers (coefficient lists, ascending) ----------------------
+# Coefficients are Fractions, or Mats where a helper says so.
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -56,16 +57,13 @@ def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_mul_series(a: list[Fraction], b: list[Fraction], upto: int) -> list[Fraction]:
-    out = [Fraction(0)] * (upto + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > upto:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > upto:
-                break
+def _poly_mul_series(a: list[Mat], b: list[Fraction], upto: int) -> list[Mat]:
+    """Coefficients 0..upto of a(eps) b(eps), for Mat coefficients a_i."""
+    out = [Mat.zeros(a[0].rows, a[0].cols)] * (upto + 1)
+    for i, ai in enumerate(a[: upto + 1]):
+        for j, bj in enumerate(b[: upto + 1 - i]):
             if bj:
-                out[i + j] += ai * bj
+                out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -82,24 +80,26 @@ def _poly_inverse_series(p: list[Fraction], upto: int) -> list[Fraction]:
     return out
 
 
-def _newton_interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """Coefficients of the unique interpolating polynomial, ascending order."""
+def _newton_interpolate(points: list[tuple[Fraction, object]], zero) -> list:
+    """Coefficients of the unique interpolating polynomial, ascending order.
+    The values may be Mats, interpolated as a whole; ``zero`` is the zero
+    value."""
     xs = [x for x, _ in points]
     divided = [y for _, y in points]
     k = len(points)
     for level in range(1, k):
         for i in range(k - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
+            divided[i] = (divided[i] - divided[i - 1]) * (1 / (xs[i] - xs[i - level]))
     # Horner expansion of the Newton form back to monomial coefficients.
     coeffs = [divided[k - 1]]
     for i in range(k - 2, -1, -1):
-        expanded = [Fraction(0)] * (len(coeffs) + 1)
+        expanded = [zero] * (len(coeffs) + 1)
         for j, c in enumerate(coeffs):
-            expanded[j + 1] += c
-            expanded[j] -= xs[i] * c
-        expanded[0] += divided[i]
+            expanded[j + 1] = expanded[j + 1] + c
+            expanded[j] = expanded[j] - c * xs[i]
+        expanded[0] = expanded[0] + divided[i]
         coeffs = expanded
-    return _poly_trim(coeffs)
+    return coeffs
 
 
 def direct_laurent_inverse(
@@ -137,25 +137,15 @@ def direct_laurent_inverse(
             continue
         det_points.append((x, det))
         adj_points.append((x, value.inverse() * det))
-    det_poly = _newton_interpolate(det_points)
+    det_poly = _poly_trim(_newton_interpolate(det_points, Fraction(0)))
     pole_det = 0
     while det_poly[pole_det] == 0:
         pole_det += 1
     unit = det_poly[pole_det:]
     depth = tail + pole_det
     unit_inv = _poly_inverse_series(unit, depth)
-    coeff_grids = [
-        [[Fraction(0)] * n for _ in range(n)] for _ in range(depth + 1)
-    ]
-    for i in range(n):
-        for j in range(n):
-            entry_poly = _newton_interpolate(
-                [(x, adj.entries[i][j]) for x, adj in adj_points]
-            )
-            expanded = _poly_mul_series(entry_poly, unit_inv, depth)
-            for idx, c in enumerate(expanded):
-                coeff_grids[idx][i][j] = c
-    result = MatLaurent(pole_det, [Mat(g) for g in coeff_grids], exact=False)
+    adj_poly = _newton_interpolate(adj_points, Mat.zeros(n, n))
+    result = MatLaurent(pole_det, _poly_mul_series(adj_poly, unit_inv, depth), exact=False)
     if result.pole > p_max:
         raise ValueError(f"pole order {result.pole} exceeds p_max = {p_max}")
     return result

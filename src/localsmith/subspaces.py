@@ -166,8 +166,7 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     if width == 0:
         return Mat.zeros(n, n)
     block = full.submatrix_columns(range(offset, offset + width))
-    rows = Mat(inv.entries[offset : offset + width], cols=n)
-    return block @ rows
+    return block @ inv.submatrix_rows(range(offset, offset + width))
 
 
 def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:

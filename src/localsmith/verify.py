@@ -195,12 +195,25 @@ def _generalized_inverse_axioms(result: DiagonalizationResult) -> Proof:
     return inverse_axioms(result.state.input_family, result.generalized_inverse(result.order))
 
 
+# The order through which resolvent-recurrences checks.
+_RESOLVENT_ORDER = 10
+
+
+def _direct_inverse(result: DiagonalizationResult) -> MatLaurent:
+    """The direct Laurent inverse of the input through the larger of the
+    working order and the resolvent order, built once per result."""
+    if result.oracle_inverse is None:
+        family, tail = result.state.input_family, max(result.order, _RESOLVENT_ORDER)
+        result.oracle_inverse = direct_laurent_inverse(family, tail=tail)
+    return result.oracle_inverse
+
+
 def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
     family, order = result.state.input_family, result.order
     if family.rows != family.cols or result.generic_rank != family.rows:
         return None
     linv = result.generalized_inverse(order)
-    oracle = direct_laurent_inverse(family, tail=order)
+    oracle = _direct_inverse(result)
     if oracle.pole != linv.pole:
         return False, f"pole {linv.pole} vs oracle {oracle.pole}"
     e = _first_difference(oracle, linv, -linv.pole, order)
@@ -250,15 +263,15 @@ def _resolvent_recurrences(result: DiagonalizationResult) -> Proof | None:
     family = result.state.input_family
     if family.degree > 1 or family.rows != family.cols or result.generic_rank != family.rows:
         return None
-    oracle = direct_laurent_inverse(family, tail=10)
+    oracle = _direct_inverse(result)
     if oracle.pole > 1:
         return None
     passed, first_bad = resolvent_recurrence_check(
-        family.coefficient(0), family.coefficient(1), oracle, 10
+        family.coefficient(0), family.coefficient(1), oracle, _RESOLVENT_ORDER
     )
     if not passed:
         return False, f"first violated index {first_bad}"
-    return True, "both coefficient recurrences hold through order 10"
+    return True, f"both coefficient recurrences hold through order {_RESOLVENT_ORDER}"
 
 
 def _linearization_bound(result: DiagonalizationResult) -> Proof | None:

@@ -1,5 +1,7 @@
 """JSON family parsing, the command-line driver, and report determinism."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -20,6 +22,26 @@ from localsmith import (
 from localsmith.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
+COMMANDS = ("analyze", "diagonalize", "invert", "smith", "jordan", "linearize", "verify")
+# Each integer flag with its smallest allowed value.
+INT_FLAGS = {"--order": 0, "--max-stages": 1, "--pole": 0, "--length": 1}
+# Zero of some Unicode decimal digit blocks other than ASCII: Arabic-Indic,
+# extended Arabic-Indic, Devanagari and fullwidth.
+DIGIT_ZEROS = (0x660, 0x6F0, 0x966, 0xFF10)
+
+
+def bad_integers(low: int):
+    """Flag values that must be refused: below ``low`` (negatives included),
+    non-ASCII digits, underscores between digits, and floats."""
+    below = st.integers(max_value=low - 1).map(str)
+    foreign = st.builds(
+        lambda v, zero: str(v).translate({48 + d: zero + d for d in range(10)}),
+        st.integers(low, 30),
+        st.sampled_from(DIGIT_ZEROS),
+    )
+    underscored = st.integers(10, 300).map(lambda v: f"{str(v)[0]}_{str(v)[1:]}")
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(str)
+    return st.one_of(below, foreign, underscored, floats)
 
 
 def golden_text() -> str:
@@ -381,6 +403,11 @@ class TestExitCodes:
             ["analyze", DATA, "--complement", "given:<stages 5>"],
             ["analyze", DATA, "--complement", "given:<stages null>"],
             ["analyze", DATA, "--complement", "given:<stage true>"],
+            ["analyze", DATA, "--order", "1_0"],
+            ["analyze", DATA, "--order", "\u0663"],
+            ["analyze", DATA, "--max-stages", "\u0661"],
+            ["smith", DATA, "--pole", "\u0661"],
+            ["jordan", DATA, "--length", "\u0662"],
         ],
         ids=[
             "negative-order",
@@ -400,6 +427,11 @@ class TestExitCodes:
             "complement-stages-int",
             "complement-stages-null",
             "complement-stage-true",
+            "order-underscore",
+            "order-non-ascii",
+            "max-stages-non-ascii",
+            "pole-non-ascii",
+            "length-non-ascii",
         ],
     )
     def test_bad_input_is_exit_one(self, argv, tmp_path, capsys):
@@ -411,6 +443,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert any(line.startswith("error: ") for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in COMMANDS for f in INT_FLAGS if f != "--length" or c == "jordan"],
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bad_integer_flag_property(self, command, flag, data):
+        value = data.draw(bad_integers(INT_FLAGS[flag]))
+        argv = [command, DATA, f"{flag}={value}"]
+        if command == "jordan" and flag != "--length":
+            argv += ["--length", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 1
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
 
 
 class TestMeromorphicNormalization:

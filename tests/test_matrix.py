@@ -355,3 +355,69 @@ class TestKernelsAgainstReference:
             assert m.det() == (Fraction(-7, 999983) if r else 1)
             inverse = ((Fraction(-999983, 7),),) if r else ()
             assert shape_of(m.inverse()) == (r, r, inverse)
+
+    @PROPERTY
+    @given(matrices(), st.data())
+    def test_add_sub_neg(self, drawn, data):
+        a, r, c = drawn
+        b = data.draw(grids(r, c))
+        ma, mb = Mat(a, cols=c), Mat(b, cols=c)
+        total = [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+        difference = [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+        assert shape_of(ma + mb) == (r, c, as_entries(total))
+        assert shape_of(ma - mb) == (r, c, as_entries(difference))
+        assert shape_of(-ma) == (r, c, as_entries([[-x for x in row] for row in a]))
+
+    @PROPERTY
+    @given(matrices(), st.one_of(ENTRY, st.integers(-5, 5), ENTRY.map(format_rat)))
+    def test_scalar_multiple(self, drawn, scalar):
+        grid, r, c = drawn
+        s = Fraction(scalar)
+        assert shape_of(Mat(grid, cols=c) * scalar) == (
+            r, c, as_entries([[x * s for x in row] for row in grid])
+        )
+
+    @PROPERTY
+    @given(DIM, st.lists(DIM, min_size=1, max_size=3), st.data())
+    def test_hstack_vstack(self, n, widths, data):
+        parts = [data.draw(grids(n, w)) for w in widths]
+        wide = Mat.hstack([Mat(p, cols=w) for p, w in zip(parts, widths)])
+        rows = [[x for p in parts for x in p[i]] for i in range(n)]
+        assert shape_of(wide) == (n, sum(widths), as_entries(rows))
+        blocks = [data.draw(grids(w, n)) for w in widths]
+        tall = Mat.vstack([Mat(b, cols=n) for b in blocks])
+        assert shape_of(tall) == (sum(widths), n, as_entries(row for b in blocks for row in b))
+
+    @PROPERTY
+    @given(matrices(), st.data())
+    def test_transpose_column_and_submatrices(self, drawn, data):
+        grid, r, c = drawn
+        m = Mat(grid, cols=c)
+        flipped = [[grid[i][j] for i in range(r)] for j in range(c)]
+        assert shape_of(m.transpose()) == (c, r, as_entries(flipped))
+        for j in range(c):
+            assert shape_of(m.column(j)) == (r, 1, as_entries([row[j]] for row in grid))
+        indices = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+        picked = [[row[j] for j in indices] for row in grid]
+        assert shape_of(m.submatrix_columns(indices)) == (r, len(indices), as_entries(picked))
+        rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+        picked = [grid[i] for i in rows]
+        assert shape_of(m.submatrix_rows(rows)) == (len(rows), c, as_entries(picked))
+
+    @PROPERTY
+    @given(matrices(), st.data())
+    def test_equal_values_compare_and_hash_equal(self, drawn, data):
+        grid, r, c = drawn
+        a = Mat(grid, cols=c)
+        b = Mat(data.draw(grids(r, c)), cols=c)
+        results = [
+            a + b, a - b, -a, a * Fraction(-3, 7), a * 0, a @ b.transpose(), a.rref()[0],
+            a.nullspace(), a.transpose(), Mat.hstack([a, b]), Mat.vstack([a, b]),
+            a.submatrix_columns(range(c // 2)), a.submatrix_rows(range(r // 2)),
+            *(a.column(j) for j in range(c)),
+        ]
+        routes = [((a + b) - b, a), ((a - b) + b, a), (-(-a), a), (a * 0, Mat.zeros(r, c))]
+        routes += [(Mat(m.entries, cols=m.cols), m) for m in [a, *results]]
+        for x, y in routes:
+            assert x == y
+            assert hash(x) == hash(y)

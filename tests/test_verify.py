@@ -7,6 +7,8 @@ from functools import partial
 import pytest
 
 from localsmith import diagonalize, parse_family, spec_to_series
+from localsmith.cli import main
+from localsmith.oracles import direct_laurent_inverse
 from localsmith.verify import CHECKS, run_check
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -30,3 +32,29 @@ def test_records_equal_golden_checks(case):
         handle.readline()  # the exit-code line
         assert records == json.load(handle)["checks"]
 
+
+
+def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
+    """laurent-oracle and resolvent-recurrences share one direct Laurent
+    inverse of a square pencil of full generic rank."""
+    tails = []
+
+    def counted(family, *args, **kwargs):
+        tails.append(kwargs.get("tail"))
+        return direct_laurent_inverse(family, *args, **kwargs)
+
+    monkeypatch.setattr("localsmith.verify.direct_laurent_inverse", counted)
+    # L(eps) = [[1, eps, 0], [0, eps, 0], [eps, 0, 1]], det L = eps.
+    pencil = {
+        "rows": 3, "cols": 3, "kind": "polynomial", "trunc_or_degree": 1,
+        "coefficients": {
+            "0": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
+            "1": [["0", "1", "0"], ["0", "1", "0"], ["1", "0", "0"]],
+        },
+    }
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(pencil))
+    assert main(["verify", str(path)]) == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert statuses["laurent-oracle"] == statuses["resolvent-recurrences"] == "pass"
+    assert len(tails) == 1
