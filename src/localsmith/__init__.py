@@ -35,7 +35,6 @@ from .family_io import (
 from .matrix import Mat, format_rat, rat
 from .oracles import (
     AugmentedPencil,
-    ToeplitzBlock,
     direct_laurent_inverse,
     linearize_polynomial,
     resolvent_recurrence_check,

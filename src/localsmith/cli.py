@@ -380,7 +380,7 @@ def _render_text(report: dict) -> str:
                 for item in report[key]
             ]
             lines.append(f"  {key}(eps) =")
-            lines.append(render_poly_matrix(terms, indent="    "))
+            lines.append(render_poly_matrix(terms))
     if "chains" in report:
         for idx, chain in enumerate(report["chains"]):
             lines.append(f"  chain {idx}: root {chain['root']}")

@@ -168,7 +168,7 @@ class DiagonalizationResult:
         phi, psi_inv = self._through(t + self.k, "phi", "psi_inv")
         coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
         delta_plus = MatLaurent(self.k, coeffs, exact=True)
-        linv = MatLaurent.from_series(phi) @ delta_plus @ MatLaurent.from_series(psi_inv)
+        linv = phi @ delta_plus @ psi_inv
         self._inverses[t] = linv
         return linv
 

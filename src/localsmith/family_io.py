@@ -214,11 +214,10 @@ def series_listing(series: MatSeries, upto: int) -> list[dict]:
     ]
 
 
-def laurent_listing(laurent: MatLaurent, upto: int | None = None) -> list[dict]:
-    top = laurent.top_exponent if upto is None else upto
+def laurent_listing(laurent: MatLaurent) -> list[dict]:
     return [
         {"power": e, "matrix": mat_to_grid(laurent.coefficient(e))}
-        for e in range(-laurent.pole, top + 1)
+        for e in range(-laurent.pole, laurent.degree + 1)
     ]
 
 
@@ -264,13 +263,13 @@ def poly_entry_strings(terms) -> list[list[str]]:
     return out
 
 
-def render_poly_matrix(terms, indent: str = "  ") -> str:
+def render_poly_matrix(terms) -> str:
     grid = poly_entry_strings(terms)
     if not grid:
-        return indent + "(empty)"
+        return "    (empty)"
     widths = [max(len(grid[i][j]) for i in range(len(grid))) for j in range(len(grid[0]))]
     lines = []
     for row in grid:
         cells = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        lines.append(f"{indent}[ {cells} ]")
+        lines.append(f"    [ {cells} ]")
     return "\n".join(lines)

@@ -17,16 +17,9 @@ from .series import MatLaurent, MatSeries
 from .subspaces import Subspace
 
 
-@dataclass(frozen=True)
-class ToeplitzBlock:
+def toeplitz_block(family: MatSeries, length: int) -> Mat:
     """The upper-triangular block matrix whose kernel holds all chains of
     the given length: block (i, j) carries coefficient j - i."""
-
-    length: int
-    matrix: Mat
-
-
-def toeplitz_block(family: MatSeries, length: int) -> ToeplitzBlock:
     if length < 1:
         raise ValueError("chain length must be >= 1")
     m, n = family.rows, family.cols
@@ -38,13 +31,12 @@ def toeplitz_block(family: MatSeries, length: int) -> ToeplitzBlock:
                 family.coefficient(bj - bi) if bj >= bi else Mat.zeros(m, n)
             )
         rows.append(Mat.hstack(block_row))
-    return ToeplitzBlock(length, Mat.vstack(rows))
+    return Mat.vstack(rows)
 
 
 def toeplitz_nullspace(family: MatSeries, length: int) -> Subspace:
     """Exact nullspace of the stacked chain condition, in K^{cols*length}."""
-    block = toeplitz_block(family, length)
-    return Subspace(family.cols * length, block.matrix.nullspace())
+    return Subspace(family.cols * length, toeplitz_block(family, length).nullspace())
 
 
 # -- polynomial helpers (coefficient lists, ascending) ----------------------

@@ -55,7 +55,7 @@ from .subspaces import (
 )
 
 
-def generic_rank(family: MatSeries, degree_hint: int | None = None) -> int:
+def generic_rank(family: MatSeries) -> int:
     """Rank of the family over the rational-function field.
 
     Computed as the maximum rank over d*min(rows, cols) + 1 distinct sample
@@ -63,8 +63,7 @@ def generic_rank(family: MatSeries, degree_hint: int | None = None) -> int:
     nonzero minor of degree at most d*min(rows, cols), so at least one
     sample point attains the generic value.
     """
-    d = degree_hint if degree_hint is not None else family.degree
-    samples = d * min(family.rows, family.cols) + 1
+    samples = family.degree * min(family.rows, family.cols) + 1
     best = 0
     limit = min(family.rows, family.cols)
     for t in range(1, samples + 1):

@@ -1,14 +1,20 @@
-"""Truncated matrix power series and Laurent series over exact rationals.
+"""Truncated matrix Laurent series over exact rationals; a power series is
+the pole-0 case.
 
-Both kinds share one implementation: coefficients stored from epsilon^{-pole}
-on up, and an ``exact`` flag. ``exact=True`` means every unstored coefficient
+One implementation, ``MatLaurent``, stores coefficients from epsilon^{-pole}
+on up and an ``exact`` flag. ``exact=True`` means every unstored coefficient
 is genuinely zero (a matrix polynomial or Laurent polynomial); otherwise
-nothing is claimed above the top stored exponent. Every operation records the
-tightest truncation it can honestly claim: consumers that need a deeper
-coefficient get a ``TruncationError`` instead of a silent zero.
+nothing is claimed above ``tail_order``, the exponent of the last stored
+coefficient (``degree``). Every operation records the tightest truncation it
+can honestly claim: consumers that need a deeper coefficient get a
+``TruncationError`` instead of a silent zero. Below the pole every
+coefficient is zero, so a power series read at a negative exponent gives
+zero.
 
-``MatSeries`` is the pole-0 case. ``MatLaurent`` allows a finite-order pole,
-which is kept minimal (the leading stored block of a pole is nonzero).
+``MatSeries(coeffs, exact)`` is the pole-0 constructor: it and
+``MatLaurent(0, coeffs, exact)`` build the same series, which compare and
+hash equal. A sum or product of two power series is again a ``MatSeries``;
+shifting one by a negative power gives a Laurent series.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ from .errors import TruncationError
 from .matrix import Mat, rat
 
 
-class _Series:
-    """Storage, truncation tracking and arithmetic shared by both kinds."""
+class MatLaurent:
+    """A matrix Laurent series: coefficients from epsilon^{-pole} on up.
+
+    The pole is minimal: when pole > 0 the leading stored block is nonzero,
+    unless the series is a truncation whose only stored block is zero.
+    """
 
     __slots__ = ("rows", "cols", "pole", "coeffs", "exact")
-
-    # Message for a coefficient above a truncation: (exponent, top exponent).
-    _BEYOND = "coefficient of order {0} requested, valid through {1}"
 
     def __init__(self, pole: int, coeffs: Sequence[Mat], exact: bool = False):
         coeffs = list(coeffs)
@@ -36,8 +43,9 @@ class _Series:
             raise ValueError("coefficient shapes differ")
         if pole < 0:
             raise ValueError("pole order must be >= 0")
-        # Renormalize to the minimal pole.
-        while pole > 0 and coeffs and coeffs[0].is_zero():
+        # Renormalize to the minimal pole. A truncation keeps its last stored
+        # block: popping it would claim a coefficient past the truncation.
+        while pole > 0 and len(coeffs) > (0 if exact else 1) and coeffs[0].is_zero():
             coeffs.pop(0)
             pole -= 1
         if not coeffs:
@@ -57,18 +65,24 @@ class _Series:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _new(self, other: _Series, pole: int, coeffs, exact: bool) -> _Series:
-        """A power series when both operands are one, else a Laurent series."""
-        if type(self) is type(other) is MatSeries:
-            return MatSeries(coeffs, exact=exact)
-        return MatLaurent(pole, coeffs, exact=exact)
+    def _new(self, other: MatLaurent, pole: int, coeffs, exact: bool) -> MatLaurent:
+        """A power series when both operands are one and no pole arises, else
+        a Laurent series."""
+        if pole == 0 and type(self) is type(other) is MatSeries:
+            return MatSeries(coeffs, exact)
+        return MatLaurent(pole, coeffs, exact)
 
     # -- queries ----------------------------------------------------------
 
     @property
-    def top_exponent(self) -> int:
-        """Exponent of the last stored coefficient."""
+    def degree(self) -> int:
+        """Exponent of the last stored coefficient (the degree when exact)."""
         return len(self.coeffs) - 1 - self.pole
+
+    @property
+    def tail_order(self) -> int | None:
+        """Highest exponent the series is valid through; None means exact."""
+        return None if self.exact else self.degree
 
     def coefficient(self, exponent: int) -> Mat:
         idx = exponent + self.pole
@@ -76,20 +90,23 @@ class _Series:
             return self.coeffs[idx]
         if idx < 0 or self.exact:
             return Mat.zeros(self.rows, self.cols)
-        raise TruncationError(self._BEYOND.format(exponent, self.top_exponent))
+        raise TruncationError(
+            f"coefficient of order {exponent} requested, valid through {self.degree}"
+        )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def eq_through(self, other: _Series, t: int) -> bool:
+    def eq_through(self, other: MatLaurent, t: int) -> bool:
         """Coefficient-wise equality through order t (both must reach t)."""
         low = -max(self.pole, other.pole)
         return all(self.coefficient(e) == other.coefficient(e) for e in range(low, t + 1))
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, MatLaurent):
+            return NotImplemented
         return (
-            type(self) is type(other)
-            and self.exact == other.exact
+            self.exact == other.exact
             and self.pole == other.pole
             and self.coeffs == other.coeffs
         )
@@ -98,20 +115,20 @@ class _Series:
         return hash((self.exact, self.pole, self.coeffs))
 
     def __repr__(self):
-        kind = "exact" if self.exact else f"valid through {self.top_exponent}"
+        kind = "exact" if self.exact else f"valid through {self.degree}"
         return f"{type(self).__name__}({self.rows}x{self.cols}, pole {self.pole}, {kind})"
 
     # -- arithmetic -------------------------------------------------------
 
-    def _aligned(self, other: _Series, op) -> _Series:
+    def _aligned(self, other: MatLaurent, op) -> MatLaurent:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         pole = max(self.pole, other.pole)
         exact = self.exact and other.exact
         if exact:
-            top = max(self.top_exponent, other.top_exponent)
+            top = max(self.degree, other.degree)
         else:
-            top = min(s.top_exponent for s in (self, other) if not s.exact)
+            top = min(s.degree for s in (self, other) if not s.exact)
         coeffs = [op(self.coefficient(e), other.coefficient(e)) for e in range(-pole, top + 1)]
         return self._new(other, pole, coeffs, exact)
 
@@ -124,7 +141,7 @@ class _Series:
     def __neg__(self):
         return self._new(self, self.pole, [-c for c in self.coeffs], self.exact)
 
-    def _product(self, other: _Series) -> _Series:
+    def __matmul__(self, other: MatLaurent) -> MatLaurent:
         """Convolution; poles add, then the result is renormalized to a
         minimal pole, and the truncation is tracked conservatively."""
         if self.cols != other.rows:
@@ -134,13 +151,11 @@ class _Series:
         pole = self.pole + other.pole
         exact = self.exact and other.exact
         if exact:
-            top = self.top_exponent + other.top_exponent
+            top = self.degree + other.degree
         else:
             # Coefficient l needs A_i through l + pole(B) and B_j through
             # l + pole(A), so the product is honest only through this order.
-            top = min(
-                a.top_exponent - b.pole for a, b in ((self, other), (other, self)) if not a.exact
-            )
+            top = min(a.degree - b.pole for a, b in ((self, other), (other, self)) if not a.exact)
         if top < -pole:
             raise TruncationError("truncations too shallow for this Laurent product")
         # Stored index s of the product pairs stored indices p + q = s.
@@ -158,7 +173,7 @@ class _Series:
         ]
         return self._new(other, pole, coeffs, exact)
 
-    def shift(self, power: int):
+    def shift(self, power: int) -> MatLaurent:
         """Multiply by epsilon^power."""
         pole = self.pole - power
         coeffs = self.coeffs
@@ -166,6 +181,12 @@ class _Series:
             coeffs = (Mat.zeros(self.rows, self.cols),) * -pole + coeffs
             pole = 0
         return self._new(self, pole, coeffs, self.exact)
+
+    def truncate(self, t: int) -> MatLaurent:
+        """The truncation through exponent t >= -pole (exact input may be
+        padded with zeros)."""
+        coeffs = [self.coefficient(e) for e in range(-self.pole, t + 1)]
+        return self._new(self, self.pole, coeffs, False)
 
     def evaluate(self, point) -> Mat:
         """Evaluate the stored coefficients at a rational point (Horner)."""
@@ -178,18 +199,14 @@ class _Series:
         return acc * (1 / point**self.pole) if self.pole else acc
 
 
-class MatSeries(_Series):
+class MatSeries(MatLaurent):
     """A matrix power series: ``exact=True`` is a matrix polynomial, otherwise
-    a truncation valid through ``trunc_order``."""
+    a truncation valid through ``tail_order``."""
 
     __slots__ = ()
 
-    _BEYOND = "coefficient {0} requested but series only valid through order {1}"
-
     def __init__(self, coeffs: Sequence[Mat], exact: bool = False):
         super().__init__(0, coeffs, exact)
-
-    # -- constructors ---------------------------------------------------
 
     @staticmethod
     def polynomial(coeffs: Sequence[Mat]) -> MatSeries:
@@ -203,44 +220,10 @@ class MatSeries(_Series):
     def identity(n: int) -> MatSeries:
         return MatSeries((Mat.identity(n),), exact=True)
 
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def trunc_order(self) -> int | None:
-        """Highest order the series is valid through; None means exact."""
-        return None if self.exact else self.top_exponent
-
-    @property
-    def degree(self) -> int:
-        """Degree of the stored coefficients (polynomial degree when exact)."""
-        return self.top_exponent
-
-    def coefficient(self, i: int) -> Mat:
-        if i < 0:
-            raise ValueError("power series has no negative coefficients")
-        return super().coefficient(i)
-
-    def require_order(self, t: int) -> None:
-        if not self.exact and self.degree < t:
-            raise TruncationError(
-                f"need coefficients through order {t}, series valid through {self.degree}"
-            )
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __matmul__(self, other: MatSeries) -> MatSeries:
-        """Cauchy product, truncated to the tightest honestly-known order."""
-        return self._product(other)
-
-    def truncate(self, t: int) -> MatSeries:
-        """The truncation to order t (exact input may be padded with zeros)."""
-        return MatSeries([self.coefficient(i) for i in range(t + 1)], exact=False)
-
-    def shift(self, power: int) -> MatSeries:
-        """Multiply by epsilon^power (power >= 0)."""
-        if power < 0:
-            raise ValueError("use MatLaurent for negative powers")
-        return super().shift(power)
+    # The same product under its own name: perfbench/tracing.py wraps
+    # MatSeries.__matmul__ and MatLaurent.__matmul__ by name, and times
+    # products whose left operand is a power series apart.
+    __matmul__ = MatLaurent.__matmul__
 
 
 def series_inverse(a: MatSeries, t: int) -> MatSeries:
@@ -249,9 +232,12 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
     X_0 = A_0^{-1} and X_l = -A_0^{-1} * sum_{j<l} A_{l-j} X_j; the result
     satisfies A @ X = X @ A = I through order t.
     """
-    if a.rows != a.cols:
-        raise ValueError("series inverse needs a square series")
-    a.require_order(t)
+    if a.rows != a.cols or a.pole:
+        raise ValueError("series inverse needs a square power series")
+    if not a.exact and a.degree < t:
+        raise TruncationError(
+            f"need coefficients through order {t}, series valid through {a.degree}"
+        )
     try:
         x0 = a.coefficient(0).inverse()
     except ValueError as exc:
@@ -263,26 +249,3 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
         )
         xs.append(-(x0 @ acc))
     return MatSeries(xs, exact=False)
-
-
-class MatLaurent(_Series):
-    """A matrix Laurent series: coefficients from epsilon^{-pole} on up.
-
-    The pole is minimal: when pole > 0 the leading stored block is nonzero.
-    ``exact=True`` means a Laurent polynomial (all unstored coefficients are
-    genuinely zero); otherwise nothing is claimed above ``tail_order``.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def from_series(s: MatSeries) -> MatLaurent:
-        return MatLaurent(0, s.coeffs, exact=s.exact)
-
-    @property
-    def tail_order(self) -> int | None:
-        """Highest exponent the series is valid through; None means exact."""
-        return None if self.exact else self.top_exponent
-
-    def __matmul__(self, other: MatLaurent) -> MatLaurent:
-        return self._product(other)

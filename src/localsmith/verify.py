@@ -68,12 +68,11 @@ def _first_difference(a, b, low: int, high: int) -> int | None:
 
 def inverse_axioms(family: MatSeries, linv: MatLaurent) -> Proof:
     """L*X*L == L and X*L*X == X on every coefficient the products determine."""
-    lau = MatLaurent.from_series(family)
-    lxl = lau @ linv @ lau
-    e = _first_difference(lxl, lau, -lxl.pole, lxl.tail_order)
+    lxl = family @ linv @ family
+    e = _first_difference(lxl, family, -lxl.pole, lxl.tail_order)
     if e is not None:
         return False, f"L*X*L != L at order {e}"
-    xlx = linv @ lau @ linv
+    xlx = linv @ family @ linv
     e = _first_difference(xlx, linv, -xlx.pole, xlx.tail_order)
     if e is not None:
         return False, f"X*L*X != X at order {e}"
@@ -150,7 +149,7 @@ def _chain_membership(result: DiagonalizationResult) -> Proof:
         chains = state.jordan_chain_basis(length)
         block = toeplitz_block(state.input_family, length)
         for chain in chains.basis_chains():
-            if not (block.matrix @ chain.stacked()).is_zero():
+            if not (block @ chain.stacked()).is_zero():
                 return False, f"a length-{length} chain fails the stacked condition"
     return True, "all generated chains are annihilated by the block matrix"
 
@@ -232,11 +231,7 @@ def _smith_identities(result: DiagonalizationResult) -> Proof:
     rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
     if not lhs.eq_through(rhs, result.order):
         return False, "L * phi differs from psi * S_P * P(eps)"
-    blow = (
-        MatLaurent.from_series(result.psi_inv)
-        @ MatLaurent.from_series(family @ result.phi)
-        @ fact.p_inverse_laurent()
-    )
+    blow = result.psi_inv @ (family @ result.phi) @ fact.p_inverse_laurent()
     s_p = MatLaurent(0, [fact.s_p], exact=True)
     e = _first_difference(blow, s_p, -blow.pole, blow.tail_order)
     if e is not None:

@@ -1,0 +1,59 @@
+"""The names the benchmark's tracer patches by string must exist in the package.
+
+``perfbench/tracing.py`` wraps package functions and methods by name for
+``perfbench/run.py --trace 1``. A rename in ``src/`` that it does not follow
+breaks traced runs, and the benchmark's own suite is not part of this one, so
+this test installs and uninstalls a tracer here. The tracer module is read
+from its file and not imported as a package, so nothing under
+``perfbench/`` is written.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import localsmith.cli  # noqa: F401 -- the tracer patches every loaded package module
+from localsmith import Mat, MatSeries
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("benchmark_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def bindings(tracing) -> dict[tuple[object, str], object]:
+    """Every name of the package's modules and traced classes, by owner."""
+    owners = [m for k, m in sys.modules.items() if k == "localsmith" or k.startswith("localsmith.")]
+    owners += [getattr(sys.modules[m], cls) for m, cls, _, _ in tracing.METHODS]
+    return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
+    before = bindings(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for module, attr, _ in tracing.FUNCTIONS:
+            home = sys.modules[module]
+            assert getattr(home, attr) is not before[(home, attr)], f"{module}.{attr}"
+        for module, cls_name, attr, _ in tracing.METHODS:
+            cls = getattr(sys.modules[module], cls_name)
+            assert cls.__dict__[attr] is not before[(cls, attr)], f"{cls_name}.{attr}"
+        # diagonalize.residual_s reads the spans of power-series products.
+        root = tracer.begin_call("analyze")
+        MatSeries.identity(2) @ MatSeries.constant(Mat.identity(2))
+        tracer.end_call(root)
+        assert [tracer.names[i] for i in tracer.name] == ["cli.main", "series.matseries_matmul"]
+    finally:
+        tracer.uninstall()
+    after = bindings(tracing)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert after[key] is value, key

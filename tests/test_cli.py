@@ -22,6 +22,7 @@ from localsmith import (
 from localsmith.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
+REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
 COMMANDS = ("analyze", "diagonalize", "invert", "smith", "jordan", "linearize", "verify")
 # Each integer flag with its smallest allowed value.
 INT_FLAGS = {"--order": 0, "--max-stages": 1, "--pole": 0, "--length": 1}
@@ -443,6 +444,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert any(line.startswith("error: ") for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "path, order",
+        [
+            (DATA, "2"),
+            (os.path.join(REPORTS, "dense6x6.json"), "0"),
+            (os.path.join(REPORTS, "rect2x3.json"), "0"),
+            (os.path.join(REPORTS, "trunc2x2.json"), "1"),
+        ],
+        ids=["example1-order-2", "dense6x6-order-0", "rect2x3-order-0", "trunc2x2-order-1"],
+    )
+    def test_verify_at_shallow_order_passes(self, path, order, capsys):
+        # Each order leaves a truncated product whose stored blocks are all
+        # zero; smith-identities must not read a coefficient past it.
+        code, out = run_cli(capsys, "verify", path, "--order", order)
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
 
     @pytest.mark.parametrize(
         "command, flag",

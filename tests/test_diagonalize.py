@@ -10,7 +10,6 @@ from localsmith import (
     ComplementPlan,
     InputError,
     Mat,
-    MatLaurent,
     MatSeries,
     RecursionState,
     diagonalize,
@@ -253,7 +252,7 @@ class TestGeneralizedInverse:
             fam = random_family(rng, 3, 4, 2, deficit=1)
             result = diagonalize(fam, order=10)
             linv = result.generalized_inverse(10)
-            lau = MatLaurent.from_series(fam)
+            lau = fam
             lxl = lau @ linv @ lau
             for exponent in range(-lxl.pole, lxl.tail_order + 1):
                 assert lxl.coefficient(exponent) == lau.coefficient(exponent)
@@ -367,8 +366,8 @@ class TestSmithFactorization:
         result = diagonalize(example1, order=10)
         fact = result.smith_factorization()
         blow = (
-            MatLaurent.from_series(result.psi_inv)
-            @ MatLaurent.from_series(example1 @ result.phi)
+            result.psi_inv
+            @ (example1 @ result.phi)
             @ fact.p_inverse_laurent()
         )
         for exponent in range(-blow.pole, blow.tail_order + 1):

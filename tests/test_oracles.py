@@ -22,7 +22,7 @@ from conftest import example1_family, random_family, random_matrix
 
 
 def laurent_identity_holds(family: MatSeries, inverse: MatLaurent) -> bool:
-    lau = MatLaurent.from_series(family)
+    lau = family
     left = lau @ inverse
     right = inverse @ lau
     for product in (left, right):
@@ -38,16 +38,16 @@ def laurent_identity_holds(family: MatSeries, inverse: MatLaurent) -> bool:
 class TestToeplitzNullspace:
     def test_block_layout(self, example1):
         block = toeplitz_block(example1, 2)
-        assert block.matrix.rows == 6 and block.matrix.cols == 6
+        assert block.rows == 6 and block.cols == 6
         # Upper triangular: order-0 blocks on the diagonal, order-1 top right,
         # zero below the diagonal.
-        assert block.matrix.entries[1][5] == 1
+        assert block.entries[1][5] == 1
         l0 = example1.coefficient(0)
         for i in range(3):
             for j in range(3):
-                assert block.matrix.entries[i][j] == l0.entries[i][j]
-                assert block.matrix.entries[3 + i][3 + j] == l0.entries[i][j]
-                assert block.matrix.entries[3 + i][j] == 0
+                assert block.entries[i][j] == l0.entries[i][j]
+                assert block.entries[3 + i][3 + j] == l0.entries[i][j]
+                assert block.entries[3 + i][j] == 0
 
     def test_golden_dims(self, example1):
         assert toeplitz_nullspace(example1, 1).dim == 2

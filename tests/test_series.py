@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsmith import Mat, MatLaurent, MatSeries, TruncationError, series_inverse
 
@@ -69,7 +71,7 @@ class TestSeriesProduct:
         exact = MatSeries.polynomial([Mat.identity(2)] * 3)
         shallow = MatSeries([Mat.identity(2)] * 4, exact=False)
         product = exact @ shallow
-        assert product.trunc_order == 3
+        assert product.tail_order == 3
         with pytest.raises(TruncationError):
             product.coefficient(4)
 
@@ -146,7 +148,7 @@ class TestLaurent:
         product = delta_inv @ delta
         assert product.pole == 0
         assert product.coefficient(0) == Mat.identity(3)
-        for exponent in range(1, product.top_exponent + 1):
+        for exponent in range(1, product.degree + 1):
             assert product.coefficient(exponent).is_zero()
 
     def test_pole_renormalization(self):
@@ -167,6 +169,18 @@ class TestLaurent:
         with pytest.raises(TruncationError):
             product.coefficient(3)
 
+    def test_truncation_survives_renormalization(self):
+        # Popping the only stored block of a truncation would claim the
+        # coefficient after it.
+        zero = MatLaurent(1, [Mat.zeros(1, 1)])
+        assert zero.tail_order == -1
+        with pytest.raises(TruncationError):
+            zero.coefficient(0)
+        product = MatSeries([Mat.zeros(1, 1)]) @ MatLaurent(1, [Mat([[1]])], exact=True)
+        assert product.tail_order == -1
+        with pytest.raises(TruncationError):
+            product.coefficient(0)
+
     def test_shift_round_trip(self):
         a = MatLaurent(1, [Mat.identity(2), Mat.identity(2)], exact=True)
         assert a.shift(3).shift(-3) == a
@@ -183,3 +197,118 @@ class TestLaurent:
         a = MatLaurent(1, [Mat.identity(1), Mat.zeros(1, 1), Mat([[3]])], exact=True)
         value = a.evaluate(Fraction(1, 2))
         assert value == Mat([[Fraction(2) + Fraction(3, 2)]])
+
+
+# -- truncation bookkeeping against a plain reference ------------------------
+
+
+class Reference:
+    """An operand as an exponent -> matrix dict of its stored coefficients,
+    with the order they are valid through (None when exact)."""
+
+    def __init__(self, pole: int, blocks: list[Mat], exact: bool):
+        self.pole, self.blocks, self.exact = pole, blocks, exact
+        self.n = blocks[0].rows
+        self.coeffs = {e - pole: m for e, m in enumerate(blocks)}
+        self.tail = None if exact else len(blocks) - 1 - pole
+
+    def build(self, as_series: bool) -> MatLaurent:
+        if as_series and self.pole == 0:
+            return MatSeries(self.blocks, exact=self.exact)
+        return MatLaurent(self.pole, self.blocks, exact=self.exact)
+
+    def min_pole(self) -> int:
+        """The pole left once leading zero blocks are dropped; a truncation
+        keeps its last stored block."""
+        nonzero = [e for e, m in self.coeffs.items() if not m.is_zero()]
+        low = min(nonzero, default=None if self.exact else self.tail)
+        return 0 if low is None else max(0, -low)
+
+    def at(self, e: int) -> Mat:
+        """The coefficient at e; an unknown one (past the tail) is filled
+        with a nonzero stand-in, so a result that claims it differs."""
+        if e in self.coeffs or self.tail is None or e <= self.tail:
+            return self.coeffs.get(e, Mat.zeros(self.n, self.n))
+        return Mat([[e + 7 + i + j for j in range(self.n)] for i in range(self.n)])
+
+
+def tightest(*candidates):
+    known = [c for c in candidates if c is not None]
+    return min(known) if known else None
+
+
+def block(n: int):
+    entry = st.integers(-2, 2)
+    grid = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.one_of(st.just(Mat.zeros(n, n)), grid.map(Mat))
+
+
+@st.composite
+def references(draw, n: int) -> Reference:
+    blocks = draw(st.lists(block(n), min_size=1, max_size=4))
+    return Reference(draw(st.integers(0, 2)), blocks, draw(st.booleans()))
+
+
+def expected(op: str, a: Reference, b: Reference, k: int):
+    """(tail order, coefficient function) of the result, or None when the
+    operands determine no coefficient of it."""
+    if op in ("+", "-"):
+        sign = 1 if op == "+" else -1
+        return tightest(a.tail, b.tail), lambda e: a.at(e) + b.at(e) * sign
+    if op == "@":
+        pa, pb = a.min_pole(), b.min_pole()
+        tail = tightest(
+            None if a.tail is None else a.tail - pb, None if b.tail is None else b.tail - pa
+        )
+        if tail is not None and tail < -(pa + pb):
+            return None
+        return tail, lambda l: sum(
+            (a.at(i) @ b.at(l - i) for i in range(-pa, l + pb + 1)), Mat.zeros(a.n, b.n)
+        )
+    if op == "shift":
+        return None if a.tail is None else a.tail + k, lambda e: a.at(e - k)
+    t = -a.min_pole() + abs(k)
+    if a.tail is not None and t > a.tail:
+        return None
+    return t, a.at
+
+
+def apply(op: str, x: MatLaurent, y: MatLaurent, k: int) -> MatLaurent:
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "@":
+        return x @ y
+    if op == "shift":
+        return x.shift(k)
+    return x.truncate(-x.pole + abs(k))
+
+
+class TestTruncationBookkeeping:
+    @pytest.mark.parametrize("op", ["+", "-", "@", "shift", "truncate"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_against_reference(self, op, data):
+        n = data.draw(st.sampled_from([1, 2]))
+        a, b = data.draw(references(n)), data.draw(references(n))
+        k = data.draw(st.integers(-3, 3))
+        want = expected(op, a, b, k)
+        if want is None:
+            with pytest.raises(TruncationError):
+                apply(op, a.build(True), b.build(True), k)
+            return
+        tail, coefficient = want
+        results = [apply(op, a.build(s), b.build(s), k) for s in (True, False)]
+        assert results[0] == results[1]
+        assert hash(results[0]) == hash(results[1])
+        if op in ("+", "-", "@") and a.pole == b.pole == 0:
+            assert type(results[0]) is MatSeries
+        result = results[0]
+        assert result.tail_order == tail
+        top = 2 * (len(a.blocks) + len(b.blocks)) + 3 if tail is None else tail
+        for e in range(-(a.pole + b.pole) - 5, top + 1):
+            assert result.coefficient(e) == coefficient(e), e
+        if tail is not None:
+            with pytest.raises(TruncationError):
+                result.coefficient(tail + 1)
