@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .diagonalize import DiagonalizationResult, diagonalize
 from .errors import (
@@ -70,7 +70,9 @@ def _at_least(low: int):
     return parse
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = _Parser(
         prog="localsmith",
         description=(

@@ -4,14 +4,16 @@ Given stabilization at k, row k+1 of the M matrix supplies the right
 transformation, the S-operators with the restricted inverses supply the left
 one, and the diagonal polynomial collects the per-stage blocks. Everything
 this module returns has been verified: the defining identity
-``psi^{-1} * L * phi = Delta`` is checked coefficient-by-coefficient through
-the working order, and a mismatch is raised as an internal bug, never
-returned.
+``psi^{-1} * L * phi = Delta`` is proven as ``L * phi = psi * Delta``
+coefficient-by-coefficient through the working order (equivalent, since
+psi_0 = I), and a mismatch is raised as an internal bug, never returned.
+phi^{-1} and psi^{-1} are built through the working order on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .matrix import Mat
@@ -82,8 +84,6 @@ class DiagonalizationResult:
     order: int
     phi: MatSeries
     psi: MatSeries
-    phi_inv: MatSeries
-    psi_inv: MatSeries
     delta: tuple[tuple[int, Mat], ...]
     residual_ok: bool
     # L^+ per coefficient depth, built once and shared by every caller.
@@ -95,6 +95,14 @@ class DiagonalizationResult:
     oracle_inverse: MatLaurent | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def phi_inv(self) -> MatSeries:
+        return series_inverse(self.phi, self.order)
+
+    @cached_property
+    def psi_inv(self) -> MatSeries:
+        return series_inverse(self.psi, self.order)
 
     # -- views over the ledger ---------------------------------------------
 
@@ -218,8 +226,10 @@ def diagonalize(
 
     ``order`` defaults to max(2k + 4, 12), capped for truncated input so
     that only genuine coefficients are consumed. The defining identity is
-    checked exactly through the working order; failure raises
+    proven exactly through the working order as L * phi == psi * Delta,
+    which needs no inverse and is equivalent since psi_0 = I; failure raises
     InternalConsistencyError (it would be a bug, not a data condition).
+    phi^{-1} and psi^{-1} are built only when first read.
     """
     if family.is_zero():
         raise InputError("the zero family cannot be diagonalized")
@@ -230,25 +240,20 @@ def diagonalize(
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
     state.ensure_stages(k + 1 + order)
-    phi = phi_series(state, order)
-    psi = psi_series(state, order)
-    phi_inv = series_inverse(phi, order)
-    psi_inv = series_inverse(psi, order)
-    terms = delta_terms(state)
     result = DiagonalizationResult(
         state=state,
         k=k,
         order=order,
-        phi=phi,
-        psi=psi,
-        phi_inv=phi_inv,
-        psi_inv=psi_inv,
-        delta=terms,
+        phi=phi_series(state, order),
+        psi=psi_series(state, order),
+        delta=delta_terms(state),
         residual_ok=False,
     )
-    residual = (psi_inv @ (family @ phi)) - result.delta_series()
+    # With psi_0 = I the first order where L phi and psi Delta differ is the
+    # first where psi^{-1} L phi and Delta do.
+    lhs, rhs = family @ result.phi, result.psi @ result.delta_series()
     for i in range(order + 1):
-        if not residual.coefficient(i).is_zero():
+        if lhs.coefficient(i) != rhs.coefficient(i):
             raise InternalConsistencyError(
                 f"diagonalization residual is nonzero at order {i}"
             )

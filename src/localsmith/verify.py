@@ -8,7 +8,9 @@ makes the report record of one check. A check marked *oracle* compares
 with ``localsmith.oracles``, which shares no code with the stage recursion;
 the others recompute from the recursion's own ledger and transformations.
 
-1. diagonalization-residual: psi^-1 L phi == Delta through the working order.
+1. diagonalization-residual: psi^-1 L phi == Delta through the working order,
+   proven as L phi == psi Delta (equivalent, since psi_0 = I); phi^-1 and
+   psi^-1 are built on first use, by the checks that read them.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
 3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
@@ -231,11 +233,14 @@ def _smith_identities(result: DiagonalizationResult) -> Proof:
     rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
     if not lhs.eq_through(rhs, result.order):
         return False, "L * phi differs from psi * S_P * P(eps)"
-    blow = result.psi_inv @ (family @ result.phi) @ fact.p_inverse_laurent()
+    blow = result.psi_inv @ lhs @ fact.p_inverse_laurent()
     s_p = MatLaurent(0, [fact.s_p], exact=True)
     e = _first_difference(blow, s_p, -blow.pole, blow.tail_order)
     if e is not None:
         return False, f"blow-up identity fails at order {e}"
+    if blow.tail_order < 0:
+        reach = f"blow-up identity not reached at order {result.order}"
+        return True, f"factorization identities exact; {reach}"
     return True, "factorization and blow-up identities exact"
 
 

@@ -457,10 +457,19 @@ class TestExitCodes:
     )
     def test_verify_at_shallow_order_passes(self, path, order, capsys):
         # Each order leaves a truncated product whose stored blocks are all
-        # zero; smith-identities must not read a coefficient past it.
+        # zero; smith-identities must not read a coefficient past it. The
+        # blow-up product has pole k and is valid only through order - k, so
+        # at these orders (all below k) its eps^0 coefficient S_P is never
+        # compared, and the detail must not claim it.
         code, out = run_cli(capsys, "verify", path, "--order", order)
         assert code == 0
-        assert json.loads(out)["all_passed"] is True
+        report = json.loads(out)
+        assert report["all_passed"] is True
+        check = {c["name"]: c for c in report["checks"]}["smith-identities"]
+        assert check["detail"] == (
+            "factorization identities exact; "
+            f"blow-up identity not reached at order {order}"
+        )
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -1,7 +1,9 @@
 """End-to-end diagonalization, transformations, generalized inverse,
 kernel/range continuation, projector families, Smith factorization."""
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from localsmith import (
     ComplementPlan,
     InputError,
+    InternalConsistencyError,
     Mat,
     MatSeries,
     RecursionState,
@@ -17,6 +20,7 @@ from localsmith import (
     phi_series,
     psi_series,
 )
+from localsmith.cli import main
 
 from conftest import (
     ZERO3,
@@ -224,6 +228,56 @@ class TestDiagonalizeEndToEnd:
         assert result.psi.coefficient(3) == cols(e(3), ZERO3, ZERO3)
         for i in range(9):
             assert result.phi.coefficient(i) == golden_phi_coefficient(i)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
+# The module, not the function of the same name that the package binds.
+DIAGONALIZE_MODULE = sys.modules["localsmith.diagonalize"]
+
+
+class TestInverseFreeProof:
+    """The identity is proven as L * phi == psi * Delta; phi^-1 and psi^-1
+    are built only for the commands that read them."""
+
+    @pytest.mark.parametrize(
+        "command, depths",
+        # The golden cubic: k = 3, working order 12.
+        [("analyze", []), ("smith", []), ("invert", [15]), ("diagonalize", [12, 12])],
+    )
+    def test_series_inverse_calls_per_command(self, command, depths, monkeypatch, capsys):
+        seen = []
+        original = DIAGONALIZE_MODULE.series_inverse
+
+        def counted(a, t):
+            seen.append(t)
+            return original(a, t)
+
+        monkeypatch.setattr(DIAGONALIZE_MODULE, "series_inverse", counted)
+        assert main([command, DATA]) == 0
+        assert seen == depths
+
+    @pytest.mark.parametrize("name", ["phi_series", "psi_series"])
+    @pytest.mark.parametrize("at", [1, 12])
+    def test_perturbed_transformation_fails_the_proof(
+        self, example1, name, at, monkeypatch, capsys
+    ):
+        # Order 1 and the working order 12.
+        original = getattr(DIAGONALIZE_MODULE, name)
+
+        def perturbed(state, t):
+            coeffs = list(original(state, t).coeffs)
+            # L_0 and Delta_0 of the golden cubic are nonzero, so adding I
+            # moves L * phi or psi * Delta at this order.
+            coeffs[at] = coeffs[at] + Mat.identity(3)
+            return MatSeries(coeffs, exact=False)
+
+        monkeypatch.setattr(DIAGONALIZE_MODULE, name, perturbed)
+        with pytest.raises(InternalConsistencyError, match=f"nonzero at order {at}$"):
+            diagonalize(example1, order=12)
+        assert main(["diagonalize", DATA, "--order", "12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"residual is nonzero at order {at}" in captured.err
 
 
 class TestGeneralizedInverse:

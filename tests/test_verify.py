@@ -33,6 +33,22 @@ def test_records_equal_golden_checks(case):
         assert records == json.load(handle)["checks"]
 
 
+def test_late_m_block_is_seen_only_by_post_stabilization_structure():
+    """Rows of M past the family's degree + 1 meet a zero L coefficient in
+    the coefficient identity; only the recomputing check sees them."""
+    with open(FAMILIES["smith-verify"], "r", encoding="utf-8") as handle:
+        result = diagonalize(spec_to_series(parse_family(handle.read())))
+    assert (result.k, result.state.input_family.degree) == (7, 9)
+    state = result.state
+    block = state.m_block(12, 13)
+    assert not block.is_zero()
+    state.M_cols[12][11] = block * 2
+    checks = {name: check for name, check in CHECKS}
+    passed, detail = checks["post-stabilization-structure"](result)
+    assert not passed
+    assert detail == "M block (12,13) differs from the recurrence"
+    assert checks["coefficient-identity"](result)[0]
+
 
 def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
     """laurent-oracle and resolvent-recurrences share one direct Laurent
