@@ -30,6 +30,7 @@ TRUNC = os.path.join(REPORTS, "trunc2x2.json")
 RECT = os.path.join(REPORTS, "rect2x3.json")
 PLAN = os.path.join(REPORTS, "plan_stage1.json")
 SMITH = os.path.join(REPORTS, "smith4x4.json")
+SMITH_K8 = os.path.join(REPORTS, "smith4x4k8.json")
 DENSE = os.path.join(REPORTS, "dense6x6.json")
 TALL = os.path.join(REPORTS, "rect3x2.json")
 LATE_PLAN = os.path.join(REPORTS, "plan_late.json")
@@ -60,6 +61,10 @@ CASES = {
     "smith-smith": ["smith", SMITH],
     "smith-jordan": ["jordan", SMITH, "--length", "8"],
     "smith-verify": ["verify", SMITH],
+    "smithk8-analyze": ["analyze", SMITH_K8],
+    "smithk8-diagonalize": ["diagonalize", SMITH_K8],
+    "smithk8-invert": ["invert", SMITH_K8],
+    "smithk8-verify": ["verify", SMITH_K8],
     "dense-diagonalize": ["diagonalize", DENSE],
     "dense-invert": ["invert", DENSE],
     "tall-given-late-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN}"],
