@@ -143,13 +143,17 @@ class DiagonalizationResult:
         """The named series among phi, psi, phi_inv and psi_inv through
         order t. Within the working order the stored series are truncated;
         past it phi and psi are rebuilt, extending stages on demand (which
-        may fail on truncated input), and only the named inverses formed."""
+        may fail on truncated input), and only the named inverses formed.
+        An inverse formed here is also kept, truncated to the working order,
+        as the stored one if that was not built yet."""
         if t <= self.order:
             return tuple(getattr(self, name).truncate(t) for name in names)
         built = {"phi": phi_series(self.state, t), "psi": psi_series(self.state, t)}
         for name in names:
             if name not in built:
                 built[name] = series_inverse(built[name.removesuffix("_inv")], t)
+                if name not in vars(self):
+                    setattr(self, name, built[name].truncate(self.order))
         return tuple(built[name] for name in names)
 
     def generalized_inverse(self, t: int | None = None) -> MatLaurent:

@@ -29,6 +29,26 @@ is nonzero. Above the last nonzero off-diagonal E block of column j the
 M sum has the single term M_{row-1,j-1} E_{j,j}, so M_{row,j} is the
 block M_{row-1,j-1} of the previous column, shared rather than recomputed:
 the Toeplitz shift that ``verify`` checks as post-stabilization structure.
+
+Once k is certified every inverting stage (S_i^+ nonzero) is at most k+1,
+and a later stage j whose S_j^+ is zero takes its columns in closed form.
+Between the top inverting stage and j no E block is nonzero, so the
+bottom-up solve carries S̄_j through one fixed map: with A = I at the top
+inverting stage and A <- A + S̄_i G_i below each inverting i,
+
+    E_{i,j} = G_i S̄_j,  G_i = -S_i^+ A.
+
+Putting that into the M sum, whose terms are the inverting rows c+1 = i and
+the diagonal c+1 = j with E_{j,j} = I, gives
+
+    M_{1,j} = E_{1,j},  M_{row,j} = K_row S̄_j + M_{row-1,j-1},
+    K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i,
+
+where K_row is zero past the top inverting stage, so those rows stay the
+shared shift. G and K read only stages and M columns up to k+1; they are
+stacked once, on the first stage past k+1, so a run that stops at k+1 pays
+nothing for them, and each such column costs one product of the stack with
+S̄_j. The blocks are the same exact values the recurrences give.
 """
 
 from __future__ import annotations
@@ -216,6 +236,10 @@ class RecursionState:
         # The stages before the current one whose S^+ is nonzero: the only
         # rows of an E column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
+        # [G; K] stacked from the stages in _inverting, built on the first
+        # stage past k+1: the E blocks and M heads of every later column, as
+        # one linear map of that column's Sbar.
+        self._coupling: Mat | None = None
         self._no_domain = Subspace.zero(self.domain_dim)
         self._no_codomain = Subspace.zero(self.codomain_dim)
 
@@ -271,8 +295,11 @@ class RecursionState:
             stage = self._split_stage(j, sbar, s, prev_n, prev_rc)
             self._calp_sum = self._calp_sum + stage.calp
         self.stages.append(stage)
-        self.E_cols.append(self._build_e_column(j))
-        self.M_cols.append(self._build_m_column(j))
+        if self.stabilization_k is not None and stage.splus.is_zero():
+            self._append_coupled_columns(j)
+        else:
+            self.E_cols.append(self._build_e_column(j))
+            self.M_cols.append(self._build_m_column(j))
         if not stage.splus.is_zero():
             self._inverting.append(j)
         self._detect_stabilization()
@@ -345,6 +372,50 @@ class RecursionState:
                 )
             )
         return mcol
+
+    def _stabilized_coupling(self) -> Mat:
+        """[G_i for inverting i; K_row for row = 2..top] stacked, where top is
+        the last inverting stage: G_i = -S_i^+ A with A = I at top and
+        A <- A + Sbar_i G_i below each inverting i, and
+        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i."""
+        n, m = self.domain_dim, self.codomain_dim
+        gains: dict[int, Mat] = {}
+        a = Mat.identity(m)
+        for i in reversed(self._inverting):
+            st = self.stages[i - 1]
+            gains[i] = -(st.splus @ a)
+            a = a + st.sbar @ gains[i]
+        heads = [
+            Mat.sum_of_products(
+                ((self.m_block(row - 1, i - 1), gains[i]) for i in self._inverting if i >= row),
+                n,
+                m,
+            )
+            for row in range(2, self._inverting[-1] + 1)
+        ]
+        return Mat.vstack([gains[i] for i in self._inverting] + heads)
+
+    def _append_coupled_columns(self, j: int) -> None:
+        """Columns j of E and M from one product of the coupling with Sbar_j:
+        E_{i,j} = G_i Sbar_j and M_{row,j} = K_row Sbar_j + M_{row-1,j-1}.
+        Valid because every inverting stage precedes j: past k+1 a nonzero
+        S^+ means new range, which the rank guard refuses."""
+        if self._coupling is None:
+            self._coupling = self._stabilized_coupling()
+        n = self.domain_dim
+        product = self._coupling @ self.stages[j - 1].sbar
+        blocks = iter(product.submatrix_rows(range(b, b + n)) for b in range(0, product.rows, n))
+        ecol: list[Mat] = [Mat.zeros(n, n)] * j
+        ecol[j - 1] = Mat.identity(n)
+        for i in self._inverting:
+            ecol[i - 1] = next(blocks)
+        mcol = [ecol[0]]
+        for row in range(2, j + 1):
+            shifted = self.m_block(row - 1, j - 1)
+            head = next(blocks, None)
+            mcol.append(shifted if head is None or head.is_zero() else head + shifted)
+        self.E_cols.append(ecol)
+        self.M_cols.append(mcol)
 
     # -- stabilization ----------------------------------------------------
 

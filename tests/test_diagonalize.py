@@ -242,7 +242,14 @@ class TestInverseFreeProof:
     @pytest.mark.parametrize(
         "command, depths",
         # The golden cubic: k = 3, working order 12.
-        [("analyze", []), ("smith", []), ("invert", [15]), ("diagonalize", [12, 12])],
+        [
+            ("analyze", []),
+            ("smith", []),
+            ("invert", [15]),
+            ("diagonalize", [12, 12]),
+            # psi^-1 through order + k, kept truncated as psi_inv, then phi^-1.
+            ("verify", [15, 12]),
+        ],
     )
     def test_series_inverse_calls_per_command(self, command, depths, monkeypatch, capsys):
         seen = []

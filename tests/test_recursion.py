@@ -6,6 +6,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsmith import (
     InternalConsistencyError,
@@ -18,13 +20,22 @@ from localsmith import (
     choose_complement,
     diagonalize,
     generic_rank,
+    parse_complement_plan,
     parse_family,
     restrict_and_split,
     spec_to_series,
     toeplitz_nullspace,
 )
 
-from conftest import ZERO3, cols, e, example1_family, random_family, random_matrix
+from conftest import (
+    ZERO3,
+    cols,
+    e,
+    example1_family,
+    random_family,
+    random_invertible,
+    random_matrix,
+)
 
 
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
@@ -33,6 +44,11 @@ REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
 def load_family(name: str) -> MatSeries:
     with open(os.path.join(REPORTS, name), "r", encoding="utf-8") as handle:
         return spec_to_series(parse_family(handle.read()))
+
+
+def load_plan(name: str):
+    with open(os.path.join(REPORTS, name), "r", encoding="utf-8") as handle:
+        return parse_complement_plan(handle.read())
 
 
 def eps_identity(n: int) -> MatSeries:
@@ -321,6 +337,79 @@ class TestDegenerateStages:
             assert state.e_block(i, j) == block, (i, j)
         for (i, j), block in m_blocks.items():
             assert state.m_block(i, j) == block, (i, j)
+
+
+def unit_diag_unit(seed: int, rows: int, cols_: int, exponents: list[int]) -> MatSeries:
+    """unit(eps) * D(eps) * unit(eps), D the rows x cols_ matrix with
+    eps^{a_i} at (i, i) and zeros elsewhere, units invertible at 0."""
+    rng = random.Random(seed)
+    core = [[[0] * cols_ for _ in range(rows)] for _ in range(max(exponents) + 1)]
+    for i, a in enumerate(exponents):
+        core[a][i][i] = 1
+
+    def unit(n: int) -> MatSeries:
+        return MatSeries.polynomial(
+            [random_invertible(rng, n), random_matrix(rng, n, n, density=0.5)]
+        )
+
+    return unit(rows) @ MatSeries.polynomial([Mat(c) for c in core]) @ unit(cols_)
+
+
+@st.composite
+def smith_families(draw) -> MatSeries:
+    rows, cols_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    exponents = draw(
+        st.lists(st.integers(0, 8), min_size=1, max_size=min(rows, cols_))
+    )
+    return unit_diag_unit(draw(st.integers(0, 2**16)), rows, cols_, sorted(exponents))
+
+
+class TestCoupledColumns:
+    """Past k+1 the E/M columns come from the coupling fixed at
+    stabilization; every block must be what the recurrences give."""
+
+    @staticmethod
+    def assert_matches_recurrences(state: RecursionState) -> None:
+        e_blocks, m_blocks = generic_em_triangles(state)
+        for (i, j), block in e_blocks.items():
+            assert state.e_block(i, j) == block, ("E", i, j)
+        for (i, j), block in m_blocks.items():
+            assert state.m_block(i, j) == block, ("M", i, j)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(smith_families())
+    def test_unit_diag_unit_families(self, family):
+        state = RecursionState(family)
+        k = state.run_until_stabilized()
+        # The stages invert reaches at the default working order.
+        state.ensure_stages(k + 1 + max(2 * k + 4, 12) + k)
+        self.assert_matches_recurrences(state)
+
+    def test_plan_named_stage_past_stabilization(self):
+        state = RecursionState(load_family("rect3x2.json"), load_plan("plan_late.json"))
+        k = state.run_until_stabilized()
+        state.ensure_stages(k + 1 + max(2 * k + 4, 12) + k)
+        assert k + 1 < 4 and 4 in state.complements.rc_bases
+        self.assert_matches_recurrences(state)
+
+    def test_one_product_per_stage_past_stabilization(self, monkeypatch):
+        # Past k+1 a stage forms Sbar_j, S_j, the degeneracy test S_j N_{j-1}
+        # and the coupling times Sbar_j: four products, the E solve and the
+        # M sums included. Stage k+2 also forms the coupling, once.
+        state = RecursionState(load_family("smith4x4.json"))
+        k = state.run_until_stabilized()
+        state.ensure_stages(k + 2)
+        calls = []
+        original = Mat.sum_of_products
+
+        def counted(pairs, rows, cols_):
+            calls.append(rows)
+            return original(pairs, rows, cols_)
+
+        monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
+        later = max(2 * k + 4, 12) - 1
+        state.ensure_stages(k + 2 + later)
+        assert len(calls) <= 4 * later
 
 
 class TestStabilization:
