@@ -49,9 +49,11 @@ CASES = {
     "cubic-pole2-analyze": ["analyze", CUBIC, "--pole", "2"],
     "cubic-pole2-invert": ["invert", CUBIC, "--pole", "2"],
     "cubic-given-analyze": ["analyze", CUBIC, "--complement", f"given:{PLAN}"],
+    "trunc-analyze": ["analyze", TRUNC],
     "trunc-diagonalize": ["diagonalize", TRUNC],
     "trunc-linearize": ["linearize", TRUNC],
     "trunc-verify": ["verify", TRUNC],
+    "rect-analyze": ["analyze", RECT],
     "rect-diagonalize": ["diagonalize", RECT],
     "rect-invert": ["invert", RECT],
     "rect-verify": ["verify", RECT],
@@ -65,6 +67,7 @@ CASES = {
     "smithk8-diagonalize": ["diagonalize", SMITH_K8],
     "smithk8-invert": ["invert", SMITH_K8],
     "smithk8-verify": ["verify", SMITH_K8],
+    "dense-analyze": ["analyze", DENSE],
     "dense-diagonalize": ["diagonalize", DENSE],
     "dense-invert": ["invert", DENSE],
     "tall-given-late-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN}"],
