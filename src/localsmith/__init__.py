@@ -12,6 +12,7 @@ oracles for cross-checking.
 from .diagonalize import (
     DiagonalizationResult,
     SmithFactorization,
+    analyze,
     delta_terms,
     diagonalize,
     phi_series,

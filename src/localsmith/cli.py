@@ -3,19 +3,23 @@ linearize, and verify, over JSON family files.
 
 Reports go to stdout as JSON (default) or a text rendering; all numbers are
 exact rational strings. Exit codes: 0 success, 1 input error (usage errors
-and out-of-range flags included), 2 stage budget exceeded (no stabilization
-within it, or a Jordan chain longer than it), 3 internal-consistency failure
-(an exact identity that must hold by construction did not; always a bug).
+and out-of-range flags included) or a stdout closed before the whole report
+was written (as in ``| head``; the rest is dropped without a message, and
+the run does not count as a success because the reader did not get the
+report), 2 stage budget exceeded (no stabilization within it, or a Jordan
+chain longer than it), 3 internal-consistency failure (an exact identity
+that must hold by construction did not; always a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache, partial
 
-from .diagonalize import DiagonalizationResult, diagonalize
+from .diagonalize import DiagonalizationResult, analyze, diagonalize
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -98,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--order",
             type=_at_least(0),
             default=None,
-            help="truncation order for series output (default max(2k+4, 12))",
+            help="truncation order for series output "
+            "(default max(2k+4, 12); analyze: k)",
         )
         cmd.add_argument(
             "--max-stages",
@@ -175,8 +180,11 @@ def _family_header(spec: FamilySpec) -> dict:
     return header
 
 
-def _diagonalize(family, args) -> DiagonalizationResult:
-    return diagonalize(
+def _run(pipeline, family, args) -> DiagonalizationResult:
+    """``diagonalize`` or ``analyze`` with the command's flags. Each command
+    passes the module name it calls, read when it runs, so that a wrapper
+    bound over that name (perfbench/tracing.py binds one) is the one run."""
+    return pipeline(
         family,
         order=args.order,
         max_stages=args.max_stages,
@@ -217,13 +225,13 @@ def _analyze_report(result: DiagonalizationResult, spec: FamilySpec) -> dict:
 
 def cmd_analyze(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(family, args)
+    result = _run(analyze, family, args)
     return _analyze_report(result, spec), EXIT_OK
 
 
 def cmd_diagonalize(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(family, args)
+    result = _run(diagonalize, family, args)
     report = _analyze_report(result, spec)
     report["command"] = "diagonalize"
     report["order"] = result.order
@@ -242,7 +250,7 @@ def cmd_diagonalize(args) -> tuple[dict, int]:
 
 def cmd_invert(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(family, args)
+    result = _run(diagonalize, family, args)
     linv = result.generalized_inverse(args.order)
     reported = linv.shift(spec.declared_pole)
     report = {
@@ -289,7 +297,7 @@ def _vector_strings(vec) -> list[str]:
 
 def cmd_smith(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(family, args)
+    result = _run(diagonalize, family, args)
     fact = result.smith_factorization()
     report = {
         "command": "smith",
@@ -331,7 +339,7 @@ def cmd_linearize(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
-    result = _diagonalize(family, args)
+    result = _run(diagonalize, family, args)
     # perfbench/tracing.py times each check by wrapping ``localsmith.cli._check``
     # by name, so the CLI calls it once per check until the benchmark reads
     # run statistics instead.
@@ -425,10 +433,19 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    if args.format == "text":
-        print(_render_text(report))
-    else:
-        print(json.dumps(report, indent=2))
+    text = _render_text(report) if args.format == "text" else json.dumps(report, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device so that the flush at exit cannot
+        # fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return EXIT_INPUT
     return code
 
 

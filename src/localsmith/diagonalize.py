@@ -8,6 +8,34 @@ this module returns has been verified: the defining identity
 coefficient-by-coefficient through the working order (equivalent, since
 psi_0 = I), and a mismatch is raised as an internal bug, never returned.
 phi^{-1} and psi^{-1} are built through the working order on first use.
+
+``analyze`` reports only k, the stage table and the Smith exponents, and
+proves the identity through order k, which reads stages only through 2k+1.
+That proves every exponent. Let r be the generic rank, found by evaluation,
+and e_1 <= ... <= e_r <= k the exponents Delta carries. In bases adapted to
+the stage decompositions Delta is block diagonal with blocks eps^{i-1}
+times an invertible constant, so U Delta V = D, diag(eps^{e_i}) padded with
+zeros, for constant invertible U and V. Since phi_0 = psi_0 = I, phi and psi
+are units and L = psi U^{-1} (D + eps^{k+1} Y) V^{-1} phi^{-1} for some
+series Y, so the least valuation of the j x j minors of L equals that of
+D + eps^{k+1} Y. For j <= r each term of such a minor has valuation at
+least e_1 + ... + e_j, and the principal minor on the first j indices
+attains it, since every Y entry it uses replaces some eps^{e_i} by a power
+>= k+1 > e_i. The minors larger than r vanish. So the invariant factors of
+L at 0 are eps^{e_1}, ..., eps^{e_r} (Gohberg, Lancaster & Rodman, Matrix
+Polynomials, 1982, ch. S1). Truncated input caps the order at
+input_trunc - k, and the exponents then hold modulo the truncation, as for
+every other result.
+
+Stopping at 2k+1 also stops the rank guard of the stages past it, and the
+guard cannot fire there under pivot complements. Past k+1 such a stage is
+either degenerate, adding no range, or adds range and so breaks the
+generic rank at once. The range accumulated through stage j counts the
+exponents below j, which are the proven ones above; so a stage past 2k+1
+that added range would be an engine fault in a stage no analyze output
+reads. A complement plan can name a later stage, which is then not
+degenerate by fiat and must still be validated, so the stages run through
+the last one the plan names.
 """
 
 from __future__ import annotations
@@ -30,8 +58,7 @@ def phi_series(state: RecursionState, t: int) -> MatSeries:
 
 def psi_series(state: RecursionState, t: int) -> MatSeries:
     """The left transformation through order t from the S-operator sums."""
-    coeffs = [state.psi_coefficient(i) for i in range(t + 1)]
-    return MatSeries(coeffs, exact=False)
+    return MatSeries(state.psi_coefficients(t), exact=False)
 
 
 def delta_terms(state: RecursionState) -> tuple[tuple[int, Mat], ...]:
@@ -142,8 +169,9 @@ class DiagonalizationResult:
     def _through(self, t: int, *names: str) -> tuple[MatSeries, ...]:
         """The named series among phi, psi, phi_inv and psi_inv through
         order t. Within the working order the stored series are truncated;
-        past it phi and psi are rebuilt, extending stages on demand (which
-        may fail on truncated input), and only the named inverses formed.
+        past it phi and psi are extended, reading the stored coefficients
+        and forming only the new ones, with stages run on demand (which may
+        fail on truncated input), and only the named inverses formed.
         An inverse formed here is also kept, truncated to the working order,
         as the stored one if that was not built yet."""
         if t <= self.order:
@@ -220,30 +248,35 @@ class DiagonalizationResult:
         return SmithFactorization(s_p, p_terms, a_series, self.smith_exponents())
 
 
-def diagonalize(
+def _diagonalization(
     family: MatSeries,
-    order: int | None = None,
-    max_stages: int | None = None,
-    complements: ComplementPlan | None = None,
+    order: int | None,
+    max_stages: int | None,
+    complements: ComplementPlan | None,
+    through_k: bool,
 ) -> DiagonalizationResult:
-    """Run the full pipeline: stabilize, assemble phi/psi/Delta, verify.
+    """Stabilize, run the stages the proof through ``order`` reads, assemble
+    phi/psi/Delta and prove L * phi == psi * Delta through ``order``.
 
-    ``order`` defaults to max(2k + 4, 12), capped for truncated input so
-    that only genuine coefficients are consumed. The defining identity is
-    proven exactly through the working order as L * phi == psi * Delta,
-    which needs no inverse and is equivalent since psi_0 = I; failure raises
-    InternalConsistencyError (it would be a bug, not a data condition).
-    phi^{-1} and psi^{-1} are built only when first read.
+    ``order`` defaults to k if ``through_k``, else to max(2k + 4, 12).
+    Truncated input caps the default at input_trunc - k, so that only
+    genuine coefficients are consumed. The stages run through
+    max(k+1+order, the last stage the complement plan names), so that a
+    named stage is still validated, but never past k+1+max(2k+4, 12) (with
+    the same cap) or k+1+order for an explicit order.
     """
     if family.is_zero():
         raise InputError("the zero family cannot be diagonalized")
     state = RecursionState(family, complements=complements, max_stages=max_stages)
     k = state.run_until_stabilized()
+    full = max(2 * k + 4, 12) if order is None else order
     if order is None:
-        order = max(2 * k + 4, 12)
+        order = k if through_k else full
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
-    state.ensure_stages(k + 1 + order)
+            full = min(full, state.input_trunc - k)
+    named = max([*state.complements.nc_bases, *state.complements.rc_bases], default=0)
+    state.ensure_stages(min(max(k + 1 + order, named), k + 1 + full))
     result = DiagonalizationResult(
         state=state,
         k=k,
@@ -263,3 +296,35 @@ def diagonalize(
             )
     result.residual_ok = True
     return result
+
+
+def diagonalize(
+    family: MatSeries,
+    order: int | None = None,
+    max_stages: int | None = None,
+    complements: ComplementPlan | None = None,
+) -> DiagonalizationResult:
+    """Run the full pipeline: stabilize, assemble phi/psi/Delta, verify.
+
+    ``order`` defaults to max(2k + 4, 12), capped for truncated input so
+    that only genuine coefficients are consumed. The defining identity is
+    proven exactly through the working order as L * phi == psi * Delta,
+    which needs no inverse and is equivalent since psi_0 = I; failure raises
+    InternalConsistencyError (it would be a bug, not a data condition).
+    phi^{-1} and psi^{-1} are built only when first read.
+    """
+    return _diagonalization(family, order, max_stages, complements, through_k=False)
+
+
+def analyze(
+    family: MatSeries,
+    order: int | None = None,
+    max_stages: int | None = None,
+    complements: ComplementPlan | None = None,
+) -> DiagonalizationResult:
+    """The diagonalization proven through the order that fixes k, the stage
+    table and the Smith exponents: ``order`` defaults to k (capped at
+    input_trunc - k for truncated input), which needs stages only through
+    2k+1. See the module docstring for why that proves every exponent.
+    """
+    return _diagonalization(family, order, max_stages, complements, through_k=True)

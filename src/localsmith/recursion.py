@@ -240,6 +240,8 @@ class RecursionState:
         # stage past k+1: the E blocks and M heads of every later column, as
         # one linear map of that column's Sbar.
         self._coupling: Mat | None = None
+        # psi_0, psi_1, ... as formed so far, each once per run.
+        self._psi: list[Mat] = []
         self._no_domain = Subspace.zero(self.domain_dim)
         self._no_codomain = Subspace.zero(self.codomain_dim)
 
@@ -520,6 +522,13 @@ class RecursionState:
             self.codomain_dim,
             self.codomain_dim,
         )
+
+    def psi_coefficients(self, t: int) -> list[Mat]:
+        """psi_0..psi_t; psi_coefficient forms each index once per run and
+        a deeper request extends the stored ones."""
+        while len(self._psi) <= t:
+            self._psi.append(self.psi_coefficient(len(self._psi)))
+        return self._psi[: t + 1]
 
     def _require_stabilized(self) -> int:
         if self.stabilization_k is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from localsmith import Mat, MatSeries
 
@@ -113,3 +114,28 @@ def smith_structured_family(
         return MatSeries.polynomial(coeffs)
 
     return unit() @ core @ unit()
+
+
+def unit_diag_unit(seed: int, rows: int, cols_: int, exponents: list[int]) -> MatSeries:
+    """unit(eps) * D(eps) * unit(eps), D the rows x cols_ matrix with
+    eps^{a_i} at (i, i) and zeros elsewhere, units invertible at 0."""
+    rng = random.Random(seed)
+    core = [[[0] * cols_ for _ in range(rows)] for _ in range(max(exponents) + 1)]
+    for i, a in enumerate(exponents):
+        core[a][i][i] = 1
+
+    def unit(n: int) -> MatSeries:
+        return MatSeries.polynomial(
+            [random_invertible(rng, n), random_matrix(rng, n, n, density=0.5)]
+        )
+
+    return unit(rows) @ MatSeries.polynomial([Mat(c) for c in core]) @ unit(cols_)
+
+
+@st.composite
+def smith_families(draw) -> MatSeries:
+    rows, cols_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    exponents = draw(
+        st.lists(st.integers(0, 8), min_size=1, max_size=min(rows, cols_))
+    )
+    return unit_diag_unit(draw(st.integers(0, 2**16)), rows, cols_, sorted(exponents))

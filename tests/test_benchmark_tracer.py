@@ -16,8 +16,10 @@ import pytest
 
 import localsmith.cli  # noqa: F401 -- the tracer patches every loaded package module
 from localsmith import Mat, MatSeries
+from localsmith.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CUBIC = Path(__file__).resolve().parent / "data" / "example1.json"
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +59,21 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
     assert after.keys() == before.keys()
     for key, value in before.items():
         assert after[key] is value, key
+
+
+@pytest.mark.parametrize(
+    "command, spans",
+    # analyze runs the shared proof helper through analyze(), which is not
+    # wrapped; the other commands call diagonalize() once.
+    [("analyze", 0), ("diagonalize", 1), ("invert", 1), ("smith", 1), ("verify", 1)],
+)
+def test_commands_call_the_wrapped_diagonalize(tracing, command, spans, capsys):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        root = tracer.begin_call(command)
+        assert main([command, str(CUBIC)]) == 0
+        tracer.end_call(root)
+    finally:
+        tracer.uninstall()
+    assert [tracer.names[i] for i in tracer.name].count("diagonalize") == spans

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +489,26 @@ class TestExitCodes:
             code = main(argv)
         assert code == 1
         assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+    @pytest.mark.parametrize("command", ["analyze", "diagonalize"])
+    def test_closed_stdout_is_exit_one_without_traceback(self, command):
+        # The reader's end of the pipe is closed before the CLI starts, so
+        # its first write of the report fails, as under ``| head -c 100``.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "localsmith.cli", command,
+                 os.path.join(REPORTS, "smith4x4k8.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestMeromorphicNormalization:

@@ -287,6 +287,22 @@ class TestInverseFreeProof:
         assert f"residual is nonzero at order {at}" in captured.err
 
 
+class TestCoefficientsFormedOnce:
+    def test_each_psi_coefficient_formed_once(self, monkeypatch, capsys):
+        # invert on the golden cubic reads psi through order + k = 15, after
+        # diagonalize() read it through the working order 12.
+        seen = []
+        original = RecursionState.psi_coefficient
+
+        def counted(state, i):
+            seen.append(i)
+            return original(state, i)
+
+        monkeypatch.setattr(RecursionState, "psi_coefficient", counted)
+        assert main(["invert", DATA]) == 0
+        assert seen == list(range(16))
+
+
 class TestGeneralizedInverse:
     def test_golden_expansion_and_pole(self, example1):
         result = diagonalize(example1)

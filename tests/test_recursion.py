@@ -33,8 +33,8 @@ from conftest import (
     e,
     example1_family,
     random_family,
-    random_invertible,
     random_matrix,
+    smith_families,
 )
 
 
@@ -337,31 +337,6 @@ class TestDegenerateStages:
             assert state.e_block(i, j) == block, (i, j)
         for (i, j), block in m_blocks.items():
             assert state.m_block(i, j) == block, (i, j)
-
-
-def unit_diag_unit(seed: int, rows: int, cols_: int, exponents: list[int]) -> MatSeries:
-    """unit(eps) * D(eps) * unit(eps), D the rows x cols_ matrix with
-    eps^{a_i} at (i, i) and zeros elsewhere, units invertible at 0."""
-    rng = random.Random(seed)
-    core = [[[0] * cols_ for _ in range(rows)] for _ in range(max(exponents) + 1)]
-    for i, a in enumerate(exponents):
-        core[a][i][i] = 1
-
-    def unit(n: int) -> MatSeries:
-        return MatSeries.polynomial(
-            [random_invertible(rng, n), random_matrix(rng, n, n, density=0.5)]
-        )
-
-    return unit(rows) @ MatSeries.polynomial([Mat(c) for c in core]) @ unit(cols_)
-
-
-@st.composite
-def smith_families(draw) -> MatSeries:
-    rows, cols_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    exponents = draw(
-        st.lists(st.integers(0, 8), min_size=1, max_size=min(rows, cols_))
-    )
-    return unit_diag_unit(draw(st.integers(0, 2**16)), rows, cols_, sorted(exponents))
 
 
 class TestCoupledColumns:
