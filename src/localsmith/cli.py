@@ -321,7 +321,8 @@ def cmd_linearize(args) -> tuple[dict, int]:
         raise InputError("linearization is defined for polynomial families")
     if family.degree < 1:
         raise InputError("linearization needs a family of degree >= 1")
-    k = RecursionState(family, max_stages=args.max_stages).run_until_stabilized()
+    plan = _complement_plan(args)
+    k = RecursionState(family, plan, args.max_stages).run_until_stabilized()
     pencil, kbar, proof = linearization(family, k, args.max_stages)
     report = {
         "command": "linearize",

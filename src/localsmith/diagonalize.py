@@ -84,21 +84,13 @@ class SmithFactorization:
 
     def p_series(self) -> MatSeries:
         n = self.p_terms[0][1].rows
-        top = max(power for power, _ in self.p_terms)
-        coeffs = [Mat.zeros(n, n) for _ in range(top + 1)]
-        for power, mat in self.p_terms:
-            coeffs[power] = coeffs[power] + mat
-        return MatSeries(coeffs, exact=True)
+        return MatLaurent.from_terms(self.p_terms, n, n)
 
     def p_inverse_laurent(self) -> MatLaurent:
         """P^{-1}(eps) = eps^{-k} P_{k+1} + ... + P_1, a k-pole inverse on
         the direct sum of the complement chain."""
-        k = max(power for power, _ in self.p_terms)
         n = self.p_terms[0][1].rows
-        coeffs = [Mat.zeros(n, n) for _ in range(k + 1)]
-        for power, mat in self.p_terms:
-            coeffs[k - power] = coeffs[k - power] + mat
-        return MatLaurent(k, coeffs, exact=True)
+        return MatLaurent.from_terms(((-power, mat) for power, mat in self.p_terms), n, n)
 
 
 @dataclass
@@ -158,11 +150,7 @@ class DiagonalizationResult:
         return tuple(sorted(out))
 
     def delta_series(self) -> MatSeries:
-        m, n = self.state.codomain_dim, self.state.domain_dim
-        coeffs = [Mat.zeros(m, n) for _ in range(self.k + 1)]
-        for power, mat in self.delta:
-            coeffs[power] = coeffs[power] + mat
-        return MatSeries(coeffs, exact=True)
+        return MatLaurent.from_terms(self.delta, self.state.codomain_dim, self.state.domain_dim)
 
     # -- derived families ----------------------------------------------------
 

@@ -8,8 +8,8 @@ which no further range can appear and the chain of complements has died.
 The generic rank bounds the accumulated range at every stage, before and
 after stabilization; a stage that breaks it is an internal error.
 
-The E column solves an upper-triangular block system from the bottom up; the
-M column is the E column pushed through the previous M triangle:
+The E column is the solution of an upper-triangular block system; the M
+column is the E column pushed through the previous M triangle:
 
     E_{j,j} = I,  E_{i,j} = -S_i^+ * sum_{v>i} S̄_v E_{v,j}  (i < j),
     M_{1,j} = E_{1,j},  M_{row,j} = sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}.
@@ -23,18 +23,12 @@ a value. A degenerate stage adds no subspace: N_j = N_{j-1},
 Rc_j = Rc_{j-1}, Nc_j and R_j are zero-dimensional, and P_j, calP_j and
 S_j^+ are zero. Those are the values the general subspace step gives, so a
 degenerate stage takes them directly, unless the complement plan names the
-stage, whose given bases must still be validated and used. Because
-S_i^+ = 0 makes E_{i,j} = 0, the E column walks only the rows whose S_i^+
-is nonzero. Above the last nonzero off-diagonal E block of column j the
-M sum has the single term M_{row-1,j-1} E_{j,j}, so M_{row,j} is the
-block M_{row-1,j-1} of the previous column, shared rather than recomputed:
-the Toeplitz shift that ``verify`` checks as post-stabilization structure.
+stage, whose given bases must still be validated and used.
 
-Once k is certified every inverting stage (S_i^+ nonzero) is at most k+1,
-and a later stage j whose S_j^+ is zero takes its columns in closed form.
-Between the top inverting stage and j no E block is nonzero, so the
-bottom-up solve carries S̄_j through one fixed map: with A = I at the top
-inverting stage and A <- A + S̄_i G_i below each inverting i,
+Both columns are read from one product. S_i^+ = 0 makes E_{i,j} = 0, so
+only the *inverting* stages below j, those with S_i^+ nonzero, enter the
+bottom-up solve, and it carries S̄_j through one fixed map: with A = I at
+the top inverting stage and A <- A + S̄_i G_i below each inverting i,
 
     E_{i,j} = G_i S̄_j,  G_i = -S_i^+ A.
 
@@ -42,13 +36,19 @@ Putting that into the M sum, whose terms are the inverting rows c+1 = i and
 the diagonal c+1 = j with E_{j,j} = I, gives
 
     M_{1,j} = E_{1,j},  M_{row,j} = K_row S̄_j + M_{row-1,j-1},
-    K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i,
+    K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i.
 
-where K_row is zero past the top inverting stage, so those rows stay the
-shared shift. G and K read only stages and M columns up to k+1; they are
-stacked once, on the first stage past k+1, so a run that stops at k+1 pays
-nothing for them, and each such column costs one product of the stack with
-S̄_j. The blocks are the same exact values the recurrences give.
+K_row is zero past the top inverting stage, so there M_{row,j} is the block
+M_{row-1,j-1} of the previous column, shared rather than recomputed: the
+Toeplitz shift that ``verify`` checks as post-stabilization structure.
+With no inverting stage yet, a column is the identity diagonal and that
+shift. The coupling [G; K] reads only the inverting stages and their M
+columns, so it is stacked on the first column that needs it and kept until
+another stage inverts; each column costs one product of it with S̄_j. Past
+k+1 no stage inverts (new range would break the rank guard), so every later
+column shares one coupling, and a run that ends at its last inverting
+stage builds none for it. The blocks are the same exact values the
+recurrences give.
 """
 
 from __future__ import annotations
@@ -233,12 +233,12 @@ class RecursionState:
         self.M_cols: list[list[Mat]] = []
         self.stabilization_k: int | None = None
         self._calp_sum = Mat.zeros(self.codomain_dim, self.codomain_dim)
-        # The stages before the current one whose S^+ is nonzero: the only
-        # rows of an E column that can be nonzero below the diagonal.
+        # The stages so far whose S^+ is nonzero: the only rows of an E
+        # column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
-        # [G; K] stacked from the stages in _inverting, built on the first
-        # stage past k+1: the E blocks and M heads of every later column, as
-        # one linear map of that column's Sbar.
+        # [G; K] stacked from the stages in _inverting: the E blocks and M
+        # heads of the next column, as one linear map of its Sbar. Dropped
+        # when a stage joins _inverting and stacked again on the next column.
         self._coupling: Mat | None = None
         # psi_0, psi_1, ... as formed so far, each once per run.
         self._psi: list[Mat] = []
@@ -297,13 +297,14 @@ class RecursionState:
             stage = self._split_stage(j, sbar, s, prev_n, prev_rc)
             self._calp_sum = self._calp_sum + stage.calp
         self.stages.append(stage)
-        if self.stabilization_k is not None and stage.splus.is_zero():
-            self._append_coupled_columns(j)
-        else:
-            self.E_cols.append(self._build_e_column(j))
-            self.M_cols.append(self._build_m_column(j))
+        if self._coupling is None:
+            self._coupling = self._inverting_coupling()
+        product = self._coupling @ sbar
+        self.E_cols.append(self._build_e_column(j, product))
+        self.M_cols.append(self._build_m_column(j, product))
         if not stage.splus.is_zero():
             self._inverting.append(j)
+            self._coupling = None
         self._detect_stabilization()
 
     def _is_degenerate(self, j: int, s: Mat, prev_n: Subspace) -> bool:
@@ -340,53 +341,22 @@ class RecursionState:
             ) from exc
         return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, calp_j, splus_j)
 
-    def _build_e_column(self, j: int) -> list[Mat]:
-        """Solve the triangular system bottom-up: E_{j,j} = I and
-        E_{i,j} = -S_i^+ * sum_{v>i} S̄_v E_{v,j}. Rows with S_i^+ = 0 stay
-        zero and are not walked."""
-        col: list[Mat] = [Mat.zeros(self.domain_dim, self.domain_dim)] * j
-        col[j - 1] = Mat.identity(self.domain_dim)
-        acc = self.stages[j - 1].sbar
-        for i in reversed(self._inverting):
-            if acc.is_zero():
-                break
-            col[i - 1] = -(self.stages[i - 1].splus @ acc)
-            sbar = self.stages[i - 1].sbar
-            if not (sbar.is_zero() or col[i - 1].is_zero()):
-                acc = acc + sbar @ col[i - 1]
-        return col
-
-    def _build_m_column(self, j: int) -> list[Mat]:
-        """M column j = diag(I, M^{(j-1)}) applied to the E column; rows above
-        the last nonzero off-diagonal E block are shared with column j-1."""
-        ecol = self.E_cols[j - 1]
-        last = max((i for i in range(1, j) if not ecol[i - 1].is_zero()), default=0)
-        mcol: list[Mat] = [ecol[0]]
-        for row in range(2, j + 1):
-            if row > last:
-                mcol.append(self.m_block(row - 1, j - 1))
-                continue
-            mcol.append(
-                Mat.sum_of_products(
-                    ((self.m_block(row - 1, c), ecol[c]) for c in range(row - 1, j)),
-                    self.domain_dim,
-                    self.domain_dim,
-                )
-            )
-        return mcol
-
-    def _stabilized_coupling(self) -> Mat:
+    def _inverting_coupling(self) -> Mat:
         """[G_i for inverting i; K_row for row = 2..top] stacked, where top is
         the last inverting stage: G_i = -S_i^+ A with A = I at top and
         A <- A + Sbar_i G_i below each inverting i, and
-        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i."""
+        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i. With no inverting
+        stage the stack has no rows."""
         n, m = self.domain_dim, self.codomain_dim
+        if not self._inverting:
+            return Mat.zeros(0, m)
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
             st = self.stages[i - 1]
             gains[i] = -(st.splus @ a)
-            a = a + st.sbar @ gains[i]
+            if i > self._inverting[0]:
+                a = a + st.sbar @ gains[i]
         heads = [
             Mat.sum_of_products(
                 ((self.m_block(row - 1, i - 1), gains[i]) for i in self._inverting if i >= row),
@@ -397,27 +367,28 @@ class RecursionState:
         ]
         return Mat.vstack([gains[i] for i in self._inverting] + heads)
 
-    def _append_coupled_columns(self, j: int) -> None:
-        """Columns j of E and M from one product of the coupling with Sbar_j:
-        E_{i,j} = G_i Sbar_j and M_{row,j} = K_row Sbar_j + M_{row-1,j-1}.
-        Valid because every inverting stage precedes j: past k+1 a nonzero
-        S^+ means new range, which the rank guard refuses."""
-        if self._coupling is None:
-            self._coupling = self._stabilized_coupling()
+    def _build_e_column(self, j: int, product: Mat) -> list[Mat]:
+        """E_{j,j} = I, and E_{i,j} = G_i Sbar_j for each inverting i, read
+        from the leading blocks of the coupling product; other rows are zero."""
         n = self.domain_dim
-        product = self._coupling @ self.stages[j - 1].sbar
-        blocks = iter(product.submatrix_rows(range(b, b + n)) for b in range(0, product.rows, n))
-        ecol: list[Mat] = [Mat.zeros(n, n)] * j
-        ecol[j - 1] = Mat.identity(n)
-        for i in self._inverting:
-            ecol[i - 1] = next(blocks)
-        mcol = [ecol[0]]
+        col: list[Mat] = [Mat.zeros(n, n)] * j
+        col[j - 1] = Mat.identity(n)
+        for b, i in enumerate(self._inverting):
+            col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
+        return col
+
+    def _build_m_column(self, j: int, product: Mat) -> list[Mat]:
+        """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1},
+        K_row Sbar_j read from the coupling product below the E blocks; past
+        the top inverting stage the row is the shared block M_{row-1,j-1}."""
+        n = self.domain_dim
+        mcol = [self.E_cols[j - 1][0]]
         for row in range(2, j + 1):
             shifted = self.m_block(row - 1, j - 1)
-            head = next(blocks, None)
+            at = (len(self._inverting) + row - 2) * n
+            head = product.submatrix_rows(range(at, at + n)) if at < product.rows else None
             mcol.append(shifted if head is None or head.is_zero() else head + shifted)
-        self.E_cols.append(ecol)
-        self.M_cols.append(mcol)
+        return mcol
 
     # -- stabilization ----------------------------------------------------
 

@@ -19,7 +19,7 @@ shifting one by a negative power gives a Laurent series.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import TruncationError
 from .matrix import Mat, rat
@@ -64,6 +64,18 @@ class MatLaurent:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @staticmethod
+    def from_terms(terms: Iterable[tuple[int, Mat]], rows: int, cols: int) -> MatLaurent:
+        """The exact series sum of eps^power * mat over the (power, mat)
+        terms; a ``MatSeries`` when no power is negative."""
+        terms = list(terms)
+        pole = max(0, -min((power for power, _ in terms), default=0))
+        top = max((power for power, _ in terms), default=0)
+        coeffs = [Mat.zeros(rows, cols)] * (pole + top + 1)
+        for power, mat in terms:
+            coeffs[pole + power] = coeffs[pole + power] + mat
+        return MatLaurent(pole, coeffs, exact=True) if pole else MatSeries(coeffs, exact=True)
 
     def _new(self, other: MatLaurent, pole: int, coeffs, exact: bool) -> MatLaurent:
         """A power series when both operands are one and no pole arises, else

@@ -61,13 +61,9 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
         assert after[key] is value, key
 
 
-@pytest.mark.parametrize(
-    "command, spans",
-    # analyze runs the shared proof helper through analyze(), which is not
-    # wrapped; the other commands call diagonalize() once.
-    [("analyze", 0), ("diagonalize", 1), ("invert", 1), ("smith", 1), ("verify", 1)],
-)
-def test_commands_call_the_wrapped_diagonalize(tracing, command, spans, capsys):
+def traced_spans(tracing, command: str) -> list[str]:
+    """The names of the spans one traced call of ``command`` on the golden
+    cubic opens, in order."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -76,4 +72,23 @@ def test_commands_call_the_wrapped_diagonalize(tracing, command, spans, capsys):
         tracer.end_call(root)
     finally:
         tracer.uninstall()
-    assert [tracer.names[i] for i in tracer.name].count("diagonalize") == spans
+    return [tracer.names[i] for i in tracer.name]
+
+
+@pytest.mark.parametrize(
+    "command, spans",
+    # analyze runs the shared proof helper through analyze(), which is not
+    # wrapped; the other commands call diagonalize() once.
+    [("analyze", 0), ("diagonalize", 1), ("invert", 1), ("smith", 1), ("verify", 1)],
+)
+def test_commands_call_the_wrapped_diagonalize(tracing, command, spans, capsys):
+    assert traced_spans(tracing, command).count("diagonalize") == spans
+
+
+def test_every_stage_opens_one_e_and_one_m_column_span(tracing, capsys):
+    # The per-layer E/M metrics cover the column of every stage run.
+    names = traced_spans(tracing, "invert")
+    stages = names.count("recursion.run_stage")
+    assert stages > 0
+    assert names.count("recursion.e_column") == stages
+    assert names.count("recursion.m_column") == stages

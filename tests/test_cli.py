@@ -411,6 +411,8 @@ class TestExitCodes:
             ["analyze", DATA, "--max-stages", "\u0661"],
             ["smith", DATA, "--pole", "\u0661"],
             ["jordan", DATA, "--length", "\u0662"],
+            ["linearize", DATA, "--complement", "bogus"],
+            ["linearize", DATA, "--complement", "given:" + os.path.join(REPORTS, "missing.json")],
         ],
         ids=[
             "negative-order",
@@ -435,6 +437,8 @@ class TestExitCodes:
             "max-stages-non-ascii",
             "pole-non-ascii",
             "length-non-ascii",
+            "linearize-unknown-complement",
+            "linearize-missing-complement-file",
         ],
     )
     def test_bad_input_is_exit_one(self, argv, tmp_path, capsys):

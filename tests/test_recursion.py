@@ -20,6 +20,7 @@ from localsmith import (
     choose_complement,
     diagonalize,
     generic_rank,
+    linearize_polynomial,
     parse_complement_plan,
     parse_family,
     restrict_and_split,
@@ -340,8 +341,8 @@ class TestDegenerateStages:
 
 
 class TestCoupledColumns:
-    """Past k+1 the E/M columns come from the coupling fixed at
-    stabilization; every block must be what the recurrences give."""
+    """Every E/M column comes from the coupling of the inverting stages below
+    it; every block must be what the recurrences give."""
 
     @staticmethod
     def assert_matches_recurrences(state: RecursionState) -> None:
@@ -367,13 +368,27 @@ class TestCoupledColumns:
         assert k + 1 < 4 and 4 in state.complements.rc_bases
         self.assert_matches_recurrences(state)
 
-    def test_one_product_per_stage_past_stabilization(self, monkeypatch):
-        # Past k+1 a stage forms Sbar_j, S_j, the degeneracy test S_j N_{j-1}
-        # and the coupling times Sbar_j: four products, the E solve and the
-        # M sums included. Stage k+2 also forms the coupling, once.
-        state = RecursionState(load_family("smith4x4.json"))
+    @pytest.mark.parametrize(
+        "family, plan",
+        [
+            (linearize_polynomial(example1_family()).pencil(), None),
+            (linearize_polynomial(load_family("smith4x4.json")).pencil(), None),
+            (load_family("dense6x6.json"), None),
+            (load_family("rect2x3.json"), None),
+            (example1_family(), "plan_stage1.json"),
+        ],
+        ids=["cubic-pencil", "smith-pencil", "dense6x6", "rect2x3", "cubic-plan-stage1"],
+    )
+    def test_runs_that_end_at_k_plus_one(self, family, plan):
+        state = RecursionState(family, load_plan(plan) if plan else None)
         k = state.run_until_stabilized()
-        state.ensure_stages(k + 2)
+        assert state.stage_count == k + 1
+        self.assert_matches_recurrences(state)
+
+    @staticmethod
+    def count_sums(monkeypatch) -> list:
+        """Record every Mat.sum_of_products call from here on; each product
+        and fused sum goes through it."""
         calls = []
         original = Mat.sum_of_products
 
@@ -382,6 +397,31 @@ class TestCoupledColumns:
             return original(pairs, rows, cols_)
 
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize("gap", [4, 7, 8])
+    def test_gap_stages_reuse_the_coupling(self, gap, monkeypatch):
+        # Exponents 0, 1, 4 and 8 make stages 1, 2, 5 and 9 the inverting
+        # ones. A gap stage after the first column past an inverting stage
+        # forms Sbar_j, S_j, the degeneracy test S_j N_{j-1} and the coupling
+        # times Sbar_j, and stacks no coupling.
+        state = RecursionState(load_family("smith4x4k8.json"))
+        state.ensure_stages(gap - 1)
+        inverting = [st.index for st in state.stages if not st.splus.is_zero()]
+        assert inverting == [i for i in (1, 2, 5) if i < gap]
+        calls = self.count_sums(monkeypatch)
+        state.run_stage()
+        assert state.stage(gap).splus.is_zero()
+        assert len(calls) <= 4
+
+    def test_one_product_per_stage_past_stabilization(self, monkeypatch):
+        # Past k+1 a stage forms Sbar_j, S_j, the degeneracy test S_j N_{j-1}
+        # and the coupling times Sbar_j: four products, the E solve and the
+        # M sums included. Stage k+2 also forms the coupling, once.
+        state = RecursionState(load_family("smith4x4.json"))
+        k = state.run_until_stabilized()
+        state.ensure_stages(k + 2)
+        calls = self.count_sums(monkeypatch)
         later = max(2 * k + 4, 12) - 1
         state.ensure_stages(k + 2 + later)
         assert len(calls) <= 4 * later
