@@ -49,6 +49,8 @@ CASES = {
     "cubic-pole2-analyze": ["analyze", CUBIC, "--pole", "2"],
     "cubic-pole2-invert": ["invert", CUBIC, "--pole", "2"],
     "cubic-given-analyze": ["analyze", CUBIC, "--complement", f"given:{PLAN}"],
+    "cubic-given-invert": ["invert", CUBIC, "--complement", f"given:{PLAN}"],
+    "cubic-given-verify": ["verify", CUBIC, "--complement", f"given:{PLAN}"],
     "trunc-analyze": ["analyze", TRUNC],
     "trunc-diagonalize": ["diagonalize", TRUNC],
     "trunc-linearize": ["linearize", TRUNC],
