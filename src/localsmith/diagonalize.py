@@ -34,8 +34,8 @@ generic rank at once. The range accumulated through stage j counts the
 exponents below j, which are the proven ones above; so a stage past 2k+1
 that added range would be an engine fault in a stage no analyze output
 reads. A complement plan can name a later stage, which is then not
-degenerate by fiat and must still be validated, so the stages run through
-the last one the plan names.
+degenerate by fiat and must still be validated, so ``RecursionState`` runs
+the stages through the last one the plan names.
 """
 
 from __future__ import annotations
@@ -248,23 +248,18 @@ def _diagonalization(
 
     ``order`` defaults to k if ``through_k``, else to max(2k + 4, 12).
     Truncated input caps the default at input_trunc - k, so that only
-    genuine coefficients are consumed. The stages run through
-    max(k+1+order, the last stage the complement plan names), so that a
-    named stage is still validated, but never past k+1+max(2k+4, 12) (with
-    the same cap) or k+1+order for an explicit order.
+    genuine coefficients are consumed. The stages run through k+1+order,
+    and through the last stage the complement plan names.
     """
     if family.is_zero():
         raise InputError("the zero family cannot be diagonalized")
     state = RecursionState(family, complements=complements, max_stages=max_stages)
     k = state.run_until_stabilized()
-    full = max(2 * k + 4, 12) if order is None else order
     if order is None:
-        order = k if through_k else full
+        order = k if through_k else max(2 * k + 4, 12)
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
-            full = min(full, state.input_trunc - k)
-    named = max([*state.complements.nc_bases, *state.complements.rc_bases], default=0)
-    state.ensure_stages(min(max(k + 1 + order, named), k + 1 + full))
+    state.ensure_stages(k + 1 + order)
     result = DiagonalizationResult(
         state=state,
         k=k,

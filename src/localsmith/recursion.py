@@ -8,6 +8,20 @@ which no further range can appear and the chain of complements has died.
 The generic rank bounds the accumulated range at every stage, before and
 after stabilization; a stage that breaks it is an internal error.
 
+Each stage forms S_j basis(N_{j-1}) once, and one rref of it splits
+N_{j-1} = Nc_j ⊕ N_j: Nc_j takes the N_{j-1} basis columns at its pivots,
+and R_j its pivot columns, S_j basis(Nc_j). With W the R_j rows of the
+inverse of [R_1 .. R_{j-1} | S_j basis(Nc_j) | Rc_j], calP_j is
+S_j basis(Nc_j) W and S_j^+ is basis(Nc_j) W. A given Nc_j also maps onto
+R_j, so the formulas hold for it. P_j reads [Nc_1 .. Nc_j | N_j] alike.
+
+A stage is *degenerate* when that product is zero: every stage past k+1,
+and a gap stage where the Smith exponents skip a value. Then
+N_j = N_{j-1}, Rc_j = Rc_{j-1}, and Nc_j, R_j, P_j, calP_j and S_j^+ are
+zero: the general step's values, taken with no elimination unless the
+complement plan names the stage. The stages run through the last stage
+the plan names, which must lie within the stage budget.
+
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
 
@@ -16,14 +30,6 @@ column is the E column pushed through the previous M triangle:
 
 Row k+1 of the M matrix is what later becomes the right transformation's
 coefficients.
-
-A stage j > 1 is *degenerate* when S_j maps N_{j-1} to zero. Every stage
-past k+1 is, and so is a gap stage before it when the Smith exponents skip
-a value. A degenerate stage adds no subspace: N_j = N_{j-1},
-Rc_j = Rc_{j-1}, Nc_j and R_j are zero-dimensional, and P_j, calP_j and
-S_j^+ are zero. Those are the values the general subspace step gives, so a
-degenerate stage takes them directly, unless the complement plan names the
-stage, whose given bases must still be validated and used.
 
 Both columns are read from one product. S_i^+ = 0 makes E_{i,j} = 0, so
 only the *inverting* stages below j, those with S_i^+ nonzero, enter the
@@ -69,9 +75,9 @@ from .series import MatSeries
 from .subspaces import (
     Subspace,
     choose_complement,
+    coordinate_rows,
     projection_matrix,
     restrict_and_split,
-    restricted_inverse,
 )
 
 
@@ -227,6 +233,12 @@ class RecursionState:
                 + 2
             )
         self.max_stages = max_stages
+        self.plan_end = max([*self.complements.nc_bases, *self.complements.rc_bases], default=0)
+        if self.plan_end > max_stages:
+            raise StageBudgetError(
+                f"the complement plan names stage {self.plan_end}, past the "
+                f"budget of {max_stages} stages"
+            )
         self.generic_rank = generic_rank(self.L)
         self.stages: list[Stage] = []
         self.E_cols: list[list[Mat]] = []
@@ -242,8 +254,6 @@ class RecursionState:
         self._coupling: Mat | None = None
         # psi_0, psi_1, ... as formed so far, each once per run.
         self._psi: list[Mat] = []
-        self._no_domain = Subspace.zero(self.domain_dim)
-        self._no_codomain = Subspace.zero(self.codomain_dim)
 
     # -- accessors ------------------------------------------------------
 
@@ -283,19 +293,8 @@ class RecursionState:
                 self.domain_dim,
             )
         s = sbar if self._calp_sum.is_zero() else sbar - self._calp_sum @ sbar
-        prev_n = self.kernel_chain(j - 1)
-        prev_rc = (
-            Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
-        )
-        if self._is_degenerate(j, s, prev_n):
-            n, m = self.domain_dim, self.codomain_dim
-            stage = Stage(
-                j, sbar, s, prev_n, self._no_codomain, self._no_domain, prev_rc,
-                Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m),
-            )
-        else:
-            stage = self._split_stage(j, sbar, s, prev_n, prev_rc)
-            self._calp_sum = self._calp_sum + stage.calp
+        stage = self._split_stage(j, sbar, s)
+        self._calp_sum = self._calp_sum + stage.calp
         self.stages.append(stage)
         if self._coupling is None:
             self._coupling = self._inverting_coupling()
@@ -307,39 +306,32 @@ class RecursionState:
             self._coupling = None
         self._detect_stabilization()
 
-    def _is_degenerate(self, j: int, s: Mat, prev_n: Subspace) -> bool:
-        """S_j maps N_{j-1} to zero, and the complement plan leaves stage j
-        to the engine."""
-        return (
-            j > 1
-            and j not in self.complements.nc_bases
-            and j not in self.complements.rc_bases
-            and (s @ prev_n.basis).is_zero()
-        )
-
-    def _split_stage(
-        self, j: int, sbar: Mat, s: Mat, prev_n: Subspace, prev_rc: Subspace
-    ) -> Stage:
-        """The general subspace step: split N_{j-1} and Rc_{j-1} under S_j."""
-        n_j, r_j = restrict_and_split(s, prev_n)
+    def _split_stage(self, j: int, sbar: Mat, s: Mat) -> Stage:
+        """The stage step: split N_{j-1} and Rc_{j-1} under S_j from one
+        product S_j basis(N_{j-1}) and one rref of it."""
+        prev_n = self.kernel_chain(j - 1)
+        prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
+        n_j, r_j, nc_j = restrict_and_split(s, prev_n)
+        given_nc, given_rc = self.complements.nc_bases.get(j), self.complements.rc_bases.get(j)
+        named = given_nc is not None or given_rc is not None
+        n, m, zeros = self.domain_dim, self.codomain_dim, Mat.zeros
+        if r_j.is_zero() and not named:
+            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, zeros(n, n), zeros(m, m), zeros(n, m))
         try:
-            nc_j = choose_complement(prev_n, n_j, given=self.complements.nc_bases.get(j))
-            rc_j = choose_complement(prev_rc, r_j, given=self.complements.rc_bases.get(j))
-            parts_domain = [st.nc for st in self.stages] + [nc_j, n_j]
-            parts_codomain = [st.r for st in self.stages] + [r_j, rc_j]
-            p_j = projection_matrix(parts_domain, j - 1)
-            calp_j = projection_matrix(parts_codomain, j - 1)
-            splus_j = restricted_inverse(s, nc_j, calp_j)
+            if given_nc is not None:
+                nc_j = choose_complement(prev_n, n_j, given=given_nc)
+            image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
+            rc_j = choose_complement(prev_rc, r_j, given=given_rc)
+            p_j = projection_matrix([st.nc for st in self.stages] + [nc_j, n_j], j - 1)
+            w = coordinate_rows([st.r for st in self.stages] + [image, rc_j], j - 1)
         except ValueError as exc:
-            overridden = j in self.complements.nc_bases or j in self.complements.rc_bases
             # A bad user-supplied complement is an input problem; the pivot
             # strategy failing would be a bug in the engine itself.
-            kind = InputError if overridden else InternalConsistencyError
-            raise kind(
+            raise (InputError if named else InternalConsistencyError)(
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
-                f"ambient {self.domain_dim}->{self.codomain_dim}): {exc}"
+                f"ambient {n}->{m}): {exc}"
             ) from exc
-        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, calp_j, splus_j)
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, image.basis @ w, nc_j.basis @ w)
 
     def _inverting_coupling(self) -> Mat:
         """[G_i for inverting i; K_row for row = 2..top] stacked, where top is
@@ -420,10 +412,12 @@ class RecursionState:
                     generic_rank=self.generic_rank,
                 )
             self.run_stage()
+        self.ensure_stages(self.plan_end)
         return self.stabilization_k
 
     def ensure_stages(self, count: int) -> None:
-        while len(self.stages) < count:
+        """Run the stages through ``count`` and the last one the plan names."""
+        while len(self.stages) < max(count, self.plan_end):
             self.run_stage()
 
     # -- queries built on the ledger ---------------------------------------

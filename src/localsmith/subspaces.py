@@ -1,10 +1,11 @@
-"""Subspaces as basis matrices, direct-sum splits, projections, and
-restricted inverses.
+"""Subspaces as basis matrices, direct-sum splits and projections.
 
 These are the building blocks the stage recursion consumes: splitting a
-kernel chain under a map, choosing deterministic complements, and turning a
-full decomposition into projection matrices. Zero-dimensional subspaces are
-first-class throughout; callers never special-case them.
+kernel chain under a map, choosing deterministic complements, and reading
+coordinates off a full decomposition. ``restricted_inverse`` is kept as the
+reference formula for S^+ that the engine's coordinate form is tested
+against. Zero-dimensional subspaces are first-class throughout; callers
+never special-case them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class Subspace:
     def __post_init__(self):
         if self.basis.rows != self.ambient_dim:
             raise ValueError("basis has the wrong ambient dimension")
-        if self.basis.rank() != self.basis.cols:
+        if self.basis.cols and self.basis.rank() != self.basis.cols:
             raise ValueError("basis columns are linearly dependent")
 
     @staticmethod
@@ -95,20 +96,24 @@ def image(m: Mat) -> Subspace:
     return Subspace(m.rows, m.submatrix_columns(pivots))
 
 
-def restrict_and_split(s: Mat, domain: Subspace) -> tuple[Subspace, Subspace]:
-    """Kernel and range of the restriction of ``s`` to ``domain``.
+def restrict_and_split(s: Mat, domain: Subspace) -> tuple[Subspace, Subspace, Subspace]:
+    """Kernel, range and pivot complement of ``s`` restricted to ``domain``.
 
-    Returns (N, R): N = {x in domain : s x = 0} in ambient coordinates,
-    R = s(domain). dim(domain) = dim(N) + dim(R) by rank-nullity.
+    Returns (N, R, Nc): N = {x in domain : s x = 0} in ambient coordinates,
+    R = s(domain), and Nc the domain basis columns at the pivots of
+    s @ basis(domain), which is ``choose_complement(domain, N)``: a column
+    is independent modulo N and the columns before it exactly when its image
+    is independent of theirs. So basis(R) = s @ basis(Nc), column for column.
     """
     if s.cols != domain.ambient_dim:
         raise ValueError("map and domain ambient dimension differ")
     mapped = s @ domain.basis
-    coords = mapped.nullspace()
-    n_sub = Subspace(domain.ambient_dim, domain.basis @ coords)
+    if mapped.is_zero():
+        return domain, Subspace.zero(s.rows), Subspace.zero(domain.ambient_dim)
     _, pivots = mapped.rref()
-    r_sub = Subspace(s.rows, mapped.submatrix_columns(pivots))
-    return n_sub, r_sub
+    kernel = Subspace(domain.ambient_dim, domain.basis @ mapped.nullspace())
+    complement = Subspace(domain.ambient_dim, domain.basis.submatrix_columns(pivots))
+    return kernel, image(mapped), complement
 
 
 def choose_complement(
@@ -149,6 +154,13 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     The parts must decompose the full ambient space; the projection is
     returned as a full ambient-space matrix (idempotent, range = target part).
     """
+    return parts[target].basis @ coordinate_rows(parts, target)
+
+
+def coordinate_rows(parts: Sequence[Subspace], target: int) -> Mat:
+    """The rows of the inverse of [basis(part) for part in parts] that read
+    the ``parts[target]`` coordinates: W with W basis(parts[target]) = I and
+    W basis(p) = 0 for every other part p."""
     if not parts:
         raise ValueError("no parts given")
     n = parts[0].ambient_dim
@@ -162,11 +174,7 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     except ValueError as exc:
         raise ValueError("parts do not decompose the ambient space") from exc
     offset = sum(parts[i].dim for i in range(target))
-    width = parts[target].dim
-    if width == 0:
-        return Mat.zeros(n, n)
-    block = full.submatrix_columns(range(offset, offset + width))
-    return block @ inv.submatrix_rows(range(offset, offset + width))
+    return inv.submatrix_rows(range(offset, offset + parts[target].dim))
 
 
 def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
@@ -176,6 +184,9 @@ def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
     so the result is S^+ = (s|nc)^{-1} calP: T (s x) = x for x in nc, T y = 0
     for y in every other part, range(T) = nc. With B = nc's basis and s B
     injective, T = B Y for the unique Y with (s B) Y = calp.
+
+    Kept as the reference that the engine's form B @ coordinate_rows(...)
+    is tested against, and for the benchmark's tracer, which wraps it.
     """
     if s.cols != nc.ambient_dim or calp.rows != s.rows or calp.cols != s.rows:
         raise ValueError("shape mismatch")

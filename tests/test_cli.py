@@ -365,6 +365,32 @@ class TestExitCodes:
         assert err.startswith("error: stage budget exceeded: chains of length 4")
         assert "stabilization" not in err
 
+    PLAN_COMMANDS = [
+        ["analyze"], ["diagonalize"], ["invert"], ["smith"], ["verify"], ["linearize"],
+        ["jordan", "--length", "2"],
+    ]
+
+    @pytest.mark.parametrize("command", PLAN_COMMANDS, ids=lambda c: c[0])
+    def test_late_plan_stage_is_validated_by_every_command(self, command, capsys):
+        # plan_late_bad.json names stage 4 of rect3x2.json, past k + 1 and
+        # past the two stages jordan --length 2 reads.
+        plan = "given:" + os.path.join(REPORTS, "plan_late_bad.json")
+        code = main([command[0], os.path.join(REPORTS, "rect3x2.json"), *command[1:],
+                     "--complement", plan])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: stage 4 ")
+
+    @pytest.mark.parametrize("command", PLAN_COMMANDS, ids=lambda c: c[0])
+    def test_plan_stage_past_budget_is_exit_two(self, command, tmp_path, capsys):
+        path = tmp_path / "plan100.json"
+        path.write_text('{"stages": [{"stage": 100, "codomain_complement": [["1"], ["0"], ["0"]]}]}')
+        code = main([command[0], os.path.join(REPORTS, "rect3x2.json"), *command[1:],
+                     "--complement", f"given:{path}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stage budget exceeded: the complement plan names stage 100"
+        )
+
     def test_truncation_limit_is_input_error(self, tmp_path, capsys):
         obj = json.loads(golden_text())
         obj["kind"] = "truncated_series"

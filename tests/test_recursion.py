@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsmith import (
+    ComplementPlan,
     InternalConsistencyError,
     Mat,
     MatSeries,
@@ -20,10 +21,12 @@ from localsmith import (
     choose_complement,
     diagonalize,
     generic_rank,
+    image,
     linearize_polynomial,
     parse_complement_plan,
     parse_family,
-    restrict_and_split,
+    projection_matrix,
+    restricted_inverse,
     spec_to_series,
     toeplitz_nullspace,
 )
@@ -299,45 +302,138 @@ def generic_em_triangles(state: RecursionState) -> tuple[dict, dict]:
     return e_blocks, m_blocks
 
 
+def assert_ledger_matches_references(state: RecursionState) -> None:
+    """Every stage's split and its P, calP and S^+ against the reference
+    formulas, applied to the decompositions the ledger holds at that stage:
+    the kernel and pivot-column image of S_j basis(N_{j-1}), the complements
+    choose_complement picks or validates, projection_matrix over the domain
+    and codomain parts, and the solve in restricted_inverse."""
+    plan = state.complements
+    for st in state.stages:
+        j = st.index
+        prev_n = state.kernel_chain(j - 1)
+        prev_rc = Subspace.full(state.codomain_dim) if j == 1 else state.stage(j - 1).rc
+        mapped = st.s @ prev_n.basis
+        assert st.n.basis == prev_n.basis @ mapped.nullspace(), j
+        assert st.r.basis == image(mapped).basis, j
+        assert st.nc.basis == choose_complement(prev_n, st.n, plan.nc_bases.get(j)).basis, j
+        assert st.rc.basis == choose_complement(prev_rc, st.r, plan.rc_bases.get(j)).basis, j
+        domain = [a.nc for a in state.stages[:j]] + [st.n]
+        codomain = [a.r for a in state.stages[:j]] + [st.rc]
+        calp = projection_matrix(codomain, j - 1)
+        assert st.p == projection_matrix(domain, j - 1), j
+        assert st.calp == calp, j
+        assert st.splus == restricted_inverse(st.s, st.nc, calp), j
+
+
 class TestDegenerateStages:
-    """Stages whose S_j maps N_{j-1} to zero skip the subspace step; their
-    ledger entries and E/M blocks must be what the general step gives."""
+    """Stages whose product S_j basis(N_{j-1}) is zero skip the elimination;
+    their ledger entries and E/M blocks, and those of every other stage, must
+    be what the reference formulas and the recurrences give."""
 
     @pytest.mark.parametrize(
-        "family, gap_stages",
+        "family, plan, gap_stages",
         [
-            (example1_family(), [3]),
-            (load_family("rect2x3.json"), []),
-            (load_family("trunc2x2.json"), [2]),
-            (load_family("smith4x4.json"), [3, 5, 6, 7]),
+            (example1_family(), None, [3]),
+            (load_family("rect2x3.json"), None, []),
+            (load_family("trunc2x2.json"), None, [2]),
+            (load_family("smith4x4.json"), None, [3, 5, 6, 7]),
+            (linearize_polynomial(example1_family()).pencil(), None, []),
+            (linearize_polynomial(load_family("smith4x4.json")).pencil(), None, []),
+            (example1_family(), "plan_stage1.json", [3]),
+            (load_family("rect3x2.json"), "plan_late.json", []),
         ],
-        ids=["cubic", "rect2x3", "trunc2x2", "smith-0-1-3-7"],
+        ids=[
+            "cubic", "rect2x3", "trunc2x2", "smith-0-1-3-7", "cubic-pencil",
+            "smith-pencil", "cubic-plan-stage1", "rect3x2-plan-late",
+        ],
     )
-    def test_matches_general_step(self, family, gap_stages):
-        state = diagonalize(family).state
+    def test_matches_general_step(self, family, plan, gap_stages):
+        state = diagonalize(family, complements=load_plan(plan) if plan else None).state
         k = state.stabilization_k
-        n, m = state.domain_dim, state.codomain_dim
-        degenerate = []
-        for j in range(2, state.stage_count + 1):
-            st, prev = state.stage(j), state.stage(j - 1)
-            if not (st.s @ prev.n.basis).is_zero():
-                continue
-            degenerate.append(j)
-            n_j, r_j = restrict_and_split(st.s, prev.n)
-            assert st.n.basis == n_j.basis
-            assert st.r.basis == r_j.basis
-            assert st.nc.basis == choose_complement(prev.n, n_j).basis
-            assert st.rc.basis == choose_complement(prev.rc, r_j).basis
-            assert st.p == Mat.zeros(n, n)
-            assert st.calp == Mat.zeros(m, m)
-            assert st.splus == Mat.zeros(n, m)
+        degenerate = [
+            j for j in range(2, state.stage_count + 1)
+            if (state.stage(j).s @ state.stage(j - 1).n.basis).is_zero()
+        ]
         assert [j for j in degenerate if j <= k + 1] == gap_stages
         assert degenerate[len(gap_stages):] == list(range(k + 2, state.stage_count + 1))
+        assert_ledger_matches_references(state)
         e_blocks, m_blocks = generic_em_triangles(state)
         for (i, j), block in e_blocks.items():
             assert state.e_block(i, j) == block, (i, j)
         for (i, j), block in m_blocks.items():
             assert state.m_block(i, j) == block, (i, j)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(smith_families())
+    def test_unit_diag_unit_ledgers(self, family):
+        state = RecursionState(family)
+        k = state.run_until_stabilized()
+        state.ensure_stages(2 * k + 3)
+        assert_ledger_matches_references(state)
+
+    def test_given_complement_with_its_own_range_basis(self):
+        # Nc_1 given as the pivot complement times an invertible T plus
+        # kernel vectors: S_1 basis(Nc_1) spans R_1 but is not the pivot
+        # basis of R_1, and S_1^+ must still map it back to basis(Nc_1).
+        family = load_family("dense6x6.json")
+        first = RecursionState(family)
+        first.run_stage()
+        pivot = first.stage(1)
+        t = Mat([[1, 1, 0], [0, 2, 1], [1, 0, 1]])
+        u = Mat([[1, 0, -1], [0, 0, 2], [0, 1, 0]])
+        given = pivot.nc.basis @ t + pivot.n.basis @ u
+        state = diagonalize(family, complements=ComplementPlan({1: given}, {})).state
+        st = state.stage(1)
+        assert st.nc.basis == given and st.s @ given != st.r.basis
+        assert st.splus @ st.s @ given == given
+        assert_ledger_matches_references(state)
+
+    def test_one_product_and_elimination_per_stage(self, monkeypatch):
+        # Exponents 0, 1, 4 and 8: stages 1, 2, 5 and 9 split, the gap stages
+        # and the stages past k + 1 = 9 are degenerate. A splitting stage
+        # forms S_j basis(N_{j-1}) once and runs choose_complement only for
+        # Rc_j; a degenerate stage forms the product and runs no rref. No
+        # stage solves a system.
+        state = RecursionState(load_family("smith4x4k8.json"))
+        products, rrefs, complements = [], [], []
+        sums, rref, pick = Mat.sum_of_products, Mat.rref, choose_complement
+
+        def summed(pairs, rows, cols_):
+            pairs = list(pairs)
+            products.append(pairs)
+            return sums(pairs, rows, cols_)
+
+        def reduced(m):
+            rrefs.append(m)
+            return rref(m)
+
+        def picked(*args, **kwargs):
+            complements.append(args)
+            return pick(*args, **kwargs)
+
+        def unsolvable(*args):
+            raise AssertionError("the stage step solves no system")
+
+        monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
+        monkeypatch.setattr(Mat, "rref", reduced)
+        monkeypatch.setattr(Mat, "solve", unsolvable)
+        monkeypatch.setattr("localsmith.recursion.choose_complement", picked)
+        splitting = []
+        for j in range(1, 13):
+            prev_n = state.kernel_chain(j - 1)
+            for calls in (products, rrefs, complements):
+                calls.clear()
+            state.run_stage()
+            s = state.stage(j).s
+            formed = [p for p in products if p == [(s, prev_n.basis)]]
+            assert len(formed) == 1, j
+            if state.stage(j).r.dim:
+                splitting.append(j)
+                assert len(complements) == 1, j
+            else:
+                assert rrefs == [] and complements == [], j
+        assert splitting == [1, 2, 5, 9]
 
 
 class TestCoupledColumns:

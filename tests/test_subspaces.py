@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsmith import (
     Mat,
@@ -42,15 +44,16 @@ class TestRestrictAndSplit:
     def test_golden_second_stage(self):
         s2 = cols(ZERO3, ZERO3, e(2))
         domain = Subspace.spanned_by([e(2), e(3)], 3)
-        n, r = restrict_and_split(s2, domain)
+        n, r, _ = restrict_and_split(s2, domain)
         assert n.same_space(Subspace.spanned_by([e(2)], 3))
         assert r.same_space(Subspace.spanned_by([e(2)], 3))
 
     def test_zero_map_keeps_domain(self):
         domain = Subspace.spanned_by([e(1), e(3)], 3)
-        n, r = restrict_and_split(Mat.zeros(3, 3), domain)
+        n, r, nc = restrict_and_split(Mat.zeros(3, 3), domain)
         assert n.same_space(domain)
         assert r.dim == 0
+        assert nc.dim == 0
 
     def test_dims_match_direct_enumeration(self):
         rng = random.Random(31)
@@ -60,12 +63,45 @@ class TestRestrictAndSplit:
             if raw.rank() != 3:
                 continue
             domain = Subspace(5, raw)
-            n, r = restrict_and_split(s, domain)
+            n, r, _ = restrict_and_split(s, domain)
             assert r.dim == minor_rank_of_images(s, raw)
             assert n.dim + r.dim == domain.dim
             assert (s @ n.basis).is_zero()
             for j in range(n.dim):
                 assert domain.contains(n.basis.column(j))
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["zero", "injective", "random"]),
+        rows=st.integers(1, 5),
+        ambient=st.integers(1, 5),
+        dim=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pivot_complement_is_the_default_complement(self, kind, rows, ambient, dim, seed):
+        # Column c of the domain basis is independent modulo N and the
+        # columns before it exactly when its image is independent of their
+        # images, so the pivots of s @ basis(domain) pick the complement
+        # choose_complement picks, and the range basis is s applied to it.
+        rng = random.Random(seed)
+        dim = min(dim, ambient)
+        basis = random_matrix(rng, ambient, dim, density=0.8)
+        while basis.rank() != dim:
+            basis = random_matrix(rng, ambient, dim, density=0.8)
+        if kind == "zero":
+            s = Mat.zeros(rows, ambient)
+        elif kind == "injective":
+            s = Mat.vstack([Mat.identity(ambient), random_matrix(rng, rows, ambient)])
+        else:
+            s = random_matrix(rng, rows, ambient, density=0.5)
+        domain = Subspace(ambient, basis)
+        n, r, nc = restrict_and_split(s, domain)
+        assert nc.basis == choose_complement(domain, n).basis
+        assert r.basis == s @ nc.basis
+        assert n.dim + r.dim == dim
+        if kind == "injective":
+            assert n.dim == 0 and nc.basis == basis
 
 
 class TestChooseComplement:
