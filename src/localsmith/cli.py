@@ -98,13 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("family", help="path to a family JSON file")
-        cmd.add_argument(
-            "--order",
-            type=_at_least(0),
-            default=None,
-            help="truncation order for series output "
-            "(default max(2k+4, 12); analyze: k)",
-        )
+        if name not in ("jordan", "linearize"):
+            cmd.add_argument(
+                "--order",
+                type=_at_least(0),
+                default=None,
+                help="truncation order for series output "
+                "(default max(2k+4, 12); analyze: k)",
+            )
         cmd.add_argument(
             "--max-stages",
             type=_at_least(1),
@@ -192,6 +193,11 @@ def _run(pipeline, family, args) -> DiagonalizationResult:
     )
 
 
+def _unnormalized(terms, spec: FamilySpec) -> list:
+    """Terms of the normalized eps^p L moved to the frame of L, p the declared pole."""
+    return [(power - spec.declared_pole, m) for power, m in terms]
+
+
 def _stage_table(result: DiagonalizationResult) -> list[dict]:
     table = []
     for st in result.stages:
@@ -219,7 +225,7 @@ def _analyze_report(result: DiagonalizationResult, spec: FamilySpec) -> dict:
             "kernel": subspace_report(result.tail_kernel),
             "cokernel_complement": subspace_report(result.tail_cokernel),
         },
-        "smith_exponents": list(result.smith_exponents()),
+        "smith_exponents": [e - spec.declared_pole for e in result.smith_exponents()],
     }
 
 
@@ -235,7 +241,7 @@ def cmd_diagonalize(args) -> tuple[dict, int]:
     report = _analyze_report(result, spec)
     report["command"] = "diagonalize"
     report["order"] = result.order
-    report["delta"] = terms_listing(result.delta)
+    report["delta"] = terms_listing(_unnormalized(result.delta, spec))
     report["phi"] = series_listing(result.phi, result.order)
     report["psi"] = series_listing(result.psi, result.order)
     report["phi_inverse"] = series_listing(result.phi_inv, result.order)
@@ -303,9 +309,9 @@ def cmd_smith(args) -> tuple[dict, int]:
         "command": "smith",
         "family": _family_header(spec),
         "stabilization_index": result.k,
-        "exponents": list(fact.exponents),
+        "exponents": [e - spec.declared_pole for e in fact.exponents],
         "constant_factor": mat_to_grid(fact.s_p),
-        "smith_form": terms_listing(fact.p_terms),
+        "smith_form": terms_listing(_unnormalized(fact.p_terms, spec)),
         "analytic_factor": series_listing(fact.a_series, result.order),
         "verification": {
             "identity": "constant_factor * P(eps) == delta",

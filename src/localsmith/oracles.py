@@ -9,6 +9,7 @@ the second opinion the main pipeline is compared against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,14 @@ def toeplitz_block(family: MatSeries, length: int) -> Mat:
 def toeplitz_nullspace(family: MatSeries, length: int) -> Subspace:
     """Exact nullspace of the stacked chain condition, in K^{cols*length}."""
     return Subspace(family.cols * length, toeplitz_block(family, length).nullspace())
+
+
+def toeplitz_kernel_dims(family: MatSeries, length: int) -> list[int]:
+    """Kernel dimensions of the block Toeplitz matrices of lengths 1..length,
+    from one rref: the first l*cols columns of the longest one are the
+    length-l matrix over zero rows, so its rank is their pivot count."""
+    n, pivots = family.cols, toeplitz_block(family, length).rref()[1]
+    return [l * n - bisect_left(pivots, l * n) for l in range(1, length + 1)]
 
 
 # -- polynomial helpers (coefficient lists, ascending) ----------------------
@@ -94,26 +103,20 @@ def _newton_interpolate(points: list[tuple[Fraction, object]], zero) -> list:
     return coeffs
 
 
-def direct_laurent_inverse(
-    family: MatSeries, p_max: int | None = None, tail: int = 12
-) -> MatLaurent:
+def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
     """The Laurent expansion of the exact inverse of a square family.
 
     Works entirely outside the recursion: the determinant and adjugate are
     polynomials of bounded degree, recovered exactly by interpolating their
     values at integer sample points, and the quotient adj/det is expanded as
     a Laurent series through order ``tail``. Fails if the family is
-    generically singular or the pole exceeds ``p_max``.
+    generically singular.
     """
     if family.rows != family.cols:
         raise ValueError("direct inverse needs a square family")
     work = family if family.exact else MatSeries.polynomial(family.coeffs)
     n = work.rows
-    d = work.degree
-    if p_max is None:
-        # Safe bound: the pole cannot exceed the determinant's vanishing order.
-        p_max = n * d
-    deg_bound = n * d
+    deg_bound = n * work.degree
     need = deg_bound + 1
     det_points: list[tuple[Fraction, Fraction]] = []
     adj_points: list[tuple[Fraction, Mat]] = []
@@ -137,10 +140,7 @@ def direct_laurent_inverse(
     depth = tail + pole_det
     unit_inv = _poly_inverse_series(unit, depth)
     adj_poly = _newton_interpolate(adj_points, Mat.zeros(n, n))
-    result = MatLaurent(pole_det, _poly_mul_series(adj_poly, unit_inv, depth), exact=False)
-    if result.pole > p_max:
-        raise ValueError(f"pole order {result.pole} exceeds p_max = {p_max}")
-    return result
+    return MatLaurent(pole_det, _poly_mul_series(adj_poly, unit_inv, depth), exact=False)
 
 
 @dataclass(frozen=True)

@@ -132,25 +132,28 @@ class ComplementPlan:
 
 @dataclass(frozen=True)
 class JordanChain:
-    """A chain (b_{l-1}, ..., b_0); the root b_0 is the last entry."""
+    """A chain (b_{l-1}, ..., b_0) held as its stacked l*n x 1 column; the
+    root b_0 is the last block."""
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    column: Mat
+    length: int
 
     @property
-    def length(self) -> int:
-        return len(self.vectors)
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        flat = [row[0] for row in self.column.entries]
+        n = len(flat) // self.length
+        return tuple(tuple(flat[i * n : i * n + n]) for i in range(self.length))
 
     @property
     def root(self) -> tuple[Fraction, ...]:
         return self.vectors[-1]
 
-    def stacked(self) -> Mat:
-        return Mat([[x] for vec in self.vectors for x in vec])
-
 
 class JordanChainFamily:
     """All kernel tuples of a given length, as the triangular map applied to
-    the per-stage kernels: component i of the image is b_{l-i}."""
+    the per-stage kernels: n_c in N_c enters component i of the chain, b_{l-i},
+    as M_{i,c} n_c, so each generator is a block column of M times a kernel
+    basis."""
 
     def __init__(self, state: "RecursionState", length: int):
         self.state = state
@@ -161,6 +164,12 @@ class JordanChainFamily:
     def nullspace_dim(self) -> int:
         return sum(k.dim for k in self.stage_kernels)
 
+    def _block_column(self, c: int) -> Mat:
+        """M_{1,c} .. M_{c,c} stacked over length - c zero blocks."""
+        n = self.state.domain_dim
+        blocks = [self.state.m_block(i, c) for i in range(1, c + 1)]
+        return Mat.vstack(blocks + [Mat.zeros((self.length - c) * n, n)])
+
     def chain_from(self, components: Sequence[Mat]) -> JordanChain:
         """Apply the triangular map to column vectors n_1..n_l (n_i in N_i)."""
         l = self.length
@@ -169,37 +178,19 @@ class JordanChainFamily:
         for i, (vec, ker) in enumerate(zip(components, self.stage_kernels), start=1):
             if not ker.contains(vec):
                 raise ValueError(f"component {i} is not in the stage-{i} kernel")
-        out = []
-        for row in range(1, l + 1):
-            acc = Mat.sum_of_products(
-                ((self.state.m_block(row, col), components[col - 1]) for col in range(row, l + 1)),
-                self.state.domain_dim,
-                1,
-            )
-            out.append(tuple(x[0] for x in acc.entries))
-        return JordanChain(tuple(out))
+        pairs = ((self._block_column(c), vec) for c, vec in enumerate(components, start=1))
+        return JordanChain(Mat.sum_of_products(pairs, l * self.state.domain_dim, 1), l)
 
     def basis_chains(self) -> list[JordanChain]:
         """One genuine length-l chain per basis vector of the deepest kernel."""
-        n_l = self.stage_kernels[-1]
-        zero = Mat.zeros(self.state.domain_dim, 1)
-        chains = []
-        for j in range(n_l.dim):
-            comps = [zero] * (self.length - 1) + [n_l.basis.column(j)]
-            chains.append(self.chain_from(comps))
-        return chains
+        chains = self._block_column(self.length) @ self.stage_kernels[-1].basis
+        return [JordanChain(chains.column(j), self.length) for j in range(chains.cols)]
 
     def stacked_nullspace_basis(self) -> Mat:
         """Generators of the length-l kernel tuples, stacked into K^{n*l}."""
-        columns = []
-        zero = Mat.zeros(self.state.domain_dim, 1)
-        for i, ker in enumerate(self.stage_kernels, start=1):
-            for j in range(ker.dim):
-                comps = [zero] * self.length
-                comps[i - 1] = ker.basis.column(j)
-                chain = self.chain_from(comps)
-                columns.append([x for vec in chain.vectors for x in vec])
-        return Mat.from_columns(columns, rows=self.state.domain_dim * self.length)
+        return Mat.hstack(
+            [self._block_column(c) @ ker.basis for c, ker in enumerate(self.stage_kernels, 1)]
+        )
 
 
 class RecursionState:
@@ -445,13 +436,14 @@ class RecursionState:
         return JordanChainFamily(self, length)
 
     def rank_of_root(self, b0) -> int | float:
-        """Largest i with b0 in N_i; math.inf when b0 survives stabilization."""
+        """Largest i with b0 in N_i; math.inf when b0 survives stabilization.
+        A vector of N_{i-1} lies in N_i exactly when S_i maps it to zero."""
         vec = b0 if isinstance(b0, Mat) else Mat([[x] for x in b0])
         if vec.is_zero():
             raise ValueError("rank is defined for nonzero root candidates only")
         rank = 0
         for st in self.stages:
-            if not st.n.contains(vec):
+            if not (st.s @ vec).is_zero():
                 return rank
             rank = st.index
         if self.stabilization_k is not None and rank >= self.stabilization_k + 1:

@@ -15,7 +15,6 @@ from localsmith import (
     FamilySpec,
     InputError,
     Mat,
-    Subspace,
     family_from_series,
     parse_family,
     serialize_family,
@@ -209,6 +208,11 @@ class TestParseFamily:
             parse_family(raw)
 
 
+def nonzero_terms(listing: list[dict]) -> list[dict]:
+    """The terms of a report's (power, matrix) listing with a nonzero matrix."""
+    return [item for item in listing if any(x != "0" for row in item["matrix"] for x in row)]
+
+
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -291,10 +295,10 @@ class TestCommands:
     def test_verify_failure_is_exit_three(self, capsys, monkeypatch):
         import localsmith.verify as verify_module
 
-        def bogus_nullspace(family, length):
-            return Subspace.zero(family.cols * length)
+        def bogus_dims(family, length):
+            return [0] * length
 
-        monkeypatch.setattr(verify_module, "toeplitz_nullspace", bogus_nullspace)
+        monkeypatch.setattr(verify_module, "toeplitz_kernel_dims", bogus_dims)
         code = main(["verify", DATA])
         report = json.loads(capsys.readouterr().out)
         assert code == 3
@@ -439,6 +443,8 @@ class TestExitCodes:
             ["jordan", DATA, "--length", "\u0662"],
             ["linearize", DATA, "--complement", "bogus"],
             ["linearize", DATA, "--complement", "given:" + os.path.join(REPORTS, "missing.json")],
+            ["jordan", DATA, "--length", "2", "--order", "5"],
+            ["linearize", DATA, "--order", "5"],
         ],
         ids=[
             "negative-order",
@@ -465,6 +471,8 @@ class TestExitCodes:
             "length-non-ascii",
             "linearize-unknown-complement",
             "linearize-missing-complement-file",
+            "jordan-order",
+            "linearize-order",
         ],
     )
     def test_bad_input_is_exit_one(self, argv, tmp_path, capsys):
@@ -541,15 +549,18 @@ class TestExitCodes:
         assert proc.stderr == b""
 
 
+# The 2x2 family eps^-1 I, with its declared pole.
+EPS_INVERSE_IDENTITY = (
+    '{"rows": 2, "cols": 2, "kind": "polynomial", "trunc_or_degree": 0,'
+    ' "declared_pole": 1,'
+    ' "coefficients": {"-1": [["1","0"],["0","1"]]}}'
+)
+
+
 class TestMeromorphicNormalization:
     def test_declared_pole_folds_into_inverse(self, tmp_path, capsys):
-        raw = (
-            '{"rows": 2, "cols": 2, "kind": "polynomial", "trunc_or_degree": 0,'
-            ' "declared_pole": 1,'
-            ' "coefficients": {"-1": [["1","0"],["0","1"]]}}'
-        )
         path = tmp_path / "mero.json"
-        path.write_text(raw)
+        path.write_text(EPS_INVERSE_IDENTITY)
         code, out = run_cli(capsys, "invert", str(path))
         assert code == 0
         report = json.loads(out)
@@ -557,6 +568,19 @@ class TestMeromorphicNormalization:
         assert report["pole_order"] == 0
         by_power = {item["power"]: item["matrix"] for item in report["coefficients"]}
         assert by_power[1] == [["1", "0"], ["0", "1"]]
+
+    def test_declared_pole_folds_into_exponents(self, tmp_path, capsys):
+        path = tmp_path / "mero.json"
+        path.write_text(EPS_INVERSE_IDENTITY)
+        # M = eps^-1 I: the recursion runs on I, with k = 0.
+        for command, key in (("analyze", "smith_exponents"), ("smith", "exponents")):
+            code, out = run_cli(capsys, command, str(path))
+            assert code == 0
+            report = json.loads(out)
+            assert report["stabilization_index"] == 0
+            assert report[key] == [-1, -1]
+        code, out = run_cli(capsys, "diagonalize", str(path))
+        assert [item["power"] for item in json.loads(out)["delta"]] == [-1]
 
     def test_pole_flag_override(self, tmp_path, capsys):
         raw = (
@@ -568,6 +592,29 @@ class TestMeromorphicNormalization:
         code, out = run_cli(capsys, "invert", str(path), "--pole", "0")
         assert code == 0
         assert json.loads(out)["pole_order"] == 1
+
+    @pytest.mark.parametrize(
+        "path", [DATA, os.path.join(REPORTS, "smith4x4.json")], ids=["example1", "smith4x4"]
+    )
+    def test_pole_flag_keeps_the_frame_of_the_input(self, path, capsys):
+        # With no negative powers, --pole p names the same family L; the
+        # recursion runs on eps^p L, and every reported exponent and pole
+        # order is that of L.
+        def read(*argv):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            return json.loads(out)
+
+        exponents = read("analyze", path)["smith_exponents"]
+        smith = read("smith", path)
+        pole_order = read("invert", path)["pole_order"]
+        for pole in range(4):
+            flags = ["--pole", str(pole)]
+            assert read("analyze", path, *flags)["smith_exponents"] == exponents
+            shifted = read("smith", path, *flags)
+            assert shifted["exponents"] == smith["exponents"] == exponents
+            assert nonzero_terms(shifted["smith_form"]) == nonzero_terms(smith["smith_form"])
+            assert read("invert", path, *flags)["pole_order"] == pole_order
 
 
 class TestGivenComplements:

@@ -89,10 +89,6 @@ class TestDirectLaurentInverse:
         with pytest.raises(ValueError, match="singular"):
             direct_laurent_inverse(fam, tail=4)
 
-    def test_p_max_exceeded(self, example1):
-        with pytest.raises(ValueError, match="exceeds p_max"):
-            direct_laurent_inverse(example1, p_max=2, tail=4)
-
     def test_random_identity_both_sides(self):
         rng = random.Random(62)
         done = 0

@@ -30,6 +30,7 @@ from localsmith import (
     spec_to_series,
     toeplitz_nullspace,
 )
+from localsmith.oracles import toeplitz_kernel_dims
 
 from conftest import (
     ZERO3,
@@ -617,6 +618,56 @@ class TestJordanChains:
             for length in range(1, k + 2):
                 family = state.jordan_chain_basis(length)
                 assert toeplitz_nullspace(fam, length).dim == family.nullspace_dim
+
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(smith_families(), st.data())
+    def test_chains_are_row_sums_of_m_blocks(self, family, data):
+        """Component i of the chain of (n_1, .., n_l) is the row sum
+        sum_{c >= i} M_{i,c} n_c, and the one-rref Toeplitz kernel dimension
+        of every length l <= k+1 is that of the length-l nullspace."""
+        state = RecursionState(family)
+        k = state.run_until_stabilized()
+        n = state.domain_dim
+        zero = Mat.zeros(n, 1)
+
+        def row_sums(components, length):
+            return [
+                sum((state.m_block(i, c) @ components[c - 1] for c in range(i, length + 1)), zero)
+                for i in range(1, length + 1)
+            ]
+
+        def assert_chain(chain, blocks):
+            assert chain.length == len(blocks)
+            assert chain.column == Mat.vstack(blocks)
+            assert chain.vectors == tuple(tuple(x for (x,) in b.entries) for b in blocks)
+            assert chain.root == chain.vectors[-1]
+
+        oracle_dims = toeplitz_kernel_dims(family, k + 1)
+        for length in range(1, k + 2):
+            chains = state.jordan_chain_basis(length)
+            kernels = chains.stage_kernels
+            deepest = kernels[-1].basis
+            basis_chains = chains.basis_chains()
+            assert len(basis_chains) == deepest.cols
+            for j, chain in enumerate(basis_chains):
+                assert_chain(chain, row_sums([zero] * (length - 1) + [deepest.column(j)], length))
+            generators = []
+            for c, ker in enumerate(kernels, start=1):
+                for j in range(ker.dim):
+                    alone = [zero] * length
+                    alone[c - 1] = ker.basis.column(j)
+                    generators.append(Mat.vstack(row_sums(alone, length)))
+            assert chains.stacked_nullspace_basis() == Mat.hstack(
+                [Mat.zeros(n * length, 0)] + generators
+            )
+            components = [
+                ker.basis @ Mat([[data.draw(st.integers(-3, 3))] for _ in range(ker.dim)], cols=1)
+                for ker in kernels
+            ]
+            assert_chain(chains.chain_from(components), row_sums(components, length))
+            assert oracle_dims[length - 1] == toeplitz_nullspace(family, length).dim
+            assert oracle_dims[length - 1] == chains.nullspace_dim
 
 
 class TestRankOfRoot:

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from localsmith import diagonalize, parse_family, spec_to_series
+from localsmith import Mat, diagonalize, parse_family, spec_to_series
 from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
 from localsmith.verify import CHECKS, run_check
@@ -74,3 +74,25 @@ def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert statuses["laurent-oracle"] == statuses["resolvent-recurrences"] == "pass"
     assert len(tails) == 1
+
+
+@pytest.mark.parametrize(
+    "path, limit",
+    [(FAMILIES["cubic-verify"], 57), (os.path.join(REPORTS, "smith4x4k8.json"), 92)],
+    ids=["example1", "smith4x4k8"],
+)
+def test_verify_eliminations(path, limit, monkeypatch, capsys):
+    """toeplitz-kernel-dims reads every length's rank off one rref and the
+    Jordan chains need no rank test, so verify eliminates at most ``limit``
+    matrices (a cached rref is not counted)."""
+    rref, fresh = Mat.rref, []
+
+    def counted(self):
+        if self._rref is None:
+            fresh.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(Mat, "rref", counted)
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    assert len(fresh) <= limit
