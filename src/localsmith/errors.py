@@ -16,12 +16,6 @@ class TruncationError(LocalSmithError):
 class StageBudgetError(LocalSmithError):
     """Stage budget exhausted before the stabilization certificate fired."""
 
-    def __init__(self, message, stages_run=None, rank_found=None, generic_rank=None):
-        super().__init__(message)
-        self.stages_run = stages_run
-        self.rank_found = rank_found
-        self.generic_rank = generic_rank
-
 
 class InternalConsistencyError(LocalSmithError):
     """An exact identity that must hold by construction failed; always a bug."""

@@ -10,10 +10,14 @@ after stabilization; a stage that breaks it is an internal error.
 
 Each stage forms S_j basis(N_{j-1}) once, and one rref of it splits
 N_{j-1} = Nc_j ⊕ N_j: Nc_j takes the N_{j-1} basis columns at its pivots,
-and R_j its pivot columns, S_j basis(Nc_j). With W the R_j rows of the
-inverse of [R_1 .. R_{j-1} | S_j basis(Nc_j) | Rc_j], calP_j is
-S_j basis(Nc_j) W and S_j^+ is basis(Nc_j) W. A given Nc_j also maps onto
-R_j, so the formulas hold for it. P_j reads [Nc_1 .. Nc_j | N_j] alike.
+and R_j its pivot columns, S_j basis(Nc_j). The stage reads its projections
+off the running complement projectors Q_{j-1} = I - P_1 - ... - P_{j-1},
+onto N_{j-1}, and Qc_{j-1} = I - calP_1 - ... - calP_{j-1}, onto Rc_{j-1}.
+With W the R_j coordinates, in Rc_{j-1} = R_j ⊕ Rc_j, of Qc_{j-1}, read off
+one rref of [S_j basis(Nc_j) | basis(Rc_j) | Qc_{j-1}], calP_j is
+S_j basis(Nc_j) W, S_j^+ is basis(Nc_j) W and P_j is S_j^+ S_j Q_{j-1}:
+S_j^+ S_j is the identity on Nc_j and zero on N_j. A given Nc_j also maps
+onto R_j, so the formulas hold for it. No basis is inverted.
 
 A stage is *degenerate* when that product is zero: every stage past k+1,
 and a gap stage where the Smith exponents skip a value. Then
@@ -76,7 +80,6 @@ from .subspaces import (
     Subspace,
     choose_complement,
     coordinate_rows,
-    projection_matrix,
     restrict_and_split,
 )
 
@@ -235,7 +238,10 @@ class RecursionState:
         self.E_cols: list[list[Mat]] = []
         self.M_cols: list[list[Mat]] = []
         self.stabilization_k: int | None = None
-        self._calp_sum = Mat.zeros(self.codomain_dim, self.codomain_dim)
+        # Q_j and Qc_j, the projections onto N_j and Rc_j along the earlier
+        # complements and ranges, after the stages so far.
+        self._q = Mat.identity(self.domain_dim)
+        self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
@@ -283,9 +289,9 @@ class RecursionState:
                 self.codomain_dim,
                 self.domain_dim,
             )
-        s = sbar if self._calp_sum.is_zero() else sbar - self._calp_sum @ sbar
+        s = sbar if self._qc.is_identity() else self._qc @ sbar
         stage = self._split_stage(j, sbar, s)
-        self._calp_sum = self._calp_sum + stage.calp
+        self._q, self._qc = self._q - stage.p, self._qc - stage.calp
         self.stages.append(stage)
         if self._coupling is None:
             self._coupling = self._inverting_coupling()
@@ -299,7 +305,8 @@ class RecursionState:
 
     def _split_stage(self, j: int, sbar: Mat, s: Mat) -> Stage:
         """The stage step: split N_{j-1} and Rc_{j-1} under S_j from one
-        product S_j basis(N_{j-1}) and one rref of it."""
+        product S_j basis(N_{j-1}) and one rref of it, and project against
+        Q_{j-1} and Qc_{j-1}."""
         prev_n = self.kernel_chain(j - 1)
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
         n_j, r_j, nc_j = restrict_and_split(s, prev_n)
@@ -313,8 +320,7 @@ class RecursionState:
                 nc_j = choose_complement(prev_n, n_j, given=given_nc)
             image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
             rc_j = choose_complement(prev_rc, r_j, given=given_rc)
-            p_j = projection_matrix([st.nc for st in self.stages] + [nc_j, n_j], j - 1)
-            w = coordinate_rows([st.r for st in self.stages] + [image, rc_j], j - 1)
+            w = coordinate_rows(image, rc_j, self._qc)
         except ValueError as exc:
             # A bad user-supplied complement is an input problem; the pivot
             # strategy failing would be a bug in the engine itself.
@@ -322,7 +328,8 @@ class RecursionState:
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
                 f"ambient {n}->{m}): {exc}"
             ) from exc
-        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p_j, image.basis @ w, nc_j.basis @ w)
+        b = nc_j.basis
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, b @ (w @ s @ self._q), image.basis @ w, b @ w)
 
     def _inverting_coupling(self) -> Mat:
         """[G_i for inverting i; K_row for row = 2..top] stacked, where top is
@@ -397,10 +404,7 @@ class RecursionState:
                 raise StageBudgetError(
                     f"no stabilization certificate within {self.max_stages} stages "
                     f"(accumulated rank {sum(st.r.dim for st in self.stages)} of "
-                    f"{self.generic_rank})",
-                    stages_run=len(self.stages),
-                    rank_found=sum(st.r.dim for st in self.stages),
-                    generic_rank=self.generic_rank,
+                    f"{self.generic_rank})"
                 )
             self.run_stage()
         self.ensure_stages(self.plan_end)
@@ -428,9 +432,7 @@ class RecursionState:
         if length > self.max_stages:
             raise StageBudgetError(
                 f"chains of length {length} need {length} stages, more than the "
-                f"budget of {self.max_stages}",
-                stages_run=len(self.stages),
-                generic_rank=self.generic_rank,
+                f"budget of {self.max_stages}"
             )
         self.ensure_stages(length)
         return JordanChainFamily(self, length)

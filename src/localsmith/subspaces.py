@@ -2,10 +2,11 @@
 
 These are the building blocks the stage recursion consumes: splitting a
 kernel chain under a map, choosing deterministic complements, and reading
-coordinates off a full decomposition. ``restricted_inverse`` is kept as the
-reference formula for S^+ that the engine's coordinate form is tested
-against. Zero-dimensional subspaces are first-class throughout; callers
-never special-case them.
+the coordinates of a projector's columns off one rref
+(``coordinate_rows``). ``projection_matrix`` and ``restricted_inverse`` are
+kept as the reference formulas, by a basis inverse and a solve, that the
+engine's P, calP and S^+ are tested against. Zero-dimensional subspaces are
+first-class throughout; callers never special-case them.
 """
 
 from __future__ import annotations
@@ -152,29 +153,27 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     """The projection onto ``parts[target]`` along the remaining parts.
 
     The parts must decompose the full ambient space; the projection is
-    returned as a full ambient-space matrix (idempotent, range = target part).
+    basis(parts[target]) times the ``parts[target]`` rows of the inverse of
+    [basis(part) for part in parts], a full ambient-space matrix.
     """
-    return parts[target].basis @ coordinate_rows(parts, target)
-
-
-def coordinate_rows(parts: Sequence[Subspace], target: int) -> Mat:
-    """The rows of the inverse of [basis(part) for part in parts] that read
-    the ``parts[target]`` coordinates: W with W basis(parts[target]) = I and
-    W basis(p) = 0 for every other part p."""
-    if not parts:
-        raise ValueError("no parts given")
-    n = parts[0].ambient_dim
-    if any(p.ambient_dim != n for p in parts):
-        raise ValueError("ambient dimension mismatch among parts")
-    if sum(p.dim for p in parts) != n:
-        raise ValueError("parts do not decompose the ambient space")
-    full = Mat.hstack([p.basis for p in parts]) if n else Mat.zeros(0, 0)
     try:
-        inv = full.inverse()
+        inv = Mat.hstack([p.basis for p in parts]).inverse()
     except ValueError as exc:
         raise ValueError("parts do not decompose the ambient space") from exc
-    offset = sum(parts[i].dim for i in range(target))
-    return inv.submatrix_rows(range(offset, offset + parts[target].dim))
+    offset = sum(p.dim for p in parts[:target])
+    return parts[target].basis @ inv.submatrix_rows(range(offset, offset + parts[target].dim))
+
+
+def coordinate_rows(part: Subspace, rest: Subspace, q: Mat) -> Mat:
+    """W = C q, with C the ``part`` coordinates on part ⊕ rest: W holds the
+    ``part`` rows of the last q.cols columns of the rref of
+    [basis(part) | basis(rest) | q]. Every column of q must lie in
+    part ⊕ rest, so the pivots are exactly the basis columns."""
+    lead = part.dim + rest.dim
+    reduced, pivots = Mat.hstack([part.basis, rest.basis, q]).rref()
+    if pivots != tuple(range(lead)):
+        raise ValueError("the parts are dependent or q leaves their sum")
+    return reduced.submatrix_rows(range(part.dim)).submatrix_columns(range(lead, lead + q.cols))
 
 
 def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
@@ -185,8 +184,9 @@ def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
     for y in every other part, range(T) = nc. With B = nc's basis and s B
     injective, T = B Y for the unique Y with (s B) Y = calp.
 
-    Kept as the reference that the engine's form B @ coordinate_rows(...)
-    is tested against, and for the benchmark's tracer, which wraps it.
+    Kept as the reference that the engine's S^+ = B W is tested against,
+    with W = coordinate_rows(R, Rc, Qc) the R coordinates of the codomain
+    complement projector Qc, and for the benchmark's tracer, which wraps it.
     """
     if s.cols != nc.ambient_dim or calp.rows != s.rows or calp.cols != s.rows:
         raise ValueError("shape mismatch")

@@ -229,7 +229,7 @@ def _smith_identities(result: DiagonalizationResult) -> Proof:
     if not passed:
         return passed, detail
     lhs = family @ result.phi
-    rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
+    rhs = fact.a_series @ fact.p_series()
     if not lhs.eq_through(rhs, result.order):
         return False, "L * phi differs from psi * S_P * P(eps)"
     blow = result.psi_inv @ lhs @ fact.p_inverse_laurent()

@@ -38,6 +38,7 @@ from conftest import (
     e,
     example1_family,
     random_family,
+    random_invertible,
     random_matrix,
     smith_families,
 )
@@ -390,12 +391,36 @@ class TestDegenerateStages:
         assert st.splus @ st.s @ given == given
         assert_ledger_matches_references(state)
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(smith_families(), st.integers(0, 2**16), st.data())
+    def test_given_complements_at_a_splitting_stage(self, family, seed, data):
+        # Nc_j and Rc_j given at a splitting stage j <= k+1 as the pivot
+        # complements times an invertible map plus vectors of N_j and R_j:
+        # valid, but not the pivot bases, so calP_j and S_j^+ are read
+        # against non-unit coordinates of Qc_{j-1}.
+        pivot = RecursionState(family)
+        k = pivot.run_until_stabilized()
+        j = data.draw(st.sampled_from([a.index for a in pivot.stages[: k + 1] if a.r.dim]))
+        rng, at = random.Random(seed), pivot.stage(j)
+
+        def mixed(comp: Subspace, sub: Subspace) -> Mat:
+            return comp.basis @ random_invertible(rng, comp.dim) + sub.basis @ random_matrix(
+                rng, sub.dim, comp.dim
+            )
+
+        given_nc, given_rc = mixed(at.nc, at.n), mixed(at.rc, at.r)
+        state = RecursionState(family, ComplementPlan({j: given_nc}, {j: given_rc}))
+        assert state.run_until_stabilized() == k
+        state.ensure_stages(2 * k + 3)
+        assert state.stage(j).nc.basis == given_nc and state.stage(j).rc.basis == given_rc
+        assert_ledger_matches_references(state)
+
     def test_one_product_and_elimination_per_stage(self, monkeypatch):
         # Exponents 0, 1, 4 and 8: stages 1, 2, 5 and 9 split, the gap stages
         # and the stages past k + 1 = 9 are degenerate. A splitting stage
         # forms S_j basis(N_{j-1}) once and runs choose_complement only for
         # Rc_j; a degenerate stage forms the product and runs no rref. No
-        # stage solves a system.
+        # stage solves a system or inverts a basis.
         state = RecursionState(load_family("smith4x4k8.json"))
         products, rrefs, complements = [], [], []
         sums, rref, pick = Mat.sum_of_products, Mat.rref, choose_complement
@@ -416,9 +441,13 @@ class TestDegenerateStages:
         def unsolvable(*args):
             raise AssertionError("the stage step solves no system")
 
+        def uninvertible(*args):
+            raise AssertionError("the stage step inverts no basis")
+
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
         monkeypatch.setattr(Mat, "rref", reduced)
         monkeypatch.setattr(Mat, "solve", unsolvable)
+        monkeypatch.setattr(Mat, "inverse", uninvertible)
         monkeypatch.setattr("localsmith.recursion.choose_complement", picked)
         splitting = []
         for j in range(1, 13):

@@ -17,7 +17,9 @@ from localsmith import (
     restricted_inverse,
 )
 
-from conftest import ZERO3, cols, e, random_matrix
+from localsmith.subspaces import coordinate_rows
+
+from conftest import ZERO3, cols, e, random_invertible, random_matrix
 
 
 def minor_rank_of_images(s: Mat, basis: Mat) -> int:
@@ -189,6 +191,39 @@ class TestProjectionMatrix:
     def test_rejects_non_decomposition(self):
         with pytest.raises(ValueError):
             projection_matrix([Subspace.spanned_by([e(1)], 3)], 0)
+
+
+class TestCoordinateRows:
+    """W = C q from one rref of [part | rest | q], C the part coordinates."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 2**16))
+    def test_part_rows_of_the_inverse_times_q(self, n, split, width, seed):
+        rng = random.Random(seed)
+        full = random_invertible(rng, n)
+        a = min(split, n)
+        part = Subspace(n, full.submatrix_columns(range(a)))
+        rest = Subspace(n, full.submatrix_columns(range(a, n)))
+        q = random_matrix(rng, n, width, span=3)
+        assert coordinate_rows(part, rest, q) == full.inverse().submatrix_rows(range(a)) @ q
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**16))
+    def test_column_outside_the_sum_raises(self, n, split, at, seed):
+        # part ⊕ rest misses the last column of an invertible matrix.
+        rng = random.Random(seed)
+        full = random_invertible(rng, n)
+        a = min(split, n - 1)
+        part = Subspace(n, full.submatrix_columns(range(a)))
+        rest = Subspace(n, full.submatrix_columns(range(a, n - 1)))
+        inside = full.submatrix_columns(range(n - 1)) @ random_matrix(rng, n - 1, 2)
+        w = coordinate_rows(part, rest, inside)
+        assert rest.contains_subspace(image(inside - part.basis @ w))
+        outside = inside.column(0) + full.column(n - 1)
+        columns = [inside.column(0), inside.column(1)]
+        columns.insert(at, outside)
+        with pytest.raises(ValueError):
+            coordinate_rows(part, rest, Mat.hstack(columns))
 
 
 class TestRestrictedInverse:
