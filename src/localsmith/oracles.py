@@ -184,8 +184,11 @@ def resolvent_recurrence_check(
     coefficients {R_{-1}, R_0} of a first-order pencil's resolvent.
 
     R_{-j} = (-1)^{j-1} (R_{-1} L_0)^{j-1} R_{-1} and
-    R_j = (-1)^j (R_0 L_1)^j R_0 for j >= 1. Only stated for pole order <= 1;
-    a deeper pole is rejected rather than guessed at.
+    R_j = (-1)^j (R_0 L_1)^j R_0 for j >= 1, checked in their one-step forms
+    R_{-j} = -(R_{-1} L_0) R_{-(j-1)} (j >= 2) and R_j = -(R_0 L_1) R_{j-1}:
+    the first j that fails is the first j where the closed forms fail. Only
+    stated for pole order <= 1; a deeper pole is rejected rather than
+    guessed at.
 
     Returns (passed, first_failing_index).
     """
@@ -193,26 +196,11 @@ def resolvent_recurrence_check(
         raise ValueError(
             f"recurrences apply to pole order <= 1, resolvent has pole {resolvent.pole}"
         )
-    r_neg = resolvent.coefficient(-1)
-    r_zero = resolvent.coefficient(0)
-    neg_product = r_neg @ l0
-    pos_product = r_zero @ l1
-    neg_power = None
-    pos_power = None
+    neg_step = resolvent.coefficient(-1) @ l0
+    pos_step = resolvent.coefficient(0) @ l1
     for j in range(1, tail + 1):
-        if j == 1:
-            expected_neg = r_neg
-            expected_pos = -(pos_product @ r_zero)
-            pos_power = pos_product
-        else:
-            neg_power = neg_product if neg_power is None else neg_power @ neg_product
-            sign = 1 if (j - 1) % 2 == 0 else -1
-            expected_neg = (neg_power @ r_neg) * sign
-            pos_power = pos_power @ pos_product
-            sign_pos = 1 if j % 2 == 0 else -1
-            expected_pos = (pos_power @ r_zero) * sign_pos
-        if resolvent.coefficient(-j) != expected_neg:
+        if j > 1 and resolvent.coefficient(-j) != -(neg_step @ resolvent.coefficient(1 - j)):
             return False, j
-        if resolvent.coefficient(j) != expected_pos:
+        if resolvent.coefficient(j) != -(pos_step @ resolvent.coefficient(j - 1)):
             return False, j
     return True, None

@@ -13,11 +13,14 @@ N_{j-1} = Nc_j ⊕ N_j: Nc_j takes the N_{j-1} basis columns at its pivots,
 and R_j its pivot columns, S_j basis(Nc_j). The stage reads its projections
 off the running complement projectors Q_{j-1} = I - P_1 - ... - P_{j-1},
 onto N_{j-1}, and Qc_{j-1} = I - calP_1 - ... - calP_{j-1}, onto Rc_{j-1}.
-With W the R_j coordinates, in Rc_{j-1} = R_j ⊕ Rc_j, of Qc_{j-1}, read off
-one rref of [S_j basis(Nc_j) | basis(Rc_j) | Qc_{j-1}], calP_j is
-S_j basis(Nc_j) W, S_j^+ is basis(Nc_j) W and P_j is S_j^+ S_j Q_{j-1}:
-S_j^+ S_j is the identity on Nc_j and zero on N_j. A given Nc_j also maps
-onto R_j, so the formulas hold for it. No basis is inverted.
+A second rref, of [S_j basis(Nc_j) | B | Qc_{j-1}], gives Rc_j and W, the
+R_j coordinates of Qc_{j-1} in Rc_{j-1} = R_j ⊕ Rc_j: B is a given Rc_j
+basis, or basis(Rc_{j-1}), whose columns at the pivots past the first block
+make Rc_j. Then calP_j is S_j basis(Nc_j) W, S_j^+ is basis(Nc_j) W and P_j
+is S_j^+ S_j Q_{j-1}: S_j^+ S_j is the identity on Nc_j and zero on N_j. A
+given Nc_j basis is valid exactly when it has dim R_j columns, Q_{j-1}
+fixes it and S_j maps it to independent columns, which then span R_j.
+No basis is inverted.
 
 A stage is *degenerate* when that product is zero: every stage past k+1,
 and a gap stage where the Smith exponents skip a value. Then
@@ -76,12 +79,7 @@ from .errors import (
 )
 from .matrix import Mat
 from .series import MatSeries
-from .subspaces import (
-    Subspace,
-    choose_complement,
-    coordinate_rows,
-    restrict_and_split,
-)
+from .subspaces import Subspace, complement_coordinates, restrict_and_split
 
 
 def generic_rank(family: MatSeries) -> int:
@@ -304,12 +302,11 @@ class RecursionState:
         self._detect_stabilization()
 
     def _split_stage(self, j: int, sbar: Mat, s: Mat) -> Stage:
-        """The stage step: split N_{j-1} and Rc_{j-1} under S_j from one
-        product S_j basis(N_{j-1}) and one rref of it, and project against
-        Q_{j-1} and Qc_{j-1}."""
-        prev_n = self.kernel_chain(j - 1)
+        """The stage step: split N_{j-1} under S_j from one product
+        S_j basis(N_{j-1}) and one rref of it, then pick or check Rc_j and
+        read W off one more rref, against Q_{j-1} and Qc_{j-1}."""
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
-        n_j, r_j, nc_j = restrict_and_split(s, prev_n)
+        n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
         given_nc, given_rc = self.complements.nc_bases.get(j), self.complements.rc_bases.get(j)
         named = given_nc is not None or given_rc is not None
         n, m, zeros = self.domain_dim, self.codomain_dim, Mat.zeros
@@ -317,10 +314,11 @@ class RecursionState:
             return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, zeros(n, n), zeros(m, m), zeros(n, m))
         try:
             if given_nc is not None:
-                nc_j = choose_complement(prev_n, n_j, given=given_nc)
+                nc_j = Subspace(n, given_nc)
+                if nc_j.dim != r_j.dim or self._q @ given_nc != given_nc:
+                    raise ValueError("given complement does not complement the kernel")
             image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
-            rc_j = choose_complement(prev_rc, r_j, given=given_rc)
-            w = coordinate_rows(image, rc_j, self._qc)
+            rc_j, w = complement_coordinates(image, prev_rc, self._qc, given_rc)
         except ValueError as exc:
             # A bad user-supplied complement is an input problem; the pivot
             # strategy failing would be a bug in the engine itself.

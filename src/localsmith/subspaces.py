@@ -1,12 +1,13 @@
 """Subspaces as basis matrices, direct-sum splits and projections.
 
 These are the building blocks the stage recursion consumes: splitting a
-kernel chain under a map, choosing deterministic complements, and reading
-the coordinates of a projector's columns off one rref
-(``coordinate_rows``). ``projection_matrix`` and ``restricted_inverse`` are
-kept as the reference formulas, by a basis inverse and a solve, that the
-engine's P, calP and S^+ are tested against. Zero-dimensional subspaces are
-first-class throughout; callers never special-case them.
+kernel chain under a map (``restrict_and_split``), and picking or checking
+a codomain complement while reading the coordinates of a projector's
+columns off the same rref (``complement_coordinates``). ``choose_complement``,
+``projection_matrix`` and ``restricted_inverse`` are kept as the reference
+formulas, by rank tests, a basis inverse and a solve, that the engine's
+complements, P, calP and S^+ are tested against. Zero-dimensional subspaces
+are first-class throughout; callers never special-case them.
 """
 
 from __future__ import annotations
@@ -164,16 +165,26 @@ def projection_matrix(parts: Sequence[Subspace], target: int) -> Mat:
     return parts[target].basis @ inv.submatrix_rows(range(offset, offset + parts[target].dim))
 
 
-def coordinate_rows(part: Subspace, rest: Subspace, q: Mat) -> Mat:
-    """W = C q, with C the ``part`` coordinates on part ⊕ rest: W holds the
-    ``part`` rows of the last q.cols columns of the rref of
-    [basis(part) | basis(rest) | q]. Every column of q must lie in
-    part ⊕ rest, so the pivots are exactly the basis columns."""
-    lead = part.dim + rest.dim
-    reduced, pivots = Mat.hstack([part.basis, rest.basis, q]).rref()
-    if pivots != tuple(range(lead)):
-        raise ValueError("the parts are dependent or q leaves their sum")
-    return reduced.submatrix_rows(range(part.dim)).submatrix_columns(range(lead, lead + q.cols))
+def complement_coordinates(
+    part: Subspace, ambient: Subspace, q: Mat, given: Mat | None = None
+) -> tuple[Subspace, Mat]:
+    """A complement C of ``part`` in ``ambient``, and W, the ``part`` rows of
+    the coordinates on part ⊕ C of q, whose columns must span ``ambient``.
+
+    Both come from one rref of [basis(part) | B | q]. B is basis(ambient),
+    and C its columns at the pivots past part's, which ``choose_complement``
+    picks; or B is ``given``, valid exactly when the pivots are the
+    part.dim + B.cols columns of part and B and number ambient.dim.
+    """
+    b = ambient.basis if given is None else given
+    lead = part.dim + b.cols
+    reduced, pivots = Mat.hstack([part.basis, b, q]).rref()
+    valid = len(pivots) == ambient.dim and all(p < lead for p in pivots)
+    if not valid or (given is not None and lead != ambient.dim):
+        raise ValueError("the basis does not complement part in ambient")
+    w = reduced.submatrix_rows(range(part.dim)).submatrix_columns(range(lead, lead + q.cols))
+    chosen = [p - part.dim for p in pivots[part.dim :]]
+    return Subspace(ambient.ambient_dim, b.submatrix_columns(chosen)), w
 
 
 def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
@@ -185,7 +196,7 @@ def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:
     injective, T = B Y for the unique Y with (s B) Y = calp.
 
     Kept as the reference that the engine's S^+ = B W is tested against,
-    with W = coordinate_rows(R, Rc, Qc) the R coordinates of the codomain
+    with W from ``complement_coordinates`` the R coordinates of the codomain
     complement projector Qc, and for the benchmark's tracer, which wraps it.
     """
     if s.cols != nc.ambient_dim or calp.rows != s.rows or calp.cols != s.rows:

@@ -118,11 +118,11 @@ def _coefficient_identity(result: DiagonalizationResult) -> Proof:
 def _triangular_system(result: DiagonalizationResult) -> Proof:
     state = result.state
     n, count = state.domain_dim, state.stage_count
-    # The coupling S_i^+ calP_i Sbar_v depends on (i, v) only, not on the column.
+    # The coupling S_i^+ calP_i Sbar_v depends on (i, v) only, not on the
+    # column, and S_i^+ calP_i on i only.
+    gains = {i: state.stage(i).splus @ state.stage(i).calp for i in range(1, count)}
     coupling = {
-        (i, v): state.stage(i).splus @ (state.stage(i).calp @ state.stage(v).sbar)
-        for v in range(2, count + 1)
-        for i in range(1, v)
+        (i, v): gains[i] @ state.stage(v).sbar for v in range(2, count + 1) for i in range(1, v)
     }
     for j in range(1, count + 1):
         for i in range(1, j + 1):

@@ -15,6 +15,7 @@ from localsmith import (
     FamilySpec,
     InputError,
     Mat,
+    RecursionState,
     family_from_series,
     parse_family,
     serialize_family,
@@ -649,3 +650,20 @@ class TestGivenComplements:
         captured = capsys.readouterr()
         assert code == 1
         assert "stage 1" in captured.err
+
+    def test_given_complement_outside_the_kernel_chain_is_input_error(self, tmp_path, capsys):
+        # sp(e1 + e3) at stage 2 has dim R_2 = 1 and S_2 maps it to a nonzero
+        # vector, but e1 + e3 leaves N_1, so it cannot complement N_2 in N_1.
+        basis = Mat([[1], [0], [1]])
+        with open(DATA, "r", encoding="utf-8") as handle:
+            state = RecursionState(spec_to_series(parse_family(handle.read())))
+        state.ensure_stages(2)
+        stage = state.stage(2)
+        assert stage.r.dim == 1 and not (stage.s @ basis).is_zero()
+        assert not state.kernel_chain(1).contains(basis)
+        plan = {"stages": [{"stage": 2, "domain_complement": [["1"], ["0"], ["1"]]}]}
+        path = tmp_path / "bad_plan.json"
+        path.write_text(json.dumps(plan))
+        code = main(["analyze", DATA, "--complement", f"given:{path}"])
+        assert code == 1
+        assert "stage 2" in capsys.readouterr().err

@@ -195,6 +195,21 @@ class TestResolventRecurrences:
             assert passed, f"first violation at {first_bad}"
             done += 1
 
+    @pytest.mark.parametrize("exponent, first_bad", [(0, 1), (3, 3), (7, 7)])
+    def test_corrupted_coefficient_fails_at_its_index(self, exponent, first_bad):
+        # L(eps) = [[1, eps, 0], [0, eps, 0], [eps, 0, 1]], det L = eps.
+        fam = MatSeries.polynomial(
+            [Mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]]), Mat([[0, 1, 0], [0, 1, 0], [1, 0, 0]])]
+        )
+        inverse = direct_laurent_inverse(fam, tail=10)
+        assert inverse.pole == 1
+        coeffs = list(inverse.coeffs)
+        coeffs[exponent + 1] = coeffs[exponent + 1] + Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        corrupted = MatLaurent(1, coeffs)
+        assert resolvent_recurrence_check(
+            fam.coefficient(0), fam.coefficient(1), corrupted, 10
+        ) == (False, first_bad)
+
     def test_deep_pole_rejected(self):
         fam = MatSeries.polynomial([Mat([[0, 1], [0, 0]]), Mat.identity(2)])
         inverse = direct_laurent_inverse(fam, tail=6)

@@ -418,12 +418,14 @@ class TestDegenerateStages:
     def test_one_product_and_elimination_per_stage(self, monkeypatch):
         # Exponents 0, 1, 4 and 8: stages 1, 2, 5 and 9 split, the gap stages
         # and the stages past k + 1 = 9 are degenerate. A splitting stage
-        # forms S_j basis(N_{j-1}) once and runs choose_complement only for
-        # Rc_j; a degenerate stage forms the product and runs no rref. No
-        # stage solves a system or inverts a basis.
+        # forms S_j basis(N_{j-1}) once and runs two eliminations besides the
+        # Subspace basis checks: restrict_and_split's and the one that picks
+        # Rc_j and reads W. A degenerate stage forms the product and runs no
+        # rref. No stage solves a system, inverts a basis or runs the
+        # reference choose_complement.
         state = RecursionState(load_family("smith4x4k8.json"))
-        products, rrefs, complements = [], [], []
-        sums, rref, pick = Mat.sum_of_products, Mat.rref, choose_complement
+        products, fresh, checked = [], [], []
+        sums, rref, check = Mat.sum_of_products, Mat.rref, Subspace.__post_init__
 
         def summed(pairs, rows, cols_):
             pairs = list(pairs)
@@ -431,39 +433,45 @@ class TestDegenerateStages:
             return sums(pairs, rows, cols_)
 
         def reduced(m):
-            rrefs.append(m)
+            if m._rref is None:
+                fresh.append(bool(checked))
             return rref(m)
 
-        def picked(*args, **kwargs):
-            complements.append(args)
-            return pick(*args, **kwargs)
+        def basis_check(sub):
+            checked.append(sub)
+            try:
+                check(sub)
+            finally:
+                checked.pop()
 
-        def unsolvable(*args):
-            raise AssertionError("the stage step solves no system")
-
-        def uninvertible(*args):
-            raise AssertionError("the stage step inverts no basis")
+        def forbidden(what):
+            def raises(*args, **kwargs):
+                raise AssertionError(f"the stage step {what}")
+            return raises
 
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
         monkeypatch.setattr(Mat, "rref", reduced)
-        monkeypatch.setattr(Mat, "solve", unsolvable)
-        monkeypatch.setattr(Mat, "inverse", uninvertible)
-        monkeypatch.setattr("localsmith.recursion.choose_complement", picked)
-        splitting = []
+        monkeypatch.setattr(Subspace, "__post_init__", basis_check)
+        monkeypatch.setattr(Mat, "solve", forbidden("solves no system"))
+        monkeypatch.setattr(Mat, "inverse", forbidden("inverts no basis"))
+        monkeypatch.setattr(
+            "localsmith.subspaces.choose_complement", forbidden("runs no rank-test complement")
+        )
+        splitting = {}
         for j in range(1, 13):
             prev_n = state.kernel_chain(j - 1)
-            for calls in (products, rrefs, complements):
-                calls.clear()
+            products.clear()
+            fresh.clear()
             state.run_stage()
             s = state.stage(j).s
             formed = [p for p in products if p == [(s, prev_n.basis)]]
             assert len(formed) == 1, j
             if state.stage(j).r.dim:
-                splitting.append(j)
-                assert len(complements) == 1, j
+                splitting[j] = len(fresh)
+                assert fresh.count(False) == 2, j
             else:
-                assert rrefs == [] and complements == [], j
-        assert splitting == [1, 2, 5, 9]
+                assert fresh == [], j
+        assert splitting == {1: 8, 2: 6, 5: 6, 9: 4}
 
 
 class TestCoupledColumns:

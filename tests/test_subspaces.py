@@ -17,7 +17,7 @@ from localsmith import (
     restricted_inverse,
 )
 
-from localsmith.subspaces import coordinate_rows
+from localsmith.subspaces import complement_coordinates
 
 from conftest import ZERO3, cols, e, random_invertible, random_matrix
 
@@ -193,37 +193,91 @@ class TestProjectionMatrix:
             projection_matrix([Subspace.spanned_by([e(1)], 3)], 0)
 
 
-class TestCoordinateRows:
-    """W = C q from one rref of [part | rest | q], C the part coordinates."""
+def random_split(rng: random.Random, n: int, dim: int, sub: int):
+    """An invertible n x n matrix, the span of its first ``dim`` columns and
+    a random ``sub``-dimensional subspace of that span."""
+    full = random_invertible(rng, n)
+    ambient = Subspace(n, full.submatrix_columns(range(dim)))
+    part = image(ambient.basis @ random_matrix(rng, dim, sub))
+    return full, ambient, part
+
+
+class TestComplementCoordinates:
+    """Rc and W = C q from one rref of [part | B | q], C the part coordinates
+    on part ⊕ Rc, with B the ambient basis or a given complement basis."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 2**16))
-    def test_part_rows_of_the_inverse_times_q(self, n, split, width, seed):
+    def test_part_rows_of_the_coordinates(self, n, split, width, seed):
+        # q = [part | rest] X with X of full row rank, so W is X's part rows.
         rng = random.Random(seed)
         full = random_invertible(rng, n)
         a = min(split, n)
         part = Subspace(n, full.submatrix_columns(range(a)))
-        rest = Subspace(n, full.submatrix_columns(range(a, n)))
-        q = random_matrix(rng, n, width, span=3)
-        assert coordinate_rows(part, rest, q) == full.inverse().submatrix_rows(range(a)) @ q
+        rest = full.submatrix_columns(range(a, n))
+        x = Mat.hstack([random_invertible(rng, n), random_matrix(rng, n, width, span=3)])
+        comp, w = complement_coordinates(part, Subspace.full(n), full @ x, rest)
+        assert comp.basis == rest and w == x.submatrix_rows(range(a))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**16))
-    def test_column_outside_the_sum_raises(self, n, split, at, seed):
-        # part ⊕ rest misses the last column of an invertible matrix.
+    def test_column_outside_the_ambient_raises(self, n, split, at, seed):
+        # The ambient space misses the last column of an invertible matrix.
         rng = random.Random(seed)
         full = random_invertible(rng, n)
         a = min(split, n - 1)
+        ambient = Subspace(n, full.submatrix_columns(range(n - 1)))
         part = Subspace(n, full.submatrix_columns(range(a)))
-        rest = Subspace(n, full.submatrix_columns(range(a, n - 1)))
-        inside = full.submatrix_columns(range(n - 1)) @ random_matrix(rng, n - 1, 2)
-        w = coordinate_rows(part, rest, inside)
-        assert rest.contains_subspace(image(inside - part.basis @ w))
-        outside = inside.column(0) + full.column(n - 1)
-        columns = [inside.column(0), inside.column(1)]
-        columns.insert(at, outside)
-        with pytest.raises(ValueError):
-            coordinate_rows(part, rest, Mat.hstack(columns))
+        rest = full.submatrix_columns(range(a, n - 1))
+        inside = ambient.basis @ Mat.hstack(
+            [random_invertible(rng, n - 1), random_matrix(rng, n - 1, 2)]
+        )
+        columns = [inside.column(j) for j in range(inside.cols)]
+        columns.insert(at, inside.column(0) + full.column(n - 1))
+        for given_rc in (None, rest):
+            comp, w = complement_coordinates(part, ambient, inside, given_rc)
+            assert comp.contains_subspace(image(inside - part.basis @ w))
+            with pytest.raises(ValueError):
+                complement_coordinates(part, ambient, Mat.hstack(columns), given_rc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**16))
+    def test_pivot_complement_is_choose_complement(self, n, dim, sub, seed):
+        rng = random.Random(seed)
+        dim = min(dim, n)
+        full, ambient, part = random_split(rng, n, dim, min(sub, dim))
+        q = ambient.basis @ Mat.hstack([random_invertible(rng, dim), random_matrix(rng, dim, 2)])
+        comp, w = complement_coordinates(part, ambient, q)
+        assert comp.basis == choose_complement(ambient, part).basis
+        assert comp.contains_subspace(image(q - part.basis @ w))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 5), st.integers(0, 5), st.integers(0, 5), st.integers(-1, 1),
+        st.booleans(), st.integers(0, 2**16),
+    )
+    def test_accepts_a_given_basis_exactly_when_choose_complement_does(
+        self, n, dim, sub, extra, leave, seed
+    ):
+        # The candidate is ambient vectors, as many as the complement needs
+        # give or take one, plus a vector outside the ambient space or not.
+        rng = random.Random(seed)
+        dim = min(dim, n)
+        full, ambient, part = random_split(rng, n, dim, min(sub, dim))
+        count = max(dim - part.dim + extra, 0)
+        candidate = ambient.basis @ random_matrix(rng, dim, count, density=0.8)
+        if leave and count and dim < n:
+            candidate = candidate + full.column(n - 1) @ random_matrix(rng, 1, count)
+        q = ambient.basis @ random_invertible(rng, dim)
+        try:
+            reference = choose_complement(ambient, part, candidate)
+        except ValueError:
+            with pytest.raises(ValueError):
+                complement_coordinates(part, ambient, q, candidate)
+        else:
+            comp, w = complement_coordinates(part, ambient, q, candidate)
+            assert comp.basis == reference.basis == candidate
+            assert comp.contains_subspace(image(q - part.basis @ w))
 
 
 class TestRestrictedInverse:
