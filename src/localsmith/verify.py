@@ -27,8 +27,9 @@ the others recompute from the recursion's own ledger and transformations.
    direct Laurent inverse; square families of full generic rank only.
 9. smith-identities: S_P P == Delta, L phi == psi S_P P, and the blow-up
    psi^-1 L phi P^-1 == S_P.
-10. projector-families: both projector families are idempotent, and their
-    constant terms are the sums of the P_j and of the calP_j.
+10. projector-families: both projector families are idempotent, and
+    L * left == L == right * L through the working order, that is
+    L (I - left) = 0 and (I - right) L = 0.
 11. resolvent-recurrences (oracle): the direct Laurent inverse of a square
     pencil of full generic rank with pole <= 1 follows both resolvent
     recurrences through order 10; this tests the oracle, not the recursion.
@@ -244,18 +245,17 @@ def _smith_identities(result: DiagonalizationResult) -> Proof:
 
 
 def _projector_families(result: DiagonalizationResult) -> Proof:
-    state, order = result.state, result.order
+    family, order = result.state.input_family, result.order
     left, right = result.projector_families(order)
     if not (left @ left).eq_through(left, order):
         return False, "left projector family is not idempotent"
     if not (right @ right).eq_through(right, order):
         return False, "right projector family is not idempotent"
-    n, m = state.domain_dim, state.codomain_dim
-    p_sum = sum((st.p for st in result.stages), Mat.zeros(n, n))
-    calp_sum = sum((st.calp for st in result.stages), Mat.zeros(m, m))
-    if left.coefficient(0) != p_sum or right.coefficient(0) != calp_sum:
-        return False, "constant terms differ from the projection sums"
-    return True, f"idempotent through order {order}, constant terms correct"
+    if not (family @ left).eq_through(family, order):
+        return False, "L * left differs from L"
+    if not (right @ family).eq_through(family, order):
+        return False, "right * L differs from L"
+    return True, f"idempotent through order {order}, L * left == L == right * L"
 
 
 def _resolvent_recurrences(result: DiagonalizationResult) -> Proof | None:

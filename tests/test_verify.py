@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -48,6 +49,22 @@ def test_late_m_block_is_seen_only_by_post_stabilization_structure():
     assert not passed
     assert detail == "M block (12,13) differs from the recurrence"
     assert checks["coefficient-identity"](result)[0]
+
+
+@pytest.mark.parametrize("field", ["p", "calp"])
+def test_wrong_projection_fails_projector_families(field):
+    """P_1 or calP_1 less e1 e1^T keeps both projector families idempotent,
+    so only L * left == L == right * L can see it."""
+    with open(FAMILIES["cubic-verify"], "r", encoding="utf-8") as handle:
+        result = diagonalize(spec_to_series(parse_family(handle.read())))
+    stages = result.state.stages
+    unit = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    stages[0] = replace(stages[0], **{field: getattr(stages[0], field) - unit})
+    left, right = result.projector_families()
+    assert (left @ left).eq_through(left, result.order)
+    assert (right @ right).eq_through(right, result.order)
+    passed, _ = dict(CHECKS)["projector-families"](result)
+    assert not passed
 
 
 def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
