@@ -594,6 +594,14 @@ class TestMeromorphicNormalization:
         assert code == 0
         assert json.loads(out)["pole_order"] == 1
 
+    def test_pole_flag_below_a_negative_power_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "mero.json"
+        path.write_text(EPS_INVERSE_IDENTITY)
+        assert main(["analyze", str(path), "--pole", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "power -1 below the overridden pole 0" in captured.err
+
     @pytest.mark.parametrize(
         "path", [DATA, os.path.join(REPORTS, "smith4x4.json")], ids=["example1", "smith4x4"]
     )

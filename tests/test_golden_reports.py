@@ -41,7 +41,9 @@ CASES = {
     "cubic-diagonalize": ["diagonalize", CUBIC],
     "cubic-invert": ["invert", CUBIC],
     "cubic-jordan": ["jordan", CUBIC, "--length", "3"],
+    "cubic-jordan-text": ["jordan", CUBIC, "--length", "3", "--format", "text"],
     "cubic-smith": ["smith", CUBIC],
+    "cubic-smith-text": ["smith", CUBIC, "--format", "text"],
     "cubic-linearize": ["linearize", CUBIC],
     "cubic-verify": ["verify", CUBIC],
     "cubic-diagonalize-text": ["diagonalize", CUBIC, "--format", "text"],
@@ -54,6 +56,7 @@ CASES = {
     "cubic-given-invert": ["invert", CUBIC, "--complement", f"given:{PLAN}"],
     "cubic-given-verify": ["verify", CUBIC, "--complement", f"given:{PLAN}"],
     "trunc-analyze": ["analyze", TRUNC],
+    "trunc-analyze-text": ["analyze", TRUNC, "--format", "text"],
     "trunc-diagonalize": ["diagonalize", TRUNC],
     "trunc-linearize": ["linearize", TRUNC],
     "trunc-verify": ["verify", TRUNC],
