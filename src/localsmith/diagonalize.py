@@ -7,7 +7,9 @@ this module returns has been verified: the defining identity
 ``psi^{-1} * L * phi = Delta`` is proven as ``L * phi = psi * Delta``
 coefficient-by-coefficient through the working order (equivalent, since
 psi_0 = I), and a mismatch is raised as an internal bug, never returned.
-phi^{-1} and psi^{-1} are built through the working order on first use.
+phi, psi, their inverses, L * phi and L^+ are exact series, so the result
+keeps each in one store, built once through the deepest order any caller
+has asked for; a shallower request reads a truncation of it.
 
 ``analyze`` reports only k, the stage table and the Smith exponents, and
 proves the identity through order k, which reads stages only through 2k+1.
@@ -41,7 +43,7 @@ the stages through the last one the plan names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import Callable
 
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .matrix import Mat
@@ -93,6 +95,11 @@ class SmithFactorization:
         return MatLaurent.from_terms(((-power, mat) for power, mat in self.p_terms), n, n)
 
 
+def _working_order_view(name: str) -> property:
+    """A read-only view of the stored series ``name`` through the working order."""
+    return property(lambda self: self.derived(name, self.order))
+
+
 @dataclass
 class DiagonalizationResult:
     """The verified diagonalization: k, the stage ledger, transformations,
@@ -101,27 +108,48 @@ class DiagonalizationResult:
     state: RecursionState
     k: int
     order: int
-    phi: MatSeries
-    psi: MatSeries
     delta: tuple[tuple[int, Mat], ...]
-    residual_ok: bool
-    # L^+ per coefficient depth, built once and shared by every caller.
-    _inverses: dict[int, MatLaurent] = field(
+    # Series name -> the deepest truncation built so far (see ``series``).
+    _store: dict[str, MatLaurent] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # The direct Laurent inverse of the input (localsmith.oracles), built by
-    # the first verify check that needs it and shared with the others.
-    oracle_inverse: MatLaurent | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @cached_property
-    def phi_inv(self) -> MatSeries:
-        return series_inverse(self.phi, self.order)
+    def series(self, name: str, t: int, build: Callable[[int], MatLaurent]) -> MatLaurent:
+        """The stored series ``name`` through order t. Every stored series is
+        exact through its depth, so ``build(t)`` runs only when no deeper one
+        is stored, and its result is kept only once it returns (a deeper
+        build can raise TruncationError on truncated input)."""
+        stored = self._store.get(name)
+        if stored is None or stored.degree < t:
+            stored = self._store[name] = build(t)
+        return stored.truncate(t)
 
-    @cached_property
-    def psi_inv(self) -> MatSeries:
-        return series_inverse(self.psi, self.order)
+    def derived(self, name: str, t: int) -> MatSeries:
+        """phi, psi, phi_inv, psi_inv or l_phi (L * phi) through order t,
+        from the store. Stages past the working order run on demand."""
+        builds = {
+            "phi": lambda t: phi_series(self.state, t),
+            "psi": lambda t: psi_series(self.state, t),
+            "phi_inv": lambda t: series_inverse(self.derived("phi", t), t),
+            "psi_inv": lambda t: series_inverse(self.derived("psi", t), t),
+            "l_phi": lambda t: self.state.input_family @ self.derived("phi", t),
+        }
+        return self.series(name, t, builds[name])
+
+    phi = _working_order_view("phi")
+    psi = _working_order_view("psi")
+    phi_inv = _working_order_view("phi_inv")
+    psi_inv = _working_order_view("psi_inv")
+    l_phi = _working_order_view("l_phi")
+
+    def residual_order(self) -> int | None:
+        """The first order through the working order where L * phi and
+        psi * Delta differ, or None. With psi_0 = I it is the first where
+        psi^{-1} L phi and Delta do."""
+        lhs, rhs = self.l_phi, self.psi @ self.delta_series()
+        return next(
+            (i for i in range(self.order + 1) if lhs.coefficient(i) != rhs.coefficient(i)), None
+        )
 
     # -- views over the ledger ---------------------------------------------
 
@@ -154,24 +182,6 @@ class DiagonalizationResult:
 
     # -- derived families ----------------------------------------------------
 
-    def _through(self, t: int, *names: str) -> tuple[MatSeries, ...]:
-        """The named series among phi, psi, phi_inv and psi_inv through
-        order t. Within the working order the stored series are truncated;
-        past it phi and psi are extended, reading the stored coefficients
-        and forming only the new ones, with stages run on demand (which may
-        fail on truncated input), and only the named inverses formed.
-        An inverse formed here is also kept, truncated to the working order,
-        as the stored one if that was not built yet."""
-        if t <= self.order:
-            return tuple(getattr(self, name).truncate(t) for name in names)
-        built = {"phi": phi_series(self.state, t), "psi": psi_series(self.state, t)}
-        for name in names:
-            if name not in built:
-                built[name] = series_inverse(built[name.removesuffix("_inv")], t)
-                if name not in vars(self):
-                    setattr(self, name, built[name].truncate(self.order))
-        return tuple(built[name] for name in names)
-
     def generalized_inverse(self, t: int | None = None) -> MatLaurent:
         """L^+ = phi * Delta^+ * psi^{-1} with coefficients through eps^t.
 
@@ -179,8 +189,7 @@ class DiagonalizationResult:
         pole comes out at most k and is trimmed to its actual value. The
         default depth is the working order, capped for truncated input:
         order t needs transformations through t + k, hence genuine input
-        coefficients through t + 2k. Each depth is built once and the same
-        series is returned to every later caller.
+        coefficients through t + 2k.
         """
         if t is None:
             t = self.order
@@ -191,20 +200,19 @@ class DiagonalizationResult:
                     f"truncation order {self.state.input_trunc} cannot support "
                     f"any generalized-inverse coefficient at k = {self.k}"
                 )
-        if t in self._inverses:
-            return self._inverses[t]
-        phi, psi_inv = self._through(t + self.k, "phi", "psi_inv")
-        coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
-        delta_plus = MatLaurent(self.k, coeffs, exact=True)
-        linv = phi @ delta_plus @ psi_inv
-        self._inverses[t] = linv
-        return linv
+
+        def build(t: int) -> MatLaurent:
+            phi, psi_inv = self.derived("phi", t + self.k), self.derived("psi_inv", t + self.k)
+            coeffs = [self.state.stage(self.k + 1 - i).splus for i in range(self.k + 1)]
+            return phi @ MatLaurent(self.k, coeffs, exact=True) @ psi_inv
+
+        return self.series("l_plus", t, build)
 
     def kernel_range_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
         """Analytic continuations of kernels and ranges: columns of
         phi * basis(N_{k+1}) and psi * basis(R_1 + ... + R_{k+1})."""
         t = self.order if t is None else t
-        phi, psi = self._through(t, "phi", "psi")
+        phi, psi = self.derived("phi", t), self.derived("psi", t)
         kernel_basis_mat = self.tail_kernel.basis
         range_mats = [st.r.basis for st in self.stages if st.r.dim > 0]
         n_fam = phi @ MatSeries.constant(kernel_basis_mat)
@@ -219,7 +227,9 @@ class DiagonalizationResult:
         """left = phi (P_1+..+P_{k+1}) phi^{-1}, right = psi (cal P sums) psi^{-1};
         both idempotent through the returned order."""
         t = self.order if t is None else t
-        phi, psi, phi_inv, psi_inv = self._through(t, "phi", "psi", "phi_inv", "psi_inv")
+        phi, psi, phi_inv, psi_inv = (
+            self.derived(name, t) for name in ("phi", "psi", "phi_inv", "psi_inv")
+        )
         n, m = self.state.domain_dim, self.state.codomain_dim
         p_sum = sum((st.p for st in self.stages), Mat.zeros(n, n))
         calp_sum = sum((st.calp for st in self.stages), Mat.zeros(m, m))
@@ -260,24 +270,10 @@ def _diagonalization(
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
     state.ensure_stages(k + 1 + order)
-    result = DiagonalizationResult(
-        state=state,
-        k=k,
-        order=order,
-        phi=phi_series(state, order),
-        psi=psi_series(state, order),
-        delta=delta_terms(state),
-        residual_ok=False,
-    )
-    # With psi_0 = I the first order where L phi and psi Delta differ is the
-    # first where psi^{-1} L phi and Delta do.
-    lhs, rhs = family @ result.phi, result.psi @ result.delta_series()
-    for i in range(order + 1):
-        if lhs.coefficient(i) != rhs.coefficient(i):
-            raise InternalConsistencyError(
-                f"diagonalization residual is nonzero at order {i}"
-            )
-    result.residual_ok = True
+    result = DiagonalizationResult(state=state, k=k, order=order, delta=delta_terms(state))
+    i = result.residual_order()
+    if i is not None:
+        raise InternalConsistencyError(f"diagonalization residual is nonzero at order {i}")
     return result
 
 
@@ -294,7 +290,7 @@ def diagonalize(
     proven exactly through the working order as L * phi == psi * Delta,
     which needs no inverse and is equivalent since psi_0 = I; failure raises
     InternalConsistencyError (it would be a bug, not a data condition).
-    phi^{-1} and psi^{-1} are built only when first read.
+    phi^{-1} and psi^{-1} are built only for the callers that read them.
     """
     return _diagonalization(family, order, max_stages, complements, through_k=False)
 

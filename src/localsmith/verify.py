@@ -9,8 +9,10 @@ with ``localsmith.oracles``, which shares no code with the stage recursion;
 the others recompute from the recursion's own ledger and transformations.
 
 1. diagonalization-residual: psi^-1 L phi == Delta through the working order,
-   proven as L phi == psi Delta (equivalent, since psi_0 = I); phi^-1 and
-   psi^-1 are built on first use, by the checks that read them.
+   proven as L phi == psi Delta (equivalent, since psi_0 = I) from the
+   result's stored L phi and psi. Every series a check reads (phi, psi,
+   their inverses, L phi, L^+ and the direct Laurent inverse) comes from the
+   result's store: built once, through the deepest order any check asks for.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
 3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
@@ -25,8 +27,8 @@ the others recompute from the recursion's own ledger and transformations.
 7. generalized-inverse-axioms: L X L == L and X L X == X for X = L^+.
 8. laurent-oracle (oracle): L^+ has the pole and the coefficients of the
    direct Laurent inverse; square families of full generic rank only.
-9. smith-identities: S_P P == Delta, L phi == psi S_P P, and the blow-up
-   psi^-1 L phi P^-1 == S_P.
+9. smith-identities: S_P P == Delta and the blow-up psi^-1 L phi P^-1 == S_P.
+   With diagonalization-residual, S_P P == Delta gives L phi == psi S_P P.
 10. projector-families: both projector families are idempotent, and
     L * left == L == right * L through the working order, that is
     L (I - left) = 0 and (I - right) L = 0.
@@ -105,7 +107,10 @@ def linearization(
 
 
 def _residual(result: DiagonalizationResult) -> Proof:
-    return result.residual_ok, f"exact through order {result.order}"
+    i = result.residual_order()
+    if i is not None:
+        return False, f"residual is nonzero at order {i}"
+    return True, f"exact through order {result.order}"
 
 
 def _coefficient_identity(result: DiagonalizationResult) -> Proof:
@@ -202,11 +207,9 @@ _RESOLVENT_ORDER = 10
 
 def _direct_inverse(result: DiagonalizationResult) -> MatLaurent:
     """The direct Laurent inverse of the input through the larger of the
-    working order and the resolvent order, built once per result."""
-    if result.oracle_inverse is None:
-        family, tail = result.state.input_family, max(result.order, _RESOLVENT_ORDER)
-        result.oracle_inverse = direct_laurent_inverse(family, tail=tail)
-    return result.oracle_inverse
+    working order and the resolvent order, from the result's store."""
+    family, tail = result.state.input_family, max(result.order, _RESOLVENT_ORDER)
+    return result.series("direct_inverse", tail, lambda t: direct_laurent_inverse(family, tail=t))
 
 
 def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
@@ -224,16 +227,11 @@ def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
 
 
 def _smith_identities(result: DiagonalizationResult) -> Proof:
-    family = result.state.input_family
     fact = result.smith_factorization()
     passed, detail = smith_identity(result, fact)
     if not passed:
         return passed, detail
-    lhs = family @ result.phi
-    rhs = fact.a_series @ fact.p_series()
-    if not lhs.eq_through(rhs, result.order):
-        return False, "L * phi differs from psi * S_P * P(eps)"
-    blow = result.psi_inv @ lhs @ fact.p_inverse_laurent()
+    blow = result.psi_inv @ result.l_phi @ fact.p_inverse_laurent()
     s_p = MatLaurent(0, [fact.s_p], exact=True)
     e = _first_difference(blow, s_p, -blow.pole, blow.tail_order)
     if e is not None:

@@ -207,8 +207,8 @@ def test_criterion_3_property_suite(property_suite):
     for fam, result, inverse in records:
         state = result.state
         k = result.k
-        # Residual: diagonalize would have raised otherwise; re-assert cheaply.
-        assert result.residual_ok
+        # Residual: diagonalize would have raised otherwise; prove it again.
+        assert result.residual_order() is None
         for j in range(1, state.stage_count + 1):
             assert state.coefficient_identity_holds(j)
         for j in range(k + 2, state.stage_count + 1):

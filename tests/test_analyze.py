@@ -55,7 +55,7 @@ def dense_families(draw):
 class TestDefaultOrder:
     def test_proven_through_k(self):
         result = analyze(load(CUBIC))
-        assert (result.k, result.order, result.residual_ok) == (3, 3, True)
+        assert (result.k, result.order, result.residual_order()) == (3, 3, None)
 
     @staticmethod
     def assert_report_equals_working_order_report(family):

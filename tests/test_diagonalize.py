@@ -167,7 +167,7 @@ class TestDiagonalizeEndToEnd:
     def test_golden_run(self, example1):
         result = diagonalize(example1, order=12)
         assert result.k == 3
-        assert result.residual_ok
+        assert result.residual_order() is None
         lhs = result.psi_inv @ (example1 @ result.phi)
         assert lhs.eq_through(result.delta_series(), 12)
 
@@ -220,7 +220,7 @@ class TestDiagonalizeEndToEnd:
             (s.nc.dim, s.r.dim) for s in default.stages
         ]
         assert skewed.smith_exponents() == default.smith_exponents()
-        assert skewed.residual_ok
+        assert skewed.residual_order() is None
 
     def test_given_complements_reproduce_golden_output(self, example1):
         result = diagonalize(example1, order=8, complements=golden_complements_plan())
@@ -233,6 +233,7 @@ class TestDiagonalizeEndToEnd:
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
 # The module, not the function of the same name that the package binds.
 DIAGONALIZE_MODULE = sys.modules["localsmith.diagonalize"]
+VERIFY_MODULE = sys.modules["localsmith.verify"]
 
 
 class TestInverseFreeProof:
@@ -241,25 +242,49 @@ class TestInverseFreeProof:
 
     @pytest.mark.parametrize(
         "command, depths",
-        # The golden cubic: k = 3, working order 12.
+        # The golden cubic: k = 3, working order 12. Each traced name maps to
+        # the depths it is called at, in call order.
         [
-            ("analyze", []),
-            ("smith", []),
-            ("invert", [15]),
-            ("diagonalize", [12, 12]),
-            # psi^-1 through order + k, kept truncated as psi_inv, then phi^-1.
-            ("verify", [15, 12]),
+            ("analyze", {"phi_series": [3], "psi_series": [3]}),
+            ("smith", {"phi_series": [12], "psi_series": [12]}),
+            # L^+ through 12 reads phi and psi^-1 through order + k = 15.
+            (
+                "invert",
+                {"phi_series": [12, 15], "psi_series": [12, 15], "series_inverse": [15]},
+            ),
+            (
+                "diagonalize",
+                {"phi_series": [12], "psi_series": [12], "series_inverse": [12, 12]},
+            ),
+            # psi^-1 through order + k for L^+, then phi^-1 through the working
+            # order; one direct inverse for laurent-oracle.
+            (
+                "verify",
+                {
+                    "phi_series": [12, 15],
+                    "psi_series": [12, 15],
+                    "series_inverse": [15, 12],
+                    "direct_laurent_inverse": [12],
+                },
+            ),
         ],
     )
     def test_series_inverse_calls_per_command(self, command, depths, monkeypatch, capsys):
-        seen = []
-        original = DIAGONALIZE_MODULE.series_inverse
+        seen = {}
 
-        def counted(a, t):
-            seen.append(t)
-            return original(a, t)
+        def count(module, name, depth_of):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(DIAGONALIZE_MODULE, "series_inverse", counted)
+            def counted(*args, **kwargs):
+                seen.setdefault(name, []).append(depth_of(*args, **kwargs))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(DIAGONALIZE_MODULE, "phi_series", lambda state, t: t)
+        count(DIAGONALIZE_MODULE, "psi_series", lambda state, t: t)
+        count(DIAGONALIZE_MODULE, "series_inverse", lambda a, t: t)
+        count(VERIFY_MODULE, "direct_laurent_inverse", lambda family, tail: tail)
         assert main([command, DATA]) == 0
         assert seen == depths
 

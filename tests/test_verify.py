@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from localsmith import Mat, diagonalize, parse_family, spec_to_series
+from localsmith import Mat, MatSeries, diagonalize, parse_family, spec_to_series
 from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
 from localsmith.verify import CHECKS, run_check
@@ -113,3 +113,33 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
     assert main(["verify", path]) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"] is True
     assert len(fresh) <= limit
+
+
+@pytest.mark.parametrize(
+    "name, failing",
+    [
+        ("phi", {"projector-families"}),
+        ("psi", {"diagonalization-residual", "projector-families"}),
+        ("phi_inv", {"projector-families"}),
+        ("psi_inv", {"smith-identities", "projector-families"}),
+        ("l_phi", {"diagonalization-residual", "smith-identities"}),
+        ("l_plus", {"generalized-inverse-axioms", "laurent-oracle"}),
+        ("direct_inverse", {"laurent-oracle"}),
+    ],
+)
+def test_corrupted_stored_series_fails_its_checks(name, failing):
+    """Every series verify reads from the result's store is read by some
+    check: I added to its eps^1 coefficient fails exactly these checks. The
+    corruption comes after one full pass, which builds every series at the
+    deepest order a check reads, so no later request rebuilds it."""
+    with open(FAMILIES["cubic-verify"], "r", encoding="utf-8") as handle:
+        result = diagonalize(spec_to_series(parse_family(handle.read())))
+
+    def failed():
+        records = [run_check(check, partial(fn, result)) for check, fn in CHECKS]
+        return {r["name"] for r in records if r["status"] == "fail"}
+
+    assert failed() == set()
+    stored = result._store[name]
+    result._store[name] = stored + MatSeries.identity(3).shift(1)
+    assert failed() == failing
