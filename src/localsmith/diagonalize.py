@@ -115,10 +115,11 @@ class DiagonalizationResult:
     )
 
     def series(self, name: str, t: int, build: Callable[[int], MatLaurent]) -> MatLaurent:
-        """The stored series ``name`` through order t. Every stored series is
-        exact through its depth, so ``build(t)`` runs only when no deeper one
-        is stored, and its result is kept only once it returns (a deeper
-        build can raise TruncationError on truncated input)."""
+        """The stored series ``name`` through order t. A coefficient does not
+        depend on the depth its series was built to, so ``build(t)`` runs
+        only when the stored series stops short of t, and its result is kept
+        only once it returns (a deeper build can raise TruncationError on
+        truncated input)."""
         stored = self._store.get(name)
         if stored is None or stored.degree < t:
             stored = self._store[name] = build(t)

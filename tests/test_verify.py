@@ -115,18 +115,20 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
     assert len(fresh) <= limit
 
 
-@pytest.mark.parametrize(
-    "name, failing",
-    [
-        ("phi", {"projector-families"}),
-        ("psi", {"diagonalization-residual", "projector-families"}),
-        ("phi_inv", {"projector-families"}),
-        ("psi_inv", {"smith-identities", "projector-families"}),
-        ("l_phi", {"diagonalization-residual", "smith-identities"}),
-        ("l_plus", {"generalized-inverse-axioms", "laurent-oracle"}),
-        ("direct_inverse", {"laurent-oracle"}),
-    ],
-)
+# Each series of the result's store -> the checks that fail on example1 when
+# I is added to its eps^1 coefficient.
+CORRUPTION_FAILS = {
+    "phi": {"projector-families"},
+    "psi": {"diagonalization-residual", "projector-families"},
+    "phi_inv": {"projector-families"},
+    "psi_inv": {"smith-identities", "projector-families"},
+    "l_phi": {"diagonalization-residual", "smith-identities"},
+    "l_plus": {"generalized-inverse-axioms", "laurent-oracle"},
+    "direct_inverse": {"laurent-oracle"},
+}
+
+
+@pytest.mark.parametrize("name, failing", sorted(CORRUPTION_FAILS.items()))
 def test_corrupted_stored_series_fails_its_checks(name, failing):
     """Every series verify reads from the result's store is read by some
     check: I added to its eps^1 coefficient fails exactly these checks. The
@@ -140,6 +142,7 @@ def test_corrupted_stored_series_fails_its_checks(name, failing):
         return {r["name"] for r in records if r["status"] == "fail"}
 
     assert failed() == set()
+    assert result._store.keys() == CORRUPTION_FAILS.keys()
     stored = result._store[name]
     result._store[name] = stored + MatSeries.identity(3).shift(1)
     assert failed() == failing
