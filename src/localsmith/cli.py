@@ -39,7 +39,6 @@ from .family_io import (
     subspace_report,
     terms_listing,
 )
-from .matrix import Mat, format_rat
 from .recursion import RecursionState
 from .series import MatSeries
 from .verify import CHECKS, inverse_axioms, linearization, require, smith_identity
@@ -289,23 +288,27 @@ def cmd_jordan(args) -> tuple[dict, int]:
         "nullspace_dim": chains.nullspace_dim,
         "chains": [
             {
-                "root": _vector_strings(chain.root),
-                "vectors": [_vector_strings(v) for v in chain.vectors],
+                "root": vectors[-1],
+                "vectors": vectors,
             }
-            for chain in chains.basis_chains()
+            for vectors in map(_vector_strings, chains.basis_chains())
         ],
     }
     return report, EXIT_OK
 
 
-def _vector_strings(vec) -> list[str]:
-    return [format_rat(x) for x in vec]
+def _vector_strings(chain) -> list[list[str]]:
+    """The chain's vectors (b_{l-1}, ..., b_0) as rational strings."""
+    flat = [x for (x,) in chain.column.strings()]
+    n = len(flat) // chain.length
+    return [flat[i * n : i * n + n] for i in range(chain.length)]
 
 
 def cmd_smith(args) -> tuple[dict, int]:
     spec, family = _load_family(args)
     result = _run(diagonalize, family, args)
     fact = result.smith_factorization()
+    analytic = result.psi @ MatSeries.constant(fact.s_p)
     report = {
         "command": "smith",
         "family": _family_header(spec),
@@ -313,7 +316,7 @@ def cmd_smith(args) -> tuple[dict, int]:
         "exponents": [e - spec.declared_pole for e in fact.exponents],
         "constant_factor": mat_to_grid(fact.s_p),
         "smith_form": terms_listing(_unnormalized(fact.p_terms, spec)),
-        "analytic_factor": series_listing(fact.a_series, result.order),
+        "analytic_factor": series_listing(analytic, result.order),
         "verification": {
             "identity": "constant_factor * P(eps) == delta",
             "exact": require(smith_identity(result, fact)),
@@ -393,10 +396,7 @@ def _render_text(report: dict) -> str:
         lines.append(f"  smith exponents: {report['exponents']}")
     for key in ("delta", "smith_form", "phi", "psi", "coefficients"):
         if key in report:
-            terms = [
-                (item["power"], Mat(item["matrix"]))
-                for item in report[key]
-            ]
+            terms = [(item["power"], item["matrix"]) for item in report[key]]
             lines.append(f"  {key}(eps) =")
             lines.append(render_poly_matrix(terms))
     if "chains" in report:

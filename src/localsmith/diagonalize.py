@@ -81,7 +81,6 @@ class SmithFactorization:
 
     s_p: Mat
     p_terms: tuple[tuple[int, Mat], ...]
-    a_series: MatSeries
     exponents: tuple[int, ...]
 
     def p_series(self) -> MatSeries:
@@ -243,8 +242,7 @@ class DiagonalizationResult:
         for _, term in self.delta:
             s_p = s_p + term
         p_terms = tuple((st.index - 1, st.p) for st in self.stages)
-        a_series = self.psi @ MatSeries.constant(s_p)
-        return SmithFactorization(s_p, p_terms, a_series, self.smith_exponents())
+        return SmithFactorization(s_p, p_terms, self.smith_exponents())
 
 
 def _diagonalization(

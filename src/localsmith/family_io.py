@@ -1,7 +1,8 @@
 """JSON wire format for matrix families, and exact report rendering helpers.
 
-A family file carries grids of rational strings ("num/den" or "int"; plain
-JSON integers are also accepted) keyed by power. Meromorphic inputs declare
+A family file carries grids of rational strings ("num/den" or "int" in
+ASCII digits, as ``matrix.ratio`` reads them; plain JSON integers are also
+accepted) keyed by power. Meromorphic inputs declare
 a pole p and may then use powers down to -p; parsing normalizes them by the
 usual eps^p multiplication, so the rest of the package only ever sees an
 analytic family. Reports never contain floating point: every number is an
@@ -13,10 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
-from .matrix import Mat, format_rat, rat
+from .matrix import Mat
 from .recursion import ComplementPlan
 from .series import MatLaurent, MatSeries
 
@@ -58,30 +58,23 @@ def _is_int(value) -> bool:
 def grid_to_mat(grid, rows: int, cols: int, context: str = "matrix") -> Mat:
     if not isinstance(grid, list) or len(grid) != rows:
         raise InputError(f"{context}: expected {rows} rows")
-    parsed = []
     for r, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != cols:
             raise InputError(f"{context}: row {r} must have {cols} entries")
-        out_row = []
-        for c, cell in enumerate(row):
-            if isinstance(cell, float):
-                raise InputError(f"{context}: entry ({r},{c}) is a float; use rational strings")
-            try:
-                out_row.append(rat(cell))
-            except ValueError as exc:
-                raise InputError(f"{context}: entry ({r},{c}): {exc}") from exc
-        parsed.append(out_row)
-    return Mat(parsed, cols=cols)
+    try:
+        return Mat(grid, cols=cols)
+    except ValueError as exc:
+        raise InputError(f"{context}: {exc}") from exc
 
 
 def mat_to_grid(m: Mat) -> list[list[str]]:
-    return [[format_rat(x) for x in row] for row in m.entries]
+    return m.strings()
 
 
 def parse_family(text: str) -> FamilySpec:
     try:
         obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("family file must contain a JSON object")
@@ -168,7 +161,7 @@ def parse_complement_plan(text: str) -> ComplementPlan:
     """
     try:
         obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
         raise InputError(f"complement file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) - {"stages"}:
         raise InputError('complement file must be {"stages": [...]}')
@@ -225,34 +218,36 @@ def terms_listing(terms) -> list[dict]:
     return [{"power": power, "matrix": mat_to_grid(m)} for power, m in terms]
 
 
-def _monomial(q: Fraction, power: int) -> str:
+def _monomial(q: str, power: int) -> str:
     if power == 0:
-        return format_rat(q)
+        return q
     if power == 1:
         eps = "eps"
     else:
         eps = f"eps^{power}"
-    if q == 1:
+    if q == "1":
         return eps
-    if q == -1:
+    if q == "-1":
         return f"-{eps}"
-    return f"{format_rat(q)}*{eps}"
+    return f"{q}*{eps}"
 
 
 def poly_entry_strings(terms) -> list[list[str]]:
-    """Entry-wise eps-polynomial strings for a list of (power, Mat) terms."""
-    terms = [(p, m) for p, m in terms]
+    """Entry-wise eps-polynomial strings for a list of (power, grid) terms,
+    each grid of ``format_rat`` strings as ``mat_to_grid`` gives."""
+    terms = sorted(terms, key=lambda item: item[0])
     if not terms:
         return []
-    rows, cols = terms[0][1].rows, terms[0][1].cols
+    first = terms[0][1]
+    rows, cols = len(first), len(first[0]) if first else 0
     out = []
     for i in range(rows):
         row = []
         for j in range(cols):
             pieces = []
-            for power, m in sorted(terms, key=lambda item: item[0]):
-                q = m.entries[i][j]
-                if q == 0:
+            for power, grid in terms:
+                q = grid[i][j]
+                if q == "0":
                     continue
                 text = _monomial(q, power)
                 if pieces:

@@ -7,8 +7,9 @@ denominator and the grid entries have no common factor: equal matrices have
 equal state. Every kernel (products, elimination, sums, stacking, slicing)
 runs on Python integers and ends with at most one gcd over its result, so
 every result is the same exact value that entry-by-entry ``Fraction``
-arithmetic gives, without a gcd per multiply and add. ``Mat.entries`` builds
-the ``fractions.Fraction``s on first use, for rendering and scalar code.
+arithmetic gives, without a gcd per multiply and add. ``Mat.strings``
+renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
+Fractions on first use, for scalar code.
 
 Matrices are immutable after construction and safe to share.
 """
@@ -16,6 +17,8 @@ Matrices are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
@@ -25,25 +28,37 @@ _ZERO = Fraction(0)
 _set = object.__setattr__
 
 
-def rat(value) -> Fraction:
-    """Coerce an int, string like ``"3/4"``, or Fraction to a Fraction.
+# The one spelling of a rational: an ASCII integer or num/den.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-    Strings must be integers or ``num/den`` with a nonzero denominator;
-    anything else (floats included) is rejected to keep arithmetic exact.
-    """
+
+def ratio(value) -> tuple[int, int]:
+    """(num, den) in lowest terms, den > 0, of an int, a Fraction, or an
+    ASCII string ``[+-]?digits`` or ``[+-]?digits/digits``. Anything else is
+    rejected: floats, decimals, exponents, whitespace, non-ASCII digits, a
+    zero denominator, or more digits than the interpreter converts."""
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        try:
+            num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+        except ValueError:  # past the interpreter's int-string limit
+            den = 0
+        if not den:
+            raise ValueError(f"malformed rational {value!r}")
+        g = math.gcd(num, den)
+        return num // g, den // g
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise ValueError(f"not a rational: {type(value).__name__} {value!r}")
+
+
+def rat(value) -> Fraction:
+    """Coerce what ``ratio`` accepts to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+    return Fraction(*ratio(value))
 
 
 def format_rat(q: Fraction) -> str:
@@ -66,10 +81,10 @@ class Mat:
     __slots__ = ("rows", "cols", "_grid", "_den", "_entries", "_zero", "_rref")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        values = tuple(tuple(rat(x) for x in row) for row in entries)
-        if values:
-            width = len(values[0])
-            if any(len(row) != width for row in values):
+        pairs = tuple(tuple(map(ratio, row)) for row in entries)
+        if pairs:
+            width = len(pairs[0])
+            if any(len(row) != width for row in pairs):
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
@@ -77,17 +92,17 @@ class Mat:
             raise ValueError(f"cols mismatch: stated {cols}, got {width}")
         # The lcm of reduced denominators leaves the grid without a common
         # factor with it, so the state is already reduced.
-        den = math.lcm(*[x.denominator for row in values for x in row])
-        grid = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in values)
+        den = math.lcm(*[d for row in pairs for _, d in row])
+        grid = tuple(tuple(x * (den // d) for x, d in row) for row in pairs)
         # A 5x0 matrix needs explicit empty rows so rows stays meaningful.
-        self._fill(grid, den, len(values), width if values else (cols or 0), values)
+        self._fill(grid, den, len(pairs), width)
 
     @staticmethod
     def _of(grid: tuple, den: int, rows: int, cols: int) -> Mat:
         """Trusted constructor: ``grid`` is a tuple of ``rows`` tuples of
         ``cols`` ints over ``den`` > 0, and gcd(den, every entry) = 1."""
         m = object.__new__(Mat)
-        m._fill(grid, den, rows, cols, None)
+        m._fill(grid, den, rows, cols)
         return m
 
     @staticmethod
@@ -100,12 +115,12 @@ class Mat:
                 grid = tuple(tuple(x // g for x in row) for row in grid)
         return Mat._of(grid, den, rows, cols)
 
-    def _fill(self, grid: tuple, den: int, rows: int, cols: int, entries) -> None:
+    def _fill(self, grid: tuple, den: int, rows: int, cols: int) -> None:
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_grid", grid)
         _set(self, "_den", den)
-        _set(self, "_entries", entries)
+        _set(self, "_entries", None)
         _set(self, "_zero", None)
         _set(self, "_rref", None)
 
@@ -124,6 +139,25 @@ class Mat:
             )
             _set(self, "_entries", cached)
         return cached
+
+    def strings(self, digits=str) -> list[list[str]]:
+        """The entries as ``format_rat`` strings, one gcd per entry, with
+        every digit also past the interpreter's int-to-str limit."""
+        den, gcd = self._den, math.gcd
+        try:
+            if den == 1:
+                return [list(map(digits, row)) for row in self._grid]
+            return [
+                [
+                    digits(x // g) if (g := gcd(x, den)) == den
+                    else f"{digits(x // g)}/{digits(den // g)}"
+                    for x in row
+                ]
+                for row in self._grid
+            ]
+        except ValueError:
+            # Decimal converts an int of any size exactly.
+            return self.strings(lambda x: str(Decimal(x)))
 
     def _scaled(self, factor: int) -> tuple:
         """The grid times ``factor``, for a denominator ``factor`` times ours."""
@@ -266,7 +300,7 @@ class Mat:
         return hash((self.rows, self.cols, self._den, self._grid))
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rat(x) for x in row) for row in self.entries)
+        body = "; ".join(map(" ".join, self.strings()))
         return f"Mat({self.rows}x{self.cols}: [{body}])"
 
     # -- arithmetic ---------------------------------------------------

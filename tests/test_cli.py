@@ -16,6 +16,7 @@ from localsmith import (
     InputError,
     Mat,
     RecursionState,
+    diagonalize,
     family_from_series,
     parse_family,
     serialize_family,
@@ -207,6 +208,101 @@ class TestParseFamily:
         )
         with pytest.raises(InputError, match="outside the allowed range"):
             parse_family(raw)
+
+
+FAMILY_FILES = [DATA] + [
+    os.path.join(REPORTS, name)
+    for name in sorted(os.listdir(REPORTS))
+    if name.endswith(".json") and not name.startswith("plan_")
+]
+
+# Entry spellings outside the grammar [+-]?digits or [+-]?digits/digits,
+# as raw JSON text: each replaces the constant entry of 1 + eps.
+REFUSED_ENTRIES = {
+    "decimal": '"1.5"',
+    "exponent": '"1e3"',
+    "huge-exponent": '"1e400000"',
+    "underscore": '"3_000"',
+    "whitespace": '" 3 "',
+    "non-ascii-digit": json.dumps("\u0663"),
+    "zero-denominator": '"1/0"',
+    "negative-denominator": '"1/-2"',
+    "long-string": '"' + "9" * 5000 + '"',
+    "long-number": "9" * 5000,
+}
+
+
+class TestEntryGrammar:
+    @pytest.mark.parametrize("path", FAMILY_FILES, ids=os.path.basename)
+    def test_data_files_round_trip(self, path):
+        with open(path, "r", encoding="utf-8") as handle:
+            spec = parse_family(handle.read())
+        assert parse_family(serialize_family(spec)) == spec
+
+    @pytest.mark.parametrize("entry", REFUSED_ENTRIES.values(), ids=list(REFUSED_ENTRIES))
+    def test_refused_entry_is_exit_one(self, entry, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(one_by_one().replace('"0": [["1"]]', f'"0": [[{entry}]]'))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        if entry.startswith('"'):
+            assert "malformed rational" in err
+
+    def test_long_number_in_complement_file_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text('{"stages": [{"stage": 1, "domain_complement": [[' + "9" * 5000 + "]]}]}")
+        assert main(["analyze", DATA, "--complement", f"given:{path}"]) == 1
+        assert capsys.readouterr().err.startswith("error: complement file is not valid JSON")
+
+    def test_result_past_the_int_string_limit_is_rendered_in_full(self, tmp_path, capsys):
+        """The inverse of a + eps, a = 10^400 - 1, has eps^12 coefficient
+        1/a^13, whose denominator has 5,200 digits."""
+        a = 10**400 - 1
+        path = tmp_path / "big.json"
+        path.write_text(one_by_one(coefficients={"0": [[str(a)]], "1": [["1"]]}))
+        limit = sys.get_int_max_str_digits()
+        for command in ("diagonalize", "invert", "smith"):
+            for fmt in ("json", "text"):
+                assert main([command, str(path), "--format", fmt]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "invert", str(path))
+        assert code == 0
+        top = json.loads(out)["coefficients"][-1]
+        assert top["power"] == 12
+        num, den = top["matrix"][0][0].split("/")
+        assert num == "1" and len(den) == 5200
+        # Read the digits back in chunks under the interpreter's limit.
+        value = 0
+        for start in range(0, len(den), 1000):
+            chunk = den[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == a**13
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_no_fraction_per_entry_in_parse_and_render(self, monkeypatch, capsys):
+        """Parsing the golden cubic and rendering its diagonalize report
+        build no Fraction; the engine runs before the count starts."""
+        from fractions import Fraction
+
+        with open(DATA, "r", encoding="utf-8") as handle:
+            result = diagonalize(spec_to_series(parse_family(handle.read())))
+        _ = result.phi_inv, result.psi_inv  # built before the count starts
+        monkeypatch.setattr("localsmith.cli.diagonalize", lambda family, **kwargs: result)
+        made, new = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        code, out = run_cli(capsys, "diagonalize", DATA)
+        monkeypatch.undo()
+        assert code == 0
+        assert made == []
+        with open(os.path.join(REPORTS, "cubic-diagonalize.out"), "r", encoding="utf-8") as handle:
+            assert handle.read() == f"exit: {code}\n{out}"
 
 
 def nonzero_terms(listing: list[dict]) -> list[dict]:

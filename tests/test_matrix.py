@@ -242,6 +242,11 @@ def as_entries(grid):
     return tuple(tuple(row) for row in grid)
 
 
+def ints_of(grid):
+    """The grid with each entry replaced by its numerator: den == 1."""
+    return [[x.numerator for x in row] for row in grid]
+
+
 ENTRY = st.one_of(
     st.just(Fraction(0)),
     st.integers(-3, 3).map(Fraction),
@@ -267,6 +272,28 @@ def grids(draw, rows, cols):
 def matrices(draw, rows=DIM, cols=DIM):
     r, c = draw(rows), draw(cols)
     return draw(grids(r, c)), r, c
+
+
+class TestStrings:
+    @PROPERTY
+    @given(st.one_of(matrices(), matrices().map(lambda d: (ints_of(d[0]), d[1], d[2]))))
+    def test_strings_are_format_rat_of_entries(self, drawn):
+        grid, r, c = drawn
+        m = Mat(grid, cols=c)
+        assert m.strings() == [[format_rat(x) for x in row] for row in m.entries]
+
+    @pytest.mark.parametrize(
+        "grid, cols, text",
+        [
+            ([[0, -3], [7, 0]], 2, [["0", "-3"], ["7", "0"]]),
+            ([["-2/4", "1/3"], ["6/3", 0]], 2, [["-1/2", "1/3"], ["2", "0"]]),
+            ([], 3, []),
+            ([[], []], 0, [[], []]),
+        ],
+        ids=["integers", "rationals", "no-rows", "no-columns"],
+    )
+    def test_strings_examples(self, grid, cols, text):
+        assert Mat(grid, cols=cols).strings() == text
 
 
 class TestKernelsAgainstReference:
