@@ -30,6 +30,17 @@ _set = object.__setattr__
 
 # The one spelling of a rational: an ASCII integer or num/den.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# The most characters of a refused value that an error message echoes.
+_ECHO = 40
+
+
+def _echo(value) -> str:
+    """The repr of a refused value; past _ECHO characters, a prefix of it and
+    the length of the value (of a string) or of the repr."""
+    text = repr(value)
+    if len(text) <= _ECHO:
+        return text
+    return f"{text[:_ECHO]}... ({len(value if isinstance(value, str) else text)} characters)"
 
 
 def ratio(value) -> tuple[int, int]:
@@ -44,14 +55,14 @@ def ratio(value) -> tuple[int, int]:
         except ValueError:  # past the interpreter's int-string limit
             den = 0
         if not den:
-            raise ValueError(f"malformed rational {value!r}")
+            raise ValueError(f"malformed rational {_echo(value)}")
         g = math.gcd(num, den)
         return num // g, den // g
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
-    raise ValueError(f"not a rational: {type(value).__name__} {value!r}")
+    raise ValueError(f"not a rational: {type(value).__name__} {_echo(value)}")
 
 
 def rat(value) -> Fraction:

@@ -5,10 +5,15 @@ straight from the definition of a Jordan chain, the direct Laurent inverse
 goes through exact determinant/adjugate interpolation, and the companion
 checks assemble their block matrices from the raw coefficients. These are
 the second opinion the main pipeline is compared against.
+
+The interpolation is Newton's divided differences (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 5), over every value column at once
+and on integers; no Vandermonde matrix is inverted.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,23 +54,6 @@ def toeplitz_kernel_dims(family: MatSeries, length: int) -> list[int]:
 
 
 # -- polynomial helpers (coefficient lists, ascending) ----------------------
-# Coefficients are Fractions, or Mats where a helper says so.
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul_series(a: list[Mat], b: list[Fraction], upto: int) -> list[Mat]:
-    """Coefficients 0..upto of a(eps) b(eps), for Mat coefficients a_i."""
-    out = [Mat.zeros(a[0].rows, a[0].cols)] * (upto + 1)
-    for i, ai in enumerate(a[: upto + 1]):
-        for j, bj in enumerate(b[: upto + 1 - i]):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
 
 
 def _poly_inverse_series(p: list[Fraction], upto: int) -> list[Fraction]:
@@ -81,26 +69,40 @@ def _poly_inverse_series(p: list[Fraction], upto: int) -> list[Fraction]:
     return out
 
 
-def _newton_interpolate(points: list[tuple[Fraction, object]], zero) -> list:
-    """Coefficients of the unique interpolating polynomial, ascending order.
-    The values may be Mats, interpolated as a whole; ``zero`` is the zero
-    value."""
-    xs = [x for x, _ in points]
-    divided = [y for _, y in points]
-    k = len(points)
+def _newton_interpolate(xs: list[int], values: list[list[int]]) -> list[list[int]]:
+    """Ascending monomial coefficients of the polynomials of degree below
+    len(xs) through (xs[p], values[p][c]), one per column c, for distinct
+    integer points xs: integer rows over one denominator, which scales every
+    column alike and so is not returned.
+
+    One Newton divided-difference pass runs over all the columns at once:
+    each level divides by the lcm of its point gaps, which multiplies the
+    running denominator, and row l of the table is final after level l.
+    The final rows are brought to the last denominator, and Horner's rule
+    expands the Newton form on the integer points.
+    """
+    k = len(xs)
+    table = [list(row) for row in values]
+    den, dens = 1, [1] * k
     for level in range(1, k):
+        scale = math.lcm(*[xs[i] - xs[i - level] for i in range(level, k)])
         for i in range(k - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) * (1 / (xs[i] - xs[i - level]))
-    # Horner expansion of the Newton form back to monomial coefficients.
-    coeffs = [divided[k - 1]]
+            f = scale // (xs[i] - xs[i - level])
+            table[i] = [(a - b) * f for a, b in zip(table[i], table[i - 1])]
+        den *= scale
+        dens[level] = den
+    table = [row if d == den else [a * (den // d) for a in row] for row, d in zip(table, dens)]
+    poly = [table[k - 1]]
     for i in range(k - 2, -1, -1):
-        expanded = [zero] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            expanded[j + 1] = expanded[j + 1] + c
-            expanded[j] = expanded[j] - c * xs[i]
-        expanded[0] = expanded[0] + divided[i]
-        coeffs = expanded
-    return coeffs
+        x = xs[i]
+        # poly <- poly * (eps - x) + table[i]
+        expanded = [[c - x * a for c, a in zip(table[i], poly[0])]]
+        expanded.extend(
+            [b - x * a for b, a in zip(poly[e - 1], poly[e])] for e in range(1, len(poly))
+        )
+        expanded.append(poly[-1])
+        poly = expanded
+    return poly
 
 
 def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
@@ -111,6 +113,14 @@ def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
     values at integer sample points, and the quotient adj/det is expanded as
     a Laurent series through order ``tail``. Fails if the family is
     generically singular.
+
+    One product of the power matrix [t^e] with the flattened coefficients
+    samples the family at every candidate point t = 1 .. 2 n d + 1; the first
+    n d + 1 points where it is regular give det and adj = det * inverse.
+    Their n^2 + 1 value columns are interpolated together, and one product
+    with the lower-triangular Toeplitz matrix of the inverse of the
+    determinant's unit expands adj/det. The common denominator of det and
+    adj cancels in the quotient, so the integer rows are used as they are.
     """
     if family.rows != family.cols:
         raise ValueError("direct inverse needs a square family")
@@ -118,29 +128,36 @@ def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
     n = work.rows
     deg_bound = n * work.degree
     need = deg_bound + 1
-    det_points: list[tuple[Fraction, Fraction]] = []
-    adj_points: list[tuple[Fraction, Mat]] = []
-    t = 0
-    while len(det_points) < need:
-        t += 1
-        if t > 2 * deg_bound + 1:
-            raise ValueError("generically singular family (determinant vanishes identically)")
-        x = Fraction(t)
-        value = work.evaluate(x)
+    candidates = range(1, 2 * deg_bound + 2)
+    powers = Mat([[t**e for e in range(work.degree + 1)] for t in candidates])
+    flat = Mat([[x for row in c.entries for x in row] for c in work.coeffs])
+    xs: list[int] = []
+    values: list[list[Fraction]] = []
+    for t, sample in zip(candidates, (powers @ flat).entries):
+        value = Mat([sample[r * n : r * n + n] for r in range(n)])
         det = value.det()
         if det == 0:
             continue
-        det_points.append((x, det))
-        adj_points.append((x, value.inverse() * det))
-    det_poly = _poly_trim(_newton_interpolate(det_points, Fraction(0)))
-    pole_det = 0
-    while det_poly[pole_det] == 0:
-        pole_det += 1
-    unit = det_poly[pole_det:]
+        xs.append(t)
+        values.append([det, *(x for row in (value.inverse() * det).entries for x in row)])
+        if len(xs) == need:
+            break
+    else:
+        raise ValueError("generically singular family (determinant vanishes identically)")
+    den = math.lcm(*[x.denominator for row in values for x in row])
+    grid = [[x.numerator * (den // x.denominator) for x in row] for row in values]
+    poly = _newton_interpolate(xs, grid)
+    dets = [row[0] for row in poly]
+    pole_det = next(e for e, d in enumerate(dets) if d)
     depth = tail + pole_det
-    unit_inv = _poly_inverse_series(unit, depth)
-    adj_poly = _newton_interpolate(adj_points, Mat.zeros(n, n))
-    return MatLaurent(pole_det, _poly_mul_series(adj_poly, unit_inv, depth), exact=False)
+    unit_inv = _poly_inverse_series([Fraction(d) for d in dets[pole_det:]], depth)
+    width = min(need, depth + 1)
+    toeplitz = Mat(
+        [[unit_inv[l - i] if i <= l else 0 for i in range(width)] for l in range(depth + 1)]
+    )
+    expanded = toeplitz @ Mat([row[1:] for row in poly[:width]])
+    coeffs = [Mat([row[r * n : r * n + n] for r in range(n)]) for row in expanded.entries]
+    return MatLaurent(pole_det, coeffs, exact=False)
 
 
 @dataclass(frozen=True)

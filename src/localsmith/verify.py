@@ -14,19 +14,28 @@ the others recompute from the recursion's own ledger and transformations.
    their inverses, L phi, L^+ and the direct Laurent inverse) comes from the
    result's store: built once, through the deepest order any check asks for.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
-3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I.
+3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I
+   for every (i, j). The coupling S_i^+ calP_i Sbar_v is formed only for the
+   rows whose gain S_i^+ calP_i is nonzero; every other row is E_ij ==
+   delta_ij I, compared with no product.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
    dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1; every rank is read
    off one rref of the length-(k+1) matrix.
 5. chain-membership (oracle): the length-l block Toeplitz matrix annihilates
    every generated chain of length l, for l = 1 .. k+1, all of them in one
    product.
-6. post-stabilization-structure: past stage k+1, the E blocks below row k+1
-   are zero, and the M blocks recomputed by the generic recurrence equal the
-   ledger's shifted blocks, with identity diagonal blocks.
+6. post-stabilization-structure: every E column is recomputed by the
+   bottom-up solve, as its nonzero blocks, and every M block past row 1
+   equals the generic recurrence over them, M_{row,j} =
+   sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}, with a product only where
+   both factors are nonzero. Past stage k+1 the E blocks below row k+1 are
+   zero, and the M blocks are the ledger's shifted blocks, with identity
+   diagonal blocks.
 7. generalized-inverse-axioms: L X L == L and X L X == X for X = L^+.
 8. laurent-oracle (oracle): L^+ has the pole and the coefficients of the
-   direct Laurent inverse; square families of full generic rank only.
+   direct Laurent inverse, det and adjugate interpolated from integer
+   sample points in one Newton pass and adj/det expanded by one product;
+   square families of full generic rank only.
 9. smith-identities: S_P P == Delta and the blow-up psi^-1 L phi P^-1 == S_P.
    With diagonalization-residual, S_P P == Delta gives L phi == psi S_P P.
 10. projector-families: both projector families are idempotent, and
@@ -124,19 +133,31 @@ def _coefficient_identity(result: DiagonalizationResult) -> Proof:
 def _triangular_system(result: DiagonalizationResult) -> Proof:
     state = result.state
     n, count = state.domain_dim, state.stage_count
-    # The coupling S_i^+ calP_i Sbar_v depends on (i, v) only, not on the
-    # column, and S_i^+ calP_i on i only.
+    identity = Mat.identity(n)
+    # A row whose gain S_i^+ calP_i is zero has no coupling, so there the
+    # system reads E_ij == delta_ij I. The coupling S_i^+ calP_i Sbar_v of
+    # the other rows depends on (i, v) only, not on the column, and holds
+    # (i, j) for every j > i exactly when row i is coupled.
     gains = {i: state.stage(i).splus @ state.stage(i).calp for i in range(1, count)}
     coupling = {
-        (i, v): gains[i] @ state.stage(v).sbar for v in range(2, count + 1) for i in range(1, v)
+        (i, v): gain @ state.stage(v).sbar
+        for i, gain in gains.items()
+        if not gain.is_zero()
+        for v in range(i + 1, count + 1)
     }
     for j in range(1, count + 1):
         for i in range(1, j + 1):
-            acc = Mat.sum_of_products(
-                ((coupling[i, v], state.e_block(v, j)) for v in range(i + 1, j + 1)), n, n
-            )
-            expected = Mat.identity(n) if i == j else Mat.zeros(n, n)
-            if state.e_block(i, j) + acc != expected:
+            block = state.e_block(i, j)
+            if i == j:
+                solved = block == identity
+            elif (i, j) in coupling:
+                acc = Mat.sum_of_products(
+                    ((coupling[i, v], state.e_block(v, j)) for v in range(i + 1, j + 1)), n, n
+                )
+                solved = (block + acc).is_zero()
+            else:
+                solved = block.is_zero()
+            if not solved:
                 return False, f"system row {i}, column {j}"
     return True, "E columns solve the block-triangular system"
 
@@ -161,38 +182,61 @@ def _chain_membership(result: DiagonalizationResult) -> Proof:
     return True, "all generated chains are annihilated by the block matrix"
 
 
-def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
-    # The ledger builds these columns with the shift in place, so the E
-    # blocks and the shifted M blocks are recomputed here from the generic
-    # recurrence instead of being read back.
-    state, k = result.state, result.k
-    n = state.domain_dim
-    ecols = {}
-    for j in range(k + 2, state.stage_count + 1):
-        ecols[j] = ecol = [Mat.zeros(n, n)] * (j - 1) + [Mat.identity(n)]
-        acc = Mat.zeros(state.codomain_dim, n)
+def _e_columns(state: RecursionState) -> dict[int, dict[int, Mat]]:
+    """Every E column j >= 2 by the bottom-up solve E_{j,j} = I,
+    E_{i,j} = -S_i^+ sum_{v>i} Sbar_v E_{v,j}, as its nonzero blocks by row."""
+    identity = Mat.identity(state.domain_dim)
+    columns = {}
+    for j in range(2, state.stage_count + 1):
+        column = {j: identity}
+        # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
+        acc = state.stage(j).sbar
         for i in range(j - 1, 0, -1):
-            term = state.stage(i + 1).sbar @ ecol[i]
-            acc = acc if term.is_zero() else acc + term
+            if i + 1 < j and i + 1 in column:
+                acc = acc + state.stage(i + 1).sbar @ column[i + 1]
             splus = state.stage(i).splus
             if not (splus.is_zero() or acc.is_zero()):
-                ecol[i - 1] = -(splus @ acc)
+                block = -(splus @ acc)
+                if not block.is_zero():
+                    column[i] = block
+        columns[j] = column
+    return columns
+
+
+def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
+    # The ledger builds the E and M columns from one coupling, with the
+    # shift in place, so the E blocks and the M blocks past row 1 are
+    # recomputed here from the generic recurrences instead of being read back.
+    state, k = result.state, result.k
+    n = state.domain_dim
+    ecols = _e_columns(state)
+    for j in range(k + 2, state.stage_count + 1):
         for i in range(k + 2, j):
-            if not ecol[i - 1].is_zero():
+            if i in ecols[j]:
                 return False, f"E block ({i},{j}) nonzero below row {k + 1}"
-    for j in range(k + 3, state.stage_count + 1):
-        for row in range(k + 2, j + 1):
-            generic = Mat.sum_of_products(
-                ((state.m_block(row - 1, c), ecols[j][c]) for c in range(row - 1, j)),
-                n,
-                n,
-            )
+    for j in range(2, state.stage_count + 1):
+        column = ecols[j]
+        for row in range(2, j + 1):
+            # E_{j,j} = I adds M_{row-1,j-1} itself; only the other nonzero
+            # E blocks at rows >= row are multiplied.
+            generic = shifted = state.m_block(row - 1, j - 1)
+            pairs = [
+                (state.m_block(row - 1, i - 1), block)
+                for i, block in column.items()
+                if row <= i < j
+            ]
+            if pairs:
+                generic = Mat.sum_of_products(pairs, n, n) + shifted
             stored = state.m_block(row, j)
             if generic != stored:
                 return False, f"M block ({row},{j}) differs from the recurrence"
+            # The diagonal and the shift are checked in columns past k+2, rows
+            # past k+1.
+            if j < k + 3 or row < k + 2:
+                continue
             if row == j and not stored.is_identity():
                 return False, f"M diagonal block at column {j} is not the identity"
-            if row < j and stored != state.m_block(row - 1, j - 1):
+            if row < j and stored != shifted:
                 return False, f"M shift fails at block ({row},{j})"
     return True, "E zero pattern and M Toeplitz shift hold after stabilization"
 

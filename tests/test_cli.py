@@ -249,6 +249,8 @@ class TestEntryGrammar:
         assert "Traceback" not in err
         if entry.startswith('"'):
             assert "malformed rational" in err
+        # A long entry is echoed as a prefix and its length.
+        assert len(err.splitlines()[0]) < 200
 
     def test_long_number_in_complement_file_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from localsmith import (
     Mat,
@@ -12,6 +14,7 @@ from localsmith import (
     MatSeries,
     RecursionState,
     direct_laurent_inverse,
+    generic_rank,
     linearize_polynomial,
     resolvent_recurrence_check,
     toeplitz_block,
@@ -19,6 +22,101 @@ from localsmith import (
 )
 
 from conftest import example1_family, random_family, random_matrix
+
+
+# -- the reference direct inverse: Mat-valued Newton interpolation of det and
+# adj sampled one point at a time, and a coefficient-by-coefficient product.
+
+
+def _poly_mul_series(a: list[Mat], b: list[Fraction], upto: int) -> list[Mat]:
+    """Coefficients 0..upto of a(eps) b(eps), for Mat coefficients a_i."""
+    out = [Mat.zeros(a[0].rows, a[0].cols)] * (upto + 1)
+    for i, ai in enumerate(a[: upto + 1]):
+        for j, bj in enumerate(b[: upto + 1 - i]):
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _poly_inverse_series(p: list[Fraction], upto: int) -> list[Fraction]:
+    inv0 = 1 / p[0]
+    out = [inv0] + [Fraction(0)] * upto
+    for l in range(1, upto + 1):
+        acc = Fraction(0)
+        for j in range(max(0, l - len(p) + 1), l):
+            acc += p[l - j] * out[j]
+        out[l] = -inv0 * acc
+    return out
+
+
+def _newton_interpolate(points: list[tuple[Fraction, object]], zero) -> list:
+    """Coefficients of the unique interpolating polynomial, ascending order.
+    The values may be Mats, interpolated as a whole; ``zero`` is the zero
+    value."""
+    xs = [x for x, _ in points]
+    divided = [y for _, y in points]
+    k = len(points)
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) * (1 / (xs[i] - xs[i - level]))
+    # Horner expansion of the Newton form back to monomial coefficients.
+    coeffs = [divided[k - 1]]
+    for i in range(k - 2, -1, -1):
+        expanded = [zero] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            expanded[j + 1] = expanded[j + 1] + c
+            expanded[j] = expanded[j] - c * xs[i]
+        expanded[0] = expanded[0] + divided[i]
+        coeffs = expanded
+    return coeffs
+
+
+def reference_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
+    work = family if family.exact else MatSeries.polynomial(family.coeffs)
+    n = work.rows
+    deg_bound = n * work.degree
+    det_points, adj_points = [], []
+    t = 0
+    while len(det_points) < deg_bound + 1:
+        t += 1
+        if t > 2 * deg_bound + 1:
+            raise ValueError("generically singular family")
+        x = Fraction(t)
+        value = work.evaluate(x)
+        det = value.det()
+        if det == 0:
+            continue
+        det_points.append((x, det))
+        adj_points.append((x, value.inverse() * det))
+    det_poly = _newton_interpolate(det_points, Fraction(0))
+    while len(det_poly) > 1 and det_poly[-1] == 0:
+        det_poly.pop()
+    pole_det = 0
+    while det_poly[pole_det] == 0:
+        pole_det += 1
+    depth = tail + pole_det
+    unit_inv = _poly_inverse_series(det_poly[pole_det:], depth)
+    adj_poly = _newton_interpolate(adj_points, Mat.zeros(n, n))
+    return MatLaurent(pole_det, _poly_mul_series(adj_poly, unit_inv, depth), exact=False)
+
+
+@st.composite
+def square_families(draw) -> MatSeries:
+    """Square families of full generic rank, n 1..4 and degree 1..3, whose
+    lead may drop rank, with rational coefficients and either flag."""
+    n, degree = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    family = random_family(rng, n, n, degree, deficit=draw(st.integers(0, n)))
+    scales = [Fraction(1, draw(st.integers(1, 3))) for _ in family.coeffs]
+    family = MatSeries([c * s for c, s in zip(family.coeffs, scales)], exact=draw(st.booleans()))
+    assume(generic_rank(family) == n)
+    return family
+
+
+# det = eps (eps - 1): the sample point t = 1 is singular and skipped.
+SINGULAR_AT_ONE = MatSeries.polynomial(
+    [Mat([[0, 0], [0, 1]]), Mat([[-1, 0], [0, 0]]), Mat([[1, 0], [0, 0]])]
+)
 
 
 def laurent_identity_holds(family: MatSeries, inverse: MatLaurent) -> bool:
@@ -88,6 +186,24 @@ class TestDirectLaurentInverse:
         fam = MatSeries.polynomial([Mat([[1, 0], [0, 0]]), Mat([[0, 0], [2, 0]])])
         with pytest.raises(ValueError, match="singular"):
             direct_laurent_inverse(fam, tail=4)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(square_families(), st.integers(0, 12))
+    @example(SINGULAR_AT_ONE, 6)
+    def test_equals_reference(self, family, tail):
+        """The one-pass interpolation and the Toeplitz product give the pole
+        and every coefficient of the point-by-point reference exactly."""
+        got = direct_laurent_inverse(family, tail=tail)
+        want = reference_laurent_inverse(family, tail)
+        assert got.pole == want.pole
+        assert got.coeffs == want.coeffs
+        assert got.tail_order == tail
+
+    def test_singular_sample_point_is_skipped(self):
+        assert SINGULAR_AT_ONE.evaluate(1).det() == 0
+        inverse = direct_laurent_inverse(SINGULAR_AT_ONE, tail=6)
+        assert inverse.pole == 1
+        assert laurent_identity_holds(SINGULAR_AT_ONE, inverse)
 
     def test_random_identity_both_sides(self):
         rng = random.Random(62)

@@ -116,6 +116,28 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
     assert len(fresh) <= limit
 
 
+def test_triangular_system_products(monkeypatch):
+    """triangular-system forms the coupling only for rows whose gain
+    S_i^+ calP_i is nonzero; the other rows compare E blocks with no
+    product. smith4x4k8 has 29 stages and 4 inverting ones (1, 2, 5, 9); the
+    bound is 2 (n + 1) products per stage, 290 in all (869 when every row
+    forms its coupling)."""
+    with open(os.path.join(REPORTS, "smith4x4k8.json"), "r", encoding="utf-8") as handle:
+        result = diagonalize(spec_to_series(parse_family(handle.read())))
+    state = result.state
+    assert state.stage_count == 29
+    assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
+    sums, calls = Mat.sum_of_products, []
+
+    def counted(pairs, rows, cols):
+        calls.append(rows)
+        return sums(pairs, rows, cols)
+
+    monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
+    assert dict(CHECKS)["triangular-system"](result)[0]
+    assert len(calls) <= 2 * (state.domain_dim + 1) * state.stage_count
+
+
 # Each series of the result's store -> the checks that fail on example1 when
 # I is added to its eps^1 coefficient.
 CORRUPTION_FAILS = {
@@ -190,26 +212,29 @@ def _chain_fault(length):
 
 # Each fault in the ledger of example1 (k = 3) -> the checks it fails: e1 e1^T
 # added to a value of stage 2, or to one E or M block, or 1 to an entry of
-# one Jordan chain of length 2.
+# one Jordan chain of length 2. Stage 3 does not invert, so E_{3,4} meets
+# the row of triangular-system that has no coupling.
 LEDGER_FAULTS = {
     "p2": (_stage_fault("p"), {"smith-identities", "projector-families"}),
     "calp2": (_stage_fault("calp"), {"projector-families"}),
     "splus2": (
         _stage_fault("splus"),
         {
-            "diagonalization-residual", "generalized-inverse-axioms", "laurent-oracle",
-            "smith-identities",
+            "diagonalization-residual", "post-stabilization-structure",
+            "generalized-inverse-axioms", "laurent-oracle", "smith-identities",
         },
     ),
     "e12": (_block_fault("E_cols", 1, 2), {"triangular-system"}),
-    "m12": (_block_fault("M_cols", 1, 2), {"coefficient-identity"}),
+    "e34": (_block_fault("E_cols", 3, 4), {"triangular-system"}),
+    "m12": (_block_fault("M_cols", 1, 2), {"coefficient-identity", "post-stabilization-structure"}),
     "m23": (_block_fault("M_cols", 2, 3), {"post-stabilization-structure"}),
     "chain2": (_chain_fault(2), {"chain-membership"}),
 }
-# L_1 e1 = L_2 e1 = 0 on example1, so e1 e1^T added to M_{2,3} leaves every
-# product of L with M unchanged, and post-stabilization-structure recomputes
-# the M blocks only past column k + 2.
-UNSEEN_FAULTS = {"m23"}
+# Faults that no check sees, each a strict xfail. L_1 e1 = L_2 e1 = 0 on
+# example1, so M_{2,3} + e1 e1^T leaves every product of L with M unchanged;
+# post-stabilization-structure sees it by recomputing every M block past
+# row 1.
+UNSEEN_FAULTS: set[str] = set()
 
 
 @pytest.mark.parametrize(
