@@ -1,6 +1,11 @@
 """Command-line driver: analyze, diagonalize, invert, jordan, smith,
 linearize, and verify, over JSON family files.
 
+``_COMMANDS`` names each command once, with its function and help line.
+``main`` loads the family, calls the command with the parsed flags, the
+family spec and the normalized family, and writes the report header
+(``"command"`` and ``"family"``) above the fields the command returns.
+
 Reports go to stdout as JSON (default) or a text rendering; all numbers are
 exact rational strings. Exit codes: 0 success, 1 input error (usage errors
 and out-of-range flags included) or a stdout closed before the whole report
@@ -85,16 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "stage table, stabilization index, and subspace dimensions",
-        "diagonalize": "transformations, diagonal polynomial, and residual proof",
-        "invert": "generalized inverse Laurent coefficients and pole order",
-        "jordan": "Jordan chain generators of a given length",
-        "smith": "constant factor, Smith form, and exponents",
-        "linearize": "augmented linear pencil and its stabilization bound",
-        "verify": "run every independent oracle cross-check",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("family", help="path to a family JSON file")
         if name not in ("jordan", "linearize"):
@@ -213,10 +209,8 @@ def _stage_table(result: DiagonalizationResult) -> list[dict]:
     return table
 
 
-def _analyze_report(result: DiagonalizationResult, spec: FamilySpec) -> dict:
+def _analyze_fields(result: DiagonalizationResult, spec: FamilySpec) -> dict:
     return {
-        "command": "analyze",
-        "family": _family_header(spec),
         "generic_rank": result.generic_rank,
         "stabilization_index": result.k,
         "stages": _stage_table(result),
@@ -228,40 +222,34 @@ def _analyze_report(result: DiagonalizationResult, spec: FamilySpec) -> dict:
     }
 
 
-def cmd_analyze(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
-    result = _run(analyze, family, args)
-    return _analyze_report(result, spec), EXIT_OK
+def cmd_analyze(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
+    return _analyze_fields(_run(analyze, family, args), spec), EXIT_OK
 
 
-def cmd_diagonalize(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_diagonalize(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     result = _run(diagonalize, family, args)
-    report = _analyze_report(result, spec)
-    report["command"] = "diagonalize"
-    report["order"] = result.order
-    report["delta"] = terms_listing(_unnormalized(result.delta, spec))
-    report["phi"] = series_listing(result.phi, result.order)
-    report["psi"] = series_listing(result.psi, result.order)
-    report["phi_inverse"] = series_listing(result.phi_inv, result.order)
-    report["psi_inverse"] = series_listing(result.psi_inv, result.order)
-    report["verification"] = {
-        "identity": "psi_inverse * L * phi == delta",
-        "checked_through_order": result.order,
-        # diagonalize() returns only a result whose residual it has proven.
-        "exact": True,
-    }
-    return report, EXIT_OK
+    return {
+        **_analyze_fields(result, spec),
+        "order": result.order,
+        "delta": terms_listing(_unnormalized(result.delta, spec)),
+        "phi": series_listing(result.phi, result.order),
+        "psi": series_listing(result.psi, result.order),
+        "phi_inverse": series_listing(result.phi_inv, result.order),
+        "psi_inverse": series_listing(result.psi_inv, result.order),
+        "verification": {
+            "identity": "psi_inverse * L * phi == delta",
+            "checked_through_order": result.order,
+            # diagonalize() returns only a result whose residual it has proven.
+            "exact": True,
+        },
+    }, EXIT_OK
 
 
-def cmd_invert(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_invert(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     result = _run(diagonalize, family, args)
     linv = result.generalized_inverse(args.order)
     reported = linv.shift(spec.declared_pole)
-    report = {
-        "command": "invert",
-        "family": _family_header(spec),
+    return {
         "stabilization_index": result.k,
         "pole_order": reported.pole,
         "coefficients": laurent_listing(reported),
@@ -270,19 +258,15 @@ def cmd_invert(args) -> tuple[dict, int]:
             "checked_through_order": linv.tail_order,
             "exact": require(inverse_axioms(family, linv)),
         },
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_jordan(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     state = RecursionState(
         family, complements=_complement_plan(args), max_stages=args.max_stages
     )
     chains = state.jordan_chain_basis(args.length)
-    report = {
-        "command": "jordan",
-        "family": _family_header(spec),
+    return {
         "length": args.length,
         "stage_kernel_dims": [ker.dim for ker in chains.stage_kernels],
         "nullspace_dim": chains.nullspace_dim,
@@ -293,8 +277,7 @@ def cmd_jordan(args) -> tuple[dict, int]:
             }
             for vectors in map(_vector_strings, chains.basis_chains())
         ],
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _vector_strings(chain) -> list[list[str]]:
@@ -304,14 +287,11 @@ def _vector_strings(chain) -> list[list[str]]:
     return [flat[i * n : i * n + n] for i in range(chain.length)]
 
 
-def cmd_smith(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_smith(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     result = _run(diagonalize, family, args)
     fact = result.smith_factorization()
     analytic = result.psi @ MatSeries.constant(fact.s_p)
-    report = {
-        "command": "smith",
-        "family": _family_header(spec),
+    return {
         "stabilization_index": result.k,
         "exponents": [e - spec.declared_pole for e in fact.exponents],
         "constant_factor": mat_to_grid(fact.s_p),
@@ -321,12 +301,10 @@ def cmd_smith(args) -> tuple[dict, int]:
             "identity": "constant_factor * P(eps) == delta",
             "exact": require(smith_identity(result, fact)),
         },
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_linearize(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_linearize(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     if spec.kind != "polynomial":
         raise InputError("linearization is defined for polynomial families")
     if family.degree < 1:
@@ -334,9 +312,7 @@ def cmd_linearize(args) -> tuple[dict, int]:
     plan = _complement_plan(args)
     k = RecursionState(family, plan, args.max_stages).run_until_stabilized()
     pencil, kbar, proof = linearization(family, k, args.max_stages)
-    report = {
-        "command": "linearize",
-        "family": _family_header(spec),
+    return {
         "degree": pencil.degree,
         "pencil_constant": mat_to_grid(pencil.lbar0),
         "pencil_linear": mat_to_grid(pencil.lbar1),
@@ -344,27 +320,35 @@ def cmd_linearize(args) -> tuple[dict, int]:
         "k_pencil": kbar,
         "bound": "(k_pencil - 1) * degree < k <= k_pencil * degree",
         "bound_holds": require(proof),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    spec, family = _load_family(args)
+def cmd_verify(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     result = _run(diagonalize, family, args)
     # perfbench/tracing.py times each check by wrapping ``localsmith.cli._check``
     # by name, so the CLI calls it once per check until the benchmark reads
     # run statistics instead.
     checks = [_check(name, partial(check, result)) for name, check in CHECKS]
     failed = [c for c in checks if c["status"] == "fail"]
-    report = {
-        "command": "verify",
-        "family": _family_header(spec),
+    return {
         "stabilization_index": result.k,
         "generic_rank": result.generic_rank,
         "checks": checks,
         "all_passed": not failed,
-    }
-    return report, EXIT_INCONSISTENT if failed else EXIT_OK
+    }, EXIT_INCONSISTENT if failed else EXIT_OK
+
+
+# Each command once: its function and its help line, in the order the
+# parser lists them.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "stage table, stabilization index, and subspace dimensions"),
+    "diagonalize": (cmd_diagonalize, "transformations, diagonal polynomial, and residual proof"),
+    "invert": (cmd_invert, "generalized inverse Laurent coefficients and pole order"),
+    "jordan": (cmd_jordan, "Jordan chain generators of a given length"),
+    "smith": (cmd_smith, "constant factor, Smith form, and exponents"),
+    "linearize": (cmd_linearize, "augmented linear pencil and its stabilization bound"),
+    "verify": (cmd_verify, "run every independent oracle cross-check"),
+}
 
 
 # -- rendering ----------------------------------------------------------------
@@ -372,14 +356,13 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def _render_text(report: dict) -> str:
     lines = [f"localsmith {report['command']}"]
-    fam = report.get("family", {})
-    if fam:
-        lines.append(
-            f"  family: {fam['rows']}x{fam['cols']} {fam['kind']}"
-            f" (order {fam['trunc_or_degree']}, declared pole {fam['declared_pole']})"
-        )
-        if "caveat" in fam:
-            lines.append(f"  caveat: {fam['caveat']}")
+    fam = report["family"]
+    lines.append(
+        f"  family: {fam['rows']}x{fam['cols']} {fam['kind']}"
+        f" (order {fam['trunc_or_degree']}, declared pole {fam['declared_pole']})"
+    )
+    if "caveat" in fam:
+        lines.append(f"  caveat: {fam['caveat']}")
     for key in ("generic_rank", "stabilization_index", "order", "pole_order", "length",
                 "nullspace_dim", "degree", "k", "k_pencil", "bound_holds"):
         if key in report:
@@ -414,21 +397,11 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "diagonalize": cmd_diagonalize,
-    "invert": cmd_invert,
-    "jordan": cmd_jordan,
-    "smith": cmd_smith,
-    "linearize": cmd_linearize,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report, code = _COMMANDS[args.command](args)
+        spec, family = _load_family(args)
+        fields, code = _COMMANDS[args.command][0](args, spec, family)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -441,6 +414,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    report = {"command": args.command, "family": _family_header(spec), **fields}
     text = _render_text(report) if args.format == "text" else json.dumps(report, indent=2)
     try:
         print(text)

@@ -65,9 +65,7 @@ def psi_series(state: RecursionState, t: int) -> MatSeries:
 
 def delta_terms(state: RecursionState) -> tuple[tuple[int, Mat], ...]:
     """The diagonal polynomial as structured (power, S_i P_i) terms."""
-    k = state.detect_stabilization()
-    if k is None:
-        raise ValueError("stabilization has not been certified yet")
+    k = state._require_stabilized()
     out = []
     for i in range(1, k + 2):
         st = state.stage(i)
@@ -146,10 +144,7 @@ class DiagonalizationResult:
         """The first order through the working order where L * phi and
         psi * Delta differ, or None. With psi_0 = I it is the first where
         psi^{-1} L phi and Delta do."""
-        lhs, rhs = self.l_phi, self.psi @ self.delta_series()
-        return next(
-            (i for i in range(self.order + 1) if lhs.coefficient(i) != rhs.coefficient(i)), None
-        )
+        return self.l_phi.first_difference(self.psi @ self.delta_series(), 0, self.order)
 
     # -- views over the ledger ---------------------------------------------
 

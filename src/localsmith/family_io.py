@@ -59,7 +59,9 @@ def grid_to_mat(grid, rows: int, cols: int, context: str = "matrix") -> Mat:
     if not isinstance(grid, list) or len(grid) != rows:
         raise InputError(f"{context}: expected {rows} rows")
     for r, row in enumerate(grid):
-        if not isinstance(row, list) or len(row) != cols:
+        if not isinstance(row, list):
+            raise InputError(f"{context}: row {r} is not a list")
+        if len(row) != cols:
             raise InputError(f"{context}: row {r} must have {cols} entries")
     try:
         return Mat(grid, cols=cols)
@@ -168,7 +170,7 @@ def parse_complement_plan(text: str) -> ComplementPlan:
     entries = obj.get("stages", [])
     if not isinstance(entries, list):
         raise InputError('complement file must be {"stages": [...]}')
-    plan = ComplementPlan.empty()
+    plan, seen = ComplementPlan.empty(), set()
     for entry in entries:
         if not isinstance(entry, dict) or "stage" not in entry:
             raise InputError("each stage entry needs a 'stage' index")
@@ -178,6 +180,9 @@ def parse_complement_plan(text: str) -> ComplementPlan:
         index = entry["stage"]
         if not _is_int(index) or index < 1:
             raise InputError("stage index must be a positive integer")
+        if index in seen:
+            raise InputError(f"duplicate stage {index}")
+        seen.add(index)
         for field, store in (
             ("domain_complement", plan.nc_bases),
             ("codomain_complement", plan.rc_bases),
@@ -187,9 +192,8 @@ def parse_complement_plan(text: str) -> ComplementPlan:
                 continue
             if not isinstance(grid, list) or not grid:
                 raise InputError(f"stage {index}: {field} must be a nonempty grid")
-            height = len(grid)
-            width = len(grid[0]) if isinstance(grid[0], list) else -1
-            store[index] = grid_to_mat(grid, height, width, context=f"stage {index} {field}")
+            width = len(grid[0]) if isinstance(grid[0], list) else 0
+            store[index] = grid_to_mat(grid, len(grid), width, context=f"stage {index} {field}")
     return plan
 
 

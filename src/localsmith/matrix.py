@@ -440,10 +440,10 @@ class Mat:
     def inverse(self) -> Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        reduced, pivots = Mat.hstack([self, Mat.identity(self.rows)]).rref()
-        if len(pivots) != self.rows or any(p >= self.cols for p in pivots):
+        inverse = self.solve(Mat.identity(self.rows))
+        if inverse is None:
             raise ValueError("singular matrix")
-        return reduced.submatrix_columns(range(self.cols, 2 * self.cols))
+        return inverse
 
     def det(self) -> Fraction:
         """Determinant by Bareiss fraction-free elimination of the integer

@@ -109,10 +109,15 @@ class MatLaurent:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    def first_difference(self, other: MatLaurent, low: int, high: int) -> int | None:
+        """The first exponent in low..high where the two series differ, or None."""
+        return next(
+            (e for e in range(low, high + 1) if self.coefficient(e) != other.coefficient(e)), None
+        )
+
     def eq_through(self, other: MatLaurent, t: int) -> bool:
         """Coefficient-wise equality through order t (both must reach t)."""
-        low = -max(self.pole, other.pole)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(low, t + 1))
+        return self.first_difference(other, -max(self.pole, other.pole), t) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatLaurent):

@@ -77,19 +77,14 @@ def require(proof: Proof) -> bool:
     return True
 
 
-def _first_difference(a, b, low: int, high: int) -> int | None:
-    """The first exponent in low..high where series a and b differ, or None."""
-    return next((e for e in range(low, high + 1) if a.coefficient(e) != b.coefficient(e)), None)
-
-
 def inverse_axioms(family: MatSeries, linv: MatLaurent) -> Proof:
     """L*X*L == L and X*L*X == X on every coefficient the products determine."""
     lxl = family @ linv @ family
-    e = _first_difference(lxl, family, -lxl.pole, lxl.tail_order)
+    e = lxl.first_difference(family, -lxl.pole, lxl.tail_order)
     if e is not None:
         return False, f"L*X*L != L at order {e}"
     xlx = linv @ family @ linv
-    e = _first_difference(xlx, linv, -xlx.pole, xlx.tail_order)
+    e = xlx.first_difference(linv, -xlx.pole, xlx.tail_order)
     if e is not None:
         return False, f"X*L*X != X at order {e}"
     return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
@@ -264,7 +259,7 @@ def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
     oracle = _direct_inverse(result)
     if oracle.pole != linv.pole:
         return False, f"pole {linv.pole} vs oracle {oracle.pole}"
-    e = _first_difference(oracle, linv, -linv.pole, order)
+    e = oracle.first_difference(linv, -linv.pole, order)
     if e is not None:
         return False, f"coefficient mismatch at order {e}"
     return True, f"coefficients agree from eps^-{linv.pole} through eps^{order}"
@@ -277,7 +272,7 @@ def _smith_identities(result: DiagonalizationResult) -> Proof:
         return passed, detail
     blow = result.psi_inv @ result.l_phi @ fact.p_inverse_laurent()
     s_p = MatLaurent(0, [fact.s_p], exact=True)
-    e = _first_difference(blow, s_p, -blow.pole, blow.tail_order)
+    e = blow.first_difference(s_p, -blow.pole, blow.tail_order)
     if e is not None:
         return False, f"blow-up identity fails at order {e}"
     if blow.tail_order < 0:

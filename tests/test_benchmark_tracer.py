@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import localsmith.cli  # noqa: F401 -- the tracer patches every loaded package module
-from localsmith import Mat, MatSeries
-from localsmith.cli import main
+
+# Package names are read from sys.modules when a test runs, not bound here:
+# perfbench/run.py's fresh_import loads the package anew, and the tracer
+# patches the modules loaded then.
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 CUBIC = Path(__file__).resolve().parent / "data" / "example1.json"
@@ -50,7 +52,8 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
             assert cls.__dict__[attr] is not before[(cls, attr)], f"{cls_name}.{attr}"
         # diagonalize.residual_s reads the spans of power-series products.
         root = tracer.begin_call("analyze")
-        MatSeries.identity(2) @ MatSeries.constant(Mat.identity(2))
+        package = sys.modules["localsmith"]
+        package.MatSeries.identity(2) @ package.MatSeries.constant(package.Mat.identity(2))
         tracer.end_call(root)
         assert [tracer.names[i] for i in tracer.name] == ["cli.main", "series.matseries_matmul"]
     finally:
@@ -68,7 +71,7 @@ def traced_spans(tracing, command: str) -> list[str]:
     tracer.install()
     try:
         root = tracer.begin_call(command)
-        assert main([command, str(CUBIC)]) == 0
+        assert sys.modules["localsmith.cli"].main([command, str(CUBIC)]) == 0
         tracer.end_call(root)
     finally:
         tracer.uninstall()

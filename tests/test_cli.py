@@ -744,6 +744,30 @@ class TestGivenComplements:
         assert report["smith_exponents"] == [0, 1, 3]
         assert report["stages"][0]["complement"]["basis"] == [["1"], ["1"], ["0"]]
 
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            # Both bases complement N_1; a second entry must not replace the first.
+            (
+                [
+                    {"stage": 1, "domain_complement": [["1"], ["0"], ["0"]]},
+                    {"stage": 1, "domain_complement": [["1"], ["0"], ["1"]]},
+                ],
+                "error: duplicate stage 1",
+            ),
+            (
+                [{"stage": 1, "domain_complement": ["1", "0", "0"]}],
+                "error: stage 1 domain_complement: row 0 is not a list",
+            ),
+        ],
+        ids=["stage-twice", "row-not-a-list"],
+    )
+    def test_malformed_plan_is_exit_one(self, stages, message, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"stages": stages}))
+        assert main(["analyze", DATA, "--complement", f"given:{path}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_bad_strategy_string(self, capsys):
         assert main(["analyze", DATA, "--complement", "sideways"]) == 1
 
