@@ -278,7 +278,12 @@ class Mat:
         return cached
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Mat.identity(self.rows)
+        n = self.cols
+        return (
+            self.rows == n
+            and self._den == 1
+            and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._grid))
+        )
 
     def column(self, j: int) -> Mat:
         """Column j as a rows x 1 matrix, for 0 <= j < cols."""
@@ -293,6 +298,37 @@ class Mat:
     def submatrix_rows(self, indices: Sequence[int]) -> Mat:
         grid = tuple(self._grid[i] for i in indices)
         return Mat._reduced(grid, self._den, len(indices), self.cols)
+
+    def rows_plus(self, start: int, other: Mat) -> Mat:
+        """Rows start .. start + other.rows - 1 of self, plus other, with one
+        reduction; other itself when those rows are zero or past the end."""
+        head = self._grid[start : start + other.rows]
+        if not any(map(any, head)):
+            return other
+        if len(head) != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch rows {start}.. of {self.rows}x{self.cols} + "
+                f"{other.rows}x{other.cols}"
+            )
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        grid = tuple(
+            tuple([x * a + y * b for x, y in zip(r1, r2)]) for r1, r2 in zip(head, other._grid)
+        )
+        return Mat._reduced(grid, den, other.rows, other.cols)
+
+    def reshape(self, rows: int, cols: int) -> Mat:
+        """The entries, read row by row, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        flat = tuple(chain.from_iterable(self._grid))
+        grid = tuple(flat[r * cols : r * cols + cols] for r in range(rows))
+        return Mat._of(grid, self._den, rows, cols)
+
+    @property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix times the least common denominator of its entries."""
+        return self._grid
 
     def transpose(self) -> Mat:
         grid = tuple(zip(*self._grid)) if self.rows else ((),) * self.cols

@@ -130,23 +130,21 @@ def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
     need = deg_bound + 1
     candidates = range(1, 2 * deg_bound + 2)
     powers = Mat([[t**e for e in range(work.degree + 1)] for t in candidates])
-    flat = Mat([[x for row in c.entries for x in row] for c in work.coeffs])
+    samples = powers @ Mat.vstack([c.reshape(1, n * n) for c in work.coeffs])
     xs: list[int] = []
-    values: list[list[Fraction]] = []
-    for t, sample in zip(candidates, (powers @ flat).entries):
-        value = Mat([sample[r * n : r * n + n] for r in range(n)])
+    values: list[Mat] = []
+    for p, t in enumerate(candidates):
+        value = samples.submatrix_rows((p,)).reshape(n, n)
         det = value.det()
         if det == 0:
             continue
         xs.append(t)
-        values.append([det, *(x for row in (value.inverse() * det).entries for x in row)])
+        values.append(Mat.hstack([Mat([[det]]), (value.inverse() * det).reshape(1, n * n)]))
         if len(xs) == need:
             break
     else:
         raise ValueError("generically singular family (determinant vanishes identically)")
-    den = math.lcm(*[x.denominator for row in values for x in row])
-    grid = [[x.numerator * (den // x.denominator) for x in row] for row in values]
-    poly = _newton_interpolate(xs, grid)
+    poly = _newton_interpolate(xs, Mat.vstack(values).integer_rows)
     dets = [row[0] for row in poly]
     pole_det = next(e for e, d in enumerate(dets) if d)
     depth = tail + pole_det
@@ -156,7 +154,7 @@ def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
         [[unit_inv[l - i] if i <= l else 0 for i in range(width)] for l in range(depth + 1)]
     )
     expanded = toeplitz @ Mat([row[1:] for row in poly[:width]])
-    coeffs = [Mat([row[r * n : r * n + n] for r in range(n)]) for row in expanded.entries]
+    coeffs = [expanded.submatrix_rows((l,)).reshape(n, n) for l in range(depth + 1)]
     return MatLaurent(pole_det, coeffs, exact=False)
 
 

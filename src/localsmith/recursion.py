@@ -29,6 +29,15 @@ zero: the general step's values, taken with no elimination unless the
 complement plan names the stage. The stages run through the last stage
 the plan names, which must lie within the stage budget.
 
+A degenerate stage pays only for its proofs. S_j^+ = basis(Nc_j) W with
+independent basis columns, so P_j and calP_j are zero whenever S_j^+ is,
+named stages included: Q and Qc change only at inverting stages (below),
+and Qc_{j-1} = I before the first one, where S_j is S̄_j itself. L_v is
+zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
+so forms four products, S̄_j, S_j = Qc_{j-1} S̄_j, the degeneracy product
+and the coupling one below, and runs the rank guard on a running range
+total; its zero blocks and E_{j,j} = I are shared by every stage.
+
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
 
@@ -236,9 +245,16 @@ class RecursionState:
         self.E_cols: list[list[Mat]] = []
         self.M_cols: list[list[Mat]] = []
         self.stabilization_k: int | None = None
+        # The sum of dim R_j over the stages so far, for the rank guard.
+        self._range_total = 0
+        n, m = self.domain_dim, self.codomain_dim
+        # The zero P, calP and S^+ of a degenerate stage, and the zero and
+        # identity blocks of an E column, shared by every stage.
+        self._degenerate = (Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m))
+        self._identity = Mat.identity(n)
         # Q_j and Qc_j, the projections onto N_j and Rc_j along the earlier
         # complements and ranges, after the stages so far.
-        self._q = Mat.identity(self.domain_dim)
+        self._q = self._identity
         self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
@@ -282,14 +298,17 @@ class RecursionState:
         if j == 1:
             sbar = self.L.coefficient(0)
         else:
+            # L_v is zero past deg L, and self.L is exact.
             sbar = Mat.sum_of_products(
-                ((self.L.coefficient(v), self.m_block(v, j - 1)) for v in range(1, j)),
+                (
+                    (coeff, self.m_block(v, j - 1))
+                    for v, coeff in enumerate(self.L.coeffs[1:j], start=1)
+                ),
                 self.codomain_dim,
                 self.domain_dim,
             )
-        s = sbar if self._qc.is_identity() else self._qc @ sbar
+        s = self._qc @ sbar if self._inverting else sbar
         stage = self._split_stage(j, sbar, s)
-        self._q, self._qc = self._q - stage.p, self._qc - stage.calp
         self.stages.append(stage)
         if self._coupling is None:
             self._coupling = self._inverting_coupling()
@@ -297,6 +316,7 @@ class RecursionState:
         self.E_cols.append(self._build_e_column(j, product))
         self.M_cols.append(self._build_m_column(j, product))
         if not stage.splus.is_zero():
+            self._q, self._qc = self._q - stage.p, self._qc - stage.calp
             self._inverting.append(j)
             self._coupling = None
         self._detect_stabilization()
@@ -309,9 +329,9 @@ class RecursionState:
         n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
         given_nc, given_rc = self.complements.nc_bases.get(j), self.complements.rc_bases.get(j)
         named = given_nc is not None or given_rc is not None
-        n, m, zeros = self.domain_dim, self.codomain_dim, Mat.zeros
+        n, m = self.domain_dim, self.codomain_dim
         if r_j.is_zero() and not named:
-            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, zeros(n, n), zeros(m, m), zeros(n, m))
+            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, *self._degenerate)
         try:
             if given_nc is not None:
                 nc_j = Subspace(n, given_nc)
@@ -359,8 +379,8 @@ class RecursionState:
         """E_{j,j} = I, and E_{i,j} = G_i Sbar_j for each inverting i, read
         from the leading blocks of the coupling product; other rows are zero."""
         n = self.domain_dim
-        col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[j - 1] = Mat.identity(n)
+        col: list[Mat] = [self._degenerate[0]] * j
+        col[j - 1] = self._identity
         for b, i in enumerate(self._inverting):
             col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
         return col
@@ -372,26 +392,26 @@ class RecursionState:
         n = self.domain_dim
         mcol = [self.E_cols[j - 1][0]]
         for row in range(2, j + 1):
-            shifted = self.m_block(row - 1, j - 1)
             at = (len(self._inverting) + row - 2) * n
-            head = product.submatrix_rows(range(at, at + n)) if at < product.rows else None
-            mcol.append(shifted if head is None or head.is_zero() else head + shifted)
+            mcol.append(product.rows_plus(at, self.m_block(row - 1, j - 1)))
         return mcol
 
     # -- stabilization ----------------------------------------------------
 
     def _detect_stabilization(self) -> None:
-        total = sum(st.r.dim for st in self.stages)
+        """The rank guard on the stage just run, and the certificate: the
+        first stage whose range brings the total to the generic rank is
+        stage k+1."""
+        last = self.stages[-1]
+        self._range_total += last.r.dim
+        total = self._range_total
         if total > self.generic_rank:
             raise InternalConsistencyError(
                 f"accumulated range dimension {total} exceeds generic rank "
                 f"{self.generic_rank}"
             )
-        if self.stabilization_k is not None or self.generic_rank == 0:
-            return
-        if total == self.generic_rank:
-            last_positive = max(st.index for st in self.stages if st.r.dim > 0)
-            self.stabilization_k = last_positive - 1
+        if self.stabilization_k is None and last.r.dim and total == self.generic_rank:
+            self.stabilization_k = last.index - 1
 
     def detect_stabilization(self) -> int | None:
         return self.stabilization_k
@@ -401,7 +421,7 @@ class RecursionState:
             if len(self.stages) >= self.max_stages:
                 raise StageBudgetError(
                     f"no stabilization certificate within {self.max_stages} stages "
-                    f"(accumulated rank {sum(st.r.dim for st in self.stages)} of "
+                    f"(accumulated rank {self._range_total} of "
                     f"{self.generic_rank})"
                 )
             self.run_stage()
@@ -464,7 +484,7 @@ class RecursionState:
         """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine."""
         k = self._require_stabilized()
         if i == 0:
-            return Mat.identity(self.domain_dim)
+            return self._identity
         self.ensure_stages(k + 1 + i)
         return self.m_block(k + 1, k + 1 + i)
 

@@ -78,12 +78,14 @@ def require(proof: Proof) -> bool:
 
 
 def inverse_axioms(family: MatSeries, linv: MatLaurent) -> Proof:
-    """L*X*L == L and X*L*X == X on every coefficient the products determine."""
-    lxl = family @ linv @ family
+    """L*X*L == L and X*L*X == X on every coefficient the products determine;
+    X*L*X is read as X*(L*X), so L*X is formed once."""
+    lx = family @ linv
+    lxl = lx @ family
     e = lxl.first_difference(family, -lxl.pole, lxl.tail_order)
     if e is not None:
         return False, f"L*X*L != L at order {e}"
-    xlx = linv @ family @ linv
+    xlx = linv @ lx
     e = xlx.first_difference(linv, -xlx.pole, xlx.tail_order)
     if e is not None:
         return False, f"X*L*X != X at order {e}"

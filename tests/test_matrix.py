@@ -182,6 +182,49 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Mat(grid)
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (Mat.identity(3), True),
+            (Mat([[1, 0], [0, 1]]), True),
+            (Mat.zeros(0, 0), True),
+            (Mat([[1, 0, 0], [0, 1, 0]]), False),
+            (Mat([[1, 0], [0, 2]]), False),
+            (Mat([[1, 0], [0, rat("1/2")]]), False),
+            (Mat([[1, rat("1/2")], [0, 1]]), False),
+            (Mat([[0, 1], [1, 0]]), False),
+        ],
+        ids=["I3", "I2", "0x0", "non-square", "diag-1-2", "den-2-diagonal", "den-2-off", "swap"],
+    )
+    def test_is_identity(self, m, expected):
+        assert m.is_identity() is expected
+
+    def test_reshape_reads_row_by_row(self):
+        m = Mat([[1, rat("1/2")], [3, 4], [5, rat("-1/6")]])
+        assert m.reshape(1, 6) == Mat([[1, rat("1/2"), 3, 4, 5, rat("-1/6")]])
+        assert m.reshape(2, 3) == Mat([[1, rat("1/2"), 3], [4, 5, rat("-1/6")]])
+        assert m.reshape(2, 3).reshape(3, 2) == m
+        assert Mat.zeros(0, 3).reshape(3, 0) == Mat.zeros(3, 0)
+        with pytest.raises(ValueError):
+            m.reshape(4, 2)
+
+    def test_integer_rows_are_over_the_common_denominator(self):
+        assert Mat([[rat("1/2"), rat("1/3")], [1, 0]]).integer_rows == ((3, 2), (6, 0))
+        assert Mat.identity(2).integer_rows == ((1, 0), (0, 1))
+
+    def test_rows_plus(self):
+        stack = Mat([[rat("1/2"), 0], [0, rat("1/2")], [0, 0], [0, 0], [1, 2], [3, 4]])
+        other = Mat([[rat("1/2"), 1], [0, rat("3/2")]])
+        assert stack.rows_plus(0, other) == Mat([[1, 1], [0, 2]])
+        assert stack.rows_plus(4, other) == stack.submatrix_rows(range(4, 6)) + other
+        # Zero rows, or rows past the end, give other itself.
+        assert stack.rows_plus(2, other) is other
+        assert stack.rows_plus(6, other) is other
+        with pytest.raises(ValueError):
+            stack.rows_plus(5, other)
+        with pytest.raises(ValueError):
+            stack.rows_plus(0, Mat.identity(3))
+
 
 # -- property tests against plain-Fraction reference kernels ----------------
 #

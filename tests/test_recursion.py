@@ -473,6 +473,40 @@ class TestDegenerateStages:
                 assert fresh == [], j
         assert splitting == {1: 8, 2: 6, 5: 6, 9: 4}
 
+    def test_stage_work_past_stabilization(self, monkeypatch):
+        # Degree 9, k = 8, inverting stages 1, 2, 5 and 9. Stages 11 to 29,
+        # the ones smith runs past stage k + 2, form four products each:
+        # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j, the degeneracy
+        # product S_j basis(N_{j-1}) and the coupling times Sbar_j. None
+        # builds an identity.
+        state = RecursionState(load_family("smith4x4k8.json"))
+        assert state.L.degree == 9
+        state.ensure_stages(10)
+        assert state.stabilization_k == 8
+        assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
+        calls, identities = [], []
+        sums, identity = Mat.sum_of_products, Mat.identity
+
+        def summed(pairs, rows, cols_):
+            pairs = list(pairs)
+            result = sums(pairs, rows, cols_)
+            calls.append((len(pairs), result))
+            return result
+
+        def built(n):
+            identities.append(n)
+            return identity(n)
+
+        monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
+        monkeypatch.setattr(Mat, "identity", staticmethod(built))
+        for j in range(11, 30):
+            calls.clear()
+            state.run_stage()
+            assert len(calls) == 4, j
+            pairs, sbar = calls[0]
+            assert sbar == state.stage(j).sbar and pairs <= 9, j
+            assert identities == [], j
+
 
 class TestCoupledColumns:
     """Every E/M column comes from the coupling of the inverting stages below
