@@ -133,7 +133,7 @@ def _load_family(args) -> tuple[FamilySpec, MatSeries]:
     try:
         with open(args.family, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.family}: {exc}") from exc
     spec = parse_family(text)
     if args.pole is not None:
@@ -154,9 +154,10 @@ def _complement_plan(args):
         path = args.complement[len("given:") :]
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return parse_complement_plan(handle.read())
-        except OSError as exc:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read complement file {path}: {exc}") from exc
+        return parse_complement_plan(text)
     raise InputError("--complement must be 'pivot' or 'given:<file>'")
 
 

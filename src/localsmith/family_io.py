@@ -74,9 +74,11 @@ def mat_to_grid(m: Mat) -> list[list[str]]:
 
 
 def parse_family(text: str) -> FamilySpec:
+    # json raises ValueError for malformed JSON and for a number past the
+    # int-string limit, and RecursionError for nesting past the recursion limit.
     try:
         obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("family file must contain a JSON object")
@@ -163,7 +165,7 @@ def parse_complement_plan(text: str) -> ComplementPlan:
     """
     try:
         obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except ValueError as exc:  # a JSONDecodeError, or a number past the int-string limit
+    except (ValueError, RecursionError) as exc:  # as in parse_family
         raise InputError(f"complement file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) - {"stages"}:
         raise InputError('complement file must be {"stages": [...]}')

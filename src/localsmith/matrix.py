@@ -301,7 +301,7 @@ class Mat:
 
     def rows_plus(self, start: int, other: Mat) -> Mat:
         """Rows start .. start + other.rows - 1 of self, plus other, with one
-        reduction; other itself when those rows are zero or past the end."""
+        reduction; other itself when those rows are zero."""
         head = self._grid[start : start + other.rows]
         if not any(map(any, head)):
             return other
@@ -438,7 +438,32 @@ class Mat:
         return result
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of rref pivots: read from a cached rref, else from an
+        integer forward pass with primitive rows and one gcd per eliminated
+        row, with no back substitution, scaling or result matrix."""
+        if self._rref is not None:
+            return len(self._rref[1])
+        rows = []
+        for ints in self._grid:
+            if g := math.gcd(*ints):
+                rows.append([x // g for x in ints] if g > 1 else ints)
+        rank = 0
+        for pc in range(self.cols):
+            at = next((r for r, row in enumerate(rows) if row[pc]), None)
+            if at is None:
+                continue
+            pivot, rest, rank = rows.pop(at), [], rank + 1
+            p = pivot[pc]
+            for row in rows:
+                if f := row[pc]:
+                    row = [p * a - f * b for a, b in zip(row, pivot)]
+                    if (g := math.gcd(*row)) > 1:
+                        row = [x // g for x in row]
+                    elif not g:
+                        continue
+                rest.append(row)
+            rows = rest
+        return rank
 
     def nullspace(self) -> Mat:
         """Columns spanning {x : self @ x = 0}.

@@ -62,7 +62,8 @@ the diagonal c+1 = j with E_{j,j} = I, gives
 
 K_row is zero past the top inverting stage, so there M_{row,j} is the block
 M_{row-1,j-1} of the previous column, shared rather than recomputed: the
-Toeplitz shift that ``verify`` checks as post-stabilization structure.
+Toeplitz shift that ``verify`` checks as post-stabilization structure. Those
+rows are taken as one slice of the previous column and are not visited.
 With no inverting stage yet, a column is the identity diagonal and that
 shift. The coupling [G; K] reads only the inverting stages and their M
 columns, so it is stacked on the first column that needs it and kept until
@@ -386,15 +387,19 @@ class RecursionState:
         return col
 
     def _build_m_column(self, j: int, product: Mat) -> list[Mat]:
-        """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1},
-        K_row Sbar_j read from the coupling product below the E blocks; past
-        the top inverting stage the row is the shared block M_{row-1,j-1}."""
+        """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
+        rows 2..top, top the top inverting stage, K_row Sbar_j read from the
+        coupling product below the E blocks. Past top, K_row is zero: those
+        rows are the previous column's blocks, taken by one slice and not
+        visited."""
         n = self.domain_dim
+        prev = self.M_cols[-1] if j > 1 else []
+        top = self._inverting[-1] if self._inverting else 1
         mcol = [self.E_cols[j - 1][0]]
-        for row in range(2, j + 1):
+        for row in range(2, top + 1):
             at = (len(self._inverting) + row - 2) * n
-            mcol.append(product.rows_plus(at, self.m_block(row - 1, j - 1)))
-        return mcol
+            mcol.append(product.rows_plus(at, prev[row - 2]))
+        return mcol + prev[top - 1 :]
 
     # -- stabilization ----------------------------------------------------
 

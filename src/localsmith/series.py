@@ -159,8 +159,10 @@ class MatLaurent:
         return self._new(self, self.pole, [-c for c in self.coeffs], self.exact)
 
     def __matmul__(self, other: MatLaurent) -> MatLaurent:
-        """Convolution; poles add, then the result is renormalized to a
-        minimal pole, and the truncation is tracked conservatively."""
+        """Convolution over the nonzero stored blocks only, with one shared
+        zero block where no pair is nonzero; poles add, then the result is
+        renormalized to a minimal pole, and the truncation is tracked
+        conservatively."""
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
@@ -176,18 +178,17 @@ class MatLaurent:
         if top < -pole:
             raise TruncationError("truncations too shallow for this Laurent product")
         # Stored index s of the product pairs stored indices p + q = s.
-        na, nb = len(self.coeffs), len(other.coeffs)
-        coeffs = [
-            Mat.sum_of_products(
-                (
-                    (self.coeffs[p], other.coeffs[s - p])
-                    for p in range(max(0, s - nb + 1), min(s, na - 1) + 1)
-                ),
-                self.rows,
-                other.cols,
-            )
-            for s in range(top + pole + 1)
-        ]
+        size = top + pole + 1
+        pairs = [[] for _ in range(size)]
+        right = [(q, b) for q, b in enumerate(other.coeffs) if not b.is_zero()]
+        for p, a in enumerate(self.coeffs[:size]):
+            if not a.is_zero():
+                for q, b in right:
+                    if p + q >= size:
+                        break
+                    pairs[p + q].append((a, b))
+        zero = Mat.zeros(self.rows, other.cols)
+        coeffs = [Mat.sum_of_products(ps, self.rows, other.cols) if ps else zero for ps in pairs]
         return self._new(other, pole, coeffs, exact)
 
     def shift(self, power: int) -> MatLaurent:
@@ -247,7 +248,8 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
     """Multiplicative inverse through order t; requires an invertible A_0.
 
     X_0 = A_0^{-1} and X_l = -A_0^{-1} * sum_{j<l} A_{l-j} X_j; the result
-    satisfies A @ X = X @ A = I through order t.
+    satisfies A @ X = X @ A = I through order t. The sum visits only the
+    pairs of nonzero blocks, and an X_l with none is one shared zero block.
     """
     if a.rows != a.cols or a.pole:
         raise ValueError("series inverse needs a square power series")
@@ -259,10 +261,9 @@ def series_inverse(a: MatSeries, t: int) -> MatSeries:
         x0 = a.coefficient(0).inverse()
     except ValueError as exc:
         raise ValueError("singular leading coefficient") from exc
-    xs = [x0]
+    xs, zero = [x0], Mat.zeros(a.rows, a.cols)
+    terms = [(i, c) for i, c in enumerate(a.coeffs[1 : t + 1], start=1) if not c.is_zero()]
     for l in range(1, t + 1):
-        acc = Mat.sum_of_products(
-            ((a.coefficient(l - j), xs[j]) for j in range(l)), a.rows, a.cols
-        )
-        xs.append(-(x0 @ acc))
+        pairs = [(c, xs[l - i]) for i, c in terms if i <= l and not xs[l - i].is_zero()]
+        xs.append(-(x0 @ Mat.sum_of_products(pairs, a.rows, a.cols)) if pairs else zero)
     return MatSeries(xs, exact=False)

@@ -18,6 +18,7 @@ from localsmith import (
     RecursionState,
     diagonalize,
     family_from_series,
+    parse_complement_plan,
     parse_family,
     serialize_family,
     spec_to_series,
@@ -257,6 +258,33 @@ class TestEntryGrammar:
         path.write_text('{"stages": [{"stage": 1, "domain_complement": [[' + "9" * 5000 + "]]}]}")
         assert main(["analyze", DATA, "--complement", f"given:{path}"]) == 1
         assert capsys.readouterr().err.startswith("error: complement file is not valid JSON")
+
+    # Nesting far past the interpreter's recursion limit.
+    DEEP = {"array": "[" * 100_000, "object": '{"a": ' * 100_000}
+
+    @pytest.mark.parametrize("text", DEEP.values(), ids=list(DEEP))
+    def test_deep_nesting_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse_family(text)
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse_complement_plan(text)
+
+    @pytest.mark.parametrize("file", ["family", "complement"])
+    @pytest.mark.parametrize(
+        "content, first",
+        [(b"\xff\xfe{}", "error: cannot read "), (DEEP["array"].encode(), "error: ")],
+        ids=["non-utf8", "deep"],
+    )
+    def test_unparsable_file_is_exit_one(self, file, content, first, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = ["analyze", str(path)]
+        if file == "complement":
+            argv = ["analyze", DATA, "--complement", f"given:{path}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(first)
+        assert "Traceback" not in err
 
     def test_result_past_the_int_string_limit_is_rendered_in_full(self, tmp_path, capsys):
         """The inverse of a + eps, a = 10^400 - 1, has eps^12 coefficient

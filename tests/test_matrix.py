@@ -378,6 +378,31 @@ class TestKernelsAgainstReference:
         assert shape_of(m.nullspace()) == (c, len(free), as_entries(basis))
 
     @PROPERTY
+    @given(
+        st.one_of(matrices(), matrices().map(lambda d: (ints_of(d[0]), d[1], d[2]))),
+        st.lists(st.booleans(), max_size=3),
+        st.data(),
+    )
+    def test_rank_is_the_rref_pivot_count(self, drawn, zero_lines, data):
+        grid, r, c = drawn
+        # Zero rows and zero columns at drawn places.
+        for is_row in zero_lines:
+            if is_row:
+                grid.insert(data.draw(st.integers(0, r)), [0] * c)
+                r += 1
+            else:
+                at = data.draw(st.integers(0, c))
+                grid = [row[:at] + [0] + row[at:] for row in grid]
+                c += 1
+        m = Mat(grid, cols=c)
+        pivots = len(ref_rref(grid, c)[1])
+        # Before the rref is cached, rank builds none; after, it reads it.
+        assert m.rank() == pivots
+        assert m._rref is None
+        assert len(m.rref()[1]) == pivots
+        assert m.rank() == pivots
+
+    @PROPERTY
     @given(matrices(), st.integers(0, 2), st.booleans(), st.data())
     def test_solve(self, drawn, width, consistent, data):
         grid, r, c = drawn

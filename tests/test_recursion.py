@@ -418,14 +418,16 @@ class TestDegenerateStages:
     def test_one_product_and_elimination_per_stage(self, monkeypatch):
         # Exponents 0, 1, 4 and 8: stages 1, 2, 5 and 9 split, the gap stages
         # and the stages past k + 1 = 9 are degenerate. A splitting stage
-        # forms S_j basis(N_{j-1}) once and runs two eliminations besides the
-        # Subspace basis checks: restrict_and_split's and the one that picks
-        # Rc_j and reads W. A degenerate stage forms the product and runs no
-        # rref. No stage solves a system, inverts a basis or runs the
-        # reference choose_complement.
+        # forms S_j basis(N_{j-1}) once and runs two eliminations:
+        # restrict_and_split's and the one that picks Rc_j and reads W. Every
+        # Subspace a stage builds checks its basis by a rank, with no rref:
+        # six at stage 1, four at the later splitting stages and two, both
+        # zero-dimensional, at a degenerate stage. A degenerate stage forms
+        # the product and runs no rref. No stage solves a system, inverts a
+        # basis or runs the reference choose_complement.
         state = RecursionState(load_family("smith4x4k8.json"))
-        products, fresh, checked = [], [], []
-        sums, rref, check = Mat.sum_of_products, Mat.rref, Subspace.__post_init__
+        products, fresh, checked, ranked, checks = [], [], [], [], []
+        sums, rref, check, rank = Mat.sum_of_products, Mat.rref, Subspace.__post_init__, Mat.rank
 
         def summed(pairs, rows, cols_):
             pairs = list(pairs)
@@ -443,6 +445,12 @@ class TestDegenerateStages:
                 check(sub)
             finally:
                 checked.pop()
+            checks.append(sub.dim)
+
+        def ranked_in_check(m):
+            if checked:
+                ranked.append(m)
+            return rank(m)
 
         def forbidden(what):
             def raises(*args, **kwargs):
@@ -452,16 +460,19 @@ class TestDegenerateStages:
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
         monkeypatch.setattr(Mat, "rref", reduced)
         monkeypatch.setattr(Subspace, "__post_init__", basis_check)
+        monkeypatch.setattr(Mat, "rank", ranked_in_check)
         monkeypatch.setattr(Mat, "solve", forbidden("solves no system"))
         monkeypatch.setattr(Mat, "inverse", forbidden("inverts no basis"))
         monkeypatch.setattr(
             "localsmith.subspaces.choose_complement", forbidden("runs no rank-test complement")
         )
-        splitting = {}
+        splitting, checks_per_stage = {}, {}
         for j in range(1, 13):
             prev_n = state.kernel_chain(j - 1)
             products.clear()
             fresh.clear()
+            ranked.clear()
+            checks.clear()
             state.run_stage()
             s = state.stage(j).s
             formed = [p for p in products if p == [(s, prev_n.basis)]]
@@ -471,21 +482,27 @@ class TestDegenerateStages:
                 assert fresh.count(False) == 2, j
             else:
                 assert fresh == [], j
-        assert splitting == {1: 8, 2: 6, 5: 6, 9: 4}
+            checks_per_stage[j] = len(checks)
+            assert len(ranked) == sum(1 for dim in checks if dim), j
+        assert splitting == {1: 2, 2: 2, 5: 2, 9: 2}
+        degenerate = {j: 2 for j in range(1, 13)}
+        assert checks_per_stage == {**degenerate, 1: 6, 2: 4, 5: 4, 9: 4}
 
     def test_stage_work_past_stabilization(self, monkeypatch):
         # Degree 9, k = 8, inverting stages 1, 2, 5 and 9. Stages 11 to 29,
         # the ones smith runs past stage k + 2, form four products each:
         # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j, the degeneracy
         # product S_j basis(N_{j-1}) and the coupling times Sbar_j. None
-        # builds an identity.
+        # builds an identity. From stage 10 on, each M column forms rows
+        # 2..9 only, one Mat.rows_plus each, and takes the rows past the top
+        # inverting stage 9 from the previous column.
         state = RecursionState(load_family("smith4x4k8.json"))
         assert state.L.degree == 9
-        state.ensure_stages(10)
+        state.ensure_stages(9)
         assert state.stabilization_k == 8
         assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
-        calls, identities = [], []
-        sums, identity = Mat.sum_of_products, Mat.identity
+        calls, identities, heads = [], [], []
+        sums, identity, rows_plus = Mat.sum_of_products, Mat.identity, Mat.rows_plus
 
         def summed(pairs, rows, cols_):
             pairs = list(pairs)
@@ -497,11 +514,23 @@ class TestDegenerateStages:
             identities.append(n)
             return identity(n)
 
+        def head(m, start, other):
+            heads.append(start)
+            return rows_plus(m, start, other)
+
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
         monkeypatch.setattr(Mat, "identity", staticmethod(built))
-        for j in range(11, 30):
+        monkeypatch.setattr(Mat, "rows_plus", head)
+        for j in range(10, 30):
             calls.clear()
+            heads.clear()
+            identities.clear()
             state.run_stage()
+            assert len(heads) == 8, j
+            shifted = zip(state.M_cols[-1][9:], state.M_cols[-2][8:], strict=True)
+            assert all(block is prev for block, prev in shifted), j
+            if j == 10:
+                continue
             assert len(calls) == 4, j
             pairs, sbar = calls[0]
             assert sbar == state.stage(j).sbar and pairs <= 9, j

@@ -237,15 +237,16 @@ def tightest(*candidates):
     return min(known) if known else None
 
 
-def block(n: int):
-    entry = st.integers(-2, 2)
-    grid = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    return st.one_of(st.just(Mat.zeros(n, n)), grid.map(Mat))
+def block(rows: int, cols: int):
+    """A zero block, or one with small integer or rational entries."""
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=5))
+    grid = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return st.one_of(st.just(Mat.zeros(rows, cols)), grid.map(lambda g: Mat(g, cols=cols)))
 
 
 @st.composite
 def references(draw, n: int) -> Reference:
-    blocks = draw(st.lists(block(n), min_size=1, max_size=4))
+    blocks = draw(st.lists(block(n, n), min_size=1, max_size=4))
     return Reference(draw(st.integers(0, 2)), blocks, draw(st.booleans()))
 
 
@@ -312,3 +313,84 @@ class TestTruncationBookkeeping:
         if tail is not None:
             with pytest.raises(TruncationError):
                 result.coefficient(tail + 1)
+
+
+# -- products and inverses against the all-pairs formulas --------------------
+
+
+def all_pairs_product(x: MatLaurent, y: MatLaurent) -> MatLaurent:
+    """x @ y by pairing every stored block of x with every stored block of
+    y, zero blocks included."""
+    pole, exact = x.pole + y.pole, x.exact and y.exact
+    if exact:
+        top = x.degree + y.degree
+    else:
+        top = min(a.degree - b.pole for a, b in ((x, y), (y, x)) if not a.exact)
+    if top < -pole:
+        raise TruncationError("truncations too shallow")
+    na, nb = len(x.coeffs), len(y.coeffs)
+    coeffs = [
+        Mat.sum_of_products(
+            ((x.coeffs[p], y.coeffs[s - p]) for p in range(max(0, s - nb + 1), min(s, na - 1) + 1)),
+            x.rows,
+            y.cols,
+        )
+        for s in range(top + pole + 1)
+    ]
+    if pole == 0 and type(x) is type(y) is MatSeries:
+        return MatSeries(coeffs, exact)
+    return MatLaurent(pole, coeffs, exact)
+
+
+def all_pairs_inverse(a: MatSeries, t: int) -> MatSeries:
+    """X_l = -A_0^{-1} sum_{j<l} A_{l-j} X_j over every j, zero blocks included."""
+    x0 = a.coefficient(0).inverse()
+    xs = [x0]
+    for l in range(1, t + 1):
+        acc = Mat.sum_of_products(((a.coefficient(l - j), xs[j]) for j in range(l)), a.rows, a.cols)
+        xs.append(-(x0 @ acc))
+    return MatSeries(xs, exact=False)
+
+
+@st.composite
+def sparse_series(draw, rows: int, cols: int, pole=st.integers(0, 2)) -> MatLaurent:
+    """Exact or truncated, with random zero blocks; a pole-0 series is drawn
+    as a MatSeries or a MatLaurent."""
+    coeffs = draw(st.lists(block(rows, cols), min_size=1, max_size=5))
+    pole, exact = draw(pole), draw(st.booleans())
+    if pole == 0 and draw(st.booleans()):
+        return MatSeries(coeffs, exact)
+    return MatLaurent(pole, coeffs, exact)
+
+
+SIZE = st.integers(1, 3)
+
+
+class TestZeroBlocksAgainstAllPairs:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SIZE, SIZE, SIZE, st.data())
+    def test_product(self, rows, inner, cols, data):
+        x = data.draw(sparse_series(rows, inner))
+        y = data.draw(sparse_series(inner, cols))
+        try:
+            want = all_pairs_product(x, y)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                x @ y
+            return
+        got = x @ y
+        assert type(got) is type(want)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(SIZE, st.integers(0, 6), st.data())
+    def test_inverse(self, n, t, data):
+        a = data.draw(sparse_series(n, n, pole=st.just(0)))
+        # A diagonally dominant A_0 is invertible.
+        lead = a.coeffs[0] + Mat.identity(n) * 7
+        a = MatSeries((lead,) + a.coeffs[1:], a.exact)
+        if not a.exact and a.degree < t:
+            with pytest.raises(TruncationError):
+                series_inverse(a, t)
+            return
+        assert series_inverse(a, t) == all_pairs_inverse(a, t)
