@@ -7,15 +7,19 @@ denominator and the grid entries have no common factor: equal matrices have
 equal state. Every kernel (products, elimination, sums, stacking, slicing)
 runs on Python integers and ends with at most one gcd over its result, so
 every result is the same exact value that entry-by-entry ``Fraction``
-arithmetic gives, without a gcd per multiply and add. ``Mat.strings``
+arithmetic gives, without a gcd per multiply and add. Products pay only for
+real arithmetic: a factor equal to the identity adds the other factor's
+grid with no dot product, and an empty sum is the shared zero. ``Mat.strings``
 renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
 Fractions on first use, for scalar code.
 
-Matrices are immutable after construction and safe to share.
+Matrices are immutable after construction and safe to share: ``Mat.zeros``
+and ``Mat.identity`` build one matrix per shape for the whole process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from decimal import Decimal
@@ -89,7 +93,7 @@ class Mat:
     subspaces.
     """
 
-    __slots__ = ("rows", "cols", "_grid", "_den", "_entries", "_zero", "_rref")
+    __slots__ = ("rows", "cols", "_grid", "_den", "_entries", "_zero", "_identity", "_rref")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         pairs = tuple(tuple(map(ratio, row)) for row in entries)
@@ -133,6 +137,7 @@ class Mat:
         _set(self, "_den", den)
         _set(self, "_entries", None)
         _set(self, "_zero", None)
+        _set(self, "_identity", None)
         _set(self, "_rref", None)
 
     def __setattr__(self, name, value):
@@ -179,10 +184,12 @@ class Mat:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @functools.cache
     def zeros(rows: int, cols: int) -> Mat:
         return Mat._of(((0,) * cols,) * rows, 1, rows, cols)
 
     @staticmethod
+    @functools.cache
     def identity(n: int) -> Mat:
         grid = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return Mat._of(grid, 1, n, n)
@@ -238,34 +245,46 @@ class Mat:
         Equal to the hstack of the left factors times the vstack of the right
         ones, taken over the integers: every entry is one dot product of the
         factors' integer grids, over the lcm of the products' denominators,
-        and one gcd reduces the result. Pairs with a zero factor are skipped;
-        no pairs give the zero matrix.
+        and one gcd reduces the result. Only real arithmetic is paid for:
+        pairs with a zero factor are skipped, a pair with an identity factor
+        adds the other factor's grid with no dot product, a sum whose one
+        nonzero pair has an identity factor is the other factor itself, and
+        no nonzero pair gives the shared zero matrix.
         """
-        terms = []
+        terms, folds = [], []
         for a, b in pairs:
             if a.rows != rows or b.cols != cols or a.cols != b.rows:
                 raise ValueError(
                     f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols} "
                     f"in a {rows}x{cols} sum"
                 )
-            if not (a.is_zero() or b.is_zero()):
+            if a.is_zero() or b.is_zero():
+                continue
+            if a.is_identity():
+                folds.append(b)
+            elif b.is_identity():
+                folds.append(a)
+            else:
                 terms.append((a._grid, b._grid, a._den * b._den))
-        den = math.lcm(*[d for _, _, d in terms])
-        left: list[list[int]] = [[] for _ in range(rows)]
-        right: list[list[int]] = [[] for _ in range(cols)]
-        for grid_a, grid_b, d in terms:
-            scale = den // d
-            for acc, row in zip(left, grid_a):
-                acc.extend(row if scale == 1 else [x * scale for x in row])
-            for acc, col in zip(right, zip(*grid_b)):
-                acc.extend(col)
+        if len(folds) < 2 and not terms:
+            return folds[0] if folds else Mat.zeros(rows, cols)
+        den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
+        # One term dots its own rows; more are concatenated: left rows side
+        # by side, and right columns as the columns of the right grids stacked.
+        lefts = [g if d == den else [[x * (den // d) for x in r] for r in g] for g, _, d in terms]
+        left = lefts[0] if len(lefts) == 1 else [list(chain.from_iterable(r)) for r in zip(*lefts)]
+        right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
         zero_row = (0,) * cols
-        grid = tuple(
-            tuple([sum(map(mul, ints_a, ints_b)) for ints_b in right])
-            if any(ints_a)
-            else zero_row
-            for ints_a in left
-        )
+        grid = (zero_row,) * rows
+        if terms:
+            grid = tuple(
+                tuple([sum(map(mul, ints_a, ints_b)) for ints_b in right])
+                if any(ints_a)
+                else zero_row
+                for ints_a in left
+            )
+        for m in folds:
+            grid = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(grid, m._scaled(den // m._den)))
         return Mat._reduced(grid, den, rows, cols)
 
     # -- basic queries ------------------------------------------------
@@ -278,12 +297,16 @@ class Mat:
         return cached
 
     def is_identity(self) -> bool:
-        n = self.cols
-        return (
-            self.rows == n
-            and self._den == 1
-            and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._grid))
-        )
+        cached = self._identity
+        if cached is None:
+            n = self.cols
+            cached = (
+                self.rows == n
+                and self._den == 1
+                and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._grid))
+            )
+            _set(self, "_identity", cached)
+        return cached
 
     def column(self, j: int) -> Mat:
         """Column j as a rows x 1 matrix, for 0 <= j < cols."""
@@ -302,14 +325,14 @@ class Mat:
     def rows_plus(self, start: int, other: Mat) -> Mat:
         """Rows start .. start + other.rows - 1 of self, plus other, with one
         reduction; other itself when those rows are zero."""
-        head = self._grid[start : start + other.rows]
-        if not any(map(any, head)):
-            return other
-        if len(head) != other.rows or self.cols != other.cols:
+        if not 0 <= start <= self.rows - other.rows or self.cols != other.cols:
             raise ValueError(
                 f"shape mismatch rows {start}.. of {self.rows}x{self.cols} + "
                 f"{other.rows}x{other.cols}"
             )
+        head = self._grid[start : start + other.rows]
+        if not any(map(any, head)):
+            return other
         den = math.lcm(self._den, other._den)
         a, b = den // self._den, den // other._den
         grid = tuple(

@@ -248,11 +248,8 @@ class RecursionState:
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
-        n, m = self.domain_dim, self.codomain_dim
-        # The zero P, calP and S^+ of a degenerate stage, and the zero and
-        # identity blocks of an E column, shared by every stage.
-        self._degenerate = (Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m))
-        self._identity = Mat.identity(n)
+        # The identity block of an E column, shared by every stage.
+        self._identity = Mat.identity(self.domain_dim)
         # Q_j and Qc_j, the projections onto N_j and Rc_j along the earlier
         # complements and ranges, after the stages so far.
         self._q = self._identity
@@ -332,7 +329,8 @@ class RecursionState:
         named = given_nc is not None or given_rc is not None
         n, m = self.domain_dim, self.codomain_dim
         if r_j.is_zero() and not named:
-            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, *self._degenerate)
+            zeros = Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m)
+            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, *zeros)
         try:
             if given_nc is not None:
                 nc_j = Subspace(n, given_nc)
@@ -380,7 +378,7 @@ class RecursionState:
         """E_{j,j} = I, and E_{i,j} = G_i Sbar_j for each inverting i, read
         from the leading blocks of the coupling product; other rows are zero."""
         n = self.domain_dim
-        col: list[Mat] = [self._degenerate[0]] * j
+        col: list[Mat] = [Mat.zeros(n, n)] * j
         col[j - 1] = self._identity
         for b, i in enumerate(self._inverting):
             col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))

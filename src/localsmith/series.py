@@ -187,8 +187,7 @@ class MatLaurent:
                     if p + q >= size:
                         break
                     pairs[p + q].append((a, b))
-        zero = Mat.zeros(self.rows, other.cols)
-        coeffs = [Mat.sum_of_products(ps, self.rows, other.cols) if ps else zero for ps in pairs]
+        coeffs = [Mat.sum_of_products(ps, self.rows, other.cols) for ps in pairs]
         return self._new(other, pole, coeffs, exact)
 
     def shift(self, power: int) -> MatLaurent:

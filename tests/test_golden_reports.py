@@ -3,6 +3,8 @@
 Each case runs ``localsmith.cli.main`` in-process and compares its exit code
 and stdout with ``tests/data/reports/<case>.out``, whose first line is
 ``exit: <code>`` and whose remainder is the stdout of the recorded call.
+After the first pass, every case runs a second time, in reverse order and in
+the same process, and must give the same bytes.
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 
@@ -97,6 +99,14 @@ def recorded(case: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_unchanged(case):
+    assert run(CASES[case]) == recorded(case)
+
+
+# Every case again, in reverse order, in the same process, as the benchmark
+# calls the CLI: shared matrices (one zero and one identity per shape) and
+# their caches must carry nothing from one call into the next.
+@pytest.mark.parametrize("case", sorted(CASES, reverse=True))
+def test_report_unchanged_on_a_second_pass(case):
     assert run(CASES[case]) == recorded(case)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsmith import Mat, format_rat, rat
+from localsmith import Mat, format_rat, matrix, rat
 
 from conftest import random_matrix
 
@@ -217,13 +217,74 @@ class TestArithmetic:
         other = Mat([[rat("1/2"), 1], [0, rat("3/2")]])
         assert stack.rows_plus(0, other) == Mat([[1, 1], [0, 2]])
         assert stack.rows_plus(4, other) == stack.submatrix_rows(range(4, 6)) + other
-        # Zero rows, or rows past the end, give other itself.
+        # Zero rows give other itself.
         assert stack.rows_plus(2, other) is other
-        assert stack.rows_plus(6, other) is other
+
+    @pytest.mark.parametrize(
+        "m, start, other",
+        [
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), 6, Mat.identity(2)),
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), 5, Mat.identity(2)),
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0]]), 0, Mat.identity(3)),
+            (Mat.zeros(2, 2), 0, Mat.zeros(2, 3)),
+            (Mat.zeros(2, 2), 5, Mat.identity(3)),
+            (Mat([[0, 0], [1, 1]]), -1, Mat([[1, 1]])),
+        ],
+        ids=["past-the-end", "overhanging", "too-wide", "zero-head-too-wide",
+             "zero-head-past-the-end", "negative-start"],
+    )
+    def test_rows_plus_checks_the_shape_first(self, m, start, other):
+        # A bad request raises, also where the rows it names are zero or absent.
         with pytest.raises(ValueError):
-            stack.rows_plus(5, other)
-        with pytest.raises(ValueError):
-            stack.rows_plus(0, Mat.identity(3))
+            m.rows_plus(start, other)
+
+
+class TestFoldedProducts:
+    """A factor equal to the identity and a zero factor cost no multiplication,
+    and zero and identity matrices are one shared matrix per shape."""
+
+    @pytest.fixture
+    def mults(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return x * y
+
+        monkeypatch.setattr(matrix, "mul", counted)
+        return calls
+
+    def test_identity_and_zero_factors_make_no_multiplication(self, mults):
+        a = Mat([[1, rat("1/2"), 3], [0, -2, rat("5/3")]])
+        b = Mat([[rat("-1/4"), 0, 7], [2, 1, rat("2/9")]])
+        c = Mat([[1, 2, 3], [4, 5, 6], [7, 8, rat("1/9")]])
+        eye2, eye3, zero = Mat.identity(2), Mat.identity(3), Mat.zeros(2, 3)
+        assert a @ eye3 is a
+        assert eye2 @ a is a
+        total = Mat.sum_of_products([(eye2, a), (b, eye3), (zero, c)], 2, 3)
+        assert total == a + b
+        assert Mat.sum_of_products([(zero, c)], 2, 3) is Mat.zeros(2, 3)
+        assert Mat.sum_of_products([], 2, 3) is Mat.zeros(2, 3)
+        assert mults == []
+        # A real product still multiplies.
+        assert a @ c == Mat([[24, "57/2", "19/3"], ["11/3", "10/3", "-319/27"]])
+        assert mults
+
+    def test_any_matrix_equal_to_the_identity_folds(self, mults):
+        a = Mat([[1, rat("2/3")], [3, 4]])
+        parsed = Mat([["1", "0"], ["0", "1"]])
+        solved = a.solve(a)
+        assert parsed is not Mat.identity(2) and solved is not Mat.identity(2)
+        for eye in (parsed, solved):
+            assert a @ eye is a
+            assert eye @ a is a
+        assert mults == []
+
+    def test_zero_and_identity_are_shared_per_shape(self):
+        assert Mat.zeros(2, 3) is Mat.zeros(2, 3)
+        assert Mat.identity(4) is Mat.identity(4)
+        assert Mat.zeros(2, 3) is not Mat.zeros(3, 2)
+        assert Mat.identity(4) != Mat.identity(3)
 
 
 # -- property tests against plain-Fraction reference kernels ----------------
@@ -311,6 +372,15 @@ def grids(draw, rows, cols):
                          min_size=rows, max_size=rows))
 
 
+def full_grids(rows, cols):
+    """A rows x cols list grid with no zero entry."""
+    entry = st.one_of(
+        st.builds(Fraction, st.integers(1, 10**6), st.integers(2, 10**6)),
+        st.integers(-3, 3).filter(bool).map(Fraction),
+    )
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
 @st.composite
 def matrices(draw, rows=DIM, cols=DIM):
     r, c = draw(rows), draw(cols)
@@ -347,18 +417,50 @@ class TestKernelsAgainstReference:
         product = Mat(a, cols=k) @ Mat(b, cols=c)
         assert shape_of(product) == (r, c, as_entries(ref_matmul(a, b, c)))
 
-    @PROPERTY
-    @given(DIM, DIM, st.lists(st.tuples(DIM, st.booleans()), max_size=3), st.data())
+    @settings(PROPERTY, max_examples=100)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                DIM,
+                st.sampled_from(["dense", "zero-left", "zero-right", "eye-left", "eye-right"]),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        st.data(),
+    )
     def test_sum_of_products(self, r, c, inners, data):
+        # An identity factor stands on either side, its inner size set to
+        # fit; integer grids (den 1) and rational ones both occur. At least
+        # two pairs and full grids make most sums mix folds and dot products;
+        # products with no rows or columns go through test_matmul.
         pairs, expected = [], [[Fraction(0)] * c for _ in range(r)]
-        for k, zero in inners:
-            a = [[Fraction(0)] * k for _ in range(r)] if zero else data.draw(grids(r, k))
-            b = data.draw(grids(k, c))
+        for k, kind, integer in inners:
+            k = {"eye-left": r, "eye-right": c}.get(kind, k)
+            a = data.draw(st.one_of(full_grids(r, k), grids(r, k)))
+            b = data.draw(st.one_of(full_grids(k, c), grids(k, c)))
+            if integer:
+                a, b = ints_of(a), ints_of(b)
+            eye = [[int(i == j) for j in range(k)] for i in range(k)]
+            if kind == "zero-left":
+                a = [[0] * k for _ in range(r)]
+            elif kind == "zero-right":
+                b = [[0] * c for _ in range(k)]
+            elif kind == "eye-left":
+                a = eye
+            elif kind == "eye-right":
+                b = eye
             pairs.append((Mat(a, cols=k), Mat(b, cols=c)))
             for row, add in zip(expected, ref_matmul(a, b, c)):
                 row[:] = [x + y for x, y in zip(row, add)]
         total = Mat.sum_of_products(pairs, r, c)
         assert shape_of(total) == (r, c, as_entries(expected))
+        # Equal values have equal state, whichever way the sum was formed.
+        want = Mat(expected, cols=c)
+        assert (total._den, total._grid) == (want._den, want._grid)
 
     @PROPERTY
     @given(matrices())
