@@ -40,7 +40,6 @@ from .oracles import (
     linearize_polynomial,
     resolvent_recurrence_check,
     toeplitz_block,
-    toeplitz_nullspace,
 )
 from .recursion import (
     ComplementPlan,
@@ -53,12 +52,9 @@ from .recursion import (
 from .series import MatLaurent, MatSeries, series_inverse
 from .subspaces import (
     Subspace,
-    choose_complement,
     image,
     kernel_basis,
-    projection_matrix,
     restrict_and_split,
-    restricted_inverse,
 )
 
 __version__ = "0.1.0"

@@ -276,16 +276,9 @@ def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
                 "root": vectors[-1],
                 "vectors": vectors,
             }
-            for vectors in map(_vector_strings, chains.basis_chains())
+            for vectors in (chain.vectors.strings() for chain in chains.basis_chains())
         ],
     }, EXIT_OK
-
-
-def _vector_strings(chain) -> list[list[str]]:
-    """The chain's vectors (b_{l-1}, ..., b_0) as rational strings."""
-    flat = [x for (x,) in chain.column.strings()]
-    n = len(flat) // chain.length
-    return [flat[i * n : i * n + n] for i in range(chain.length)]
 
 
 def cmd_smith(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:

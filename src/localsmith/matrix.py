@@ -398,8 +398,6 @@ class Mat:
         return Mat._of(grid, self._den, self.rows, self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self.__matmul__(other)
         scalar = rat(other)
         return Mat._reduced(
             self._scaled(scalar.numerator), self._den * scalar.denominator, self.rows, self.cols

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -143,21 +142,16 @@ class ComplementPlan:
 
 @dataclass(frozen=True)
 class JordanChain:
-    """A chain (b_{l-1}, ..., b_0) held as its stacked l*n x 1 column; the
-    root b_0 is the last block."""
+    """A chain (b_{l-1}, ..., b_0) held as its stacked l*n x 1 column."""
 
     column: Mat
     length: int
 
     @property
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        flat = [row[0] for row in self.column.entries]
-        n = len(flat) // self.length
-        return tuple(tuple(flat[i * n : i * n + n]) for i in range(self.length))
-
-    @property
-    def root(self) -> tuple[Fraction, ...]:
-        return self.vectors[-1]
+    def vectors(self) -> Mat:
+        """The chain as an l x n matrix: row i is b_{l-1-i}, and the last
+        row is the root b_0."""
+        return self.column.reshape(self.length, self.column.rows // self.length)
 
 
 class JordanChainFamily:
@@ -248,11 +242,9 @@ class RecursionState:
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
-        # The identity block of an E column, shared by every stage.
-        self._identity = Mat.identity(self.domain_dim)
         # Q_j and Qc_j, the projections onto N_j and Rc_j along the earlier
         # complements and ranges, after the stages so far.
-        self._q = self._identity
+        self._q = Mat.identity(self.domain_dim)
         self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
@@ -305,7 +297,7 @@ class RecursionState:
                 self.codomain_dim,
                 self.domain_dim,
             )
-        s = self._qc @ sbar if self._inverting else sbar
+        s = self._qc @ sbar
         stage = self._split_stage(j, sbar, s)
         self.stages.append(stage)
         if self._coupling is None:
@@ -379,7 +371,7 @@ class RecursionState:
         from the leading blocks of the coupling product; other rows are zero."""
         n = self.domain_dim
         col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[j - 1] = self._identity
+        col[j - 1] = Mat.identity(n)
         for b, i in enumerate(self._inverting):
             col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
         return col
@@ -415,9 +407,6 @@ class RecursionState:
             )
         if self.stabilization_k is None and last.r.dim and total == self.generic_rank:
             self.stabilization_k = last.index - 1
-
-    def detect_stabilization(self) -> int | None:
-        return self.stabilization_k
 
     def run_until_stabilized(self) -> int:
         while self.stabilization_k is None:
@@ -484,10 +473,9 @@ class RecursionState:
         return p_k, self.input_family @ p_k
 
     def phi_coefficient(self, i: int) -> Mat:
-        """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine."""
+        """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine. phi_0 is the
+        shared identity, as every diagonal M block is M_{1,1} = I."""
         k = self._require_stabilized()
-        if i == 0:
-            return self._identity
         self.ensure_stages(k + 1 + i)
         return self.m_block(k + 1, k + 1 + i)
 

@@ -51,22 +51,14 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def contains(self, vector) -> bool:
-        vec = vector if isinstance(vector, Mat) else Mat([[x] for x in vector])
+    def contains(self, vectors) -> bool:
+        """Whether every column of ``vectors`` lies in the subspace: a Mat
+        with any number of columns, such as another subspace's basis, or one
+        vector as a sequence of rationals."""
+        vec = vectors if isinstance(vectors, Mat) else Mat([[x] for x in vectors])
         if vec.rows != self.ambient_dim:
-            raise ValueError("vector has the wrong ambient dimension")
-        if vec.is_zero():
-            return True
-        if self.dim == 0:
-            return False
-        return Mat.hstack([self.basis, vec]).rank() == self.dim
-
-    def contains_subspace(self, other: Subspace) -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if other.dim == 0:
-            return True
-        return Mat.hstack([self.basis, other.basis]).rank() == self.dim
+            raise ValueError("vectors have the wrong ambient dimension")
+        return vec.is_zero() or Mat.hstack([self.basis, vec]).rank() == self.dim
 
     def canonical_basis(self) -> Mat:
         """Basis in column-reduced canonical form; equal iff spaces are equal."""
@@ -141,7 +133,7 @@ def choose_complement(
             raise ValueError(
                 f"given complement has dimension {comp.dim}, need {want}"
             )
-        if not ambient.contains_subspace(comp):
+        if not ambient.contains(comp.basis):
             raise ValueError("given complement is not contained in ambient")
         if want and Mat.hstack([sub.basis, comp.basis]).rank() != ambient.dim:
             raise ValueError("given basis does not complement the subspace")

@@ -20,8 +20,8 @@ from localsmith import (
     direct_laurent_inverse,
     linearize_polynomial,
     resolvent_recurrence_check,
-    toeplitz_nullspace,
 )
+from localsmith.oracles import toeplitz_nullspace
 
 from conftest import (
     ZERO3,

@@ -389,6 +389,11 @@ class TestCommands:
         assert report["nullspace_dim"] == 4
         assert len(report["chains"]) == 1
         assert report["chains"][0]["root"] == ["0", "1", "0"]
+        with open(DATA, encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read()))
+        chains = RecursionState(family).jordan_chain_basis(3).basis_chains()
+        reported = [chain["vectors"] for chain in report["chains"]]
+        assert reported == [chain.vectors.strings() for chain in chains]
 
     def test_smith_golden(self, capsys):
         code, out = run_cli(capsys, "smith", DATA)

@@ -413,7 +413,8 @@ class TestKernelsAgainstReference:
     @PROPERTY
     @given(DIM, DIM, DIM, st.data())
     def test_matmul(self, r, k, c, data):
-        a, b = data.draw(grids(r, k)), data.draw(grids(k, c))
+        a = data.draw(st.one_of(full_grids(r, k), grids(r, k)))
+        b = data.draw(st.one_of(full_grids(k, c), grids(k, c)))
         product = Mat(a, cols=k) @ Mat(b, cols=c)
         assert shape_of(product) == (r, c, as_entries(ref_matmul(a, b, c)))
 
@@ -463,9 +464,9 @@ class TestKernelsAgainstReference:
         assert (total._den, total._grid) == (want._den, want._grid)
 
     @PROPERTY
-    @given(matrices())
-    def test_rref_and_nullspace(self, drawn):
-        grid, r, c = drawn
+    @given(DIM, DIM, st.data())
+    def test_rref_and_nullspace(self, r, c, data):
+        grid = data.draw(st.one_of(full_grids(r, c), grids(r, c)))
         m = Mat(grid, cols=c)
         want, pivots = ref_rref(grid, c)
         reduced, got_pivots = m.rref()
@@ -505,13 +506,14 @@ class TestKernelsAgainstReference:
         assert m.rank() == pivots
 
     @PROPERTY
-    @given(matrices(), st.integers(0, 2), st.booleans(), st.data())
-    def test_solve(self, drawn, width, consistent, data):
-        grid, r, c = drawn
+    @given(DIM, DIM, st.integers(0, 2), st.booleans(), st.data())
+    def test_solve(self, r, c, width, consistent, data):
+        grid = data.draw(st.one_of(full_grids(r, c), grids(r, c)))
         if consistent:
-            rhs = ref_matmul(grid, data.draw(grids(c, width)), width)
+            x = data.draw(st.one_of(full_grids(c, width), grids(c, width)))
+            rhs = ref_matmul(grid, x, width)
         else:
-            rhs = data.draw(grids(r, width))
+            rhs = data.draw(st.one_of(full_grids(r, width), grids(r, width)))
         augmented, pivots = ref_rref([a + b for a, b in zip(grid, rhs)], c + width)
         got = Mat(grid, cols=c).solve(Mat(rhs, cols=width))
         if any(p >= c for p in pivots):

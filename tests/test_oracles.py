@@ -18,8 +18,8 @@ from localsmith import (
     linearize_polynomial,
     resolvent_recurrence_check,
     toeplitz_block,
-    toeplitz_nullspace,
 )
+from localsmith.oracles import toeplitz_nullspace
 
 from conftest import example1_family, random_family, random_matrix
 

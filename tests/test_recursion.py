@@ -18,19 +18,16 @@ from localsmith import (
     StageBudgetError,
     Subspace,
     TruncationError,
-    choose_complement,
     diagonalize,
     generic_rank,
     image,
     linearize_polynomial,
     parse_complement_plan,
     parse_family,
-    projection_matrix,
-    restricted_inverse,
     spec_to_series,
-    toeplitz_nullspace,
 )
-from localsmith.oracles import toeplitz_kernel_dims
+from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
+from localsmith.subspaces import choose_complement, projection_matrix, restricted_inverse
 
 from conftest import (
     ZERO3,
@@ -136,7 +133,7 @@ class TestStages:
         state.run_stage()
         assert state.stage(1).n.dim == 0
         assert state.stage(1).r.same_space(Subspace.full(3))
-        assert state.detect_stabilization() == 0
+        assert state.stabilization_k == 0
 
     def test_splus_absorbs_projection(self, example1):
         # The restricted inverse kills everything outside its range part, so
@@ -172,8 +169,6 @@ class TestStages:
     def test_projection_refinement_consistency(self, example1):
         # Later splits only refine the codomain remainder, so recomputing an
         # early range projection against the final decomposition changes nothing.
-        from localsmith import projection_matrix
-
         state = RecursionState(example1)
         state.run_until_stabilized()
         final_parts = [st.r for st in state.stages] + [state.stages[-1].rc]
@@ -492,8 +487,8 @@ class TestDegenerateStages:
         # Degree 9, k = 8, inverting stages 1, 2, 5 and 9. Stages 11 to 29,
         # the ones smith runs past stage k + 2, form four products each:
         # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j, the degeneracy
-        # product S_j basis(N_{j-1}) and the coupling times Sbar_j. None
-        # builds an identity. From stage 10 on, each M column forms rows
+        # product S_j basis(N_{j-1}) and the coupling times Sbar_j; E_{j,j}
+        # is the shared identity. From stage 10 on, each M column forms rows
         # 2..9 only, one Mat.rows_plus each, and takes the rows past the top
         # inverting stage 9 from the previous column.
         state = RecursionState(load_family("smith4x4k8.json"))
@@ -501,8 +496,8 @@ class TestDegenerateStages:
         state.ensure_stages(9)
         assert state.stabilization_k == 8
         assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
-        calls, identities, heads = [], [], []
-        sums, identity, rows_plus = Mat.sum_of_products, Mat.identity, Mat.rows_plus
+        calls, heads = [], []
+        sums, rows_plus = Mat.sum_of_products, Mat.rows_plus
 
         def summed(pairs, rows, cols_):
             pairs = list(pairs)
@@ -510,21 +505,15 @@ class TestDegenerateStages:
             calls.append((len(pairs), result))
             return result
 
-        def built(n):
-            identities.append(n)
-            return identity(n)
-
         def head(m, start, other):
             heads.append(start)
             return rows_plus(m, start, other)
 
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
-        monkeypatch.setattr(Mat, "identity", staticmethod(built))
         monkeypatch.setattr(Mat, "rows_plus", head)
         for j in range(10, 30):
             calls.clear()
             heads.clear()
-            identities.clear()
             state.run_stage()
             assert len(heads) == 8, j
             shifted = zip(state.M_cols[-1][9:], state.M_cols[-2][8:], strict=True)
@@ -534,7 +523,31 @@ class TestDegenerateStages:
             assert len(calls) == 4, j
             pairs, sbar = calls[0]
             assert sbar == state.stage(j).sbar and pairs <= 9, j
-            assert identities == [], j
+            assert state.e_block(j, j) is Mat.identity(4), j
+
+
+class TestSharedIdentityBlocks:
+    """Qc_{j-1} is the shared identity up to the first inverting stage, and
+    the fold of identity factors returns S_j = Qc_{j-1} Sbar_j as Sbar_j
+    itself; every diagonal E and M block, and phi_0 = M_{k+1,k+1}, is the
+    one identity of its shape."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [example1_family(), load_family("smith4x4k8.json"), load_family("rect2x3.json")],
+        ids=["example1", "smith4x4k8", "rect2x3"],
+    )
+    def test_identity_blocks_are_shared(self, family):
+        state = RecursionState(family)
+        state.run_until_stabilized()
+        first = next(st.index for st in state.stages if not st.splus.is_zero())
+        for st in state.stages[:first]:
+            assert st.s is st.sbar, st.index
+        identity = Mat.identity(state.domain_dim)
+        for j in range(1, state.stage_count + 1):
+            assert state.e_block(j, j) is identity, j
+            assert state.m_block(j, j) is identity, j
+        assert state.phi_coefficient(0) is identity
 
 
 class TestCoupledColumns:
@@ -689,13 +702,12 @@ class TestJordanChains:
         n2 = Mat([[0], [5], [0]])
         n3 = Mat([[0], [7], [0]])
         chain = family.chain_from([n1, n2, n3])
-        assert chain.vectors == ((0, 2, 3), (0, 5, -7), (0, 7, 0))
-        assert chain.root == (0, 7, 0)
+        assert chain.vectors.entries == ((0, 2, 3), (0, 5, -7), (0, 7, 0))
 
     def test_length_one_is_leading_kernel(self, example1):
         state = RecursionState(example1)
         family = state.jordan_chain_basis(1)
-        roots = [chain.root for chain in family.basis_chains()]
+        roots = [chain.vectors.entries[-1] for chain in family.basis_chains()]
         assert roots == [(0, 1, 0), (0, 0, 1)]
 
     def test_stacked_dimension_matches_toeplitz_oracle(self, example1):
@@ -740,8 +752,7 @@ class TestJordanChains:
         def assert_chain(chain, blocks):
             assert chain.length == len(blocks)
             assert chain.column == Mat.vstack(blocks)
-            assert chain.vectors == tuple(tuple(x for (x,) in b.entries) for b in blocks)
-            assert chain.root == chain.vectors[-1]
+            assert chain.vectors == Mat.hstack(blocks).transpose()
 
         oracle_dims = toeplitz_kernel_dims(family, k + 1)
         for length in range(1, k + 2):

@@ -6,18 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsmith import (
-    Mat,
-    Subspace,
+from localsmith import Mat, Subspace, image, kernel_basis, restrict_and_split
+from localsmith.subspaces import (
     choose_complement,
-    image,
-    kernel_basis,
+    complement_coordinates,
     projection_matrix,
-    restrict_and_split,
     restricted_inverse,
 )
-
-from localsmith.subspaces import complement_coordinates
 
 from conftest import ZERO3, cols, e, random_invertible, random_matrix
 
@@ -40,6 +35,41 @@ class TestKernelBasis:
     def test_zero_map_has_full_kernel(self):
         ker = kernel_basis(Mat.zeros(2, 3))
         assert ker.same_space(Subspace.full(3))
+
+
+class TestContains:
+    # K^3 subspaces: zero, a line, a plane holding it, the full space; and K^0.
+    ZERO, LINE = Subspace.zero(3), Subspace.spanned_by([e(1)], 3)
+    PLANE, FULL = Subspace.spanned_by([e(1), e(2)], 3), Subspace.full(3)
+
+    @pytest.mark.parametrize(
+        "space, other, expected",
+        [
+            (ZERO, ZERO, True),
+            (ZERO, LINE, False),
+            (ZERO, FULL, False),
+            (LINE, ZERO, True),
+            (LINE, LINE, True),
+            (LINE, PLANE, False),
+            (PLANE, LINE, True),
+            (PLANE, FULL, False),
+            (FULL, ZERO, True),
+            (FULL, PLANE, True),
+            (FULL, FULL, True),
+            (Subspace.zero(0), Subspace.full(0), True),
+            (Subspace.full(0), Subspace.zero(0), True),
+        ],
+    )
+    def test_basis_containment(self, space, other, expected):
+        """A subspace holds another exactly when it holds its basis columns,
+        all at once or one by one; a basis with no columns always fits."""
+        assert space.contains(other.basis) is expected
+        by_column = all(space.contains(other.basis.column(j)) for j in range(other.dim))
+        assert by_column is expected
+
+    def test_wrong_ambient_is_refused(self):
+        with pytest.raises(ValueError):
+            self.FULL.contains(Subspace.full(2).basis)
 
 
 class TestRestrictAndSplit:
@@ -236,7 +266,7 @@ class TestComplementCoordinates:
         columns.insert(at, inside.column(0) + full.column(n - 1))
         for given_rc in (None, rest):
             comp, w = complement_coordinates(part, ambient, inside, given_rc)
-            assert comp.contains_subspace(image(inside - part.basis @ w))
+            assert comp.contains(inside - part.basis @ w)
             with pytest.raises(ValueError):
                 complement_coordinates(part, ambient, Mat.hstack(columns), given_rc)
 
@@ -249,7 +279,7 @@ class TestComplementCoordinates:
         q = ambient.basis @ Mat.hstack([random_invertible(rng, dim), random_matrix(rng, dim, 2)])
         comp, w = complement_coordinates(part, ambient, q)
         assert comp.basis == choose_complement(ambient, part).basis
-        assert comp.contains_subspace(image(q - part.basis @ w))
+        assert comp.contains(q - part.basis @ w)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -277,7 +307,7 @@ class TestComplementCoordinates:
         else:
             comp, w = complement_coordinates(part, ambient, q, candidate)
             assert comp.basis == reference.basis == candidate
-            assert comp.contains_subspace(image(q - part.basis @ w))
+            assert comp.contains(q - part.basis @ w)
 
 
 class TestRestrictedInverse:
