@@ -396,6 +396,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         spec, family = _load_family(args)
         fields, code = _COMMANDS[args.command][0](args, spec, family)
+        report = {"command": args.command, "family": _family_header(spec), **fields}
+        text = _render_text(report) if args.format == "text" else json.dumps(report, indent=2)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -408,8 +410,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    report = {"command": args.command, "family": _family_header(spec), **fields}
-    text = _render_text(report) if args.format == "text" else json.dumps(report, indent=2)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     try:
         print(text)
         sys.stdout.flush()

@@ -211,10 +211,7 @@ class DiagonalizationResult:
         kernel_basis_mat = self.tail_kernel.basis
         range_mats = [st.r.basis for st in self.stages if st.r.dim > 0]
         n_fam = phi @ MatSeries.constant(kernel_basis_mat)
-        if range_mats:
-            range_basis = Mat.hstack(range_mats)
-        else:
-            range_basis = Mat.zeros(self.state.codomain_dim, 0)
+        range_basis = Mat.hstack([Mat.zeros(self.state.codomain_dim, 0), *range_mats])
         r_fam = psi @ MatSeries.constant(range_basis)
         return n_fam, r_fam
 

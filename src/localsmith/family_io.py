@@ -36,10 +36,6 @@ class FamilySpec:
     declared_pole: int
     coefficients: tuple[tuple[int, Mat], ...]  # sorted by power
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind == "polynomial"
-
 
 def _no_duplicates(pairs):
     seen = set()
@@ -137,13 +133,12 @@ def serialize_family(spec: FamilySpec) -> str:
 
 
 def spec_to_series(spec: FamilySpec) -> MatSeries:
-    """The normalized analytic family: input times eps^declared_pole."""
-    length = spec.trunc_or_degree + spec.declared_pole + 1
-    coeffs = [Mat.zeros(spec.rows, spec.cols) for _ in range(length)]
-    for power, m in spec.coefficients:
-        idx = power + spec.declared_pole
-        coeffs[idx] = coeffs[idx] + m
-    return MatSeries(coeffs, exact=spec.is_polynomial)
+    """The normalized analytic family: input times eps^declared_pole; a
+    truncated input keeps every coefficient through its truncation order."""
+    pole = spec.declared_pole
+    terms = [(power + pole, m) for power, m in spec.coefficients]
+    series = MatLaurent.from_terms(terms, spec.rows, spec.cols)
+    return series if spec.kind == "polynomial" else series.truncate(spec.trunc_or_degree + pole)
 
 
 def family_from_series(series: MatSeries, declared_pole: int = 0) -> FamilySpec:
@@ -172,7 +167,7 @@ def parse_complement_plan(text: str) -> ComplementPlan:
     entries = obj.get("stages", [])
     if not isinstance(entries, list):
         raise InputError('complement file must be {"stages": [...]}')
-    plan, seen = ComplementPlan.empty(), set()
+    plan, seen = ComplementPlan({}, {}), set()
     for entry in entries:
         if not isinstance(entry, dict) or "stage" not in entry:
             raise InputError("each stage entry needs a 'stage' index")

@@ -459,11 +459,9 @@ class Mat:
         return result
 
     def rank(self) -> int:
-        """The number of rref pivots: read from a cached rref, else from an
-        integer forward pass with primitive rows and one gcd per eliminated
-        row, with no back substitution, scaling or result matrix."""
-        if self._rref is not None:
-            return len(self._rref[1])
+        """The number of rref pivots, from an integer forward pass with
+        primitive rows and one gcd per eliminated row, with no back
+        substitution, scaling or result matrix; a cached rref is not read."""
         rows = []
         for ints in self._grid:
             if g := math.gcd(*ints):

@@ -2,9 +2,11 @@
 
 Nothing here reuses the stage recursion: the block-Toeplitz nullspace works
 straight from the definition of a Jordan chain, the direct Laurent inverse
-goes through exact determinant/adjugate interpolation, and the companion
-checks assemble their block matrices from the raw coefficients. These are
-the second opinion the main pipeline is compared against.
+goes through exact determinant/adjugate interpolation, and the chain
+matrices and the companion pencil are assembled from the raw coefficients:
+block (i, j) is the coefficient at an exponent fixed by i and j, and one
+below 0 or past an exact degree is the zero block. These are the second
+opinion the main pipeline is compared against.
 
 The interpolation is Newton's divided differences (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 5), over every value column at once
@@ -23,21 +25,20 @@ from .series import MatLaurent, MatSeries
 from .subspaces import Subspace
 
 
+def _blocks(family: MatSeries, size: int, exponent) -> Mat:
+    """The size x size block matrix whose block (i, j) is the family's
+    coefficient at ``exponent(i, j)``."""
+    return Mat.vstack(
+        [Mat.hstack([family.coefficient(exponent(i, j)) for j in range(size)]) for i in range(size)]
+    )
+
+
 def toeplitz_block(family: MatSeries, length: int) -> Mat:
     """The upper-triangular block matrix whose kernel holds all chains of
     the given length: block (i, j) carries coefficient j - i."""
     if length < 1:
         raise ValueError("chain length must be >= 1")
-    m, n = family.rows, family.cols
-    rows = []
-    for bi in range(length):
-        block_row = []
-        for bj in range(length):
-            block_row.append(
-                family.coefficient(bj - bi) if bj >= bi else Mat.zeros(m, n)
-            )
-        rows.append(Mat.hstack(block_row))
-    return Mat.vstack(rows)
+    return _blocks(family, length, lambda i, j: j - i)
 
 
 def toeplitz_nullspace(family: MatSeries, length: int) -> Subspace:
@@ -176,20 +177,8 @@ def linearize_polynomial(family: MatSeries) -> AugmentedPencil:
     deg = work.degree
     if deg < 1:
         raise ValueError("linearization needs degree >= 1")
-    m, n = work.rows, work.cols
-    zero = Mat.zeros(m, n)
-    rows0 = []
-    rows1 = []
-    for i in range(deg):
-        rows0.append(
-            Mat.hstack([work.coefficient(i - j) if i >= j else zero for j in range(deg)])
-        )
-        rows1.append(
-            Mat.hstack(
-                [work.coefficient(deg - (j - i)) if j >= i else zero for j in range(deg)]
-            )
-        )
-    return AugmentedPencil(deg, Mat.vstack(rows0), Mat.vstack(rows1))
+    lbar0 = _blocks(work, deg, lambda i, j: i - j)
+    return AugmentedPencil(deg, lbar0, _blocks(work, deg, lambda i, j: deg + i - j))
 
 
 def resolvent_recurrence_check(

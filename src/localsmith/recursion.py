@@ -94,18 +94,17 @@ from .subspaces import Subspace, complement_coordinates, restrict_and_split
 def generic_rank(family: MatSeries) -> int:
     """Rank of the family over the rational-function field.
 
-    Computed as the maximum rank over d*min(rows, cols) + 1 distinct sample
-    points 1, 2, 3, ...: the locus where the rank drops is cut out by a
-    nonzero minor of degree at most d*min(rows, cols), so at least one
-    sample point attains the generic value.
+    Computed as the maximum rank ``best`` over the sample points 1, 2, 3, ...,
+    stopping at full rank min(rows, cols) or once d*(best + 1) + 1 points are
+    sampled: every (best + 1)-minor is a polynomial of degree at most
+    d*(best + 1), so one that vanishes at that many points is identically
+    zero. At most d*min(rows, cols) + 1 points are sampled.
     """
-    samples = family.degree * min(family.rows, family.cols) + 1
-    best = 0
-    limit = min(family.rows, family.cols)
-    for t in range(1, samples + 1):
+    d, limit = family.degree, min(family.rows, family.cols)
+    best = t = 0
+    while best < limit and t <= d * (best + 1):
+        t += 1
         best = max(best, family.evaluate(t).rank())
-        if best == limit:
-            break
     return best
 
 
@@ -134,10 +133,6 @@ class ComplementPlan:
 
     nc_bases: dict[int, Mat]
     rc_bases: dict[int, Mat]
-
-    @staticmethod
-    def empty() -> "ComplementPlan":
-        return ComplementPlan({}, {})
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ class RecursionState:
         self.L = family if family.exact else MatSeries.polynomial(family.coeffs)
         self.domain_dim = family.cols
         self.codomain_dim = family.rows
-        self.complements = complements or ComplementPlan.empty()
+        self.complements = complements or ComplementPlan({}, {})
         degree = family.degree
         if max_stages is None:
             max_stages = (

@@ -201,9 +201,10 @@ class MatLaurent:
 
     def truncate(self, t: int) -> MatLaurent:
         """The truncation through exponent t >= -pole (exact input may be
-        padded with zeros)."""
-        coeffs = [self.coefficient(e) for e in range(-self.pole, t + 1)]
-        return self._new(self, self.pole, coeffs, False)
+        padded with zeros, in one allocation)."""
+        self.coefficient(t)  # raises past the order a truncation is valid through
+        pad = (Mat.zeros(self.rows, self.cols),) * (t - self.degree)
+        return self._new(self, self.pole, self.coeffs[: t + self.pole + 1] + pad, False)
 
     def evaluate(self, point) -> Mat:
         """Evaluate the stored coefficients at a rational point (Horner)."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from localsmith import (
     FamilySpec,
     InputError,
     Mat,
+    MatSeries,
     RecursionState,
     diagonalize,
     family_from_series,
@@ -90,6 +92,22 @@ BAD_FILES = {
 }
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+# The CLI in a child that caps its own address space at 1 GiB.
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "from localsmith.cli import main\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -108,21 +126,43 @@ def family_specs(draw, kind, pole, rows, cols):
     return FamilySpec(rows, cols, kind, top, pole, coefficients)
 
 
+SPEC_SHAPES = pytest.mark.parametrize(
+    "kind, pole, rows, cols",
+    [
+        ("polynomial", 0, 2, 2),
+        ("truncated_series", 0, 1, 3),
+        ("polynomial", 2, 3, 2),
+        ("truncated_series", 1, 2, 3),
+    ],
+)
+
+
+def listed_series(spec: FamilySpec):
+    """The normalized family built block by block: every power from 0
+    through trunc_or_degree + declared_pole, zero where none is given."""
+    coeffs = [Mat.zeros(spec.rows, spec.cols)] * (spec.trunc_or_degree + spec.declared_pole + 1)
+    for power, m in spec.coefficients:
+        coeffs[power + spec.declared_pole] = m
+    return MatSeries(coeffs, exact=spec.kind == "polynomial")
+
+
 class TestParseFamily:
-    @pytest.mark.parametrize(
-        "kind, pole, rows, cols",
-        [
-            ("polynomial", 0, 2, 2),
-            ("truncated_series", 0, 1, 3),
-            ("polynomial", 2, 3, 2),
-            ("truncated_series", 1, 2, 3),
-        ],
-    )
+    @SPEC_SHAPES
     @ROUND_TRIP
     @given(data=st.data())
     def test_round_trip_property(self, kind, pole, rows, cols, data):
         spec = data.draw(family_specs(kind, pole, rows, cols))
         assert parse_family(serialize_family(spec)) == spec
+
+    @SPEC_SHAPES
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_spec_to_series_property(self, kind, pole, rows, cols, data):
+        # A truncation keeps its trailing zero blocks through its order.
+        spec = data.draw(family_specs(kind, pole, rows, cols))
+        family = spec_to_series(spec)
+        assert type(family) is MatSeries
+        assert family == listed_series(spec)
 
     def test_golden_file(self):
         spec = parse_family(golden_text())
@@ -239,6 +279,14 @@ class TestEntryGrammar:
         with open(path, "r", encoding="utf-8") as handle:
             spec = parse_family(handle.read())
         assert parse_family(serialize_family(spec)) == spec
+
+    @pytest.mark.parametrize("pole", [0, 3])
+    @pytest.mark.parametrize("path", FAMILY_FILES, ids=os.path.basename)
+    def test_data_files_series(self, path, pole):
+        with open(path, "r", encoding="utf-8") as handle:
+            spec = parse_family(handle.read())
+        spec = replace(spec, declared_pole=spec.declared_pole + pole)
+        assert spec_to_series(spec) == listed_series(spec)
 
     @pytest.mark.parametrize("entry", REFUSED_ENTRIES.values(), ids=list(REFUSED_ENTRIES))
     def test_refused_entry_is_exit_one(self, entry, tmp_path, capsys):
@@ -666,19 +714,36 @@ class TestExitCodes:
         # its first write of the report fails, as under ``| head -c 100``.
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "localsmith.cli", command,
                  os.path.join(REPORTS, "smith4x4k8.json")],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=120,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("frame", ["pole", "truncation"])
+    def test_frame_too_large_is_exit_one_without_traceback(self, frame, tmp_path):
+        # eps^p L with p = 10^9, and a 1x1 truncation through order 10^9:
+        # each asks for 10^9 coefficient blocks, past the child's 1 GiB cap.
+        if frame == "pole":
+            argv = ["analyze", os.path.join(REPORTS, "smith4x4k8.json"), "--pole", str(10**9)]
+        else:
+            path = tmp_path / "huge.json"
+            path.write_text(one_by_one(kind="truncated_series", trunc_or_degree=10**9))
+            argv = ["analyze", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, *argv],
+            capture_output=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.startswith("error: out of memory")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # The 2x2 family eps^-1 I, with its declared pole.

@@ -381,6 +381,10 @@ def full_grids(rows, cols):
     return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
+def any_grids(rows, cols):
+    return st.one_of(full_grids(rows, cols), grids(rows, cols))
+
+
 @st.composite
 def matrices(draw, rows=DIM, cols=DIM):
     r, c = draw(rows), draw(cols)
@@ -411,10 +415,14 @@ class TestStrings:
 
 class TestKernelsAgainstReference:
     @PROPERTY
-    @given(DIM, DIM, DIM, st.data())
-    def test_matmul(self, r, k, c, data):
-        a = data.draw(st.one_of(full_grids(r, k), grids(r, k)))
-        b = data.draw(st.one_of(full_grids(k, c), grids(k, c)))
+    @given(st.sampled_from(["full", "full", "full", "any"]), st.data())
+    def test_matmul(self, kind, data):
+        # Most examples take full factors of shape 1-4, which make a real
+        # dot product unless a 1x1 factor is 1; the rest take any shape and
+        # grid, empty, zero and low-rank factors included.
+        dim, grid = (st.integers(1, 4), full_grids) if kind == "full" else (DIM, any_grids)
+        r, k, c = data.draw(dim), data.draw(dim), data.draw(dim)
+        a, b = data.draw(grid(r, k)), data.draw(grid(k, c))
         product = Mat(a, cols=k) @ Mat(b, cols=c)
         assert shape_of(product) == (r, c, as_entries(ref_matmul(a, b, c)))
 
@@ -499,7 +507,8 @@ class TestKernelsAgainstReference:
                 c += 1
         m = Mat(grid, cols=c)
         pivots = len(ref_rref(grid, c)[1])
-        # Before the rref is cached, rank builds none; after, it reads it.
+        # rank builds no rref, and counts the pivots itself whether or not
+        # one is cached.
         assert m.rank() == pivots
         assert m._rref is None
         assert len(m.rref()[1]) == pivots

@@ -19,6 +19,7 @@ from localsmith import (
     resolvent_recurrence_check,
     toeplitz_block,
 )
+from localsmith.errors import TruncationError
 from localsmith.oracles import toeplitz_nullspace
 
 from conftest import example1_family, random_family, random_matrix
@@ -131,6 +132,74 @@ def laurent_identity_holds(family: MatSeries, inverse: MatLaurent) -> bool:
             if product.coefficient(exponent) != expected:
                 return False
     return True
+
+
+# -- hand-built block matrices: entry rows laid out one by one from the
+# stored coefficients, with a zero block wherever the exponent is negative
+# or past the last nonzero stored coefficient.
+
+
+def _hand_blocks(family: MatSeries, size: int, exponent) -> Mat:
+    m, n = family.rows, family.cols
+    top = max((e for e, c in enumerate(family.coeffs) if not c.is_zero()), default=0)
+    rows = []
+    for bi in range(size):
+        for r in range(m):
+            row = []
+            for bj in range(size):
+                e = exponent(bi, bj)
+                row.extend(family.coeffs[e].entries[r] if 0 <= e <= top else [0] * n)
+            rows.append(row)
+    return Mat(rows, cols=size * n)
+
+
+def _block_families() -> dict[str, MatSeries]:
+    rng = random.Random(26)
+    square = random_family(rng, 3, 3, 2, deficit=1)
+    wide, tall = random_family(rng, 2, 3, 3), random_family(rng, 3, 2, 1)
+    gappy = MatSeries.polynomial(
+        [random_matrix(rng, 2, 2), Mat.zeros(2, 2), random_matrix(rng, 2, 2)]
+    )
+    return {
+        "example1": example1_family(),
+        "square": square,
+        "wide": wide,
+        "tall": tall,
+        "gappy": gappy,
+        # Truncations: one through the degree, one past it with trailing
+        # genuine zeros, one that cuts the polynomial short.
+        "trunc-square": square.truncate(2),
+        "trunc-wide-padded": wide.truncate(5),
+        "trunc-example1-short": example1_family().truncate(1),
+    }
+
+
+BLOCK_FAMILIES = _block_families()
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_toeplitz_block_equals_hand_built(self, name):
+        family = BLOCK_FAMILIES[name]
+        # A truncated family is read through its stored coefficients only:
+        # length l reads exponents up to l - 1.
+        longest = family.degree + 1 if not family.exact else family.degree + 3
+        for length in range(1, longest + 1):
+            expect = _hand_blocks(family, length, lambda i, j: j - i)
+            assert toeplitz_block(family, length) == expect
+        if not family.exact:
+            with pytest.raises(TruncationError):
+                toeplitz_block(family, longest + 1)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    def test_linearize_polynomial_equals_hand_built(self, name):
+        family = BLOCK_FAMILIES[name]
+        closure = family if family.exact else MatSeries.polynomial(family.coeffs)
+        deg = closure.degree
+        pencil = linearize_polynomial(family)
+        assert pencil.degree == deg
+        assert pencil.lbar0 == _hand_blocks(family, deg, lambda i, j: i - j)
+        assert pencil.lbar1 == _hand_blocks(family, deg, lambda i, j: deg + i - j)
 
 
 class TestToeplitzNullspace:

@@ -13,6 +13,7 @@ from localsmith import (
     ComplementPlan,
     InternalConsistencyError,
     Mat,
+    MatLaurent,
     MatSeries,
     RecursionState,
     StageBudgetError,
@@ -103,6 +104,29 @@ class TestGenericRank:
 
     def test_eps_identity(self):
         assert generic_rank(eps_identity(2)) == 2
+
+    @pytest.mark.parametrize(
+        "seed, rows, inner, cols_, deg_a, deg_b",
+        [(1, 4, 2, 4, 1, 1), (2, 5, 3, 6, 1, 2), (3, 3, 2, 3, 0, 2), (4, 6, 1, 4, 2, 1)],
+    )
+    def test_deficient_product_sample_count(
+        self, monkeypatch, seed, rows, inner, cols_, deg_a, deg_b
+    ):
+        # A(eps) B(eps) through an inner dimension below min(rows, cols).
+        rng = random.Random(seed)
+        a = MatSeries.polynomial([random_matrix(rng, rows, inner) for _ in range(deg_a + 1)])
+        b = MatSeries.polynomial([random_matrix(rng, inner, cols_) for _ in range(deg_b + 1)])
+        family = a @ b
+        d, limit = family.degree, min(rows, cols_)
+        full = max(family.evaluate(t).rank() for t in range(1, d * limit + 2))
+        assert 0 < full < limit
+        points, evaluate = [], MatLaurent.evaluate
+        monkeypatch.setattr(
+            MatLaurent, "evaluate", lambda self, t: points.append(t) or evaluate(self, t)
+        )
+        assert generic_rank(family) == full
+        # Every (full + 1)-minor vanishes at d * (full + 1) + 1 points.
+        assert points == list(range(1, d * (full + 1) + 2))
 
 
 class TestStages:

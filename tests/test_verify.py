@@ -228,6 +228,7 @@ LEDGER_FAULTS = {
     "e34": (_block_fault("E_cols", 3, 4), {"triangular-system"}),
     "m12": (_block_fault("M_cols", 1, 2), {"coefficient-identity", "post-stabilization-structure"}),
     "m23": (_block_fault("M_cols", 2, 3), {"post-stabilization-structure"}),
+    "m56": (_block_fault("M_cols", 5, 6), {"post-stabilization-structure"}),
     "chain2": (_chain_fault(2), {"chain-membership"}),
 }
 # Faults that no check sees, each a strict xfail. L_1 e1 = L_2 e1 = 0 on
@@ -265,3 +266,14 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+
+def test_shift_fault_fails_through_the_recurrence():
+    """Past row k+1 in columns past k+2 no E block enters the M recurrence,
+    so it is the Toeplitz shift: a fault in M_{5,6} of example1 (k = 3)
+    fails at that block's recurrence row."""
+    with open(FAMILIES["cubic-verify"], "r", encoding="utf-8") as handle:
+        result = diagonalize(spec_to_series(parse_family(handle.read())))
+    LEDGER_FAULTS["m56"][0](result.state)
+    check = dict(CHECKS)["post-stabilization-structure"]
+    assert check(result) == (False, "M block (5,6) differs from the recurrence")
