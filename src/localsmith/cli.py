@@ -34,6 +34,7 @@ from .errors import (
 from .family_io import (
     DECIMAL_INTEGER,
     FamilySpec,
+    ReportEncoder,
     laurent_listing,
     mat_to_grid,
     parse_complement_plan,
@@ -397,7 +398,10 @@ def main(argv=None) -> int:
         spec, family = _load_family(args)
         fields, code = _COMMANDS[args.command][0](args, spec, family)
         report = {"command": args.command, "family": _family_header(spec), **fields}
-        text = _render_text(report) if args.format == "text" else json.dumps(report, indent=2)
+        if args.format == "text":
+            text = _render_text(report)
+        else:
+            text = json.dumps(report, indent=2, cls=ReportEncoder)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -37,6 +37,67 @@ class FamilySpec:
     coefficients: tuple[tuple[int, Mat], ...]  # sorted by power
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+class ReportEncoder(json.JSONEncoder):
+    """The text of ``json.dumps(obj, indent=2)``, written with the C string
+    encoder instead of the pure-Python indenting one, and a list of strings
+    (a grid row) in one join. It takes dicts with string keys, lists,
+    strings, bools, ints and None; anything else is a TypeError. It writes
+    that one layout: other indents, separators or key orders are refused."""
+
+    def encode(self, o) -> str:
+        layout = (self.indent, self.item_separator, self.key_separator)
+        if layout != (2, ",", ": ") or not self.ensure_ascii or self.sort_keys:
+            raise ValueError("ReportEncoder writes the json.dumps(indent=2) layout only")
+        out: list[str] = []
+        _write(o, "\n", out.append)
+        return "".join(out)
+
+
+def _write(o, newline: str, put) -> None:
+    """Put the text of ``o``, whose lines start after ``newline``."""
+    if isinstance(o, str):
+        put(_STRING(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(f"{sep}{inner}{_STRING(key)}: ")
+            _write(value, inner, put)
+            sep = ","
+        put(newline + "}")
+    elif isinstance(o, list):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(x, str) for x in o):
+            put(f"[{inner}{(',' + inner).join(map(_STRING, o))}{newline}]")
+            return
+        sep = "["
+        for value in o:
+            put(sep + inner)
+            _write(value, inner, put)
+            sep = ","
+        put(newline + "]")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _no_duplicates(pairs):
     seen = set()
     for key, _ in pairs:
@@ -129,7 +190,7 @@ def serialize_family(spec: FamilySpec) -> str:
             str(power): mat_to_grid(m) for power, m in spec.coefficients if not m.is_zero()
         },
     }
-    return json.dumps(body, indent=2)
+    return json.dumps(body, indent=2, cls=ReportEncoder)
 
 
 def spec_to_series(spec: FamilySpec) -> MatSeries:

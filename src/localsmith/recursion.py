@@ -47,8 +47,9 @@ column is the E column pushed through the previous M triangle:
 Row k+1 of the M matrix is what later becomes the right transformation's
 coefficients.
 
-Both columns are read from one product. S_i^+ = 0 makes E_{i,j} = 0, so
-only the *inverting* stages below j, those with S_i^+ nonzero, enter the
+The M column is read from one product; the E column is formed from a
+second one, and only when it is read. S_i^+ = 0 makes E_{i,j} = 0, so only
+the *inverting* stages below j, those with S_i^+ nonzero, enter the
 bottom-up solve, and it carries S̄_j through one fixed map: with A = I at
 the top inverting stage and A <- A + S̄_i G_i below each inverting i,
 
@@ -65,13 +66,21 @@ M_{row-1,j-1} of the previous column, shared rather than recomputed: the
 Toeplitz shift that ``verify`` checks as post-stabilization structure. Those
 rows are taken as one slice of the previous column and are not visited.
 With no inverting stage yet, a column is the identity diagonal and that
-shift. The coupling [G; K] reads only the inverting stages and their M
-columns, so it is stacked on the first column that needs it and kept until
-another stage inverts; each column costs one product of it with S̄_j. Past
-k+1 no stage inverts (new range would break the rank guard), so every later
-column shares one coupling, and a run that ends at its last inverting
-stage builds none for it. The blocks are the same exact values the
-recurrences give.
+shift. The coupling [G_1; K], with G_1 only when stage 1 inverts, reads
+only the inverting stages and their M columns, so it is stacked on the
+first column that needs it and kept until another stage inverts; each M
+column costs one product of it with S̄_j. Past k+1 no stage inverts (new
+range would break the rank guard), so every later column shares one
+coupling, and a run that ends at its last inverting stage builds none for
+it.
+
+Only ``verify``'s triangular-system check reads the E blocks. A stage
+records its E column as the stack of G_i over the coupling's inverting
+i >= 2, S̄_j and M_{1,j} = E_{1,j}; ``e_block`` forms the column on its
+first read, with one product of that stack by S̄_j, and keeps it. So a
+command that reads no E block forms none, and ``verify`` multiplies the
+same rows as one product of the whole [G; K] would. The blocks are the
+same exact values the recurrences give.
 """
 
 from __future__ import annotations
@@ -232,7 +241,9 @@ class RecursionState:
             )
         self.generic_rank = generic_rank(self.L)
         self.stages: list[Stage] = []
-        self.E_cols: list[list[Mat]] = []
+        # E column j as recorded by its stage, and as formed on first read.
+        self._e_records: list[tuple[tuple[int, ...], Mat, Mat, Mat]] = []
+        self.E_cols: dict[int, list[Mat]] = {}
         self.M_cols: list[list[Mat]] = []
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
@@ -244,10 +255,13 @@ class RecursionState:
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
-        # [G; K] stacked from the stages in _inverting: the E blocks and M
-        # heads of the next column, as one linear map of its Sbar. Dropped
-        # when a stage joins _inverting and stacked again on the next column.
+        # [G_1 when stage 1 inverts; K] stacked from the stages in _inverting:
+        # the M heads of the next column, as one linear map of its Sbar; and
+        # the other inverting rows with their G stack, the map of the E
+        # blocks below row 1. Dropped when a stage joins _inverting and
+        # stacked again on the next column.
         self._coupling: Mat | None = None
+        self._e_gains: tuple[tuple[int, ...], Mat] = ((), Mat.zeros(0, self.codomain_dim))
         # psi_0, psi_1, ... as formed so far, each once per run.
         self._psi: list[Mat] = []
 
@@ -265,7 +279,12 @@ class RecursionState:
         return self.M_cols[j - 1][i - 1]
 
     def e_block(self, i: int, j: int) -> Mat:
-        return self.E_cols[j - 1][i - 1]
+        """E_{i,j} for 1 <= i <= j <= stage_count; column j is formed on its
+        first read and kept."""
+        column = self.E_cols.get(j)
+        if column is None:
+            column = self.E_cols[j] = self._form_e_column(j)
+        return column[i - 1]
 
     def kernel_chain(self, i: int) -> Subspace:
         """N_i, with N_0 the full domain."""
@@ -296,10 +315,9 @@ class RecursionState:
         stage = self._split_stage(j, sbar, s)
         self.stages.append(stage)
         if self._coupling is None:
-            self._coupling = self._inverting_coupling()
-        product = self._coupling @ sbar
-        self.E_cols.append(self._build_e_column(j, product))
-        self.M_cols.append(self._build_m_column(j, product))
+            self._coupling, self._e_gains = self._inverting_coupling()
+        self.M_cols.append(self._build_m_column(j, self._coupling @ sbar))
+        self._e_records.append(self._build_e_column(j, sbar))
         if not stage.splus.is_zero():
             self._q, self._qc = self._q - stage.p, self._qc - stage.calp
             self._inverting.append(j)
@@ -335,15 +353,16 @@ class RecursionState:
         b = nc_j.basis
         return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, b @ (w @ s @ self._q), image.basis @ w, b @ w)
 
-    def _inverting_coupling(self) -> Mat:
-        """[G_i for inverting i; K_row for row = 2..top] stacked, where top is
-        the last inverting stage: G_i = -S_i^+ A with A = I at top and
+    def _inverting_coupling(self) -> tuple[Mat, tuple[tuple[int, ...], Mat]]:
+        """[G_1 when stage 1 inverts; K_row for row = 2..top] stacked, where
+        top is the last inverting stage, and the inverting rows i >= 2 with
+        their G_i stacked: G_i = -S_i^+ A with A = I at top and
         A <- A + Sbar_i G_i below each inverting i, and
-        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i. With no inverting
-        stage the stack has no rows."""
+        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i. A stack with no
+        blocks has no rows."""
         n, m = self.domain_dim, self.codomain_dim
         if not self._inverting:
-            return Mat.zeros(0, m)
+            return Mat.zeros(0, m), ((), Mat.zeros(0, m))
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
@@ -359,32 +378,51 @@ class RecursionState:
             )
             for row in range(2, self._inverting[-1] + 1)
         ]
-        return Mat.vstack([gains[i] for i in self._inverting] + heads)
-
-    def _build_e_column(self, j: int, product: Mat) -> list[Mat]:
-        """E_{j,j} = I, and E_{i,j} = G_i Sbar_j for each inverting i, read
-        from the leading blocks of the coupling product; other rows are zero."""
-        n = self.domain_dim
-        col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[j - 1] = Mat.identity(n)
-        for b, i in enumerate(self._inverting):
-            col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
-        return col
+        lead = [gains[1]] if 1 in gains else []
+        rows = tuple(i for i in self._inverting if i >= 2)
+        below = Mat.vstack([Mat.zeros(0, m), *(gains[i] for i in rows)])
+        return Mat.vstack([Mat.zeros(0, m), *lead, *heads]), (rows, below)
 
     def _build_m_column(self, j: int, product: Mat) -> list[Mat]:
         """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
-        rows 2..top, top the top inverting stage, K_row Sbar_j read from the
-        coupling product below the E blocks. Past top, K_row is zero: those
-        rows are the previous column's blocks, taken by one slice and not
-        visited."""
+        rows 2..top, top the top inverting stage, read from the coupling
+        product: E_{1,j} = G_1 Sbar_j on its first rows when stage 1 inverts,
+        and otherwise I on the diagonal and zero above it. Past top, K_row
+        is zero: those rows are the previous column's blocks, taken by one
+        slice and not visited."""
         n = self.domain_dim
         prev = self.M_cols[-1] if j > 1 else []
         top = self._inverting[-1] if self._inverting else 1
-        mcol = [self.E_cols[j - 1][0]]
+        lead = n if self._inverting[:1] == [1] else 0
+        if lead:
+            mcol = [product.submatrix_rows(range(n))]
+        else:
+            mcol = [Mat.identity(n) if j == 1 else Mat.zeros(n, n)]
         for row in range(2, top + 1):
-            at = (len(self._inverting) + row - 2) * n
-            mcol.append(product.rows_plus(at, prev[row - 2]))
+            mcol.append(product.rows_plus(lead + (row - 2) * n, prev[row - 2]))
         return mcol + prev[top - 1 :]
+
+    def _build_e_column(self, j: int, sbar: Mat) -> tuple[tuple[int, ...], Mat, Mat, Mat]:
+        """The record E column j is formed from on its first read: the
+        inverting rows i >= 2 below j with their G stack, Sbar_j, and
+        E_{1,j} = M_{1,j}."""
+        rows, below = self._e_gains
+        return rows, below, sbar, self.M_cols[j - 1][0]
+
+    def _form_e_column(self, j: int) -> list[Mat]:
+        """E_{j,j} = I, E_{1,j} = M_{1,j}, and E_{i,j} = G_i Sbar_j for each
+        inverting i >= 2, read from one product of the G stack with Sbar_j;
+        other rows are zero."""
+        rows, below, sbar, head = self._e_records[j - 1]
+        n = self.domain_dim
+        col: list[Mat] = [Mat.zeros(n, n)] * j
+        col[0] = head
+        col[j - 1] = Mat.identity(n)
+        if rows:
+            product = below @ sbar
+            for b, i in enumerate(rows):
+                col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
+        return col
 
     # -- stabilization ----------------------------------------------------
 

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localsmith.cli import main
+from localsmith.family_io import ReportEncoder
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 REPORTS = os.path.join(DATA, "reports")
@@ -108,6 +112,66 @@ def test_report_unchanged(case):
 @pytest.mark.parametrize("case", sorted(CASES, reverse=True))
 def test_report_unchanged_on_a_second_pass(case):
     assert run(CASES[case]) == recorded(case)
+
+
+def render(value) -> str:
+    return json.dumps(value, indent=2, cls=ReportEncoder)
+
+
+# The cases that print a JSON report.
+JSON_CASES = sorted(
+    case
+    for case, argv in CASES.items()
+    if "--format" not in argv and recorded(case).count("\n") > 1
+)
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_report_encoder_renders_golden_reports(case):
+    text = recorded(case).split("\n", 1)[1]
+    value = json.loads(text)
+    assert render(value) + "\n" == text
+    assert render(value) == json.dumps(value, indent=2)
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII, the JSON-unsafe
+# line separator and an astral character, besides any other.
+SPECIAL = '"\\\x00\n\t\x1f\x7f\u00e9\u2028\U0001f600'
+TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()))
+VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), TEXT, st.lists(TEXT, max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(VALUES)
+@example({"a": [], "b": {}, "c": [True, 1, False, 0, None], "d": [["1/2", "-3"], []]})
+@example([[], {}, [[]], [{}], "", True, 1])
+@example({'q"\\': ['"', "\\", "\x00\x1f", "\u00e9\u2028\U0001f600"]})
+def test_report_encoder_is_json_dumps(value):
+    assert render(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [{"b": set()}]}, b"x"])
+def test_report_encoder_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        render(value)
+
+
+def test_report_encoder_refuses_other_layouts():
+    for kwargs in (
+        {},
+        {"indent": 4},
+        {"indent": 2, "sort_keys": True},
+        {"indent": 2, "ensure_ascii": False},
+        {"indent": 2, "separators": (",", ":")},
+    ):
+        with pytest.raises(ValueError):
+            json.dumps({"a": 1}, cls=ReportEncoder, **kwargs)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """The stage engine: golden stage data, E/M columns, stabilization,
 Jordan chains, and the coefficient identities."""
 
+import contextlib
+import io
 import math
 import os
 import random
@@ -27,6 +29,7 @@ from localsmith import (
     parse_family,
     spec_to_series,
 )
+from localsmith.cli import main
 from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
 from localsmith.subspaces import choose_complement, projection_matrix, restricted_inverse
 
@@ -321,6 +324,85 @@ def generic_em_triangles(state: RecursionState) -> tuple[dict, dict]:
                 acc = acc + m_blocks[row - 1, c] @ e_blocks[c + 1, j]
             m_blocks[row, j] = acc
     return e_blocks, m_blocks
+
+
+DATA = os.path.dirname(REPORTS)
+# Every family file under tests/data; the plan files hold complements.
+DATA_FAMILIES = sorted(
+    os.path.relpath(os.path.join(root, name), DATA)
+    for root, _, names in os.walk(DATA)
+    for name in names
+    if name.endswith(".json") and not name.startswith("plan")
+)
+
+
+class TestLazyEColumns:
+    """A stage records its E column; the column is formed, by one product,
+    only when a block of it is read. Only verify's triangular-system reads
+    E blocks, so no other command forms a column."""
+
+    @staticmethod
+    def watch(monkeypatch) -> tuple[list, list]:
+        """The states that record E columns from here on, and the columns
+        formed, as (state, j)."""
+        states, formed = [], []
+        build, form = RecursionState._build_e_column, RecursionState._form_e_column
+
+        def built(self, j, sbar):
+            if j == 1:
+                states.append(self)
+            return build(self, j, sbar)
+
+        def forming(self, j):
+            formed.append((self, j))
+            return form(self, j)
+
+        monkeypatch.setattr(RecursionState, "_build_e_column", built)
+        monkeypatch.setattr(RecursionState, "_form_e_column", forming)
+        return states, formed
+
+    @staticmethod
+    def assert_e_blocks_solve(state: RecursionState) -> None:
+        e_blocks, _ = generic_em_triangles(state)
+        for (i, j), block in e_blocks.items():
+            assert state.e_block(i, j) == block, (i, j)
+
+    @pytest.mark.parametrize("name", DATA_FAMILIES)
+    def test_commands_form_no_e_column(self, name, monkeypatch):
+        states, formed = self.watch(monkeypatch)
+        path = os.path.join(DATA, name)
+        for argv in (
+            ["analyze", path],
+            ["diagonalize", path],
+            ["invert", path],
+            ["smith", path],
+            ["jordan", path, "--length", "3"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert states and formed == [], argv
+            assert all(state.E_cols == {} for state in states), argv
+        # The deepest state, of invert or smith, read after the run.
+        state = max(states, key=lambda st: st.stage_count)
+        self.assert_e_blocks_solve(state)
+        assert sorted(state.E_cols) == list(range(1, state.stage_count + 1))
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(smith_families())
+    def test_unit_diag_unit_families(self, family):
+        result = diagonalize(family)
+        assert result.state.E_cols == {}
+        self.assert_e_blocks_solve(result.state)
+
+    def test_a_column_is_formed_once(self, example1, monkeypatch):
+        state = RecursionState(example1)
+        state.ensure_stages(6)
+        _, formed = self.watch(monkeypatch)
+        first = state.e_block(2, 5)
+        assert [j for _, j in formed] == [5]
+        assert state.e_block(2, 5) is first
+        assert state.e_block(4, 5) == cols(ZERO3, ZERO3, [0, -1, 0])
+        assert [j for _, j in formed] == [5]
 
 
 def assert_ledger_matches_references(state: RecursionState) -> None:

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from localsmith import Mat, MatSeries, diagonalize, parse_family, spec_to_series
+from localsmith import Mat, MatSeries, RecursionState, diagonalize, parse_family, spec_to_series
 from localsmith import cli
 from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
@@ -94,6 +94,44 @@ def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
     assert len(tails) == 1
 
 
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_verify_forms_each_e_column_once(case, monkeypatch, capsys):
+    """verify forms the E columns of the state it checks, each once and only
+    in triangular-system; no other state, the linearization pencil's
+    included, forms any."""
+    formed, form = [], RecursionState._form_e_column
+    check = dict(CHECKS)["triangular-system"]
+
+    def forming(self, j):
+        formed.append((self, j, checking))
+        return form(self, j)
+
+    def triangular(result):
+        nonlocal checking
+        checking = True
+        try:
+            return check(result)
+        finally:
+            checking = False
+
+    checking = False
+    monkeypatch.setattr(RecursionState, "_form_e_column", forming)
+    monkeypatch.setattr(
+        cli,
+        "CHECKS",
+        [(name, triangular if name == "triangular-system" else fn) for name, fn in CHECKS],
+    )
+    assert main(["verify", FAMILIES[case]]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]
+    assert formed and all(inside for _, _, inside in formed)
+    states = {id(state) for state, _, _ in formed}
+    assert len(states) == 1
+    # Later checks may run further stages; those columns are never read.
+    columns = sorted(j for _, j, _ in formed)
+    assert columns == list(range(1, len(columns) + 1))
+    assert len(columns) <= formed[0][0].stage_count
+
+
 @pytest.mark.parametrize(
     "path, limit",
     [(FAMILIES["cubic-verify"], 57), (os.path.join(REPORTS, "smith4x4k8.json"), 92)],
@@ -121,12 +159,15 @@ def test_triangular_system_products(monkeypatch):
     S_i^+ calP_i is nonzero; the other rows compare E blocks with no
     product. smith4x4k8 has 29 stages and 4 inverting ones (1, 2, 5, 9); the
     bound is 2 (n + 1) products per stage, 290 in all (869 when every row
-    forms its coupling)."""
+    forms its coupling). Every E column is formed before the count, so that
+    it counts the check's own products only."""
     with open(os.path.join(REPORTS, "smith4x4k8.json"), "r", encoding="utf-8") as handle:
         result = diagonalize(spec_to_series(parse_family(handle.read())))
     state = result.state
     assert state.stage_count == 29
     assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
+    for j in range(1, state.stage_count + 1):
+        state.e_block(j, j)
     sums, calls = Mat.sum_of_products, []
 
     def counted(pairs, rows, cols):
@@ -190,6 +231,18 @@ def _block_fault(blocks, i, j):
     return fault
 
 
+def _e_block_fault(i, j):
+    """E column j is formed on its first read and kept: form it, then fault
+    the kept block."""
+
+    def fault(state):
+        state.e_block(i, j)
+        column = state.E_cols[j]
+        column[i - 1] = column[i - 1] + UNIT
+
+    return fault
+
+
 def _chain_fault(length):
     """Adds 1 to the first entry of the first chain of the given length."""
 
@@ -224,8 +277,8 @@ LEDGER_FAULTS = {
             "generalized-inverse-axioms", "laurent-oracle", "smith-identities",
         },
     ),
-    "e12": (_block_fault("E_cols", 1, 2), {"triangular-system"}),
-    "e34": (_block_fault("E_cols", 3, 4), {"triangular-system"}),
+    "e12": (_e_block_fault(1, 2), {"triangular-system"}),
+    "e34": (_e_block_fault(3, 4), {"triangular-system"}),
     "m12": (_block_fault("M_cols", 1, 2), {"coefficient-identity", "post-stabilization-structure"}),
     "m23": (_block_fault("M_cols", 2, 3), {"post-stabilization-structure"}),
     "m56": (_block_fault("M_cols", 5, 6), {"post-stabilization-structure"}),
