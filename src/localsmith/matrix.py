@@ -5,11 +5,17 @@ algebra) reduces to the primitives in this module. A matrix is held as an
 integer grid over one positive common denominator, reduced so that the
 denominator and the grid entries have no common factor: equal matrices have
 equal state. Every kernel (products, elimination, sums, stacking, slicing)
-runs on Python integers and ends with at most one gcd over its result, so
-every result is the same exact value that entry-by-entry ``Fraction``
-arithmetic gives, without a gcd per multiply and add. Products pay only for
-real arithmetic: a factor equal to the identity adds the other factor's
-grid with no dot product, and an empty sum is the shared zero. ``Mat.strings``
+runs on Python integers and ends with at most one gcd over each matrix it
+returns, so every result is the same exact value that entry-by-entry
+``Fraction`` arithmetic gives, without a gcd per multiply and add. Products
+pay only for real arithmetic: a factor equal to the identity adds the other
+factor's grid with no dot product, and an empty sum is the shared zero. Two
+kernels touch each entry fewer times. ``Mat.convolve`` multiplies matrix
+series; once both sides have ``_PACK_MIN_BLOCKS`` nonzero blocks it packs
+each entry's blocks into one integer (Kronecker substitution), so each
+result entry is one dot product of packed integers, read back slot by slot.
+``Mat.block_products_plus`` adds each row block of a product to its own
+addend and reduces only the sums, never the product. ``Mat.strings``
 renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
 Fractions on first use, for scalar code.
 
@@ -25,11 +31,14 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _set = object.__setattr__
+# Mat.convolve packs a product once both sides have this many nonzero
+# blocks; with fewer, packing costs more than the pairs it replaces.
+_PACK_MIN_BLOCKS = 3
 
 
 # The one spelling of a rational: an ASCII integer or num/den.
@@ -74,6 +83,17 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(*ratio(value))
+
+
+def _max_abs(grids) -> int:
+    """The largest |entry| of a list of grids."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(grids))))
+
+
+def _pack(grids, powers, bits: int) -> list[list[int]]:
+    """Entry (i, k) of equal-shape grids as sum_p grids[p][i][k] * 2^(bits * powers[p])."""
+    shifts = [bits * p for p in powers]
+    return [[sum(map(lshift, ints, shifts)) for ints in zip(*rows)] for rows in zip(*grids)]
 
 
 def format_rat(q: Fraction) -> str:
@@ -127,7 +147,7 @@ class Mat:
             g = math.gcd(den, *chain.from_iterable(grid))
             if g != 1:
                 den //= g
-                grid = tuple(tuple(x // g for x in row) for row in grid)
+                grid = tuple(tuple([x // g for x in row]) for row in grid)
         return Mat._of(grid, den, rows, cols)
 
     def _fill(self, grid: tuple, den: int, rows: int, cols: int) -> None:
@@ -179,7 +199,7 @@ class Mat:
         """The grid times ``factor``, for a denominator ``factor`` times ours."""
         if factor == 1:
             return self._grid
-        return tuple(tuple(x * factor for x in row) for row in self._grid)
+        return tuple(tuple([x * factor for x in row]) for row in self._grid)
 
     # -- constructors -------------------------------------------------
 
@@ -265,13 +285,13 @@ class Mat:
             elif b.is_identity():
                 folds.append(a)
             else:
-                terms.append((a._grid, b._grid, a._den * b._den))
+                terms.append((a, b._grid, a._den * b._den))
         if len(folds) < 2 and not terms:
             return folds[0] if folds else Mat.zeros(rows, cols)
         den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
         # One term dots its own rows; more are concatenated: left rows side
         # by side, and right columns as the columns of the right grids stacked.
-        lefts = [g if d == den else [[x * (den // d) for x in r] for r in g] for g, _, d in terms]
+        lefts = [a._scaled(den // d) for a, _, d in terms]
         left = lefts[0] if len(lefts) == 1 else [list(chain.from_iterable(r)) for r in zip(*lefts)]
         right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
         zero_row = (0,) * cols
@@ -286,6 +306,102 @@ class Mat:
         for m in folds:
             grid = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(grid, m._scaled(den // m._den)))
         return Mat._reduced(grid, den, rows, cols)
+
+    @staticmethod
+    def convolve(a: Sequence[Mat], b: Sequence[Mat], size: int, rows: int, cols: int) -> list[Mat]:
+        """c_s = sum_{p+q=s} a_p @ b_q for s < size, each rows x cols.
+
+        With fewer than _PACK_MIN_BLOCKS nonzero blocks on a side, each c_s
+        is one ``sum_of_products`` over its pairs of nonzero blocks. Otherwise
+        the product is one Kronecker substitution: each side's blocks go
+        over that side's lcm denominator, each entry's blocks are packed
+        into one int with a slot of w bits per power, and each result entry
+        is one dot product of packed ints. w holds the largest possible
+        |c_s| entry and a sign bit, in whole bytes, and a bias of 2^(w-1) per
+        slot keeps every slot non-negative. Each c_s is reduced once; an
+        all-zero one is the shared zero.
+        """
+        left = [(p, x) for p, x in enumerate(a[:size]) if not x.is_zero()]
+        right = [(q, y) for q, y in enumerate(b[:size]) if not y.is_zero()]
+        if min(len(left), len(right)) < _PACK_MIN_BLOCKS:
+            pairs = [[] for _ in range(size)]
+            for p, x in left:
+                for q, y in right:
+                    if p + q >= size:
+                        break
+                    pairs[p + q].append((x, y))
+            return [Mat.sum_of_products(ps, rows, cols) for ps in pairs]
+        inner = left[0][1].cols
+        if any(x.rows != rows or x.cols != inner for _, x in left) or any(
+            y.rows != inner or y.cols != cols for _, y in right
+        ):
+            raise ValueError(f"block shapes differ from {rows}x{inner} @ {inner}x{cols}")
+        den_a = math.lcm(*[x._den for _, x in left])
+        den_b = math.lcm(*[y._den for _, y in right])
+        grids_a = [x._scaled(den_a // x._den) for _, x in left]
+        grids_b = [y._scaled(den_b // y._den) for _, y in right]
+        bound = min(len(left), len(right)) * inner * _max_abs(grids_a) * _max_abs(grids_b)
+        width = (bound.bit_length() + 8) // 8
+        half, slots = 1 << (8 * width - 1), left[-1][0] + right[-1][0] + 1
+        bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        cols_b = list(zip(*_pack(grids_b, [q for q, _ in right], 8 * width)))
+        packed = [
+            [(sum(map(mul, row, col)) + bias).to_bytes(width * slots, "little") for col in cols_b]
+            for row in _pack(grids_a, [p for p, _ in left], 8 * width)
+        ]
+        den, from_bytes, zero = den_a * den_b, int.from_bytes, Mat.zeros(rows, cols)
+        coeffs = []
+        for lo in range(0, width * min(size, slots), width):
+            grid = tuple(
+                tuple([from_bytes(entry[lo : lo + width], "little") - half for entry in row])
+                for row in packed
+            )
+            coeffs.append(Mat._reduced(grid, den, rows, cols) if any(map(any, grid)) else zero)
+        return coeffs + [zero] * (size - len(coeffs))
+
+    @staticmethod
+    def block_products_plus(left: Mat, right: Mat, addends: Sequence[Mat | None]) -> list[Mat]:
+        """[left_i @ right + addends[i]] over the row blocks left_i of left,
+        one per addend, with None read as zero.
+
+        The product is dotted on the integer grids and not reduced on its
+        own, zero rows of left are skipped, and each block's sum over the lcm
+        of the denominators is reduced once. A block whose product rows are
+        all zero is its addend itself, or the shared zero for None.
+        """
+        height = left.rows // len(addends) if addends else 0
+        if (
+            left.cols != right.rows
+            or left.rows != height * len(addends)
+            or any(m is not None and (m.rows, m.cols) != (height, right.cols) for m in addends)
+        ):
+            shapes = ", ".join("None" if m is None else f"{m.rows}x{m.cols}" for m in addends)
+            raise ValueError(
+                f"shape mismatch {left.rows}x{left.cols} @ {right.rows}x{right.cols} "
+                f"in row blocks + [{shapes}]"
+            )
+        cols, zero = list(zip(*right._grid)), Mat.zeros(height, right.cols)
+        zero_row, den = (0,) * right.cols, left._den * right._den
+        product = [
+            [sum(map(mul, ints, col)) for col in cols] if any(ints) else zero_row
+            for ints in left._grid
+        ]
+        blocks = []
+        for i, addend in enumerate(addends):
+            rows = product[i * height : i * height + height]
+            if not any(map(any, rows)):
+                blocks.append(zero if addend is None else addend)
+            elif addend is None:
+                blocks.append(Mat._reduced(tuple(map(tuple, rows)), den, height, right.cols))
+            else:
+                total = math.lcm(den, addend._den)
+                f, g = total // den, total // addend._den
+                grid = tuple(
+                    tuple([x * f + y * g for x, y in zip(r1, r2)])
+                    for r1, r2 in zip(rows, addend._grid)
+                )
+                blocks.append(Mat._reduced(grid, total, height, right.cols))
+        return blocks
 
     # -- basic queries ------------------------------------------------
 
@@ -321,24 +437,6 @@ class Mat:
     def submatrix_rows(self, indices: Sequence[int]) -> Mat:
         grid = tuple(self._grid[i] for i in indices)
         return Mat._reduced(grid, self._den, len(indices), self.cols)
-
-    def rows_plus(self, start: int, other: Mat) -> Mat:
-        """Rows start .. start + other.rows - 1 of self, plus other, with one
-        reduction; other itself when those rows are zero."""
-        if not 0 <= start <= self.rows - other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch rows {start}.. of {self.rows}x{self.cols} + "
-                f"{other.rows}x{other.cols}"
-            )
-        head = self._grid[start : start + other.rows]
-        if not any(map(any, head)):
-            return other
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
-        grid = tuple(
-            tuple([x * a + y * b for x, y in zip(r1, r2)]) for r1, r2 in zip(head, other._grid)
-        )
-        return Mat._reduced(grid, den, other.rows, other.cols)
 
     def reshape(self, rows: int, cols: int) -> Mat:
         """The entries, read row by row, as a rows x cols matrix."""

@@ -34,9 +34,10 @@ independent basis columns, so P_j and calP_j are zero whenever S_j^+ is,
 named stages included: Q and Qc change only at inverting stages (below),
 and Qc_{j-1} = I before the first one, where S_j is S̄_j itself. L_v is
 zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
-so forms four products, S̄_j, S_j = Qc_{j-1} S̄_j, the degeneracy product
-and the coupling one below, and runs the rank guard on a running range
-total; its zero blocks and E_{j,j} = I are shared by every stage.
+so forms three products, S̄_j, S_j = Qc_{j-1} S̄_j and the degeneracy
+product, and one fused product of the coupling below for its M column, and
+runs the rank guard on a running range total; its zero blocks and
+E_{j,j} = I are shared by every stage.
 
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
@@ -47,7 +48,7 @@ column is the E column pushed through the previous M triangle:
 Row k+1 of the M matrix is what later becomes the right transformation's
 coefficients.
 
-The M column is read from one product; the E column is formed from a
+The M column comes from one fused product; the E column is formed from a
 second one, and only when it is read. S_i^+ = 0 makes E_{i,j} = 0, so only
 the *inverting* stages below j, those with S_i^+ nonzero, enter the
 bottom-up solve, and it carries S̄_j through one fixed map: with A = I at
@@ -68,11 +69,13 @@ rows are taken as one slice of the previous column and are not visited.
 With no inverting stage yet, a column is the identity diagonal and that
 shift. The coupling [G_1; K], with G_1 only when stage 1 inverts, reads
 only the inverting stages and their M columns, so it is stacked on the
-first column that needs it and kept until another stage inverts; each M
-column costs one product of it with S̄_j. Past k+1 no stage inverts (new
-range would break the rank guard), so every later column shares one
-coupling, and a run that ends at its last inverting stage builds none for
-it.
+first column that needs it and kept until another stage inverts. Each M
+column is one ``Mat.block_products_plus`` call: each row block of the
+coupling times S̄_j, dotted on the integer grids, added to its
+M_{row-1,j-1} and reduced once, with no reduction of the product on its
+own. Past k+1 no stage inverts (new range would break the rank guard), so
+every later column shares one coupling, and a run that ends at its last
+inverting stage builds none for it.
 
 Only ``verify``'s triangular-system check reads the E blocks. A stage
 records its E column as the stack of G_i over the coupling's inverting
@@ -316,7 +319,7 @@ class RecursionState:
         self.stages.append(stage)
         if self._coupling is None:
             self._coupling, self._e_gains = self._inverting_coupling()
-        self.M_cols.append(self._build_m_column(j, self._coupling @ sbar))
+        self.M_cols.append(self._build_m_column(j, sbar))
         self._e_records.append(self._build_e_column(j, sbar))
         if not stage.splus.is_zero():
             self._q, self._qc = self._q - stage.p, self._qc - stage.calp
@@ -383,23 +386,20 @@ class RecursionState:
         below = Mat.vstack([Mat.zeros(0, m), *(gains[i] for i in rows)])
         return Mat.vstack([Mat.zeros(0, m), *lead, *heads]), (rows, below)
 
-    def _build_m_column(self, j: int, product: Mat) -> list[Mat]:
+    def _build_m_column(self, j: int, sbar: Mat) -> list[Mat]:
         """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
-        rows 2..top, top the top inverting stage, read from the coupling
-        product: E_{1,j} = G_1 Sbar_j on its first rows when stage 1 inverts,
-        and otherwise I on the diagonal and zero above it. Past top, K_row
-        is zero: those rows are the previous column's blocks, taken by one
-        slice and not visited."""
+        rows 2..top, top the top inverting stage, from one fused product of
+        the coupling's row blocks with Sbar_j: E_{1,j} = G_1 Sbar_j from the
+        first block when stage 1 inverts, and otherwise I on the diagonal and
+        zero above it. Past top, K_row is zero: those rows are the previous
+        column's blocks, taken by one slice and not visited."""
         n = self.domain_dim
         prev = self.M_cols[-1] if j > 1 else []
         top = self._inverting[-1] if self._inverting else 1
-        lead = n if self._inverting[:1] == [1] else 0
-        if lead:
-            mcol = [product.submatrix_rows(range(n))]
-        else:
-            mcol = [Mat.identity(n) if j == 1 else Mat.zeros(n, n)]
-        for row in range(2, top + 1):
-            mcol.append(product.rows_plus(lead + (row - 2) * n, prev[row - 2]))
+        lead = self._inverting[:1] == [1]
+        mcol = Mat.block_products_plus(self._coupling, sbar, [None] * lead + prev[: top - 1])
+        if not lead:
+            mcol.insert(0, Mat.identity(n) if j == 1 else Mat.zeros(n, n))
         return mcol + prev[top - 1 :]
 
     def _build_e_column(self, j: int, sbar: Mat) -> tuple[tuple[int, ...], Mat, Mat, Mat]:

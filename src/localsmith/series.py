@@ -159,10 +159,9 @@ class MatLaurent:
         return self._new(self, self.pole, [-c for c in self.coeffs], self.exact)
 
     def __matmul__(self, other: MatLaurent) -> MatLaurent:
-        """Convolution over the nonzero stored blocks only, with one shared
-        zero block where no pair is nonzero; poles add, then the result is
-        renormalized to a minimal pole, and the truncation is tracked
-        conservatively."""
+        """The convolution of the stored blocks, by ``Mat.convolve``: poles
+        add, the result is renormalized to a minimal pole, and the truncation
+        is tracked conservatively."""
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
@@ -178,16 +177,7 @@ class MatLaurent:
         if top < -pole:
             raise TruncationError("truncations too shallow for this Laurent product")
         # Stored index s of the product pairs stored indices p + q = s.
-        size = top + pole + 1
-        pairs = [[] for _ in range(size)]
-        right = [(q, b) for q, b in enumerate(other.coeffs) if not b.is_zero()]
-        for p, a in enumerate(self.coeffs[:size]):
-            if not a.is_zero():
-                for q, b in right:
-                    if p + q >= size:
-                        break
-                    pairs[p + q].append((a, b))
-        coeffs = [Mat.sum_of_products(ps, self.rows, other.cols) for ps in pairs]
+        coeffs = Mat.convolve(self.coeffs, other.coeffs, top + pole + 1, self.rows, other.cols)
         return self._new(other, pole, coeffs, exact)
 
     def shift(self, power: int) -> MatLaurent:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsmith import Mat, format_rat, matrix, rat
+from localsmith import Mat, MatLaurent, format_rat, matrix, rat
 
 from conftest import random_matrix
 
@@ -212,31 +212,47 @@ class TestArithmetic:
         assert Mat([[rat("1/2"), rat("1/3")], [1, 0]]).integer_rows == ((3, 2), (6, 0))
         assert Mat.identity(2).integer_rows == ((1, 0), (0, 1))
 
-    def test_rows_plus(self):
-        stack = Mat([[rat("1/2"), 0], [0, rat("1/2")], [0, 0], [0, 0], [1, 2], [3, 4]])
+    def test_block_products_plus(self):
+        left = Mat([[rat("1/2"), 0], [0, rat("1/2")], [0, 0], [0, 0], [1, 2], [3, 4]])
+        right = Mat([[2, 0], [1, rat("1/3")]])
         other = Mat([[rat("1/2"), 1], [0, rat("3/2")]])
-        assert stack.rows_plus(0, other) == Mat([[1, 1], [0, 2]])
-        assert stack.rows_plus(4, other) == stack.submatrix_rows(range(4, 6)) + other
-        # Zero rows give other itself.
-        assert stack.rows_plus(2, other) is other
+        blocks = Mat.block_products_plus(left, right, [None, other, other])
+        assert blocks[0] == left.submatrix_rows(range(2)) @ right
+        assert blocks[2] == left.submatrix_rows(range(4, 6)) @ right + other
+        assert blocks[2] == Mat([[rat("9/2"), rat("5/3")], [10, rat("17/6")]])
+        # Zero rows give the addend itself, or the shared zero for None.
+        assert blocks[1] is other
+        assert Mat.block_products_plus(left, right, [None, None, other])[1] is Mat.zeros(2, 2)
+        # So does a nonzero block whose product is zero.
+        zero = Mat.block_products_plus(left, Mat.zeros(2, 2), [other, None, other])
+        assert zero[0] is other and zero[1] is Mat.zeros(2, 2) and zero[2] is other
+        assert Mat.block_products_plus(Mat.zeros(0, 3), Mat.identity(3), []) == []
 
     @pytest.mark.parametrize(
-        "m, start, other",
+        "left, right, addends",
         [
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), 6, Mat.identity(2)),
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), 5, Mat.identity(2)),
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0]]), 0, Mat.identity(3)),
-            (Mat.zeros(2, 2), 0, Mat.zeros(2, 3)),
-            (Mat.zeros(2, 2), 5, Mat.identity(3)),
-            (Mat([[0, 0], [1, 1]]), -1, Mat([[1, 1]])),
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), Mat.identity(2),
+             [Mat.identity(2)] * 4),
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [1, 2], [3, 4]]), Mat.identity(2),
+             [Mat.identity(2)] * 2),
+            (Mat([[rat("1/2"), 0], [0, 0], [0, 0]]), Mat([[1, 2], [3, 4]]), [Mat.identity(3)]),
+            (Mat.zeros(2, 2), Mat.zeros(2, 2), [Mat.zeros(2, 3)]),
+            (Mat.zeros(2, 2), Mat.identity(2), [None] * 3),
+            (Mat([[0, 0], [1, 1]]), Mat([[1], [2], [3]]), [None, None]),
+            (Mat([[0, 0], [1, 1]]), Mat.identity(2), []),
         ],
         ids=["past-the-end", "overhanging", "too-wide", "zero-head-too-wide",
-             "zero-head-past-the-end", "negative-start"],
+             "zero-head-past-the-end", "inner-mismatch", "no-addends"],
     )
-    def test_rows_plus_checks_the_shape_first(self, m, start, other):
-        # A bad request raises, also where the rows it names are zero or absent.
+    def test_block_products_plus_checks_the_shape_first(self, left, right, addends, monkeypatch):
+        # A bad request raises before any multiplication, also where the
+        # product is zero.
+        def forbidden(x, y):
+            raise AssertionError("multiplied before the shape check")
+
+        monkeypatch.setattr(matrix, "mul", forbidden)
         with pytest.raises(ValueError):
-            m.rows_plus(start, other)
+            Mat.block_products_plus(left, right, addends)
 
 
 class TestFoldedProducts:
@@ -629,3 +645,117 @@ class TestKernelsAgainstReference:
         for x, y in routes:
             assert x == y
             assert hash(x) == hash(y)
+
+
+# -- the series and block kernels against pair-by-pair references ------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# Block counts that mostly leave _PACK_MIN_BLOCKS nonzero blocks a side.
+LONG = st.integers(4, 7)
+# Shapes with an empty dimension in about one draw in four.
+SERIES_DIM = st.sampled_from((0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 2, 3))
+
+
+def ref_convolve(a, b, size, rows, cols):
+    """c_s = sum_{p+q=s} a_p b_q for s < size, pair by pair over Fraction grids."""
+    out = [[[Fraction(0)] * cols for _ in range(rows)] for _ in range(size)]
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            if p + q < size:
+                for row, add in zip(out[p + q], ref_matmul(x, y, cols)):
+                    row[:] = [u + v for u, v in zip(row, add)]
+    return out
+
+
+@st.composite
+def series_blocks(draw, rows, cols, count=st.integers(0, 7)):
+    """Blocks, some zero: small, 200-bit, one repeated value, or over a
+    prime of their own, so the denominators of a side are pairwise coprime."""
+    blocks = []
+    for p in range(draw(count)):
+        kind = draw(st.sampled_from(["zero", "small", "wide", "same", "coprime", "any"]))
+        if kind == "any":
+            blocks.append(draw(grids(rows, cols)))
+            continue
+        entry = {
+            "zero": st.just(0),
+            "small": st.integers(-3, 3),
+            "wide": st.integers(-(2**200), 2**200),
+            "same": st.just(draw(st.integers(-(2**200), 2**200))),
+            "coprime": st.integers(-10**6, 10**6).map(lambda x, d=PRIMES[p]: Fraction(x, d)),
+        }[kind].map(Fraction)
+        blocks.append(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)))
+    return blocks
+
+
+class TestSeriesKernels:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SERIES_DIM, SERIES_DIM, SERIES_DIM, st.integers(-2, 2), st.data())
+    def test_convolve(self, r, k, c, extra, data):
+        count = data.draw(st.sampled_from([LONG, LONG, st.integers(0, 7)]))
+        a = data.draw(series_blocks(r, k, count))
+        b = data.draw(series_blocks(k, c, count))
+        size = max(1, len(a) + len(b) - 1 + extra)
+        got = Mat.convolve([Mat(x, cols=k) for x in a], [Mat(y, cols=c) for y in b], size, r, c)
+        want = ref_convolve(a, b, size, r, c)
+        assert len(got) == size
+        for coeff, grid in zip(got, want):
+            assert shape_of(coeff) == (r, c, as_entries(grid))
+            if not any(map(any, grid)):
+                assert coeff is Mat.zeros(r, c)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["same-sign", "opposite-sign"])
+    @pytest.mark.parametrize(
+        "magnitude, inner",
+        [(2**99, 1), (2**99 - 1, 1), (3, 4), (2**60, 3)],
+        ids=["bound-of-200-bits", "bound-under-200-bits", "small-inner-4", "61-bits-inner-3"],
+    )
+    def test_convolve_at_the_slot_bound(self, magnitude, inner, sign):
+        # Every entry the same size, so c_2 = 3 * inner * magnitude^2 reaches
+        # the bound the slots are sized by; at 2^99 it fills a whole number
+        # of bytes and only the sign bit's byte holds it.
+        a = [Mat([[magnitude] * inner])] * 3
+        b = [Mat([[sign * magnitude]] * inner)] * 3
+        got = Mat.convolve(a, b, 6, 1, 1)
+        assert [m.entries[0][0] for m in got] == [
+            sign * inner * magnitude**2 * n for n in (1, 2, 3, 2, 1, 0)
+        ]
+        assert got[5] is Mat.zeros(1, 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(SERIES_DIM, st.integers(1, 3), SERIES_DIM, st.integers(0, 2), st.integers(0, 2),
+           st.data())
+    def test_laurent_products_convolve(self, r, k, c, pole_a, pole_b, data):
+        a = data.draw(series_blocks(r, k, LONG))
+        b = data.draw(series_blocks(k, c, LONG))
+        x = MatLaurent(pole_a, [Mat(g, cols=k) for g in a], exact=True)
+        y = MatLaurent(pole_b, [Mat(g, cols=c) for g in b], exact=True)
+        want = ref_convolve(a, b, len(a) + len(b) - 1, r, c)
+        product = x @ y
+        for s, grid in enumerate(want):
+            assert shape_of(product.coefficient(s - pole_a - pole_b)) == (r, c, as_entries(grid))
+        assert product.coefficient(len(want) - pole_a - pole_b).is_zero()
+
+    @PROPERTY
+    @given(st.integers(0, 3), DIM, DIM, DIM, st.data())
+    def test_block_products_plus(self, count, height, inner, cols, data):
+        left = [data.draw(any_grids(height, inner)) for _ in range(count)]
+        for block in data.draw(st.lists(st.integers(0, count - 1), max_size=2)) if count else []:
+            left[block] = [[Fraction(0)] * inner for _ in range(height)]
+        right = data.draw(any_grids(inner, cols))
+        addends = [data.draw(st.one_of(st.none(), any_grids(height, cols))) for _ in range(count)]
+        got = Mat.block_products_plus(
+            Mat([row for block in left for row in block], cols=inner),
+            Mat(right, cols=cols),
+            [None if g is None else Mat(g, cols=cols) for g in addends],
+        )
+        assert len(got) == count
+        for block, x, addend in zip(got, left, addends):
+            want = ref_matmul(x, right, cols)
+            if addend is not None:
+                want = [[u + v for u, v in zip(p, q)] for p, q in zip(want, addend)]
+            assert shape_of(block) == (height, cols, as_entries(want))
+            # Equal values have equal state.
+            want = Mat(want, cols=cols)
+            assert (block._den, block._grid) == (want._den, want._grid)

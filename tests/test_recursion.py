@@ -591,19 +591,20 @@ class TestDegenerateStages:
 
     def test_stage_work_past_stabilization(self, monkeypatch):
         # Degree 9, k = 8, inverting stages 1, 2, 5 and 9. Stages 11 to 29,
-        # the ones smith runs past stage k + 2, form four products each:
-        # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j, the degeneracy
-        # product S_j basis(N_{j-1}) and the coupling times Sbar_j; E_{j,j}
-        # is the shared identity. From stage 10 on, each M column forms rows
-        # 2..9 only, one Mat.rows_plus each, and takes the rows past the top
-        # inverting stage 9 from the previous column.
+        # the ones smith runs past stage k + 2, form three products each:
+        # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j and the
+        # degeneracy product S_j basis(N_{j-1}); E_{j,j} is the shared
+        # identity. From stage 10 on, each M column forms rows 1..9 in one
+        # Mat.block_products_plus call, the coupling's row blocks times
+        # Sbar_j, and takes the rows past the top inverting stage 9 from the
+        # previous column.
         state = RecursionState(load_family("smith4x4k8.json"))
         assert state.L.degree == 9
         state.ensure_stages(9)
         assert state.stabilization_k == 8
         assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
-        calls, heads = [], []
-        sums, rows_plus = Mat.sum_of_products, Mat.rows_plus
+        calls, fused = [], []
+        sums, fuse = Mat.sum_of_products, Mat.block_products_plus
 
         def summed(pairs, rows, cols_):
             pairs = list(pairs)
@@ -611,22 +612,26 @@ class TestDegenerateStages:
             calls.append((len(pairs), result))
             return result
 
-        def head(m, start, other):
-            heads.append(start)
-            return rows_plus(m, start, other)
+        def fusing(left, right, addends):
+            blocks = fuse(left, right, addends)
+            fused.append((right, len(addends), blocks))
+            return blocks
 
         monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
-        monkeypatch.setattr(Mat, "rows_plus", head)
+        monkeypatch.setattr(Mat, "block_products_plus", staticmethod(fusing))
         for j in range(10, 30):
             calls.clear()
-            heads.clear()
+            fused.clear()
             state.run_stage()
-            assert len(heads) == 8, j
-            shifted = zip(state.M_cols[-1][9:], state.M_cols[-2][8:], strict=True)
+            [(right, count, blocks)] = fused
+            assert right is state.stage(j).sbar and count == 9, j
+            column = state.M_cols[-1]
+            assert len(column) == j and all(a is b for a, b in zip(column, blocks)), j
+            shifted = zip(column[9:], state.M_cols[-2][8:], strict=True)
             assert all(block is prev for block, prev in shifted), j
             if j == 10:
                 continue
-            assert len(calls) == 4, j
+            assert len(calls) == 3, j
             pairs, sbar = calls[0]
             assert sbar == state.stage(j).sbar and pairs <= 9, j
             assert state.e_block(j, j) is Mat.identity(4), j
@@ -719,8 +724,9 @@ class TestCoupledColumns:
     def test_gap_stages_reuse_the_coupling(self, gap, monkeypatch):
         # Exponents 0, 1, 4 and 8 make stages 1, 2, 5 and 9 the inverting
         # ones. A gap stage after the first column past an inverting stage
-        # forms Sbar_j, S_j, the degeneracy test S_j N_{j-1} and the coupling
-        # times Sbar_j, and stacks no coupling.
+        # forms Sbar_j, S_j and the degeneracy test S_j N_{j-1}, multiplies
+        # the coupling by Sbar_j in Mat.block_products_plus, and stacks no
+        # coupling.
         state = RecursionState(load_family("smith4x4k8.json"))
         state.ensure_stages(gap - 1)
         inverting = [st.index for st in state.stages if not st.splus.is_zero()]
@@ -728,19 +734,20 @@ class TestCoupledColumns:
         calls = self.count_sums(monkeypatch)
         state.run_stage()
         assert state.stage(gap).splus.is_zero()
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
     def test_one_product_per_stage_past_stabilization(self, monkeypatch):
-        # Past k+1 a stage forms Sbar_j, S_j, the degeneracy test S_j N_{j-1}
-        # and the coupling times Sbar_j: four products, the E solve and the
-        # M sums included. Stage k+2 also forms the coupling, once.
+        # Past k+1 a stage forms Sbar_j, S_j and the degeneracy test
+        # S_j N_{j-1}: three products, the E record included; the M column
+        # is one Mat.block_products_plus call. Stage k+2 also forms the
+        # coupling, once.
         state = RecursionState(load_family("smith4x4.json"))
         k = state.run_until_stabilized()
         state.ensure_stages(k + 2)
         calls = self.count_sums(monkeypatch)
         later = max(2 * k + 4, 12) - 1
         state.ensure_stages(k + 2 + later)
-        assert len(calls) <= 4 * later
+        assert len(calls) <= 3 * later
 
 
 class TestStabilization:
