@@ -80,6 +80,7 @@ CASES = {
     "smithk8-diagonalize": ["diagonalize", SMITH_K8],
     "smithk8-invert": ["invert", SMITH_K8],
     "smithk8-verify": ["verify", SMITH_K8],
+    "smithk8-diagonalize-order40": ["diagonalize", SMITH_K8, "--order", "40"],
     "dense-analyze": ["analyze", DENSE],
     "dense-diagonalize": ["diagonalize", DENSE],
     "dense-invert": ["invert", DENSE],
@@ -118,11 +119,14 @@ def render(value) -> str:
     return json.dumps(value, indent=2, cls=ReportEncoder)
 
 
-# The cases that print a JSON report.
+# The cases that print a JSON report; a case not yet recorded has no report
+# to read, and test_report_unchanged fails for it.
 JSON_CASES = sorted(
     case
     for case, argv in CASES.items()
-    if "--format" not in argv and recorded(case).count("\n") > 1
+    if "--format" not in argv
+    and os.path.exists(os.path.join(REPORTS, f"{case}.out"))
+    and recorded(case).count("\n") > 1
 )
 
 
