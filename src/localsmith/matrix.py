@@ -14,8 +14,11 @@ kernels touch each entry fewer times. ``Mat.convolve`` multiplies matrix
 series; once both sides have ``_PACK_MIN_BLOCKS`` nonzero blocks it packs
 each entry's blocks into one integer (Kronecker substitution), so each
 result entry is one dot product of packed integers, read back slot by slot.
-``Mat.block_products_plus`` adds each row block of a product to its own
-addend and reduces only the sums, never the product. ``Mat.strings``
+``PackedRows`` packs each row of a grid into one integer instead, the same
+way, over one denominator that is not reduced: ``PackedRows.products_plus``
+multiplies an integer grid by packed rows and adds packed rows below, one
+dot product per result row, and ``PackedRows.blocks`` reads row blocks
+back, each reduced once. ``Mat.strings``
 renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
 Fractions on first use, for scalar code.
 
@@ -86,14 +89,52 @@ def rat(value) -> Fraction:
 
 
 def _max_abs(grids) -> int:
-    """The largest |entry| of a list of grids."""
-    return max(map(abs, chain.from_iterable(chain.from_iterable(grids))))
+    """The largest |entry| of a list of grids, 0 for no entry."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(grids))), default=0)
+
+
+# Kronecker packing: slot s of a packed int holds a signed value x_s in
+# ``width`` bytes, and the int is sum_s x_s 2^(8 width s). With every
+# |x_s| < 2^(8 width - 1), adding the bias, 2^(8 width - 1) in every slot,
+# makes each slot x_s + 2^(8 width - 1), in [0, 2^(8 width)), so the slots
+# read back one by one, from the low end.
 
 
 def _pack(grids, powers, bits: int) -> list[list[int]]:
     """Entry (i, k) of equal-shape grids as sum_p grids[p][i][k] * 2^(bits * powers[p])."""
     shifts = [bits * p for p in powers]
     return [[sum(map(lshift, ints, shifts)) for ints in zip(*rows)] for rows in zip(*grids)]
+
+
+@functools.lru_cache(maxsize=256)
+def _bias(width: int, slots: int) -> tuple[int, int]:
+    """2^(8 width - 1), and the bias: that value in each of ``slots`` slots."""
+    half = 1 << (8 * width - 1)
+    return half, int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+
+def _pack_rows(grid, cols: int, width: int) -> list[int]:
+    """Each row of a grid packed into one int, entry c in slot c."""
+    shifts = range(0, 8 * width * cols, 8 * width)
+    return [sum(map(lshift, row, shifts)) for row in grid]
+
+
+def _unpack_rows(ints, cols: int, width: int) -> list[tuple[int, ...]]:
+    """The rows that ``_pack_rows`` packed into ``ints``."""
+    half, bias = _bias(width, cols)
+    bits, mask, zero = 8 * width, (1 << 8 * width) - 1, (0,) * cols
+    rows = []
+    for x in ints:
+        if x:
+            x += bias
+            row = []
+            for _ in range(cols):
+                row.append((x & mask) - half)
+                x >>= bits
+            rows.append(tuple(row))
+        else:
+            rows.append(zero)
+    return rows
 
 
 def format_rat(q: Fraction) -> str:
@@ -113,7 +154,9 @@ class Mat:
     subspaces.
     """
 
-    __slots__ = ("rows", "cols", "_grid", "_den", "_entries", "_zero", "_identity", "_rref")
+    __slots__ = (
+        "rows", "cols", "_grid", "_den", "_entries", "_zero", "_identity", "_rref", "_peak_abs"
+    )
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         pairs = tuple(tuple(map(ratio, row)) for row in entries)
@@ -341,9 +384,8 @@ class Mat:
         grids_a = [x._scaled(den_a // x._den) for _, x in left]
         grids_b = [y._scaled(den_b // y._den) for _, y in right]
         bound = min(len(left), len(right)) * inner * _max_abs(grids_a) * _max_abs(grids_b)
-        width = (bound.bit_length() + 8) // 8
-        half, slots = 1 << (8 * width - 1), left[-1][0] + right[-1][0] + 1
-        bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        width, slots = (bound.bit_length() + 8) // 8, left[-1][0] + right[-1][0] + 1
+        half, bias = _bias(width, slots)
         cols_b = list(zip(*_pack(grids_b, [q for q, _ in right], 8 * width)))
         packed = [
             [(sum(map(mul, row, col)) + bias).to_bytes(width * slots, "little") for col in cols_b]
@@ -358,50 +400,6 @@ class Mat:
             )
             coeffs.append(Mat._reduced(grid, den, rows, cols) if any(map(any, grid)) else zero)
         return coeffs + [zero] * (size - len(coeffs))
-
-    @staticmethod
-    def block_products_plus(left: Mat, right: Mat, addends: Sequence[Mat | None]) -> list[Mat]:
-        """[left_i @ right + addends[i]] over the row blocks left_i of left,
-        one per addend, with None read as zero.
-
-        The product is dotted on the integer grids and not reduced on its
-        own, zero rows of left are skipped, and each block's sum over the lcm
-        of the denominators is reduced once. A block whose product rows are
-        all zero is its addend itself, or the shared zero for None.
-        """
-        height = left.rows // len(addends) if addends else 0
-        if (
-            left.cols != right.rows
-            or left.rows != height * len(addends)
-            or any(m is not None and (m.rows, m.cols) != (height, right.cols) for m in addends)
-        ):
-            shapes = ", ".join("None" if m is None else f"{m.rows}x{m.cols}" for m in addends)
-            raise ValueError(
-                f"shape mismatch {left.rows}x{left.cols} @ {right.rows}x{right.cols} "
-                f"in row blocks + [{shapes}]"
-            )
-        cols, zero = list(zip(*right._grid)), Mat.zeros(height, right.cols)
-        zero_row, den = (0,) * right.cols, left._den * right._den
-        product = [
-            [sum(map(mul, ints, col)) for col in cols] if any(ints) else zero_row
-            for ints in left._grid
-        ]
-        blocks = []
-        for i, addend in enumerate(addends):
-            rows = product[i * height : i * height + height]
-            if not any(map(any, rows)):
-                blocks.append(zero if addend is None else addend)
-            elif addend is None:
-                blocks.append(Mat._reduced(tuple(map(tuple, rows)), den, height, right.cols))
-            else:
-                total = math.lcm(den, addend._den)
-                f, g = total // den, total // addend._den
-                grid = tuple(
-                    tuple([x * f + y * g for x, y in zip(r1, r2)])
-                    for r1, r2 in zip(rows, addend._grid)
-                )
-                blocks.append(Mat._reduced(grid, total, height, right.cols))
-        return blocks
 
     # -- basic queries ------------------------------------------------
 
@@ -422,6 +420,15 @@ class Mat:
                 and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._grid))
             )
             _set(self, "_identity", cached)
+        return cached
+
+    def _peak(self) -> int:
+        """The largest |entry| of the grid, 0 for no entry; the slot is set on
+        first use, so that building a matrix costs nothing for it."""
+        cached = getattr(self, "_peak_abs", None)
+        if cached is None:
+            cached = _max_abs([self._grid])
+            _set(self, "_peak_abs", cached)
         return cached
 
     def column(self, j: int) -> Mat:
@@ -650,3 +657,124 @@ class Mat:
                 m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[c])]
             prev = p
         return Fraction(sign * prev, self._den**n)
+
+
+# Spare bits a packing widened by ``PackedRows.products_plus`` keeps above the
+# bound it was widened for, so that a run of products whose entries grow by a
+# few bits each repacks only every few calls.
+_PACK_SLACK = 32
+
+
+class PackedRows:
+    """Integer rows over one positive denominator, each packed into one int.
+
+    Row r of a grid with ``cols`` columns is ``ints[r]`` = sum_c x_rc
+    2^(8 width c), the packing ``Mat.convolve`` uses, with slots along the
+    row. Every |x_rc| < 2^bits with bits < 8 width, so every slot reads
+    back. The rows are not reduced against the denominator: only
+    ``blocks`` forms Mats from them, with one gcd each. The rows never
+    change; a product that needs wider slots repacks its operands in place.
+    """
+
+    __slots__ = ("ints", "den", "cols", "width", "bits")
+
+    def __init__(self, ints: list[int], den: int, cols: int, width: int, bits: int):
+        self.ints, self.den, self.cols, self.width, self.bits = ints, den, cols, width, bits
+
+    @staticmethod
+    def identity(n: int, rows: int) -> PackedRows:
+        """The n x n identity stacked over zero rows, ``rows`` rows in all."""
+        return PackedRows([1 << 8 * i for i in range(n)] + [0] * (rows - n), 1, n, 1, 1)
+
+    def first(self, count: int) -> PackedRows:
+        """The first ``count`` rows."""
+        if count == len(self.ints):
+            return self
+        return PackedRows(self.ints[:count], self.den, self.cols, self.width, self.bits)
+
+    def extended(self, mats: Sequence[Mat]) -> PackedRows:
+        """These rows followed by the rows of ``mats``, over the lcm of the
+        denominators."""
+        if any(m.cols != self.cols for m in mats):
+            raise ValueError(f"blocks of {self.cols} columns expected")
+        den = math.lcm(self.den, *[m._den for m in mats])
+        grids = [m._scaled(den // m._den) for m in mats]
+        scale = den // self.den
+        bits = max((scale * ((1 << self.bits) - 1)).bit_length(), _max_abs(grids).bit_length())
+        self._repack(_slot_width(bits, self.width))
+        ints = self.ints if scale == 1 else [x * scale for x in self.ints]
+        tail = _pack_rows(chain.from_iterable(grids), self.cols, self.width)
+        return PackedRows(ints + tail, den, self.cols, self.width, bits)
+
+    def _repack(self, width: int) -> None:
+        """The same rows, packed in place ``width`` bytes to a slot."""
+        if width != self.width:
+            grid = _unpack_rows(self.ints, self.cols, self.width)
+            self.ints, self.width = _pack_rows(grid, self.cols, width), width
+
+    def blocks(self, height: int, start: int, stop: int) -> list[Mat]:
+        """Rows start .. stop - 1, read back in one pass, as blocks of
+        ``height`` rows, each a reduced Mat, or the shared zero or identity
+        when it is zero or the identity."""
+        if not 0 <= start <= stop <= len(self.ints) or (stop - start) % height:
+            raise ValueError(f"rows {start}..{stop - 1} of {len(self.ints)} in blocks of {height}")
+        cols, den = self.cols, self.den
+        rows, blocks = _unpack_rows(self.ints[start:stop], cols, self.width), []
+        for lo in range(0, stop - start, height):
+            grid = tuple(rows[lo : lo + height])
+            if not any(map(any, grid)):
+                blocks.append(Mat.zeros(height, cols))
+                continue
+            block = Mat._reduced(grid, den, height, cols)
+            blocks.append(Mat.identity(height) if block.is_identity() else block)
+        return blocks
+
+    @staticmethod
+    def products_plus(
+        left: Mat, right: Mat | PackedRows, plus: PackedRows | None = None, at: int = 0
+    ) -> PackedRows:
+        """left @ right, with row r of ``plus`` added to row at + r, packed.
+
+        The result has the rows of left, and more if plus reaches past them,
+        over the lcm of the product's denominator and plus's. Each product
+        row is one dot product of a row of left's integer grid with the
+        packed rows of right (a Mat right is packed on the way in); a zero
+        row of left costs nothing. The result's entries are bounded by
+        f inner max|left| max|right| + g max|plus|, with f and g the scales
+        to the common denominator. Packed operands whose slots cannot hold
+        that bound are first repacked in place, wider. Nothing is read back
+        or reduced.
+        """
+        packed = isinstance(right, PackedRows)
+        height = len(right.ints) if packed else right.rows
+        cols = right.cols
+        if left.cols != height or plus is not None and (plus.cols != cols or at < 0):
+            below = "" if plus is None else f" + {len(plus.ints)}x{plus.cols} at row {at}"
+            raise ValueError(f"shape mismatch {left.rows}x{left.cols} @ {height}x{cols}{below}")
+        den = left._den * (right.den if packed else right._den)
+        bound = left.cols * left._peak() * ((1 << right.bits) - 1 if packed else right._peak())
+        f = g = 1
+        if plus is not None:
+            total = math.lcm(den, plus.den)
+            f, g, den = total // den, total // plus.den, total
+            bound = f * bound + g * ((1 << plus.bits) - 1)
+        bits = bound.bit_length()
+        operands = [x for x in (right, plus) if isinstance(x, PackedRows)]
+        width = _slot_width(bits, max([x.width for x in operands], default=0))
+        for operand in operands:
+            operand._repack(width)
+        rights = right.ints if packed else _pack_rows(right._grid, cols, width)
+        if f != 1:
+            rights = [x * f for x in rights]
+        ints = [sum(map(mul, row, rights)) if any(row) else 0 for row in left._grid]
+        if plus is not None:
+            ints.extend([0] * (at + len(plus.ints) - len(ints)))
+            for r, x in enumerate(plus.ints, at):
+                ints[r] += x * g
+        return PackedRows(ints, den, cols, width, bits)
+
+
+def _slot_width(bits: int, width: int) -> int:
+    """``width`` if its slots hold |x| < 2^bits with a sign bit, and otherwise
+    the bytes for that and _PACK_SLACK bits more."""
+    return width if bits < 8 * width else (bits + _PACK_SLACK) // 8 + 1

@@ -34,10 +34,10 @@ independent basis columns, so P_j and calP_j are zero whenever S_j^+ is,
 named stages included: Q and Qc change only at inverting stages (below),
 and Qc_{j-1} = I before the first one, where S_j is S̄_j itself. L_v is
 zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
-so forms three products, S̄_j, S_j = Qc_{j-1} S̄_j and the degeneracy
-product, and one fused product of the coupling below for its M column, and
-runs the rank guard on a running range total; its zero blocks and
-E_{j,j} = I are shared by every stage.
+so forms two products, S_j = Qc_{j-1} S̄_j and the degeneracy product,
+and two packed ones (below), S̄_j and its M column, and runs the rank
+guard on a running range total; its zero blocks and E_{j,j} = I are
+shared by every stage.
 
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
@@ -48,8 +48,8 @@ column is the E column pushed through the previous M triangle:
 Row k+1 of the M matrix is what later becomes the right transformation's
 coefficients.
 
-The M column comes from one fused product; the E column is formed from a
-second one, and only when it is read. S_i^+ = 0 makes E_{i,j} = 0, so only
+The M column comes from one packed product; the E column is formed from a
+second product, and only when it is read. S_i^+ = 0 makes E_{i,j} = 0, so only
 the *inverting* stages below j, those with S_i^+ nonzero, enter the
 bottom-up solve, and it carries S̄_j through one fixed map: with A = I at
 the top inverting stage and A <- A + S̄_i G_i below each inverting i,
@@ -69,21 +69,32 @@ rows are taken as one slice of the previous column and are not visited.
 With no inverting stage yet, a column is the identity diagonal and that
 shift. The coupling [G_1; K], with G_1 only when stage 1 inverts, reads
 only the inverting stages and their M columns, so it is stacked on the
-first column that needs it and kept until another stage inverts. Each M
-column is one ``Mat.block_products_plus`` call: each row block of the
-coupling times S̄_j, dotted on the integer grids, added to its
-M_{row-1,j-1} and reduced once, with no reduction of the product on its
-own. Past k+1 no stage inverts (new range would break the rank guard), so
-every later column shares one coupling, and a run that ends at its last
-inverting stage builds none for it.
+first column that needs it and kept until another stage inverts. Past k+1
+no stage inverts (new range would break the rank guard), so every later
+column shares one coupling, and a run that ends at its last inverting stage
+builds none for it.
+
+Every M column is one ``MColumn``. Its computed rows 1..top are its head,
+held as ``PackedRows``: each row of a block is one integer, over one column
+denominator D_j = lcm(den(coupling) den(S̄_j), D_{j-1}), never reduced. The
+head is one ``PackedRows.products_plus`` call: the coupling times S̄_j,
+plus the previous column's packed rows shifted one block down. The packed
+rows go on past top to row deg L, shifted the same way, so that S̄_{j+1} is
+one packed product of [L_1 .. L_deg] with them; past row j they are zero.
+So a stage reads back only S̄_j and the top block M_{top,j}, which the
+next column shares and phi reads. Every other head block is read back and
+reduced when a block of the column is first read: by ``jordan``, the
+coupling, the ``verify`` checks and the E record. Assigning a block of a
+column replaces what ``m_block`` returns; the E record reads E_{1,j} as
+its stage built it.
 
 Only ``verify``'s triangular-system check reads the E blocks. A stage
 records its E column as the stack of G_i over the coupling's inverting
-i >= 2, S̄_j and M_{1,j} = E_{1,j}; ``e_block`` forms the column on its
-first read, with one product of that stack by S̄_j, and keeps it. So a
-command that reads no E block forms none, and ``verify`` multiplies the
-same rows as one product of the whole [G; K] would. The blocks are the
-same exact values the recurrences give.
+i >= 2, S̄_j and M column j, whose first block is E_{1,j}; ``e_block``
+forms the column on its first read, with one product of that stack by
+S̄_j, and keeps it. So a command that reads no E block forms none, and
+``verify`` multiplies the same rows as one product of the whole [G; K]
+would. The blocks are the same exact values the recurrences give.
 """
 
 from __future__ import annotations
@@ -98,7 +109,7 @@ from .errors import (
     StageBudgetError,
     TruncationError,
 )
-from .matrix import Mat
+from .matrix import Mat, PackedRows
 from .series import MatSeries
 from .subspaces import Subspace, complement_coordinates, restrict_and_split
 
@@ -145,6 +156,53 @@ class ComplementPlan:
 
     nc_bases: dict[int, Mat]
     rc_bases: dict[int, Mat]
+
+
+class MColumn:
+    """M column j: its head, the packed rows 1..top and on to row deg L, and
+    below row top the blocks M_{top,j-1} .. M_{j-1,j-1} of column j-1,
+    shared.
+
+    The head blocks are formed from the packed rows on the first read of
+    one and kept; the top one, which the next column shares and phi reads,
+    is formed at once. Assigning a block replaces what later reads return.
+    """
+
+    __slots__ = ("head", "top", "blocks", "_formed")
+
+    def __init__(self, head: PackedRows, top: int, blocks: list[Mat | None]):
+        """``blocks`` holds rows 1..j, with None for each head block not
+        yet formed and the top one formed."""
+        self.head, self.top, self.blocks = head, top, blocks
+        self._formed: list[Mat | None] = blocks[:top]
+
+    def __getitem__(self, i: int) -> Mat:
+        block = self.blocks[i]
+        if block is None:
+            block = self.blocks[i] = self.formed(i)
+        return block
+
+    def __setitem__(self, i: int, block: Mat) -> None:
+        self.blocks[i] = block
+
+    def formed(self, i: int) -> Mat:
+        """Head block i as its stage built it, whatever was assigned since;
+        the first read forms every head block, in one pass."""
+        block = self._formed[i]
+        if block is None:
+            n, top = self.head.cols, self.top
+            self._formed[: top - 1] = self.head.blocks(n, 0, (top - 1) * n)
+            block = self._formed[i]
+        return block
+
+    def rows(self, count: int) -> PackedRows:
+        """Rows 1..count packed: the packed rows, and those of the shared
+        blocks past them."""
+        head, n = self.head, self.head.cols
+        packed = len(head.ints) // n
+        if count <= packed:
+            return head.first(count * n)
+        return head.extended(self.blocks[packed:count])
 
 
 @dataclass(frozen=True)
@@ -245,9 +303,11 @@ class RecursionState:
         self.generic_rank = generic_rank(self.L)
         self.stages: list[Stage] = []
         # E column j as recorded by its stage, and as formed on first read.
-        self._e_records: list[tuple[tuple[int, ...], Mat, Mat, Mat]] = []
+        self._e_records: list[tuple[tuple[int, ...], Mat, Mat, MColumn]] = []
         self.E_cols: dict[int, list[Mat]] = {}
-        self.M_cols: list[list[Mat]] = []
+        self.M_cols: list[MColumn] = []
+        # [L_1 .. L_deg] side by side, the left factor of every Sbar_j.
+        self._leads = Mat.hstack([Mat.zeros(self.codomain_dim, 0), *self.L.coeffs[1:]])
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
@@ -258,7 +318,7 @@ class RecursionState:
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
-        # [G_1 when stage 1 inverts; K] stacked from the stages in _inverting:
+        # [G_1, or zero; K] stacked from the stages in _inverting:
         # the M heads of the next column, as one linear map of its Sbar; and
         # the other inverting rows with their G stack, the map of the E
         # blocks below row 1. Dropped when a stage joins _inverting and
@@ -302,18 +362,7 @@ class RecursionState:
                 f"stage {j} needs the order-{j - 1} coefficient; input truncated "
                 f"at order {self.input_trunc}"
             )
-        if j == 1:
-            sbar = self.L.coefficient(0)
-        else:
-            # L_v is zero past deg L, and self.L is exact.
-            sbar = Mat.sum_of_products(
-                (
-                    (coeff, self.m_block(v, j - 1))
-                    for v, coeff in enumerate(self.L.coeffs[1:j], start=1)
-                ),
-                self.codomain_dim,
-                self.domain_dim,
-            )
+        sbar = self.L.coefficient(0) if j == 1 else self._sbar()
         s = self._qc @ sbar
         stage = self._split_stage(j, sbar, s)
         self.stages.append(stage)
@@ -356,16 +405,26 @@ class RecursionState:
         b = nc_j.basis
         return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, b @ (w @ s @ self._q), image.basis @ w, b @ w)
 
+    def _sbar(self) -> Mat:
+        """Sbar_j = sum_v L_v M_{v,j-1} over v = 1..deg L, as one packed
+        product of [L_1 .. L_deg] with the packed rows of column j-1, which
+        reach row deg L; M_{v,j-1} is zero past row j-1, and self.L is
+        exact."""
+        m = self.codomain_dim
+        rows = self.M_cols[-1].head.first(self.L.degree * self.domain_dim)
+        [sbar] = PackedRows.products_plus(self._leads, rows).blocks(m, 0, m)
+        return sbar
+
     def _inverting_coupling(self) -> tuple[Mat, tuple[tuple[int, ...], Mat]]:
-        """[G_1 when stage 1 inverts; K_row for row = 2..top] stacked, where
-        top is the last inverting stage, and the inverting rows i >= 2 with
-        their G_i stacked: G_i = -S_i^+ A with A = I at top and
-        A <- A + Sbar_i G_i below each inverting i, and
-        K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i. A stack with no
-        blocks has no rows."""
+        """[G_1, or zero when stage 1 does not invert; K_row for
+        row = 2..top] stacked, where top is the last inverting stage (1 when
+        none has), and the inverting rows i >= 2 with their G_i stacked:
+        G_i = -S_i^+ A with A = I at top and A <- A + Sbar_i G_i below each
+        inverting i, and K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i.
+        A stack with no blocks has no rows."""
         n, m = self.domain_dim, self.codomain_dim
         if not self._inverting:
-            return Mat.zeros(0, m), ((), Mat.zeros(0, m))
+            return Mat.zeros(n, m), ((), Mat.zeros(0, m))
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
@@ -381,42 +440,48 @@ class RecursionState:
             )
             for row in range(2, self._inverting[-1] + 1)
         ]
-        lead = [gains[1]] if 1 in gains else []
+        lead = gains[1] if 1 in gains else Mat.zeros(n, m)
         rows = tuple(i for i in self._inverting if i >= 2)
         below = Mat.vstack([Mat.zeros(0, m), *(gains[i] for i in rows)])
-        return Mat.vstack([Mat.zeros(0, m), *lead, *heads]), (rows, below)
+        return Mat.vstack([lead, *heads]), (rows, below)
 
-    def _build_m_column(self, j: int, sbar: Mat) -> list[Mat]:
+    def _build_m_column(self, j: int, sbar: Mat) -> MColumn:
         """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
-        rows 2..top, top the top inverting stage, from one fused product of
-        the coupling's row blocks with Sbar_j: E_{1,j} = G_1 Sbar_j from the
-        first block when stage 1 inverts, and otherwise I on the diagonal and
-        zero above it. Past top, K_row is zero: those rows are the previous
-        column's blocks, taken by one slice and not visited."""
-        n = self.domain_dim
-        prev = self.M_cols[-1] if j > 1 else []
+        rows 2..top, top the top inverting stage, as one packed product of
+        the coupling with Sbar_j plus the packed rows of column j-1 one
+        block down: E_{1,j} = G_1 Sbar_j from the first block when stage 1
+        inverts, and zero otherwise; M_{1,1} = I. Past top, K_row is zero:
+        those rows are the previous column's blocks, taken by one slice and
+        not visited."""
+        n, degree = self.domain_dim, self.L.degree
+        if j == 1:
+            head = PackedRows.identity(n, n * max(1, degree))
+            return MColumn(head, 1, [Mat.identity(n)])
+        prev = self.M_cols[-1]
         top = self._inverting[-1] if self._inverting else 1
-        lead = self._inverting[:1] == [1]
-        mcol = Mat.block_products_plus(self._coupling, sbar, [None] * lead + prev[: top - 1])
-        if not lead:
-            mcol.insert(0, Mat.identity(n) if j == 1 else Mat.zeros(n, n))
-        return mcol + prev[top - 1 :]
+        # The packed rows reach row deg L, which Sbar_{j+1} reads; past row
+        # j they are zero.
+        rows = max(top, degree)
+        shifted = prev.rows(rows - 1) if rows > 1 else None
+        head = PackedRows.products_plus(self._coupling, sbar, shifted, n)
+        [block] = head.blocks(n, (top - 1) * n, top * n)
+        return MColumn(head, top, [None] * (top - 1) + [block] + prev.blocks[top - 1 :])
 
-    def _build_e_column(self, j: int, sbar: Mat) -> tuple[tuple[int, ...], Mat, Mat, Mat]:
+    def _build_e_column(self, j: int, sbar: Mat) -> tuple[tuple[int, ...], Mat, Mat, MColumn]:
         """The record E column j is formed from on its first read: the
-        inverting rows i >= 2 below j with their G stack, Sbar_j, and
-        E_{1,j} = M_{1,j}."""
+        inverting rows i >= 2 below j with their G stack, Sbar_j, and M
+        column j, whose first block is E_{1,j}."""
         rows, below = self._e_gains
-        return rows, below, sbar, self.M_cols[j - 1][0]
+        return rows, below, sbar, self.M_cols[j - 1]
 
     def _form_e_column(self, j: int) -> list[Mat]:
-        """E_{j,j} = I, E_{1,j} = M_{1,j}, and E_{i,j} = G_i Sbar_j for each
-        inverting i >= 2, read from one product of the G stack with Sbar_j;
-        other rows are zero."""
-        rows, below, sbar, head = self._e_records[j - 1]
+        """E_{j,j} = I, E_{1,j} = M_{1,j} as its stage built it, and
+        E_{i,j} = G_i Sbar_j for each inverting i >= 2, read from one product
+        of the G stack with Sbar_j; other rows are zero."""
+        rows, below, sbar, mcol = self._e_records[j - 1]
         n = self.domain_dim
         col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[0] = head
+        col[0] = mcol.formed(0)
         col[j - 1] = Mat.identity(n)
         if rows:
             product = below @ sbar

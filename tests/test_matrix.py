@@ -213,46 +213,72 @@ class TestArithmetic:
         assert Mat.identity(2).integer_rows == ((1, 0), (0, 1))
 
     def test_block_products_plus(self):
+        # PackedRows.products_plus multiplies a left grid by packed right rows
+        # and adds packed addend rows below; blocks reads row blocks back.
+        Packed = matrix.PackedRows
         left = Mat([[rat("1/2"), 0], [0, rat("1/2")], [0, 0], [0, 0], [1, 2], [3, 4]])
         right = Mat([[2, 0], [1, rat("1/3")]])
         other = Mat([[rat("1/2"), 1], [0, rat("3/2")]])
-        blocks = Mat.block_products_plus(left, right, [None, other, other])
+        plus = packed(other, other)
+        rows = Packed.products_plus(left, right, plus, 2)
+        blocks = rows.blocks(2, 0, 6)
         assert blocks[0] == left.submatrix_rows(range(2)) @ right
+        assert blocks[1] == other
         assert blocks[2] == left.submatrix_rows(range(4, 6)) @ right + other
         assert blocks[2] == Mat([[rat("9/2"), rat("5/3")], [10, rat("17/6")]])
-        # Zero rows give the addend itself, or the shared zero for None.
-        assert blocks[1] is other
-        assert Mat.block_products_plus(left, right, [None, None, other])[1] is Mat.zeros(2, 2)
-        # So does a nonzero block whose product is zero.
-        zero = Mat.block_products_plus(left, Mat.zeros(2, 2), [other, None, other])
-        assert zero[0] is other and zero[1] is Mat.zeros(2, 2) and zero[2] is other
-        assert Mat.block_products_plus(Mat.zeros(0, 3), Mat.identity(3), []) == []
+        # The rows are over lcm(2 * 3, 2) and are not reduced.
+        assert rows.den == 6 and rows.ints[2] == 3 + (6 << 8 * rows.width)
+        # A packed right gives the same rows; addends may reach past left's.
+        again = Packed.products_plus(left, packed(right), packed(other), 5)
+        [whole] = again.blocks(7, 0, 7)
+        assert whole == Mat.vstack([left @ right, Mat.zeros(1, 2)]) + Mat.vstack(
+            [Mat.zeros(5, 2), other]
+        )
+        # Zero and identity blocks are the shared ones.
+        zero = Packed.products_plus(left, Mat.zeros(2, 2))
+        assert zero.blocks(2, 0, 6) == [Mat.zeros(2, 2)] * 3
+        assert all(b is Mat.zeros(2, 2) for b in zero.blocks(2, 0, 6))
+        unit = Packed.products_plus(Mat([[1, 0], [0, 1], [0, 0]]), Mat.identity(2))
+        assert unit.blocks(2, 0, 2)[0] is Mat.identity(2)
+        assert unit.blocks(1, 2, 3)[0] is Mat.zeros(1, 2)
+        assert Packed.identity(2, 4).blocks(2, 0, 4) == [Mat.identity(2), Mat.zeros(2, 2)]
+        assert Packed.products_plus(Mat.zeros(0, 3), Mat.identity(3)).blocks(1, 0, 0) == []
 
     @pytest.mark.parametrize(
-        "left, right, addends",
+        "call",
         [
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [0, 0], [1, 2], [3, 4]]), Mat.identity(2),
-             [Mat.identity(2)] * 4),
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0], [1, 2], [3, 4]]), Mat.identity(2),
-             [Mat.identity(2)] * 2),
-            (Mat([[rat("1/2"), 0], [0, 0], [0, 0]]), Mat([[1, 2], [3, 4]]), [Mat.identity(3)]),
-            (Mat.zeros(2, 2), Mat.zeros(2, 2), [Mat.zeros(2, 3)]),
-            (Mat.zeros(2, 2), Mat.identity(2), [None] * 3),
-            (Mat([[0, 0], [1, 1]]), Mat([[1], [2], [3]]), [None, None]),
-            (Mat([[0, 0], [1, 1]]), Mat.identity(2), []),
+            lambda: packed(Mat.identity(2), Mat.identity(2)).blocks(2, 2, 6),
+            lambda: packed(Mat.identity(2), Mat.identity(2)).blocks(2, 1, 4),
+            lambda: matrix.PackedRows.products_plus(
+                Mat([[rat("1/2"), 0], [0, 0], [0, 0]]), Mat([[1, 2], [3, 4]]),
+                packed(Mat.identity(3)),
+            ),
+            lambda: matrix.PackedRows.products_plus(
+                Mat.zeros(2, 2), Mat.zeros(2, 2), packed(Mat.zeros(2, 3))
+            ),
+            lambda: packed(Mat.zeros(2, 2)).blocks(2, 0, 3),
+            lambda: matrix.PackedRows.products_plus(
+                Mat([[0, 0], [1, 1]]), packed(Mat([[1], [2], [3]]))
+            ),
+            lambda: packed(Mat.zeros(0, 2)).blocks(2, 0, 2),
+            lambda: matrix.PackedRows.products_plus(
+                Mat([[0, 0], [1, 1]]), Mat.identity(2), packed(Mat.identity(2)), -1
+            ),
         ],
         ids=["past-the-end", "overhanging", "too-wide", "zero-head-too-wide",
-             "zero-head-past-the-end", "inner-mismatch", "no-addends"],
+             "zero-head-past-the-end", "inner-mismatch", "no-addends", "negative-start"],
     )
-    def test_block_products_plus_checks_the_shape_first(self, left, right, addends, monkeypatch):
+    def test_block_products_plus_checks_the_shape_first(self, call, monkeypatch):
         # A bad request raises before any multiplication, also where the
-        # product is zero.
+        # product is zero: row blocks past the rows or not a whole number of
+        # blocks, addends of another width or above row 0, a left grid whose
+        # columns are not right's rows.
         def forbidden(x, y):
             raise AssertionError("multiplied before the shape check")
 
         monkeypatch.setattr(matrix, "mul", forbidden)
         with pytest.raises(ValueError):
-            Mat.block_products_plus(left, right, addends)
+            call()
 
 
 class TestFoldedProducts:
@@ -308,6 +334,12 @@ class TestFoldedProducts:
 # The references below work on lists of Fractions and share no code with
 # Mat's integer kernels: schoolbook products, Gauss-Jordan with a division
 # per pivot row, and Gaussian elimination for the determinant.
+
+
+def packed(*mats: Mat, cols: int | None = None, width: int = 1) -> "matrix.PackedRows":
+    """The rows of mats stacked and packed, ``width`` bytes to a slot or wider."""
+    cols = mats[0].cols if cols is None else cols
+    return matrix.PackedRows([], 1, cols, width, 0).extended(mats)
 
 
 def ref_matmul(a, b, cols):
@@ -723,6 +755,34 @@ class TestSeriesKernels:
         ]
         assert got[5] is Mat.zeros(1, 1)
 
+    @pytest.mark.parametrize("width", [1, 2, 25], ids=["8-bit", "16-bit", "200-bit"])
+    def test_block_products_plus_at_the_slot_bound(self, width):
+        # x = 2^(8 width - 1) - 1 is the largest |entry| a slot of width
+        # bytes holds. A product whose bound is exactly that keeps the
+        # operands' width; one bit more repacks them wider.
+        Packed, x = matrix.PackedRows, 2 ** (8 * width - 1) - 1
+        right = packed(Mat([[x, -x]]), width=width)
+        assert right.width == width
+        assert packed(Mat([[x + 1]]), width=width).width > width
+        fits = Packed.products_plus(Mat([[1], [-1], [0]]), right)
+        assert fits.width == width
+        assert fits.blocks(1, 0, 3) == [Mat([[x, -x]]), Mat([[-x, x]]), Mat.zeros(1, 2)]
+        wider = Packed.products_plus(Mat([[2], [-1]]), right)
+        assert wider.width > width
+        assert wider.blocks(1, 0, 2) == [Mat([[2 * x, -2 * x]]), Mat([[-x, x]])]
+        # An addend at the bound, past the product's rows.
+        addend = packed(Mat([[-x, x]]), width=width)
+        plus = Packed.products_plus(Mat([[0]]), Mat([[5, 5]]), addend, 1)
+        assert plus.width == width
+        assert plus.blocks(1, 0, 2) == [Mat.zeros(1, 2), Mat([[-x, x]])]
+        # Over the lcm of the denominators x/2 and -x/3 are 3x and -2x, past
+        # the bound: the addend is repacked.
+        over = Packed.products_plus(
+            Mat([[rat("1/2")]]), Mat([[x, 0]]), packed(Mat([[0, rat(f"{-x}/3")]]), width=width)
+        )
+        assert over.den == 6 and over.width > width
+        assert over.blocks(1, 0, 1) == [Mat([[rat(f"{x}/2"), rat(f"{-x}/3")]])]
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(SERIES_DIM, st.integers(1, 3), SERIES_DIM, st.integers(0, 2), st.integers(0, 2),
            st.data())
@@ -737,25 +797,47 @@ class TestSeriesKernels:
             assert shape_of(product.coefficient(s - pole_a - pole_b)) == (r, c, as_entries(grid))
         assert product.coefficient(len(want) - pole_a - pole_b).is_zero()
 
-    @PROPERTY
-    @given(st.integers(0, 3), DIM, DIM, DIM, st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 3), st.integers(1, 3), SERIES_DIM, st.integers(1, 3), st.data())
     def test_block_products_plus(self, count, height, inner, cols, data):
-        left = [data.draw(any_grids(height, inner)) for _ in range(count)]
-        for block in data.draw(st.lists(st.integers(0, count - 1), max_size=2)) if count else []:
-            left[block] = [[Fraction(0)] * inner for _ in range(height)]
-        right = data.draw(any_grids(inner, cols))
-        addends = [data.draw(st.one_of(st.none(), any_grids(height, cols))) for _ in range(count)]
-        got = Mat.block_products_plus(
-            Mat([row for block in left for row in block], cols=inner),
-            Mat(right, cols=cols),
-            [None if g is None else Mat(g, cols=cols) for g in addends],
-        )
-        assert len(got) == count
-        for block, x, addend in zip(got, left, addends):
-            want = ref_matmul(x, right, cols)
-            if addend is not None:
-                want = [[u + v for u, v in zip(p, q)] for p, q in zip(want, addend)]
-            assert shape_of(block) == (height, cols, as_entries(want))
-            # Equal values have equal state.
-            want = Mat(want, cols=cols)
-            assert (block._den, block._grid) == (want._den, want._grid)
+        # count left blocks of height rows, some zero or the identity, by
+        # right rows, Mat or packed, plus packed addend blocks from block
+        # ``start``: small, 200-bit or rational signed entries, packed at 1
+        # to 4 bytes a slot, so that products repack narrow operands.
+        left = data.draw(series_blocks(height, inner, st.just(count)))
+        if height == inner:
+            for b in data.draw(st.lists(st.integers(0, count - 1), max_size=2)) if count else []:
+                left[b] = [[Fraction(int(i == k)) for k in range(inner)] for i in range(height)]
+        right = data.draw(series_blocks(1, cols, st.just(inner)))
+        right = [row for block in right for row in block]
+        if inner == cols and data.draw(st.booleans()):
+            right = [[Fraction(int(i == k)) for k in range(cols)] for i in range(inner)]
+        width = data.draw(st.integers(1, 4))
+        operand = Mat(right, cols=cols)
+        if data.draw(st.booleans()):
+            operand = packed(*[operand.submatrix_rows([i]) for i in range(inner)], cols=cols,
+                             width=width)
+        plus, start = None, data.draw(st.integers(0, count + 1))
+        addends = []
+        if data.draw(st.booleans()):
+            addends = data.draw(series_blocks(height, cols, st.integers(0, 3)))
+            plus = packed(*[Mat(g, cols=cols) for g in addends], cols=cols, width=width)
+        rows = [row for block in left for row in block]
+        got = matrix.PackedRows.products_plus(Mat(rows, cols=inner), operand, plus, start * height)
+        total = max(count, start + len(addends) if plus else 0)
+        want = ref_matmul(rows, right, cols) + [[Fraction(0)] * cols] * (total - count) * height
+        for b, addend in enumerate(addends):
+            for i, row in enumerate(addend):
+                r = (start + b) * height + i
+                want[r] = [u + v for u, v in zip(want[r], row)]
+        assert len(got.ints) == total * height
+        for b, block in enumerate(got.blocks(height, 0, total * height)):
+            grid = want[b * height : b * height + height]
+            assert shape_of(block) == (height, cols, as_entries(grid))
+            # Equal values have equal state; zero and identity are shared.
+            same = Mat(grid, cols=cols)
+            assert (block._den, block._grid) == (same._den, same._grid)
+            if same.is_zero():
+                assert block is Mat.zeros(height, cols)
+            if same.is_identity():
+                assert block is Mat.identity(height)

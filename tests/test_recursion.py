@@ -6,6 +6,7 @@ import io
 import math
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from localsmith import (
     spec_to_series,
 )
 from localsmith.cli import main
+from localsmith.matrix import PackedRows
+from localsmith.verify import CHECKS
 from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
 from localsmith.subspaces import choose_complement, projection_matrix, restricted_inverse
 
@@ -470,10 +473,16 @@ class TestDegenerateStages:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(smith_families())
     def test_unit_diag_unit_ledgers(self, family):
+        # Through the stages invert reaches at the default working order: the
+        # ledger matches the references, and verify's two proofs that read
+        # every M block, against L and against the generic recurrence, hold.
         state = RecursionState(family)
         k = state.run_until_stabilized()
-        state.ensure_stages(2 * k + 3)
+        state.ensure_stages(2 * k + 1 + max(2 * k + 4, 12))
         assert_ledger_matches_references(state)
+        checks, result = dict(CHECKS), SimpleNamespace(state=state, k=k)
+        for name in ("coefficient-identity", "post-stabilization-structure"):
+            assert checks[name](result)[0], name
 
     def test_given_complement_with_its_own_range_basis(self):
         # Nc_1 given as the pivot complement times an invertible T plus
@@ -591,49 +600,54 @@ class TestDegenerateStages:
 
     def test_stage_work_past_stabilization(self, monkeypatch):
         # Degree 9, k = 8, inverting stages 1, 2, 5 and 9. Stages 11 to 29,
-        # the ones smith runs past stage k + 2, form three products each:
-        # Sbar_j over L_1 .. L_9 only, S_j = Qc_{j-1} Sbar_j and the
-        # degeneracy product S_j basis(N_{j-1}); E_{j,j} is the shared
-        # identity. From stage 10 on, each M column forms rows 1..9 in one
-        # Mat.block_products_plus call, the coupling's row blocks times
-        # Sbar_j, and takes the rows past the top inverting stage 9 from the
-        # previous column.
+        # the ones smith runs past stage k + 2, each form one packed Sbar_j
+        # sum, [L_1 .. L_9] times the previous column's packed rows, one
+        # packed head update, the coupling times Sbar_j plus the previous
+        # rows, and two products: S_j = Qc_{j-1} Sbar_j and the degeneracy
+        # product S_j basis(N_{j-1}). The only blocks read back are Sbar_j
+        # and the top block M_{9,j}; rows 1..8 stay packed, and the rows
+        # past 9 are the previous column's blocks. E_{j,j} is the shared
+        # identity.
         state = RecursionState(load_family("smith4x4k8.json"))
         assert state.L.degree == 9
-        state.ensure_stages(9)
+        state.ensure_stages(10)
         assert state.stabilization_k == 8
         assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
-        calls, fused = [], []
-        sums, fuse = Mat.sum_of_products, Mat.block_products_plus
+        sums, packs, reads = [], [], []
+        summed, products, blocks = Mat.sum_of_products, PackedRows.products_plus, PackedRows.blocks
 
-        def summed(pairs, rows, cols_):
+        def counted(pairs, rows, cols_):
             pairs = list(pairs)
-            result = sums(pairs, rows, cols_)
-            calls.append((len(pairs), result))
+            sums.append(pairs)
+            return summed(pairs, rows, cols_)
+
+        def packing(left, right, plus=None, at=0):
+            result = products(left, right, plus, at)
+            packs.append((left, right, plus, result))
             return result
 
-        def fusing(left, right, addends):
-            blocks = fuse(left, right, addends)
-            fused.append((right, len(addends), blocks))
-            return blocks
+        def reading(rows, height, start, stop):
+            reads.append((rows, height, start, stop))
+            return blocks(rows, height, start, stop)
 
-        monkeypatch.setattr(Mat, "sum_of_products", staticmethod(summed))
-        monkeypatch.setattr(Mat, "block_products_plus", staticmethod(fusing))
-        for j in range(10, 30):
-            calls.clear()
-            fused.clear()
+        monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
+        monkeypatch.setattr(PackedRows, "products_plus", staticmethod(packing))
+        monkeypatch.setattr(PackedRows, "blocks", reading)
+        for j in range(11, 30):
+            sums.clear()
+            packs.clear()
+            reads.clear()
+            prev = state.M_cols[-1]
             state.run_stage()
-            [(right, count, blocks)] = fused
-            assert right is state.stage(j).sbar and count == 9, j
-            column = state.M_cols[-1]
-            assert len(column) == j and all(a is b for a, b in zip(column, blocks)), j
-            shifted = zip(column[9:], state.M_cols[-2][8:], strict=True)
-            assert all(block is prev for block, prev in shifted), j
-            if j == 10:
-                continue
-            assert len(calls) == 3, j
-            pairs, sbar = calls[0]
-            assert sbar == state.stage(j).sbar and pairs <= 9, j
+            sbar, column = state.stage(j).sbar, state.M_cols[-1]
+            [(leads, rows, none, sums_row), (coupling, right, shifted, head)] = packs
+            assert leads is state._leads and rows is prev.head and none is None, j
+            assert coupling is state._coupling and right is sbar and head is column.head, j
+            assert [pairs[0][1] for pairs in sums] == [sbar, state.stage(j - 1).n.basis], j
+            assert reads == [(sums_row, 4, 0, 4), (head, 4, 32, 36)], j
+            assert column.blocks[:8] == [None] * 8 and column.blocks[8] is column[8], j
+            assert all(a is b for a, b in zip(column.blocks[9:], prev.blocks[8:], strict=True)), j
+        for j in range(11, 30):
             assert state.e_block(j, j) is Mat.identity(4), j
 
 
@@ -724,9 +738,9 @@ class TestCoupledColumns:
     def test_gap_stages_reuse_the_coupling(self, gap, monkeypatch):
         # Exponents 0, 1, 4 and 8 make stages 1, 2, 5 and 9 the inverting
         # ones. A gap stage after the first column past an inverting stage
-        # forms Sbar_j, S_j and the degeneracy test S_j N_{j-1}, multiplies
-        # the coupling by Sbar_j in Mat.block_products_plus, and stacks no
-        # coupling.
+        # forms S_j and the degeneracy test S_j N_{j-1}, packs Sbar_j and
+        # the coupling's product with it in PackedRows.products_plus, and
+        # stacks no coupling.
         state = RecursionState(load_family("smith4x4k8.json"))
         state.ensure_stages(gap - 1)
         inverting = [st.index for st in state.stages if not st.splus.is_zero()]
@@ -734,12 +748,12 @@ class TestCoupledColumns:
         calls = self.count_sums(monkeypatch)
         state.run_stage()
         assert state.stage(gap).splus.is_zero()
-        assert len(calls) <= 3
+        assert len(calls) <= 2
 
     def test_one_product_per_stage_past_stabilization(self, monkeypatch):
-        # Past k+1 a stage forms Sbar_j, S_j and the degeneracy test
-        # S_j N_{j-1}: three products, the E record included; the M column
-        # is one Mat.block_products_plus call. Stage k+2 also forms the
+        # Past k+1 a stage forms S_j and the degeneracy test S_j N_{j-1}:
+        # two products, the E record included; Sbar_j and the M column are
+        # one PackedRows.products_plus call each. Stage k+2 also forms the
         # coupling, once.
         state = RecursionState(load_family("smith4x4.json"))
         k = state.run_until_stabilized()
@@ -747,7 +761,7 @@ class TestCoupledColumns:
         calls = self.count_sums(monkeypatch)
         later = max(2 * k + 4, 12) - 1
         state.ensure_stages(k + 2 + later)
-        assert len(calls) <= 3 * later
+        assert len(calls) <= 2 * later
 
 
 class TestStabilization:
