@@ -10,15 +10,15 @@ returns, so every result is the same exact value that entry-by-entry
 ``Fraction`` arithmetic gives, without a gcd per multiply and add. Products
 pay only for real arithmetic: a factor equal to the identity adds the other
 factor's grid with no dot product, and an empty sum is the shared zero. Two
-kernels touch each entry fewer times. ``Mat.convolve`` multiplies matrix
-series; once both sides have ``_PACK_MIN_BLOCKS`` nonzero blocks it packs
-each entry's blocks into one integer (Kronecker substitution), so each
-result entry is one dot product of packed integers, read back slot by slot.
-``PackedRows`` packs each row of a grid into one integer instead, the same
-way, over one denominator that is not reduced: ``PackedRows.products_plus``
-multiplies an integer grid by packed rows and adds packed rows below, one
-dot product per result row, and ``PackedRows.blocks`` reads row blocks
-back, each reduced once. ``Mat.strings``
+kernels touch each entry fewer times, by packing many integers into one
+(Kronecker substitution; the slot layout is the "Kronecker packing" comment
+below). ``Mat.convolve`` multiplies matrix series; once both sides have
+``_PACK_MIN_BLOCKS`` nonzero blocks it packs each entry's blocks, so each
+result entry is one dot product of packed integers. ``PackedRows`` packs
+each row of a grid, over one denominator that is not reduced:
+``PackedRows.products_plus`` multiplies an integer grid by packed rows and
+adds packed rows below, one dot product per result row, and
+``PackedRows.blocks`` reads row blocks back, each reduced once. ``Mat.strings``
 renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
 Fractions on first use, for scalar code.
 
@@ -94,41 +94,37 @@ def _max_abs(grids) -> int:
 
 
 # Kronecker packing: slot s of a packed int holds a signed value x_s in
-# ``width`` bytes, and the int is sum_s x_s 2^(8 width s). With every
-# |x_s| < 2^(8 width - 1), adding the bias, 2^(8 width - 1) in every slot,
-# makes each slot x_s + 2^(8 width - 1), in [0, 2^(8 width)), so the slots
-# read back one by one, from the low end.
+# ``width`` bytes, and the int is sum_s x_s 2^(8 width s). ``Mat.convolve``
+# packs each entry of a series, slot s for eps^s, and ``PackedRows`` each
+# row of a grid, slot c for column c. With every |x_s| < 2^(8 width - 1),
+# adding 2^(8 width - 1) in each of the low slots makes each of them
+# x_s + 2^(8 width - 1), in [0, 2^(8 width)), whatever the slots above
+# hold, so they read back one by one, from the low end, by mask and shift.
 
 
-def _pack(grids, powers, bits: int) -> list[list[int]]:
-    """Entry (i, k) of equal-shape grids as sum_p grids[p][i][k] * 2^(bits * powers[p])."""
-    shifts = [bits * p for p in powers]
-    return [[sum(map(lshift, ints, shifts)) for ints in zip(*rows)] for rows in zip(*grids)]
+def _pack(vectors, shifts) -> list[int]:
+    """Each vector of ints as one int: sum_s vector[s] 2^shifts[s]."""
+    return [sum(map(lshift, ints, shifts)) for ints in vectors]
 
 
 @functools.lru_cache(maxsize=256)
 def _bias(width: int, slots: int) -> tuple[int, int]:
     """2^(8 width - 1), and the bias: that value in each of ``slots`` slots."""
-    half = 1 << (8 * width - 1)
-    return half, int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    half, bits = 1 << (8 * width - 1), 8 * width
+    return half, half * ((1 << bits * slots) - 1) // ((1 << bits) - 1)
 
 
-def _pack_rows(grid, cols: int, width: int) -> list[int]:
-    """Each row of a grid packed into one int, entry c in slot c."""
-    shifts = range(0, 8 * width * cols, 8 * width)
-    return [sum(map(lshift, row, shifts)) for row in grid]
-
-
-def _unpack_rows(ints, cols: int, width: int) -> list[tuple[int, ...]]:
-    """The rows that ``_pack_rows`` packed into ``ints``."""
-    half, bias = _bias(width, cols)
-    bits, mask, zero = 8 * width, (1 << 8 * width) - 1, (0,) * cols
+def _unpack_rows(ints, slots: int, width: int) -> list[tuple[int, ...]]:
+    """Slots 0 .. slots - 1 of each packed int, as a tuple; a zero int reads
+    as zeros."""
+    half, bias = _bias(width, slots)
+    bits, mask, zero = 8 * width, (1 << 8 * width) - 1, (0,) * slots
     rows = []
     for x in ints:
         if x:
             x += bias
             row = []
-            for _ in range(cols):
+            for _ in range(slots):
                 row.append((x & mask) - half)
                 x >>= bits
             rows.append(tuple(row))
@@ -356,13 +352,13 @@ class Mat:
 
         With fewer than _PACK_MIN_BLOCKS nonzero blocks on a side, each c_s
         is one ``sum_of_products`` over its pairs of nonzero blocks. Otherwise
-        the product is one Kronecker substitution: each side's blocks go
-        over that side's lcm denominator, each entry's blocks are packed
-        into one int with a slot of w bits per power, and each result entry
-        is one dot product of packed ints. w holds the largest possible
-        |c_s| entry and a sign bit, in whole bytes, and a bias of 2^(w-1) per
-        slot keeps every slot non-negative. Each c_s is reduced once; an
-        all-zero one is the shared zero.
+        the product is one Kronecker substitution (see "Kronecker packing"):
+        each side's blocks go over that side's lcm denominator, each entry's
+        blocks are packed into one int, slot p for eps^p, and each result
+        entry is one dot product of packed ints, whose first ``size`` slots
+        are read back. The slots hold the largest possible |c_s| entry and a
+        sign bit, in whole bytes. Each c_s is reduced once; an all-zero one
+        is the shared zero.
         """
         left = [(p, x) for p, x in enumerate(a[:size]) if not x.is_zero()]
         right = [(q, y) for q, y in enumerate(b[:size]) if not y.is_zero()]
@@ -384,21 +380,19 @@ class Mat:
         grids_a = [x._scaled(den_a // x._den) for _, x in left]
         grids_b = [y._scaled(den_b // y._den) for _, y in right]
         bound = min(len(left), len(right)) * inner * _max_abs(grids_a) * _max_abs(grids_b)
-        width, slots = (bound.bit_length() + 8) // 8, left[-1][0] + right[-1][0] + 1
-        half, bias = _bias(width, slots)
-        cols_b = list(zip(*_pack(grids_b, [q for q, _ in right], 8 * width)))
-        packed = [
-            [(sum(map(mul, row, col)) + bias).to_bytes(width * slots, "little") for col in cols_b]
-            for row in _pack(grids_a, [p for p, _ in left], 8 * width)
+        width = (bound.bit_length() + 8) // 8
+        shifts_a, shifts_b = [8 * width * p for p, _ in left], [8 * width * q for q, _ in right]
+        cols_b = list(zip(*[_pack(zip(*rows), shifts_b) for rows in zip(*grids_b)]))
+        entries = [
+            sum(map(mul, row, col))
+            for row in [_pack(zip(*rows), shifts_a) for rows in zip(*grids_a)]
+            for col in cols_b
         ]
-        den, from_bytes, zero = den_a * den_b, int.from_bytes, Mat.zeros(rows, cols)
-        coeffs = []
-        for lo in range(0, width * min(size, slots), width):
-            grid = tuple(
-                tuple([from_bytes(entry[lo : lo + width], "little") - half for entry in row])
-                for row in packed
-            )
-            coeffs.append(Mat._reduced(grid, den, rows, cols) if any(map(any, grid)) else zero)
+        slots = min(size, left[-1][0] + right[-1][0] + 1)
+        den, zero, coeffs = den_a * den_b, Mat.zeros(rows, cols), []
+        for values in zip(*_unpack_rows(entries, slots, width)):
+            grid = tuple(values[lo : lo + cols] for lo in range(0, rows * cols, cols))
+            coeffs.append(Mat._reduced(grid, den, rows, cols) if any(values) else zero)
         return coeffs + [zero] * (size - len(coeffs))
 
     # -- basic queries ------------------------------------------------
@@ -668,12 +662,12 @@ _PACK_SLACK = 32
 class PackedRows:
     """Integer rows over one positive denominator, each packed into one int.
 
-    Row r of a grid with ``cols`` columns is ``ints[r]`` = sum_c x_rc
-    2^(8 width c), the packing ``Mat.convolve`` uses, with slots along the
-    row. Every |x_rc| < 2^bits with bits < 8 width, so every slot reads
-    back. The rows are not reduced against the denominator: only
-    ``blocks`` forms Mats from them, with one gcd each. The rows never
-    change; a product that needs wider slots repacks its operands in place.
+    Row r of a grid with ``cols`` columns is ``ints[r]``, slot c holding
+    x_rc in ``width`` bytes (see "Kronecker packing"). Every |x_rc| < 2^bits
+    with bits < 8 width, so every slot reads back. The rows are not reduced
+    against the denominator: only ``blocks`` forms Mats from them, with one
+    gcd each. The rows never change; a product that needs wider slots
+    repacks its operands in place.
     """
 
     __slots__ = ("ints", "den", "cols", "width", "bits")
@@ -703,14 +697,15 @@ class PackedRows:
         bits = max((scale * ((1 << self.bits) - 1)).bit_length(), _max_abs(grids).bit_length())
         self._repack(_slot_width(bits, self.width))
         ints = self.ints if scale == 1 else [x * scale for x in self.ints]
-        tail = _pack_rows(chain.from_iterable(grids), self.cols, self.width)
+        step = 8 * self.width
+        tail = _pack(chain.from_iterable(grids), range(0, step * self.cols, step))
         return PackedRows(ints + tail, den, self.cols, self.width, bits)
 
     def _repack(self, width: int) -> None:
         """The same rows, packed in place ``width`` bytes to a slot."""
         if width != self.width:
             grid = _unpack_rows(self.ints, self.cols, self.width)
-            self.ints, self.width = _pack_rows(grid, self.cols, width), width
+            self.ints, self.width = _pack(grid, range(0, 8 * width * self.cols, 8 * width)), width
 
     def blocks(self, height: int, start: int, stop: int) -> list[Mat]:
         """Rows start .. stop - 1, read back in one pass, as blocks of
@@ -763,7 +758,7 @@ class PackedRows:
         width = _slot_width(bits, max([x.width for x in operands], default=0))
         for operand in operands:
             operand._repack(width)
-        rights = right.ints if packed else _pack_rows(right._grid, cols, width)
+        rights = right.ints if packed else _pack(right._grid, range(0, 8 * width * cols, 8 * width))
         if f != 1:
             rights = [x * f for x in rights]
         ints = [sum(map(mul, row, rights)) if any(row) else 0 for row in left._grid]

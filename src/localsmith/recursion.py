@@ -82,17 +82,18 @@ plus the previous column's packed rows shifted one block down. The packed
 rows go on past top to row deg L, shifted the same way, so that S̄_{j+1} is
 one packed product of [L_1 .. L_deg] with them; past row j they are zero.
 So a stage reads back only S̄_j and the top block M_{top,j}, which the
-next column shares and phi reads. Every other head block is read back and
-reduced when a block of the column is first read: by ``jordan``, the
+next column shares and phi reads. The other head blocks are read back and
+reduced together, on the first read of one of them: by ``jordan``, the
 coupling, the ``verify`` checks and the E record. Assigning a block of a
-column replaces what ``m_block`` returns; the E record reads E_{1,j} as
-its stage built it.
+column replaces what ``m_block`` returns from then on, and a later first
+read keeps it.
 
-Only ``verify``'s triangular-system check reads the E blocks. A stage
-records its E column as the stack of G_i over the coupling's inverting
-i >= 2, S̄_j and M column j, whose first block is E_{1,j}; ``e_block``
-forms the column on its first read, with one product of that stack by
-S̄_j, and keeps it. So a command that reads no E block forms none, and
+Only ``verify``'s triangular-system check reads the E blocks. E_{1,j} is
+M_{1,j} and is not stored twice: the E column takes the block that M
+column j holds. A stage records its E column as the stack of G_i over the
+coupling's inverting i >= 2, S̄_j and M column j; ``e_block`` forms the
+column on its first read, with one product of that stack by S̄_j, and
+keeps it. So a command that reads no E block forms none, and
 ``verify`` multiplies the same rows as one product of the whole [G; K]
 would. The blocks are the same exact values the recurrences give.
 """
@@ -163,37 +164,30 @@ class MColumn:
     below row top the blocks M_{top,j-1} .. M_{j-1,j-1} of column j-1,
     shared.
 
-    The head blocks are formed from the packed rows on the first read of
-    one and kept; the top one, which the next column shares and phi reads,
-    is formed at once. Assigning a block replaces what later reads return.
+    The first read of a head block not yet formed forms all of them from
+    the packed rows, in one pass, and keeps them; the top one, which the
+    next column shares and phi reads, is formed at once. Assigning a block
+    replaces what later reads return, before or after the head is formed.
     """
 
-    __slots__ = ("head", "top", "blocks", "_formed")
+    __slots__ = ("head", "top", "blocks")
 
     def __init__(self, head: PackedRows, top: int, blocks: list[Mat | None]):
         """``blocks`` holds rows 1..j, with None for each head block not
         yet formed and the top one formed."""
         self.head, self.top, self.blocks = head, top, blocks
-        self._formed: list[Mat | None] = blocks[:top]
 
     def __getitem__(self, i: int) -> Mat:
         block = self.blocks[i]
         if block is None:
-            block = self.blocks[i] = self.formed(i)
+            n, top = self.head.cols, self.top
+            formed = self.head.blocks(n, 0, (top - 1) * n)
+            self.blocks[: top - 1] = [f if b is None else b for b, f in zip(self.blocks, formed)]
+            block = self.blocks[i]
         return block
 
     def __setitem__(self, i: int, block: Mat) -> None:
         self.blocks[i] = block
-
-    def formed(self, i: int) -> Mat:
-        """Head block i as its stage built it, whatever was assigned since;
-        the first read forms every head block, in one pass."""
-        block = self._formed[i]
-        if block is None:
-            n, top = self.head.cols, self.top
-            self._formed[: top - 1] = self.head.blocks(n, 0, (top - 1) * n)
-            block = self._formed[i]
-        return block
 
     def rows(self, count: int) -> PackedRows:
         """Rows 1..count packed: the packed rows, and those of the shared
@@ -475,13 +469,13 @@ class RecursionState:
         return rows, below, sbar, self.M_cols[j - 1]
 
     def _form_e_column(self, j: int) -> list[Mat]:
-        """E_{j,j} = I, E_{1,j} = M_{1,j} as its stage built it, and
+        """E_{j,j} = I, E_{1,j} = M_{1,j}, the block M column j holds, and
         E_{i,j} = G_i Sbar_j for each inverting i >= 2, read from one product
         of the G stack with Sbar_j; other rows are zero."""
         rows, below, sbar, mcol = self._e_records[j - 1]
         n = self.domain_dim
         col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[0] = mcol.formed(0)
+        col[0] = mcol[0]
         col[j - 1] = Mat.identity(n)
         if rows:
             product = below @ sbar

@@ -721,6 +721,38 @@ def series_blocks(draw, rows, cols, count=st.integers(0, 7)):
     return blocks
 
 
+class TestKroneckerPacking:
+    """The one packer and reader: ``_pack`` with consecutive slots, as
+    ``PackedRows`` packs a row, or with a slot per nonzero power only, as
+    ``Mat.convolve`` packs an entry's blocks; ``_unpack_rows`` reads any
+    number of low slots back."""
+
+    @pytest.mark.parametrize("layout", ["rows", "series"])
+    @pytest.mark.parametrize("width", [1, 2, 8, 25, 40])
+    @pytest.mark.parametrize("slots", [1, 2, 7, 31, 90])
+    def test_round_trip(self, slots, width, layout):
+        rng = random.Random(slots * 41 + width)
+        top = 2 ** (8 * width - 1) - 1
+        powers = list(range(slots))
+        if layout == "series":
+            powers = sorted(rng.sample(powers, rng.randint(1, slots)))
+        vectors = [[0] * len(powers), [top] * len(powers), [-top] * len(powers)]
+        for _ in range(4):
+            vectors.append(
+                [rng.choice([0, top, -top, rng.randint(-top, top)]) for _ in powers]
+            )
+        ints = matrix._pack(vectors, [8 * width * p for p in powers])
+        assert ints[0] == 0
+        values = [dict(zip(powers, vector)) for vector in vectors]
+        for count in range(slots + 1):
+            want = [tuple(value.get(s, 0) for s in range(count)) for value in values]
+            assert matrix._unpack_rows(ints, count, width) == want, count
+
+    def test_zero_reads_as_zeros(self):
+        assert matrix._unpack_rows([0, 0], 3, 2) == [(0, 0, 0)] * 2
+        assert matrix._unpack_rows([0], 0, 1) == [()]
+
+
 class TestSeriesKernels:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(SERIES_DIM, SERIES_DIM, SERIES_DIM, st.integers(-2, 2), st.data())

@@ -45,6 +45,7 @@ from conftest import (
     random_invertible,
     random_matrix,
     smith_families,
+    unit_diag_unit,
 )
 
 
@@ -406,6 +407,36 @@ class TestLazyEColumns:
         assert state.e_block(2, 5) is first
         assert state.e_block(4, 5) == cols(ZERO3, ZERO3, [0, -1, 0])
         assert [j for _, j in formed] == [5]
+
+    @pytest.mark.parametrize(
+        "family",
+        [example1_family(), unit_diag_unit(7, 4, 4, [0, 1, 2, 4])],
+        ids=["example1", "unit-diag-unit"],
+    )
+    def test_first_e_block_is_the_m_block(self, family):
+        """E_{1,j} = M_{1,j} is one block, held by the M column, at every
+        stage: before and after stabilization, zero or not."""
+        state = RecursionState(family)
+        k = state.run_until_stabilized()
+        state.ensure_stages(2 * k + 4)
+        assert any(not state.m_block(1, j).is_zero() for j in range(2, state.stage_count + 1))
+        for j in range(1, state.stage_count + 1):
+            assert state.e_block(1, j) is state.m_block(1, j), j
+
+    def test_an_assigned_head_block_holds(self, example1):
+        """A head block assigned before any block of its column is read
+        holds when a later read forms the other head blocks."""
+        state, fresh = RecursionState(example1), RecursionState(example1)
+        state.ensure_stages(6)
+        fresh.ensure_stages(6)
+        column = state.M_cols[4]
+        assert column.top == 4 and column.blocks[:3] == [None] * 3
+        assigned = fresh.m_block(1, 5) + Mat.identity(3)
+        column[0] = assigned
+        assert state.m_block(2, 5) == fresh.m_block(2, 5)
+        assert state.m_block(3, 5) == fresh.m_block(3, 5)
+        assert state.m_block(1, 5) is assigned
+        assert state.e_block(1, 5) is assigned
 
 
 def assert_ledger_matches_references(state: RecursionState) -> None:

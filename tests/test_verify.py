@@ -279,7 +279,11 @@ LEDGER_FAULTS = {
     ),
     "e12": (_e_block_fault(1, 2), {"triangular-system"}),
     "e34": (_e_block_fault(3, 4), {"triangular-system"}),
-    "m12": (_block_fault("M_cols", 1, 2), {"coefficient-identity", "post-stabilization-structure"}),
+    # E_{1,2} is M_{1,2}, so the faulted block is also the E block.
+    "m12": (
+        _block_fault("M_cols", 1, 2),
+        {"coefficient-identity", "post-stabilization-structure", "triangular-system"},
+    ),
     "m23": (_block_fault("M_cols", 2, 3), {"post-stabilization-structure"}),
     "m56": (_block_fault("M_cols", 5, 6), {"post-stabilization-structure"}),
     "chain2": (_chain_fault(2), {"chain-membership"}),
