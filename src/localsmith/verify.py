@@ -15,9 +15,11 @@ the others recompute from the recursion's own ledger and transformations.
    result's store: built once, through the deepest order any check asks for.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
 3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I
-   for every (i, j). The coupling S_i^+ calP_i Sbar_v is formed only for the
-   rows whose gain S_i^+ calP_i is nonzero; every other row is E_ij ==
-   delta_ij I, compared with no product.
+   for every (i, j), proven by comparing every E block of the ledger with
+   the bottom-up solve of that system under the gains S_i^+ calP_i, and
+   with zero where the solve has no block: going bottom-up, the system holds
+   at (i, j) exactly when the blocks below agree. The solve multiplies only
+   at rows whose gain is nonzero.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
    dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1; every rank is read
    off one rref of the length-(k+1) matrix.
@@ -25,8 +27,8 @@ the others recompute from the recursion's own ledger and transformations.
    every generated chain of length l, for l = 1 .. k+1, all of them in one
    product.
 6. post-stabilization-structure: every E column is recomputed by the
-   bottom-up solve, as its nonzero blocks, and every M block past row 1
-   equals the generic recurrence over them, M_{row,j} =
+   bottom-up solve under the gains S_i^+, as its nonzero blocks, and every
+   M block past row 1 equals the generic recurrence over them, M_{row,j} =
    sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}, with a product only where
    both factors are nonzero. Past stage k+1 the E blocks below row k+1 are
    zero, and the M blocks are the ledger's shifted blocks, with identity
@@ -128,33 +130,16 @@ def _coefficient_identity(result: DiagonalizationResult) -> Proof:
 
 
 def _triangular_system(result: DiagonalizationResult) -> Proof:
+    # Going bottom-up, the system holds at row i of column j exactly when
+    # E_{i,j} is the solve's block given the blocks below it. So it holds
+    # everywhere exactly when every ledger block is the solve's, and the
+    # lowest block that differs is a row where it fails.
     state = result.state
-    n, count = state.domain_dim, state.stage_count
-    identity = Mat.identity(n)
-    # A row whose gain S_i^+ calP_i is zero has no coupling, so there the
-    # system reads E_ij == delta_ij I. The coupling S_i^+ calP_i Sbar_v of
-    # the other rows depends on (i, v) only, not on the column, and holds
-    # (i, j) for every j > i exactly when row i is coupled.
-    gains = {i: state.stage(i).splus @ state.stage(i).calp for i in range(1, count)}
-    coupling = {
-        (i, v): gain @ state.stage(v).sbar
-        for i, gain in gains.items()
-        if not gain.is_zero()
-        for v in range(i + 1, count + 1)
-    }
-    for j in range(1, count + 1):
-        for i in range(1, j + 1):
-            block = state.e_block(i, j)
-            if i == j:
-                solved = block == identity
-            elif (i, j) in coupling:
-                acc = Mat.sum_of_products(
-                    ((coupling[i, v], state.e_block(v, j)) for v in range(i + 1, j + 1)), n, n
-                )
-                solved = (block + acc).is_zero()
-            else:
-                solved = block.is_zero()
-            if not solved:
+    zero = Mat.zeros(state.domain_dim, state.domain_dim)
+    ecols = _e_columns(state, [stage.splus @ stage.calp for stage in state.stages])
+    for j, column in ecols.items():
+        for i in range(j, 0, -1):
+            if state.e_block(i, j) != column.get(i, zero):
                 return False, f"system row {i}, column {j}"
     return True, "E columns solve the block-triangular system"
 
@@ -179,21 +164,22 @@ def _chain_membership(result: DiagonalizationResult) -> Proof:
     return True, "all generated chains are annihilated by the block matrix"
 
 
-def _e_columns(state: RecursionState) -> dict[int, dict[int, Mat]]:
-    """Every E column j >= 2 by the bottom-up solve E_{j,j} = I,
-    E_{i,j} = -S_i^+ sum_{v>i} Sbar_v E_{v,j}, as its nonzero blocks by row."""
+def _e_columns(state: RecursionState, gains: list[Mat]) -> dict[int, dict[int, Mat]]:
+    """Every E column by the bottom-up solve E_{j,j} = I,
+    E_{i,j} = -G_i sum_{v>i} Sbar_v E_{v,j} with G_i = gains[i - 1], as its
+    nonzero blocks by row."""
     identity = Mat.identity(state.domain_dim)
     columns = {}
-    for j in range(2, state.stage_count + 1):
+    for j in range(1, state.stage_count + 1):
         column = {j: identity}
         # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
         acc = state.stage(j).sbar
         for i in range(j - 1, 0, -1):
             if i + 1 < j and i + 1 in column:
                 acc = acc + state.stage(i + 1).sbar @ column[i + 1]
-            splus = state.stage(i).splus
-            if not (splus.is_zero() or acc.is_zero()):
-                block = -(splus @ acc)
+            gain = gains[i - 1]
+            if not (gain.is_zero() or acc.is_zero()):
+                block = -(gain @ acc)
                 if not block.is_zero():
                     column[i] = block
         columns[j] = column
@@ -206,7 +192,7 @@ def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
     # recomputed here from the generic recurrences instead of being read back.
     state, k = result.state, result.k
     n = state.domain_dim
-    ecols = _e_columns(state)
+    ecols = _e_columns(state, [stage.splus for stage in state.stages])
     for j in range(k + 2, state.stage_count + 1):
         for i in range(k + 2, j):
             if i in ecols[j]:

@@ -6,12 +6,23 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
 
-from localsmith import Mat, MatSeries, RecursionState, diagonalize, parse_family, spec_to_series
+from localsmith import (
+    Mat,
+    MatSeries,
+    RecursionState,
+    diagonalize,
+    parse_complement_plan,
+    parse_family,
+    spec_to_series,
+)
 from localsmith import cli
 from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
-from localsmith.verify import CHECKS, run_check
+from localsmith.verify import CHECKS, _e_columns, run_check
+
+from conftest import smith_families
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 REPORTS = os.path.join(DATA, "reports")
@@ -154,19 +165,27 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
     assert len(fresh) <= limit
 
 
-def test_triangular_system_products(monkeypatch):
-    """triangular-system forms the coupling only for rows whose gain
-    S_i^+ calP_i is nonzero; the other rows compare E blocks with no
-    product. smith4x4k8 has 29 stages and 4 inverting ones (1, 2, 5, 9); the
-    bound is 2 (n + 1) products per stage, 290 in all (869 when every row
-    forms its coupling). Every E column is formed before the count, so that
-    it counts the check's own products only."""
-    with open(os.path.join(REPORTS, "smith4x4k8.json"), "r", encoding="utf-8") as handle:
+@pytest.mark.parametrize("name", ["smith4x4k8", "dense6x6", "rect2x3"])
+def test_triangular_system_products(name, monkeypatch):
+    """triangular-system forms one gain S_i^+ calP_i per stage, then solves
+    the system bottom-up with products only at the inverting rows, whose
+    gain is nonzero: per column j, one gain product per inverting row below
+    j and one sum Sbar_v E_{v,j} per inverting row v in 2..j-1. smith4x4k8
+    has 29 stages and 4 inverting ones (1, 2, 5, 9), so the bound is 199.
+    Every E column is formed before the count, so that it counts the
+    check's own products only."""
+    with open(os.path.join(REPORTS, f"{name}.json"), "r", encoding="utf-8") as handle:
         result = diagonalize(spec_to_series(parse_family(handle.read())))
     state = result.state
-    assert state.stage_count == 29
-    assert [st.index for st in state.stages if not st.splus.is_zero()] == [1, 2, 5, 9]
-    for j in range(1, state.stage_count + 1):
+    count = state.stage_count
+    inverting = [st.index for st in state.stages if not st.splus.is_zero()]
+    bound = count + sum(
+        sum(1 for i in inverting if i < j) + sum(1 for i in inverting if 2 <= i < j)
+        for j in range(1, count + 1)
+    )
+    if name == "smith4x4k8":
+        assert (count, inverting, bound) == (29, [1, 2, 5, 9], 199)
+    for j in range(1, count + 1):
         state.e_block(j, j)
     sums, calls = Mat.sum_of_products, []
 
@@ -176,7 +195,50 @@ def test_triangular_system_products(monkeypatch):
 
     monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
     assert dict(CHECKS)["triangular-system"](result)[0]
-    assert len(calls) <= 2 * (state.domain_dim + 1) * state.stage_count
+    assert len(calls) <= bound
+
+
+def assert_one_e_triangle(result):
+    """The bottom-up solves under the gains S_i^+ and S_i^+ calP_i give the
+    same blocks, and they are the ledger's E blocks, zero where the solve
+    has none. triangular-system reads the second solve and
+    post-stabilization-structure the first, so both rest on this."""
+    state = result.state
+    plain = _e_columns(state, [st.splus for st in state.stages])
+    projected = _e_columns(state, [st.splus @ st.calp for st in state.stages])
+    assert plain == projected
+    zero = Mat.zeros(state.domain_dim, state.domain_dim)
+    for j, column in plain.items():
+        blocks = [column.get(i, zero) for i in range(1, j + 1)]
+        assert [state.e_block(i, j) for i in range(1, j + 1)] == blocks
+
+
+FAMILY_FILES = sorted(
+    os.path.join(root, name)
+    for root in (DATA, REPORTS)
+    for name in os.listdir(root)
+    if name.endswith(".json") and not name.startswith("plan_")
+)
+
+
+@pytest.mark.parametrize("path", FAMILY_FILES, ids=os.path.basename)
+def test_one_e_triangle_on_data_families(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        assert_one_e_triangle(diagonalize(spec_to_series(parse_family(handle.read()))))
+
+
+def test_one_e_triangle_with_given_complements():
+    with open(FAMILIES["cubic-verify"], "r", encoding="utf-8") as handle:
+        family = spec_to_series(parse_family(handle.read()))
+    with open(os.path.join(REPORTS, "plan_stage1.json"), "r", encoding="utf-8") as handle:
+        plan = parse_complement_plan(handle.read())
+    assert_one_e_triangle(diagonalize(family, complements=plan))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(smith_families())
+def test_one_e_triangle_on_smith_families(family):
+    assert_one_e_triangle(diagonalize(family))
 
 
 # Each series of the result's store -> the checks that fail on example1 when
