@@ -43,10 +43,7 @@ the others recompute from the recursion's own ledger and transformations.
 10. projector-families: both projector families are idempotent, and
     L * left == L == right * L through the working order, that is
     L (I - left) = 0 and (I - right) L = 0.
-11. resolvent-recurrences (oracle): the direct Laurent inverse of a square
-    pencil of full generic rank with pole <= 1 follows both resolvent
-    recurrences through order 10; this tests the oracle, not the recursion.
-12. linearization-bound (oracle: the companion pencil, built from the raw
+11. linearization-bound (oracle: the companion pencil, built from the raw
     coefficients; its index k_pencil comes from the stage recursion):
     (k_pencil - 1) degree < k <= k_pencil degree; exact families of degree
     >= 2 only.
@@ -61,7 +58,6 @@ from .oracles import (
     AugmentedPencil,
     direct_laurent_inverse,
     linearize_polynomial,
-    resolvent_recurrence_check,
     toeplitz_block,
     toeplitz_kernel_dims,
 )
@@ -224,23 +220,14 @@ def _generalized_inverse_axioms(result: DiagonalizationResult) -> Proof:
     return inverse_axioms(result.state.input_family, result.generalized_inverse(result.order))
 
 
-# The order through which resolvent-recurrences checks.
-_RESOLVENT_ORDER = 10
-
-
-def _direct_inverse(result: DiagonalizationResult) -> MatLaurent:
-    """The direct Laurent inverse of the input through the larger of the
-    working order and the resolvent order, from the result's store."""
-    family, tail = result.state.input_family, max(result.order, _RESOLVENT_ORDER)
-    return result.series("direct_inverse", tail, lambda t: direct_laurent_inverse(family, tail=t))
-
-
 def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
     family, order = result.state.input_family, result.order
     if family.rows != family.cols or result.generic_rank != family.rows:
         return None
     linv = result.generalized_inverse(order)
-    oracle = _direct_inverse(result)
+    oracle = result.series(
+        "direct_inverse", order, lambda t: direct_laurent_inverse(family, tail=t)
+    )
     if oracle.pole != linv.pole:
         return False, f"pole {linv.pole} vs oracle {oracle.pole}"
     e = oracle.first_difference(linv, -linv.pole, order)
@@ -279,21 +266,6 @@ def _projector_families(result: DiagonalizationResult) -> Proof:
     return True, f"idempotent through order {order}, L * left == L == right * L"
 
 
-def _resolvent_recurrences(result: DiagonalizationResult) -> Proof | None:
-    family = result.state.input_family
-    if family.degree > 1 or family.rows != family.cols or result.generic_rank != family.rows:
-        return None
-    oracle = _direct_inverse(result)
-    if oracle.pole > 1:
-        return None
-    passed, first_bad = resolvent_recurrence_check(
-        family.coefficient(0), family.coefficient(1), oracle, _RESOLVENT_ORDER
-    )
-    if not passed:
-        return False, f"first violated index {first_bad}"
-    return True, f"both coefficient recurrences hold through order {_RESOLVENT_ORDER}"
-
-
 def _linearization_bound(result: DiagonalizationResult) -> Proof | None:
     family = result.state.input_family
     if not family.exact or family.degree < 2:
@@ -312,7 +284,6 @@ CHECKS = (
     ("laurent-oracle", _laurent_oracle),
     ("smith-identities", _smith_identities),
     ("projector-families", _projector_families),
-    ("resolvent-recurrences", _resolvent_recurrences),
     ("linearization-bound", _linearization_bound),
 )
 
