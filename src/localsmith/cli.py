@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import cache, partial
 
 from .diagonalize import DiagonalizationResult, analyze, diagonalize
@@ -138,13 +139,11 @@ def _load_family(args) -> tuple[FamilySpec, MatSeries]:
         raise InputError(f"cannot read {args.family}: {exc}") from exc
     spec = parse_family(text)
     if args.pole is not None:
-        spec = FamilySpec(
-            spec.rows, spec.cols, spec.kind, spec.trunc_or_degree, args.pole,
-            spec.coefficients,
-        )
-        for power, _ in spec.coefficients:
-            if power < -spec.declared_pole:
-                raise InputError(f"power {power} below the overridden pole {args.pole}")
+        spec = replace(spec, declared_pole=args.pole)
+        # The coefficients are sorted by power, so the first is the lowest.
+        lowest = spec.coefficients[0][0] if spec.coefficients else 0
+        if lowest < -args.pole:
+            raise InputError(f"power {lowest} below the overridden pole {args.pole}")
     return spec, spec_to_series(spec)
 
 
