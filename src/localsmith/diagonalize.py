@@ -110,6 +110,8 @@ class DiagonalizationResult:
     _store: dict[str, MatLaurent] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Gains -> verify's bottom-up E solve under them (``verify._e_solve``).
+    _e_solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def series(self, name: str, t: int, build: Callable[[int], MatLaurent]) -> MatLaurent:
         """The stored series ``name`` through order t. A coefficient does not

@@ -452,6 +452,16 @@ class Mat:
         """The matrix times the least common denominator of its entries."""
         return self._grid
 
+    @property
+    def denominator(self) -> int:
+        """The least common denominator of the entries."""
+        return self._den
+
+    @staticmethod
+    def from_integers(grid: Sequence[Sequence[int]], den: int) -> Mat:
+        """The rows of ints ``grid`` over ``den`` > 0."""
+        return Mat._reduced(tuple(map(tuple, grid)), den, len(grid), len(grid[0]) if grid else 0)
+
     def transpose(self) -> Mat:
         grid = tuple(zip(*self._grid)) if self.rows else ((),) * self.cols
         return Mat._of(grid, self._den, self.cols, self.rows)
@@ -625,32 +635,35 @@ class Mat:
         return inverse
 
     def det(self) -> Fraction:
-        """Determinant by Bareiss fraction-free elimination of the integer
-        grid over the common denominator (Bareiss 1968)."""
+        """det of the integer grid, from ``det_adjugate``, over den^n."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self._grid]
+        return Fraction(Mat.det_adjugate(self._grid)[0], self._den**self.rows)
+
+    @staticmethod
+    def det_adjugate(grid: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+        """det A and adj A of a square integer grid A, or (0, None) if A is
+        singular, by one fraction-free Gauss-Jordan pass over [A | I]
+        (Bareiss 1968): step c sets each row r but the pivot row to
+        (p r - r_c pivot_row) / p_prev, exactly, as every entry is a minor
+        of [A | I], and drops column c, which is p e_c. The pass ends at
+        d I | d A^-1 with d = +-det A, the sign of its row swaps."""
+        n = len(grid)
+        m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(grid)]
         sign, prev = 1, 1
         for c in range(n):
-            pivot_row = None
-            for r in range(c, n):
-                if m[r][c]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return _ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            p = m[c][c]
-            # Every entry stays a minor of the integer matrix, so the
-            # division by the previous pivot is exact.
-            for r in range(c + 1, n):
-                f = m[r][c]
-                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], m[c])]
-            prev = p
-        return Fraction(sign * prev, self._den**n)
+            at = next((r for r in range(c, n) if m[r][0]), None)
+            if at is None:
+                return 0, None
+            if at != c:
+                m[c], m[at], sign = m[at], m[c], -sign
+            p, pivot = m[c][0], m[c][1:]
+            for r, row in enumerate(m):
+                if r != c:
+                    f = row[0]
+                    m[r] = [(p * a - f * b) // prev for a, b in zip(row[1:], pivot)]
+            m[c], prev = pivot, p
+        return sign * prev, [[sign * x for x in row] for row in m]
 
 
 # Spare bits a packing widened by ``PackedRows.products_plus`` keeps above the

@@ -8,9 +8,9 @@ block (i, j) is the coefficient at an exponent fixed by i and j, and one
 below 0 or past an exact degree is the zero block. These are the second
 opinion the main pipeline is compared against.
 
-The interpolation is Newton's divided differences (von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 5), over every value column at once
-and on integers; no Vandermonde matrix is inverted.
+The direct inverse builds no Fraction: one fraction-free pass per sample
+point (Bareiss 1968) and Newton's divided differences (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 5) over every value column at once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .matrix import Mat
 from .series import MatLaurent, MatSeries
@@ -57,30 +57,18 @@ def toeplitz_kernel_dims(family: MatSeries, length: int) -> list[int]:
 # -- polynomial helpers (coefficient lists, ascending) ----------------------
 
 
-def _poly_inverse_series(p: list[Fraction], upto: int) -> list[Fraction]:
-    if p[0] == 0:
-        raise ValueError("series inverse needs a unit constant term")
-    inv0 = 1 / p[0]
-    out = [inv0] + [Fraction(0)] * upto
-    for l in range(1, upto + 1):
-        acc = Fraction(0)
-        for j in range(max(0, l - len(p) + 1), l):
-            acc += p[l - j] * out[j]
-        out[l] = -inv0 * acc
-    return out
-
-
 def _newton_interpolate(xs: list[int], values: list[list[int]]) -> list[list[int]]:
     """Ascending monomial coefficients of the polynomials of degree below
     len(xs) through (xs[p], values[p][c]), one per column c, for distinct
-    integer points xs: integer rows over one denominator, which scales every
-    column alike and so is not returned.
+    integer points xs: primitive integer rows over one denominator, which
+    scales every column alike and so is not returned.
 
     One Newton divided-difference pass runs over all the columns at once:
     each level divides by the lcm of its point gaps, which multiplies the
     running denominator, and row l of the table is final after level l.
-    The final rows are brought to the last denominator, and Horner's rule
-    expands the Newton form on the integer points.
+    The final rows are brought to the last denominator and divided by their
+    gcd, and Horner's rule expands the Newton form on the integer points,
+    a unimodular change of basis that keeps the rows primitive.
     """
     k = len(xs)
     table = [list(row) for row in values]
@@ -92,7 +80,8 @@ def _newton_interpolate(xs: list[int], values: list[list[int]]) -> list[list[int
             table[i] = [(a - b) * f for a, b in zip(table[i], table[i - 1])]
         den *= scale
         dens[level] = den
-    table = [row if d == den else [a * (den // d) for a in row] for row, d in zip(table, dens)]
+    g = math.gcd(*[math.gcd(*row) * (den // d) for row, d in zip(table, dens)])
+    table = [[a * (den // d) // g for a in row] for row, d in zip(table, dens)]
     poly = [table[k - 1]]
     for i in range(k - 2, -1, -1):
         x = xs[i]
@@ -109,53 +98,55 @@ def _newton_interpolate(xs: list[int], values: list[list[int]]) -> list[list[int
 def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
     """The Laurent expansion of the exact inverse of a square family.
 
-    Works entirely outside the recursion: the determinant and adjugate are
-    polynomials of bounded degree, recovered exactly by interpolating their
-    values at integer sample points, and the quotient adj/det is expanded as
-    a Laurent series through order ``tail``. Fails if the family is
-    generically singular.
+    Works entirely outside the recursion, and on integers: the determinant
+    and adjugate are polynomials of bounded degree, recovered exactly by
+    interpolating their values at integer sample points, and the quotient
+    adj/det is expanded as a Laurent series through order ``tail``. Fails if
+    the family is generically singular.
 
-    One product of the power matrix [t^e] with the flattened coefficients
-    samples the family at every candidate point t = 1 .. 2 n d + 1; the first
-    n d + 1 points where it is regular give det and adj = det * inverse.
-    Their n^2 + 1 value columns are interpolated together, and one product
-    with the lower-triangular Toeplitz matrix of the inverse of the
-    determinant's unit expands adj/det. The common denominator of det and
-    adj cancels in the quotient, so the integer rows are used as they are.
+    The family's value at t = 1 .. 2 n d + 1 is an integer grid G over the
+    coefficients' common denominator D. At the first n d + 1 points where
+    it is regular, one fraction-free pass (``Mat.det_adjugate``) gives
+    det G and adj G, and the n^2 + 1 columns [det G, D adj G], D^n times
+    det and adj, are interpolated together. Every coefficient of adj/det is
+    then an integer grid over one power of the constant term of the
+    determinant's unit; the common factor of det and adj cancels.
     """
     if family.rows != family.cols:
         raise ValueError("direct inverse needs a square family")
     work = family if family.exact else MatSeries.polynomial(family.coeffs)
-    n = work.rows
-    deg_bound = n * work.degree
-    need = deg_bound + 1
-    candidates = range(1, 2 * deg_bound + 2)
-    powers = Mat([[t**e for e in range(work.degree + 1)] for t in candidates])
-    samples = powers @ Mat.vstack([c.reshape(1, n * n) for c in work.coeffs])
-    xs: list[int] = []
-    values: list[Mat] = []
-    for p, t in enumerate(candidates):
-        value = samples.submatrix_rows((p,)).reshape(n, n)
-        det = value.det()
-        if det == 0:
-            continue
-        xs.append(t)
-        values.append(Mat.hstack([Mat([[det]]), (value.inverse() * det).reshape(1, n * n)]))
-        if len(xs) == need:
-            break
+    n, exponents = work.rows, range(work.degree + 1)
+    need = n * work.degree + 1
+    flat = Mat.vstack([c.reshape(1, n * n) for c in work.coeffs])
+    den, columns = flat.denominator, list(zip(*flat.integer_rows))
+    xs, values = [], []
+    for t in range(1, 2 * need):
+        powers = [t**e for e in exponents]
+        row = [sum(map(mul, powers, column)) for column in columns]
+        det, adj = Mat.det_adjugate([row[i : i + n] for i in range(0, n * n, n)])
+        if det:
+            xs.append(t)
+            values.append([det, *[den * x for adj_row in adj for x in adj_row]])
+            if len(xs) == need:
+                break
     else:
         raise ValueError("generically singular family (determinant vanishes identically)")
-    poly = _newton_interpolate(xs, Mat.vstack(values).integer_rows)
-    dets = [row[0] for row in poly]
-    pole_det = next(e for e, d in enumerate(dets) if d)
+    poly = _newton_interpolate(xs, values)
+    pole_det = next(e for e, row in enumerate(poly) if row[0])
     depth = tail + pole_det
-    unit_inv = _poly_inverse_series([Fraction(d) for d in dets[pole_det:]], depth)
-    width = min(need, depth + 1)
-    toeplitz = Mat(
-        [[unit_inv[l - i] if i <= l else 0 for i in range(width)] for l in range(depth + 1)]
-    )
-    expanded = toeplitz @ Mat([row[1:] for row in poly[:width]])
-    coeffs = [expanded.submatrix_rows((l,)).reshape(n, n) for l in range(depth + 1)]
+    # With u = sign * det / eps^pole and u_0 > 0, eps^pole / det is
+    # sum_m w_m eps^m / u_0^(depth+1) with integers w_0 = sign u_0^depth and
+    # u_0 w_m = -sum_{j>=1} u_j w_{m-j}.
+    sign = 1 if poly[pole_det][0] > 0 else -1
+    unit = [sign * row[0] for row in poly[pole_det : pole_det + depth + 1]]
+    w = [sign * unit[0] ** depth]
+    for _ in range(depth):
+        w.append(-sum(map(mul, unit[1:], reversed(w))) // unit[0])
+    columns, coeffs = list(zip(*[row[1:] for row in poly[: depth + 1]])), []
+    for l in range(depth + 1):
+        grid = [sum(map(mul, column, w[l::-1])) for column in columns]
+        rows = [grid[i : i + n] for i in range(0, n * n, n)]
+        coeffs.append(Mat.from_integers(rows, unit[0] ** (depth + 1)))
     return MatLaurent(pole_det, coeffs, exact=False)
 
 

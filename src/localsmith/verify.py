@@ -19,25 +19,25 @@ the others recompute from the recursion's own ledger and transformations.
    the bottom-up solve of that system under the gains S_i^+ calP_i, and
    with zero where the solve has no block: going bottom-up, the system holds
    at (i, j) exactly when the blocks below agree. The solve multiplies only
-   at rows whose gain is nonzero.
+   at rows whose gain is nonzero, and is kept on the result by its gains.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
    dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1; every rank is read
    off one rref of the length-(k+1) matrix.
 5. chain-membership (oracle): the length-l block Toeplitz matrix annihilates
    every generated chain of length l, for l = 1 .. k+1, all of them in one
    product.
-6. post-stabilization-structure: every E column is recomputed by the
-   bottom-up solve under the gains S_i^+, as its nonzero blocks, and every
-   M block past row 1 equals the generic recurrence over them, M_{row,j} =
-   sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}, with a product only where
-   both factors are nonzero. Past stage k+1 the E blocks below row k+1 are
-   zero, and the M blocks are the ledger's shifted blocks, with identity
-   diagonal blocks.
+6. post-stabilization-structure: every E column is the bottom-up solve
+   under the gains S_i^+ (triangular-system's when each S_i^+ calP_i is
+   S_i^+), as its nonzero blocks, and every M block past row 1 equals the
+   generic recurrence over them, M_{row,j} = sum_{c=row-1}^{j-1}
+   M_{row-1,c} E_{c+1,j}, with a product only where both factors are
+   nonzero. Past stage k+1 the E blocks below row k+1 are zero, and the M
+   blocks are the ledger's shifted blocks, with identity diagonal blocks.
 7. generalized-inverse-axioms: L X L == L and X L X == X for X = L^+.
 8. laurent-oracle (oracle): L^+ has the pole and the coefficients of the
-   direct Laurent inverse, det and adjugate interpolated from integer
-   sample points in one Newton pass and adj/det expanded by one product;
-   square families of full generic rank only.
+   direct Laurent inverse, det and adjugate from one fraction-free pass per
+   integer sample point, interpolated in one Newton pass, and adj/det
+   expanded in integers; square families of full generic rank only.
 9. smith-identities: S_P P == Delta and the blow-up psi^-1 L phi P^-1 == S_P.
    With diagonalization-residual, S_P P == Delta gives L phi == psi S_P P.
 10. projector-families: both projector families are idempotent, and
@@ -132,7 +132,7 @@ def _triangular_system(result: DiagonalizationResult) -> Proof:
     # lowest block that differs is a row where it fails.
     state = result.state
     zero = Mat.zeros(state.domain_dim, state.domain_dim)
-    ecols = _e_columns(state, [stage.splus @ stage.calp for stage in state.stages])
+    ecols = _e_solve(result, [stage.splus @ stage.calp for stage in state.stages])
     for j, column in ecols.items():
         for i in range(j, 0, -1):
             if state.e_block(i, j) != column.get(i, zero):
@@ -182,13 +182,22 @@ def _e_columns(state: RecursionState, gains: list[Mat]) -> dict[int, dict[int, M
     return columns
 
 
+def _e_solve(result: DiagonalizationResult, gains: list[Mat]) -> dict[int, dict[int, Mat]]:
+    """``_e_columns`` under ``gains``, kept on the result (not on an object
+    with only ``state`` and ``k``): equal gains share one solve."""
+    solves, key = getattr(result, "_e_solves", {}), tuple(gains)
+    if key not in solves:
+        solves[key] = _e_columns(result.state, gains)
+    return solves[key]
+
+
 def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
     # The ledger builds the E and M columns from one coupling, with the
     # shift in place, so the E blocks and the M blocks past row 1 are
     # recomputed here from the generic recurrences instead of being read back.
     state, k = result.state, result.k
     n = state.domain_dim
-    ecols = _e_columns(state, [stage.splus for stage in state.stages])
+    ecols = _e_solve(result, [stage.splus for stage in state.stages])
     for j in range(k + 2, state.stage_count + 1):
         for i in range(k + 2, j):
             if i in ecols[j]:

@@ -212,6 +212,13 @@ class TestArithmetic:
         assert Mat([[rat("1/2"), rat("1/3")], [1, 0]]).integer_rows == ((3, 2), (6, 0))
         assert Mat.identity(2).integer_rows == ((1, 0), (0, 1))
 
+    def test_from_integers_inverts_integer_rows(self):
+        m = Mat([[rat("1/2"), rat("1/3")], [1, 0]])
+        assert m.denominator == 6 and Mat.identity(2).denominator == 1
+        assert Mat.from_integers(m.integer_rows, m.denominator) == m
+        assert Mat.from_integers([[2, 4], [6, 0]], 4) == Mat([[rat("1/2"), 1], [rat("3/2"), 0]])
+        assert Mat.from_integers([[0, 0]], 5) == Mat.zeros(1, 2)
+
     def test_block_products_plus(self):
         # PackedRows.products_plus multiplies a left grid by packed right rows
         # and adds packed addend rows below; blocks reads row blocks back.
@@ -595,6 +602,30 @@ class TestKernelsAgainstReference:
         eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         reduced, _ = ref_rref([a + b for a, b in zip(grid, eye)], 2 * n)
         assert shape_of(m.inverse()) == (n, n, as_entries(row[n:] for row in reduced))
+
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(lambda n: grids(n, n)), st.booleans())
+    def test_det_adjugate(self, grid, zero_lead):
+        """One fraction-free pass over the integer grid A = D * M, D the
+        common denominator, gives det A = D^n det M and adj A = D^(n-1)
+        det M M^-1, and (0, None) for a singular M: det against the
+        elimination reference, adj against the rref inverse. A zero leading entry
+        forces a row swap whenever the first column has another nonzero."""
+        n = len(grid)
+        if zero_lead:
+            grid = [[Fraction(0), *grid[0][1:]], *grid[1:]]
+        m = Mat(grid, cols=n)
+        den = m.denominator
+        det, adj = Mat.det_adjugate(m.integer_rows)
+        assert Fraction(det, den**n) == m.det() == ref_det(grid)
+        if det == 0:
+            assert adj is None
+            return
+        assert Mat.from_integers(adj, den ** (n - 1)) == m.inverse() * m.det()
+
+    def test_det_adjugate_swaps_rows(self):
+        assert Mat.det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert Mat.det_adjugate([[0, 2], [0, 3]]) == (0, None)
 
     @pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0), (1, 1)])
     def test_degenerate_shapes(self, r, c):

@@ -2,6 +2,7 @@
 inversion, polynomial-to-pencil linearization, resolvent recurrences."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,27 @@ class TestDirectLaurentInverse:
         assert got.pole == want.pole
         assert got.coeffs == want.coeffs
         assert got.tail_order == tail
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(square_families(), st.integers(0, 2), st.integers(-1, 3), st.integers(0, 10))
+    def test_equals_reference_with_pole_and_truncation(self, family, pole, cut, tail):
+        """The integer oracle equals the Fraction reference on eps^pole L,
+        the normalized family of an input with that declared pole, and on
+        its truncation through order pole + cut or its last stored one (none
+        for cut = -1), which may leave it generically singular: then both
+        reject it."""
+        family = family.shift(pole)
+        if cut >= 0:
+            family = family.truncate(min(pole + cut, family.degree))
+        try:
+            want = reference_laurent_inverse(family, tail)
+        except ValueError:
+            message = "generically singular family (determinant vanishes identically)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                direct_laurent_inverse(family, tail=tail)
+            return
+        got = direct_laurent_inverse(family, tail=tail)
+        assert (got.pole, got.coeffs, got.tail_order) == (want.pole, want.coeffs, tail)
 
     def test_singular_sample_point_is_skipped(self):
         assert SINGULAR_AT_ONE.evaluate(1).det() == 0

@@ -146,13 +146,14 @@ def test_verify_forms_each_e_column_once(case, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "path, limit",
-    [(FAMILIES["cubic-verify"], 57), (os.path.join(REPORTS, "smith4x4k8.json"), 92)],
+    [(FAMILIES["cubic-verify"], 13), (os.path.join(REPORTS, "smith4x4k8.json"), 15)],
     ids=["example1", "smith4x4k8"],
 )
 def test_verify_eliminations(path, limit, monkeypatch, capsys):
-    """toeplitz-kernel-dims reads every length's rank off one rref and the
-    Jordan chains need no rank test, so verify eliminates at most ``limit``
-    matrices (a cached rref is not counted)."""
+    """toeplitz-kernel-dims reads every length's rank off one rref, the
+    Jordan chains need no rank test and laurent-oracle eliminates without
+    rref, so verify eliminates at most ``limit`` matrices (a cached rref is
+    not counted)."""
     rref, fresh = Mat.rref, []
 
     def counted(self):
@@ -386,6 +387,65 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+
+def count_e_solves(monkeypatch, fault=None):
+    """The states verify runs the bottom-up E solve on, one entry per solve,
+    for example1 with ``fault`` applied to its ledger after diagonalize."""
+    solves, run = [], cli._run
+
+    def counted(state, gains):
+        solves.append(state)
+        return _e_columns(state, gains)
+
+    def faulty(pipeline, family, args):
+        result = run(pipeline, family, args)
+        if fault is not None:
+            fault(result.state)
+            result._store.clear()
+            result.state._psi.clear()
+        return result
+
+    monkeypatch.setattr("localsmith.verify._e_columns", counted)
+    monkeypatch.setattr(cli, "_run", faulty)
+    return solves
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_one_e_solve_per_verify(case, monkeypatch, capsys):
+    """S_i^+ calP_i equals S_i^+ at every stage, so triangular-system and
+    post-stabilization-structure share one E solve."""
+    solves = count_e_solves(monkeypatch)
+    assert main(["verify", FAMILIES[case]]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]
+    assert len(solves) == 1
+
+
+def _calp1_fault(state):
+    stage = state.stages[0]
+    state.stages[0] = replace(stage, calp=stage.calp + UNIT)
+
+
+@pytest.mark.parametrize(
+    "fault, solves, failing",
+    [
+        # S_2^+ = e3 e2^T has a zero first column, so S_2^+ calP_2 keeps
+        # its value under the calp2 fault, and the solve is shared.
+        (LEDGER_FAULTS["calp2"][0], 1, LEDGER_FAULTS["calp2"][1]),
+        # S_1^+ = calP_1 = e1 e1^T: S_1^+ (calP_1 + e1 e1^T) = 2 S_1^+.
+        (_calp1_fault, 2, {"projector-families", "triangular-system"}),
+    ],
+    ids=["calp2", "calp1"],
+)
+def test_e_solve_is_shared_only_under_equal_gains(fault, solves, failing, monkeypatch, capsys):
+    """A calP fault that changes some S_i^+ calP_i gets triangular-system a
+    solve of its own, and post-stabilization-structure still reads the
+    solve under S_i^+ alone; one that changes none shares the solve."""
+    states = count_e_solves(monkeypatch, fault)
+    assert main(["verify", FAMILIES["cubic-verify"]]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+    assert len(states) == solves and len(set(map(id, states))) == 1
 
 
 def test_shift_fault_fails_through_the_recurrence():
