@@ -48,11 +48,11 @@ column is the E column pushed through the previous M triangle:
 Row k+1 of the M matrix is what later becomes the right transformation's
 coefficients.
 
-The M column comes from one packed product; the E column is formed from a
-second product, and only when it is read. S_i^+ = 0 makes E_{i,j} = 0, so only
-the *inverting* stages below j, those with S_i^+ nonzero, enter the
-bottom-up solve, and it carries S̄_j through one fixed map: with A = I at
-the top inverting stage and A <- A + S̄_i G_i below each inverting i,
+The M column comes from one packed product, and no E block is formed for
+it. S_i^+ = 0 makes E_{i,j} = 0, so only the *inverting* stages below j,
+those with S_i^+ nonzero, enter the bottom-up solve, and it carries S̄_j
+through one fixed map: with A = I at the top inverting stage and
+A <- A + S̄_i G_i below each inverting i,
 
     E_{i,j} = G_i S̄_j,  G_i = -S_i^+ A.
 
@@ -84,18 +84,15 @@ one packed product of [L_1 .. L_deg] with them; past row j they are zero.
 So a stage reads back only S̄_j and the top block M_{top,j}, which the
 next column shares and phi reads. The other head blocks are read back and
 reduced together, on the first read of one of them: by ``jordan``, the
-coupling, the ``verify`` checks and the E record. Assigning a block of a
-column replaces what ``m_block`` returns from then on, and a later first
-read keeps it.
+coupling and the ``verify`` checks. Assigning a block of a column
+replaces what ``m_block`` returns from then on, and a later first read
+keeps it.
 
-Only ``verify``'s triangular-system check reads the E blocks. E_{1,j} is
-M_{1,j} and is not stored twice: the E column takes the block that M
-column j holds. A stage records its E column as the stack of G_i over the
-coupling's inverting i >= 2, S̄_j and M column j; ``e_block`` forms the
-column on its first read, with one product of that stack by S̄_j, and
-keeps it. So a command that reads no E block forms none, and
-``verify`` multiplies the same rows as one product of the whole [G; K]
-would. The blocks are the same exact values the recurrences give.
+Only ``verify`` reads E blocks, and no stage records any. ``e_block``
+builds column j on its first read with ``_build_e_column``, the bottom-up
+solve of the system above under the gains S_i^+, and keeps its nonzero
+blocks by row; ``verify``'s triangular-system runs the same solve under
+S_i^+ calP_i. E_{1,j} is held apart from M_{1,j}, which it equals.
 """
 
 from __future__ import annotations
@@ -296,9 +293,8 @@ class RecursionState:
             )
         self.generic_rank = generic_rank(self.L)
         self.stages: list[Stage] = []
-        # E column j as recorded by its stage, and as formed on first read.
-        self._e_records: list[tuple[tuple[int, ...], Mat, Mat, MColumn]] = []
-        self.E_cols: dict[int, list[Mat]] = {}
+        # E column j as its nonzero blocks by row, solved on its first read.
+        self.E_cols: dict[int, dict[int, Mat]] = {}
         self.M_cols: list[MColumn] = []
         # [L_1 .. L_deg] side by side, the left factor of every Sbar_j.
         self._leads = Mat.hstack([Mat.zeros(self.codomain_dim, 0), *self.L.coeffs[1:]])
@@ -312,13 +308,10 @@ class RecursionState:
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
         self._inverting: list[int] = []
-        # [G_1, or zero; K] stacked from the stages in _inverting:
-        # the M heads of the next column, as one linear map of its Sbar; and
-        # the other inverting rows with their G stack, the map of the E
-        # blocks below row 1. Dropped when a stage joins _inverting and
-        # stacked again on the next column.
+        # [G_1, or zero; K] stacked from the stages in _inverting: the M
+        # heads of the next column, as one linear map of its Sbar. Dropped
+        # when a stage joins _inverting and stacked again on the next column.
         self._coupling: Mat | None = None
-        self._e_gains: tuple[tuple[int, ...], Mat] = ((), Mat.zeros(0, self.codomain_dim))
         # psi_0, psi_1, ... as formed so far, each once per run.
         self._psi: list[Mat] = []
 
@@ -336,12 +329,14 @@ class RecursionState:
         return self.M_cols[j - 1][i - 1]
 
     def e_block(self, i: int, j: int) -> Mat:
-        """E_{i,j} for 1 <= i <= j <= stage_count; column j is formed on its
-        first read and kept."""
+        """E_{i,j} for 1 <= i <= j <= stage_count; column j is solved under
+        the gains S_i^+ on its first read and kept."""
         column = self.E_cols.get(j)
         if column is None:
-            column = self.E_cols[j] = self._form_e_column(j)
-        return column[i - 1]
+            gains = [st.splus for st in self.stages]
+            column = self.E_cols[j] = self._build_e_column(j, gains)
+        block = column.get(i)
+        return Mat.zeros(self.domain_dim, self.domain_dim) if block is None else block
 
     def kernel_chain(self, i: int) -> Subspace:
         """N_i, with N_0 the full domain."""
@@ -361,9 +356,8 @@ class RecursionState:
         stage = self._split_stage(j, sbar, s)
         self.stages.append(stage)
         if self._coupling is None:
-            self._coupling, self._e_gains = self._inverting_coupling()
+            self._coupling = self._inverting_coupling()
         self.M_cols.append(self._build_m_column(j, sbar))
-        self._e_records.append(self._build_e_column(j, sbar))
         if not stage.splus.is_zero():
             self._q, self._qc = self._q - stage.p, self._qc - stage.calp
             self._inverting.append(j)
@@ -409,16 +403,15 @@ class RecursionState:
         [sbar] = PackedRows.products_plus(self._leads, rows).blocks(m, 0, m)
         return sbar
 
-    def _inverting_coupling(self) -> tuple[Mat, tuple[tuple[int, ...], Mat]]:
+    def _inverting_coupling(self) -> Mat:
         """[G_1, or zero when stage 1 does not invert; K_row for
         row = 2..top] stacked, where top is the last inverting stage (1 when
-        none has), and the inverting rows i >= 2 with their G_i stacked:
-        G_i = -S_i^+ A with A = I at top and A <- A + Sbar_i G_i below each
-        inverting i, and K_row = sum_{inverting i >= row} M_{row-1,i-1} G_i.
-        A stack with no blocks has no rows."""
+        none has): G_i = -S_i^+ A with A = I at top and A <- A + Sbar_i G_i
+        below each inverting i, and K_row = sum_{inverting i >= row}
+        M_{row-1,i-1} G_i."""
         n, m = self.domain_dim, self.codomain_dim
         if not self._inverting:
-            return Mat.zeros(n, m), ((), Mat.zeros(0, m))
+            return Mat.zeros(n, m)
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
@@ -435,9 +428,7 @@ class RecursionState:
             for row in range(2, self._inverting[-1] + 1)
         ]
         lead = gains[1] if 1 in gains else Mat.zeros(n, m)
-        rows = tuple(i for i in self._inverting if i >= 2)
-        below = Mat.vstack([Mat.zeros(0, m), *(gains[i] for i in rows)])
-        return Mat.vstack([lead, *heads]), (rows, below)
+        return Mat.vstack([lead, *heads])
 
     def _build_m_column(self, j: int, sbar: Mat) -> MColumn:
         """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
@@ -461,27 +452,23 @@ class RecursionState:
         [block] = head.blocks(n, (top - 1) * n, top * n)
         return MColumn(head, top, [None] * (top - 1) + [block] + prev.blocks[top - 1 :])
 
-    def _build_e_column(self, j: int, sbar: Mat) -> tuple[tuple[int, ...], Mat, Mat, MColumn]:
-        """The record E column j is formed from on its first read: the
-        inverting rows i >= 2 below j with their G stack, Sbar_j, and M
-        column j, whose first block is E_{1,j}."""
-        rows, below = self._e_gains
-        return rows, below, sbar, self.M_cols[j - 1]
-
-    def _form_e_column(self, j: int) -> list[Mat]:
-        """E_{j,j} = I, E_{1,j} = M_{1,j}, the block M column j holds, and
-        E_{i,j} = G_i Sbar_j for each inverting i >= 2, read from one product
-        of the G stack with Sbar_j; other rows are zero."""
-        rows, below, sbar, mcol = self._e_records[j - 1]
-        n = self.domain_dim
-        col: list[Mat] = [Mat.zeros(n, n)] * j
-        col[0] = mcol[0]
-        col[j - 1] = Mat.identity(n)
-        if rows:
-            product = below @ sbar
-            for b, i in enumerate(rows):
-                col[i - 1] = product.submatrix_rows(range(b * n, b * n + n))
-        return col
+    def _build_e_column(self, j: int, gains: Sequence[Mat]) -> dict[int, Mat]:
+        """E column j by the bottom-up solve E_{j,j} = I,
+        E_{i,j} = -G_i sum_{v>i} Sbar_v E_{v,j} with G_i = gains[i - 1], as
+        its nonzero blocks by row: a row whose gain is zero, or that the
+        rows below leave nothing to map, makes no product."""
+        column = {j: Mat.identity(self.domain_dim)}
+        # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
+        acc = self.stages[j - 1].sbar
+        for i in range(j - 1, 0, -1):
+            if i + 1 < j and i + 1 in column:
+                acc = acc + self.stages[i].sbar @ column[i + 1]
+            gain = gains[i - 1]
+            if not (gain.is_zero() or acc.is_zero()):
+                block = -(gain @ acc)
+                if not block.is_zero():
+                    column[i] = block
+        return column
 
     # -- stabilization ----------------------------------------------------
 

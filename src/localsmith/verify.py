@@ -15,24 +15,26 @@ the others recompute from the recursion's own ledger and transformations.
    result's store: built once, through the deepest order any check asks for.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
 3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I
-   for every (i, j), proven by comparing every E block of the ledger with
-   the bottom-up solve of that system under the gains S_i^+ calP_i, and
-   with zero where the solve has no block: going bottom-up, the system holds
-   at (i, j) exactly when the blocks below agree. The solve multiplies only
-   at rows whose gain is nonzero, and is kept on the result by its gains.
+   for every (i, j). The ledger's E columns are the bottom-up solve under
+   the gains S_i^+ (``RecursionState._build_e_column``), so the system
+   holds by construction where every S_i^+ calP_i equals S_i^+. Where one
+   differs, every E block of the ledger is compared with the solve under
+   the gains S_i^+ calP_i, and with zero where that solve has no block:
+   going bottom-up, the system holds at (i, j) exactly when the blocks
+   below agree.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
    dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1; every rank is read
    off one rref of the length-(k+1) matrix.
 5. chain-membership (oracle): the length-l block Toeplitz matrix annihilates
    every generated chain of length l, for l = 1 .. k+1, all of them in one
    product.
-6. post-stabilization-structure: every E column is the bottom-up solve
-   under the gains S_i^+ (triangular-system's when each S_i^+ calP_i is
-   S_i^+), as its nonzero blocks, and every M block past row 1 equals the
-   generic recurrence over them, M_{row,j} = sum_{c=row-1}^{j-1}
-   M_{row-1,c} E_{c+1,j}, with a product only where both factors are
-   nonzero. Past stage k+1 the E blocks below row k+1 are zero, and the M
-   blocks are the ledger's shifted blocks, with identity diagonal blocks.
+6. post-stabilization-structure: the ledger's E and M columns meet the
+   generic recurrence, M_{1,j} = E_{1,j} and M_{row,j} =
+   sum_{c=row-1}^{j-1} M_{row-1,c} E_{c+1,j}, with a product only where
+   both factors are nonzero: the M columns come from one coupling and the
+   E columns from the bottom-up solve, so neither is read off the other.
+   Past stage k+1 the E blocks below row k+1 are zero, and the M blocks
+   are the ledger's shifted blocks, with identity diagonal blocks.
 7. generalized-inverse-axioms: L X L == L and X L X == X for X = L^+.
 8. laurent-oracle (oracle): L^+ has the pole and the coefficients of the
    direct Laurent inverse, det and adjugate from one fraction-free pass per
@@ -127,16 +129,20 @@ def _coefficient_identity(result: DiagonalizationResult) -> Proof:
 
 def _triangular_system(result: DiagonalizationResult) -> Proof:
     # Going bottom-up, the system holds at row i of column j exactly when
-    # E_{i,j} is the solve's block given the blocks below it. So it holds
-    # everywhere exactly when every ledger block is the solve's, and the
-    # lowest block that differs is a row where it fails.
+    # E_{i,j} is the solve's block given the blocks below it. The ledger's E
+    # columns are the solve under the gains S_i^+, so the system holds by
+    # construction where every S_i^+ calP_i is S_i^+. Otherwise every ledger
+    # block is compared with the solve under S_i^+ calP_i, and the lowest
+    # block that differs is a row where the system fails.
     state = result.state
-    zero = Mat.zeros(state.domain_dim, state.domain_dim)
-    ecols = _e_solve(result, [stage.splus @ stage.calp for stage in state.stages])
-    for j, column in ecols.items():
-        for i in range(j, 0, -1):
-            if state.e_block(i, j) != column.get(i, zero):
-                return False, f"system row {i}, column {j}"
+    gains = [stage.splus @ stage.calp for stage in state.stages]
+    if any(gain != stage.splus for gain, stage in zip(gains, state.stages)):
+        zero = Mat.zeros(state.domain_dim, state.domain_dim)
+        for j in range(1, state.stage_count + 1):
+            column = state._build_e_column(j, gains)
+            for i in range(j, 0, -1):
+                if state.e_block(i, j) != column.get(i, zero):
+                    return False, f"system row {i}, column {j}"
     return True, "E columns solve the block-triangular system"
 
 
@@ -160,50 +166,23 @@ def _chain_membership(result: DiagonalizationResult) -> Proof:
     return True, "all generated chains are annihilated by the block matrix"
 
 
-def _e_columns(state: RecursionState, gains: list[Mat]) -> dict[int, dict[int, Mat]]:
-    """Every E column by the bottom-up solve E_{j,j} = I,
-    E_{i,j} = -G_i sum_{v>i} Sbar_v E_{v,j} with G_i = gains[i - 1], as its
-    nonzero blocks by row."""
-    identity = Mat.identity(state.domain_dim)
-    columns = {}
-    for j in range(1, state.stage_count + 1):
-        column = {j: identity}
-        # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
-        acc = state.stage(j).sbar
-        for i in range(j - 1, 0, -1):
-            if i + 1 < j and i + 1 in column:
-                acc = acc + state.stage(i + 1).sbar @ column[i + 1]
-            gain = gains[i - 1]
-            if not (gain.is_zero() or acc.is_zero()):
-                block = -(gain @ acc)
-                if not block.is_zero():
-                    column[i] = block
-        columns[j] = column
-    return columns
-
-
-def _e_solve(result: DiagonalizationResult, gains: list[Mat]) -> dict[int, dict[int, Mat]]:
-    """``_e_columns`` under ``gains``, kept on the result (not on an object
-    with only ``state`` and ``k``): equal gains share one solve."""
-    solves, key = getattr(result, "_e_solves", {}), tuple(gains)
-    if key not in solves:
-        solves[key] = _e_columns(result.state, gains)
-    return solves[key]
-
-
 def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
-    # The ledger builds the E and M columns from one coupling, with the
-    # shift in place, so the E blocks and the M blocks past row 1 are
-    # recomputed here from the generic recurrences instead of being read back.
+    # The ledger builds the M columns from one coupling, with the shift in
+    # place, and the E columns by a separate solve, so every M block is
+    # recomputed here from the generic recurrence over the E blocks.
     state, k = result.state, result.k
-    n = state.domain_dim
-    ecols = _e_solve(result, [stage.splus for stage in state.stages])
-    for j in range(k + 2, state.stage_count + 1):
+    n, count = state.domain_dim, state.stage_count
+    ecols = {
+        j: {i: block for i in range(1, j + 1) if not (block := state.e_block(i, j)).is_zero()}
+        for j in range(1, count + 1)
+    }
+    for j in range(k + 2, count + 1):
         for i in range(k + 2, j):
             if i in ecols[j]:
                 return False, f"E block ({i},{j}) nonzero below row {k + 1}"
-    for j in range(2, state.stage_count + 1):
-        column = ecols[j]
+    for j, column in ecols.items():
+        if state.m_block(1, j) != state.e_block(1, j):
+            return False, f"M block (1,{j}) differs from E block (1,{j})"
         for row in range(2, j + 1):
             # E_{j,j} = I adds M_{row-1,j-1} itself; only the other nonzero
             # E blocks at rows >= row are multiplied. The zero pattern above

@@ -64,14 +64,14 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
         assert after[key] is value, key
 
 
-def traced_spans(tracing, command: str) -> list[str]:
-    """The names of the spans one traced call of ``command`` on the golden
-    cubic opens, in order."""
+def traced_spans(tracing, *argv: str) -> list[str]:
+    """The names of the spans one traced call of the CLI on ``argv``
+    opens, in order."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        root = tracer.begin_call(command)
-        assert sys.modules["localsmith.cli"].main([command, str(CUBIC)]) == 0
+        root = tracer.begin_call(argv[0])
+        assert sys.modules["localsmith.cli"].main(list(argv)) == 0
         tracer.end_call(root)
     finally:
         tracer.uninstall()
@@ -85,13 +85,56 @@ def traced_spans(tracing, command: str) -> list[str]:
     [("analyze", 0), ("diagonalize", 1), ("invert", 1), ("smith", 1), ("verify", 1)],
 )
 def test_commands_call_the_wrapped_diagonalize(tracing, command, spans, capsys):
-    assert traced_spans(tracing, command).count("diagonalize") == spans
+    assert traced_spans(tracing, command, str(CUBIC)).count("diagonalize") == spans
 
 
-def test_every_stage_opens_one_e_and_one_m_column_span(tracing, capsys):
-    # The per-layer E/M metrics cover the column of every stage run.
-    names = traced_spans(tracing, "invert")
+def test_every_stage_opens_one_m_column_span(tracing, capsys):
+    # The per-layer M metric covers the column of every stage run; no stage
+    # builds an E column, which only verify reads.
+    names = traced_spans(tracing, "invert", str(CUBIC))
     stages = names.count("recursion.run_stage")
     assert stages > 0
-    assert names.count("recursion.e_column") == stages
     assert names.count("recursion.m_column") == stages
+    assert names.count("recursion.e_column") == 0
+
+
+# The targets no command reaches on the golden cubic: the stage step reads
+# its projections off the running projectors and one rref, and the oracles
+# that verify no longer runs stay for the library and the tests.
+UNREACHED = {
+    "choose_complement", "projection_matrix", "restricted_inverse",
+    "toeplitz_nullspace", "resolvent_recurrence_check", "Mat.det",
+}
+
+
+def test_every_wrapped_target_is_reached_but_the_known_ones(tracing, monkeypatch, capsys):
+    """Traced calls of the seven commands on the golden cubic reach every
+    target of FUNCTIONS and METHODS but UNREACHED, so a target that the
+    package stops calling, whose per-layer metric would then read 0, fails
+    here. A call is recorded beneath the tracer's wrapper."""
+    called = set()
+
+    def recorder(name, fn):
+        def recording(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return recording
+
+    package = [m for k, m in sys.modules.items() if k == "localsmith" or k.startswith("localsmith.")]
+    for module, attr, _ in tracing.FUNCTIONS:
+        original = getattr(sys.modules[module], attr)
+        recording = recorder(attr, original)
+        for mod in package:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, recording)
+    for module, cls_name, attr, _ in tracing.METHODS:
+        cls = getattr(sys.modules[module], cls_name)
+        monkeypatch.setattr(cls, attr, recorder(f"{cls_name}.{attr}", cls.__dict__[attr]))
+    for command in ("analyze", "diagonalize", "invert", "smith", "linearize", "verify"):
+        traced_spans(tracing, command, str(CUBIC))
+    traced_spans(tracing, "jordan", str(CUBIC), "--length", "3")
+    targets = {attr for _, attr, _ in tracing.FUNCTIONS}
+    targets |= {f"{cls_name}.{attr}" for _, cls_name, attr, _ in tracing.METHODS}
+    assert targets - called == UNREACHED

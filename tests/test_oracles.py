@@ -350,6 +350,37 @@ class TestLinearization:
         # carries exactly the polynomial's length-k chains (k = kbar * n here).
         assert toeplitz_nullspace(pencil.pencil(), 1).dim == toeplitz_nullspace(example1, 3).dim
 
+    @staticmethod
+    def reversed_within_super_blocks(count: int, d: int, size: int) -> list[int]:
+        """The indices of count*d blocks of ``size`` lines each, with the d
+        blocks inside each super-block of d in reverse order."""
+        return [
+            (group * d + d - 1 - block) * size + line
+            for group in range(count)
+            for block in range(d)
+            for line in range(size)
+        ]
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_pencil_toeplitz_is_reversed_family_toeplitz(self, length):
+        """The companion pencil P of a degree-d family is L blocked by d:
+        its length-l block Toeplitz matrix is L's length-l*d one with the d
+        blocks inside each super-block reversed, on rows and on columns."""
+        rng, checked = random.Random(500 + length), 0
+        while checked < 40:
+            family = random_family(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4))
+            d = family.degree
+            if d < 1:
+                continue
+            checked += 1
+            rows = self.reversed_within_super_blocks(length, d, family.rows)
+            cols_ = self.reversed_within_super_blocks(length, d, family.cols)
+            reordered = (
+                toeplitz_block(family, length * d).submatrix_rows(rows).submatrix_columns(cols_)
+            )
+            pencil = linearize_polynomial(family).pencil()
+            assert toeplitz_block(pencil, length) == reordered
+
     def test_bound_on_random_degree_two(self):
         rng = random.Random(63)
         for _ in range(6):

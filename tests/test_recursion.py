@@ -341,28 +341,28 @@ DATA_FAMILIES = sorted(
 
 
 class TestLazyEColumns:
-    """A stage records its E column; the column is formed, by one product,
-    only when a block of it is read. Only verify's triangular-system reads
-    E blocks, so no other command forms a column."""
+    """A stage records no E column; ``e_block`` solves a column, once, only
+    when a block of it is read. Only verify reads E blocks, so no other
+    command builds a column."""
 
     @staticmethod
     def watch(monkeypatch) -> tuple[list, list]:
-        """The states that record E columns from here on, and the columns
-        formed, as (state, j)."""
+        """The states that run stages from here on, and the E columns built,
+        as (state, j)."""
         states, formed = [], []
-        build, form = RecursionState._build_e_column, RecursionState._form_e_column
+        build_m, build_e = RecursionState._build_m_column, RecursionState._build_e_column
 
-        def built(self, j, sbar):
+        def m_column(self, j, sbar):
             if j == 1:
                 states.append(self)
-            return build(self, j, sbar)
+            return build_m(self, j, sbar)
 
-        def forming(self, j):
+        def e_column(self, j, gains):
             formed.append((self, j))
-            return form(self, j)
+            return build_e(self, j, gains)
 
-        monkeypatch.setattr(RecursionState, "_build_e_column", built)
-        monkeypatch.setattr(RecursionState, "_form_e_column", forming)
+        monkeypatch.setattr(RecursionState, "_build_m_column", m_column)
+        monkeypatch.setattr(RecursionState, "_build_e_column", e_column)
         return states, formed
 
     @staticmethod
@@ -414,18 +414,19 @@ class TestLazyEColumns:
         ids=["example1", "unit-diag-unit"],
     )
     def test_first_e_block_is_the_m_block(self, family):
-        """E_{1,j} = M_{1,j} is one block, held by the M column, at every
-        stage: before and after stabilization, zero or not."""
+        """The solve's E_{1,j} equals M_{1,j}, which the coupling gives, at
+        every stage: before and after stabilization, zero or not."""
         state = RecursionState(family)
         k = state.run_until_stabilized()
         state.ensure_stages(2 * k + 4)
         assert any(not state.m_block(1, j).is_zero() for j in range(2, state.stage_count + 1))
         for j in range(1, state.stage_count + 1):
-            assert state.e_block(1, j) is state.m_block(1, j), j
+            assert state.e_block(1, j) == state.m_block(1, j), j
 
     def test_an_assigned_head_block_holds(self, example1):
         """A head block assigned before any block of its column is read
-        holds when a later read forms the other head blocks."""
+        holds when a later read forms the other head blocks. E_{1,5} is held
+        apart from M_{1,5}, so it keeps the solve's value."""
         state, fresh = RecursionState(example1), RecursionState(example1)
         state.ensure_stages(6)
         fresh.ensure_stages(6)
@@ -436,7 +437,7 @@ class TestLazyEColumns:
         assert state.m_block(2, 5) == fresh.m_block(2, 5)
         assert state.m_block(3, 5) == fresh.m_block(3, 5)
         assert state.m_block(1, 5) is assigned
-        assert state.e_block(1, 5) is assigned
+        assert state.e_block(1, 5) == fresh.m_block(1, 5)
 
 
 def assert_ledger_matches_references(state: RecursionState) -> None:
@@ -783,7 +784,7 @@ class TestCoupledColumns:
 
     def test_one_product_per_stage_past_stabilization(self, monkeypatch):
         # Past k+1 a stage forms S_j and the degeneracy test S_j N_{j-1}:
-        # two products, the E record included; Sbar_j and the M column are
+        # two products, and no E block; Sbar_j and the M column are
         # one PackedRows.products_plus call each. Stage k+2 also forms the
         # coupling, once.
         state = RecursionState(load_family("smith4x4.json"))

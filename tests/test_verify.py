@@ -20,7 +20,7 @@ from localsmith import (
 from localsmith import cli
 from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
-from localsmith.verify import CHECKS, _e_columns, run_check
+from localsmith.verify import CHECKS, run_check
 
 from conftest import smith_families
 
@@ -108,17 +108,18 @@ def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", sorted(FAMILIES))
 def test_verify_forms_each_e_column_once(case, monkeypatch, capsys):
-    """verify forms the E columns of the state it checks, each once and only
-    in triangular-system; no other state, the linearization pencil's
-    included, forms any."""
-    formed, form = [], RecursionState._form_e_column
-    check = dict(CHECKS)["triangular-system"]
+    """verify solves the E columns of the state it checks, each once and
+    only in post-stabilization-structure: every S_i^+ calP_i is S_i^+, so
+    triangular-system solves nothing. No other state, the linearization
+    pencil's included, solves any."""
+    formed, build = [], RecursionState._build_e_column
+    check = dict(CHECKS)["post-stabilization-structure"]
 
-    def forming(self, j):
+    def building(self, j, gains):
         formed.append((self, j, checking))
-        return form(self, j)
+        return build(self, j, gains)
 
-    def triangular(result):
+    def structure(result):
         nonlocal checking
         checking = True
         try:
@@ -127,11 +128,14 @@ def test_verify_forms_each_e_column_once(case, monkeypatch, capsys):
             checking = False
 
     checking = False
-    monkeypatch.setattr(RecursionState, "_form_e_column", forming)
+    monkeypatch.setattr(RecursionState, "_build_e_column", building)
     monkeypatch.setattr(
         cli,
         "CHECKS",
-        [(name, triangular if name == "triangular-system" else fn) for name, fn in CHECKS],
+        [
+            (name, structure if name == "post-stabilization-structure" else fn)
+            for name, fn in CHECKS
+        ],
     )
     assert main(["verify", FAMILIES[case]]) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"]
@@ -169,24 +173,16 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", ["smith4x4k8", "dense6x6", "rect2x3"])
 def test_triangular_system_products(name, monkeypatch):
-    """triangular-system forms one gain S_i^+ calP_i per stage, then solves
-    the system bottom-up with products only at the inverting rows, whose
-    gain is nonzero: per column j, one gain product per inverting row below
-    j and one sum Sbar_v E_{v,j} per inverting row v in 2..j-1. smith4x4k8
-    has 29 stages and 4 inverting ones (1, 2, 5, 9), so the bound is 199.
-    Every E column is formed before the count, so that it counts the
-    check's own products only."""
+    """triangular-system forms one gain S_i^+ calP_i per stage. Each equals
+    S_i^+, whose solve the ledger's E columns are, so the check makes no
+    other product; smith4x4k8 has 29 stages. Every E column is formed
+    before the count, so that it counts the check's own products only."""
     with open(os.path.join(REPORTS, f"{name}.json"), "r", encoding="utf-8") as handle:
         result = diagonalize(spec_to_series(parse_family(handle.read())))
     state = result.state
     count = state.stage_count
-    inverting = [st.index for st in state.stages if not st.splus.is_zero()]
-    bound = count + sum(
-        sum(1 for i in inverting if i < j) + sum(1 for i in inverting if 2 <= i < j)
-        for j in range(1, count + 1)
-    )
     if name == "smith4x4k8":
-        assert (count, inverting, bound) == (29, [1, 2, 5, 9], 199)
+        assert count == 29
     for j in range(1, count + 1):
         state.e_block(j, j)
     sums, calls = Mat.sum_of_products, []
@@ -197,20 +193,21 @@ def test_triangular_system_products(name, monkeypatch):
 
     monkeypatch.setattr(Mat, "sum_of_products", staticmethod(counted))
     assert dict(CHECKS)["triangular-system"](result)[0]
-    assert len(calls) <= bound
+    assert len(calls) <= count
 
 
 def assert_one_e_triangle(result):
     """The bottom-up solves under the gains S_i^+ and S_i^+ calP_i give the
     same blocks, and they are the ledger's E blocks, zero where the solve
-    has none. triangular-system reads the second solve and
-    post-stabilization-structure the first, so both rest on this."""
+    has none. triangular-system rests on the first equality, and
+    post-stabilization-structure reads the ledger's blocks."""
     state = result.state
-    plain = _e_columns(state, [st.splus for st in state.stages])
-    projected = _e_columns(state, [st.splus @ st.calp for st in state.stages])
-    assert plain == projected
+    plain = [st.splus for st in state.stages]
+    projected = [st.splus @ st.calp for st in state.stages]
     zero = Mat.zeros(state.domain_dim, state.domain_dim)
-    for j, column in plain.items():
+    for j in range(1, state.stage_count + 1):
+        column = state._build_e_column(j, plain)
+        assert state._build_e_column(j, projected) == column
         blocks = [column.get(i, zero) for i in range(1, j + 1)]
         assert [state.e_block(i, j) for i in range(1, j + 1)] == blocks
 
@@ -296,13 +293,12 @@ def _block_fault(blocks, i, j):
 
 
 def _e_block_fault(i, j):
-    """E column j is formed on its first read and kept: form it, then fault
-    the kept block."""
+    """E column j is solved on its first read and kept as its nonzero
+    blocks by row: solve it, then fault the kept block."""
 
     def fault(state):
-        state.e_block(i, j)
-        column = state.E_cols[j]
-        column[i - 1] = column[i - 1] + UNIT
+        block = state.e_block(i, j)
+        state.E_cols[j][i] = block + UNIT
 
     return fault
 
@@ -329,24 +325,26 @@ def _chain_fault(length):
 
 # Each fault in the ledger of example1 (k = 3) -> the checks it fails: e1 e1^T
 # added to a value of stage 2, or to one E or M block, or 1 to an entry of
-# one Jordan chain of length 2. Stage 3 does not invert, so E_{3,4} meets
-# the row of triangular-system that has no coupling.
+# one Jordan chain of length 2. The ledger's E columns are the solve under
+# S_i^+, so triangular-system sees a fault only where some S_i^+ calP_i
+# differs from S_i^+ (splus2); post-stabilization-structure sees a faulted
+# E block through the M recurrence, and E_{1,2} through M_{1,2} = E_{1,2}.
+# Stage 3 does not invert, so E_{3,4} is a zero block made nonzero.
 LEDGER_FAULTS = {
     "p2": (_stage_fault("p"), {"smith-identities", "projector-families"}),
     "calp2": (_stage_fault("calp"), {"projector-families"}),
     "splus2": (
         _stage_fault("splus"),
         {
-            "diagonalization-residual", "post-stabilization-structure",
+            "diagonalization-residual", "triangular-system", "post-stabilization-structure",
             "generalized-inverse-axioms", "laurent-oracle", "smith-identities",
         },
     ),
-    "e12": (_e_block_fault(1, 2), {"triangular-system"}),
-    "e34": (_e_block_fault(3, 4), {"triangular-system"}),
-    # E_{1,2} is M_{1,2}, so the faulted block is also the E block.
+    "e12": (_e_block_fault(1, 2), {"post-stabilization-structure"}),
+    "e34": (_e_block_fault(3, 4), {"post-stabilization-structure"}),
     "m12": (
         _block_fault("M_cols", 1, 2),
-        {"coefficient-identity", "post-stabilization-structure", "triangular-system"},
+        {"coefficient-identity", "post-stabilization-structure"},
     ),
     "m23": (_block_fault("M_cols", 2, 3), {"post-stabilization-structure"}),
     "m56": (_block_fault("M_cols", 5, 6), {"post-stabilization-structure"}),
@@ -390,13 +388,13 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
 
 
 def count_e_solves(monkeypatch, fault=None):
-    """The states verify runs the bottom-up E solve on, one entry per solve,
+    """The E columns verify solves, one (state, j, gains) entry per solve,
     for example1 with ``fault`` applied to its ledger after diagonalize."""
-    solves, run = [], cli._run
+    solves, run, build = [], cli._run, RecursionState._build_e_column
 
-    def counted(state, gains):
-        solves.append(state)
-        return _e_columns(state, gains)
+    def counted(state, j, gains):
+        solves.append((state, j, tuple(gains)))
+        return build(state, j, gains)
 
     def faulty(pipeline, family, args):
         result = run(pipeline, family, args)
@@ -406,7 +404,7 @@ def count_e_solves(monkeypatch, fault=None):
             result.state._psi.clear()
         return result
 
-    monkeypatch.setattr("localsmith.verify._e_columns", counted)
+    monkeypatch.setattr(RecursionState, "_build_e_column", counted)
     monkeypatch.setattr(cli, "_run", faulty)
     return solves
 
@@ -414,11 +412,17 @@ def count_e_solves(monkeypatch, fault=None):
 @pytest.mark.parametrize("case", sorted(FAMILIES))
 def test_one_e_solve_per_verify(case, monkeypatch, capsys):
     """S_i^+ calP_i equals S_i^+ at every stage, so triangular-system and
-    post-stabilization-structure share one E solve."""
+    post-stabilization-structure read one E solve: each column is solved
+    once, under the gains S_i^+, on one state."""
     solves = count_e_solves(monkeypatch)
     assert main(["verify", FAMILIES[case]]) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"]
-    assert len(solves) == 1
+    [state] = {state for state, _, _ in solves}
+    # Later checks may run further stages, past the gains of the solve.
+    splus = tuple(st.splus for st in state.stages)
+    assert all(gains == splus[: len(gains)] for _, _, gains in solves)
+    columns = [j for _, j, _ in solves]
+    assert sorted(columns) == list(range(1, len(columns) + 1))
 
 
 def _calp1_fault(state):
@@ -438,14 +442,18 @@ def _calp1_fault(state):
     ids=["calp2", "calp1"],
 )
 def test_e_solve_is_shared_only_under_equal_gains(fault, solves, failing, monkeypatch, capsys):
-    """A calP fault that changes some S_i^+ calP_i gets triangular-system a
-    solve of its own, and post-stabilization-structure still reads the
-    solve under S_i^+ alone; one that changes none shares the solve."""
-    states = count_e_solves(monkeypatch, fault)
+    """A calP fault that changes some S_i^+ calP_i makes triangular-system
+    solve under those gains, and post-stabilization-structure still reads
+    the solve under S_i^+ alone; one that changes none shares the solve.
+    ``solves`` is the number of distinct gains solved under, and no column
+    is solved twice under the same gains."""
+    entries = count_e_solves(monkeypatch, fault)
     assert main(["verify", FAMILIES["cubic-verify"]]) == 3
     report = json.loads(capsys.readouterr().out)
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
-    assert len(states) == solves and len(set(map(id, states))) == 1
+    assert len({id(state) for state, _, _ in entries}) == 1
+    assert len({gains for _, _, gains in entries}) == solves
+    assert len({(j, gains) for _, j, gains in entries}) == len(entries)
 
 
 def test_shift_fault_fails_through_the_recurrence():
