@@ -107,7 +107,7 @@ def _pack(vectors, shifts) -> list[int]:
     return [sum(map(lshift, ints, shifts)) for ints in vectors]
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _bias(width: int, slots: int) -> tuple[int, int]:
     """2^(8 width - 1), and the bias: that value in each of ``slots`` slots."""
     half, bits = 1 << (8 * width - 1), 8 * width
@@ -380,7 +380,7 @@ class Mat:
         grids_a = [x._scaled(den_a // x._den) for _, x in left]
         grids_b = [y._scaled(den_b // y._den) for _, y in right]
         bound = min(len(left), len(right)) * inner * _max_abs(grids_a) * _max_abs(grids_b)
-        width = (bound.bit_length() + 8) // 8
+        width = _slot_width(bound.bit_length())
         shifts_a, shifts_b = [8 * width * p for p, _ in left], [8 * width * q for q, _ in right]
         cols_b = list(zip(*[_pack(zip(*rows), shifts_b) for rows in zip(*grids_b)]))
         entries = [
@@ -666,12 +666,6 @@ class Mat:
         return sign * prev, [[sign * x for x in row] for row in m]
 
 
-# Spare bits a packing widened by ``PackedRows.products_plus`` keeps above the
-# bound it was widened for, so that a run of products whose entries grow by a
-# few bits each repacks only every few calls.
-_PACK_SLACK = 32
-
-
 class PackedRows:
     """Integer rows over one positive denominator, each packed into one int.
 
@@ -782,7 +776,7 @@ class PackedRows:
         return PackedRows(ints, den, cols, width, bits)
 
 
-def _slot_width(bits: int, width: int) -> int:
+def _slot_width(bits: int, width: int = 0) -> int:
     """``width`` if its slots hold |x| < 2^bits with a sign bit, and otherwise
-    the bytes for that and _PACK_SLACK bits more."""
-    return width if bits < 8 * width else (bits + _PACK_SLACK) // 8 + 1
+    the fewest bytes that do."""
+    return width if bits < 8 * width else bits // 8 + 1

@@ -84,9 +84,7 @@ one packed product of [L_1 .. L_deg] with them; past row j they are zero.
 So a stage reads back only S̄_j and the top block M_{top,j}, which the
 next column shares and phi reads. The other head blocks are read back and
 reduced together, on the first read of one of them: by ``jordan``, the
-coupling and the ``verify`` checks. Assigning a block of a column
-replaces what ``m_block`` returns from then on, and a later first read
-keeps it.
+coupling and the ``verify`` checks.
 
 Only ``verify`` reads E blocks, and no stage records any. ``e_block``
 builds column j on its first read with ``_build_e_column``, the bottom-up
@@ -163,8 +161,7 @@ class MColumn:
 
     The first read of a head block not yet formed forms all of them from
     the packed rows, in one pass, and keeps them; the top one, which the
-    next column shares and phi reads, is formed at once. Assigning a block
-    replaces what later reads return, before or after the head is formed.
+    next column shares and phi reads, is formed at once.
     """
 
     __slots__ = ("head", "top", "blocks")
@@ -175,16 +172,10 @@ class MColumn:
         self.head, self.top, self.blocks = head, top, blocks
 
     def __getitem__(self, i: int) -> Mat:
-        block = self.blocks[i]
-        if block is None:
-            n, top = self.head.cols, self.top
-            formed = self.head.blocks(n, 0, (top - 1) * n)
-            self.blocks[: top - 1] = [f if b is None else b for b, f in zip(self.blocks, formed)]
-            block = self.blocks[i]
-        return block
-
-    def __setitem__(self, i: int, block: Mat) -> None:
-        self.blocks[i] = block
+        if self.blocks[i] is None:
+            n = self.head.cols
+            self.blocks[: self.top - 1] = self.head.blocks(n, 0, (self.top - 1) * n)
+        return self.blocks[i]
 
     def rows(self, count: int) -> PackedRows:
         """Rows 1..count packed: the packed rows, and those of the shared

@@ -423,22 +423,6 @@ class TestLazyEColumns:
         for j in range(1, state.stage_count + 1):
             assert state.e_block(1, j) == state.m_block(1, j), j
 
-    def test_an_assigned_head_block_holds(self, example1):
-        """A head block assigned before any block of its column is read
-        holds when a later read forms the other head blocks. E_{1,5} is held
-        apart from M_{1,5}, so it keeps the solve's value."""
-        state, fresh = RecursionState(example1), RecursionState(example1)
-        state.ensure_stages(6)
-        fresh.ensure_stages(6)
-        column = state.M_cols[4]
-        assert column.top == 4 and column.blocks[:3] == [None] * 3
-        assigned = fresh.m_block(1, 5) + Mat.identity(3)
-        column[0] = assigned
-        assert state.m_block(2, 5) == fresh.m_block(2, 5)
-        assert state.m_block(3, 5) == fresh.m_block(3, 5)
-        assert state.m_block(1, 5) is assigned
-        assert state.e_block(1, 5) == fresh.m_block(1, 5)
-
 
 def assert_ledger_matches_references(state: RecursionState) -> None:
     """Every stage's split and its P, calP and S^+ against the reference
@@ -781,6 +765,42 @@ class TestCoupledColumns:
         state.run_stage()
         assert state.stage(gap).splus.is_zero()
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "n, size, exponents",
+        [(3, 3, (0, 0, 3)), (5, 5, (0, 0, 0, 0, 5)), (3, 4, (0, 0, 1, 3))],
+        ids=["jordan3", "jordan5", "jordan3-in-4x4"],
+    )
+    def test_inverting_stage_past_a_gap(self, n, size, exponents, monkeypatch):
+        # N + eps I, with N the ones at (r, r + 1) for r < n - 1: a nilpotent
+        # Jordan block of size n, then zeros. A stage that inverts more than
+        # deg L + 1 stages after the previous inverting one needs rows of
+        # column j-1 past its packed head, so MColumn.rows packs the shared
+        # blocks with PackedRows.extended.
+        lead = Mat([[int(c == r + 1 < n) for c in range(size)] for r in range(size)])
+        running, seen = [], []
+        run_stage, extended = RecursionState.run_stage, PackedRows.extended
+
+        def staged(state):
+            running.append(state)
+            try:
+                run_stage(state)
+            finally:
+                running.pop()
+
+        def spied(rows, mats):
+            seen.append(bool(running))
+            return extended(rows, mats)
+
+        monkeypatch.setattr(RecursionState, "run_stage", staged)
+        monkeypatch.setattr(PackedRows, "extended", spied)
+        result = diagonalize(MatSeries.polynomial([lead, Mat.identity(size)]))
+        assert seen and all(seen)
+        assert result.smith_exponents() == exponents
+        outcomes = {name: check(result) for name, check in CHECKS}
+        # A pencil is its own linearization, so that check does not apply.
+        assert outcomes.pop("linearization-bound") is None
+        assert all(passed for passed, _ in outcomes.values()), outcomes
 
     def test_one_product_per_stage_past_stabilization(self, monkeypatch):
         # Past k+1 a stage forms S_j and the degeneracy test S_j N_{j-1}:

@@ -55,7 +55,7 @@ def test_late_m_block_is_seen_only_by_post_stabilization_structure():
     state = result.state
     block = state.m_block(12, 13)
     assert not block.is_zero()
-    state.M_cols[12][11] = block * 2
+    state.M_cols[12].blocks[11] = block * 2
     checks = {name: check for name, check in CHECKS}
     passed, detail = checks["post-stabilization-structure"](result)
     assert not passed
@@ -287,7 +287,7 @@ def _stage_fault(field):
 def _block_fault(blocks, i, j):
     def fault(state):
         column = getattr(state, blocks)[j - 1]
-        column[i - 1] = column[i - 1] + UNIT
+        column.blocks[i - 1] = column[i - 1] + UNIT
 
     return fault
 
