@@ -33,7 +33,7 @@ from .family_io import (
     serialize_family,
     spec_to_series,
 )
-from .matrix import Mat, format_rat, rat
+from .matrix import Mat, rat
 from .oracles import (
     AugmentedPencil,
     direct_laurent_inverse,
@@ -53,7 +53,6 @@ from .series import MatLaurent, MatSeries, series_inverse
 from .subspaces import (
     Subspace,
     image,
-    kernel_basis,
     restrict_and_split,
 )
 

@@ -178,7 +178,7 @@ class DiagonalizationResult:
     # -- derived families ----------------------------------------------------
 
     def generalized_inverse(self, t: int | None = None) -> MatLaurent:
-        """L^+ = phi * Delta^+ * psi^{-1} with coefficients through eps^t.
+        """L^+ = phi * Delta^+ * psi^{-1} with coefficients through eps^t, t >= -k.
 
         Delta^+ collects the restricted inverses with falling powers; the
         pole comes out at most k and is trimmed to its actual value. The
@@ -195,6 +195,8 @@ class DiagonalizationResult:
                     f"truncation order {self.state.input_trunc} cannot support "
                     f"any generalized-inverse coefficient at k = {self.k}"
                 )
+        if t < -self.k:
+            raise ValueError(f"L^+ has pole at most k = {self.k}, so t = {t} is below it")
 
         def build(t: int) -> MatLaurent:
             phi, psi_inv = self.derived("phi", t + self.k), self.derived("psi_inv", t + self.k)
@@ -202,18 +204,6 @@ class DiagonalizationResult:
             return phi @ MatLaurent(self.k, coeffs, exact=True) @ psi_inv
 
         return self.series("l_plus", t, build)
-
-    def kernel_range_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
-        """Analytic continuations of kernels and ranges: columns of
-        phi * basis(N_{k+1}) and psi * basis(R_1 + ... + R_{k+1})."""
-        t = self.order if t is None else t
-        phi, psi = self.derived("phi", t), self.derived("psi", t)
-        kernel_basis_mat = self.tail_kernel.basis
-        range_mats = [st.r.basis for st in self.stages if st.r.dim > 0]
-        n_fam = phi @ MatSeries.constant(kernel_basis_mat)
-        range_basis = Mat.hstack([Mat.zeros(self.state.codomain_dim, 0), *range_mats])
-        r_fam = psi @ MatSeries.constant(range_basis)
-        return n_fam, r_fam
 
     def projector_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
         """left = phi (P_1+..+P_{k+1}) phi^{-1}, right = psi (cal P sums) psi^{-1};
@@ -252,6 +242,8 @@ def _diagonalization(
     genuine coefficients are consumed. The stages run through k+1+order,
     and through the last stage the complement plan names.
     """
+    if order is not None and order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if family.is_zero():
         raise InputError("the zero family cannot be diagonalized")
     state = RecursionState(family, complements=complements, max_stages=max_stages)

@@ -296,7 +296,7 @@ def _monomial(q: str, power: int) -> str:
 
 def poly_entry_strings(terms) -> list[list[str]]:
     """Entry-wise eps-polynomial strings for a list of (power, grid) terms,
-    each grid of ``format_rat`` strings as ``mat_to_grid`` gives."""
+    each grid of entry strings as ``mat_to_grid`` gives."""
     terms = sorted(terms, key=lambda item: item[0])
     if not terms:
         return []

@@ -133,13 +133,6 @@ def _unpack_rows(ints, slots: int, width: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def format_rat(q: Fraction) -> str:
-    """Render a Fraction as ``"num/den"``, or plain ``"num"`` for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 class Mat:
     """An immutable rows x cols matrix of rationals.
 
@@ -216,8 +209,9 @@ class Mat:
         return cached
 
     def strings(self, digits=str) -> list[list[str]]:
-        """The entries as ``format_rat`` strings, one gcd per entry, with
-        every digit also past the interpreter's int-to-str limit."""
+        """The entries as ``"num/den"`` strings, or plain ``"num"`` for an
+        integer, one gcd per entry, with every digit also past the
+        interpreter's int-to-str limit."""
         den, gcd = self._den, math.gcd
         try:
             if den == 1:
@@ -252,21 +246,6 @@ class Mat:
     def identity(n: int) -> Mat:
         grid = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return Mat._of(grid, 1, n, n)
-
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> Mat:
-        """Build a matrix whose j-th column is ``columns[j]``."""
-        cols = len(columns)
-        if cols == 0:
-            if rows is None:
-                raise ValueError("rows required for a 0-column matrix")
-            return Mat([[] for _ in range(rows)], cols=0)
-        height = len(columns[0])
-        if any(len(c) != height for c in columns):
-            raise ValueError("ragged columns")
-        if rows is not None and rows != height:
-            raise ValueError("rows mismatch")
-        return Mat([[columns[j][i] for j in range(cols)] for i in range(height)])
 
     # Stacking needs no reduction: over the lcm of the parts' denominators,
     # a prime power of that lcm comes from some part, and that part's grid,
@@ -461,10 +440,6 @@ class Mat:
     def from_integers(grid: Sequence[Sequence[int]], den: int) -> Mat:
         """The rows of ints ``grid`` over ``den`` > 0."""
         return Mat._reduced(tuple(map(tuple, grid)), den, len(grid), len(grid[0]) if grid else 0)
-
-    def transpose(self) -> Mat:
-        grid = tuple(zip(*self._grid)) if self.rows else ((),) * self.cols
-        return Mat._of(grid, self._den, self.cols, self.rows)
 
     def __eq__(self, other) -> bool:
         return (

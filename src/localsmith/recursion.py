@@ -95,7 +95,6 @@ S_i^+ calP_i. E_{1,j} is held apart from M_{1,j}, which it equals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -222,27 +221,10 @@ class JordanChainFamily:
         blocks = [self.state.m_block(i, c) for i in range(1, c + 1)]
         return Mat.vstack(blocks + [Mat.zeros((self.length - c) * n, n)])
 
-    def chain_from(self, components: Sequence[Mat]) -> JordanChain:
-        """Apply the triangular map to column vectors n_1..n_l (n_i in N_i)."""
-        l = self.length
-        if len(components) != l:
-            raise ValueError(f"need {l} component vectors")
-        for i, (vec, ker) in enumerate(zip(components, self.stage_kernels), start=1):
-            if not ker.contains(vec):
-                raise ValueError(f"component {i} is not in the stage-{i} kernel")
-        pairs = ((self._block_column(c), vec) for c, vec in enumerate(components, start=1))
-        return JordanChain(Mat.sum_of_products(pairs, l * self.state.domain_dim, 1), l)
-
     def basis_chains(self) -> list[JordanChain]:
         """One genuine length-l chain per basis vector of the deepest kernel."""
         chains = self._block_column(self.length) @ self.stage_kernels[-1].basis
         return [JordanChain(chains.column(j), self.length) for j in range(chains.cols)]
-
-    def stacked_nullspace_basis(self) -> Mat:
-        """Generators of the length-l kernel tuples, stacked into K^{n*l}."""
-        return Mat.hstack(
-            [self._block_column(c) @ ker.basis for c, ker in enumerate(self.stage_kernels, 1)]
-        )
 
 
 class RecursionState:
@@ -516,31 +498,6 @@ class RecursionState:
             )
         self.ensure_stages(length)
         return JordanChainFamily(self, length)
-
-    def rank_of_root(self, b0) -> int | float:
-        """Largest i with b0 in N_i; math.inf when b0 survives stabilization.
-        A vector of N_{i-1} lies in N_i exactly when S_i maps it to zero."""
-        vec = b0 if isinstance(b0, Mat) else Mat([[x] for x in b0])
-        if vec.is_zero():
-            raise ValueError("rank is defined for nonzero root candidates only")
-        rank = 0
-        for st in self.stages:
-            if not (st.s @ vec).is_zero():
-                return rank
-            rank = st.index
-        if self.stabilization_k is not None and rank >= self.stabilization_k + 1:
-            return math.inf
-        raise TruncationError(
-            f"vector still lies in N_{rank}; run more stages or stabilize first"
-        )
-
-    def partial_triangularize(self, k: int) -> tuple[MatSeries, MatSeries]:
-        """The degree-k pre-transformation from M column k+1 and the
-        transformed series whose k+1 leading coefficients are S_1..S_{k+1}."""
-        self.ensure_stages(k + 1)
-        coeffs = [self.m_block(k + 1 - i, k + 1) for i in range(k + 1)]
-        p_k = MatSeries(coeffs, exact=True)
-        return p_k, self.input_family @ p_k
 
     def phi_coefficient(self, i: int) -> Mat:
         """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine. phi_0 is the

@@ -192,6 +192,8 @@ class MatLaurent:
     def truncate(self, t: int) -> MatLaurent:
         """The truncation through exponent t >= -pole (exact input may be
         padded with zeros, in one allocation)."""
+        if t < -self.pole:
+            raise ValueError(f"cannot truncate at t = {t}: pole {self.pole} starts at {-self.pole}")
         self.coefficient(t)  # raises past the order a truncation is valid through
         pad = (Mat.zeros(self.rows, self.cols),) * (t - self.degree)
         return self._new(self, self.pole, self.coeffs[: t + self.pole + 1] + pad, False)
@@ -223,10 +225,6 @@ class MatSeries(MatLaurent):
     @staticmethod
     def constant(matrix: Mat) -> MatSeries:
         return MatSeries((matrix,), exact=True)
-
-    @staticmethod
-    def identity(n: int) -> MatSeries:
-        return MatSeries((Mat.identity(n),), exact=True)
 
     # The same product under its own name: perfbench/tracing.py wraps
     # MatSeries.__matmul__ and MatLaurent.__matmul__ by name, and times

@@ -39,11 +39,6 @@ class Subspace:
     def full(ambient_dim: int) -> Subspace:
         return Subspace(ambient_dim, Mat.identity(ambient_dim))
 
-    @staticmethod
-    def spanned_by(columns: Sequence[Sequence], ambient_dim: int) -> Subspace:
-        """Span of the given vectors, reduced to an independent basis."""
-        return image(Mat.from_columns(columns, rows=ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -60,24 +55,8 @@ class Subspace:
             raise ValueError("vectors have the wrong ambient dimension")
         return vec.is_zero() or Mat.hstack([self.basis, vec]).rank() == self.dim
 
-    def canonical_basis(self) -> Mat:
-        """Basis in column-reduced canonical form; equal iff spaces are equal."""
-        reduced, pivots = self.basis.transpose().rref()
-        return reduced.transpose().submatrix_columns(range(len(pivots)))
-
-    def same_space(self, other: Subspace) -> bool:
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.canonical_basis() == other.canonical_basis()
-        )
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
-
-
-def kernel_basis(m: Mat) -> Subspace:
-    """The kernel {x : m @ x = 0} with the deterministic rref parametrization."""
-    return Subspace(m.cols, m.nullspace())
 
 
 def image(m: Mat) -> Subspace:

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import strategies as st
 
 from localsmith import Mat, MatSeries
+from reference import from_columns
 
 
 def cols(*columns) -> Mat:
     """Matrix from column tuples, mirroring per-column constructions."""
-    return Mat.from_columns([list(c) for c in columns])
+    return from_columns([list(c) for c in columns])
 
 
 def e(i: int, n: int = 3) -> tuple:

@@ -34,6 +34,7 @@ from conftest import (
     rank_deficient,
     smith_structured_family,
 )
+from reference import identity_series, same_space, spanned_by
 from test_diagonalize import golden_inverse_coefficient, golden_phi_coefficient
 
 SUITE_SEED = 20250808
@@ -141,12 +142,10 @@ def test_criterion_1_golden_run(example1):
     expected_nc = [[e(1)], [e(3)], [], [e(2)]]
     expected_r = [[e(1)], [e(2)], [], [e(3)]]
     for st, nc_cols, r_cols in zip(result.stages, expected_nc, expected_r):
-        nc_space = (
-            Subspace.spanned_by(nc_cols, 3) if nc_cols else Subspace.zero(3)
-        )
-        r_space = Subspace.spanned_by(r_cols, 3) if r_cols else Subspace.zero(3)
-        assert st.nc.same_space(nc_space)
-        assert st.r.same_space(r_space)
+        nc_space = spanned_by(nc_cols, 3) if nc_cols else Subspace.zero(3)
+        r_space = spanned_by(r_cols, 3) if r_cols else Subspace.zero(3)
+        assert same_space(st.nc, nc_space)
+        assert same_space(st.r, r_space)
     delta = result.delta_series()
     assert delta.coefficient(0) == cols(e(1), ZERO3, ZERO3)
     assert delta.coefficient(1) == cols(ZERO3, ZERO3, e(2))
@@ -172,8 +171,8 @@ def test_criterion_2_trivial_families():
     started = time.perf_counter()
     const = diagonalize(MatSeries.polynomial([lead]))
     assert const.k == 0
-    assert const.phi.eq_through(MatSeries.identity(3), const.order)
-    assert const.psi.eq_through(MatSeries.identity(3), const.order)
+    assert const.phi.eq_through(identity_series(3), const.order)
+    assert const.psi.eq_through(identity_series(3), const.order)
     assert const.delta_series() == MatSeries.constant(lead)
     inverse = const.generalized_inverse(6)
     assert inverse.pole == 0

@@ -53,7 +53,7 @@ def test_install_wraps_every_name_and_uninstall_restores_it(tracing):
         # diagonalize.residual_s reads the spans of power-series products.
         root = tracer.begin_call("analyze")
         package = sys.modules["localsmith"]
-        package.MatSeries.identity(2) @ package.MatSeries.constant(package.Mat.identity(2))
+        package.MatSeries.constant(package.Mat.identity(2)) @ package.MatSeries.constant(package.Mat.identity(2))
         tracer.end_call(root)
         assert [tracer.names[i] for i in tracer.name] == ["cli.main", "series.matseries_matmul"]
     finally:

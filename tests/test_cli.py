@@ -27,6 +27,8 @@ from localsmith import (
 )
 from localsmith.cli import main
 
+from reference import identity_series
+
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
 COMMANDS = ("analyze", "diagonalize", "invert", "smith", "jordan", "linearize", "verify")
@@ -489,7 +491,7 @@ class TestCommands:
     def test_smith_failure_is_exit_three(self, capsys, monkeypatch):
         from localsmith import MatSeries, SmithFactorization
 
-        monkeypatch.setattr(SmithFactorization, "p_series", lambda self: MatSeries.identity(3))
+        monkeypatch.setattr(SmithFactorization, "p_series", lambda self: identity_series(3))
         code = main(["smith", DATA])
         captured = capsys.readouterr()
         assert code == 3

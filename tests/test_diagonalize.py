@@ -15,6 +15,7 @@ from localsmith import (
     Mat,
     MatSeries,
     RecursionState,
+    analyze,
     diagonalize,
     direct_laurent_inverse,
     phi_series,
@@ -31,6 +32,7 @@ from conftest import (
     random_matrix,
     smith_structured_family,
 )
+from reference import from_columns, identity_series, kernel_range_families
 
 
 def geometric(period: int, upto: int) -> list[int]:
@@ -82,13 +84,13 @@ def golden_complements_plan() -> ComplementPlan:
     """The golden family's complement choices, injected explicitly."""
     return ComplementPlan(
         nc_bases={
-            1: Mat.from_columns([e(1)]),
-            2: Mat.from_columns([e(3)]),
-            4: Mat.from_columns([e(2)]),
+            1: from_columns([e(1)]),
+            2: from_columns([e(3)]),
+            4: from_columns([e(2)]),
         },
         rc_bases={
-            1: Mat.from_columns([e(2), e(3)]),
-            2: Mat.from_columns([e(3)]),
+            1: from_columns([e(2), e(3)]),
+            2: from_columns([e(3)]),
         },
     )
 
@@ -152,8 +154,8 @@ class TestDelta:
         result = diagonalize(MatSeries.polynomial([lead]))
         assert result.k == 0
         assert result.delta_series() == MatSeries.constant(lead)
-        assert result.phi.eq_through(MatSeries.identity(3), result.order)
-        assert result.psi.eq_through(MatSeries.identity(3), result.order)
+        assert result.phi.eq_through(identity_series(3), result.order)
+        assert result.psi.eq_through(identity_series(3), result.order)
 
     def test_delta_annihilates_tail_kernel(self):
         result = diagonalize(singular_wide_pencil())
@@ -164,6 +166,12 @@ class TestDelta:
 
 
 class TestDiagonalizeEndToEnd:
+    @pytest.mark.parametrize("pipeline", [diagonalize, analyze])
+    @pytest.mark.parametrize("order", [-1, -4])
+    def test_negative_order_is_refused(self, example1, pipeline, order):
+        with pytest.raises(ValueError, match=f"order must be >= 0, got {order}$"):
+            pipeline(example1, order=order)
+
     def test_golden_run(self, example1):
         result = diagonalize(example1, order=12)
         assert result.k == 3
@@ -210,8 +218,8 @@ class TestDiagonalizeEndToEnd:
         # Pivot versus an off-axis but valid complement at stage 1: the
         # stabilization index, stage dimensions, and exponents must agree.
         skew = ComplementPlan(
-            nc_bases={1: Mat.from_columns([(1, 1, 0)])},
-            rc_bases={1: Mat.from_columns([(1, 1, 0), e(3)])},
+            nc_bases={1: from_columns([(1, 1, 0)])},
+            rc_bases={1: from_columns([(1, 1, 0), e(3)])},
         )
         default = diagonalize(example1, order=8)
         skewed = diagonalize(example1, order=8, complements=skew)
@@ -373,6 +381,20 @@ class TestGeneralizedInverse:
         for exponent in range(0, 6):
             assert linv.coefficient(exponent).is_zero()
 
+    def test_orders_below_the_pole_bound_are_refused(self, example1):
+        # L^+ has pole at most k: t = -k keeps the eps^-k coefficient, and a
+        # lower t is refused whether the stored L^+ is deeper or not built.
+        for deeper_first in (False, True):
+            result = diagonalize(example1)
+            if deeper_first:
+                result.generalized_inverse()
+            linv = result.generalized_inverse(-3)
+            assert (linv.pole, linv.tail_order) == (3, -3)
+            assert linv.coefficient(-3) == golden_inverse_coefficient(-3)
+            for t in (-4, -5, -6):
+                with pytest.raises(ValueError, match=f"t = {t} "):
+                    result.generalized_inverse(t)
+
     def test_truncated_input_caps_inverse_depth(self, example1):
         blunt = example1.truncate(8)
         result = diagonalize(blunt)
@@ -390,7 +412,7 @@ class TestGeneralizedInverse:
 class TestKernelRangeFamilies:
     def test_golden_has_empty_kernel_family(self, example1):
         result = diagonalize(example1)
-        n_fam, r_fam = result.kernel_range_families(6)
+        n_fam, r_fam = kernel_range_families(result, 6)
         assert n_fam.cols == 0
         assert r_fam.cols == 3
         assert r_fam.coefficient(0).rank() == 3
@@ -398,13 +420,13 @@ class TestKernelRangeFamilies:
     def test_eps_identity_range_is_left_transform(self):
         fam = MatSeries.polynomial([Mat.zeros(2, 2), Mat.identity(2)])
         result = diagonalize(fam)
-        n_fam, r_fam = result.kernel_range_families(5)
+        n_fam, r_fam = kernel_range_families(result, 5)
         assert n_fam.cols == 0
         assert r_fam.eq_through(result.psi, 5)
 
     def test_singular_pencil_pointwise_annihilation(self):
         result = diagonalize(singular_wide_pencil())
-        n_fam, r_fam = result.kernel_range_families(10)
+        n_fam, r_fam = kernel_range_families(result, 10)
         assert n_fam.cols == 1
         fam = singular_wide_pencil()
         for point in (Fraction(1, 2), Fraction(1, 3)):
@@ -418,8 +440,8 @@ class TestProjectorFamilies:
     def test_golden_families_are_identity(self, example1):
         result = diagonalize(example1)
         left, right = result.projector_families(8)
-        assert left.eq_through(MatSeries.identity(3), 8)
-        assert right.eq_through(MatSeries.identity(3), 8)
+        assert left.eq_through(identity_series(3), 8)
+        assert right.eq_through(identity_series(3), 8)
 
     def test_constant_terms_are_projection_sums(self):
         result = diagonalize(singular_wide_pencil())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from localsmith import Mat, MatLaurent, MatSeries, TruncationError, series_inverse
 
 from conftest import random_matrix
+from reference import identity_series
 
 
 def psi_golden() -> MatSeries:
@@ -43,11 +44,11 @@ class TestSeriesProduct:
         assert (n @ n).is_zero()
         plus = MatSeries.polynomial([Mat.identity(2), n])
         minus = MatSeries.polynomial([Mat.identity(2), -n])
-        assert plus @ minus == MatSeries.identity(2)
+        assert plus @ minus == identity_series(2)
 
     def test_golden_left_transform_times_inverse(self):
         product = psi_golden() @ psi_golden_inverse()
-        assert product.eq_through(MatSeries.identity(3), 6)
+        assert product.eq_through(identity_series(3), 6)
 
     def test_matches_naive_convolution(self):
         rng = random.Random(21)
@@ -87,8 +88,8 @@ class TestSeriesInverse:
         assert inv.eq_through(psi_golden_inverse().truncate(6), 6)
 
     def test_identity(self):
-        inv = series_inverse(MatSeries.identity(4), 5)
-        assert inv.eq_through(MatSeries.identity(4), 5)
+        inv = series_inverse(identity_series(4), 5)
+        assert inv.eq_through(identity_series(4), 5)
 
     def test_scalar_geometric(self):
         one_minus = MatSeries.polynomial([Mat([[1]]), Mat([[-1]])])
@@ -104,8 +105,8 @@ class TestSeriesInverse:
                 continue
             a = MatSeries.polynomial([lead] + [random_matrix(rng, 3, 3) for _ in range(2)])
             x = series_inverse(a, 7)
-            assert (a @ x).eq_through(MatSeries.identity(3), 7)
-            assert (x @ a).eq_through(MatSeries.identity(3), 7)
+            assert (a @ x).eq_through(identity_series(3), 7)
+            assert (x @ a).eq_through(identity_series(3), 7)
 
     def test_singular_leading_coefficient(self):
         a = MatSeries.polynomial([Mat.zeros(2, 2), Mat.identity(2)])
@@ -192,6 +193,21 @@ class TestLaurent:
         total = a + b
         assert total.coefficient(-1) == Mat.identity(1)
         assert total.coefficient(0) == Mat.identity(1)
+
+    @pytest.mark.parametrize("pole", [0, 1, 3])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_truncate_keeps_every_coefficient_through_t(self, pole, exact):
+        rng = random.Random(10 * pole + exact)
+        a = MatLaurent(pole, [random_matrix(rng, 2, 3) for _ in range(4)], exact=exact)
+        last = a.degree + (3 if exact else 0)
+        for t in range(-a.pole, last + 1):
+            cut = a.truncate(t)
+            assert cut.tail_order == t
+            for exponent in range(-a.pole - 1, t + 1):
+                assert cut.coefficient(exponent) == a.coefficient(exponent), (t, exponent)
+        for t in range(-a.pole - 3, -a.pole):
+            with pytest.raises(ValueError, match=f"t = {t}: pole {a.pole} "):
+                a.truncate(t)
 
     def test_evaluate_matches_coefficients(self):
         a = MatLaurent(1, [Mat.identity(1), Mat.zeros(1, 1), Mat([[3]])], exact=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsmith import Mat, Subspace, image, kernel_basis, restrict_and_split
+from localsmith import Mat, Subspace, image, restrict_and_split
 from localsmith.subspaces import (
     choose_complement,
     complement_coordinates,
@@ -15,6 +15,7 @@ from localsmith.subspaces import (
 )
 
 from conftest import ZERO3, cols, e, random_invertible, random_matrix
+from reference import kernel_basis, same_space, spanned_by, transpose
 
 
 def minor_rank_of_images(s: Mat, basis: Mat) -> int:
@@ -27,20 +28,20 @@ class TestKernelBasis:
     def test_golden_leading_coefficient(self):
         l0 = cols(e(1), ZERO3, ZERO3)
         ker = kernel_basis(l0)
-        assert ker.same_space(Subspace.spanned_by([e(2), e(3)], 3))
+        assert same_space(ker, spanned_by([e(2), e(3)], 3))
 
     def test_identity_has_zero_kernel(self):
         assert kernel_basis(Mat.identity(4)).dim == 0
 
     def test_zero_map_has_full_kernel(self):
         ker = kernel_basis(Mat.zeros(2, 3))
-        assert ker.same_space(Subspace.full(3))
+        assert same_space(ker, Subspace.full(3))
 
 
 class TestContains:
     # K^3 subspaces: zero, a line, a plane holding it, the full space; and K^0.
-    ZERO, LINE = Subspace.zero(3), Subspace.spanned_by([e(1)], 3)
-    PLANE, FULL = Subspace.spanned_by([e(1), e(2)], 3), Subspace.full(3)
+    ZERO, LINE = Subspace.zero(3), spanned_by([e(1)], 3)
+    PLANE, FULL = spanned_by([e(1), e(2)], 3), Subspace.full(3)
 
     @pytest.mark.parametrize(
         "space, other, expected",
@@ -75,15 +76,15 @@ class TestContains:
 class TestRestrictAndSplit:
     def test_golden_second_stage(self):
         s2 = cols(ZERO3, ZERO3, e(2))
-        domain = Subspace.spanned_by([e(2), e(3)], 3)
+        domain = spanned_by([e(2), e(3)], 3)
         n, r, _ = restrict_and_split(s2, domain)
-        assert n.same_space(Subspace.spanned_by([e(2)], 3))
-        assert r.same_space(Subspace.spanned_by([e(2)], 3))
+        assert same_space(n, spanned_by([e(2)], 3))
+        assert same_space(r, spanned_by([e(2)], 3))
 
     def test_zero_map_keeps_domain(self):
-        domain = Subspace.spanned_by([e(1), e(3)], 3)
+        domain = spanned_by([e(1), e(3)], 3)
         n, r, nc = restrict_and_split(Mat.zeros(3, 3), domain)
-        assert n.same_space(domain)
+        assert same_space(n, domain)
         assert r.dim == 0
         assert nc.dim == 0
 
@@ -138,19 +139,19 @@ class TestRestrictAndSplit:
 
 class TestChooseComplement:
     def test_golden_second_stage_complement(self):
-        ambient = Subspace.spanned_by([e(2), e(3)], 3)
-        sub = Subspace.spanned_by([e(2)], 3)
+        ambient = spanned_by([e(2), e(3)], 3)
+        sub = spanned_by([e(2)], 3)
         comp = choose_complement(ambient, sub)
-        assert comp.same_space(Subspace.spanned_by([e(3)], 3))
+        assert same_space(comp, spanned_by([e(3)], 3))
 
     def test_full_sub_gives_zero(self):
         ambient = Subspace.full(3)
         assert choose_complement(ambient, ambient).dim == 0
 
     def test_zero_sub_gives_ambient(self):
-        ambient = Subspace.spanned_by([e(1), e(2)], 3)
+        ambient = spanned_by([e(1), e(2)], 3)
         comp = choose_complement(ambient, Subspace.zero(3))
-        assert comp.same_space(ambient)
+        assert same_space(comp, ambient)
 
     def test_direct_sum_property(self):
         rng = random.Random(32)
@@ -166,9 +167,9 @@ class TestChooseComplement:
 
     def test_given_complement_validated(self):
         ambient = Subspace.full(2)
-        sub = Subspace.spanned_by([(1, 0)], 2)
+        sub = spanned_by([(1, 0)], 2)
         good = choose_complement(ambient, sub, given=Mat([[0], [1]]))
-        assert good.same_space(Subspace.spanned_by([(0, 1)], 2))
+        assert same_space(good, spanned_by([(0, 1)], 2))
         with pytest.raises(ValueError):
             choose_complement(ambient, sub, given=Mat([[1], [0]]))
         with pytest.raises(ValueError):
@@ -178,9 +179,9 @@ class TestChooseComplement:
 class TestProjectionMatrix:
     def test_golden_stage_two_projection(self):
         parts = [
-            Subspace.spanned_by([e(1)], 3),
-            Subspace.spanned_by([e(3)], 3),
-            Subspace.spanned_by([e(2)], 3),
+            spanned_by([e(1)], 3),
+            spanned_by([e(3)], 3),
+            spanned_by([e(2)], 3),
         ]
         p2 = projection_matrix(parts, 1)
         assert p2 == cols(ZERO3, ZERO3, e(3))
@@ -195,10 +196,10 @@ class TestProjectionMatrix:
             if raw.rank() != 2:
                 continue
             part = Subspace(4, raw)
-            ortho = Subspace(4, raw.transpose().nullspace())
+            ortho = Subspace(4, transpose(raw).nullspace())
             p = projection_matrix([part, ortho], 0)
             # Orthogonal projection via normal equations: U (U^T U)^-1 U^T.
-            gram = raw @ (raw.transpose() @ raw).inverse() @ raw.transpose()
+            gram = raw @ (transpose(raw) @ raw).inverse() @ transpose(raw)
             assert p == gram
 
     def test_idempotent_and_annihilating(self):
@@ -220,7 +221,7 @@ class TestProjectionMatrix:
 
     def test_rejects_non_decomposition(self):
         with pytest.raises(ValueError):
-            projection_matrix([Subspace.spanned_by([e(1)], 3)], 0)
+            projection_matrix([spanned_by([e(1)], 3)], 0)
 
 
 def random_split(rng: random.Random, n: int, dim: int, sub: int):
@@ -313,9 +314,9 @@ class TestComplementCoordinates:
 class TestRestrictedInverse:
     def test_golden_first_stage(self):
         s1 = cols(e(1), ZERO3, ZERO3)
-        nc = Subspace.spanned_by([e(1)], 3)
-        r = Subspace.spanned_by([e(1)], 3)
-        rc = Subspace.spanned_by([e(2), e(3)], 3)
+        nc = spanned_by([e(1)], 3)
+        r = spanned_by([e(1)], 3)
+        rc = spanned_by([e(2), e(3)], 3)
         splus = restricted_inverse(s1, nc, projection_matrix([r, rc], 0))
         assert splus == cols(e(1), ZERO3, ZERO3)
 
@@ -333,10 +334,10 @@ class TestRestrictedInverse:
         nc = Subspace.zero(3)
         r = Subspace.zero(3)
         parts = [
-            Subspace.spanned_by([e(1)], 3),
-            Subspace.spanned_by([e(2)], 3),
+            spanned_by([e(1)], 3),
+            spanned_by([e(2)], 3),
             r,
-            Subspace.spanned_by([e(3)], 3),
+            spanned_by([e(3)], 3),
         ]
         assert restricted_inverse(s3, nc, projection_matrix(parts, 2)) == Mat.zeros(3, 3)
 
@@ -353,23 +354,23 @@ class TestRestrictedInverse:
             splus = restricted_inverse(s, nc, projection_matrix([r, rc], 0))
             assert splus @ (s @ nc.basis) == nc.basis
             assert (splus @ rc.basis).is_zero()
-            assert image(splus).same_space(nc)
+            assert same_space(image(splus), nc)
 
     def test_rejects_non_injective(self):
         s = Mat.zeros(3, 3)
-        nc = Subspace.spanned_by([e(1)], 3)
+        nc = spanned_by([e(1)], 3)
         with pytest.raises(ValueError, match="not injective"):
             calp = projection_matrix([Subspace.zero(3), Subspace.full(3)], 0)
             restricted_inverse(s, nc, calp)
 
     def test_rejects_projection_onto_another_range(self):
         # s(nc) = sp(e1), but calp projects onto sp(e2).
-        nc = Subspace.spanned_by([e(1)], 3)
-        parts = [Subspace.spanned_by([v], 3) for v in (e(2), e(1), e(3))]
+        nc = spanned_by([e(1)], 3)
+        parts = [spanned_by([v], 3) for v in (e(2), e(1), e(3))]
         with pytest.raises(ValueError, match="differs from the stated range"):
             restricted_inverse(Mat.identity(3), nc, projection_matrix(parts, 0))
 
     def test_rejects_zero_projection_for_nonzero_subspace(self):
-        nc = Subspace.spanned_by([e(1)], 3)
+        nc = spanned_by([e(1)], 3)
         with pytest.raises(ValueError, match="differs from the stated range"):
             restricted_inverse(Mat.identity(3), nc, Mat.zeros(3, 3))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from localsmith import (
     Mat,
-    MatSeries,
     RecursionState,
     diagonalize,
     parse_complement_plan,
@@ -23,6 +22,7 @@ from localsmith.oracles import direct_laurent_inverse
 from localsmith.verify import CHECKS, run_check
 
 from conftest import smith_families
+from reference import identity_series
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 REPORTS = os.path.join(DATA, "reports")
@@ -269,7 +269,7 @@ def test_corrupted_stored_series_fails_its_checks(name, failing):
     assert failed() == set()
     assert result._store.keys() == CORRUPTION_FAILS.keys()
     stored = result._store[name]
-    result._store[name] = stored + MatSeries.identity(3).shift(1)
+    result._store[name] = stored + identity_series(3).shift(1)
     assert failed() == failing
 
 
