@@ -4,7 +4,9 @@ Each case runs ``localsmith.cli.main`` in-process and compares its exit code
 and stdout with ``tests/data/reports/<case>.out``, whose first line is
 ``exit: <code>`` and whose remainder is the stdout of the recorded call.
 After the first pass, every case runs a second time, in reverse order and in
-the same process, and must give the same bytes.
+the same process, and must give the same bytes. ``LARGE_CASES`` run on two
+16 x 16 families and compare the sha256 of the same recording with a
+recorded digest.
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 
@@ -17,6 +19,7 @@ with the command above and says so; any other difference is a regression.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -105,6 +108,71 @@ def recorded(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_unchanged(case):
     assert run(CASES[case]) == recorded(case)
+
+
+# Two 16 x 16 families, from perfbench/corpus.py:
+# dense16 = _body(dense_coeffs(Random(5), 16, 16, 2, 8)) and
+# smith7k16 = _body(smith_coeffs(Random(9), [0, 1, 2, 4, 8, 12, 16])).
+# Their reports run to 0.7 MB, so each case records the sha256 of its
+# exit line and stdout, as ``run`` gives them, not the text.
+DENSE16 = os.path.join(DATA, "dense16.json")
+SMITH7K16 = os.path.join(DATA, "smith7k16.json")
+LARGE_CASES = {
+    "dense16-analyze": (
+        ["analyze", DENSE16],
+        "381aea600bb989b17aa7f4d07d3ae3198afe73d29a01c77c817ae6494ea52caf",
+    ),
+    "dense16-diagonalize": (
+        ["diagonalize", DENSE16],
+        "f3b1f243f8619463b7779adec609fd579fcd4f835727a2484fc373a561ccc834",
+    ),
+    "dense16-invert": (
+        ["invert", DENSE16],
+        "de0a325cf3a4da92077d754908ae7348011c0e463840812d9dfe1de9c3ccb7a5",
+    ),
+    "dense16-smith": (
+        ["smith", DENSE16],
+        "485de8a0d41d2a2e161f944feafe25789057f5505f4012b5c76e96e5c8c49e1c",
+    ),
+    "dense16-verify": (
+        ["verify", DENSE16],
+        "263e87bf0c9bf04d329916af3d9d939d86acb17c3129bd99ed3c734073b9ac54",
+    ),
+    "dense16-jordan-1": (
+        ["jordan", DENSE16, "--length", "1"],
+        "580fe6b9e6f0fc333389ce09227220c44db107b5831d8bea328a8754d2e2356c",
+    ),
+    "smith7k16-analyze": (
+        ["analyze", SMITH7K16],
+        "de1842dbf5d2842ab92e28486aff9e70e1e4e1a7b423ee7ab03e4482ec77cdc1",
+    ),
+    "smith7k16-diagonalize": (
+        ["diagonalize", SMITH7K16],
+        "62bb99a5726367fe6ea5d75f32a23ee594c6449561c7cf065ffc124c68c3fef8",
+    ),
+    "smith7k16-invert": (
+        ["invert", SMITH7K16],
+        "348eff1c9d4747a2fde470125519d39da456a93d7d1dd935c724acbddeb4c26e",
+    ),
+    "smith7k16-smith": (
+        ["smith", SMITH7K16],
+        "70bfe314fa04acf61c8688431a2e652de169231bbb220f819eaa6c6421b8dacb",
+    ),
+    "smith7k16-jordan-9": (
+        ["jordan", SMITH7K16, "--length", "9"],
+        "0333bad86b43959ddfccaeef3b526abea8314122e426dba12a650e792e2b4273",
+    ),
+    "smith7k16-jordan-16": (
+        ["jordan", SMITH7K16, "--length", "16"],
+        "7858f2f5c54eb0472253681c83ada147714615b306c1a9b68aa0de31b915cf54",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_CASES))
+def test_large_report_digest_unchanged(case):
+    argv, digest = LARGE_CASES[case]
+    assert hashlib.sha256(run(argv).encode("utf-8")).hexdigest() == digest
 
 
 # Every case again, in reverse order, in the same process, as the benchmark
