@@ -43,8 +43,6 @@ from .oracles import (
 )
 from .recursion import (
     ComplementPlan,
-    JordanChain,
-    JordanChainFamily,
     RecursionState,
     Stage,
     generic_rank,

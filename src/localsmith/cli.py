@@ -266,17 +266,21 @@ def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     state = RecursionState(
         family, complements=_complement_plan(args), max_stages=args.max_stages
     )
-    chains = state.jordan_chain_basis(args.length)
+    length, n = args.length, state.domain_dim
+    chains = state.jordan_chains(length)
+    dims = [stage.n.dim for stage in state.stages[:length]]
     return {
-        "length": args.length,
-        "stage_kernel_dims": [ker.dim for ker in chains.stage_kernels],
-        "nullspace_dim": chains.nullspace_dim,
+        "length": length,
+        "stage_kernel_dims": dims,
+        "nullspace_dim": sum(dims),
         "chains": [
             {
                 "root": vectors[-1],
                 "vectors": vectors,
             }
-            for vectors in (chain.vectors.strings() for chain in chains.basis_chains())
+            for vectors in (
+                chains.column(j).reshape(length, n).strings() for j in range(chains.cols)
+            )
         ],
     }, EXIT_OK
 

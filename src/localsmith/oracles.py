@@ -95,7 +95,7 @@ def _newton_interpolate(xs: list[int], values: list[list[int]]) -> list[list[int
     return poly
 
 
-def direct_laurent_inverse(family: MatSeries, tail: int = 12) -> MatLaurent:
+def direct_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
     """The Laurent expansion of the exact inverse of a square family.
 
     Works entirely outside the recursion, and on integers: the determinant

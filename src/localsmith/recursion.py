@@ -186,47 +186,6 @@ class MColumn:
         return head.extended(self.blocks[packed:count])
 
 
-@dataclass(frozen=True)
-class JordanChain:
-    """A chain (b_{l-1}, ..., b_0) held as its stacked l*n x 1 column."""
-
-    column: Mat
-    length: int
-
-    @property
-    def vectors(self) -> Mat:
-        """The chain as an l x n matrix: row i is b_{l-1-i}, and the last
-        row is the root b_0."""
-        return self.column.reshape(self.length, self.column.rows // self.length)
-
-
-class JordanChainFamily:
-    """All kernel tuples of a given length, as the triangular map applied to
-    the per-stage kernels: n_c in N_c enters component i of the chain, b_{l-i},
-    as M_{i,c} n_c, so each generator is a block column of M times a kernel
-    basis."""
-
-    def __init__(self, state: "RecursionState", length: int):
-        self.state = state
-        self.length = length
-        self.stage_kernels = [state.stages[i].n for i in range(length)]
-
-    @property
-    def nullspace_dim(self) -> int:
-        return sum(k.dim for k in self.stage_kernels)
-
-    def _block_column(self, c: int) -> Mat:
-        """M_{1,c} .. M_{c,c} stacked over length - c zero blocks."""
-        n = self.state.domain_dim
-        blocks = [self.state.m_block(i, c) for i in range(1, c + 1)]
-        return Mat.vstack(blocks + [Mat.zeros((self.length - c) * n, n)])
-
-    def basis_chains(self) -> list[JordanChain]:
-        """One genuine length-l chain per basis vector of the deepest kernel."""
-        chains = self._block_column(self.length) @ self.stage_kernels[-1].basis
-        return [JordanChain(chains.column(j), self.length) for j in range(chains.cols)]
-
-
 class RecursionState:
     """Single-writer builder for the stage ledger and the E/M columns.
 
@@ -488,16 +447,19 @@ class RecursionState:
         )
         return acc == self.stages[j - 1].s
 
-    def jordan_chain_basis(self, length: int) -> JordanChainFamily:
-        """Chains of the given length; they need that many stages, which must
-        fit the stage budget."""
+    def jordan_chains(self, length: int) -> Mat:
+        """The chains of the given length as the columns of one
+        length*n x dim N_length matrix, each the stacked chain
+        (b_{l-1}; ...; b_0): the block column M_{1..l,l} times a basis of
+        N_l. They need that many stages, which must fit the stage budget."""
         if length > self.max_stages:
             raise StageBudgetError(
                 f"chains of length {length} need {length} stages, more than the "
                 f"budget of {self.max_stages}"
             )
         self.ensure_stages(length)
-        return JordanChainFamily(self, length)
+        column = Mat.vstack([self.m_block(i, length) for i in range(1, length + 1)])
+        return column @ self.stages[length - 1].n.basis
 
     def phi_coefficient(self, i: int) -> Mat:
         """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine. phi_0 is the

@@ -159,9 +159,9 @@ def _toeplitz_kernel_dims(result: DiagonalizationResult) -> Proof:
 def _chain_membership(result: DiagonalizationResult) -> Proof:
     state = result.state
     for length in range(1, result.k + 2):
-        chains = [chain.column for chain in state.jordan_chain_basis(length).basis_chains()]
+        chains = state.jordan_chains(length)
         block = toeplitz_block(state.input_family, length)
-        if chains and not (block @ Mat.hstack(chains)).is_zero():
+        if chains.cols and not (block @ chains).is_zero():
             return False, f"a length-{length} chain fails the stacked condition"
     return True, "all generated chains are annihilated by the block matrix"
 
@@ -172,10 +172,10 @@ def _post_stabilization_structure(result: DiagonalizationResult) -> Proof:
     # recomputed here from the generic recurrence over the E blocks.
     state, k = result.state, result.k
     n, count = state.domain_dim, state.stage_count
-    ecols = {
-        j: {i: block for i in range(1, j + 1) if not (block := state.e_block(i, j)).is_zero()}
-        for j in range(1, count + 1)
-    }
+    # One read solves E column j, kept as its nonzero blocks by row.
+    for j in range(1, count + 1):
+        state.e_block(j, j)
+    ecols = {j: state.E_cols[j] for j in range(1, count + 1)}
     for j in range(k + 2, count + 1):
         for i in range(k + 2, j):
             if i in ecols[j]:

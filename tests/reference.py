@@ -3,8 +3,8 @@ against, and that no command runs.
 
 Each is a plain function over the package's public API: a matrix is read
 through ``Mat.integer_rows``, ``Mat.denominator`` and ``Mat.entries`` and
-built with ``Mat.from_integers`` or ``Mat(...)``; subspaces, stage ledgers,
-chain families and results through their public attributes.
+built with ``Mat.from_integers`` or ``Mat(...)``; subspaces, stage ledgers
+and results through their public attributes.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import Sequence
 
 from localsmith import (
     DiagonalizationResult,
-    JordanChain,
-    JordanChainFamily,
     Mat,
     MatSeries,
     RecursionState,
@@ -108,29 +106,31 @@ def partial_triangularize(state: RecursionState, k: int) -> tuple[MatSeries, Mat
     return p_k, state.input_family @ p_k
 
 
-def block_column(chains: JordanChainFamily, c: int) -> Mat:
+def block_column(state: RecursionState, length: int, c: int) -> Mat:
     """M_{1,c} .. M_{c,c} stacked over length - c zero blocks."""
-    state, n = chains.state, chains.state.domain_dim
+    n = state.domain_dim
     blocks = [state.m_block(i, c) for i in range(1, c + 1)]
-    return Mat.vstack(blocks + [Mat.zeros((chains.length - c) * n, n)])
+    return Mat.vstack(blocks + [Mat.zeros((length - c) * n, n)])
 
 
-def chain_from(chains: JordanChainFamily, components: Sequence[Mat]) -> JordanChain:
-    """The triangular map applied to column vectors n_1..n_l (n_i in N_i)."""
-    l = chains.length
-    if len(components) != l:
-        raise ValueError(f"need {l} component vectors")
-    for i, (vec, ker) in enumerate(zip(components, chains.stage_kernels), start=1):
-        if not ker.contains(vec):
+def chain_from(state: RecursionState, length: int, components: Sequence[Mat]) -> Mat:
+    """The triangular map applied to column vectors n_1..n_l (n_i in N_i):
+    the stacked chain (b_{l-1}; ...; b_0)."""
+    if len(components) != length:
+        raise ValueError(f"need {length} component vectors")
+    state.ensure_stages(length)
+    for i, vec in enumerate(components, start=1):
+        if not state.stage(i).n.contains(vec):
             raise ValueError(f"component {i} is not in the stage-{i} kernel")
-    terms = (block_column(chains, c) @ vec for c, vec in enumerate(components, start=1))
-    return JordanChain(sum(terms, Mat.zeros(l * chains.state.domain_dim, 1)), l)
+    terms = (block_column(state, length, c) @ vec for c, vec in enumerate(components, start=1))
+    return sum(terms, Mat.zeros(length * state.domain_dim, 1))
 
 
-def stacked_nullspace_basis(chains: JordanChainFamily) -> Mat:
+def stacked_nullspace_basis(state: RecursionState, length: int) -> Mat:
     """Generators of the length-l kernel tuples, stacked into K^{n*l}."""
+    state.ensure_stages(length)
     return Mat.hstack(
-        [block_column(chains, c) @ ker.basis for c, ker in enumerate(chains.stage_kernels, 1)]
+        [block_column(state, length, c) @ state.stage(c).n.basis for c in range(1, length + 1)]
     )
 
 

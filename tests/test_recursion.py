@@ -864,9 +864,9 @@ class TestStabilization:
     def test_chain_length_past_budget_raises(self, example1):
         state = RecursionState(example1, max_stages=2)
         with pytest.raises(StageBudgetError):
-            state.jordan_chain_basis(3)
+            state.jordan_chains(3)
         assert state.stage_count == 0
-        assert state.jordan_chain_basis(2).length == 2
+        assert state.jordan_chains(2).rows == 2 * state.domain_dim
 
     def test_rank_bound_checked_after_stabilization(self, example1):
         state = RecursionState(example1)
@@ -886,26 +886,25 @@ class TestJordanChains:
     def test_golden_length_three_shape(self, example1):
         state = RecursionState(example1)
         state.ensure_stages(3)
-        family = state.jordan_chain_basis(3)
         n1 = Mat([[0], [2], [3]])
         n2 = Mat([[0], [5], [0]])
         n3 = Mat([[0], [7], [0]])
-        chain = chain_from(family, [n1, n2, n3])
-        assert chain.vectors.entries == ((0, 2, 3), (0, 5, -7), (0, 7, 0))
+        chain = chain_from(state, 3, [n1, n2, n3])
+        assert chain.reshape(3, 3).entries == ((0, 2, 3), (0, 5, -7), (0, 7, 0))
 
     def test_length_one_is_leading_kernel(self, example1):
         state = RecursionState(example1)
-        family = state.jordan_chain_basis(1)
-        roots = [chain.vectors.entries[-1] for chain in family.basis_chains()]
+        chains = state.jordan_chains(1)
+        roots = [chains.column(j).reshape(1, 3).entries[-1] for j in range(chains.cols)]
         assert roots == [(0, 1, 0), (0, 0, 1)]
 
     def test_stacked_dimension_matches_toeplitz_oracle(self, example1):
         state = RecursionState(example1)
-        family = state.jordan_chain_basis(4)
-        assert family.nullspace_dim == 4
+        assert state.jordan_chains(4).rows == 12
+        assert sum(stage.n.dim for stage in state.stages[:4]) == 4
         oracle = toeplitz_nullspace(example1, 4)
         assert oracle.dim == 4
-        stacked = stacked_nullspace_basis(family)
+        stacked = stacked_nullspace_basis(state, 4)
         assert stacked.rank() == 4
         for j in range(stacked.cols):
             assert oracle.contains(stacked.column(j))
@@ -917,8 +916,8 @@ class TestJordanChains:
             state = RecursionState(fam)
             k = state.run_until_stabilized()
             for length in range(1, k + 2):
-                family = state.jordan_chain_basis(length)
-                assert toeplitz_nullspace(fam, length).dim == family.nullspace_dim
+                dim = sum(stage.n.dim for stage in state.stages[:length])
+                assert toeplitz_nullspace(fam, length).dim == dim
 
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -939,18 +938,17 @@ class TestJordanChains:
             ]
 
         def assert_chain(chain, blocks):
-            assert chain.length == len(blocks)
-            assert chain.column == Mat.vstack(blocks)
-            assert chain.vectors == transpose(Mat.hstack(blocks))
+            assert chain == Mat.vstack(blocks)
+            assert chain.reshape(len(blocks), n) == transpose(Mat.hstack(blocks))
 
         oracle_dims = toeplitz_kernel_dims(family, k + 1)
         for length in range(1, k + 2):
-            chains = state.jordan_chain_basis(length)
-            kernels = chains.stage_kernels
+            chains = state.jordan_chains(length)
+            kernels = [stage.n for stage in state.stages[:length]]
             deepest = kernels[-1].basis
-            basis_chains = chains.basis_chains()
-            assert len(basis_chains) == deepest.cols
-            for j, chain in enumerate(basis_chains):
+            assert chains.cols == deepest.cols
+            for j in range(chains.cols):
+                chain = chains.column(j)
                 assert_chain(chain, row_sums([zero] * (length - 1) + [deepest.column(j)], length))
             generators = []
             for c, ker in enumerate(kernels, start=1):
@@ -958,16 +956,16 @@ class TestJordanChains:
                     alone = [zero] * length
                     alone[c - 1] = ker.basis.column(j)
                     generators.append(Mat.vstack(row_sums(alone, length)))
-            assert stacked_nullspace_basis(chains) == Mat.hstack(
+            assert stacked_nullspace_basis(state, length) == Mat.hstack(
                 [Mat.zeros(n * length, 0)] + generators
             )
             components = [
                 ker.basis @ Mat([[data.draw(st.integers(-3, 3))] for _ in range(ker.dim)], cols=1)
                 for ker in kernels
             ]
-            assert_chain(chain_from(chains, components), row_sums(components, length))
+            assert_chain(chain_from(state, length, components), row_sums(components, length))
             assert oracle_dims[length - 1] == toeplitz_nullspace(family, length).dim
-            assert oracle_dims[length - 1] == chains.nullspace_dim
+            assert oracle_dims[length - 1] == sum(ker.dim for ker in kernels)
 
 
 class TestRankOfRoot:

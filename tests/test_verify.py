@@ -307,18 +307,17 @@ def _chain_fault(length):
     """Adds 1 to the first entry of the first chain of the given length."""
 
     def fault(state):
-        chain_basis = state.jordan_chain_basis
+        jordan_chains = state.jordan_chains
 
         def faulty(wanted):
-            family = chain_basis(wanted)
+            chains = jordan_chains(wanted)
             if wanted == length:
-                chains = family.basis_chains()
-                bump = Mat([[1]] + [[0]] * (chains[0].column.rows - 1))
-                chains[0] = replace(chains[0], column=chains[0].column + bump)
-                family.basis_chains = lambda: chains
-            return family
+                bump = [[0] * chains.cols for _ in range(chains.rows)]
+                bump[0][0] = 1
+                chains = chains + Mat(bump)
+            return chains
 
-        state.jordan_chain_basis = faulty
+        state.jordan_chains = faulty
 
     return fault
 
