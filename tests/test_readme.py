@@ -21,13 +21,14 @@ def test_quick_start_values():
     code = quick_start()
     namespace = {}
     exec(code, namespace)
-    result, inverse = namespace["result"], namespace["inverse"]
+    result, inverse, chains = namespace["result"], namespace["inverse"], namespace["chains"]
     # The comments of the block state these values.
     for line in (
         "result.k                      # 3:",
         "result.smith_exponents()      # (0, 1, 3)",
         "result.delta_series()         # [[1,0,0],[0,0,eps],[0,-eps^3,0]]",
         "inverse.pole                  # 3",
+        "chains = result.state.jordan_chains(3)   # 9 x 1:",
     ):
         assert line in code
     assert result.k == 3
@@ -44,3 +45,4 @@ def test_quick_start_values():
     assert result.delta_series() == expected
     assert inverse.pole == 3
     assert not inverse.coefficient(-3).is_zero()
+    assert (chains.rows, chains.cols) == (9, 1)
