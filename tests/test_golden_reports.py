@@ -69,10 +69,12 @@ CASES = {
     "trunc-diagonalize": ["diagonalize", TRUNC],
     "trunc-linearize": ["linearize", TRUNC],
     "trunc-verify": ["verify", TRUNC],
+    "trunc-smith": ["smith", TRUNC],
     "rect-analyze": ["analyze", RECT],
     "rect-diagonalize": ["diagonalize", RECT],
     "rect-invert": ["invert", RECT],
     "rect-verify": ["verify", RECT],
+    "rect-smith": ["smith", RECT],
     "smith-analyze": ["analyze", SMITH],
     "smith-diagonalize": ["diagonalize", SMITH],
     "smith-invert": ["invert", SMITH],
@@ -87,6 +89,7 @@ CASES = {
     "dense-analyze": ["analyze", DENSE],
     "dense-diagonalize": ["diagonalize", DENSE],
     "dense-invert": ["invert", DENSE],
+    "tall-smith": ["smith", TALL],
     "tall-given-late-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN}"],
     "tall-given-late-bad-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN_BAD}"],
 }
