@@ -11,9 +11,7 @@ oracles for cross-checking.
 
 from .diagonalize import (
     DiagonalizationResult,
-    SmithFactorization,
     analyze,
-    delta_terms,
     diagonalize,
     phi_series,
     psi_series,
@@ -41,12 +39,7 @@ from .oracles import (
     resolvent_recurrence_check,
     toeplitz_block,
 )
-from .recursion import (
-    ComplementPlan,
-    RecursionState,
-    Stage,
-    generic_rank,
-)
+from .recursion import RecursionState, Stage, generic_rank
 from .series import MatLaurent, MatSeries, series_inverse
 from .subspaces import (
     Subspace,

@@ -287,17 +287,17 @@ def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
 
 def cmd_smith(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     result = _run(diagonalize, family, args)
-    fact = result.smith_factorization()
-    analytic = result.psi @ MatSeries.constant(fact.s_p)
+    s_p, p_terms = result.smith_factorization()
+    analytic = result.psi @ MatSeries.constant(s_p)
     return {
         "stabilization_index": result.k,
-        "exponents": [e - spec.declared_pole for e in fact.exponents],
-        "constant_factor": mat_to_grid(fact.s_p),
-        "smith_form": terms_listing(_unnormalized(fact.p_terms, spec)),
+        "exponents": [e - spec.declared_pole for e in result.smith_exponents()],
+        "constant_factor": mat_to_grid(s_p),
+        "smith_form": terms_listing(_unnormalized(p_terms, spec)),
         "analytic_factor": series_listing(analytic, result.order),
         "verification": {
             "identity": "constant_factor * P(eps) == delta",
-            "exact": require(smith_identity(result, fact)),
+            "exact": require(smith_identity(result)),
         },
     }, EXIT_OK
 

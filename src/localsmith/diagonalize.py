@@ -47,7 +47,7 @@ from typing import Callable
 
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .matrix import Mat
-from .recursion import ComplementPlan, RecursionState, Stage
+from .recursion import RecursionState, Stage
 from .series import MatLaurent, MatSeries, series_inverse
 from .subspaces import Subspace
 
@@ -61,35 +61,6 @@ def phi_series(state: RecursionState, t: int) -> MatSeries:
 def psi_series(state: RecursionState, t: int) -> MatSeries:
     """The left transformation through order t from the S-operator sums."""
     return MatSeries(state.psi_coefficients(t), exact=False)
-
-
-def delta_terms(state: RecursionState) -> tuple[tuple[int, Mat], ...]:
-    """The diagonal polynomial as structured (power, S_i P_i) terms."""
-    k = state._require_stabilized()
-    out = []
-    for i in range(1, k + 2):
-        st = state.stage(i)
-        out.append((i - 1, st.s @ st.p))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SmithFactorization:
-    """Delta = S_P * P(eps) split into the constant factor and Smith form."""
-
-    s_p: Mat
-    p_terms: tuple[tuple[int, Mat], ...]
-    exponents: tuple[int, ...]
-
-    def p_series(self) -> MatSeries:
-        n = self.p_terms[0][1].rows
-        return MatLaurent.from_terms(self.p_terms, n, n)
-
-    def p_inverse_laurent(self) -> MatLaurent:
-        """P^{-1}(eps) = eps^{-k} P_{k+1} + ... + P_1, a k-pole inverse on
-        the direct sum of the complement chain."""
-        n = self.p_terms[0][1].rows
-        return MatLaurent.from_terms(((-power, mat) for power, mat in self.p_terms), n, n)
 
 
 def _working_order_view(name: str) -> property:
@@ -205,10 +176,9 @@ class DiagonalizationResult:
 
         return self.series("l_plus", t, build)
 
-    def projector_families(self, t: int | None = None) -> tuple[MatSeries, MatSeries]:
+    def projector_families(self, t: int) -> tuple[MatSeries, MatSeries]:
         """left = phi (P_1+..+P_{k+1}) phi^{-1}, right = psi (cal P sums) psi^{-1};
-        both idempotent through the returned order."""
-        t = self.order if t is None else t
+        both idempotent through order t."""
         phi, psi, phi_inv, psi_inv = (
             self.derived(name, t) for name in ("phi", "psi", "phi_inv", "psi_inv")
         )
@@ -219,19 +189,19 @@ class DiagonalizationResult:
         right = psi @ MatSeries.constant(calp_sum) @ psi_inv
         return left, right
 
-    def smith_factorization(self) -> SmithFactorization:
-        s_p = Mat.zeros(self.state.codomain_dim, self.state.domain_dim)
-        for _, term in self.delta:
-            s_p = s_p + term
-        p_terms = tuple((st.index - 1, st.p) for st in self.stages)
-        return SmithFactorization(s_p, p_terms, self.smith_exponents())
+    def smith_factorization(self) -> tuple[Mat, tuple[tuple[int, Mat], ...]]:
+        """Delta = S_P * P(eps): the constant factor S_P = sum S_i P_i, the
+        sum of Delta's terms, and the terms (i - 1, P_i) of P(eps)."""
+        zero = Mat.zeros(self.state.codomain_dim, self.state.domain_dim)
+        s_p = sum((term for _, term in self.delta), zero)
+        return s_p, tuple((st.index - 1, st.p) for st in self.stages)
 
 
 def _diagonalization(
     family: MatSeries,
     order: int | None,
     max_stages: int | None,
-    complements: ComplementPlan | None,
+    complements: dict[int, tuple[Mat | None, Mat | None]] | None,
     through_k: bool,
 ) -> DiagonalizationResult:
     """Stabilize, run the stages the proof through ``order`` reads, assemble
@@ -253,7 +223,8 @@ def _diagonalization(
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
     state.ensure_stages(k + 1 + order)
-    result = DiagonalizationResult(state=state, k=k, order=order, delta=delta_terms(state))
+    delta = tuple((st.index - 1, st.s @ st.p) for st in state.stages[: k + 1])
+    result = DiagonalizationResult(state=state, k=k, order=order, delta=delta)
     i = result.residual_order()
     if i is not None:
         raise InternalConsistencyError(f"diagonalization residual is nonzero at order {i}")
@@ -264,7 +235,7 @@ def diagonalize(
     family: MatSeries,
     order: int | None = None,
     max_stages: int | None = None,
-    complements: ComplementPlan | None = None,
+    complements: dict[int, tuple[Mat | None, Mat | None]] | None = None,
 ) -> DiagonalizationResult:
     """Run the full pipeline: stabilize, assemble phi/psi/Delta, verify.
 
@@ -282,7 +253,7 @@ def analyze(
     family: MatSeries,
     order: int | None = None,
     max_stages: int | None = None,
-    complements: ComplementPlan | None = None,
+    complements: dict[int, tuple[Mat | None, Mat | None]] | None = None,
 ) -> DiagonalizationResult:
     """The diagonalization proven through the order that fixes k, the stage
     table and the Smith exponents: ``order`` defaults to k (capped at

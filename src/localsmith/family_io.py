@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .matrix import Mat
-from .recursion import ComplementPlan
 from .series import MatLaurent, MatSeries
 
 _FAMILY_FIELDS = {"rows", "cols", "kind", "trunc_or_degree", "declared_pole", "coefficients"}
@@ -112,7 +111,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def grid_to_mat(grid, rows: int, cols: int, context: str = "matrix") -> Mat:
+def grid_to_mat(grid, rows: int, cols: int, context: str) -> Mat:
     if not isinstance(grid, list) or len(grid) != rows:
         raise InputError(f"{context}: expected {rows} rows")
     for r, row in enumerate(grid):
@@ -174,7 +173,7 @@ def parse_family(text: str) -> FamilySpec:
             raise InputError(
                 f"power {power} outside the allowed range [{-pole}, {trunc}]"
             )
-        parsed.append((power, grid_to_mat(grid, rows, cols, context=f"coefficient {power}")))
+        parsed.append((power, grid_to_mat(grid, rows, cols, f"coefficient {power}")))
     parsed.sort(key=lambda item: item[0])
     return FamilySpec(rows, cols, kind, trunc, pole, tuple(parsed))
 
@@ -212,8 +211,9 @@ def family_from_series(series: MatSeries, declared_pole: int = 0) -> FamilySpec:
     )
 
 
-def parse_complement_plan(text: str) -> ComplementPlan:
-    """A "given" complement file: per stage, optional complement bases.
+def parse_complement_plan(text: str) -> dict[int, tuple[Mat | None, Mat | None]]:
+    """A "given" complement file as {stage: (Nc basis or None, Rc basis or
+    None)}, with an entry only for a stage that names a basis.
 
     Format: {"stages": [{"stage": 2, "domain_complement": [[..]..],
     "codomain_complement": [[..]..]}, ...]} with bases given as row-major
@@ -228,7 +228,7 @@ def parse_complement_plan(text: str) -> ComplementPlan:
     entries = obj.get("stages", [])
     if not isinstance(entries, list):
         raise InputError('complement file must be {"stages": [...]}')
-    plan, seen = ComplementPlan({}, {}), set()
+    plan, seen = {}, set()
     for entry in entries:
         if not isinstance(entry, dict) or "stage" not in entry:
             raise InputError("each stage entry needs a 'stage' index")
@@ -241,17 +241,17 @@ def parse_complement_plan(text: str) -> ComplementPlan:
         if index in seen:
             raise InputError(f"duplicate stage {index}")
         seen.add(index)
-        for field, store in (
-            ("domain_complement", plan.nc_bases),
-            ("codomain_complement", plan.rc_bases),
-        ):
+        bases = []
+        for field in ("domain_complement", "codomain_complement"):
             grid = entry.get(field)
-            if grid is None:
-                continue
-            if not isinstance(grid, list) or not grid:
-                raise InputError(f"stage {index}: {field} must be a nonempty grid")
-            width = len(grid[0]) if isinstance(grid[0], list) else 0
-            store[index] = grid_to_mat(grid, len(grid), width, context=f"stage {index} {field}")
+            if grid is not None:
+                if not isinstance(grid, list) or not grid:
+                    raise InputError(f"stage {index}: {field} must be a nonempty grid")
+                width = len(grid[0]) if isinstance(grid[0], list) else 0
+                grid = grid_to_mat(grid, len(grid), width, f"stage {index} {field}")
+            bases.append(grid)
+        if bases != [None, None]:
+            plan[index] = tuple(bases)
     return plan
 
 

@@ -142,17 +142,6 @@ class Stage:
     splus: Mat
 
 
-@dataclass
-class ComplementPlan:
-    """Optional per-stage complement bases (1-based stage index).
-
-    Stages without an entry fall back to the deterministic pivot strategy.
-    """
-
-    nc_bases: dict[int, Mat]
-    rc_bases: dict[int, Mat]
-
-
 class MColumn:
     """M column j: its head, the packed rows 1..top and on to row deg L, and
     below row top the blocks M_{top,j-1} .. M_{j-1,j-1} of column j-1,
@@ -192,12 +181,15 @@ class RecursionState:
     Truncated (non-polynomial) input is treated as an exact polynomial of its
     truncation degree, but stages are refused once they would consume
     coefficients the truncation does not genuinely contain.
+
+    A complement plan maps a stage to its given (Nc basis or None, Rc basis
+    or None); every other stage and basis takes the pivot strategy.
     """
 
     def __init__(
         self,
         family: MatSeries,
-        complements: ComplementPlan | None = None,
+        complements: dict[int, tuple[Mat | None, Mat | None]] | None = None,
         max_stages: int | None = None,
     ):
         self.input_family = family
@@ -206,7 +198,7 @@ class RecursionState:
         self.L = family if family.exact else MatSeries.polynomial(family.coeffs)
         self.domain_dim = family.cols
         self.codomain_dim = family.rows
-        self.complements = complements or ComplementPlan({}, {})
+        self.complements = complements or {}
         degree = family.degree
         if max_stages is None:
             max_stages = (
@@ -216,8 +208,10 @@ class RecursionState:
                 )
                 + 2
             )
+        elif max_stages < 0:
+            raise ValueError(f"the stage budget must be >= 0, got {max_stages}")
         self.max_stages = max_stages
-        self.plan_end = max([*self.complements.nc_bases, *self.complements.rc_bases], default=0)
+        self.plan_end = max(self.complements, default=0)
         if self.plan_end > max_stages:
             raise StageBudgetError(
                 f"the complement plan names stage {self.plan_end}, past the "
@@ -254,15 +248,22 @@ class RecursionState:
         return len(self.stages)
 
     def stage(self, i: int) -> Stage:
+        """Stage i for 1 <= i <= stage_count."""
+        if not 1 <= i <= len(self.stages):
+            raise IndexError(f"stage {i} is outside the ledger of {len(self.stages)} stages")
         return self.stages[i - 1]
 
     def m_block(self, i: int, j: int) -> Mat:
         """M_{i,j} for 1 <= i <= j <= stage_count."""
+        if not 1 <= i <= j <= len(self.M_cols):
+            raise IndexError(f"M_{{{i},{j}}} is outside the ledger of {len(self.M_cols)} stages")
         return self.M_cols[j - 1][i - 1]
 
     def e_block(self, i: int, j: int) -> Mat:
         """E_{i,j} for 1 <= i <= j <= stage_count; column j is solved under
         the gains S_i^+ on its first read and kept."""
+        if not 1 <= i <= j <= len(self.stages):
+            raise IndexError(f"E_{{{i},{j}}} is outside the ledger of {len(self.stages)} stages")
         column = self.E_cols.get(j)
         if column is None:
             gains = [st.splus for st in self.stages]
@@ -271,8 +272,8 @@ class RecursionState:
         return Mat.zeros(self.domain_dim, self.domain_dim) if block is None else block
 
     def kernel_chain(self, i: int) -> Subspace:
-        """N_i, with N_0 the full domain."""
-        return Subspace.full(self.domain_dim) if i == 0 else self.stages[i - 1].n
+        """N_i for 0 <= i <= stage_count, with N_0 the full domain."""
+        return Subspace.full(self.domain_dim) if i == 0 else self.stage(i).n
 
     # -- the stage step ---------------------------------------------------
 
@@ -302,7 +303,7 @@ class RecursionState:
         read W off one more rref, against Q_{j-1} and Qc_{j-1}."""
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
         n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
-        given_nc, given_rc = self.complements.nc_bases.get(j), self.complements.rc_bases.get(j)
+        given_nc, given_rc = self.complements.get(j, (None, None))
         named = given_nc is not None or given_rc is not None
         n, m = self.domain_dim, self.codomain_dim
         if r_j.is_zero() and not named:
@@ -452,6 +453,8 @@ class RecursionState:
         length*n x dim N_length matrix, each the stacked chain
         (b_{l-1}; ...; b_0): the block column M_{1..l,l} times a basis of
         N_l. They need that many stages, which must fit the stage budget."""
+        if length < 1:
+            raise ValueError(f"a chain has length >= 1, got {length}")
         if length > self.max_stages:
             raise StageBudgetError(
                 f"chains of length {length} need {length} stages, more than the "
@@ -464,12 +467,16 @@ class RecursionState:
     def phi_coefficient(self, i: int) -> Mat:
         """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine. phi_0 is the
         shared identity, as every diagonal M block is M_{1,1} = I."""
+        if i < 0:
+            raise ValueError(f"phi has no coefficient of order {i}")
         k = self._require_stabilized()
         self.ensure_stages(k + 1 + i)
         return self.m_block(k + 1, k + 1 + i)
 
     def psi_coefficient(self, i: int) -> Mat:
         """psi_i = sum_j S_{i+j} Splus_j over j = 1..k+1 (psi_0 = I)."""
+        if i < 0:
+            raise ValueError(f"psi has no coefficient of order {i}")
         k = self._require_stabilized()
         if i == 0:
             return Mat.identity(self.codomain_dim)

@@ -53,7 +53,7 @@ the others recompute from the recursion's own ledger and transformations.
 
 from __future__ import annotations
 
-from .diagonalize import DiagonalizationResult, SmithFactorization
+from .diagonalize import DiagonalizationResult
 from .errors import InternalConsistencyError, LocalSmithError, TruncationError
 from .matrix import Mat
 from .oracles import (
@@ -92,9 +92,11 @@ def inverse_axioms(family: MatSeries, linv: MatLaurent) -> Proof:
     return True, f"both axioms exact through order {min(lxl.tail_order, xlx.tail_order)}"
 
 
-def smith_identity(result: DiagonalizationResult, fact: SmithFactorization) -> Proof:
+def smith_identity(result: DiagonalizationResult) -> Proof:
     """S_P * P(eps) == Delta, exactly."""
-    if MatSeries.constant(fact.s_p) @ fact.p_series() != result.delta_series():
+    s_p, p_terms = result.smith_factorization()
+    p_eps = MatLaurent.from_terms(p_terms, s_p.cols, s_p.cols)
+    if MatSeries.constant(s_p) @ p_eps != result.delta_series():
         return False, "S_P * P(eps) differs from delta"
     return True, "S_P * P(eps) == delta"
 
@@ -225,13 +227,15 @@ def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
 
 
 def _smith_identities(result: DiagonalizationResult) -> Proof:
-    fact = result.smith_factorization()
-    passed, detail = smith_identity(result, fact)
+    passed, detail = smith_identity(result)
     if not passed:
         return passed, detail
-    blow = result.psi_inv @ result.l_phi @ fact.p_inverse_laurent()
-    s_p = MatLaurent(0, [fact.s_p], exact=True)
-    e = blow.first_difference(s_p, -blow.pole, blow.tail_order)
+    s_p, p_terms = result.smith_factorization()
+    # P^{-1}(eps) = eps^{-k} P_{k+1} + ... + P_1, a k-pole inverse on the
+    # direct sum of the complement chain.
+    p_inv = MatLaurent.from_terms(((-e, p) for e, p in p_terms), s_p.cols, s_p.cols)
+    blow = result.psi_inv @ result.l_phi @ p_inv
+    e = blow.first_difference(MatSeries.constant(s_p), -blow.pole, blow.tail_order)
     if e is not None:
         return False, f"blow-up identity fails at order {e}"
     if blow.tail_order < 0:

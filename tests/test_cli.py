@@ -27,7 +27,6 @@ from localsmith import (
 )
 from localsmith.cli import main
 
-from reference import identity_series
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
@@ -489,9 +488,16 @@ class TestCommands:
         assert statuses["toeplitz-kernel-dims"] == "fail"
 
     def test_smith_failure_is_exit_three(self, capsys, monkeypatch):
-        from localsmith import MatSeries, SmithFactorization
+        from localsmith import DiagonalizationResult, Mat
 
-        monkeypatch.setattr(SmithFactorization, "p_series", lambda self: identity_series(3))
+        factorization = DiagonalizationResult.smith_factorization
+
+        def p_is_identity(result):
+            # P(eps) = I in place of the ledger's P_1 + eps P_2 + eps^3 P_4.
+            s_p, _ = factorization(result)
+            return s_p, ((0, Mat.identity(3)),)
+
+        monkeypatch.setattr(DiagonalizationResult, "smith_factorization", p_is_identity)
         code = main(["smith", DATA])
         captured = capsys.readouterr()
         assert code == 3
@@ -855,12 +861,17 @@ class TestGivenComplements:
                 ],
                 "error: duplicate stage 1",
             ),
+            # An entry that names no basis is not kept, but it still names its stage.
+            (
+                [{"stage": 1}, {"stage": 1, "domain_complement": [["1"], ["0"], ["0"]]}],
+                "error: duplicate stage 1",
+            ),
             (
                 [{"stage": 1, "domain_complement": ["1", "0", "0"]}],
                 "error: stage 1 domain_complement: row 0 is not a list",
             ),
         ],
-        ids=["stage-twice", "row-not-a-list"],
+        ids=["stage-twice", "stage-twice-first-unnamed", "row-not-a-list"],
     )
     def test_malformed_plan_is_exit_one(self, stages, message, tmp_path, capsys):
         path = tmp_path / "plan.json"

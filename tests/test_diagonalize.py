@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from localsmith import (
-    ComplementPlan,
     InputError,
     InternalConsistencyError,
     Mat,
+    MatLaurent,
     MatSeries,
     RecursionState,
     analyze,
@@ -80,19 +80,13 @@ def golden_inverse_coefficient(exponent: int) -> Mat:
     return Mat(grid)
 
 
-def golden_complements_plan() -> ComplementPlan:
+def golden_complements_plan() -> dict:
     """The golden family's complement choices, injected explicitly."""
-    return ComplementPlan(
-        nc_bases={
-            1: from_columns([e(1)]),
-            2: from_columns([e(3)]),
-            4: from_columns([e(2)]),
-        },
-        rc_bases={
-            1: from_columns([e(2), e(3)]),
-            2: from_columns([e(3)]),
-        },
-    )
+    return {
+        1: (from_columns([e(1)]), from_columns([e(2), e(3)])),
+        2: (from_columns([e(3)]), from_columns([e(3)])),
+        4: (from_columns([e(2)]), None),
+    }
 
 
 def singular_wide_pencil() -> MatSeries:
@@ -217,10 +211,7 @@ class TestDiagonalizeEndToEnd:
     def test_complement_choice_invariants(self, example1):
         # Pivot versus an off-axis but valid complement at stage 1: the
         # stabilization index, stage dimensions, and exponents must agree.
-        skew = ComplementPlan(
-            nc_bases={1: from_columns([(1, 1, 0)])},
-            rc_bases={1: from_columns([(1, 1, 0), e(3)])},
-        )
+        skew = {1: (from_columns([(1, 1, 0)]), from_columns([(1, 1, 0), e(3)]))}
         default = diagonalize(example1, order=8)
         skewed = diagonalize(example1, order=8, complements=skew)
         assert skewed.k == default.k
@@ -461,41 +452,44 @@ class TestProjectorFamilies:
         assert (right @ right).eq_through(right, 8)
 
 
+def p_series(p_terms, n: int) -> MatSeries:
+    """P(eps) = sum eps^e P from its (e, P) terms."""
+    return MatLaurent.from_terms(p_terms, n, n)
+
+
 class TestSmithFactorization:
     def test_golden_form_and_exponents(self, example1):
         result = diagonalize(example1)
-        fact = result.smith_factorization()
-        assert fact.exponents == (0, 1, 3)
-        p_poly = fact.p_series()
+        _, p_terms = result.smith_factorization()
+        assert result.smith_exponents() == (0, 1, 3)
+        p_poly = p_series(p_terms, 3)
         assert p_poly.coefficient(0) == cols(e(1), ZERO3, ZERO3)
         assert p_poly.coefficient(1) == cols(ZERO3, ZERO3, e(3))
         assert p_poly.coefficient(3) == cols(ZERO3, e(2), ZERO3)
 
     def test_factorization_identity_exact(self, example1):
         result = diagonalize(example1)
-        fact = result.smith_factorization()
-        assert MatSeries.constant(fact.s_p) @ fact.p_series() == result.delta_series()
+        s_p, p_terms = result.smith_factorization()
+        assert MatSeries.constant(s_p) @ p_series(p_terms, 3) == result.delta_series()
 
     def test_full_factorization_on_random_families(self):
         rng = random.Random(55)
         for _ in range(5):
             fam = random_family(rng, 3, 3, 2, deficit=1)
             result = diagonalize(fam, order=10)
-            fact = result.smith_factorization()
+            s_p, p_terms = result.smith_factorization()
             lhs = fam @ result.phi
-            rhs = result.psi @ MatSeries.constant(fact.s_p) @ fact.p_series()
+            rhs = result.psi @ MatSeries.constant(s_p) @ p_series(p_terms, 3)
             assert lhs.eq_through(rhs, 10)
 
     def test_blow_up_identity(self, example1):
         result = diagonalize(example1, order=10)
-        fact = result.smith_factorization()
-        blow = (
-            result.psi_inv
-            @ (example1 @ result.phi)
-            @ fact.p_inverse_laurent()
-        )
+        s_p, p_terms = result.smith_factorization()
+        # P^{-1}(eps) = eps^{-k} P_{k+1} + ... + P_1.
+        p_inverse = MatLaurent.from_terms(((-power, p) for power, p in p_terms), 3, 3)
+        blow = result.psi_inv @ (example1 @ result.phi) @ p_inverse
         for exponent in range(-blow.pole, blow.tail_order + 1):
-            expected = fact.s_p if exponent == 0 else Mat.zeros(3, 3)
+            expected = s_p if exponent == 0 else Mat.zeros(3, 3)
             assert blow.coefficient(exponent) == expected
 
     def test_structured_exponents_recovered(self):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsmith import (
-    ComplementPlan,
     InternalConsistencyError,
     Mat,
     MatLaurent,
@@ -448,8 +447,9 @@ def assert_ledger_matches_references(state: RecursionState) -> None:
         mapped = st.s @ prev_n.basis
         assert st.n.basis == prev_n.basis @ mapped.nullspace(), j
         assert st.r.basis == image(mapped).basis, j
-        assert st.nc.basis == choose_complement(prev_n, st.n, plan.nc_bases.get(j)).basis, j
-        assert st.rc.basis == choose_complement(prev_rc, st.r, plan.rc_bases.get(j)).basis, j
+        given_nc, given_rc = plan.get(j, (None, None))
+        assert st.nc.basis == choose_complement(prev_n, st.n, given_nc).basis, j
+        assert st.rc.basis == choose_complement(prev_rc, st.r, given_rc).basis, j
         domain = [a.nc for a in state.stages[:j]] + [st.n]
         codomain = [a.r for a in state.stages[:j]] + [st.rc]
         calp = projection_matrix(codomain, j - 1)
@@ -521,7 +521,7 @@ class TestDegenerateStages:
         t = Mat([[1, 1, 0], [0, 2, 1], [1, 0, 1]])
         u = Mat([[1, 0, -1], [0, 0, 2], [0, 1, 0]])
         given = pivot.nc.basis @ t + pivot.n.basis @ u
-        state = diagonalize(family, complements=ComplementPlan({1: given}, {})).state
+        state = diagonalize(family, complements={1: (given, None)}).state
         st = state.stage(1)
         assert st.nc.basis == given and st.s @ given != st.r.basis
         assert st.splus @ st.s @ given == given
@@ -545,7 +545,7 @@ class TestDegenerateStages:
             )
 
         given_nc, given_rc = mixed(at.nc, at.n), mixed(at.rc, at.r)
-        state = RecursionState(family, ComplementPlan({j: given_nc}, {j: given_rc}))
+        state = RecursionState(family, {j: (given_nc, given_rc)})
         assert state.run_until_stabilized() == k
         state.ensure_stages(2 * k + 3)
         assert state.stage(j).nc.basis == given_nc and state.stage(j).rc.basis == given_rc
@@ -726,7 +726,7 @@ class TestCoupledColumns:
         state = RecursionState(load_family("rect3x2.json"), load_plan("plan_late.json"))
         k = state.run_until_stabilized()
         state.ensure_stages(k + 1 + max(2 * k + 4, 12) + k)
-        assert k + 1 < 4 and 4 in state.complements.rc_bases
+        assert k + 1 < 4 and state.complements[4][1] is not None
         self.assert_matches_recurrences(state)
 
     @pytest.mark.parametrize(
@@ -880,6 +880,76 @@ class TestStabilization:
         state = RecursionState(blunt)
         with pytest.raises(TruncationError):
             state.ensure_stages(4)
+
+    def test_negative_budget_is_refused(self, example1):
+        with pytest.raises(ValueError, match=r"the stage budget must be >= 0, got -1$"):
+            RecursionState(example1, max_stages=-1)
+
+    def test_plan_is_blamed_only_when_it_names_a_stage(self, example1):
+        # With no plan, a budget of 0 fails only when a stage is needed.
+        state = RecursionState(example1, max_stages=0)
+        with pytest.raises(StageBudgetError, match="no stabilization certificate within 0"):
+            state.run_until_stabilized()
+        plan = {3: (None, cols(e(3)))}
+        with pytest.raises(StageBudgetError, match="plan names stage 3, past the budget of 2"):
+            RecursionState(example1, plan, max_stages=2)
+
+    def test_entry_naming_no_basis_runs_no_stage(self, example1):
+        # Stage 30 is past the cubic's budget of 11; an entry with no basis
+        # is not kept, so it neither runs that stage nor exceeds the budget.
+        plan = parse_complement_plan(
+            '{"stages": [{"stage": 30}, {"stage": 2, "codomain_complement": null}]}'
+        )
+        assert plan == {}
+        state = RecursionState(example1, plan)
+        assert state.run_until_stabilized() == 3 and state.stage_count == 4
+
+
+class TestLedgerIndices:
+    """Every accessor of the ledger refuses an index outside it, rather
+    than reading the ledger from its end: on the golden cubic's 16 stages,
+    stage(0) once read stage 16 and m_block(0, 5) read M_{5,5}."""
+
+    @pytest.fixture
+    def state(self, example1):
+        state = diagonalize(example1).state
+        assert state.stage_count == 16
+        return state
+
+    def test_stage(self, state):
+        assert state.stage(16).index == 16
+        for i in (0, -1, 17):
+            with pytest.raises(IndexError, match=rf"^stage {i} is outside the ledger of 16"):
+                state.stage(i)
+
+    def test_kernel_chain(self, state):
+        assert state.kernel_chain(0).dim == 3 and state.kernel_chain(16) == state.stage(16).n
+        for i in (-1, 17):
+            with pytest.raises(IndexError, match=rf"^stage {i} is outside the ledger"):
+                state.kernel_chain(i)
+
+    @pytest.mark.parametrize("block", ["m_block", "e_block"])
+    def test_blocks(self, state, block):
+        read = getattr(state, block)
+        assert read(5, 5).is_identity()
+        name = block[0].upper()
+        for i, j in ((0, 5), (-1, 5), (6, 5), (1, 17), (0, 0)):
+            with pytest.raises(IndexError) as info:
+                read(i, j)
+            assert str(info.value) == f"{name}_{{{i},{j}}} is outside the ledger of 16 stages"
+
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    def test_transformation_coefficients(self, state, name):
+        read = getattr(state, f"{name}_coefficient")
+        assert read(0).is_identity()
+        with pytest.raises(ValueError, match=rf"^{name} has no coefficient of order -1$"):
+            read(-1)
+
+    def test_jordan_chains(self, state):
+        assert state.jordan_chains(1).cols == state.stage(1).n.dim
+        for length in (0, -1):
+            with pytest.raises(ValueError, match=rf"^a chain has length >= 1, got {length}$"):
+                state.jordan_chains(length)
 
 
 class TestJordanChains:

@@ -72,7 +72,7 @@ def test_wrong_projection_fails_projector_families(field):
     stages = result.state.stages
     unit = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     stages[0] = replace(stages[0], **{field: getattr(stages[0], field) - unit})
-    left, right = result.projector_families()
+    left, right = result.projector_families(result.order)
     assert (left @ left).eq_through(left, result.order)
     assert (right @ right).eq_through(right, result.order)
     passed, _ = dict(CHECKS)["projector-families"](result)
