@@ -44,6 +44,9 @@ DENSE = os.path.join(REPORTS, "dense6x6.json")
 TALL = os.path.join(REPORTS, "rect3x2.json")
 LATE_PLAN = os.path.join(REPORTS, "plan_late.json")
 LATE_PLAN_BAD = os.path.join(REPORTS, "plan_late_bad.json")
+# L(eps) = [[eps, 1], [0, eps]]: exponents 0 and 2, with a gap stage, so an
+# M column reads a shared block past its packed rows.
+SHIFT = os.path.join(REPORTS, "shift2x2.json")
 
 CASES = {
     "cubic-analyze": ["analyze", CUBIC],
@@ -92,6 +95,8 @@ CASES = {
     "tall-smith": ["smith", TALL],
     "tall-given-late-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN}"],
     "tall-given-late-bad-analyze": ["analyze", TALL, "--complement", f"given:{LATE_PLAN_BAD}"],
+    "shift-analyze": ["analyze", SHIFT],
+    "shift-verify": ["verify", SHIFT],
 }
 
 

@@ -33,7 +33,6 @@ ALLOWED = {
     "subspaces.Subspace.__repr__": "dunder: printing a subspace",
     "cli._Parser.error": "error path: a usage error exits 1",
     "matrix._echo": "error path: quotes a refused entry",
-    "matrix.PackedRows.extended": "the M-column gap path, which the golden families never take",
     "matrix.Mat.det": "in UNREACHED of test_benchmark_tracer.py: the tracer wraps it",
     "oracles.resolvent_recurrence_check": "in UNREACHED of test_benchmark_tracer.py",
     "oracles.toeplitz_nullspace": "in UNREACHED of test_benchmark_tracer.py",
