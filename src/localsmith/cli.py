@@ -211,13 +211,14 @@ def _stage_table(result: DiagonalizationResult) -> list[dict]:
 
 
 def _analyze_fields(result: DiagonalizationResult, spec: FamilySpec) -> dict:
+    tail = result.stages[-1]
     return {
-        "generic_rank": result.generic_rank,
+        "generic_rank": result.state.generic_rank,
         "stabilization_index": result.k,
         "stages": _stage_table(result),
         "tail": {
-            "kernel": subspace_report(result.tail_kernel),
-            "cokernel_complement": subspace_report(result.tail_cokernel),
+            "kernel": subspace_report(tail.n),
+            "cokernel_complement": subspace_report(tail.rc),
         },
         "smith_exponents": [e - spec.declared_pole for e in result.smith_exponents()],
     }
@@ -330,7 +331,7 @@ def cmd_verify(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
     failed = [c for c in checks if c["status"] == "fail"]
     return {
         "stabilization_index": result.k,
-        "generic_rank": result.generic_rank,
+        "generic_rank": result.state.generic_rank,
         "checks": checks,
         "all_passed": not failed,
     }, EXIT_INCONSISTENT if failed else EXIT_OK

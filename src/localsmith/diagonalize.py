@@ -49,13 +49,11 @@ from .errors import InputError, InternalConsistencyError, TruncationError
 from .matrix import Mat
 from .recursion import RecursionState, Stage
 from .series import MatLaurent, MatSeries, series_inverse
-from .subspaces import Subspace
 
 
 def phi_series(state: RecursionState, t: int) -> MatSeries:
     """The right transformation through order t: phi_i = M_{k+1, k+1+i}."""
-    coeffs = [state.phi_coefficient(i) for i in range(t + 1)]
-    return MatSeries(coeffs, exact=False)
+    return MatSeries(state.phi_coefficients(t), exact=False)
 
 
 def psi_series(state: RecursionState, t: int) -> MatSeries:
@@ -122,20 +120,6 @@ class DiagonalizationResult:
     @property
     def stages(self) -> list[Stage]:
         return self.state.stages[: self.k + 1]
-
-    @property
-    def tail_kernel(self) -> Subspace:
-        """N_{k+1}: the kernel that survives for every nonzero parameter."""
-        return self.state.stage(self.k + 1).n
-
-    @property
-    def tail_cokernel(self) -> Subspace:
-        """Rc_{k+1}: the complement the range never reaches."""
-        return self.state.stage(self.k + 1).rc
-
-    @property
-    def generic_rank(self) -> int:
-        return self.state.generic_rank
 
     def smith_exponents(self) -> tuple[int, ...]:
         out = []

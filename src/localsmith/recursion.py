@@ -211,7 +211,9 @@ class RecursionState:
         elif max_stages < 0:
             raise ValueError(f"the stage budget must be >= 0, got {max_stages}")
         self.max_stages = max_stages
-        self.plan_end = max(self.complements, default=0)
+        # Only an entry that names a basis makes its stage run.
+        named = (j for j, (nc, rc) in self.complements.items() if nc is not None or rc is not None)
+        self.plan_end = max(named, default=0)
         if self.plan_end > max_stages:
             raise StageBudgetError(
                 f"the complement plan names stage {self.plan_end}, past the "
@@ -439,15 +441,6 @@ class RecursionState:
 
     # -- queries built on the ledger ---------------------------------------
 
-    def coefficient_identity_holds(self, j: int) -> bool:
-        """(L_0 ... L_{j-1}) applied to M column j equals S_j, exactly."""
-        acc = Mat.sum_of_products(
-            ((self.L.coefficient(v - 1), self.m_block(v, j)) for v in range(1, j + 1)),
-            self.codomain_dim,
-            self.domain_dim,
-        )
-        return acc == self.stages[j - 1].s
-
     def jordan_chains(self, length: int) -> Mat:
         """The chains of the given length as the columns of one
         length*n x dim N_length matrix, each the stacked chain
@@ -464,37 +457,31 @@ class RecursionState:
         column = Mat.vstack([self.m_block(i, length) for i in range(1, length + 1)])
         return column @ self.stages[length - 1].n.basis
 
-    def phi_coefficient(self, i: int) -> Mat:
-        """phi_i = M_{k+1, k+1+i}; stage k+1+i must be genuine. phi_0 is the
-        shared identity, as every diagonal M block is M_{1,1} = I."""
-        if i < 0:
-            raise ValueError(f"phi has no coefficient of order {i}")
-        k = self._require_stabilized()
-        self.ensure_stages(k + 1 + i)
-        return self.m_block(k + 1, k + 1 + i)
-
-    def psi_coefficient(self, i: int) -> Mat:
-        """psi_i = sum_j S_{i+j} Splus_j over j = 1..k+1 (psi_0 = I)."""
-        if i < 0:
-            raise ValueError(f"psi has no coefficient of order {i}")
-        k = self._require_stabilized()
-        if i == 0:
-            return Mat.identity(self.codomain_dim)
-        self.ensure_stages(k + 1 + i)
-        return Mat.sum_of_products(
-            ((self.stages[i + j - 1].s, self.stages[j - 1].splus) for j in range(1, k + 2)),
-            self.codomain_dim,
-            self.codomain_dim,
-        )
+    def phi_coefficients(self, t: int) -> list[Mat]:
+        """phi_0..phi_t, phi_i = M_{k+1, k+1+i}, from the stages through
+        k+1+t. phi_0 is the shared identity, as every diagonal M block is
+        M_{1,1} = I."""
+        k = self._stages_through("phi", t)
+        return [self.m_block(k + 1, k + 1 + i) for i in range(t + 1)]
 
     def psi_coefficients(self, t: int) -> list[Mat]:
-        """psi_0..psi_t; psi_coefficient forms each index once per run and
-        a deeper request extends the stored ones."""
-        while len(self._psi) <= t:
-            self._psi.append(self.psi_coefficient(len(self._psi)))
+        """psi_0..psi_t: psi_0 = I and psi_i = sum_j S_{i+j} Splus_j over
+        j = 1..k+1, each formed once per run; a deeper request extends the
+        stored ones."""
+        k, m = self._stages_through("psi", t), self.codomain_dim
+        if not self._psi:
+            self._psi.append(Mat.identity(m))
+        for i in range(len(self._psi), t + 1):
+            pairs = ((self.stages[i + j - 1].s, self.stages[j - 1].splus) for j in range(1, k + 2))
+            self._psi.append(Mat.sum_of_products(pairs, m, m))
         return self._psi[: t + 1]
 
-    def _require_stabilized(self) -> int:
+    def _stages_through(self, name: str, t: int) -> int:
+        """k, once the stages through k+1+t have run for the series ``name``
+        through order t."""
+        if t < 0:
+            raise ValueError(f"{name} has no coefficient of order {t}")
         if self.stabilization_k is None:
             raise ValueError("stabilization has not been certified yet")
+        self.ensure_stages(self.stabilization_k + 1 + t)
         return self.stabilization_k

@@ -123,8 +123,10 @@ def _residual(result: DiagonalizationResult) -> Proof:
 
 def _coefficient_identity(result: DiagonalizationResult) -> Proof:
     state = result.state
+    m, n = state.codomain_dim, state.domain_dim
     for j in range(1, state.stage_count + 1):
-        if not state.coefficient_identity_holds(j):
+        pairs = ((state.L.coefficient(v - 1), state.m_block(v, j)) for v in range(1, j + 1))
+        if Mat.sum_of_products(pairs, m, n) != state.stage(j).s:
             return False, f"column {j} violates the coefficient identity"
     return True, f"(L_0..L_{{j-1}}) * M_j == S_j for all {state.stage_count} stages"
 
@@ -212,7 +214,7 @@ def _generalized_inverse_axioms(result: DiagonalizationResult) -> Proof:
 
 def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
     family, order = result.state.input_family, result.order
-    if family.rows != family.cols or result.generic_rank != family.rows:
+    if family.rows != family.cols or result.state.generic_rank != family.rows:
         return None
     linv = result.generalized_inverse(order)
     oracle = result.series(

@@ -144,6 +144,6 @@ def kernel_range_families(
     ranges = [st.r.basis for st in result.stages if st.r.dim > 0]
     range_basis = Mat.hstack([Mat.zeros(result.state.codomain_dim, 0), *ranges])
     return (
-        phi @ MatSeries.constant(result.tail_kernel.basis),
+        phi @ MatSeries.constant(result.stages[-1].n.basis),
         psi @ MatSeries.constant(range_basis),
     )

@@ -153,7 +153,7 @@ class TestDelta:
 
     def test_delta_annihilates_tail_kernel(self):
         result = diagonalize(singular_wide_pencil())
-        tail = result.tail_kernel
+        tail = result.stages[-1].n
         assert tail.dim == 1
         for _, term in result.delta:
             assert (term @ tail.basis).is_zero()
@@ -181,8 +181,8 @@ class TestDiagonalizeEndToEnd:
         product = example1 @ result.phi
         for i in range(11):
             assert product.coefficient(i) == state.stage(i + 1).s
-        tail_n = result.tail_kernel
-        rc = result.tail_cokernel
+        tail_n = result.stages[-1].n
+        rc = result.stages[-1].rc
         for i in range(result.k + 1, 11):
             s_i = product.coefficient(i)
             assert (s_i @ tail_n.basis).is_zero()
@@ -200,7 +200,7 @@ class TestDiagonalizeEndToEnd:
         for _ in range(5):
             fam = random_family(rng, 4, 4, 2, deficit=1)
             result = diagonalize(fam, order=12)
-            if result.generic_rank != 4:
+            if result.state.generic_rank != 4:
                 continue
             linv = result.generalized_inverse(12)
             oracle = direct_laurent_inverse(fam, tail=12)
@@ -314,17 +314,39 @@ class TestInverseFreeProof:
 class TestCoefficientsFormedOnce:
     def test_each_psi_coefficient_formed_once(self, monkeypatch, capsys):
         # invert on the golden cubic reads psi through order + k = 15, after
-        # diagonalize() read it through the working order 12.
-        seen = []
-        original = RecursionState.psi_coefficient
+        # diagonalize() read it through the working order 12. psi_0 = I, and
+        # each later coefficient is one sum of products, formed on the first
+        # read that reaches it; the second read returns the ones formed.
+        seen, read, add = [], RecursionState.psi_coefficients, Mat.sum_of_products
 
-        def counted(state, i):
-            seen.append(i)
-            return original(state, i)
+        def counted(state, t):
+            sums = []
+            with monkeypatch.context() as patch:
+                patch.setattr(Mat, "sum_of_products", lambda *args: sums.append(t) or add(*args))
+                coeffs = read(state, t)
+            seen.append((coeffs, len(sums)))
+            return coeffs
 
-        monkeypatch.setattr(RecursionState, "psi_coefficient", counted)
+        monkeypatch.setattr(RecursionState, "psi_coefficients", counted)
         assert main(["invert", DATA]) == 0
-        assert seen == list(range(16))
+        assert [(len(coeffs), sums) for coeffs, sums in seen] == [(13, 12), (16, 3)]
+        assert all(a is b for a, b in zip(seen[0][0], seen[1][0]))
+
+    @pytest.mark.parametrize("series", [phi_series, psi_series])
+    def test_one_stage_run_per_build(self, example1, series, monkeypatch):
+        # Through order 12 on the golden cubic (k = 3): one call runs the
+        # stages through k + 1 + 12 = 16.
+        state = RecursionState(example1)
+        state.run_until_stabilized()
+        calls, ensure = [], RecursionState.ensure_stages
+
+        def counted(state, count):
+            calls.append(count)
+            return ensure(state, count)
+
+        monkeypatch.setattr(RecursionState, "ensure_stages", counted)
+        assert series(state, 12).degree == 12
+        assert calls == [16]
 
 
 class TestGeneralizedInverse:

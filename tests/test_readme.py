@@ -27,6 +27,7 @@ def test_quick_start_values():
         "result.k                      # 3:",
         "result.smith_exponents()      # (0, 1, 3)",
         "result.delta_series()         # [[1,0,0],[0,0,eps],[0,-eps^3,0]]",
+        "result.stages[-1].n.dim       # 0: the tail kernel",
         "inverse.pole                  # 3",
         "chains = result.state.jordan_chains(3)   # 9 x 1:",
     ):
@@ -43,6 +44,7 @@ def test_quick_start_values():
         ]
     )
     assert result.delta_series() == expected
+    assert result.stages[-1].n.dim == 0
     assert inverse.pole == 3
     assert not inverse.coefficient(-3).is_zero()
     assert (chains.rows, chains.cols) == (9, 1)

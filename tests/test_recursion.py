@@ -27,6 +27,8 @@ from localsmith import (
     linearize_polynomial,
     parse_complement_plan,
     parse_family,
+    phi_series,
+    psi_series,
     spec_to_series,
 )
 from localsmith.cli import main
@@ -299,8 +301,9 @@ class TestEMColumns:
             state = RecursionState(fam)
             state.run_until_stabilized()
             state.ensure_stages(state.stabilization_k + 4)
-            for j in range(1, state.stage_count + 1):
-                assert state.coefficient_identity_holds(j)
+            passed, detail = dict(CHECKS)["coefficient-identity"](SimpleNamespace(state=state))
+            assert passed, detail
+            assert detail.endswith(f"for all {state.stage_count} stages")
 
     def test_post_stabilization_patterns(self):
         rng = random.Random(43)
@@ -698,7 +701,7 @@ class TestSharedIdentityBlocks:
         for j in range(1, state.stage_count + 1):
             assert state.e_block(j, j) is identity, j
             assert state.m_block(j, j) is identity, j
-        assert state.phi_coefficient(0) is identity
+        assert state.phi_coefficients(0)[0] is identity
 
 
 class TestCoupledColumns:
@@ -904,6 +907,14 @@ class TestStabilization:
         state = RecursionState(example1, plan)
         assert state.run_until_stabilized() == 3 and state.stage_count == 4
 
+    @pytest.mark.parametrize("stage", [6, 30])
+    def test_library_entry_naming_no_basis_runs_no_stage(self, example1, stage):
+        # A plan built in code may hold an entry with no basis; like one
+        # parse_complement_plan drops, it neither runs its stage nor meets
+        # the budget of 11 stages, which stage 30 is past.
+        state = RecursionState(example1, {stage: (None, None)})
+        assert state.run_until_stabilized() == 3 and state.stage_count == 4
+
 
 class TestLedgerIndices:
     """Every accessor of the ledger refuses an index outside it, rather
@@ -940,10 +951,15 @@ class TestLedgerIndices:
 
     @pytest.mark.parametrize("name", ["phi", "psi"])
     def test_transformation_coefficients(self, state, name):
-        read = getattr(state, f"{name}_coefficient")
-        assert read(0).is_identity()
-        with pytest.raises(ValueError, match=rf"^{name} has no coefficient of order -1$"):
-            read(-1)
+        read = getattr(state, f"{name}_coefficients")
+        [first] = read(0)
+        assert first.is_identity()
+        series = {"phi": phi_series, "psi": psi_series}[name]
+        for depth in (-1, -3):
+            with pytest.raises(ValueError, match=rf"^{name} has no coefficient of order {depth}$"):
+                read(depth)
+            with pytest.raises(ValueError, match=rf"^{name} has no coefficient of order {depth}$"):
+                series(state, depth)
 
     def test_jordan_chains(self, state):
         assert state.jordan_chains(1).cols == state.stage(1).n.dim
