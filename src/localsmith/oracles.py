@@ -102,7 +102,8 @@ def direct_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
     and adjugate are polynomials of bounded degree, recovered exactly by
     interpolating their values at integer sample points, and the quotient
     adj/det is expanded as a Laurent series through order ``tail``. Fails if
-    the family is generically singular.
+    the family is generically singular, or if ``tail`` lies below minus the
+    determinant's valuation, where no coefficient is asked for.
 
     The family's value at t = 1 .. 2 n d + 1 is an integer grid G over the
     coefficients' common denominator D. At the first n d + 1 points where
@@ -134,6 +135,8 @@ def direct_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
     poly = _newton_interpolate(xs, values)
     pole_det = next(e for e, row in enumerate(poly) if row[0])
     depth = tail + pole_det
+    if depth < 0:
+        raise ValueError(f"tail {tail} is below -{pole_det}, minus the determinant's valuation")
     # With u = sign * det / eps^pole and u_0 > 0, eps^pole / det is
     # sum_m w_m eps^m / u_0^(depth+1) with integers w_0 = sign u_0^depth and
     # u_0 w_m = -sum_{j>=1} u_j w_{m-j}.

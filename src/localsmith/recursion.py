@@ -88,15 +88,16 @@ coupling and the ``verify`` checks.
 
 Only ``verify`` reads E blocks, and no stage records any. ``e_block``
 builds column j on its first read with ``_build_e_column``, the bottom-up
-solve of the system above under the gains S_i^+, and keeps its nonzero
-blocks by row; ``verify``'s triangular-system runs the same solve under
-S_i^+ calP_i. E_{1,j} is held apart from M_{1,j}, which it equals.
+solve of the system above under the ledger's S_i^+, and keeps its nonzero
+blocks by row. The paper's system has S_i^+ calP_i in place of S_i^+; the
+stage step makes the two equal, and ``verify``'s triangular-system proves
+it stage by stage, so the one solve is the system's. E_{1,j} is held apart
+from M_{1,j}, which it equals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     InputError,
@@ -262,14 +263,13 @@ class RecursionState:
         return self.M_cols[j - 1][i - 1]
 
     def e_block(self, i: int, j: int) -> Mat:
-        """E_{i,j} for 1 <= i <= j <= stage_count; column j is solved under
-        the gains S_i^+ on its first read and kept."""
+        """E_{i,j} for 1 <= i <= j <= stage_count; column j is solved on its
+        first read and kept."""
         if not 1 <= i <= j <= len(self.stages):
             raise IndexError(f"E_{{{i},{j}}} is outside the ledger of {len(self.stages)} stages")
         column = self.E_cols.get(j)
         if column is None:
-            gains = [st.splus for st in self.stages]
-            column = self.E_cols[j] = self._build_e_column(j, gains)
+            column = self.E_cols[j] = self._build_e_column(j)
         block = column.get(i)
         return Mat.zeros(self.domain_dim, self.domain_dim) if block is None else block
 
@@ -387,20 +387,20 @@ class RecursionState:
         [block] = head.blocks(n, (top - 1) * n, top * n)
         return MColumn(head, top, [None] * (top - 1) + [block] + prev.blocks[top - 1 :])
 
-    def _build_e_column(self, j: int, gains: Sequence[Mat]) -> dict[int, Mat]:
+    def _build_e_column(self, j: int) -> dict[int, Mat]:
         """E column j by the bottom-up solve E_{j,j} = I,
-        E_{i,j} = -G_i sum_{v>i} Sbar_v E_{v,j} with G_i = gains[i - 1], as
-        its nonzero blocks by row: a row whose gain is zero, or that the
-        rows below leave nothing to map, makes no product."""
+        E_{i,j} = -S_i^+ sum_{v>i} Sbar_v E_{v,j}, as its nonzero blocks by
+        row: a row whose S_i^+ is zero, or that the rows below leave nothing
+        to map, makes no product."""
         column = {j: Mat.identity(self.domain_dim)}
         # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
         acc = self.stages[j - 1].sbar
         for i in range(j - 1, 0, -1):
             if i + 1 < j and i + 1 in column:
                 acc = acc + self.stages[i].sbar @ column[i + 1]
-            gain = gains[i - 1]
-            if not (gain.is_zero() or acc.is_zero()):
-                block = -(gain @ acc)
+            splus = self.stages[i - 1].splus
+            if not (splus.is_zero() or acc.is_zero()):
+                block = -(splus @ acc)
                 if not block.is_zero():
                     column[i] = block
         return column

@@ -15,13 +15,10 @@ the others recompute from the recursion's own ledger and transformations.
    result's store: built once, through the deepest order any check asks for.
 2. coefficient-identity: (L_0 .. L_{j-1}) M_j == S_j for every stage j.
 3. triangular-system: E_ij + sum_{v>i} S_i^+ calP_i Sbar_v E_vj == delta_ij I
-   for every (i, j). The ledger's E columns are the bottom-up solve under
-   the gains S_i^+ (``RecursionState._build_e_column``), so the system
-   holds by construction where every S_i^+ calP_i equals S_i^+. Where one
-   differs, every E block of the ledger is compared with the solve under
-   the gains S_i^+ calP_i, and with zero where that solve has no block:
-   going bottom-up, the system holds at (i, j) exactly when the blocks
-   below agree.
+   for every (i, j), proven as S_i^+ calP_i == S_i^+ at every stage. The
+   ledger's E columns are the bottom-up solve under S_i^+
+   (``RecursionState._build_e_column``), so under that identity they solve
+   the system. The first stage where it fails is named.
 4. toeplitz-kernel-dims (oracle): the length-l block Toeplitz kernel has
    dimension dim N_1 + ... + dim N_l, for l = 1 .. k+1; every rank is read
    off one rref of the length-(k+1) matrix.
@@ -132,21 +129,9 @@ def _coefficient_identity(result: DiagonalizationResult) -> Proof:
 
 
 def _triangular_system(result: DiagonalizationResult) -> Proof:
-    # Going bottom-up, the system holds at row i of column j exactly when
-    # E_{i,j} is the solve's block given the blocks below it. The ledger's E
-    # columns are the solve under the gains S_i^+, so the system holds by
-    # construction where every S_i^+ calP_i is S_i^+. Otherwise every ledger
-    # block is compared with the solve under S_i^+ calP_i, and the lowest
-    # block that differs is a row where the system fails.
-    state = result.state
-    gains = [stage.splus @ stage.calp for stage in state.stages]
-    if any(gain != stage.splus for gain, stage in zip(gains, state.stages)):
-        zero = Mat.zeros(state.domain_dim, state.domain_dim)
-        for j in range(1, state.stage_count + 1):
-            column = state._build_e_column(j, gains)
-            for i in range(j, 0, -1):
-                if state.e_block(i, j) != column.get(i, zero):
-                    return False, f"system row {i}, column {j}"
+    for stage in result.state.stages:
+        if stage.splus @ stage.calp != stage.splus:
+            return False, f"S_i^+ calP_i != S_i^+ at stage {stage.index}"
     return True, "E columns solve the block-triangular system"
 
 

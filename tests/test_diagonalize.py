@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from localsmith import (
     InputError,
@@ -18,8 +19,11 @@ from localsmith import (
     analyze,
     diagonalize,
     direct_laurent_inverse,
+    parse_complement_plan,
+    parse_family,
     phi_series,
     psi_series,
+    spec_to_series,
 )
 from localsmith.cli import main
 
@@ -30,9 +34,13 @@ from conftest import (
     example1_family,
     random_family,
     random_matrix,
+    smith_families,
     smith_structured_family,
 )
 from reference import from_columns, identity_series, kernel_range_families
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+REPORTS = os.path.join(DATA, "reports")
 
 
 def geometric(period: int, upto: int) -> list[int]:
@@ -128,6 +136,64 @@ class TestTransformations:
         result = diagonalize(example1)
         assert phi.eq_through(result.phi, 6)
         assert psi.eq_through(result.psi, 6)
+
+
+def assert_psi_past_k_in_tail_cokernel(result) -> int:
+    """For i > k, psi_i = Qc_{k+1} sum_j Sbar_{i+j} S_j^+ over j = 1..k+1,
+    through the working order: (calP_1 + ... + calP_{k+1}) psi_i = 0, and
+    psi_i = 0 when Rc_{k+1} is zero. Returns the count of nonzero psi_i
+    past k."""
+    state, k, m = result.state, result.k, result.state.codomain_dim
+    ranges = sum((st.calp for st in result.stages), Mat.zeros(m, m))
+    tail = Mat.identity(m) - ranges
+    nonzero = 0
+    for i in range(k + 1, result.order + 1):
+        psi = result.psi.coefficient(i)
+        pairs = ((state.stage(i + j).sbar, state.stage(j).splus) for j in range(1, k + 2))
+        assert psi == tail @ Mat.sum_of_products(pairs, m, m), i
+        assert (ranges @ psi).is_zero(), i
+        if result.stages[-1].rc.dim == 0:
+            assert psi.is_zero(), i
+        nonzero += not psi.is_zero()
+    return nonzero
+
+
+PSI_FAMILIES = sorted(
+    (os.path.join(root, name), None)
+    for root in (DATA, REPORTS)
+    for name in os.listdir(root)
+    if name.endswith(".json") and not name.startswith("plan_")
+) + [
+    (os.path.join(DATA, "example1.json"), "plan_stage1.json"),
+    (os.path.join(REPORTS, "rect3x2.json"), "plan_late.json"),
+]
+
+
+class TestPsiPastK:
+    """Past stage k+1 no stage inverts, so S_j = Qc_{k+1} Sbar_j for
+    j >= k+2, and psi_i = sum_j S_{i+j} S_j^+ lies in Rc_{k+1} for i > k."""
+
+    @pytest.mark.parametrize(
+        "path, plan",
+        PSI_FAMILIES,
+        ids=[f"{os.path.basename(path)}-{plan or 'pivot'}" for path, plan in PSI_FAMILIES],
+    )
+    def test_on_data_families(self, path, plan):
+        with open(path, "r", encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read()))
+        complements = None
+        if plan is not None:
+            with open(os.path.join(REPORTS, plan), "r", encoding="utf-8") as handle:
+                complements = parse_complement_plan(handle.read())
+        nonzero = assert_psi_past_k_in_tail_cokernel(diagonalize(family, complements=complements))
+        # The tall rect3x2 is the one family with a nonzero tail cokernel:
+        # psi_i is nonzero at every order 2..12 past k = 1.
+        assert nonzero == (11 if path.endswith("rect3x2.json") else 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(smith_families())
+    def test_on_smith_families(self, family):
+        assert_psi_past_k_in_tail_cokernel(diagonalize(family))
 
 
 class TestDelta:

@@ -257,6 +257,17 @@ class TestDirectLaurentInverse:
         with pytest.raises(ValueError, match="singular"):
             direct_laurent_inverse(fam, tail=4)
 
+    def test_tail_below_the_valuation_rejected(self, example1):
+        """det L has valuation 4 on example1: tail -4 asks for the eps^-4
+        coefficient alone, and a tail below it for no coefficient."""
+        inverse = direct_laurent_inverse(example1, tail=-4)
+        assert inverse.tail_order == -4
+        assert inverse.coefficient(-4) == direct_laurent_inverse(example1, tail=8).coefficient(-4)
+        for tail in (-5, -9):
+            message = f"tail {tail} is below -4, minus the determinant's valuation"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                direct_laurent_inverse(example1, tail=tail)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(square_families(), st.integers(0, 12))
     @example(SINGULAR_AT_ONE, 6)

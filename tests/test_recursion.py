@@ -369,9 +369,9 @@ class TestLazyEColumns:
                 states.append(self)
             return build_m(self, j, sbar)
 
-        def e_column(self, j, gains):
+        def e_column(self, j):
             formed.append((self, j))
-            return build_e(self, j, gains)
+            return build_e(self, j)
 
         monkeypatch.setattr(RecursionState, "_build_m_column", m_column)
         monkeypatch.setattr(RecursionState, "_build_e_column", e_column)

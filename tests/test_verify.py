@@ -109,15 +109,15 @@ def test_one_direct_inverse_per_verify(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("case", sorted(FAMILIES))
 def test_verify_forms_each_e_column_once(case, monkeypatch, capsys):
     """verify solves the E columns of the state it checks, each once and
-    only in post-stabilization-structure: every S_i^+ calP_i is S_i^+, so
-    triangular-system solves nothing. No other state, the linearization
-    pencil's included, solves any."""
+    only in post-stabilization-structure: triangular-system proves
+    S_i^+ calP_i == S_i^+ and solves nothing. No other state, the
+    linearization pencil's included, solves any."""
     formed, build = [], RecursionState._build_e_column
     check = dict(CHECKS)["post-stabilization-structure"]
 
-    def building(self, j, gains):
+    def building(self, j):
         formed.append((self, j, checking))
-        return build(self, j, gains)
+        return build(self, j)
 
     def structure(result):
         nonlocal checking
@@ -173,10 +173,10 @@ def test_verify_eliminations(path, limit, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", ["smith4x4k8", "dense6x6", "rect2x3"])
 def test_triangular_system_products(name, monkeypatch):
-    """triangular-system forms one gain S_i^+ calP_i per stage. Each equals
-    S_i^+, whose solve the ledger's E columns are, so the check makes no
-    other product; smith4x4k8 has 29 stages. Every E column is formed
-    before the count, so that it counts the check's own products only."""
+    """triangular-system forms one product S_i^+ calP_i per stage, to prove
+    it equal to S_i^+, and no other; smith4x4k8 has 29 stages. Every E
+    column is formed before the count, so that it counts the check's own
+    products only."""
     with open(os.path.join(REPORTS, f"{name}.json"), "r", encoding="utf-8") as handle:
         result = diagonalize(spec_to_series(parse_family(handle.read())))
     state = result.state
@@ -197,17 +197,16 @@ def test_triangular_system_products(name, monkeypatch):
 
 
 def assert_one_e_triangle(result):
-    """The bottom-up solves under the gains S_i^+ and S_i^+ calP_i give the
-    same blocks, and they are the ledger's E blocks, zero where the solve
-    has none. triangular-system rests on the first equality, and
-    post-stabilization-structure reads the ledger's blocks."""
+    """S_i^+ calP_i == S_i^+ at every stage, so the bottom-up solve under
+    S_i^+ is the system's, and the ledger's E blocks are that solve's
+    blocks, zero where it has none. triangular-system rests on the
+    identity, and post-stabilization-structure reads the ledger's blocks."""
     state = result.state
-    plain = [st.splus for st in state.stages]
-    projected = [st.splus @ st.calp for st in state.stages]
+    for st in state.stages:
+        assert st.splus @ st.calp == st.splus, st.index
     zero = Mat.zeros(state.domain_dim, state.domain_dim)
     for j in range(1, state.stage_count + 1):
-        column = state._build_e_column(j, plain)
-        assert state._build_e_column(j, projected) == column
+        column = state._build_e_column(j)
         blocks = [column.get(i, zero) for i in range(1, j + 1)]
         assert [state.e_block(i, j) for i in range(1, j + 1)] == blocks
 
@@ -324,10 +323,10 @@ def _chain_fault(length):
 
 # Each fault in the ledger of example1 (k = 3) -> the checks it fails: e1 e1^T
 # added to a value of stage 2, or to one E or M block, or 1 to an entry of
-# one Jordan chain of length 2. The ledger's E columns are the solve under
-# S_i^+, so triangular-system sees a fault only where some S_i^+ calP_i
-# differs from S_i^+ (splus2); post-stabilization-structure sees a faulted
-# E block through the M recurrence, and E_{1,2} through M_{1,2} = E_{1,2}.
+# one Jordan chain of length 2. triangular-system sees a fault only where
+# some S_i^+ calP_i differs from S_i^+ (splus2); post-stabilization-structure
+# sees a faulted E block through the M recurrence, and E_{1,2} through
+# M_{1,2} = E_{1,2}.
 # Stage 3 does not invert, so E_{3,4} is a zero block made nonzero.
 LEDGER_FAULTS = {
     "p2": (_stage_fault("p"), {"smith-identities", "projector-families"}),
@@ -387,13 +386,13 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
 
 
 def count_e_solves(monkeypatch, fault=None):
-    """The E columns verify solves, one (state, j, gains) entry per solve,
-    for example1 with ``fault`` applied to its ledger after diagonalize."""
+    """The E columns verify solves, one (state, j) entry per solve, for
+    example1 with ``fault`` applied to its ledger after diagonalize."""
     solves, run, build = [], cli._run, RecursionState._build_e_column
 
-    def counted(state, j, gains):
-        solves.append((state, j, tuple(gains)))
-        return build(state, j, gains)
+    def counted(state, j):
+        solves.append((state, j))
+        return build(state, j)
 
     def faulty(pipeline, family, args):
         result = run(pipeline, family, args)
@@ -410,17 +409,13 @@ def count_e_solves(monkeypatch, fault=None):
 
 @pytest.mark.parametrize("case", sorted(FAMILIES))
 def test_one_e_solve_per_verify(case, monkeypatch, capsys):
-    """S_i^+ calP_i equals S_i^+ at every stage, so triangular-system and
-    post-stabilization-structure read one E solve: each column is solved
-    once, under the gains S_i^+, on one state."""
+    """triangular-system and post-stabilization-structure read one E solve:
+    each column is solved once, under the ledger's S_i^+, on one state."""
     solves = count_e_solves(monkeypatch)
     assert main(["verify", FAMILIES[case]]) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"]
-    [state] = {state for state, _, _ in solves}
-    # Later checks may run further stages, past the gains of the solve.
-    splus = tuple(st.splus for st in state.stages)
-    assert all(gains == splus[: len(gains)] for _, _, gains in solves)
-    columns = [j for _, j, _ in solves]
+    [state] = {state for state, _ in solves}
+    columns = [j for _, j in solves]
     assert sorted(columns) == list(range(1, len(columns) + 1))
 
 
@@ -430,29 +425,36 @@ def _calp1_fault(state):
 
 
 @pytest.mark.parametrize(
-    "fault, solves, failing",
+    "fault, stage, failing",
     [
         # S_2^+ = e3 e2^T has a zero first column, so S_2^+ calP_2 keeps
-        # its value under the calp2 fault, and the solve is shared.
-        (LEDGER_FAULTS["calp2"][0], 1, LEDGER_FAULTS["calp2"][1]),
+        # its value under the calp2 fault.
+        (LEDGER_FAULTS["calp2"][0], None, LEDGER_FAULTS["calp2"][1]),
         # S_1^+ = calP_1 = e1 e1^T: S_1^+ (calP_1 + e1 e1^T) = 2 S_1^+.
-        (_calp1_fault, 2, {"projector-families", "triangular-system"}),
+        (_calp1_fault, 1, {"projector-families", "triangular-system"}),
+        # (S_2^+ + e1 e1^T) calP_2 drops the added e1 e1^T.
+        (LEDGER_FAULTS["splus2"][0], 2, LEDGER_FAULTS["splus2"][1]),
     ],
-    ids=["calp2", "calp1"],
+    ids=["calp2", "calp1", "splus2"],
 )
-def test_e_solve_is_shared_only_under_equal_gains(fault, solves, failing, monkeypatch, capsys):
-    """A calP fault that changes some S_i^+ calP_i makes triangular-system
-    solve under those gains, and post-stabilization-structure still reads
-    the solve under S_i^+ alone; one that changes none shares the solve.
-    ``solves`` is the number of distinct gains solved under, and no column
-    is solved twice under the same gains."""
+def test_triangular_system_names_the_first_failing_stage(
+    fault, stage, failing, monkeypatch, capsys
+):
+    """triangular-system fails at the first stage where S_i^+ calP_i
+    differs from S_i^+, and passes where none does (``stage`` None). It
+    solves no E column, so even on a faulty ledger verify solves each
+    column once, on one state."""
     entries = count_e_solves(monkeypatch, fault)
     assert main(["verify", FAMILIES["cubic-verify"]]) == 3
     report = json.loads(capsys.readouterr().out)
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
-    assert len({id(state) for state, _, _ in entries}) == 1
-    assert len({gains for _, _, gains in entries}) == solves
-    assert len({(j, gains) for _, j, gains in entries}) == len(entries)
+    [record] = [c for c in report["checks"] if c["name"] == "triangular-system"]
+    if stage is None:
+        assert record["status"] == "pass"
+    else:
+        assert record["detail"] == f"S_i^+ calP_i != S_i^+ at stage {stage}"
+    assert len({id(state) for state, _ in entries}) == 1
+    assert len(set(entries)) == len(entries)
 
 
 def test_shift_fault_fails_through_the_recurrence():
