@@ -150,6 +150,10 @@ LARGE_CASES = {
         ["jordan", DENSE16, "--length", "1"],
         "580fe6b9e6f0fc333389ce09227220c44db107b5831d8bea328a8754d2e2356c",
     ),
+    "dense16-linearize": (
+        ["linearize", DENSE16],
+        "9d29973d824aa6cb648003dda92be9da305df0323db0d443cc1fc9ddebddc016",
+    ),
     "smith7k16-analyze": (
         ["analyze", SMITH7K16],
         "de1842dbf5d2842ab92e28486aff9e70e1e4e1a7b423ee7ab03e4482ec77cdc1",
@@ -165,6 +169,14 @@ LARGE_CASES = {
     "smith7k16-smith": (
         ["smith", SMITH7K16],
         "70bfe314fa04acf61c8688431a2e652de169231bbb220f819eaa6c6421b8dacb",
+    ),
+    "smith7k16-verify": (
+        ["verify", SMITH7K16],
+        "a83615f648f97051f2301fa99ca7921ed35f67cbbfb55e5a577f98ad2d29a78d",
+    ),
+    "smith7k16-linearize": (
+        ["linearize", SMITH7K16],
+        "3b5476eb0e742f7ccc4fc274f2751b3f77966dc9dcb5c04b1d38181ad4389906",
     ),
     "smith7k16-jordan-9": (
         ["jordan", SMITH7K16, "--length", "9"],
