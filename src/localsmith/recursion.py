@@ -22,6 +22,22 @@ given Nc_j basis is valid exactly when it has dim R_j columns, Q_{j-1}
 fixes it and S_j maps it to independent columns, which then span R_j.
 No basis is inverted.
 
+The stage step comes in two parts, so that no stage pays for what no one
+reads. ``run_stage`` forms S̄_j and S_j, splits N_{j-1}, and runs the rank
+guard and the certificate, which read only dim R_j. Finishing the stage,
+the second rref, calP_j, S_j^+, the ``Stage`` record, the coupling, M
+column j and the Qc update, waits until stage j+1 starts, which reads
+Qc_j and column j, or until a reader of the ledger asks: ``stages``,
+``stage``, ``m_block``, ``e_block``, ``jordan_chains``, the phi and psi
+readers and ``ensure_stages`` finish the pending stage first, and
+``stage_count`` counts it without finishing it. So ``run_until_stabilized``
+returns with stage k+1 pending, and a caller that reads only k, such as
+the companion pencil's, pays for no finishing of it. A stage that the
+complement plan names is finished at once, so a bad given basis is refused
+when its stage runs. P_j is formed on its own first read, and Q_{j-1},
+which only P_j and the given-Nc check read, by one loop over the stages
+that it has not yet folded in; it is kept.
+
 A stage is *degenerate* when that product is zero: every stage past k+1,
 and a gap stage where the Smith exponents skip a value. Then
 N_j = N_{j-1}, Rc_j = Rc_{j-1}, and Nc_j, R_j, P_j, calP_j and S_j^+ are
@@ -37,7 +53,9 @@ zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
 so forms two products, S_j = Qc_{j-1} S̄_j and the degeneracy product,
 and two packed ones (below), S̄_j and its M column, and runs the rank
 guard on a running range total; its zero blocks and E_{j,j} = I are
-shared by every stage.
+shared by every stage. Every subspace the engine builds, but a given basis
+and its image, has a basis independent by construction, so none is tested
+by a rank.
 
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
@@ -97,6 +115,7 @@ from M_{1,j}, which it equals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -127,9 +146,30 @@ def generic_rank(family: MatSeries) -> int:
     return best
 
 
+class _FormedOnRead:
+    """A ``Stage`` field that may be given as a function of no arguments:
+    its first read calls it, and the value is kept."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, stage, owner=None):
+        if stage is None:
+            # No class-level value, so the dataclass field has no default.
+            raise AttributeError(self.key[1:])
+        value = stage.__dict__[self.key]
+        if not isinstance(value, Mat):
+            value = stage.__dict__[self.key] = value()
+        return value
+
+    def __set__(self, stage, value):
+        stage.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class Stage:
-    """The per-stage ledger: operators, subspaces, projections, inverse."""
+    """The per-stage ledger: operators, subspaces, projections, inverse.
+    P is formed on its first read."""
 
     index: int
     sbar: Mat
@@ -138,7 +178,7 @@ class Stage:
     r: Subspace
     nc: Subspace
     rc: Subspace
-    p: Mat
+    p: Mat = _FormedOnRead()
     calp: Mat
     splus: Mat
 
@@ -221,7 +261,10 @@ class RecursionState:
                 f"budget of {max_stages} stages"
             )
         self.generic_rank = generic_rank(self.L)
-        self.stages: list[Stage] = []
+        # The finished stages; ``stages`` finishes the pending one first.
+        self._stages: list[Stage] = []
+        # (j, Sbar_j, S_j, N_j, R_j, Nc_j) of the stage run but not finished.
+        self._pending: tuple | None = None
         # E column j as its nonzero blocks by row, solved on its first read.
         self.E_cols: dict[int, dict[int, Mat]] = {}
         self.M_cols: list[MColumn] = []
@@ -230,9 +273,10 @@ class RecursionState:
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
-        # Q_j and Qc_j, the projections onto N_j and Rc_j along the earlier
-        # complements and ranges, after the stages so far.
-        self._q = Mat.identity(self.domain_dim)
+        # Q_0, Q_1, ..., the projections onto N_i along Nc_1 .. Nc_i, as
+        # far as a P or a given Nc has read them; Qc_j, the projection onto
+        # Rc_j along R_1 .. R_j, after the finished stages.
+        self._q = [Mat.identity(self.domain_dim)]
         self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
@@ -247,17 +291,26 @@ class RecursionState:
     # -- accessors ------------------------------------------------------
 
     @property
+    def stages(self) -> list[Stage]:
+        """The ledger, the pending stage finished."""
+        self._finish_stage()
+        return self._stages
+
+    @property
     def stage_count(self) -> int:
-        return len(self.stages)
+        """The stages run, the pending one included; nothing is finished."""
+        return len(self._stages) + (self._pending is not None)
 
     def stage(self, i: int) -> Stage:
         """Stage i for 1 <= i <= stage_count."""
-        if not 1 <= i <= len(self.stages):
-            raise IndexError(f"stage {i} is outside the ledger of {len(self.stages)} stages")
-        return self.stages[i - 1]
+        stages = self.stages
+        if not 1 <= i <= len(stages):
+            raise IndexError(f"stage {i} is outside the ledger of {len(stages)} stages")
+        return stages[i - 1]
 
     def m_block(self, i: int, j: int) -> Mat:
         """M_{i,j} for 1 <= i <= j <= stage_count."""
+        self._finish_stage()
         if not 1 <= i <= j <= len(self.M_cols):
             raise IndexError(f"M_{{{i},{j}}} is outside the ledger of {len(self.M_cols)} stages")
         return self.M_cols[j - 1][i - 1]
@@ -280,31 +333,52 @@ class RecursionState:
     # -- the stage step ---------------------------------------------------
 
     def run_stage(self) -> None:
-        j = len(self.stages) + 1
+        """Run stage j: finish stage j-1, whose Qc_{j-1} and M column S_j
+        reads, then split N_{j-1} under S_j from one product
+        S_j basis(N_{j-1}) and one rref of it, and run the rank guard and
+        the certificate, which read only dim R_j. The rest of stage j
+        waits for ``_finish_stage``, unless the plan names the stage."""
+        j = self.stage_count + 1
         if self.input_trunc is not None and j - 1 > self.input_trunc:
             raise TruncationError(
                 f"stage {j} needs the order-{j - 1} coefficient; input truncated "
                 f"at order {self.input_trunc}"
             )
+        self._finish_stage()
         sbar = self.L.coefficient(0) if j == 1 else self._sbar()
         s = self._qc @ sbar
-        stage = self._split_stage(j, sbar, s)
-        self.stages.append(stage)
+        n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
+        self._pending = (j, sbar, s, n_j, r_j, nc_j)
+        given_nc, given_rc = self.complements.get(j, (None, None))
+        if given_nc is not None or given_rc is not None:
+            # A bad given basis is refused when its stage runs.
+            self._finish_stage()
+        self._detect_stabilization(j, r_j.dim)
+
+    def _finish_stage(self) -> None:
+        """Finish the pending stage j, if any: pick or check Rc_j, record
+        the stage, build M column j and fold an inverting stage into Qc
+        and the coupling."""
+        if self._pending is None:
+            return
+        pending, self._pending = self._pending, None
+        j, sbar = pending[:2]
+        stage = self._record_stage(*pending)
+        self._stages.append(stage)
         if self._coupling is None:
             self._coupling = self._inverting_coupling()
         self.M_cols.append(self._build_m_column(j, sbar))
         if not stage.splus.is_zero():
-            self._q, self._qc = self._q - stage.p, self._qc - stage.calp
+            self._qc = self._qc - stage.calp
             self._inverting.append(j)
             self._coupling = None
-        self._detect_stabilization()
 
-    def _split_stage(self, j: int, sbar: Mat, s: Mat) -> Stage:
-        """The stage step: split N_{j-1} under S_j from one product
-        S_j basis(N_{j-1}) and one rref of it, then pick or check Rc_j and
-        read W off one more rref, against Q_{j-1} and Qc_{j-1}."""
-        prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self.stages[-1].rc
-        n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
+    def _record_stage(
+        self, j: int, sbar: Mat, s: Mat, n_j: Subspace, r_j: Subspace, nc_j: Subspace
+    ) -> Stage:
+        """The stage record: pick or check Rc_j and read W off one rref
+        against Qc_{j-1}, with P_j formed on its first read."""
+        prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self._stages[-1].rc
         given_nc, given_rc = self.complements.get(j, (None, None))
         named = given_nc is not None or given_rc is not None
         n, m = self.domain_dim, self.codomain_dim
@@ -314,7 +388,7 @@ class RecursionState:
         try:
             if given_nc is not None:
                 nc_j = Subspace(n, given_nc)
-                if nc_j.dim != r_j.dim or self._q @ given_nc != given_nc:
+                if nc_j.dim != r_j.dim or self._projection_q(j - 1) @ given_nc != given_nc:
                     raise ValueError("given complement does not complement the kernel")
             image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
             rc_j, w = complement_coordinates(image, prev_rc, self._qc, given_rc)
@@ -325,8 +399,22 @@ class RecursionState:
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
                 f"ambient {n}->{m}): {exc}"
             ) from exc
-        b = nc_j.basis
-        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, b @ (w @ s @ self._q), image.basis @ w, b @ w)
+        p = functools.partial(self._form_p, j, w)
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p, image.basis @ w, nc_j.basis @ w)
+
+    def _form_p(self, j: int, w: Mat) -> Mat:
+        """P_j = basis(Nc_j) W S_j Q_{j-1}, on its first read."""
+        stage = self._stages[j - 1]
+        return stage.nc.basis @ (w @ stage.s @ self._projection_q(j - 1))
+
+    def _projection_q(self, i: int) -> Mat:
+        """Q_i = I - P_1 - ... - P_i, formed by one loop over the stages
+        not yet folded in, and kept: P_j is zero unless stage j inverts."""
+        q = self._q
+        while len(q) <= i:
+            stage = self._stages[len(q) - 1]
+            q.append(q[-1] if stage.splus.is_zero() else q[-1] - stage.p)
+        return q[i]
 
     def _sbar(self) -> Mat:
         """Sbar_j = sum_v L_v M_{v,j-1} over v = 1..deg L, as one packed
@@ -350,7 +438,7 @@ class RecursionState:
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
-            st = self.stages[i - 1]
+            st = self._stages[i - 1]
             gains[i] = -(st.splus @ a)
             if i > self._inverting[0]:
                 a = a + st.sbar @ gains[i]
@@ -394,11 +482,11 @@ class RecursionState:
         to map, makes no product."""
         column = {j: Mat.identity(self.domain_dim)}
         # acc = sum_{v>i} Sbar_v E_{v,j}, starting from Sbar_j E_{j,j} = Sbar_j.
-        acc = self.stages[j - 1].sbar
+        acc = self._stages[j - 1].sbar
         for i in range(j - 1, 0, -1):
             if i + 1 < j and i + 1 in column:
-                acc = acc + self.stages[i].sbar @ column[i + 1]
-            splus = self.stages[i - 1].splus
+                acc = acc + self._stages[i].sbar @ column[i + 1]
+            splus = self._stages[i - 1].splus
             if not (splus.is_zero() or acc.is_zero()):
                 block = -(splus @ acc)
                 if not block.is_zero():
@@ -407,37 +495,40 @@ class RecursionState:
 
     # -- stabilization ----------------------------------------------------
 
-    def _detect_stabilization(self) -> None:
-        """The rank guard on the stage just run, and the certificate: the
-        first stage whose range brings the total to the generic rank is
-        stage k+1."""
-        last = self.stages[-1]
-        self._range_total += last.r.dim
+    def _detect_stabilization(self, j: int, rank: int) -> None:
+        """The rank guard on stage j, just run with dim R_j = ``rank``, and
+        the certificate: the first stage whose range brings the total to
+        the generic rank is stage k+1."""
+        self._range_total += rank
         total = self._range_total
         if total > self.generic_rank:
             raise InternalConsistencyError(
                 f"accumulated range dimension {total} exceeds generic rank "
                 f"{self.generic_rank}"
             )
-        if self.stabilization_k is None and last.r.dim and total == self.generic_rank:
-            self.stabilization_k = last.index - 1
+        if self.stabilization_k is None and rank and total == self.generic_rank:
+            self.stabilization_k = j - 1
 
     def run_until_stabilized(self) -> int:
-        while self.stabilization_k is None:
-            if len(self.stages) >= self.max_stages:
+        """Run the stages through k+1 and the last one the plan names, and
+        return k. The last stage run is left pending: its first reader
+        finishes it."""
+        while self.stabilization_k is None or self.stage_count < self.plan_end:
+            if self.stabilization_k is None and self.stage_count >= self.max_stages:
                 raise StageBudgetError(
                     f"no stabilization certificate within {self.max_stages} stages "
                     f"(accumulated rank {self._range_total} of "
                     f"{self.generic_rank})"
                 )
             self.run_stage()
-        self.ensure_stages(self.plan_end)
         return self.stabilization_k
 
     def ensure_stages(self, count: int) -> None:
-        """Run the stages through ``count`` and the last one the plan names."""
-        while len(self.stages) < max(count, self.plan_end):
+        """Run and finish the stages through ``count`` and the last one the
+        plan names."""
+        while self.stage_count < max(count, self.plan_end):
             self.run_stage()
+        self._finish_stage()
 
     # -- queries built on the ledger ---------------------------------------
 
@@ -455,7 +546,7 @@ class RecursionState:
             )
         self.ensure_stages(length)
         column = Mat.vstack([self.m_block(i, length) for i in range(1, length + 1)])
-        return column @ self.stages[length - 1].n.basis
+        return column @ self._stages[length - 1].n.basis
 
     def phi_coefficients(self, t: int) -> list[Mat]:
         """phi_0..phi_t, phi_i = M_{k+1, k+1+i}, from the stages through
@@ -472,7 +563,8 @@ class RecursionState:
         if not self._psi:
             self._psi.append(Mat.identity(m))
         for i in range(len(self._psi), t + 1):
-            pairs = ((self.stages[i + j - 1].s, self.stages[j - 1].splus) for j in range(1, k + 2))
+            stages = self._stages
+            pairs = ((stages[i + j - 1].s, stages[j - 1].splus) for j in range(1, k + 2))
             self._psi.append(Mat.sum_of_products(pairs, m, m))
         return self._psi[: t + 1]
 

@@ -8,11 +8,17 @@ columns off the same rref (``complement_coordinates``). ``choose_complement``,
 formulas, by rank tests, a basis inverse and a solve, that the engine's
 complements, P, calP and S^+ are tested against. Zero-dimensional subspaces
 are first-class throughout; callers never special-case them.
+
+A ``Subspace`` tests its basis by a rank unless it is built ``trusted``:
+the bases independent by construction are. They are the identity and
+empty bases, rref pivot columns, an independent basis times nullspace
+columns, and pivot subsets of an independent basis. Every basis a caller
+passes in keeps the test, and every basis keeps its shape check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 from .matrix import Mat
@@ -20,24 +26,28 @@ from .matrix import Mat
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^n given by an independent-column basis matrix."""
+    """A subspace of K^n given by an independent-column basis matrix.
+
+    ``trusted`` marks a basis independent by construction, whose rank is
+    not tested; its shape still is."""
 
     ambient_dim: int
     basis: Mat
+    trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, trusted: bool):
         if self.basis.rows != self.ambient_dim:
             raise ValueError("basis has the wrong ambient dimension")
-        if self.basis.cols and self.basis.rank() != self.basis.cols:
+        if not trusted and self.basis.cols and self.basis.rank() != self.basis.cols:
             raise ValueError("basis columns are linearly dependent")
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Mat.zeros(ambient_dim, 0))
+        return Subspace(ambient_dim, Mat.zeros(ambient_dim, 0), trusted=True)
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Mat.identity(ambient_dim))
+        return Subspace(ambient_dim, Mat.identity(ambient_dim), trusted=True)
 
     @property
     def dim(self) -> int:
@@ -66,7 +76,7 @@ def image(m: Mat) -> Subspace:
     exactly when it is independent of the columns before it.
     """
     _, pivots = m.rref()
-    return Subspace(m.rows, m.submatrix_columns(pivots))
+    return Subspace(m.rows, m.submatrix_columns(pivots), trusted=True)
 
 
 def restrict_and_split(s: Mat, domain: Subspace) -> tuple[Subspace, Subspace, Subspace]:
@@ -84,8 +94,8 @@ def restrict_and_split(s: Mat, domain: Subspace) -> tuple[Subspace, Subspace, Su
     if mapped.is_zero():
         return domain, Subspace.zero(s.rows), Subspace.zero(domain.ambient_dim)
     _, pivots = mapped.rref()
-    kernel = Subspace(domain.ambient_dim, domain.basis @ mapped.nullspace())
-    complement = Subspace(domain.ambient_dim, domain.basis.submatrix_columns(pivots))
+    kernel = Subspace(domain.ambient_dim, domain.basis @ mapped.nullspace(), trusted=True)
+    complement = Subspace(domain.ambient_dim, domain.basis.submatrix_columns(pivots), trusted=True)
     return kernel, image(mapped), complement
 
 
@@ -145,17 +155,25 @@ def complement_coordinates(
     Both come from one rref of [basis(part) | B | q]. B is basis(ambient),
     and C its columns at the pivots past part's, which ``choose_complement``
     picks; or B is ``given``, valid exactly when the pivots are the
-    part.dim + B.cols columns of part and B and number ambient.dim.
+    part.dim + B.cols columns of part and B and number ambient.dim. No
+    block is reduced twice: when q is B, [basis(part) | B] is reduced and W
+    read off B's block; when part fills ambient and no B is given, B adds
+    no pivot, C is zero and [basis(part) | q] is reduced. q's columns span
+    ambient, so the test of the pivots is the same.
     """
     b = ambient.basis if given is None else given
+    if given is None and part.dim == ambient.dim:
+        b = Mat.zeros(ambient.ambient_dim, 0)
     lead = part.dim + b.cols
-    reduced, pivots = Mat.hstack([part.basis, b, q]).rref()
+    blocks = [part.basis, b] if q is b else [part.basis, b, q]
+    reduced, pivots = Mat.hstack(blocks).rref()
     valid = len(pivots) == ambient.dim and all(p < lead for p in pivots)
     if not valid or (given is not None and lead != ambient.dim):
         raise ValueError("the basis does not complement part in ambient")
-    w = reduced.submatrix_rows(range(part.dim)).submatrix_columns(range(lead, lead + q.cols))
+    start = part.dim if q is b else lead
+    w = reduced.submatrix_rows(range(part.dim)).submatrix_columns(range(start, start + q.cols))
     chosen = [p - part.dim for p in pivots[part.dim :]]
-    return Subspace(ambient.ambient_dim, b.submatrix_columns(chosen)), w
+    return Subspace(ambient.ambient_dim, b.submatrix_columns(chosen), trusted=True), w
 
 
 def restricted_inverse(s: Mat, nc: Subspace, calp: Mat) -> Mat:

@@ -2,6 +2,7 @@
 Jordan chains, and the coefficient identities."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -18,6 +19,7 @@ from localsmith import (
     MatLaurent,
     MatSeries,
     RecursionState,
+    Stage,
     StageBudgetError,
     Subspace,
     TruncationError,
@@ -33,9 +35,14 @@ from localsmith import (
 )
 from localsmith.cli import main
 from localsmith.matrix import PackedRows
-from localsmith.verify import CHECKS
+from localsmith.verify import CHECKS, linearization
 from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
-from localsmith.subspaces import choose_complement, projection_matrix, restricted_inverse
+from localsmith.subspaces import (
+    choose_complement,
+    complement_coordinates,
+    projection_matrix,
+    restricted_inverse,
+)
 
 from conftest import (
     ZERO3,
@@ -461,6 +468,88 @@ def assert_ledger_matches_references(state: RecursionState) -> None:
         assert st.splus == restricted_inverse(st.s, st.nc, calp), j
 
 
+class TestFinishOnRead:
+    """run_stage splits N_{j-1} under S_j and runs the rank guard and the
+    certificate, which read only dim R_j. The rest of the stage, its
+    complement, projections, S^+, record and M column, waits until the
+    next stage starts or a reader asks, and P_j waits for its own first
+    read. So the companion pencil, of which linearize reads only k, pays
+    for neither its last stage's complement nor any P."""
+
+    @staticmethod
+    def watch(monkeypatch) -> tuple[list, list, list]:
+        """The states stabilized from here on, the complement_coordinates
+        calls, and the P_j formed, as (state, j)."""
+        states, complements, formed = [], [], []
+        run, form = RecursionState.run_until_stabilized, RecursionState._form_p
+        coordinates = complement_coordinates
+
+        def running(self):
+            states.append(self)
+            return run(self)
+
+        def forming(self, j, w):
+            formed.append((self, j))
+            return form(self, j, w)
+
+        def complementing(*args):
+            complements.append(args)
+            return coordinates(*args)
+
+        monkeypatch.setattr(RecursionState, "run_until_stabilized", running)
+        monkeypatch.setattr(RecursionState, "_form_p", forming)
+        monkeypatch.setattr("localsmith.recursion.complement_coordinates", complementing)
+        return states, complements, formed
+
+    @pytest.mark.parametrize("name", DATA_FAMILIES)
+    def test_ledger_read_after_stabilization(self, name):
+        with open(os.path.join(DATA, name), "r", encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read()))
+        read = RecursionState(family)
+        k = read.run_until_stabilized()
+        assert read.stage_count == k + 1
+        stages = read.stages
+        ensured = RecursionState(family)
+        ensured.run_until_stabilized()
+        ensured.ensure_stages(k + 1)
+        assert len(stages) == len(ensured.stages) == k + 1
+        for got, want in zip(stages, ensured.stages):
+            for field in dataclasses.fields(Stage):
+                assert getattr(got, field.name) == getattr(want, field.name), (got.index, field)
+        for j in range(1, k + 2):
+            for i in range(1, j + 1):
+                assert read.m_block(i, j) == ensured.m_block(i, j), (i, j)
+
+    @pytest.mark.parametrize("caller", ["linearization", "linearize"])
+    def test_the_last_stage_of_each_run_stays_pending(self, caller, monkeypatch):
+        states, complements, formed = self.watch(monkeypatch)
+        if caller == "linearization":
+            _, kbar, (passed, _) = linearization(example1_family(), 3)
+            assert passed and kbar == 1
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["linearize", os.path.join(DATA, "example1.json")]) == 0
+        # linearize stabilizes the cubic and its pencil; linearization only
+        # the pencil.
+        assert len(states) == {"linearization": 1, "linearize": 2}[caller]
+        finished = 0
+        for state in states:
+            assert len(state._stages) == state.stage_count - 1
+            finished += sum(1 for stage in state._stages if stage.r.dim)
+        assert len(complements) == finished
+        assert formed == []
+
+    def test_jordan_forms_no_projection(self, monkeypatch):
+        # The cubic's k is 3; analyze reads P_1 .. P_4 through Delta.
+        _, _, formed = self.watch(monkeypatch)
+        cubic = os.path.join(DATA, "example1.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["jordan", cubic, "--length", "4"]) == 0
+            assert formed == []
+            assert main(["analyze", cubic]) == 0
+        assert sorted(j for _, j in formed) == [1, 2, 4]
+
+
 class TestDegenerateStages:
     """Stages whose product S_j basis(N_{j-1}) is zero skip the elimination;
     their ledger entries and E/M blocks, and those of every other stage, must
@@ -559,11 +648,12 @@ class TestDegenerateStages:
         # and the stages past k + 1 = 9 are degenerate. A splitting stage
         # forms S_j basis(N_{j-1}) once and runs two eliminations:
         # restrict_and_split's and the one that picks Rc_j and reads W. Every
-        # Subspace a stage builds checks its basis by a rank, with no rref:
-        # six at stage 1, four at the later splitting stages and two, both
-        # zero-dimensional, at a degenerate stage. A degenerate stage forms
-        # the product and runs no rref. No stage solves a system, inverts a
-        # basis or runs the reference choose_complement.
+        # Subspace a stage builds has a basis independent by construction, so
+        # its check reads the shape and tests no rank: six at stage 1, four at
+        # the later splitting stages and two, both zero-dimensional, at a
+        # degenerate stage. A degenerate stage forms the product and runs no
+        # rref. No stage solves a system, inverts a basis or runs the
+        # reference choose_complement. Reading stage j finishes it.
         state = RecursionState(load_family("smith4x4k8.json"))
         products, fresh, checked, ranked, checks = [], [], [], [], []
         sums, rref, check, rank = Mat.sum_of_products, Mat.rref, Subspace.__post_init__, Mat.rank
@@ -578,10 +668,10 @@ class TestDegenerateStages:
                 fresh.append(bool(checked))
             return rref(m)
 
-        def basis_check(sub):
+        def basis_check(sub, *args):
             checked.append(sub)
             try:
-                check(sub)
+                check(sub, *args)
             finally:
                 checked.pop()
             checks.append(sub.dim)
@@ -622,7 +712,7 @@ class TestDegenerateStages:
             else:
                 assert fresh == [], j
             checks_per_stage[j] = len(checks)
-            assert len(ranked) == sum(1 for dim in checks if dim), j
+            assert ranked == [], j
         assert splitting == {1: 2, 2: 2, 5: 2, 9: 2}
         degenerate = {j: 2 for j in range(1, 13)}
         assert checks_per_stage == {**degenerate, 1: 6, 2: 4, 5: 4, 9: 4}
