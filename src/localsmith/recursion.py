@@ -22,28 +22,13 @@ given Nc_j basis is valid exactly when it has dim R_j columns, Q_{j-1}
 fixes it and S_j maps it to independent columns, which then span R_j.
 No basis is inverted.
 
-The stage step comes in two parts, so that no stage pays for what no one
-reads. ``run_stage`` forms S̄_j and S_j, splits N_{j-1}, and runs the rank
-guard and the certificate, which read only dim R_j. Finishing the stage,
-the second rref, calP_j, S_j^+, the ``Stage`` record, the coupling, M
-column j and the Qc update, waits until stage j+1 starts, which reads
-Qc_j and column j, or until a reader of the ledger asks: ``stages``,
-``stage``, ``m_block``, ``e_block``, ``jordan_chains``, the phi and psi
-readers and ``ensure_stages`` finish the pending stage first, and
-``stage_count`` counts it without finishing it. So ``run_until_stabilized``
-returns with stage k+1 pending, and a caller that reads only k, such as
-the companion pencil's, pays for no finishing of it. A stage that the
-complement plan names is finished at once, so a bad given basis is refused
-when its stage runs. P_j is formed on its own first read, and Q_{j-1},
-which only P_j and the given-Nc check read, by one loop over the stages
-that it has not yet folded in; it is kept.
-
 A stage is *degenerate* when that product is zero: every stage past k+1,
 and a gap stage where the Smith exponents skip a value. Then
 N_j = N_{j-1}, Rc_j = Rc_{j-1}, and Nc_j, R_j, P_j, calP_j and S_j^+ are
 zero: the general step's values, taken with no elimination unless the
-complement plan names the stage. The stages run through the last stage
-the plan names, which must lie within the stage budget.
+complement plan names the stage; so finishing one (below) forms only its
+M column. The stages run through the last stage the plan names, which
+must lie within the stage budget.
 
 A degenerate stage pays only for its proofs. S_j^+ = basis(Nc_j) W with
 independent basis columns, so P_j and calP_j are zero whenever S_j^+ is,
@@ -56,6 +41,17 @@ guard on a running range total; its zero blocks and E_{j,j} = I are
 shared by every stage. Every subspace the engine builds, but a given basis
 and its image, has a basis independent by construction, so none is tested
 by a rank.
+
+The stage step comes in two parts. ``run_stage`` forms S̄_j and S_j,
+splits N_{j-1}, and runs the rank guard and the certificate, which read
+only dim R_j. Finishing the stage (the second rref, calP_j, S_j^+, the
+``Stage`` record, the coupling, M column j and Qc_j) waits until stage j+1
+starts or a reader of the ledger asks, so ``run_until_stabilized`` returns
+with stage k+1 pending; ``stage_count`` counts it without finishing it. A
+stage the complement plan names is finished at once, so a bad given basis
+is refused when its stage runs. P_j is formed on its first read, and
+Q_{j-1}, which only P_j and the given-Nc check read, by one loop over the
+stages not yet folded in, and kept.
 
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
@@ -183,6 +179,32 @@ class Stage:
     splus: Mat
 
 
+class _Projections:
+    """P_j = basis(Nc_j) W S_j Q_{j-1} and Q_i = I - P_1 - ... - P_i, each
+    formed on its first read and kept; Q by one loop over the stages not yet
+    folded in. It holds no stage, so a stage's P makes no reference cycle."""
+
+    def __init__(self, n: int):
+        self.qs = [Mat.identity(n)]
+        # Per stage: None when its S^+ (so its P) is zero, else P or, until
+        # P is read, (basis(Nc_j), W, S_j).
+        self.terms: list[Mat | tuple[Mat, Mat, Mat] | None] = []
+
+    def p(self, j: int) -> Mat:
+        term = self.terms[j - 1]
+        if isinstance(term, tuple):
+            b, w, s = term
+            term = self.terms[j - 1] = b @ (w @ s @ self.q(j - 1))
+        return term
+
+    def q(self, i: int) -> Mat:
+        qs = self.qs
+        while len(qs) <= i:
+            j = len(qs)
+            qs.append(qs[-1] if self.terms[j - 1] is None else qs[-1] - self.p(j))
+        return qs[i]
+
+
 class MColumn:
     """M column j: its head, the packed rows 1..top and on to row deg L, and
     below row top the blocks M_{top,j-1} .. M_{j-1,j-1} of column j-1,
@@ -273,10 +295,9 @@ class RecursionState:
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
-        # Q_0, Q_1, ..., the projections onto N_i along Nc_1 .. Nc_i, as
-        # far as a P or a given Nc has read them; Qc_j, the projection onto
+        # P_j and Q_j, formed on their first read; Qc_j, the projection onto
         # Rc_j along R_1 .. R_j, after the finished stages.
-        self._q = [Mat.identity(self.domain_dim)]
+        self._projections = _Projections(self.domain_dim)
         self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
@@ -382,13 +403,15 @@ class RecursionState:
         given_nc, given_rc = self.complements.get(j, (None, None))
         named = given_nc is not None or given_rc is not None
         n, m = self.domain_dim, self.codomain_dim
+        projections = self._projections
         if r_j.is_zero() and not named:
+            projections.terms.append(None)
             zeros = Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m)
             return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, *zeros)
         try:
             if given_nc is not None:
                 nc_j = Subspace(n, given_nc)
-                if nc_j.dim != r_j.dim or self._projection_q(j - 1) @ given_nc != given_nc:
+                if nc_j.dim != r_j.dim or projections.q(j - 1) @ given_nc != given_nc:
                     raise ValueError("given complement does not complement the kernel")
             image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
             rc_j, w = complement_coordinates(image, prev_rc, self._qc, given_rc)
@@ -399,22 +422,14 @@ class RecursionState:
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
                 f"ambient {n}->{m}): {exc}"
             ) from exc
-        p = functools.partial(self._form_p, j, w)
-        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p, image.basis @ w, nc_j.basis @ w)
-
-    def _form_p(self, j: int, w: Mat) -> Mat:
-        """P_j = basis(Nc_j) W S_j Q_{j-1}, on its first read."""
-        stage = self._stages[j - 1]
-        return stage.nc.basis @ (w @ stage.s @ self._projection_q(j - 1))
-
-    def _projection_q(self, i: int) -> Mat:
-        """Q_i = I - P_1 - ... - P_i, formed by one loop over the stages
-        not yet folded in, and kept: P_j is zero unless stage j inverts."""
-        q = self._q
-        while len(q) <= i:
-            stage = self._stages[len(q) - 1]
-            q.append(q[-1] if stage.splus.is_zero() else q[-1] - stage.p)
-        return q[i]
+        splus = nc_j.basis @ w
+        if splus.is_zero():
+            projections.terms.append(None)
+            p = Mat.zeros(n, n)
+        else:
+            projections.terms.append((nc_j.basis, w, s))
+            p = functools.partial(projections.p, j)
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p, image.basis @ w, splus)
 
     def _sbar(self) -> Mat:
         """Sbar_j = sum_v L_v M_{v,j-1} over v = 1..deg L, as one packed

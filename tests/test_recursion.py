@@ -35,6 +35,7 @@ from localsmith import (
 )
 from localsmith.cli import main
 from localsmith.matrix import PackedRows
+from localsmith.recursion import _Projections
 from localsmith.verify import CHECKS, linearization
 from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
 from localsmith.subspaces import (
@@ -479,25 +480,25 @@ class TestFinishOnRead:
     @staticmethod
     def watch(monkeypatch) -> tuple[list, list, list]:
         """The states stabilized from here on, the complement_coordinates
-        calls, and the P_j formed, as (state, j)."""
+        calls, and the reads of P_j, as (holder, j)."""
         states, complements, formed = [], [], []
-        run, form = RecursionState.run_until_stabilized, RecursionState._form_p
+        run, form = RecursionState.run_until_stabilized, _Projections.p
         coordinates = complement_coordinates
 
         def running(self):
             states.append(self)
             return run(self)
 
-        def forming(self, j, w):
+        def forming(self, j):
             formed.append((self, j))
-            return form(self, j, w)
+            return form(self, j)
 
         def complementing(*args):
             complements.append(args)
             return coordinates(*args)
 
         monkeypatch.setattr(RecursionState, "run_until_stabilized", running)
-        monkeypatch.setattr(RecursionState, "_form_p", forming)
+        monkeypatch.setattr(_Projections, "p", forming)
         monkeypatch.setattr("localsmith.recursion.complement_coordinates", complementing)
         return states, complements, formed
 
@@ -547,7 +548,7 @@ class TestFinishOnRead:
             assert main(["jordan", cubic, "--length", "4"]) == 0
             assert formed == []
             assert main(["analyze", cubic]) == 0
-        assert sorted(j for _, j in formed) == [1, 2, 4]
+        assert {j for _, j in formed} == {1, 2, 4}
 
 
 class TestDegenerateStages:
