@@ -38,9 +38,8 @@ zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
 so forms two products, S_j = Qc_{j-1} S̄_j and the degeneracy product,
 and two packed ones (below), S̄_j and its M column, and runs the rank
 guard on a running range total; its zero blocks and E_{j,j} = I are
-shared by every stage. Every subspace the engine builds, but a given basis
-and its image, has a basis independent by construction, so none is tested
-by a rank.
+shared by every stage. Every basis the engine builds is independent by
+construction and takes no rank test; only a given basis and its image do.
 
 The stage step comes in two parts. ``run_stage`` forms S̄_j and S_j,
 splits N_{j-1}, and runs the rank guard and the certificate, which read
@@ -274,9 +273,12 @@ class RecursionState:
         elif max_stages < 0:
             raise ValueError(f"the stage budget must be >= 0, got {max_stages}")
         self.max_stages = max_stages
-        # Only an entry that names a basis makes its stage run.
-        named = (j for j, (nc, rc) in self.complements.items() if nc is not None or rc is not None)
-        self.plan_end = max(named, default=0)
+        # The stages whose entry names a basis: only these run by the plan,
+        # and each is finished as soon as it runs.
+        self._named = {
+            j for j, (nc, rc) in self.complements.items() if nc is not None or rc is not None
+        }
+        self.plan_end = max(self._named, default=0)
         if self.plan_end > max_stages:
             raise StageBudgetError(
                 f"the complement plan names stage {self.plan_end}, past the "
@@ -370,8 +372,7 @@ class RecursionState:
         s = self._qc @ sbar
         n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
         self._pending = (j, sbar, s, n_j, r_j, nc_j)
-        given_nc, given_rc = self.complements.get(j, (None, None))
-        if given_nc is not None or given_rc is not None:
+        if j in self._named:
             # A bad given basis is refused when its stage runs.
             self._finish_stage()
         self._detect_stabilization(j, r_j.dim)
@@ -401,7 +402,7 @@ class RecursionState:
         against Qc_{j-1}, with P_j formed on its first read."""
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self._stages[-1].rc
         given_nc, given_rc = self.complements.get(j, (None, None))
-        named = given_nc is not None or given_rc is not None
+        named = j in self._named
         n, m = self.domain_dim, self.codomain_dim
         projections = self._projections
         if r_j.is_zero() and not named:

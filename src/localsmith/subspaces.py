@@ -26,10 +26,8 @@ from .matrix import Mat
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^n given by an independent-column basis matrix.
-
-    ``trusted`` marks a basis independent by construction, whose rank is
-    not tested; its shape still is."""
+    """A subspace of K^n given by an independent-column basis matrix;
+    ``trusted`` skips the rank test (see the module docstring)."""
 
     ambient_dim: int
     basis: Mat
