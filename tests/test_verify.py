@@ -407,6 +407,18 @@ def count_e_solves(monkeypatch, fault=None):
     return solves
 
 
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_one_e_solve_per_verify(case, monkeypatch, capsys):
+    """triangular-system and post-stabilization-structure read one E solve:
+    each column is solved once, under the ledger's S_i^+, on one state."""
+    solves = count_e_solves(monkeypatch)
+    assert main(["verify", FAMILIES[case]]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]
+    [state] = {state for state, _ in solves}
+    columns = [j for _, j in solves]
+    assert sorted(columns) == list(range(1, len(columns) + 1))
+
+
 def _calp1_fault(state):
     stage = state.stages[0]
     state.stages[0] = replace(stage, calp=stage.calp + UNIT)
