@@ -69,16 +69,36 @@ def _working_order_view(name: str) -> property:
 @dataclass
 class DiagonalizationResult:
     """The verified diagonalization: k, the stage ledger, transformations,
-    and the structured diagonal terms."""
+    the domain projections P_1 .. P_{k+1} and the structured diagonal
+    terms."""
 
     state: RecursionState
     k: int
     order: int
-    delta: tuple[tuple[int, Mat], ...]
+    projections: list[Mat] = field(init=False)
+    # Delta = sum eps^{i-1} S_i P_i, as its terms (i - 1, S_i P_i).
+    delta: tuple[tuple[int, Mat], ...] = field(init=False)
     # Series name -> the deepest truncation built so far (see ``series``).
     _store: dict[str, MatLaurent] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        """P_j = S_j^+ S_j Q_{j-1} for j = 1..k+1, with Q_0 = I and
+        Q_j = Q_{j-1} - P_j, and Delta's terms. P_j is zero where S_j^+ is,
+        and takes no product."""
+        n = self.state.domain_dim
+        q, self.projections = Mat.identity(n), []
+        for st in self.stages:
+            if st.splus.is_zero():
+                p = Mat.zeros(n, n)
+            else:
+                p = st.splus @ (st.s @ q)
+                q = q - p
+            self.projections.append(p)
+        self.delta = tuple(
+            (st.index - 1, st.s @ p) for st, p in zip(self.stages, self.projections)
+        )
 
     def series(self, name: str, t: int, build: Callable[[int], MatLaurent]) -> MatLaurent:
         """The stored series ``name`` through order t. A coefficient does not
@@ -167,7 +187,7 @@ class DiagonalizationResult:
             self.derived(name, t) for name in ("phi", "psi", "phi_inv", "psi_inv")
         )
         n, m = self.state.domain_dim, self.state.codomain_dim
-        p_sum = sum((st.p for st in self.stages), Mat.zeros(n, n))
+        p_sum = sum(self.projections, Mat.zeros(n, n))
         calp_sum = sum((st.calp for st in self.stages), Mat.zeros(m, m))
         left = phi @ MatSeries.constant(p_sum) @ phi_inv
         right = psi @ MatSeries.constant(calp_sum) @ psi_inv
@@ -178,7 +198,7 @@ class DiagonalizationResult:
         sum of Delta's terms, and the terms (i - 1, P_i) of P(eps)."""
         zero = Mat.zeros(self.state.codomain_dim, self.state.domain_dim)
         s_p = sum((term for _, term in self.delta), zero)
-        return s_p, tuple((st.index - 1, st.p) for st in self.stages)
+        return s_p, tuple(enumerate(self.projections))
 
 
 def _diagonalization(
@@ -207,8 +227,7 @@ def _diagonalization(
         if state.input_trunc is not None:
             order = min(order, state.input_trunc - k)
     state.ensure_stages(k + 1 + order)
-    delta = tuple((st.index - 1, st.s @ st.p) for st in state.stages[: k + 1])
-    result = DiagonalizationResult(state=state, k=k, order=order, delta=delta)
+    result = DiagonalizationResult(state=state, k=k, order=order)
     i = result.residual_order()
     if i is not None:
         raise InternalConsistencyError(f"diagonalization residual is nonzero at order {i}")

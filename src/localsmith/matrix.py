@@ -155,7 +155,7 @@ class Mat:
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
-        if cols is not None and width and cols != width:
+        if cols is not None and cols != width:
             raise ValueError(f"cols mismatch: stated {cols}, got {width}")
         # The lcm of reduced denominators leaves the grid without a common
         # factor with it, so the state is already reduced.

@@ -10,30 +10,31 @@ after stabilization; a stage that breaks it is an internal error.
 
 Each stage forms S_j basis(N_{j-1}) once, and one rref of it splits
 N_{j-1} = Nc_j ⊕ N_j: Nc_j takes the N_{j-1} basis columns at its pivots,
-and R_j its pivot columns, S_j basis(Nc_j). The stage reads its projections
-off the running complement projectors Q_{j-1} = I - P_1 - ... - P_{j-1},
-onto N_{j-1}, and Qc_{j-1} = I - calP_1 - ... - calP_{j-1}, onto Rc_{j-1}.
-A second rref, of [S_j basis(Nc_j) | B | Qc_{j-1}], gives Rc_j and W, the
-R_j coordinates of Qc_{j-1} in Rc_{j-1} = R_j ⊕ Rc_j: B is a given Rc_j
-basis, or basis(Rc_{j-1}), whose columns at the pivots past the first block
-make Rc_j. Then calP_j is S_j basis(Nc_j) W, S_j^+ is basis(Nc_j) W and P_j
-is S_j^+ S_j Q_{j-1}: S_j^+ S_j is the identity on Nc_j and zero on N_j. A
-given Nc_j basis is valid exactly when it has dim R_j columns, Q_{j-1}
-fixes it and S_j maps it to independent columns, which then span R_j.
-No basis is inverted.
+and R_j its pivot columns, S_j basis(Nc_j). The stage reads calP_j off the
+running complement projector Qc_{j-1} = I - calP_1 - ... - calP_{j-1}, onto
+Rc_{j-1}. A second rref, of [S_j basis(Nc_j) | B | Qc_{j-1}], gives Rc_j
+and W, the R_j coordinates of Qc_{j-1} in Rc_{j-1} = R_j ⊕ Rc_j: B is a
+given Rc_j basis, or basis(Rc_{j-1}), whose columns at the pivots past the
+first block make Rc_j. Then calP_j is S_j basis(Nc_j) W and S_j^+ is
+basis(Nc_j) W: S_j^+ S_j is the identity on Nc_j and zero on N_j. No stage
+reads the domain projection P_j = S_j^+ S_j Q_{j-1}, with
+Q_{j-1} = I - P_1 - ... - P_{j-1} onto N_{j-1}: it belongs to the
+diagonalization, which forms it. A given Nc_j basis is valid exactly when
+it has dim R_j columns, lies in N_{j-1} and S_j maps it to independent
+columns, which then span R_j. No basis is inverted.
 
 A stage is *degenerate* when that product is zero: every stage past k+1,
 and a gap stage where the Smith exponents skip a value. Then
-N_j = N_{j-1}, Rc_j = Rc_{j-1}, and Nc_j, R_j, P_j, calP_j and S_j^+ are
+N_j = N_{j-1}, Rc_j = Rc_{j-1}, and Nc_j, R_j, calP_j and S_j^+ are
 zero: the general step's values, taken with no elimination unless the
 complement plan names the stage; so finishing one (below) forms only its
 M column. The stages run through the last stage the plan names, which
 must lie within the stage budget.
 
 A degenerate stage pays only for its proofs. S_j^+ = basis(Nc_j) W with
-independent basis columns, so P_j and calP_j are zero whenever S_j^+ is,
-named stages included: Q and Qc change only at inverting stages (below),
-and Qc_{j-1} = I before the first one, where S_j is S̄_j itself. L_v is
+independent basis columns, so calP_j is zero whenever S_j^+ is, named
+stages included: Qc changes only at inverting stages (below), and
+Qc_{j-1} = I before the first one, where S_j is S̄_j itself. L_v is
 zero past deg L, so S̄_j sums v = 1..min(j-1, deg L). A stage past k+1
 so forms two products, S_j = Qc_{j-1} S̄_j and the degeneracy product,
 and two packed ones (below), S̄_j and its M column, and runs the rank
@@ -48,9 +49,7 @@ only dim R_j. Finishing the stage (the second rref, calP_j, S_j^+, the
 starts or a reader of the ledger asks, so ``run_until_stabilized`` returns
 with stage k+1 pending; ``stage_count`` counts it without finishing it. A
 stage the complement plan names is finished at once, so a bad given basis
-is refused when its stage runs. P_j is formed on its first read, and
-Q_{j-1}, which only P_j and the given-Nc check read, by one loop over the
-stages not yet folded in, and kept.
+is refused when its stage runs.
 
 The E column is the solution of an upper-triangular block system; the M
 column is the E column pushed through the previous M triangle:
@@ -110,7 +109,6 @@ from M_{1,j}, which it equals.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -141,30 +139,10 @@ def generic_rank(family: MatSeries) -> int:
     return best
 
 
-class _FormedOnRead:
-    """A ``Stage`` field that may be given as a function of no arguments:
-    its first read calls it, and the value is kept."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, stage, owner=None):
-        if stage is None:
-            # No class-level value, so the dataclass field has no default.
-            raise AttributeError(self.key[1:])
-        value = stage.__dict__[self.key]
-        if not isinstance(value, Mat):
-            value = stage.__dict__[self.key] = value()
-        return value
-
-    def __set__(self, stage, value):
-        stage.__dict__[self.key] = value
-
-
 @dataclass(frozen=True)
 class Stage:
-    """The per-stage ledger: operators, subspaces, projections, inverse.
-    P is formed on its first read."""
+    """The per-stage ledger: operators, subspaces, calP and S^+. The domain
+    projection P_j belongs to the diagonalization, which forms it."""
 
     index: int
     sbar: Mat
@@ -173,35 +151,8 @@ class Stage:
     r: Subspace
     nc: Subspace
     rc: Subspace
-    p: Mat = _FormedOnRead()
     calp: Mat
     splus: Mat
-
-
-class _Projections:
-    """P_j = basis(Nc_j) W S_j Q_{j-1} and Q_i = I - P_1 - ... - P_i, each
-    formed on its first read and kept; Q by one loop over the stages not yet
-    folded in. It holds no stage, so a stage's P makes no reference cycle."""
-
-    def __init__(self, n: int):
-        self.qs = [Mat.identity(n)]
-        # Per stage: None when its S^+ (so its P) is zero, else P or, until
-        # P is read, (basis(Nc_j), W, S_j).
-        self.terms: list[Mat | tuple[Mat, Mat, Mat] | None] = []
-
-    def p(self, j: int) -> Mat:
-        term = self.terms[j - 1]
-        if isinstance(term, tuple):
-            b, w, s = term
-            term = self.terms[j - 1] = b @ (w @ s @ self.q(j - 1))
-        return term
-
-    def q(self, i: int) -> Mat:
-        qs = self.qs
-        while len(qs) <= i:
-            j = len(qs)
-            qs.append(qs[-1] if self.terms[j - 1] is None else qs[-1] - self.p(j))
-        return qs[i]
 
 
 class MColumn:
@@ -297,9 +248,8 @@ class RecursionState:
         self.stabilization_k: int | None = None
         # The sum of dim R_j over the stages so far, for the rank guard.
         self._range_total = 0
-        # P_j and Q_j, formed on their first read; Qc_j, the projection onto
-        # Rc_j along R_1 .. R_j, after the finished stages.
-        self._projections = _Projections(self.domain_dim)
+        # Qc_j, the projection onto Rc_j along R_1 .. R_j, after the
+        # finished stages.
         self._qc = Mat.identity(self.codomain_dim)
         # The stages so far whose S^+ is nonzero: the only rows of an E
         # column that can be nonzero below the diagonal.
@@ -399,20 +349,17 @@ class RecursionState:
         self, j: int, sbar: Mat, s: Mat, n_j: Subspace, r_j: Subspace, nc_j: Subspace
     ) -> Stage:
         """The stage record: pick or check Rc_j and read W off one rref
-        against Qc_{j-1}, with P_j formed on its first read."""
+        against Qc_{j-1}."""
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self._stages[-1].rc
         given_nc, given_rc = self.complements.get(j, (None, None))
         named = j in self._named
         n, m = self.domain_dim, self.codomain_dim
-        projections = self._projections
         if r_j.is_zero() and not named:
-            projections.terms.append(None)
-            zeros = Mat.zeros(n, n), Mat.zeros(m, m), Mat.zeros(n, m)
-            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, *zeros)
+            return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, Mat.zeros(m, m), Mat.zeros(n, m))
         try:
             if given_nc is not None:
                 nc_j = Subspace(n, given_nc)
-                if nc_j.dim != r_j.dim or projections.q(j - 1) @ given_nc != given_nc:
+                if nc_j.dim != r_j.dim or not self.kernel_chain(j - 1).contains(given_nc):
                     raise ValueError("given complement does not complement the kernel")
             image = r_j if given_nc is None else Subspace(m, s @ nc_j.basis)
             rc_j, w = complement_coordinates(image, prev_rc, self._qc, given_rc)
@@ -423,14 +370,7 @@ class RecursionState:
                 f"stage {j} (kernel dim {n_j.dim}, range dim {r_j.dim}, "
                 f"ambient {n}->{m}): {exc}"
             ) from exc
-        splus = nc_j.basis @ w
-        if splus.is_zero():
-            projections.terms.append(None)
-            p = Mat.zeros(n, n)
-        else:
-            projections.terms.append((nc_j.basis, w, s))
-            p = functools.partial(projections.p, j)
-        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, p, image.basis @ w, splus)
+        return Stage(j, sbar, s, n_j, r_j, nc_j, rc_j, image.basis @ w, nc_j.basis @ w)
 
     def _sbar(self) -> Mat:
         """Sbar_j = sum_v L_v M_{v,j-1} over v = 1..deg L, as one packed

@@ -6,8 +6,9 @@ a codomain complement while reading the coordinates of a projector's
 columns off the same rref (``complement_coordinates``). ``choose_complement``,
 ``projection_matrix`` and ``restricted_inverse`` are kept as the reference
 formulas, by rank tests, a basis inverse and a solve, that the engine's
-complements, P, calP and S^+ are tested against. Zero-dimensional subspaces
-are first-class throughout; callers never special-case them.
+complements, calP and S^+, and the diagonalization's P, are tested
+against. Zero-dimensional subspaces are first-class throughout; callers
+never special-case them.
 
 A ``Subspace`` tests its basis by a rank unless it is built ``trusted``:
 the bases independent by construction are. They are the identity and

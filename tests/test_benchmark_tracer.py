@@ -99,7 +99,7 @@ def test_every_stage_opens_one_m_column_span(tracing, capsys):
 
 
 # The targets no command reaches on the golden cubic: the stage step reads
-# its projections off the running projectors and one rref, and the oracles
+# calP off the running projector and one rref, and the oracles
 # that verify no longer runs stay for the library and the tests.
 UNREACHED = {
     "choose_complement", "projection_matrix", "restricted_inverse",

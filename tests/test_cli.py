@@ -1,6 +1,8 @@
 """JSON family parsing, the command-line driver, and report determinism."""
 
+import collections
 import contextlib
+import gc
 import io
 import json
 import os
@@ -31,6 +33,14 @@ from localsmith.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
 COMMANDS = ("analyze", "diagonalize", "invert", "smith", "jordan", "linearize", "verify")
+# Each command on the cubic, and invert under a given complement plan.
+GARBAGE_RUNS = {
+    **{name: [name, DATA] for name in COMMANDS},
+    "jordan": ["jordan", DATA, "--length", "3"],
+    "invert-given": [
+        "invert", DATA, "--complement", f"given:{os.path.join(REPORTS, 'plan_stage1.json')}"
+    ],
+}
 # Each integer flag with its smallest allowed value.
 INT_FLAGS = {"--order": 0, "--max-stages": 1, "--pole": 0, "--length": 1}
 # Zero of some Unicode decimal digit blocks other than ASCII: Arabic-Indic,
@@ -514,6 +524,30 @@ class TestCommands:
         _, first = run_cli(capsys, "diagonalize", DATA, "--order", "8")
         _, second = run_cli(capsys, "diagonalize", DATA, "--order", "8")
         assert first == second
+
+    @pytest.mark.parametrize("name", GARBAGE_RUNS)
+    def test_no_command_leaves_cyclic_garbage(self, name, capsys):
+        """Reference counting alone frees what a command builds: after a
+        warm-up call, a call with the collector off leaves no object of the
+        package for a collection to find unreachable."""
+        argv = GARBAGE_RUNS[name]
+        assert run_cli(capsys, *argv)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            run_cli(capsys, *argv)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            ours = collections.Counter(
+                type(obj).__qualname__
+                for obj in gc.garbage
+                if type(obj).__module__.startswith("localsmith")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not ours
 
 
 class TestExitCodes:

@@ -527,8 +527,8 @@ class TestProjectorFamilies:
         left, right = result.projector_families(6)
         p_sum = Mat.zeros(3, 3)
         calp_sum = Mat.zeros(2, 2)
-        for st in result.stages:
-            p_sum = p_sum + st.p
+        for st, p in zip(result.stages, result.projections):
+            p_sum = p_sum + p
             calp_sum = calp_sum + st.calp
         assert left.coefficient(0) == p_sum
         assert right.coefficient(0) == calp_sum

@@ -184,6 +184,15 @@ class TestArithmetic:
             Mat(grid)
 
     @pytest.mark.parametrize(
+        "grid, cols, width",
+        [([[1, 2]], 3, 2), ([[], []], 2, 0)],
+        ids=["wider", "empty-rows"],
+    )
+    def test_constructor_rejects_a_stated_width_the_rows_lack(self, grid, cols, width):
+        with pytest.raises(ValueError, match=f"cols mismatch: stated {cols}, got {width}"):
+            Mat(grid, cols=cols)
+
+    @pytest.mark.parametrize(
         "m, expected",
         [
             (Mat.identity(3), True),

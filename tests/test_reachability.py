@@ -39,7 +39,6 @@ ALLOWED = {
     "subspaces.choose_complement": "in UNREACHED of test_benchmark_tracer.py",
     "subspaces.projection_matrix": "in UNREACHED of test_benchmark_tracer.py",
     "subspaces.restricted_inverse": "in UNREACHED of test_benchmark_tracer.py",
-    "subspaces.Subspace.contains": "choose_complement calls it",
     "family_io.family_from_series": "README's library API",
     "family_io.serialize_family": "README's library API",
     "matrix.Mat.entries": "README's library API",

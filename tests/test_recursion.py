@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsmith import (
+    DiagonalizationResult,
     InternalConsistencyError,
     Mat,
     MatLaurent,
@@ -23,6 +24,7 @@ from localsmith import (
     StageBudgetError,
     Subspace,
     TruncationError,
+    analyze,
     diagonalize,
     generic_rank,
     image,
@@ -35,7 +37,6 @@ from localsmith import (
 )
 from localsmith.cli import main
 from localsmith.matrix import PackedRows
-from localsmith.recursion import _Projections
 from localsmith.verify import CHECKS, linearization
 from localsmith.oracles import toeplitz_kernel_dims, toeplitz_nullspace
 from localsmith.subspaces import (
@@ -171,7 +172,7 @@ class TestStages:
         assert same_space(s4.r, spanned_by([e(3)], 3))
         assert s4.rc.dim == 0
         assert state.stage(1).splus == cols(e(1), ZERO3, ZERO3)
-        assert state.stage(2).p == cols(ZERO3, ZERO3, e(3))
+        assert diagonalize(example1).projections[1] == cols(ZERO3, ZERO3, e(3))
         assert state.stage(2).calp == cols(ZERO3, e(2), ZERO3)
 
     def test_invertible_leading_coefficient(self):
@@ -197,18 +198,17 @@ class TestStages:
         rng = random.Random(48)
         for _ in range(5):
             fam = random_family(rng, 3, 4, 2, deficit=1)
-            state = RecursionState(fam)
-            k = state.run_until_stabilized()
-            stages = state.stages[: k + 1]
+            result = analyze(fam)
+            stages, ps = result.stages, result.projections
             for a in stages:
                 for b in stages:
                     if a.index != b.index:
-                        assert (a.p @ b.p).is_zero()
+                        assert (ps[a.index - 1] @ ps[b.index - 1]).is_zero()
                         assert (a.calp @ b.calp).is_zero()
-            p_total = Mat.zeros(state.domain_dim, state.domain_dim)
-            for st in stages:
-                p_total = p_total + st.p
-            tail = state.stage(k + 1).n
+            p_total = Mat.zeros(result.state.domain_dim, result.state.domain_dim)
+            for p in ps:
+                p_total = p_total + p
+            tail = stages[-1].n
             # The leftover of the partition is the projection onto the tail
             # kernel, so the sum acts as the identity on every complement and
             # annihilates the tail.
@@ -444,13 +444,14 @@ class TestLazyEColumns:
             assert state.e_block(1, j) == state.m_block(1, j), j
 
 
-def assert_ledger_matches_references(state: RecursionState) -> None:
-    """Every stage's split and its P, calP and S^+ against the reference
-    formulas, applied to the decompositions the ledger holds at that stage:
-    the kernel and pivot-column image of S_j basis(N_{j-1}), the complements
-    choose_complement picks or validates, projection_matrix over the domain
-    and codomain parts, and the solve in restricted_inverse."""
-    plan = state.complements
+def assert_ledger_matches_references(result: DiagonalizationResult) -> None:
+    """Every stage's split, calP and S^+, and the result's P through stage
+    k+1, against the reference formulas, applied to the decompositions the
+    ledger holds at that stage: the kernel and pivot-column image of
+    S_j basis(N_{j-1}), the complements choose_complement picks or
+    validates, projection_matrix over the domain and codomain parts, and
+    the solve in restricted_inverse."""
+    state, plan = result.state, result.state.complements
     for st in state.stages:
         j = st.index
         prev_n = state.kernel_chain(j - 1)
@@ -464,7 +465,8 @@ def assert_ledger_matches_references(state: RecursionState) -> None:
         domain = [a.nc for a in state.stages[:j]] + [st.n]
         codomain = [a.r for a in state.stages[:j]] + [st.rc]
         calp = projection_matrix(codomain, j - 1)
-        assert st.p == projection_matrix(domain, j - 1), j
+        if j <= result.k + 1:
+            assert result.projections[j - 1] == projection_matrix(domain, j - 1), j
         assert st.calp == calp, j
         assert st.splus == restricted_inverse(st.s, st.nc, calp), j
 
@@ -472,33 +474,41 @@ def assert_ledger_matches_references(state: RecursionState) -> None:
 class TestFinishOnRead:
     """run_stage splits N_{j-1} under S_j and runs the rank guard and the
     certificate, which read only dim R_j. The rest of the stage, its
-    complement, projections, S^+, record and M column, waits until the
-    next stage starts or a reader asks, and P_j waits for its own first
-    read. So the companion pencil, of which linearize reads only k, pays
-    for neither its last stage's complement nor any P."""
+    complement, calP, S^+, record and M column, waits until the next stage
+    starts or a reader asks. P_j belongs to the diagonalization result. So
+    the companion pencil, of which linearize reads only k, pays for neither
+    its last stage's complement nor any P."""
 
     @staticmethod
     def watch(monkeypatch) -> tuple[list, list, list]:
         """The states stabilized from here on, the complement_coordinates
-        calls, and the reads of P_j, as (holder, j)."""
+        calls, and the P_j formed by a product with S_j^+, as (result, j)."""
         states, complements, formed = [], [], []
-        run, form = RecursionState.run_until_stabilized, _Projections.p
-        coordinates = complement_coordinates
+        run, form = RecursionState.run_until_stabilized, DiagonalizationResult.__post_init__
+        coordinates, product = complement_coordinates, Mat.__matmul__
 
         def running(self):
             states.append(self)
             return run(self)
 
-        def forming(self, j):
-            formed.append((self, j))
-            return form(self, j)
+        def forming(self):
+            inverses = {id(st.splus): st.index for st in self.stages}
+
+            def multiplying(a, b):
+                if id(a) in inverses:
+                    formed.append((self, inverses[id(a)]))
+                return product(a, b)
+
+            with monkeypatch.context() as inside:
+                inside.setattr(Mat, "__matmul__", multiplying)
+                form(self)
 
         def complementing(*args):
             complements.append(args)
             return coordinates(*args)
 
         monkeypatch.setattr(RecursionState, "run_until_stabilized", running)
-        monkeypatch.setattr(_Projections, "p", forming)
+        monkeypatch.setattr(DiagonalizationResult, "__post_init__", forming)
         monkeypatch.setattr("localsmith.recursion.complement_coordinates", complementing)
         return states, complements, formed
 
@@ -541,7 +551,8 @@ class TestFinishOnRead:
         assert formed == []
 
     def test_jordan_forms_no_projection(self, monkeypatch):
-        # The cubic's k is 3; analyze reads P_1 .. P_4 through Delta.
+        # The cubic's k is 3; analyze forms P_1 .. P_4 for Delta, and S_3^+
+        # is zero, so P_3 takes no product.
         _, _, formed = self.watch(monkeypatch)
         cubic = os.path.join(DATA, "example1.json")
         with contextlib.redirect_stdout(io.StringIO()):
@@ -574,7 +585,8 @@ class TestDegenerateStages:
         ],
     )
     def test_matches_general_step(self, family, plan, gap_stages):
-        state = diagonalize(family, complements=load_plan(plan) if plan else None).state
+        result = diagonalize(family, complements=load_plan(plan) if plan else None)
+        state = result.state
         k = state.stabilization_k
         degenerate = [
             j for j in range(2, state.stage_count + 1)
@@ -582,7 +594,7 @@ class TestDegenerateStages:
         ]
         assert [j for j in degenerate if j <= k + 1] == gap_stages
         assert degenerate[len(gap_stages):] == list(range(k + 2, state.stage_count + 1))
-        assert_ledger_matches_references(state)
+        assert_ledger_matches_references(result)
         e_blocks, m_blocks = generic_em_triangles(state)
         for (i, j), block in e_blocks.items():
             assert state.e_block(i, j) == block, (i, j)
@@ -595,11 +607,11 @@ class TestDegenerateStages:
         # Through the stages invert reaches at the default working order: the
         # ledger matches the references, and verify's two proofs that read
         # every M block, against L and against the generic recurrence, hold.
-        state = RecursionState(family)
-        k = state.run_until_stabilized()
+        result = analyze(family)
+        state, k = result.state, result.k
         state.ensure_stages(2 * k + 1 + max(2 * k + 4, 12))
-        assert_ledger_matches_references(state)
-        checks, result = dict(CHECKS), SimpleNamespace(state=state, k=k)
+        assert_ledger_matches_references(result)
+        checks = dict(CHECKS)
         for name in ("coefficient-identity", "post-stabilization-structure"):
             assert checks[name](result)[0], name
 
@@ -614,11 +626,11 @@ class TestDegenerateStages:
         t = Mat([[1, 1, 0], [0, 2, 1], [1, 0, 1]])
         u = Mat([[1, 0, -1], [0, 0, 2], [0, 1, 0]])
         given = pivot.nc.basis @ t + pivot.n.basis @ u
-        state = diagonalize(family, complements={1: (given, None)}).state
-        st = state.stage(1)
+        result = diagonalize(family, complements={1: (given, None)})
+        st = result.state.stage(1)
         assert st.nc.basis == given and st.s @ given != st.r.basis
         assert st.splus @ st.s @ given == given
-        assert_ledger_matches_references(state)
+        assert_ledger_matches_references(result)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(smith_families(), st.integers(0, 2**16), st.data())
@@ -638,11 +650,12 @@ class TestDegenerateStages:
             )
 
         given_nc, given_rc = mixed(at.nc, at.n), mixed(at.rc, at.r)
-        state = RecursionState(family, {j: (given_nc, given_rc)})
-        assert state.run_until_stabilized() == k
+        result = analyze(family, complements={j: (given_nc, given_rc)})
+        state = result.state
+        assert result.k == k
         state.ensure_stages(2 * k + 3)
         assert state.stage(j).nc.basis == given_nc and state.stage(j).rc.basis == given_rc
-        assert_ledger_matches_references(state)
+        assert_ledger_matches_references(result)
 
     def test_one_product_and_elimination_per_stage(self, monkeypatch):
         # Exponents 0, 1, 4 and 8: stages 1, 2, 5 and 9 split, the gap stages

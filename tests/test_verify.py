@@ -71,7 +71,10 @@ def test_wrong_projection_fails_projector_families(field):
         result = diagonalize(spec_to_series(parse_family(handle.read())))
     stages = result.state.stages
     unit = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    stages[0] = replace(stages[0], **{field: getattr(stages[0], field) - unit})
+    if field == "p":
+        result.projections[0] = result.projections[0] - unit
+    else:
+        stages[0] = replace(stages[0], calp=stages[0].calp - unit)
     left, right = result.projector_families(result.order)
     assert (left @ left).eq_through(left, result.order)
     assert (right @ right).eq_through(right, result.order)
@@ -276,16 +279,26 @@ UNIT = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def _stage_fault(field):
-    def fault(state):
+    def fault(result):
+        state = result.state
         stage = state.stages[1]
         state.stages[1] = replace(stage, **{field: getattr(stage, field) + UNIT})
 
     return fault
 
 
+def _projection_fault(j):
+    """P_j is the result's, formed with Delta before diagonalize's proof."""
+
+    def fault(result):
+        result.projections[j - 1] = result.projections[j - 1] + UNIT
+
+    return fault
+
+
 def _block_fault(blocks, i, j):
-    def fault(state):
-        column = getattr(state, blocks)[j - 1]
+    def fault(result):
+        column = getattr(result.state, blocks)[j - 1]
         column.blocks[i - 1] = column[i - 1] + UNIT
 
     return fault
@@ -295,7 +308,8 @@ def _e_block_fault(i, j):
     """E column j is solved on its first read and kept as its nonzero
     blocks by row: solve it, then fault the kept block."""
 
-    def fault(state):
+    def fault(result):
+        state = result.state
         block = state.e_block(i, j)
         state.E_cols[j][i] = block + UNIT
 
@@ -305,7 +319,8 @@ def _e_block_fault(i, j):
 def _chain_fault(length):
     """Adds 1 to the first entry of the first chain of the given length."""
 
-    def fault(state):
+    def fault(result):
+        state = result.state
         jordan_chains = state.jordan_chains
 
         def faulty(wanted):
@@ -322,14 +337,14 @@ def _chain_fault(length):
 
 
 # Each fault in the ledger of example1 (k = 3) -> the checks it fails: e1 e1^T
-# added to a value of stage 2, or to one E or M block, or 1 to an entry of
-# one Jordan chain of length 2. triangular-system sees a fault only where
+# added to a value of stage 2, to the result's P_2, or to one E or M block,
+# or 1 to an entry of one Jordan chain of length 2. triangular-system sees a fault only where
 # some S_i^+ calP_i differs from S_i^+ (splus2); post-stabilization-structure
 # sees a faulted E block through the M recurrence, and E_{1,2} through
 # M_{1,2} = E_{1,2}.
 # Stage 3 does not invert, so E_{3,4} is a zero block made nonzero.
 LEDGER_FAULTS = {
-    "p2": (_stage_fault("p"), {"smith-identities", "projector-families"}),
+    "p2": (_projection_fault(2), {"smith-identities", "projector-families"}),
     "calp2": (_stage_fault("calp"), {"projector-families"}),
     "splus2": (
         _stage_fault("splus"),
@@ -373,7 +388,7 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
 
     def faulty(pipeline, family, args):
         result = run(pipeline, family, args)
-        fault(result.state)
+        fault(result)
         result._store.clear()
         result.state._psi.clear()
         return result
@@ -397,7 +412,7 @@ def count_e_solves(monkeypatch, fault=None):
     def faulty(pipeline, family, args):
         result = run(pipeline, family, args)
         if fault is not None:
-            fault(result.state)
+            fault(result)
             result._store.clear()
             result.state._psi.clear()
         return result
@@ -419,7 +434,8 @@ def test_one_e_solve_per_verify(case, monkeypatch, capsys):
     assert sorted(columns) == list(range(1, len(columns) + 1))
 
 
-def _calp1_fault(state):
+def _calp1_fault(result):
+    state = result.state
     stage = state.stages[0]
     state.stages[0] = replace(stage, calp=stage.calp + UNIT)
 
@@ -463,6 +479,6 @@ def test_shift_fault_fails_through_the_recurrence():
     fails at that block's recurrence row."""
     with open(FAMILIES["cubic-verify"], "r", encoding="utf-8") as handle:
         result = diagonalize(spec_to_series(parse_family(handle.read())))
-    LEDGER_FAULTS["m56"][0](result.state)
+    LEDGER_FAULTS["m56"][0](result)
     check = dict(CHECKS)["post-stabilization-structure"]
     assert check(result) == (False, "M block (5,6) differs from the recurrence")
