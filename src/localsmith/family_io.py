@@ -41,8 +41,9 @@ _STRING = json.encoder.encode_basestring_ascii
 
 class ReportEncoder(json.JSONEncoder):
     """The text of ``json.dumps(obj, indent=2)``, written with the C string
-    encoder instead of the pure-Python indenting one, and a list of strings
-    (a grid row) in one join. It takes dicts with string keys, lists,
+    encoder instead of the pure-Python indenting one, a list of strings (a
+    grid row) in one join, and a list of nonempty lists of strings (a grid)
+    in one join of its rows. It takes dicts with string keys, lists,
     strings, bools, ints and None; anything else is a TypeError. It writes
     that one layout: other indents, separators or key orders are refused."""
 
@@ -76,7 +77,16 @@ def _write(o, newline: str, put) -> None:
             put("[]")
             return
         inner = newline + "  "
-        if all(isinstance(x, str) for x in o):
+        if all(isinstance(x, list) and x for x in o):
+            cell = inner + "  "
+            try:  # a grid, unless the C string encoder meets a non-string
+                rows = [("," + cell).join(map(_STRING, x)) for x in o]
+                rows = f"{inner}],{inner}[{cell}".join(rows)
+                put(f"[{inner}[{cell}{rows}{inner}]{newline}]")
+                return
+            except TypeError:
+                pass
+        elif all(isinstance(x, str) for x in o):
             put(f"[{inner}{(',' + inner).join(map(_STRING, o))}{newline}]")
             return
         sep = "["
@@ -159,13 +169,13 @@ def parse_family(text: str) -> FamilySpec:
     raw = obj["coefficients"]
     if not isinstance(raw, dict):
         raise InputError("coefficients must map powers to grids")
-    parsed: list[tuple[int, Mat]] = []
+    parsed: dict[int, Mat] = {}
     for key, grid in raw.items():
         if not DECIMAL_INTEGER.fullmatch(key):
             raise InputError(f"coefficient key {key!r} is not an integer power")
         power = int(key)
         # "1", "+1" and "01" are distinct JSON keys naming the same power.
-        if any(power == seen for seen, _ in parsed):
+        if power in parsed:
             raise InputError(f"duplicate power {power} (key {key!r})")
         if power < 0 and pole == 0:
             raise InputError(f"negative power {power} without a declared pole")
@@ -173,9 +183,8 @@ def parse_family(text: str) -> FamilySpec:
             raise InputError(
                 f"power {power} outside the allowed range [{-pole}, {trunc}]"
             )
-        parsed.append((power, grid_to_mat(grid, rows, cols, f"coefficient {power}")))
-    parsed.sort(key=lambda item: item[0])
-    return FamilySpec(rows, cols, kind, trunc, pole, tuple(parsed))
+        parsed[power] = grid_to_mat(grid, rows, cols, f"coefficient {power}")
+    return FamilySpec(rows, cols, kind, trunc, pole, tuple(sorted(parsed.items())))
 
 
 def serialize_family(spec: FamilySpec) -> str:

@@ -9,18 +9,20 @@ runs on Python integers and ends with at most one gcd over each matrix it
 returns, so every result is the same exact value that entry-by-entry
 ``Fraction`` arithmetic gives, without a gcd per multiply and add. Products
 pay only for real arithmetic: a factor equal to the identity adds the other
-factor's grid with no dot product, and an empty sum is the shared zero. Two
-kernels touch each entry fewer times, by packing many integers into one
-(Kronecker substitution; the slot layout is the "Kronecker packing" comment
-below). ``Mat.convolve`` multiplies matrix series; once both sides have
+factor's grid with no dot product, a sum of one product dots the two grids
+directly, with no stacking, and an empty sum is the shared zero. Two kernels
+touch each entry fewer times, by packing many integers into one (Kronecker
+substitution; the slot layout is the "Kronecker packing" comment below).
+``Mat.convolve`` multiplies matrix series; once both sides have
 ``_PACK_MIN_BLOCKS`` nonzero blocks it packs each entry's blocks, so each
 result entry is one dot product of packed integers. ``PackedRows`` packs
 each row of a grid, over one denominator that is not reduced:
 ``PackedRows.products_plus`` multiplies an integer grid by packed rows and
 adds packed rows below, one dot product per result row, and
-``PackedRows.blocks`` reads row blocks back, each reduced once. ``Mat.strings``
-renders the grid with no ``fractions.Fraction``; ``Mat.entries`` builds the
-Fractions on first use, for scalar code.
+``PackedRows.blocks`` reads row blocks back, each reduced once. ``Mat(grid)``
+reads a grid of integer strings one row at a time, with one match per row.
+``Mat.strings`` renders the grid with no ``fractions.Fraction``;
+``Mat.entries`` builds the Fractions on first use, for scalar code.
 
 Matrices are immutable after construction and safe to share: ``Mat.zeros``
 and ``Mat.identity`` build one matrix per shape for the whole process.
@@ -46,6 +48,8 @@ _PACK_MIN_BLOCKS = 3
 
 # The one spelling of a rational: an ASCII integer or num/den.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# A row of ASCII integers, each followed by a comma.
+_INTEGER_ROW = re.compile(r"(?:[+-]?[0-9]+,)*")
 # The most characters of a refused value that an error message echoes.
 _ECHO = 40
 
@@ -148,21 +152,31 @@ class Mat:
     )
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        pairs = tuple(tuple(map(ratio, row)) for row in entries)
-        if pairs:
-            width = len(pairs[0])
-            if any(len(row) != width for row in pairs):
+        rows = [tuple(row) for row in entries]
+        try:
+            # A grid of integer strings is read a row at a time. Any other
+            # grid (a JSON int, a fraction, a comma inside an entry, digits
+            # past the int-string limit) is read entry by entry by ``ratio``,
+            # which words every refusal.
+            if not all(_INTEGER_ROW.fullmatch(",".join(row) + ",") for row in rows):
+                raise ValueError
+            grid, den = tuple(tuple(map(int, row)) for row in rows), 1
+        except (TypeError, ValueError):
+            pairs = [tuple(map(ratio, row)) for row in rows]
+            # The lcm of reduced denominators leaves the grid without a
+            # common factor with it, so the state is already reduced.
+            den = math.lcm(*[d for row in pairs for _, d in row])
+            grid = tuple(tuple(x * (den // d) for x, d in row) for row in pairs)
+        if grid:
+            width = len(grid[0])
+            if any(len(row) != width for row in grid):
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
         if cols is not None and cols != width:
             raise ValueError(f"cols mismatch: stated {cols}, got {width}")
-        # The lcm of reduced denominators leaves the grid without a common
-        # factor with it, so the state is already reduced.
-        den = math.lcm(*[d for row in pairs for _, d in row])
-        grid = tuple(tuple(x * (den // d) for x, d in row) for row in pairs)
         # A 5x0 matrix needs explicit empty rows so rows stays meaningful.
-        self._fill(grid, den, len(pairs), width)
+        self._fill(grid, den, len(grid), width)
 
     @staticmethod
     def _of(grid: tuple, den: int, rows: int, cols: int) -> Mat:
@@ -210,15 +224,17 @@ class Mat:
 
     def strings(self, digits=str) -> list[list[str]]:
         """The entries as ``"num/den"`` strings, or plain ``"num"`` for an
-        integer, one gcd per entry, with every digit also past the
-        interpreter's int-to-str limit."""
+        integer, one gcd per entry and the denominator's digits written once,
+        with every digit also past the interpreter's int-to-str limit."""
         den, gcd = self._den, math.gcd
         try:
             if den == 1:
                 return [list(map(digits, row)) for row in self._grid]
+            over = "/" + digits(den)
             return [
                 [
-                    digits(x // g) if (g := gcd(x, den)) == den
+                    digits(x) + over if (g := gcd(x, den)) == 1
+                    else digits(x // g) if g == den
                     else f"{digits(x // g)}/{digits(den // g)}"
                     for x in row
                 ]
@@ -286,8 +302,10 @@ class Mat:
         and one gcd reduces the result. Only real arithmetic is paid for:
         pairs with a zero factor are skipped, a pair with an identity factor
         adds the other factor's grid with no dot product, a sum whose one
-        nonzero pair has an identity factor is the other factor itself, and
-        no nonzero pair gives the shared zero matrix.
+        nonzero pair has an identity factor is the other factor itself, a
+        sum of one product dots the two grids directly, over the product of
+        their denominators, with no lcm and no stacking, and no nonzero pair
+        gives the shared zero matrix.
         """
         terms, folds = [], []
         for a, b in pairs:
@@ -306,12 +324,17 @@ class Mat:
                 terms.append((a, b._grid, a._den * b._den))
         if len(folds) < 2 and not terms:
             return folds[0] if folds else Mat.zeros(rows, cols)
-        den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
-        # One term dots its own rows; more are concatenated: left rows side
-        # by side, and right columns as the columns of the right grids stacked.
-        lefts = [a._scaled(den // d) for a, _, d in terms]
-        left = lefts[0] if len(lefts) == 1 else [list(chain.from_iterable(r)) for r in zip(*lefts)]
-        right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
+        if len(terms) == 1 and not folds:
+            # One product dots the two grids, over the product of denominators.
+            a, right, den = terms[0]
+            left, right = a._grid, list(zip(*right))
+        else:
+            # Left rows side by side, and right columns as the columns of
+            # the right grids stacked, over the lcm of every denominator.
+            den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
+            lefts = [a._scaled(den // d) for a, _, d in terms]
+            left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
+            right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
         zero_row = (0,) * cols
         grid = (zero_row,) * rows
         if terms:

@@ -68,13 +68,18 @@ class MatLaurent:
     @staticmethod
     def from_terms(terms: Iterable[tuple[int, Mat]], rows: int, cols: int) -> MatLaurent:
         """The exact series sum of eps^power * mat over the (power, mat)
-        terms; a ``MatSeries`` when no power is negative."""
+        terms; a ``MatSeries`` when no power is negative. A term whose slot
+        still holds the shared zero is placed in it, with no sum."""
         terms = list(terms)
         pole = max(0, -min((power for power, _ in terms), default=0))
         top = max((power for power, _ in terms), default=0)
-        coeffs = [Mat.zeros(rows, cols)] * (pole + top + 1)
+        zero = Mat.zeros(rows, cols)
+        coeffs = [zero] * (pole + top + 1)
         for power, mat in terms:
-            coeffs[pole + power] = coeffs[pole + power] + mat
+            if (mat.rows, mat.cols) != (rows, cols):
+                raise ValueError(f"shape mismatch {rows}x{cols} + {mat.rows}x{mat.cols}")
+            slot = coeffs[pole + power]
+            coeffs[pole + power] = mat if slot is zero else slot + mat
         return MatLaurent(pole, coeffs, exact=True) if pole else MatSeries(coeffs, exact=True)
 
     def _new(self, other: MatLaurent, pole: int, coeffs, exact: bool) -> MatLaurent:

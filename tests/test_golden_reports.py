@@ -244,11 +244,18 @@ VALUES = st.recursive(
 @example({"a": [], "b": {}, "c": [True, 1, False, 0, None], "d": [["1/2", "-3"], []]})
 @example([[], {}, [[]], [{}], "", True, 1])
 @example({'q"\\': ['"', "\\", "\x00\x1f", "\u00e9\u2028\U0001f600"]})
+@example([["1"], []])
+@example([[]])
+@example([["1", 2]])
+@example([["a"], "b"])
+@example([[["1"]]])
 def test_report_encoder_is_json_dumps(value):
     assert render(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [{"b": set()}]}, b"x"])
+@pytest.mark.parametrize(
+    "value", [1.5, (1, 2), {1: "a"}, {"a": [{"b": set()}]}, b"x", [["1", set()]]]
+)
 def test_report_encoder_refuses_other_types(value):
     with pytest.raises(TypeError):
         render(value)

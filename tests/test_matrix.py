@@ -478,6 +478,91 @@ class TestStrings:
         assert Mat(grid, cols=cols).strings() == text
 
 
+def per_entry(grid, cols):
+    """The matrix of ``grid`` read entry by entry, each entry by ``ratio``."""
+    return Mat([[Fraction(*matrix.ratio(x)) for x in row] for row in grid], cols=cols)
+
+
+# An ASCII integer with an optional sign and leading zeros, "-0" among them,
+# and values past 2^64.
+INTEGER_SPELLING = st.builds(
+    lambda sign, zeros, value: sign + "0" * zeros + str(value),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 2),
+    st.one_of(st.integers(0, 3), st.integers(0, 2**80)),
+)
+
+
+class TestIntegerRows:
+    """``Mat`` reads a grid of integer strings a row at a time, and any other
+    grid entry by entry."""
+
+    @PROPERTY
+    @given(
+        DIM.flatmap(
+            lambda c: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.one_of(INTEGER_SPELLING, st.integers(-2**70, 2**70)),
+                        min_size=c, max_size=c,
+                    ),
+                    max_size=4,
+                ),
+                st.just(c),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_equals_the_per_entry_reading(self, drawn, strings_only):
+        grid, c = drawn
+        if strings_only:
+            grid = [[str(x) for x in row] for row in grid]
+        m, want = Mat(grid, cols=c), per_entry(grid, c)
+        assert (m.rows, m.cols, m.denominator, m.integer_rows) == (
+            want.rows, want.cols, want.denominator, want.integer_rows
+        )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [["-0", "+0", "007"], ["-12", "+3", str(2**64)]],
+            [["1", 2], ["-3", -4]],
+            [[str(-2**70)]],
+        ],
+        ids=["spellings", "mixed", "past-2^64"],
+    )
+    def test_examples(self, grid):
+        assert Mat(grid) == per_entry(grid, len(grid[0]))
+
+    def test_integer_strings_take_no_ratio_call(self, monkeypatch):
+        calls, ratio, half = [], matrix.ratio, per_entry([["1", "1/2"]], 2)
+        monkeypatch.setattr(matrix, "ratio", lambda x: calls.append(x) or ratio(x))
+        assert Mat([["1", "-2"], ["+03", "4"]]).integer_rows == ((1, -2), (3, 4))
+        assert calls == []
+        assert Mat([["1", "1/2"]]) == half
+        assert calls == ["1", "1/2"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1.5", "1e3", "3_000", " 3 ", "\u0663", "1/0", "1/-2", "9" * 5000, "1,2", True],
+        ids=[
+            "decimal", "exponent", "underscore", "whitespace", "arabic-indic-digit",
+            "zero-denominator", "negative-denominator", "5000-digits", "comma", "json-true",
+        ],
+    )
+    def test_refusals_word_the_refused_entry(self, bad):
+        with pytest.raises(ValueError) as refused:
+            matrix.ratio(bad)
+        text = str(refused.value)
+        assert text.startswith("not a rational: bool" if bad is True else "malformed rational")
+        for r, c in itertools.product(range(2), range(3)):
+            grid = [["1", "-2", "30"], ["+4", "05", "-0"]]
+            grid[r][c] = bad
+            with pytest.raises(ValueError) as raised:
+                Mat(grid)
+            assert str(raised.value) == text, (r, c)
+
+
 class TestKernelsAgainstReference:
     @PROPERTY
     @given(st.sampled_from(["full", "full", "full", "any"]), st.data())

@@ -209,6 +209,20 @@ class TestLaurent:
             with pytest.raises(ValueError, match=f"t = {t}: pole {a.pole} "):
                 a.truncate(t)
 
+    def test_from_terms_adds_repeated_powers_and_places_the_rest(self):
+        a, b = Mat([[1, 2], [0, 3]]), Mat([[0, -2], [5, 1]])
+        summed = MatLaurent.from_terms([(1, a), (1, b)], 2, 2)
+        assert summed == MatSeries.polynomial([Mat.zeros(2, 2), a + b])
+        # A term in a slot that holds the shared zero is placed, not summed.
+        assert MatLaurent.from_terms([(-1, a), (2, b)], 2, 2).coefficient(-1) is a
+        # A zero term leaves its slot zero, whether or not it is the shared one.
+        for zero in (Mat.zeros(2, 2), Mat([[0, 0], [0, 0]])):
+            series = MatLaurent.from_terms([(0, a), (1, zero), (1, zero)], 2, 2)
+            assert series.coefficient(1).is_zero()
+            assert series == MatSeries.polynomial([a])
+        with pytest.raises(ValueError, match="shape mismatch 2x2 \\+ 1x2"):
+            MatLaurent.from_terms([(0, a), (0, Mat([[1, 2]]))], 2, 2)
+
     def test_evaluate_matches_coefficients(self):
         a = MatLaurent(1, [Mat.identity(1), Mat.zeros(1, 1), Mat([[3]])], exact=True)
         value = a.evaluate(Fraction(1, 2))
