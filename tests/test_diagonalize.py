@@ -186,9 +186,11 @@ class TestPsiPastK:
             with open(os.path.join(REPORTS, plan), "r", encoding="utf-8") as handle:
                 complements = parse_complement_plan(handle.read())
         nonzero = assert_psi_past_k_in_tail_cokernel(diagonalize(family, complements=complements))
-        # The tall rect3x2 is the one family with a nonzero tail cokernel:
-        # psi_i is nonzero at every order 2..12 past k = 1.
-        assert nonzero == (11 if path.endswith("rect3x2.json") else 0)
+        # The tall rect3x2 and the rank-deficient deficient20 are the
+        # families with a nonzero tail cokernel: psi_i is nonzero at every
+        # order 2..12 past k = 1, and 1..12 past k = 0.
+        tails = {"rect3x2.json": 11, "deficient20.json": 12}
+        assert nonzero == tails.get(os.path.basename(path), 0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(smith_families())

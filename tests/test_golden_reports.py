@@ -4,9 +4,9 @@ Each case runs ``localsmith.cli.main`` in-process and compares its exit code
 and stdout with ``tests/data/reports/<case>.out``, whose first line is
 ``exit: <code>`` and whose remainder is the stdout of the recorded call.
 After the first pass, every case runs a second time, in reverse order and in
-the same process, and must give the same bytes. ``LARGE_CASES`` run on two
-16 x 16 families and compare the sha256 of the same recording with a
-recorded digest.
+the same process, and must give the same bytes. ``LARGE_CASES`` run on
+families of n = 16 and 20, and on long runs of stages, and compare the
+sha256 of the same recording with a recorded digest.
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 
@@ -125,6 +125,16 @@ def test_report_unchanged(case):
 # exit line and stdout, as ``run`` gives them, not the text.
 DENSE16 = os.path.join(DATA, "dense16.json")
 SMITH7K16 = os.path.join(DATA, "smith7k16.json")
+# Where the packed layer and the rank sampling take their long paths, also
+# from perfbench/corpus.py: dense20 = _body(dense_coeffs(Random(6), 20, 20,
+# 3, 6)), with wide packed slots in ``invert``; deficient20 = _body of
+# A(eps) B(eps), A 20 x 15 of degree 1 and B 15 x 20 of degree 2, whose
+# coefficients are _random_matrix(Random(3), ., ., density=0.6) drawn A
+# first: degree 3, generic rank 15, k = 0, so every command samples the rank
+# and ``--pole 10`` samples it at every added stage; and smith4x4k8 under
+# ``--pole 300``, a run of 300 leading degenerate stages.
+DEFICIENT20 = os.path.join(DATA, "deficient20.json")
+DENSE20 = os.path.join(DATA, "dense20.json")
 LARGE_CASES = {
     "dense16-analyze": (
         ["analyze", DENSE16],
@@ -185,6 +195,42 @@ LARGE_CASES = {
     "smith7k16-jordan-16": (
         ["jordan", SMITH7K16, "--length", "16"],
         "7858f2f5c54eb0472253681c83ada147714615b306c1a9b68aa0de31b915cf54",
+    ),
+    "deficient20-analyze": (
+        ["analyze", DEFICIENT20],
+        "291c1bcd5707ae1fe7a9ddf7f310879d7bf899108cd114ed21c321deebe295c2",
+    ),
+    "deficient20-diagonalize": (
+        ["diagonalize", DEFICIENT20],
+        "243afa22adf5643c695092c4ae165053af811311fe7b328308658bf411f072cf",
+    ),
+    "deficient20-smith": (
+        ["smith", DEFICIENT20],
+        "c90068eeb62edfc366e53c0ad027734496dd207a67fcfc19c47063463e052828",
+    ),
+    "deficient20-verify": (
+        ["verify", DEFICIENT20],
+        "0644217a32c9549cec77767348ed7497f5ea2975656f7235b1b54dfb7c363b9d",
+    ),
+    "deficient20-linearize": (
+        ["linearize", DEFICIENT20],
+        "e75569289a3a54fe6cdd8ca1f4fa5086e03619a2a3c1d321b7f95a047e29b741",
+    ),
+    "deficient20-pole10-analyze": (
+        ["analyze", DEFICIENT20, "--pole", "10"],
+        "e904423a2528432907f2f1bf7756469adb15362e620c0b386d2ab88a050383b1",
+    ),
+    "deficient20-jordan-3": (
+        ["jordan", DEFICIENT20, "--length", "3"],
+        "c3eb48005da1052101d20170b53acdb968c39c249d44b825a007307fb6799ae1",
+    ),
+    "dense20-invert": (
+        ["invert", DENSE20],
+        "64f7bd4440629f011968fb3f163a4152e5f8d1b22538746497951e65a72eaccd",
+    ),
+    "smithk8-pole300-analyze": (
+        ["analyze", SMITH_K8, "--pole", "300"],
+        "200d7ebc099d169d2e40d0316767561a23b29e076d111ac0803cd3dd52ff8d4a",
     ),
 }
 
