@@ -268,7 +268,7 @@ def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
         family, complements=_complement_plan(args), max_stages=args.max_stages
     )
     length, n = args.length, state.domain_dim
-    chains = state.jordan_chains(length)
+    grid = state.jordan_chains(length).strings()
     dims = [stage.n.dim for stage in state.stages[:length]]
     return {
         "length": length,
@@ -280,7 +280,8 @@ def cmd_jordan(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
                 "vectors": vectors,
             }
             for vectors in (
-                chains.column(j).reshape(length, n).strings() for j in range(chains.cols)
+                [[row[j] for row in grid[r * n : r * n + n]] for r in range(length)]
+                for j in range(len(grid[0]))
             )
         ],
     }, EXIT_OK

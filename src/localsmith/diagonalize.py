@@ -26,7 +26,7 @@ attains it, since every Y entry it uses replaces some eps^{e_i} by a power
 >= k+1 > e_i. The minors larger than r vanish. So the invariant factors of
 L at 0 are eps^{e_1}, ..., eps^{e_r} (Gohberg, Lancaster & Rodman, Matrix
 Polynomials, 1982, ch. S1). Truncated input caps the order at
-input_trunc - k, and the exponents then hold modulo the truncation, as for
+tail_order - k, and the exponents then hold modulo the truncation, as for
 every other result.
 
 Stopping at 2k+1 also stops the rank guard of the stages past it, and the
@@ -162,12 +162,12 @@ class DiagonalizationResult:
         coefficients through t + 2k.
         """
         if t is None:
-            t = self.order
-            if self.state.input_trunc is not None:
-                t = min(t, self.state.input_trunc - 2 * self.k)
+            t, trunc = self.order, self.state.input_family.tail_order
+            if trunc is not None:
+                t = min(t, trunc - 2 * self.k)
             if t < 0:
                 raise TruncationError(
-                    f"truncation order {self.state.input_trunc} cannot support "
+                    f"truncation order {trunc} cannot support "
                     f"any generalized-inverse coefficient at k = {self.k}"
                 )
         if t < -self.k:
@@ -212,7 +212,7 @@ def _diagonalization(
     phi/psi/Delta and prove L * phi == psi * Delta through ``order``.
 
     ``order`` defaults to k if ``through_k``, else to max(2k + 4, 12).
-    Truncated input caps the default at input_trunc - k, so that only
+    Truncated input caps the default at tail_order - k, so that only
     genuine coefficients are consumed. The stages run through k+1+order,
     and through the last stage the complement plan names.
     """
@@ -224,8 +224,8 @@ def _diagonalization(
     k = state.run_until_stabilized()
     if order is None:
         order = k if through_k else max(2 * k + 4, 12)
-        if state.input_trunc is not None:
-            order = min(order, state.input_trunc - k)
+        if family.tail_order is not None:
+            order = min(order, family.tail_order - k)
     state.ensure_stages(k + 1 + order)
     result = DiagonalizationResult(state=state, k=k, order=order)
     i = result.residual_order()
@@ -260,7 +260,7 @@ def analyze(
 ) -> DiagonalizationResult:
     """The diagonalization proven through the order that fixes k, the stage
     table and the Smith exponents: ``order`` defaults to k (capped at
-    input_trunc - k for truncated input), which needs stages only through
+    tail_order - k for truncated input), which needs stages only through
     2k+1. See the module docstring for why that proves every exponent.
     """
     return _diagonalization(family, order, max_stages, complements, through_k=True)

@@ -41,11 +41,11 @@ _STRING = json.encoder.encode_basestring_ascii
 
 class ReportEncoder(json.JSONEncoder):
     """The text of ``json.dumps(obj, indent=2)``, written with the C string
-    encoder instead of the pure-Python indenting one, a list of strings (a
-    grid row) in one join, and a list of nonempty lists of strings (a grid)
-    in one join of its rows. It takes dicts with string keys, lists,
-    strings, bools, ints and None; anything else is a TypeError. It writes
-    that one layout: other indents, separators or key orders are refused."""
+    encoder instead of the pure-Python indenting one, and a list of nonempty
+    lists of strings (a grid) in one join of its rows. It takes dicts with
+    string keys, lists, strings, bools, ints and None; anything else is a
+    TypeError. It writes that one layout: other indents, separators or key
+    orders are refused."""
 
     def encode(self, o) -> str:
         layout = (self.indent, self.item_separator, self.key_separator)
@@ -86,9 +86,6 @@ def _write(o, newline: str, put) -> None:
                 return
             except TypeError:
                 pass
-        elif all(isinstance(x, str) for x in o):
-            put(f"[{inner}{(',' + inner).join(map(_STRING, o))}{newline}]")
-            return
         sep = "["
         for value in o:
             put(sep + inner)

@@ -427,12 +427,6 @@ class Mat:
             _set(self, "_peak_abs", cached)
         return cached
 
-    def column(self, j: int) -> Mat:
-        """Column j as a rows x 1 matrix, for 0 <= j < cols."""
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
-        return Mat._reduced(tuple((row[j],) for row in self._grid), self._den, self.rows, 1)
-
     def submatrix_columns(self, indices: Sequence[int]) -> Mat:
         grid = tuple(tuple(row[j] for j in indices) for row in self._grid)
         return Mat._reduced(grid, self._den, self.rows, len(indices))
@@ -440,14 +434,6 @@ class Mat:
     def submatrix_rows(self, indices: Sequence[int]) -> Mat:
         grid = tuple(self._grid[i] for i in indices)
         return Mat._reduced(grid, self._den, len(indices), self.cols)
-
-    def reshape(self, rows: int, cols: int) -> Mat:
-        """The entries, read row by row, as a rows x cols matrix."""
-        if rows * cols != self.rows * self.cols:
-            raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        flat = tuple(chain.from_iterable(self._grid))
-        grid = tuple(flat[r * cols : r * cols + cols] for r in range(rows))
-        return Mat._of(grid, self._den, rows, cols)
 
     @property
     def integer_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -511,8 +497,6 @@ class Mat:
         )
 
     def __matmul__(self, other: Mat) -> Mat:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         return Mat.sum_of_products(((self, other),), self.rows, other.cols)
 
     # -- elimination --------------------------------------------------

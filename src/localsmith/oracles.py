@@ -115,11 +115,11 @@ def direct_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
     """
     if family.rows != family.cols:
         raise ValueError("direct inverse needs a square family")
-    work = family if family.exact else MatSeries.polynomial(family.coeffs)
+    work = MatSeries.polynomial(family.coeffs)
     n, exponents = work.rows, range(work.degree + 1)
     need = n * work.degree + 1
-    flat = Mat.vstack([c.reshape(1, n * n) for c in work.coeffs])
-    den, columns = flat.denominator, list(zip(*flat.integer_rows))
+    wide = Mat.hstack(work.coeffs)  # entry (i, j) of L_e at (i, e n + j)
+    den, columns = wide.denominator, [row[j::n] for row in wide.integer_rows for j in range(n)]
     xs, values = [], []
     for t in range(1, 2 * need):
         powers = [t**e for e in exponents]
@@ -167,7 +167,7 @@ class AugmentedPencil:
 
 
 def linearize_polynomial(family: MatSeries) -> AugmentedPencil:
-    work = family if family.exact else MatSeries.polynomial(family.coeffs)
+    work = MatSeries.polynomial(family.coeffs)
     deg = work.degree
     if deg < 1:
         raise ValueError("linearization needs degree >= 1")

@@ -206,9 +206,8 @@ class RecursionState:
         max_stages: int | None = None,
     ):
         self.input_family = family
-        self.input_trunc = None if family.exact else family.degree
         # The engine always works with the polynomial closure.
-        self.L = family if family.exact else MatSeries.polynomial(family.coeffs)
+        self.L = MatSeries.polynomial(family.coeffs)
         self.domain_dim = family.cols
         self.codomain_dim = family.rows
         self.complements = complements or {}
@@ -312,10 +311,11 @@ class RecursionState:
         the certificate, which read only dim R_j. The rest of stage j
         waits for ``_finish_stage``, unless the plan names the stage."""
         j = self.stage_count + 1
-        if self.input_trunc is not None and j - 1 > self.input_trunc:
+        trunc = self.input_family.tail_order
+        if trunc is not None and j - 1 > trunc:
             raise TruncationError(
                 f"stage {j} needs the order-{j - 1} coefficient; input truncated "
-                f"at order {self.input_trunc}"
+                f"at order {trunc}"
             )
         self._finish_stage()
         sbar = self.L.coefficient(0) if j == 1 else self._sbar()

@@ -55,14 +55,12 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def contains(self, vectors) -> bool:
-        """Whether every column of ``vectors`` lies in the subspace: a Mat
-        with any number of columns, such as another subspace's basis, or one
-        vector as a sequence of rationals."""
-        vec = vectors if isinstance(vectors, Mat) else Mat([[x] for x in vectors])
-        if vec.rows != self.ambient_dim:
+    def contains(self, vectors: Mat) -> bool:
+        """Whether every column of ``vectors`` lies in the subspace, for any
+        number of columns, such as another subspace's basis."""
+        if vectors.rows != self.ambient_dim:
             raise ValueError("vectors have the wrong ambient dimension")
-        return vec.is_zero() or Mat.hstack([self.basis, vec]).rank() == self.dim
+        return vectors.is_zero() or Mat.hstack([self.basis, vectors]).rank() == self.dim
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"

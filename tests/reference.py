@@ -52,6 +52,20 @@ def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> Mat:
     return m
 
 
+def chain_vectors(chains: Mat, length: int) -> list[list[list[str]]]:
+    """Each column of ``RecursionState.jordan_chains(length)`` read on its
+    own, as the ``jordan`` report lists it: the column's ``length`` vectors
+    of n entries, b_{l-1} first, each entry a string in lowest terms."""
+    n = chains.rows // length
+    return [
+        [
+            transpose(column.submatrix_rows(range(r * n, r * n + n))).strings()[0]
+            for r in range(length)
+        ]
+        for column in (chains.submatrix_columns([j]) for j in range(chains.cols))
+    ]
+
+
 def identity_series(n: int) -> MatSeries:
     return MatSeries.constant(Mat.identity(n))
 

@@ -29,6 +29,8 @@ from localsmith import (
 )
 from localsmith.cli import main
 
+from reference import chain_vectors
+
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "example1.json")
 REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
@@ -452,7 +454,7 @@ class TestCommands:
             family = spec_to_series(parse_family(handle.read()))
         chains = RecursionState(family).jordan_chains(3)
         reported = [chain["vectors"] for chain in report["chains"]]
-        assert reported == [chains.column(j).reshape(3, 3).strings() for j in range(chains.cols)]
+        assert reported == chain_vectors(chains, 3)
 
     def test_smith_golden(self, capsys):
         code, out = run_cli(capsys, "smith", DATA)

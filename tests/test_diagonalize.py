@@ -255,7 +255,7 @@ class TestDiagonalizeEndToEnd:
             s_i = product.coefficient(i)
             assert (s_i @ tail_n.basis).is_zero()
             for j in range(s_i.cols):
-                col = s_i.column(j)
+                col = s_i.submatrix_columns([j])
                 if not col.is_zero():
                     assert rc.contains(col)
 

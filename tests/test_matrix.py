@@ -151,24 +151,26 @@ class TestArithmetic:
             m = random_matrix(rng, n, n)
             assert m.det() == cofactor_det(m)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Mat([[1, 2]]), Mat([[1, 2]])),
+            (Mat.identity(2), Mat.identity(3)),
+            (Mat.zeros(2, 3), Mat.zeros(2, 3)),
+            (Mat.zeros(3, 0), Mat.zeros(2, 1)),
+        ],
+        ids=["dense", "identities", "zeros", "empty"],
+    )
+    def test_matmul_refuses_mismatched_shapes(self, a, b):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a @ b
+
     def test_zero_width_matrices(self):
         empty = Mat.zeros(3, 0)
         assert empty.rank() == 0
         assert (transpose(empty) @ empty) == Mat.zeros(0, 0)
         stacked = Mat.hstack([empty, Mat.identity(3)])
         assert stacked == Mat.identity(3)
-
-    @pytest.mark.parametrize("shape", [(0, 3), (2, 3), (2, 0), (0, 0)])
-    def test_column_shape_and_bounds(self, shape):
-        rows, width = shape
-        m = Mat([[i * width + j for j in range(width)] for i in range(rows)], cols=width)
-        for j in range(width):
-            col = m.column(j)
-            assert (col.rows, col.cols) == (rows, 1)
-            assert col.entries == tuple((row[j],) for row in m.entries)
-        for j in (width, width + 4, -1):
-            with pytest.raises(IndexError):
-                m.column(j)
 
     def test_immutable(self):
         m = Mat.identity(2)
@@ -208,15 +210,6 @@ class TestArithmetic:
     )
     def test_is_identity(self, m, expected):
         assert m.is_identity() is expected
-
-    def test_reshape_reads_row_by_row(self):
-        m = Mat([[1, rat("1/2")], [3, 4], [5, rat("-1/6")]])
-        assert m.reshape(1, 6) == Mat([[1, rat("1/2"), 3, 4, 5, rat("-1/6")]])
-        assert m.reshape(2, 3) == Mat([[1, rat("1/2"), 3], [4, 5, rat("-1/6")]])
-        assert m.reshape(2, 3).reshape(3, 2) == m
-        assert Mat.zeros(0, 3).reshape(3, 0) == Mat.zeros(3, 0)
-        with pytest.raises(ValueError):
-            m.reshape(4, 2)
 
     def test_integer_rows_are_over_the_common_denominator(self):
         assert Mat([[rat("1/2"), rat("1/3")], [1, 0]]).integer_rows == ((3, 2), (6, 0))
@@ -778,7 +771,8 @@ class TestKernelsAgainstReference:
         flipped = [[grid[i][j] for i in range(r)] for j in range(c)]
         assert shape_of(transpose(m)) == (c, r, as_entries(flipped))
         for j in range(c):
-            assert shape_of(m.column(j)) == (r, 1, as_entries([row[j]] for row in grid))
+            column = as_entries([row[j]] for row in grid)
+            assert shape_of(m.submatrix_columns([j])) == (r, 1, column)
         indices = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
         picked = [[row[j] for j in indices] for row in grid]
         assert shape_of(m.submatrix_columns(indices)) == (r, len(indices), as_entries(picked))
@@ -796,7 +790,7 @@ class TestKernelsAgainstReference:
             a + b, a - b, -a, a * Fraction(-3, 7), a * 0, a @ transpose(b), a.rref()[0],
             a.nullspace(), transpose(a), Mat.hstack([a, b]), Mat.vstack([a, b]),
             a.submatrix_columns(range(c // 2)), a.submatrix_rows(range(r // 2)),
-            *(a.column(j) for j in range(c)),
+            *(a.submatrix_columns([j]) for j in range(c)),
         ]
         routes = [((a + b) - b, a), ((a - b) + b, a), (-(-a), a), (a * 0, Mat.zeros(r, c))]
         routes += [(Mat(m.entries, cols=m.cols), m) for m in [a, *results]]

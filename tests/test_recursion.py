@@ -4,13 +4,15 @@ Jordan chains, and the coefficient identities."""
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import random
+import tempfile
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsmith import (
@@ -26,6 +28,7 @@ from localsmith import (
     TruncationError,
     analyze,
     diagonalize,
+    family_from_series,
     generic_rank,
     image,
     linearize_polynomial,
@@ -33,6 +36,7 @@ from localsmith import (
     parse_family,
     phi_series,
     psi_series,
+    serialize_family,
     spec_to_series,
 )
 from localsmith.cli import main
@@ -59,6 +63,7 @@ from conftest import (
 )
 from reference import (
     chain_from,
+    chain_vectors,
     identity_series,
     partial_triangularize,
     rank_of_root,
@@ -1072,7 +1077,38 @@ class TestLedgerIndices:
                 state.jordan_chains(length)
 
 
+@st.composite
+def rational_families(draw) -> MatSeries:
+    """A nonzero polynomial family, 1-3 x 1-3 of degree 0-2, whose entries
+    are rationals of denominator at most 5."""
+    rows, cols_ = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    grid = st.lists(st.lists(entry, min_size=cols_, max_size=cols_), min_size=rows, max_size=rows)
+    coeffs = draw(st.lists(grid, min_size=1, max_size=3))
+    family = MatSeries.polynomial([Mat(g) for g in coeffs])
+    return family if not family.is_zero() else MatSeries.constant(Mat.identity(rows))
+
+
 class TestJordanChains:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(smith_families(), rational_families()), st.integers(1, 4))
+    @example(MatSeries.constant(Mat.identity(2)), 3)
+    def test_report_chains_are_the_columns_read_one_by_one(self, family, length):
+        """The ``chains`` of the jordan report, sliced from one string grid,
+        are each column of ``jordan_chains`` read on its own, whatever the
+        grid's common denominator. The identity family has no chains."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "family.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_family(family_from_series(family)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["jordan", path, "--length", str(length)]) == 0
+        chains = RecursionState(family).jordan_chains(length)
+        reported = [chain["vectors"] for chain in json.loads(out.getvalue())["chains"]]
+        assert reported == chain_vectors(chains, length)
+        assert len(reported) == chains.cols
+
     def test_golden_length_three_shape(self, example1):
         state = RecursionState(example1)
         state.ensure_stages(3)
@@ -1080,12 +1116,12 @@ class TestJordanChains:
         n2 = Mat([[0], [5], [0]])
         n3 = Mat([[0], [7], [0]])
         chain = chain_from(state, 3, [n1, n2, n3])
-        assert chain.reshape(3, 3).entries == ((0, 2, 3), (0, 5, -7), (0, 7, 0))
+        assert [x for (x,) in chain.entries] == [0, 2, 3, 0, 5, -7, 0, 7, 0]
 
     def test_length_one_is_leading_kernel(self, example1):
         state = RecursionState(example1)
         chains = state.jordan_chains(1)
-        roots = [chains.column(j).reshape(1, 3).entries[-1] for j in range(chains.cols)]
+        roots = [transpose(chains.submatrix_columns([j])).entries[-1] for j in range(chains.cols)]
         assert roots == [(0, 1, 0), (0, 0, 1)]
 
     def test_stacked_dimension_matches_toeplitz_oracle(self, example1):
@@ -1097,7 +1133,7 @@ class TestJordanChains:
         stacked = stacked_nullspace_basis(state, 4)
         assert stacked.rank() == 4
         for j in range(stacked.cols):
-            assert oracle.contains(stacked.column(j))
+            assert oracle.contains(stacked.submatrix_columns([j]))
 
     def test_random_dims_match_oracle(self):
         rng = random.Random(45)
@@ -1129,7 +1165,8 @@ class TestJordanChains:
 
         def assert_chain(chain, blocks):
             assert chain == Mat.vstack(blocks)
-            assert chain.reshape(len(blocks), n) == transpose(Mat.hstack(blocks))
+            parts = [chain.submatrix_rows(range(i * n, i * n + n)) for i in range(len(blocks))]
+            assert parts == blocks
 
         oracle_dims = toeplitz_kernel_dims(family, k + 1)
         for length in range(1, k + 2):
@@ -1138,13 +1175,14 @@ class TestJordanChains:
             deepest = kernels[-1].basis
             assert chains.cols == deepest.cols
             for j in range(chains.cols):
-                chain = chains.column(j)
-                assert_chain(chain, row_sums([zero] * (length - 1) + [deepest.column(j)], length))
+                chain = chains.submatrix_columns([j])
+                last = deepest.submatrix_columns([j])
+                assert_chain(chain, row_sums([zero] * (length - 1) + [last], length))
             generators = []
             for c, ker in enumerate(kernels, start=1):
                 for j in range(ker.dim):
                     alone = [zero] * length
-                    alone[c - 1] = ker.basis.column(j)
+                    alone[c - 1] = ker.basis.submatrix_columns([j])
                     generators.append(Mat.vstack(row_sums(alone, length)))
             assert stacked_nullspace_basis(state, length) == Mat.hstack(
                 [Mat.zeros(n * length, 0)] + generators
@@ -1189,7 +1227,7 @@ class TestRankOfRoot:
             kernel = state.stage(1).n
             if kernel.dim == 0:
                 continue
-            b0 = kernel.basis.column(0)
+            b0 = kernel.basis.submatrix_columns([0])
             got = rank_of_root(state, b0)
             oracle = max_chain_length_from_root(fam, b0, k + 2)
             if got == math.inf:
@@ -1246,4 +1284,4 @@ class TestPartialTriangularize:
                 for earlier in range(1, i):
                     mapped = s_i @ state.stage(earlier).nc.basis
                     for col in range(mapped.cols):
-                        assert prev_rc.contains(mapped.column(col))
+                        assert prev_rc.contains(mapped.submatrix_columns([col]))

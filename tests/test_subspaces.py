@@ -65,7 +65,8 @@ class TestContains:
         """A subspace holds another exactly when it holds its basis columns,
         all at once or one by one; a basis with no columns always fits."""
         assert space.contains(other.basis) is expected
-        by_column = all(space.contains(other.basis.column(j)) for j in range(other.dim))
+        basis = other.basis
+        by_column = all(space.contains(basis.submatrix_columns([j])) for j in range(other.dim))
         assert by_column is expected
 
     def test_wrong_ambient_is_refused(self):
@@ -101,7 +102,7 @@ class TestRestrictAndSplit:
             assert n.dim + r.dim == domain.dim
             assert (s @ n.basis).is_zero()
             for j in range(n.dim):
-                assert domain.contains(n.basis.column(j))
+                assert domain.contains(n.basis.submatrix_columns([j]))
 
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -263,8 +264,8 @@ class TestComplementCoordinates:
         inside = ambient.basis @ Mat.hstack(
             [random_invertible(rng, n - 1), random_matrix(rng, n - 1, 2)]
         )
-        columns = [inside.column(j) for j in range(inside.cols)]
-        columns.insert(at, inside.column(0) + full.column(n - 1))
+        columns = [inside.submatrix_columns([j]) for j in range(inside.cols)]
+        columns.insert(at, inside.submatrix_columns([0]) + full.submatrix_columns([n - 1]))
         for given_rc in (None, rest):
             comp, w = complement_coordinates(part, ambient, inside, given_rc)
             assert comp.contains(inside - part.basis @ w)
@@ -298,7 +299,7 @@ class TestComplementCoordinates:
         count = max(dim - part.dim + extra, 0)
         candidate = ambient.basis @ random_matrix(rng, dim, count, density=0.8)
         if leave and count and dim < n:
-            candidate = candidate + full.column(n - 1) @ random_matrix(rng, 1, count)
+            candidate = candidate + full.submatrix_columns([n - 1]) @ random_matrix(rng, 1, count)
         q = ambient.basis @ random_invertible(rng, dim)
         try:
             reference = choose_complement(ambient, part, candidate)
