@@ -240,7 +240,8 @@ def cmd_diagonalize(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, in
         "psi_inverse": series_listing(result.psi_inv, result.order),
         "verification": {
             "identity": "psi_inverse * L * phi == delta",
-            "checked_through_order": result.order,
+            # Proven on eps^p L through the working order: L's order is p less.
+            "checked_through_order": result.order - spec.declared_pole,
             # diagonalize() returns only a result whose residual it has proven.
             "exact": True,
         },
@@ -257,7 +258,7 @@ def cmd_invert(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
         "coefficients": laurent_listing(reported),
         "verification": {
             "identities": ["L * X * L == L", "X * L * X == X"],
-            "checked_through_order": linv.tail_order,
+            "checked_through_order": reported.tail_order,
             "exact": require(inverse_axioms(family, linv)),
         },
     }, EXIT_OK

@@ -863,7 +863,15 @@ class TestMeromorphicNormalization:
             shifted = read("smith", path, *flags)
             assert shifted["exponents"] == smith["exponents"] == exponents
             assert nonzero_terms(shifted["smith_form"]) == nonzero_terms(smith["smith_form"])
-            assert read("invert", path, *flags)["pole_order"] == pole_order
+            inverse = read("invert", path, *flags)
+            assert inverse["pole_order"] == pole_order
+            # The checked orders are L's too: invert's is its last listed
+            # power, and diagonalize --order T, which proves eps^p L through
+            # T, proves L through T - p.
+            last = inverse["coefficients"][-1]["power"]
+            assert inverse["verification"]["checked_through_order"] == last
+            proven = read("diagonalize", path, "--order", "9", *flags)["verification"]
+            assert proven["checked_through_order"] == 9 - pole
 
 
 class TestGivenComplements:
