@@ -269,7 +269,6 @@ class Mat:
 
     @staticmethod
     def hstack(mats: Sequence["Mat"]) -> Mat:
-        mats = [m for m in mats]
         if not mats:
             raise ValueError("nothing to stack")
         rows = mats[0].rows
@@ -282,7 +281,6 @@ class Mat:
 
     @staticmethod
     def vstack(mats: Sequence["Mat"]) -> Mat:
-        mats = [m for m in mats]
         if not mats:
             raise ValueError("nothing to stack")
         cols = mats[0].cols
