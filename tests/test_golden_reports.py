@@ -64,6 +64,7 @@ CASES = {
     "cubic-pole2-invert": ["invert", CUBIC, "--pole", "2"],
     "cubic-pole2-smith": ["smith", CUBIC, "--pole", "2"],
     "cubic-pole2-diagonalize": ["diagonalize", CUBIC, "--pole", "2"],
+    "cubic-pole2-verify": ["verify", CUBIC, "--pole", "2"],
     "cubic-given-analyze": ["analyze", CUBIC, "--complement", f"given:{PLAN}"],
     "cubic-given-invert": ["invert", CUBIC, "--complement", f"given:{PLAN}"],
     "cubic-given-verify": ["verify", CUBIC, "--complement", f"given:{PLAN}"],
