@@ -285,6 +285,31 @@ REFUSED_ENTRIES = {
     "long-number": "9" * 5000,
 }
 
+# Each refused family or complement file: its bytes (None: no file at the
+# path) and the first stderr line, with {path} the path, {file} "" or
+# "complement file " and {is_} "" or "is ". The last three are complement
+# files only.
+REFUSED_FILES = {
+    "missing": (
+        None, "error: cannot read {file}{path}: [Errno 2] No such file or directory: '{path}'"
+    ),
+    "non-utf8": (
+        b"\xff\xfe{}",
+        "error: cannot read {file}{path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte",
+    ),
+    "malformed": (
+        b'{"rows": 1,',
+        "error: {file}{is_}not valid JSON: Expecting property name enclosed in"
+        " double quotes: line 1 column 12 (char 11)",
+    ),
+    "list": (b"[]", 'error: complement file must be {{"stages": [...]}}'),
+    "stages-number": (b'{"stages": 5}', 'error: complement file must be {{"stages": [...]}}'),
+    "extra-key": (
+        b'{"stages": [], "extra": 1}', 'error: complement file must be {{"stages": [...]}}'
+    ),
+}
+
 
 class TestEntryGrammar:
     @pytest.mark.parametrize("path", FAMILY_FILES, ids=os.path.basename)
@@ -346,6 +371,24 @@ class TestEntryGrammar:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(first)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "file, case",
+        [("family", case) for case in list(REFUSED_FILES)[:3]]
+        + [("complement", case) for case in REFUSED_FILES],
+    )
+    def test_refused_file_first_stderr_line(self, file, case, tmp_path, capsys):
+        content, first = REFUSED_FILES[case]
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_bytes(content)
+        argv = ["analyze", str(path)]
+        if file == "complement":
+            argv = ["analyze", DATA, "--complement", f"given:{path}"]
+        assert main(argv) == 1
+        name, is_ = ("complement file ", "is ") if file == "complement" else ("", "")
+        expected = first.format(path=path, file=name, is_=is_)
+        assert capsys.readouterr().err.splitlines()[0] == expected
 
     def test_result_past_the_int_string_limit_is_rendered_in_full(self, tmp_path, capsys):
         """The inverse of a + eps, a = 10^400 - 1, has eps^12 coefficient
