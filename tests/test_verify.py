@@ -400,6 +400,30 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
 
 
+E22 = Mat([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="no check re-derives P_j from the ledger"
+)
+def test_projection_fault_on_rect2x3_fails_verify(j, monkeypatch, capsys):
+    """e_{2,2} added to P_j of rect2x3 changes the smith report, yet leaves
+    every identity verify proves true: each check tests an identity the
+    faulty P_j still meets, and none ties P_j to S_j^+ S_j Q_{j-1}."""
+    run = cli._run
+
+    def faulty(pipeline, family, args):
+        result = run(pipeline, family, args)
+        result.projections[j - 1] = result.projections[j - 1] + E22
+        result._store.clear()
+        result.state._psi.clear()
+        return result
+
+    monkeypatch.setattr(cli, "_run", faulty)
+    assert main(["verify", FAMILIES["rect-verify"]]) == 3
+
+
 def count_e_solves(monkeypatch, fault=None):
     """The E columns verify solves, one (state, j) entry per solve, for
     example1 with ``fault`` applied to its ledger after diagonalize."""
