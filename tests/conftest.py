@@ -7,6 +7,10 @@ Random families come in three flavors: plain dense (usually invertible at 0),
 leading-coefficient-deficient (forces the recursion to work), and
 Smith-structured products unit * diag(eps^a_i) * unit whose exponents are
 known by construction.
+
+The family files that the data sweeps run are listed here, by path under
+``tests/data``, so a family file added later joins no sweep until it is
+listed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,21 @@ def e(i: int, n: int = 3) -> tuple:
 
 
 ZERO3 = (0, 0, 0)
+
+# The small families: the golden cubic and the families of the recorded
+# reports.
+SMALL_FAMILIES = [
+    "example1.json",
+    "reports/dense6x6.json",
+    "reports/rect2x3.json",
+    "reports/rect3x2.json",
+    "reports/shift2x2.json",
+    "reports/smith4x4.json",
+    "reports/smith4x4k8.json",
+    "reports/trunc2x2.json",
+]
+# The families of n = 16 and 20 whose reports are pinned as digests.
+DIGEST_FAMILIES = ["dense16.json", "smith7k16.json", "dense20.json", "deficient20.json"]
 
 
 def example1_family() -> MatSeries:

@@ -29,6 +29,7 @@ from localsmith import (
 )
 from localsmith.cli import main
 
+from conftest import SMALL_FAMILIES
 from reference import chain_vectors
 
 
@@ -264,11 +265,7 @@ class TestParseFamily:
             parse_family(raw)
 
 
-FAMILY_FILES = [DATA] + [
-    os.path.join(REPORTS, name)
-    for name in sorted(os.listdir(REPORTS))
-    if name.endswith(".json") and not name.startswith("plan_")
-]
+FAMILY_FILES = [os.path.join(os.path.dirname(DATA), name) for name in SMALL_FAMILIES]
 
 # Entry spellings outside the grammar [+-]?digits or [+-]?digits/digits,
 # as raw JSON text: each replaces the constant entry of 1 + eps.

@@ -28,6 +28,8 @@ from localsmith import (
 from localsmith.cli import main
 
 from conftest import (
+    DIGEST_FAMILIES,
+    SMALL_FAMILIES,
     ZERO3,
     cols,
     e,
@@ -159,10 +161,7 @@ def assert_psi_past_k_in_tail_cokernel(result) -> int:
 
 
 PSI_FAMILIES = sorted(
-    (os.path.join(root, name), None)
-    for root in (DATA, REPORTS)
-    for name in os.listdir(root)
-    if name.endswith(".json") and not name.startswith("plan_")
+    (os.path.join(DATA, name), None) for name in SMALL_FAMILIES + DIGEST_FAMILIES
 ) + [
     (os.path.join(DATA, "example1.json"), "plan_stage1.json"),
     (os.path.join(REPORTS, "rect3x2.json"), "plan_late.json"),

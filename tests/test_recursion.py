@@ -51,6 +51,8 @@ from localsmith.subspaces import (
 )
 
 from conftest import (
+    DIGEST_FAMILIES,
+    SMALL_FAMILIES,
     ZERO3,
     cols,
     e,
@@ -356,13 +358,7 @@ def generic_em_triangles(state: RecursionState) -> tuple[dict, dict]:
 
 
 DATA = os.path.dirname(REPORTS)
-# Every family file under tests/data; the plan files hold complements.
-DATA_FAMILIES = sorted(
-    os.path.relpath(os.path.join(root, name), DATA)
-    for root, _, names in os.walk(DATA)
-    for name in names
-    if name.endswith(".json") and not name.startswith("plan")
-)
+DATA_FAMILIES = sorted(SMALL_FAMILIES + DIGEST_FAMILIES)
 
 
 class TestLazyEColumns:

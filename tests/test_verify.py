@@ -21,7 +21,7 @@ from localsmith.cli import main
 from localsmith.oracles import direct_laurent_inverse
 from localsmith.verify import CHECKS, run_check
 
-from conftest import smith_families
+from conftest import DIGEST_FAMILIES, SMALL_FAMILIES, smith_families
 from reference import identity_series
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -214,12 +214,7 @@ def assert_one_e_triangle(result):
         assert [state.e_block(i, j) for i in range(1, j + 1)] == blocks
 
 
-FAMILY_FILES = sorted(
-    os.path.join(root, name)
-    for root in (DATA, REPORTS)
-    for name in os.listdir(root)
-    if name.endswith(".json") and not name.startswith("plan_")
-)
+FAMILY_FILES = sorted(os.path.join(DATA, name) for name in SMALL_FAMILIES + DIGEST_FAMILIES)
 
 
 @pytest.mark.parametrize("path", FAMILY_FILES, ids=os.path.basename)
