@@ -33,19 +33,21 @@ from .errors import (
     TruncationError,
 )
 from .family_io import (
-    DECIMAL_INTEGER,
     FamilySpec,
     ReportEncoder,
+    family_fields,
     laurent_listing,
     mat_to_grid,
     parse_complement_plan,
     parse_family,
+    read_file,
     render_poly_matrix,
     series_listing,
     spec_to_series,
     subspace_report,
     terms_listing,
 )
+from .matrix import DECIMAL_INTEGER
 from .recursion import RecursionState
 from .series import MatSeries
 from .verify import CHECKS, inverse_axioms, linearization, require, smith_identity
@@ -132,12 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_family(args) -> tuple[FamilySpec, MatSeries]:
-    try:
-        with open(args.family, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {args.family}: {exc}") from exc
-    spec = parse_family(text)
+    spec = parse_family(read_file(args.family))
     if args.pole is not None:
         spec = replace(spec, declared_pole=args.pole)
         # The coefficients are sorted by power, so the first is the lowest.
@@ -151,24 +148,13 @@ def _complement_plan(args):
     if args.complement == "pivot":
         return None
     if args.complement.startswith("given:"):
-        path = args.complement[len("given:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read complement file {path}: {exc}") from exc
-        return parse_complement_plan(text)
+        path = args.complement.removeprefix("given:")
+        return parse_complement_plan(read_file(path, "complement file "))
     raise InputError("--complement must be 'pivot' or 'given:<file>'")
 
 
 def _family_header(spec: FamilySpec) -> dict:
-    header = {
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "kind": spec.kind,
-        "trunc_or_degree": spec.trunc_or_degree,
-        "declared_pole": spec.declared_pole,
-    }
+    header = family_fields(spec)
     if spec.kind == "truncated_series":
         header["caveat"] = (
             "input is a truncation; every conclusion holds modulo the "
@@ -306,7 +292,7 @@ def cmd_smith(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
 
 
 def cmd_linearize(args, spec: FamilySpec, family: MatSeries) -> tuple[dict, int]:
-    if spec.kind != "polynomial":
+    if not family.exact:
         raise InputError("linearization is defined for polynomial families")
     if family.degree < 1:
         raise InputError("linearization needs a family of degree >= 1")

@@ -12,18 +12,13 @@ exact rational string.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
-from .matrix import Mat
+from .matrix import DECIMAL_INTEGER, Mat
 from .series import MatLaurent, MatSeries
 
-_FAMILY_FIELDS = {"rows", "cols", "kind", "trunc_or_degree", "declared_pole", "coefficients"}
 _KINDS = {"polynomial", "truncated_series"}
-# ASCII decimal integers: the spelling of power keys here and of the
-# integer CLI flags.
-DECIMAL_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -34,6 +29,10 @@ class FamilySpec:
     trunc_or_degree: int
     declared_pole: int
     coefficients: tuple[tuple[int, Mat], ...]  # sorted by power
+
+
+# The fields of a family file, in file order: those of FamilySpec.
+_FAMILY_FIELDS = tuple(field.name for field in fields(FamilySpec))
 
 
 _STRING = json.encoder.encode_basestring_ascii
@@ -104,6 +103,15 @@ def _write(o, newline: str, put) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def read_file(path: str, what: str = "") -> str:
+    """The text of a UTF-8 file; ``what`` names the file in the refusal."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def _no_duplicates(pairs):
     seen = set()
     for key, _ in pairs:
@@ -111,6 +119,15 @@ def _no_duplicates(pairs):
             raise InputError(f"duplicate key {key!r} in JSON object")
         seen.add(key)
     return dict(pairs)
+
+
+def _json(text: str, refusal: str):
+    """The JSON value of ``text``. json raises ValueError for malformed JSON and
+    a number past the int-string limit, RecursionError for deep nesting."""
+    try:
+        return json.loads(text, object_pairs_hook=_no_duplicates)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{refusal}: {exc}") from exc
 
 
 def _is_int(value) -> bool:
@@ -137,20 +154,15 @@ def mat_to_grid(m: Mat) -> list[list[str]]:
 
 
 def parse_family(text: str) -> FamilySpec:
-    # json raises ValueError for malformed JSON and for a number past the
-    # int-string limit, and RecursionError for nesting past the recursion limit.
-    try:
-        obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"not valid JSON: {exc}") from exc
+    obj = _json(text, "not valid JSON")
     if not isinstance(obj, dict):
         raise InputError("family file must contain a JSON object")
-    unknown = set(obj) - _FAMILY_FIELDS
+    unknown = set(obj).difference(_FAMILY_FIELDS)
     if unknown:
         raise InputError(f"unknown fields: {sorted(unknown)}")
-    for required in ("rows", "cols", "kind", "trunc_or_degree", "coefficients"):
-        if required not in obj:
-            raise InputError(f"missing field {required!r}")
+    for name in _FAMILY_FIELDS:
+        if name not in obj and name != "declared_pole":
+            raise InputError(f"missing field {name!r}")
     rows, cols = obj["rows"], obj["cols"]
     if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise InputError("rows and cols must be positive integers")
@@ -184,18 +196,14 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(rows, cols, kind, trunc, pole, tuple(sorted(parsed.items())))
 
 
+def family_fields(spec: FamilySpec) -> dict:
+    """The fields of ``spec``'s family file before its coefficients."""
+    return {name: getattr(spec, name) for name in _FAMILY_FIELDS[:-1]}
+
+
 def serialize_family(spec: FamilySpec) -> str:
-    body = {
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "kind": spec.kind,
-        "trunc_or_degree": spec.trunc_or_degree,
-        "declared_pole": spec.declared_pole,
-        "coefficients": {
-            str(power): mat_to_grid(m) for power, m in spec.coefficients if not m.is_zero()
-        },
-    }
-    return json.dumps(body, indent=2, cls=ReportEncoder)
+    nonzero = {str(power): mat_to_grid(m) for power, m in spec.coefficients if not m.is_zero()}
+    return json.dumps({**family_fields(spec), "coefficients": nonzero}, indent=2, cls=ReportEncoder)
 
 
 def spec_to_series(spec: FamilySpec) -> MatSeries:
@@ -225,14 +233,9 @@ def parse_complement_plan(text: str) -> dict[int, tuple[Mat | None, Mat | None]]
     "codomain_complement": [[..]..]}, ...]} with bases given as row-major
     grids whose columns are the chosen complement vectors.
     """
-    try:
-        obj = json.loads(text, object_pairs_hook=_no_duplicates)
-    except (ValueError, RecursionError) as exc:  # as in parse_family
-        raise InputError(f"complement file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) - {"stages"}:
-        raise InputError('complement file must be {"stages": [...]}')
-    entries = obj.get("stages", [])
-    if not isinstance(entries, list):
+    obj = _json(text, "complement file is not valid JSON")
+    entries = obj.get("stages", []) if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or set(obj) - {"stages"}:
         raise InputError('complement file must be {"stages": [...]}')
     plan, seen = {}, set()
     for entry in entries:
@@ -268,22 +271,16 @@ def subspace_report(sub) -> dict:
     return {"dim": sub.dim, "basis": mat_to_grid(sub.basis)}
 
 
-def series_listing(series: MatSeries, upto: int) -> list[dict]:
-    return [
-        {"power": i, "matrix": mat_to_grid(series.coefficient(i))}
-        for i in range(upto + 1)
-    ]
+def terms_listing(terms) -> list[dict]:
+    return [{"power": power, "matrix": mat_to_grid(m)} for power, m in terms]
 
 
 def laurent_listing(laurent: MatLaurent) -> list[dict]:
-    return [
-        {"power": e, "matrix": mat_to_grid(laurent.coefficient(e))}
-        for e in range(-laurent.pole, laurent.degree + 1)
-    ]
+    return terms_listing(enumerate(laurent.coeffs, -laurent.pole))
 
 
-def terms_listing(terms) -> list[dict]:
-    return [{"power": power, "matrix": mat_to_grid(m)} for power, m in terms]
+def series_listing(series: MatSeries, upto: int) -> list[dict]:
+    return laurent_listing(series.truncate(upto))
 
 
 def _monomial(q: str, power: int) -> str:

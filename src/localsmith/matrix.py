@@ -46,10 +46,12 @@ _set = object.__setattr__
 _PACK_MIN_BLOCKS = 3
 
 
-# The one spelling of a rational: an ASCII integer or num/den.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-# A row of ASCII integers, each followed by a comma.
-_INTEGER_ROW = re.compile(r"(?:[+-]?[0-9]+,)*")
+# The one spelling of an ASCII decimal integer (also of power keys and integer
+# flags), and from it a rational, an integer or num/den, and a row of
+# integers, each followed by a comma.
+DECIMAL_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"({DECIMAL_INTEGER.pattern})(?:/([0-9]+))?")
+_INTEGER_ROW = re.compile(rf"(?:{DECIMAL_INTEGER.pattern},)*")
 # The most characters of a refused value that an error message echoes.
 _ECHO = 40
 
