@@ -366,9 +366,8 @@ def _render_text(report: dict) -> str:
         lines.append(f"  smith exponents: {report['exponents']}")
     for key in ("delta", "smith_form", "phi", "psi", "coefficients"):
         if key in report:
-            terms = [(item["power"], item["matrix"]) for item in report[key]]
             lines.append(f"  {key}(eps) =")
-            lines.append(render_poly_matrix(terms))
+            lines.append(render_poly_matrix(report[key]))
     if "chains" in report:
         for idx, chain in enumerate(report["chains"]):
             lines.append(f"  chain {idx}: root {chain['root']}")

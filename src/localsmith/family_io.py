@@ -12,12 +12,14 @@ exact rational string.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import InputError
 from .matrix import DECIMAL_INTEGER, Mat
 from .series import MatLaurent, MatSeries
 
+# The fields of a family file, in file order.
+_FAMILY_FIELDS = ("rows", "cols", "kind", "trunc_or_degree", "declared_pole", "coefficients")
 _KINDS = {"polynomial", "truncated_series"}
 
 
@@ -29,10 +31,6 @@ class FamilySpec:
     trunc_or_degree: int
     declared_pole: int
     coefficients: tuple[tuple[int, Mat], ...]  # sorted by power
-
-
-# The fields of a family file, in file order: those of FamilySpec.
-_FAMILY_FIELDS = tuple(field.name for field in fields(FamilySpec))
 
 
 _STRING = json.encoder.encode_basestring_ascii
@@ -297,10 +295,10 @@ def _monomial(q: str, power: int) -> str:
     return f"{q}*{eps}"
 
 
-def poly_entry_strings(terms) -> list[list[str]]:
-    """Entry-wise eps-polynomial strings for a list of (power, grid) terms,
-    each grid of entry strings as ``mat_to_grid`` gives."""
-    terms = sorted(terms, key=lambda item: item[0])
+def poly_entry_strings(listing) -> list[list[str]]:
+    """Entry-wise eps-polynomial strings for a report listing, in the order
+    of its powers, which ascend in every listing a command writes."""
+    terms = [(item["power"], item["matrix"]) for item in listing]
     if not terms:
         return []
     first = terms[0][1]
@@ -323,8 +321,8 @@ def poly_entry_strings(terms) -> list[list[str]]:
     return out
 
 
-def render_poly_matrix(terms) -> str:
-    grid = poly_entry_strings(terms)
+def render_poly_matrix(listing) -> str:
+    grid = poly_entry_strings(listing)
     if not grid:
         return "    (empty)"
     widths = [max(len(grid[i][j]) for i in range(len(grid))) for j in range(len(grid[0]))]
