@@ -1,12 +1,14 @@
 """Proofs of the identities localsmith returns, and the ``verify`` checks.
 
 A proof is ``(passed, detail)``. A command asserts the identity it reports
-with ``require`` on the same proof that its check reports. ``CHECKS``
-lists the checks in report order; each takes a ``DiagonalizationResult``
-alone and returns a proof, or None where it does not apply. ``run_check``
-makes the report record of one check. A check marked *oracle* compares
-with ``localsmith.oracles``, which shares no code with the stage recursion;
-the others recompute from the recursion's own ledger and transformations.
+with ``require`` on the same proof that its check reports. ``CHECKS`` lists
+the checks in report order; each takes a ``DiagonalizationResult`` alone and
+returns a proof, or None where it does not apply. ``run_check`` makes the
+report record of one check. A check marked *oracle* compares with
+``localsmith.oracles``, which shares no code with the stage recursion; the
+others recompute from the recursion's own ledger and transformations. Each
+check proves an identity of eps^p L, p the declared pole, and counts orders
+and powers in its frame.
 
 1. diagonalization-residual: psi^-1 L phi == Delta through the working order,
    proven as L phi == psi Delta (equivalent, since psi_0 = I) from the
