@@ -284,8 +284,8 @@ REFUSED_ENTRIES = {
 
 # Each refused family or complement file: its bytes (None: no file at the
 # path) and the first stderr line, with {path} the path, {file} "" or
-# "complement file " and {is_} "" or "is ". The last three are complement
-# files only.
+# "complement file " and {is_} "" or "is ". The last three apply to
+# complement files only.
 REFUSED_FILES = {
     "missing": (
         None, "error: cannot read {file}{path}: [Errno 2] No such file or directory: '{path}'"
@@ -371,7 +371,7 @@ class TestEntryGrammar:
 
     @pytest.mark.parametrize(
         "file, case",
-        [("family", case) for case in list(REFUSED_FILES)[:3]]
+        [("family", case) for case in ("missing", "non-utf8", "malformed")]
         + [("complement", case) for case in REFUSED_FILES],
     )
     def test_refused_file_first_stderr_line(self, file, case, tmp_path, capsys):
