@@ -71,6 +71,7 @@ CASES = {
     "trunc-analyze": ["analyze", TRUNC],
     "trunc-analyze-text": ["analyze", TRUNC, "--format", "text"],
     "trunc-diagonalize": ["diagonalize", TRUNC],
+    "trunc-invert": ["invert", TRUNC],
     "trunc-linearize": ["linearize", TRUNC],
     "trunc-verify": ["verify", TRUNC],
     "trunc-smith": ["smith", TRUNC],
