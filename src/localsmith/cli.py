@@ -360,10 +360,9 @@ def _render_text(report: dict) -> str:
             lines.append(
                 f"  {st['stage']:>5}  {st['dim_complement']:>14}  {st['dim_range']:>9}"
             )
-    if "smith_exponents" in report:
-        lines.append(f"  smith exponents: {report['smith_exponents']}")
-    if "exponents" in report:
-        lines.append(f"  smith exponents: {report['exponents']}")
+    for key in ("smith_exponents", "exponents"):
+        if key in report:
+            lines.append(f"  smith exponents: {report[key]}")
     for key in ("delta", "smith_form", "phi", "psi", "coefficients"):
         if key in report:
             lines.append(f"  {key}(eps) =")

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InputError, InternalConsistencyError, TruncationError
+from .errors import InputError, InternalConsistencyError
 from .matrix import Mat
 from .recursion import RecursionState, Stage
 from .series import MatLaurent, MatSeries, series_inverse
@@ -142,10 +142,9 @@ class DiagonalizationResult:
         return self.state.stages[: self.k + 1]
 
     def smith_exponents(self) -> tuple[int, ...]:
-        out = []
-        for st in self.stages:
-            out.extend([st.index - 1] * st.nc.dim)
-        return tuple(sorted(out))
+        """Exponent j - 1 once for each dimension of Nc_j; the ledger holds
+        the stages in index order, so the exponents ascend."""
+        return tuple(st.index - 1 for st in self.stages for _ in range(st.nc.dim))
 
     def delta_series(self) -> MatSeries:
         return MatLaurent.from_terms(self.delta, self.state.codomain_dim, self.state.domain_dim)
@@ -159,17 +158,14 @@ class DiagonalizationResult:
         pole comes out at most k and is trimmed to its actual value. The
         default depth is the working order, capped for truncated input:
         order t needs transformations through t + k, hence genuine input
-        coefficients through t + 2k.
+        coefficients through t + 2k. A truncation at order T has T >= k,
+        since stage k+1 reads coefficient k, so the cap T - 2k can be
+        negative but never falls below -k.
         """
         if t is None:
             t, trunc = self.order, self.state.input_family.tail_order
             if trunc is not None:
                 t = min(t, trunc - 2 * self.k)
-            if t < 0:
-                raise TruncationError(
-                    f"truncation order {trunc} cannot support "
-                    f"any generalized-inverse coefficient at k = {self.k}"
-                )
         if t < -self.k:
             raise ValueError(f"L^+ has pole at most k = {self.k}, so t = {t} is below it")
 

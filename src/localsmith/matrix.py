@@ -9,10 +9,10 @@ runs on Python integers and ends with at most one gcd over each matrix it
 returns, so every result is the same exact value that entry-by-entry
 ``Fraction`` arithmetic gives, without a gcd per multiply and add. Products
 pay only for real arithmetic: a factor equal to the identity adds the other
-factor's grid with no dot product, a sum of one product dots the two grids
-directly, with no stacking, and an empty sum is the shared zero. Two kernels
-touch each entry fewer times, by packing many integers into one (Kronecker
-substitution; the slot layout is the "Kronecker packing" comment below).
+factor's grid with no dot product, and an empty sum is the shared zero. Two
+kernels touch each entry fewer times, by packing many integers into one
+(Kronecker substitution; the slot layout is the "Kronecker packing" comment
+below).
 ``Mat.convolve`` multiplies matrix series; once both sides have
 ``_PACK_MIN_BLOCKS`` nonzero blocks it packs each entry's blocks, so each
 result entry is one dot product of packed integers. ``PackedRows`` packs
@@ -226,17 +226,15 @@ class Mat:
 
     def strings(self, digits=str) -> list[list[str]]:
         """The entries as ``"num/den"`` strings, or plain ``"num"`` for an
-        integer, one gcd per entry and the denominator's digits written once,
-        with every digit also past the interpreter's int-to-str limit."""
+        integer, one gcd per entry, with every digit also past the
+        interpreter's int-to-str limit."""
         den, gcd = self._den, math.gcd
         try:
             if den == 1:
                 return [list(map(digits, row)) for row in self._grid]
-            over = "/" + digits(den)
             return [
                 [
-                    digits(x) + over if (g := gcd(x, den)) == 1
-                    else digits(x // g) if g == den
+                    digits(x // g) if (g := gcd(x, den)) == den
                     else f"{digits(x // g)}/{digits(den // g)}"
                     for x in row
                 ]
@@ -302,10 +300,8 @@ class Mat:
         and one gcd reduces the result. Only real arithmetic is paid for:
         pairs with a zero factor are skipped, a pair with an identity factor
         adds the other factor's grid with no dot product, a sum whose one
-        nonzero pair has an identity factor is the other factor itself, a
-        sum of one product dots the two grids directly, over the product of
-        their denominators, with no lcm and no stacking, and no nonzero pair
-        gives the shared zero matrix.
+        nonzero pair has an identity factor is the other factor itself, and
+        no nonzero pair gives the shared zero matrix.
         """
         terms, folds = [], []
         for a, b in pairs:
@@ -324,17 +320,12 @@ class Mat:
                 terms.append((a, b._grid, a._den * b._den))
         if len(folds) < 2 and not terms:
             return folds[0] if folds else Mat.zeros(rows, cols)
-        if len(terms) == 1 and not folds:
-            # One product dots the two grids, over the product of denominators.
-            a, right, den = terms[0]
-            left, right = a._grid, list(zip(*right))
-        else:
-            # Left rows side by side, and right columns as the columns of
-            # the right grids stacked, over the lcm of every denominator.
-            den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
-            lefts = [a._scaled(den // d) for a, _, d in terms]
-            left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
-            right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
+        # Left rows side by side, and right columns as the columns of the
+        # right grids stacked, over the lcm of every denominator.
+        den = math.lcm(*[d for _, _, d in terms], *[m._den for m in folds])
+        lefts = [a._scaled(den // d) for a, _, d in terms]
+        left = lefts[0] if len(lefts) == 1 else [[*chain.from_iterable(r)] for r in zip(*lefts)]
+        right = list(zip(*chain.from_iterable(g for _, g, _ in terms)))
         zero_row = (0,) * cols
         grid = (zero_row,) * rows
         if terms:

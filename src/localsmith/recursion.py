@@ -210,7 +210,10 @@ class RecursionState:
         self.L = MatSeries.polynomial(family.coeffs)
         self.domain_dim = family.cols
         self.codomain_dim = family.rows
-        self.complements = complements or {}
+        # The entries that name a basis: only their stages run by the plan,
+        # and each is finished as soon as it runs.
+        plan = (complements or {}).items()
+        self.complements = {j: (nc, rc) for j, (nc, rc) in plan if nc is not None or rc is not None}
         degree = family.degree
         if max_stages is None:
             max_stages = (
@@ -223,12 +226,7 @@ class RecursionState:
         elif max_stages < 0:
             raise ValueError(f"the stage budget must be >= 0, got {max_stages}")
         self.max_stages = max_stages
-        # The stages whose entry names a basis: only these run by the plan,
-        # and each is finished as soon as it runs.
-        self._named = {
-            j for j, (nc, rc) in self.complements.items() if nc is not None or rc is not None
-        }
-        self.plan_end = max(self._named, default=0)
+        self.plan_end = max(self.complements, default=0)
         if self.plan_end > max_stages:
             raise StageBudgetError(
                 f"the complement plan names stage {self.plan_end}, past the "
@@ -322,7 +320,7 @@ class RecursionState:
         s = self._qc @ sbar
         n_j, r_j, nc_j = restrict_and_split(s, self.kernel_chain(j - 1))
         self._pending = (j, sbar, s, n_j, r_j, nc_j)
-        if j in self._named:
+        if j in self.complements:
             # A bad given basis is refused when its stage runs.
             self._finish_stage()
         self._detect_stabilization(j, r_j.dim)
@@ -352,7 +350,7 @@ class RecursionState:
         against Qc_{j-1}."""
         prev_rc = Subspace.full(self.codomain_dim) if j == 1 else self._stages[-1].rc
         given_nc, given_rc = self.complements.get(j, (None, None))
-        named = j in self._named
+        named = j in self.complements
         n, m = self.domain_dim, self.codomain_dim
         if r_j.is_zero() and not named:
             return Stage(j, sbar, s, n_j, r_j, nc_j, prev_rc, Mat.zeros(m, m), Mat.zeros(n, m))

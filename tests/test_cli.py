@@ -913,6 +913,23 @@ class TestMeromorphicNormalization:
             proven = read("diagonalize", path, "--order", "9", *flags)["verification"]
             assert proven["checked_through_order"] == 9 - pole
 
+    def test_pole_flag_keeps_the_inverse_of_a_truncation(self, capsys):
+        # trunc2x2 is cut at order 6 with k = 2. Under --pole p the recursion
+        # runs on eps^p L, cut at 6 + p with k = 2 + p, so its default cap
+        # 6 + p - 2(2 + p) = 2 - p falls below zero from p = 3 on, yet it
+        # stays at or above -(2 + p): L^+ is determined from eps^-2 through
+        # eps^2 at every pole.
+        path = os.path.join(REPORTS, "trunc2x2.json")
+        listed = []
+        for pole in range(7):
+            code, out = run_cli(capsys, "invert", path, "--pole", str(pole))
+            assert code == 0, pole
+            report = json.loads(out)
+            listed.append((report["pole_order"], report["coefficients"]))
+        assert listed[0][0] == 2
+        assert [item["power"] for item in listed[0][1]] == [-2, -1, 0, 1, 2]
+        assert listed == [listed[0]] * 7
+
 
 class TestGivenComplements:
     def test_complement_file_round(self, tmp_path, capsys):

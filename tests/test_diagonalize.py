@@ -488,6 +488,22 @@ class TestGeneralizedInverse:
         with pytest.raises(Exception, match="truncated|order"):
             result.generalized_inverse(6)
 
+    @pytest.mark.parametrize("cut", [2, 3])
+    def test_truncation_below_twice_k_caps_inverse_below_zero(self, cut):
+        # trunc2x2 has k = 2. A cut at order T >= k runs stage k+1, so the
+        # default cap T - 2k is negative here, yet at least -k, and the
+        # coefficients from eps^-k through eps^(T-2k) are those of the
+        # polynomial closure of the cut.
+        with open(os.path.join(REPORTS, "trunc2x2.json"), encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read())).truncate(cut)
+        result = diagonalize(family)
+        assert result.k == 2
+        linv = result.generalized_inverse()
+        assert linv.tail_order == cut - 4
+        closure = diagonalize(MatSeries.polynomial(family.coeffs)).generalized_inverse(cut - 4)
+        for exponent in range(-2, cut - 3):
+            assert linv.coefficient(exponent) == closure.coefficient(exponent), exponent
+
 
 class TestKernelRangeFamilies:
     def test_golden_has_empty_kernel_family(self, example1):

@@ -1012,12 +1012,21 @@ class TestStabilization:
         state = RecursionState(example1, plan)
         assert state.run_until_stabilized() == 3 and state.stage_count == 4
 
-    @pytest.mark.parametrize("stage", [6, 30])
-    def test_library_entry_naming_no_basis_runs_no_stage(self, example1, stage):
-        # A plan built in code may hold an entry with no basis; like one
-        # parse_complement_plan drops, it neither runs its stage nor meets
-        # the budget of 11 stages, which stage 30 is past.
-        state = RecursionState(example1, {stage: (None, None)})
+    @pytest.mark.parametrize(
+        "stage, entry",
+        [
+            pytest.param(6, (None, None), id="6"),
+            pytest.param(30, (None, None), id="30"),
+            pytest.param(30, [None, None], id="30-list"),
+        ],
+    )
+    def test_library_entry_naming_no_basis_runs_no_stage(self, example1, stage, entry):
+        # A plan built in code may hold an entry with no basis, as a tuple
+        # or a list; like one parse_complement_plan drops, it neither runs
+        # its stage nor meets the budget of 11 stages, which stage 30 is
+        # past.
+        state = RecursionState(example1, {stage: entry})
+        assert state.complements == {}
         assert state.run_until_stabilized() == 3 and state.stage_count == 4
 
 
