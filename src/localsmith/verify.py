@@ -39,8 +39,11 @@ and powers in its frame.
    direct Laurent inverse, det and adjugate from one fraction-free pass per
    integer sample point, interpolated in one Newton pass, and adj/det
    expanded in integers; square families of full generic rank only.
-9. smith-identities: S_P P == Delta and the blow-up psi^-1 L phi P^-1 == S_P.
-   With diagonalization-residual, S_P P == Delta gives L phi == psi S_P P.
+9. smith-identities: each P_j is re-formed from the ledger as
+   S_j^+ S_j Q_{j-1}, with Q_0 = I and Q_j = Q_{j-1} - P_j, naming the first
+   stage where it differs; then S_P P == Delta and the blow-up
+   psi^-1 L phi P^-1 == S_P. With diagonalization-residual, S_P P == Delta
+   gives L phi == psi S_P P.
 10. projector-families: both projector families are idempotent, and
     L * left == L == right * L through the working order, that is
     L (I - left) = 0 and (I - right) L = 0.
@@ -216,6 +219,11 @@ def _laurent_oracle(result: DiagonalizationResult) -> Proof | None:
 
 
 def _smith_identities(result: DiagonalizationResult) -> Proof:
+    q = Mat.identity(result.state.domain_dim)
+    for st, p in zip(result.stages, result.projections):
+        if p != st.splus @ st.s @ q:
+            return False, f"P_{st.index} != S_{st.index}^+ S_{st.index} Q_{st.index - 1}"
+        q = q - p
     passed, detail = smith_identity(result)
     if not passed:
         return passed, detail

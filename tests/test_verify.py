@@ -399,13 +399,10 @@ E22 = Mat([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 @pytest.mark.parametrize("j", [1, 2])
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="no check re-derives P_j from the ledger"
-)
 def test_projection_fault_on_rect2x3_fails_verify(j, monkeypatch, capsys):
-    """e_{2,2} added to P_j of rect2x3 changes the smith report, yet leaves
-    every identity verify proves true: each check tests an identity the
-    faulty P_j still meets, and none ties P_j to S_j^+ S_j Q_{j-1}."""
+    """e_{2,2} added to P_j of rect2x3 changes the smith report and leaves
+    every other identity verify proves true; smith-identities sees it by
+    re-forming P_j as S_j^+ S_j Q_{j-1} from the ledger."""
     run = cli._run
 
     def faulty(pipeline, family, args):
