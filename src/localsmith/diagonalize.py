@@ -85,16 +85,13 @@ class DiagonalizationResult:
 
     def __post_init__(self):
         """P_j = S_j^+ S_j Q_{j-1} for j = 1..k+1, with Q_0 = I and
-        Q_j = Q_{j-1} - P_j, and Delta's terms. P_j is zero where S_j^+ is,
-        and takes no product."""
-        n = self.state.domain_dim
-        q, self.projections = Mat.identity(n), []
+        Q_j = Q_{j-1} - P_j, and Delta's terms. The product runs left to
+        right, so where S_j^+ is zero both products skip it and P_j is the
+        shared zero, with no dot product and no branch for it."""
+        q, self.projections = Mat.identity(self.state.domain_dim), []
         for st in self.stages:
-            if st.splus.is_zero():
-                p = Mat.zeros(n, n)
-            else:
-                p = st.splus @ (st.s @ q)
-                q = q - p
+            p = st.splus @ st.s @ q
+            q = q - p
             self.projections.append(p)
         self.delta = tuple(
             (st.index - 1, st.s @ p) for st, p in zip(self.stages, self.projections)

@@ -297,12 +297,11 @@ def _monomial(q: str, power: int) -> str:
 
 def poly_entry_strings(listing) -> list[list[str]]:
     """Entry-wise eps-polynomial strings for a report listing, in the order
-    of its powers, which ascend in every listing a command writes."""
+    of its powers, which ascend in every listing a command writes. Each such
+    listing has at least one entry, of at least one row and one column."""
     terms = [(item["power"], item["matrix"]) for item in listing]
-    if not terms:
-        return []
     first = terms[0][1]
-    rows, cols = len(first), len(first[0]) if first else 0
+    rows, cols = len(first), len(first[0])
     out = []
     for i in range(rows):
         row = []
@@ -323,8 +322,6 @@ def poly_entry_strings(listing) -> list[list[str]]:
 
 def render_poly_matrix(listing) -> str:
     grid = poly_entry_strings(listing)
-    if not grid:
-        return "    (empty)"
     widths = [max(len(grid[i][j]) for i in range(len(grid))) for j in range(len(grid[0]))]
     lines = []
     for row in grid:

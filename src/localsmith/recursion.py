@@ -79,12 +79,13 @@ M_{row-1,j-1} of the previous column, shared rather than recomputed: the
 Toeplitz shift that ``verify`` checks as post-stabilization structure. Those
 rows are taken as one slice of the previous column and are not visited.
 With no inverting stage yet, a column is the identity diagonal and that
-shift. The coupling [G_1; K], with G_1 only when stage 1 inverts, reads
-only the inverting stages and their M columns, so it is stacked on the
-first column that needs it and kept until another stage inverts. Past k+1
-no stage inverts (new range would break the rank guard), so every later
-column shares one coupling, and a run that ends at its last inverting stage
-builds none for it.
+shift. The coupling [G_1; K], G_1 zero unless stage 1 inverts, is top
+blocks high: with no inverting stage, top is 1 and it is one zero block.
+It reads only the inverting stages and their M columns, so it is stacked
+on the first column that needs it and kept until another stage inverts.
+Past k+1 no stage inverts (new range would break the rank guard), so every
+later column shares one coupling, and a run that ends at its last
+inverting stage builds none for it.
 
 Every M column is one ``MColumn``. Its computed rows 1..top are its head,
 held as ``PackedRows``: each row of a block is one integer, over one column
@@ -335,8 +336,6 @@ class RecursionState:
         j, sbar = pending[:2]
         stage = self._record_stage(*pending)
         self._stages.append(stage)
-        if self._coupling is None:
-            self._coupling = self._inverting_coupling()
         self.M_cols.append(self._build_m_column(j, sbar))
         if not stage.splus.is_zero():
             self._qc = self._qc - stage.calp
@@ -382,13 +381,12 @@ class RecursionState:
 
     def _inverting_coupling(self) -> Mat:
         """[G_1, or zero when stage 1 does not invert; K_row for
-        row = 2..top] stacked, where top is the last inverting stage (1 when
-        none has): G_i = -S_i^+ A with A = I at top and A <- A + Sbar_i G_i
+        row = 2..top] stacked, top blocks high, where top is the last
+        inverting stage, or 1 with none, when the coupling is one zero
+        block: G_i = -S_i^+ A with A = I at top and A <- A + Sbar_i G_i
         below each inverting i, and K_row = sum_{inverting i >= row}
         M_{row-1,i-1} G_i."""
         n, m = self.domain_dim, self.codomain_dim
-        if not self._inverting:
-            return Mat.zeros(n, m)
         gains: dict[int, Mat] = {}
         a = Mat.identity(m)
         for i in reversed(self._inverting):
@@ -402,25 +400,27 @@ class RecursionState:
                 n,
                 m,
             )
-            for row in range(2, self._inverting[-1] + 1)
+            for row in range(2, max(self._inverting, default=1) + 1)
         ]
-        lead = gains[1] if 1 in gains else Mat.zeros(n, m)
-        return Mat.vstack([lead, *heads])
+        return Mat.vstack([gains.get(1, Mat.zeros(n, m)), *heads])
 
     def _build_m_column(self, j: int, sbar: Mat) -> MColumn:
         """M_{1,j} = E_{1,j} and M_{row,j} = K_row Sbar_j + M_{row-1,j-1} for
-        rows 2..top, top the top inverting stage, as one packed product of
-        the coupling with Sbar_j plus the packed rows of column j-1 one
-        block down: E_{1,j} = G_1 Sbar_j from the first block when stage 1
-        inverts, and zero otherwise; M_{1,1} = I. Past top, K_row is zero:
-        those rows are the previous column's blocks, taken by one slice and
-        not visited."""
+        rows 2..top, top the coupling's height in blocks (the top inverting
+        stage, 1 with none), as one packed product of the coupling with
+        Sbar_j plus the packed rows of column j-1 one block down:
+        E_{1,j} = G_1 Sbar_j from the first block when stage 1 inverts, and
+        zero otherwise; M_{1,1} = I, and column 1 reads no coupling. Past
+        top, K_row is zero: those rows are the previous column's blocks,
+        taken by one slice and not visited."""
         n, degree = self.domain_dim, self.L.degree
         if j == 1:
             head = PackedRows.identity(n, n * max(1, degree))
             return MColumn(head, 1, [Mat.identity(n)])
+        if self._coupling is None:
+            self._coupling = self._inverting_coupling()
         prev = self.M_cols[-1]
-        top = self._inverting[-1] if self._inverting else 1
+        top = self._coupling.rows // n
         # The packed rows reach row deg L, which Sbar_{j+1} reads; past row
         # j they are zero.
         rows = max(top, degree)

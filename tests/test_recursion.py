@@ -483,7 +483,9 @@ class TestFinishOnRead:
     @staticmethod
     def watch(monkeypatch) -> tuple[list, list, list]:
         """The states stabilized from here on, the complement_coordinates
-        calls, and the P_j formed by a product with S_j^+, as (result, j)."""
+        calls, and the P_j formed by a product with S_j^+, as (result, j):
+        one whose left factor is a stage's S_j^+ and whose factors are both
+        nonzero, so a zero S_j^+ forms nothing."""
         states, complements, formed = [], [], []
         run, form = RecursionState.run_until_stabilized, DiagonalizationResult.__post_init__
         coordinates, product = complement_coordinates, Mat.__matmul__
@@ -496,7 +498,7 @@ class TestFinishOnRead:
             inverses = {id(st.splus): st.index for st in self.stages}
 
             def multiplying(a, b):
-                if id(a) in inverses:
+                if id(a) in inverses and not (a.is_zero() or b.is_zero()):
                     formed.append((self, inverses[id(a)]))
                 return product(a, b)
 
@@ -553,7 +555,7 @@ class TestFinishOnRead:
 
     def test_jordan_forms_no_projection(self, monkeypatch):
         # The cubic's k is 3; analyze forms P_1 .. P_4 for Delta, and S_3^+
-        # is zero, so P_3 takes no product.
+        # is zero, so P_3 costs no dot product.
         _, _, formed = self.watch(monkeypatch)
         cubic = os.path.join(DATA, "example1.json")
         with contextlib.redirect_stdout(io.StringIO()):

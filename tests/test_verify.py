@@ -398,11 +398,9 @@ def test_ledger_fault_fails_verify(name, monkeypatch, capsys):
 E22 = Mat([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
-@pytest.mark.parametrize("j", [1, 2])
-def test_projection_fault_on_rect2x3_fails_verify(j, monkeypatch, capsys):
-    """e_{2,2} added to P_j of rect2x3 changes the smith report and leaves
-    every other identity verify proves true; smith-identities sees it by
-    re-forming P_j as S_j^+ S_j Q_{j-1} from the ledger."""
+def _fault_rect2x3_projection(j, monkeypatch):
+    """e_{2,2} added to P_j of rect2x3 after the command's diagonalize, with
+    the result's store and the formed psi coefficients dropped."""
     run = cli._run
 
     def faulty(pipeline, family, args):
@@ -413,7 +411,26 @@ def test_projection_fault_on_rect2x3_fails_verify(j, monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(cli, "_run", faulty)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_projection_fault_on_rect2x3_fails_verify(j, monkeypatch, capsys):
+    """The fault changes the smith report and leaves every other identity
+    verify proves true; smith-identities sees it by re-forming P_j as
+    S_j^+ S_j Q_{j-1} from the ledger."""
+    _fault_rect2x3_projection(j, monkeypatch)
     assert main(["verify", FAMILIES["rect-verify"]]) == 3
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_projection_fault_on_rect2x3_fails_smith(j, monkeypatch, capsys):
+    """``smith`` prints P(eps), and its proof re-forms each P_j from the
+    ledger before it proves S_P P == Delta, so the fault fails it too."""
+    _fault_rect2x3_projection(j, monkeypatch)
+    assert main(["smith", FAMILIES["rect-verify"]]) == 3
+    assert capsys.readouterr().err == (
+        f"internal consistency failure: P_{j} != S_{j}^+ S_{j} Q_{j - 1}\n"
+    )
 
 
 def count_e_solves(monkeypatch, fault=None):
