@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import cache, partial
 
 from .diagonalize import DiagonalizationResult, analyze, diagonalize
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_family(args) -> tuple[FamilySpec, MatSeries]:
     spec = parse_family(read_file(args.family))
     if args.pole is not None:
-        spec = replace(spec, declared_pole=args.pole)
+        spec = spec._replace(declared_pole=args.pole)
         # The coefficients are sorted by power, so the first is the lowest.
         lowest = spec.coefficients[0][0] if spec.coefficients else 0
         if lowest < -args.pole:

@@ -42,7 +42,6 @@ the stages through the last one the plan names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InputError, InternalConsistencyError
@@ -66,22 +65,17 @@ def _working_order_view(name: str) -> property:
     return property(lambda self: self.derived(name, self.order))
 
 
-@dataclass
 class DiagonalizationResult:
     """The verified diagonalization: k, the stage ledger, transformations,
     the domain projections P_1 .. P_{k+1} and the structured diagonal
     terms."""
 
-    state: RecursionState
-    k: int
-    order: int
-    projections: list[Mat] = field(init=False)
-    # Delta = sum eps^{i-1} S_i P_i, as its terms (i - 1, S_i P_i).
-    delta: tuple[tuple[int, Mat], ...] = field(init=False)
-    # Series name -> the deepest truncation built so far (see ``series``).
-    _store: dict[str, MatLaurent] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, state: RecursionState, k: int, order: int):
+        self.state, self.k, self.order = state, k, order
+        # Series name -> the deepest truncation built so far (see ``series``).
+        self._store: dict[str, MatLaurent] = {}
+        # A method of its own: tests wrap the P_j loop by name.
+        self.__post_init__()
 
     def __post_init__(self):
         """P_j = S_j^+ S_j Q_{j-1} for j = 1..k+1, with Q_0 = I and
@@ -93,6 +87,7 @@ class DiagonalizationResult:
             p = st.splus @ st.s @ q
             q = q - p
             self.projections.append(p)
+        # Delta = sum eps^{i-1} S_i P_i, as its terms (i - 1, S_i P_i).
         self.delta = tuple(
             (st.index - 1, st.s @ p) for st, p in zip(self.stages, self.projections)
         )

@@ -12,7 +12,7 @@ exact rational string.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .matrix import DECIMAL_INTEGER, Mat
@@ -23,8 +23,7 @@ _FAMILY_FIELDS = ("rows", "cols", "kind", "trunc_or_degree", "declared_pole", "c
 _KINDS = {"polynomial", "truncated_series"}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     rows: int
     cols: int
     kind: str

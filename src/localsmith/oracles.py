@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .matrix import Mat
 from .series import MatLaurent, MatSeries
@@ -153,8 +153,7 @@ def direct_laurent_inverse(family: MatSeries, tail: int) -> MatLaurent:
     return MatLaurent(pole_det, coeffs, exact=False)
 
 
-@dataclass(frozen=True)
-class AugmentedPencil:
+class AugmentedPencil(NamedTuple):
     """The linear pencil equivalent to a degree-n polynomial family: block
     lower-triangular Toeplitz constant part, upper-triangular linear part."""
 

@@ -110,7 +110,7 @@ from M_{1,j}, which it equals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InputError,
@@ -140,8 +140,7 @@ def generic_rank(family: MatSeries) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """The per-stage ledger: operators, subspaces, calP and S^+. The domain
     projection P_j belongs to the diagonalization, which forms it."""
 

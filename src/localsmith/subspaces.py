@@ -19,26 +19,40 @@ passes in keeps the test, and every basis keeps its shape check.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 from .matrix import Mat
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of K^n given by an independent-column basis matrix;
-    ``trusted`` skips the rank test (see the module docstring)."""
+    ``trusted`` skips the rank test (see the module docstring). It is
+    immutable, and two are equal when their bases are."""
 
-    ambient_dim: int
-    basis: Mat
-    trusted: InitVar[bool] = False
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: Mat, trusted: bool = False):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        # A method of its own: the benchmark's tracer wraps it by name.
+        self.__post_init__(trusted)
 
     def __post_init__(self, trusted: bool):
         if self.basis.rows != self.ambient_dim:
             raise ValueError("basis has the wrong ambient dimension")
         if not trusted and self.basis.cols and self.basis.rank() != self.basis.cols:
             raise ValueError("basis columns are linearly dependent")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Subspace:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -320,7 +319,7 @@ class TestEntryGrammar:
     def test_data_files_series(self, path, pole):
         with open(path, "r", encoding="utf-8") as handle:
             spec = parse_family(handle.read())
-        spec = replace(spec, declared_pole=spec.declared_pole + pole)
+        spec = spec._replace(declared_pole=spec.declared_pole + pole)
         assert spec_to_series(spec) == listed_series(spec)
 
     @pytest.mark.parametrize("entry", REFUSED_ENTRIES.values(), ids=list(REFUSED_ENTRIES))

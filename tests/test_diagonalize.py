@@ -415,6 +415,12 @@ class TestCoefficientsFormedOnce:
         assert series(state, 12).degree == 12
         assert calls == [16]
 
+    def test_results_share_no_store(self, example1):
+        first, second = diagonalize(example1), diagonalize(example1)
+        assert first._store is not second._store
+        assert first.phi_inv.degree == first.order
+        assert "phi_inv" in first._store and "phi_inv" not in second._store
+
 
 class TestGeneralizedInverse:
     def test_golden_expansion_and_pole(self, example1):

@@ -30,7 +30,10 @@ ALLOWED = {
     "series.MatLaurent.__hash__": "dunder: hashing a series",
     "series.MatLaurent.__repr__": "dunder: printing a series",
     "series.MatLaurent.__setattr__": "dunder: refuses assignment to an immutable series",
+    "subspaces.Subspace.__eq__": "dunder: comparing subspaces",
+    "subspaces.Subspace.__hash__": "dunder: hashing a subspace",
     "subspaces.Subspace.__repr__": "dunder: printing a subspace",
+    "subspaces.Subspace.__setattr__": "dunder: refuses assignment to an immutable subspace",
     "cli._Parser.error": "error path: a usage error exits 1",
     "matrix._echo": "error path: quotes a refused entry",
     "matrix.Mat.det": "in UNREACHED of test_benchmark_tracer.py: the tracer wraps it",

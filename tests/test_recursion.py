@@ -2,7 +2,6 @@
 Jordan chains, and the coefficient identities."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -528,8 +527,8 @@ class TestFinishOnRead:
         ensured.ensure_stages(k + 1)
         assert len(stages) == len(ensured.stages) == k + 1
         for got, want in zip(stages, ensured.stages):
-            for field in dataclasses.fields(Stage):
-                assert getattr(got, field.name) == getattr(want, field.name), (got.index, field)
+            for field in Stage._fields:
+                assert getattr(got, field) == getattr(want, field), (got.index, field)
         for j in range(1, k + 2):
             for i in range(1, j + 1):
                 assert read.m_block(i, j) == ensured.m_block(i, j), (i, j)

@@ -38,6 +38,26 @@ class TestKernelBasis:
         assert same_space(ker, Subspace.full(3))
 
 
+class TestValue:
+    """Two subspaces are equal, and hash equal, exactly when their ambient
+    dimensions and basis matrices are."""
+
+    def test_equal_bases_compare_and_hash_equal(self):
+        plane = Subspace(3, cols(e(1), e(2)))
+        same = Subspace(3, cols(e(1), e(2)), trusted=True)
+        assert plane == same and hash(plane) == hash(same)
+        assert len({plane, same}) == 1
+        # The same plane with its basis columns swapped is another basis.
+        assert plane != Subspace(3, cols(e(2), e(1)))
+        assert plane != plane.basis
+
+    def test_a_dependent_basis_is_refused(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Subspace(3, cols(e(1), e(2), (1, 1, 0)))
+        with pytest.raises(ValueError, match="ambient dimension"):
+            Subspace(2, cols(e(1)))
+
+
 class TestContains:
     # K^3 subspaces: zero, a line, a plane holding it, the full space; and K^0.
     ZERO, LINE = Subspace.zero(3), spanned_by([e(1)], 3)

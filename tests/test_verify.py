@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -74,7 +73,7 @@ def test_wrong_projection_fails_projector_families(field):
     if field == "p":
         result.projections[0] = result.projections[0] - unit
     else:
-        stages[0] = replace(stages[0], calp=stages[0].calp - unit)
+        stages[0] = stages[0]._replace(calp=stages[0].calp - unit)
     left, right = result.projector_families(result.order)
     assert (left @ left).eq_through(left, result.order)
     assert (right @ right).eq_through(right, result.order)
@@ -277,7 +276,7 @@ def _stage_fault(field):
     def fault(result):
         state = result.state
         stage = state.stages[1]
-        state.stages[1] = replace(stage, **{field: getattr(stage, field) + UNIT})
+        state.stages[1] = stage._replace(**{field: getattr(stage, field) + UNIT})
 
     return fault
 
@@ -470,7 +469,7 @@ def test_one_e_solve_per_verify(case, monkeypatch, capsys):
 def _calp1_fault(result):
     state = result.state
     stage = state.stages[0]
-    state.stages[0] = replace(stage, calp=stage.calp + UNIT)
+    state.stages[0] = stage._replace(calp=stage.calp + UNIT)
 
 
 @pytest.mark.parametrize(
