@@ -7,9 +7,10 @@ this module returns has been verified: the defining identity
 ``psi^{-1} * L * phi = Delta`` is proven as ``L * phi = psi * Delta``
 coefficient-by-coefficient through the working order (equivalent, since
 psi_0 = I), and a mismatch is raised as an internal bug, never returned.
-phi, psi, their inverses, L * phi and L^+ are exact series, so the result
-keeps each in one store, built once through the deepest order any caller
-has asked for; a shallower request reads a truncation of it.
+The proof's readers of phi and psi run the stages it reads. phi, psi,
+their inverses, L * phi and L^+ are exact series, so the result keeps
+each in one store, built once through the deepest order any caller has
+asked for; a shallower request reads a truncation of it.
 
 ``analyze`` reports only k, the stage table and the Smith exponents, and
 proves the identity through order k, which reads stages only through 2k+1.
@@ -68,21 +69,17 @@ def _working_order_view(name: str) -> property:
 class DiagonalizationResult:
     """The verified diagonalization: k, the stage ledger, transformations,
     the domain projections P_1 .. P_{k+1} and the structured diagonal
-    terms."""
+    terms, for a state whose stabilization k is certified."""
 
-    def __init__(self, state: RecursionState, k: int, order: int):
-        self.state, self.k, self.order = state, k, order
-        # Series name -> the deepest truncation built so far (see ``series``).
-        self._store: dict[str, MatLaurent] = {}
-        # A method of its own: tests wrap the P_j loop by name.
-        self.__post_init__()
-
-    def __post_init__(self):
+    def __init__(self, state: RecursionState, order: int):
         """P_j = S_j^+ S_j Q_{j-1} for j = 1..k+1, with Q_0 = I and
         Q_j = Q_{j-1} - P_j, and Delta's terms. The product runs left to
         right, so where S_j^+ is zero both products skip it and P_j is the
         shared zero, with no dot product and no branch for it."""
-        q, self.projections = Mat.identity(self.state.domain_dim), []
+        self.state, self.k, self.order = state, state.stabilization_k, order
+        # Series name -> the deepest truncation built so far (see ``series``).
+        self._store: dict[str, MatLaurent] = {}
+        q, self.projections = Mat.identity(state.domain_dim), []
         for st in self.stages:
             p = st.splus @ st.s @ q
             q = q - p
@@ -196,8 +193,8 @@ def _diagonalization(
     complements: dict[int, tuple[Mat | None, Mat | None]] | None,
     through_k: bool,
 ) -> DiagonalizationResult:
-    """Stabilize, run the stages the proof through ``order`` reads, assemble
-    phi/psi/Delta and prove L * phi == psi * Delta through ``order``.
+    """Stabilize, assemble phi/psi/Delta and prove L * phi == psi * Delta
+    through ``order``; the proof's readers of phi and psi run its stages.
 
     ``order`` defaults to k if ``through_k``, else to max(2k + 4, 12).
     Truncated input caps the default at tail_order - k, so that only
@@ -214,8 +211,7 @@ def _diagonalization(
         order = k if through_k else max(2 * k + 4, 12)
         if family.tail_order is not None:
             order = min(order, family.tail_order - k)
-    state.ensure_stages(k + 1 + order)
-    result = DiagonalizationResult(state=state, k=k, order=order)
+    result = DiagonalizationResult(state, order)
     i = result.residual_order()
     if i is not None:
         raise InternalConsistencyError(f"diagonalization residual is nonzero at order {i}")

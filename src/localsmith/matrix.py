@@ -7,12 +7,13 @@ denominator and the grid entries have no common factor: equal matrices have
 equal state. Every kernel (products, elimination, sums, stacking, slicing)
 runs on Python integers and ends with at most one gcd over each matrix it
 returns, so every result is the same exact value that entry-by-entry
-``Fraction`` arithmetic gives, without a gcd per multiply and add. Products
-pay only for real arithmetic: a factor equal to the identity adds the other
-factor's grid with no dot product, and an empty sum is the shared zero. Two
-kernels touch each entry fewer times, by packing many integers into one
-(Kronecker substitution; the slot layout is the "Kronecker packing" comment
-below).
+``Fraction`` arithmetic gives, without a gcd per multiply and add. Stacking,
+sums and packing take their common denominator from one helper,
+``_over_lcm``. Products pay only for real arithmetic: a factor equal to the
+identity adds the other factor's grid with no dot product, and an empty sum
+is the shared zero. Two kernels touch each entry fewer times, by packing
+many integers into one (Kronecker substitution; the slot layout is the
+"Kronecker packing" comment below).
 ``Mat.convolve`` multiplies matrix series; once both sides have
 ``_PACK_MIN_BLOCKS`` nonzero blocks it packs each entry's blocks, so each
 result entry is one dot product of packed integers. ``PackedRows`` packs
@@ -92,6 +93,12 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(*ratio(value))
+
+
+def _over_lcm(mats, den: int = 1) -> tuple[int, list[tuple]]:
+    """The lcm of ``den`` and the denominators of ``mats``, and each grid over it."""
+    den = math.lcm(den, *[m._den for m in mats])
+    return den, [m._scaled(den // m._den) for m in mats]
 
 
 def _max_abs(grids) -> int:
@@ -274,8 +281,7 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("row count mismatch in hstack")
-        den = math.lcm(*[m._den for m in mats])
-        grids = [m._scaled(den // m._den) for m in mats]
+        den, grids = _over_lcm(mats)
         grid = tuple(tuple(chain.from_iterable(g[i] for g in grids)) for i in range(rows))
         return Mat._of(grid, den, rows, sum(m.cols for m in mats))
 
@@ -286,8 +292,8 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("column count mismatch in vstack")
-        den = math.lcm(*[m._den for m in mats])
-        grid = tuple(chain.from_iterable(m._scaled(den // m._den) for m in mats))
+        den, grids = _over_lcm(mats)
+        grid = tuple(chain.from_iterable(grids))
         return Mat._of(grid, den, len(grid), cols)
 
     @staticmethod
@@ -368,10 +374,8 @@ class Mat:
             y.rows != inner or y.cols != cols for _, y in right
         ):
             raise ValueError(f"block shapes differ from {rows}x{inner} @ {inner}x{cols}")
-        den_a = math.lcm(*[x._den for _, x in left])
-        den_b = math.lcm(*[y._den for _, y in right])
-        grids_a = [x._scaled(den_a // x._den) for _, x in left]
-        grids_b = [y._scaled(den_b // y._den) for _, y in right]
+        den_a, grids_a = _over_lcm([x for _, x in left])
+        den_b, grids_b = _over_lcm([y for _, y in right])
         bound = min(len(left), len(right)) * inner * _max_abs(grids_a) * _max_abs(grids_b)
         width = _slot_width(bound.bit_length())
         shifts_a, shifts_b = [8 * width * p for p, _ in left], [8 * width * q for q, _ in right]
@@ -464,11 +468,8 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} {symbol} {other.rows}x{other.cols}"
             )
-        den = math.lcm(self._den, other._den)
-        grid = tuple(
-            tuple(map(op, r1, r2))
-            for r1, r2 in zip(self._scaled(den // self._den), other._scaled(den // other._den))
-        )
+        den, (grid_a, grid_b) = _over_lcm((self, other))
+        grid = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(grid_a, grid_b))
         return Mat._reduced(grid, den, self.rows, self.cols)
 
     def __add__(self, other: Mat) -> Mat:
@@ -671,8 +672,7 @@ class PackedRows:
         denominators."""
         if any(m.cols != self.cols for m in mats):
             raise ValueError(f"blocks of {self.cols} columns expected")
-        den = math.lcm(self.den, *[m._den for m in mats])
-        grids = [m._scaled(den // m._den) for m in mats]
+        den, grids = _over_lcm(mats, self.den)
         scale = den // self.den
         bits = max((scale * ((1 << self.bits) - 1)).bit_length(), _max_abs(grids).bit_length())
         self._repack(_slot_width(bits, self.width))

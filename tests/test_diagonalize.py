@@ -16,6 +16,7 @@ from localsmith import (
     MatLaurent,
     MatSeries,
     RecursionState,
+    TruncationError,
     analyze,
     diagonalize,
     direct_laurent_inverse,
@@ -166,6 +167,8 @@ PSI_FAMILIES = sorted(
     (os.path.join(DATA, "example1.json"), "plan_stage1.json"),
     (os.path.join(REPORTS, "rect3x2.json"), "plan_late.json"),
 ]
+
+STAGE_FAMILIES = [(os.path.join(DATA, name), None) for name in SMALL_FAMILIES] + PSI_FAMILIES[-2:]
 
 
 class TestPsiPastK:
@@ -420,6 +423,54 @@ class TestCoefficientsFormedOnce:
         assert first._store is not second._store
         assert first.phi_inv.degree == first.order
         assert "phi_inv" in first._store and "phi_inv" not in second._store
+
+
+class TestStagesTheProofReads:
+    """The proof's readers of phi and psi run the stages it reads, so after
+    ``diagonalize`` or ``analyze`` the state holds exactly the stages
+    through k+1+order and through the last one the plan names, each
+    finished."""
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["order0", "deep"])
+    @pytest.mark.parametrize("pipeline", [diagonalize, analyze])
+    @pytest.mark.parametrize(
+        "path, plan",
+        STAGE_FAMILIES,
+        ids=[f"{os.path.basename(path)}-{plan or 'pivot'}" for path, plan in STAGE_FAMILIES],
+    )
+    def test_stage_count_follows_order_and_plan(self, path, plan, pipeline, deep):
+        with open(path, "r", encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read()))
+        complements = None
+        if plan is not None:
+            with open(os.path.join(REPORTS, plan), "r", encoding="utf-8") as handle:
+                complements = parse_complement_plan(handle.read())
+        order = 0
+        if deep:
+            # Past 2k + 1, the stages analyze reads by default; a truncation
+            # caps it at tail_order - k.
+            k = RecursionState(family, complements=complements).run_until_stabilized()
+            order = 2 * k + 4
+            if family.tail_order is not None:
+                order = min(order, family.tail_order - k)
+        result = pipeline(family, order=order, complements=complements)
+        state = result.state
+        assert result.k == state.stabilization_k
+        assert state.stage_count == max(result.k + 1 + order, state.plan_end)
+        assert state._pending is None
+
+    @pytest.mark.parametrize("pipeline", [diagonalize, analyze])
+    @pytest.mark.parametrize("order", [5, 12])
+    def test_order_past_the_truncation_raises_from_the_stage(self, pipeline, order):
+        # trunc2x2 has k = 2 and is truncated at order 6, so order 4 is the
+        # deepest the proof can read: order 5 needs stage 8.
+        with open(os.path.join(REPORTS, "trunc2x2.json"), encoding="utf-8") as handle:
+            family = spec_to_series(parse_family(handle.read()))
+        with pytest.raises(TruncationError) as raised:
+            pipeline(family, order=order)
+        assert str(raised.value) == (
+            "stage 8 needs the order-7 coefficient; input truncated at order 6"
+        )
 
 
 class TestGeneralizedInverse:

@@ -165,6 +165,31 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="shape mismatch"):
             a @ b
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Mat([["1/2", 0, 0]]) + Mat.zeros(3, 1), "shape mismatch 1x3 + 3x1"),
+            (lambda: Mat.identity(2) - Mat([["1/3", 0, 1]]), "shape mismatch 2x2 - 1x3"),
+            (
+                lambda: Mat.hstack([Mat.identity(2), Mat([["1/2"]])]),
+                "row count mismatch in hstack",
+            ),
+            (
+                lambda: Mat.vstack([Mat([["1/2"]]), Mat.identity(2)]),
+                "column count mismatch in vstack",
+            ),
+            (
+                lambda: packed(Mat.identity(2)).extended([Mat([["1/2", 0, 0]])]),
+                "blocks of 2 columns expected",
+            ),
+        ],
+        ids=["add", "sub", "hstack", "vstack", "extended"],
+    )
+    def test_common_denominator_kernels_refuse_mismatched_shapes(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
     def test_zero_width_matrices(self):
         empty = Mat.zeros(3, 0)
         assert empty.rank() == 0

@@ -486,15 +486,15 @@ class TestFinishOnRead:
         one whose left factor is a stage's S_j^+ and whose factors are both
         nonzero, so a zero S_j^+ forms nothing."""
         states, complements, formed = [], [], []
-        run, form = RecursionState.run_until_stabilized, DiagonalizationResult.__post_init__
+        run, form = RecursionState.run_until_stabilized, DiagonalizationResult.__init__
         coordinates, product = complement_coordinates, Mat.__matmul__
 
         def running(self):
             states.append(self)
             return run(self)
 
-        def forming(self):
-            inverses = {id(st.splus): st.index for st in self.stages}
+        def forming(self, state, order):
+            inverses = {id(st.splus): st.index for st in state.stages[: state.stabilization_k + 1]}
 
             def multiplying(a, b):
                 if id(a) in inverses and not (a.is_zero() or b.is_zero()):
@@ -503,14 +503,14 @@ class TestFinishOnRead:
 
             with monkeypatch.context() as inside:
                 inside.setattr(Mat, "__matmul__", multiplying)
-                form(self)
+                form(self, state, order)
 
         def complementing(*args):
             complements.append(args)
             return coordinates(*args)
 
         monkeypatch.setattr(RecursionState, "run_until_stabilized", running)
-        monkeypatch.setattr(DiagonalizationResult, "__post_init__", forming)
+        monkeypatch.setattr(DiagonalizationResult, "__init__", forming)
         monkeypatch.setattr("localsmith.recursion.complement_coordinates", complementing)
         return states, complements, formed
 

@@ -1,16 +1,21 @@
-"""The code lines of each module of ``src/localsmith``, and their total.
+"""The code lines and AST nodes of each module of ``src/localsmith``, and their
+totals.
 
 A code line is a line that is not blank, not a comment line and not part of
 a module, class or function docstring (found with ``ast``). This is the
-count that ROADMAP.md's "least code" aim reads; it gates nothing.
+count that ROADMAP.md's "least code" aim reads. The node count is the number
+of nodes ``ast.walk`` visits in the module's tree: compile time follows it,
+and it shows an expression that was only made denser, which the line count
+does not. Neither gates anything.
 
 Usage (from any directory):
 
     python3 tools/code_lines.py
 
-It prints one ``<count> src/localsmith/<module>.py`` line per module, in
-path order, and a ``<count> total`` line, each count right-aligned in six
-columns.
+It prints one ``<count> src/localsmith/<module>.py <nodes> nodes`` line per
+module, in path order, and a ``<count> total <nodes> nodes`` line. Each code
+line count is right-aligned in six columns, the names are padded to one
+width, and each node count is right-aligned in seven columns.
 """
 
 import ast
@@ -28,13 +33,21 @@ def code_lines(text: str) -> int:
     return sum(1 for i, line in lines if line.strip()[:1] not in ("", "#") and i not in docs)
 
 
+def ast_nodes(text: str) -> int:
+    """The number of nodes in the syntax tree of ``text``."""
+    return sum(1 for _ in ast.walk(ast.parse(text)))
+
+
 def main() -> None:
-    root, total = Path(__file__).resolve().parent.parent, 0
+    root = Path(__file__).resolve().parent.parent
+    rows = []
     for path in sorted((root / "src" / "localsmith").glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6} {path.relative_to(root).as_posix()}")
-    print(f"{total:6} total")
+        text = path.read_text(encoding="utf-8")
+        rows.append((code_lines(text), path.relative_to(root).as_posix(), ast_nodes(text)))
+    rows.append((sum(r[0] for r in rows), "total", sum(r[2] for r in rows)))
+    width = max(len(name) for _, name, _ in rows)
+    for count, name, nodes in rows:
+        print(f"{count:6} {name:<{width}} {nodes:7} nodes")
 
 
 if __name__ == "__main__":
